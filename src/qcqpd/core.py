@@ -15,7 +15,8 @@ All updates are component-wise, so the ``x`` block can be partitioned by
 coordinates; the Hessian products they need run through the
 column-partitioned kernels in :mod:`qcqpd.dist`, two matvec sweeps per
 iteration (one per pass, with the products cached and shared by every
-consumer in the pass).
+consumer in the pass).  The column blocks of the Hessians and of ``A`` are
+cut once per solve.
 
 The step size is recomputed every iteration as the minimum of eight
 bounds driven by precomputed Frobenius norms and the current iterate;
@@ -41,7 +42,7 @@ from .diagnostics import (
     classify_termination,
     compute_residuals,
 )
-from .dist import CommStats, dist_dot, dist_matvec, dist_transpose_matvec, partition_columns
+from .dist import ColumnBlocks, CommStats, dist_dot, partition_columns
 from .model import QcqpProblem, compute_norms
 
 __all__ = [
@@ -373,15 +374,16 @@ def analytic_comm_stats(problem, iterations):
     )
 
 
-def _pass_products(problem, part, stats, x, u):
+def _pass_products(problem, hessians, a_blocks, stats, x, u):
     """One matvec sweep at ``(x, u)``: Hessian products, constraint and equality values."""
     p = problem
-    Px = [dist_matvec(p.P[i], x, part, stats) for i in range(p.m1 + 1)]
+    part = hessians.partition
+    Px = hessians.matvec(x, stats)
     cons = np.empty(p.m1)
     for i in range(1, p.m1 + 1):
         cons[i - 1] = dist_dot(0.5 * Px[i] + p.q[i], x, part, stats) + float(p.c[i] @ u) + p.r[i]
     if p.m2:
-        eq = dist_matvec(p.A, x, part, stats, scatter=False) + p.B @ u - p.b
+        eq = a_blocks.matvec(x, stats, scatter=False)[0] + p.B @ u - p.b
     else:
         eq = np.zeros(0)
     return Px, cons, eq
@@ -407,6 +409,8 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, u0=
     cfg = config if config is not None else SolverConfig()
     norms = compute_norms(p)
     part = partition_columns(p.n1, cfg.n_workers)
+    hessians = ColumnBlocks(p.P, part)
+    a_blocks = ColumnBlocks([p.A], part)
     stats = CommStats()
 
     x = p.project_box(np.zeros(p.n1) if x0 is None else np.asarray(x0, dtype=np.float64).copy())
@@ -429,7 +433,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, u0=
     k = 0
 
     while True:
-        Px, cons, eq = _pass_products(p, part, stats, x, u)
+        Px, cons, eq = _pass_products(p, hessians, a_blocks, stats, x, u)
 
         if not (
             np.isfinite(x).all()
@@ -446,7 +450,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, u0=
             callback(k, x, u, lam, gam)
 
         # A' gam is worker-local: each worker needs only its own columns
-        ATgam = dist_transpose_matvec(p.A, gam, part, stats) if p.m2 else None
+        ATgam = a_blocks.transpose_matvec(gam) if p.m2 else None
         grad_x = gradient_x(p, x, lam, gam, Px=Px, ATgam=ATgam)
         grad_u = gradient_u(p, lam, gam)
 
@@ -491,8 +495,8 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, u0=
         v = primal_predictor_u(p, u, lam, gam, rho, grad=grad_u)
 
         # corrector pass: same sweep at the predictor point
-        Py, cons_y, eq_y = _pass_products(p, part, stats, y, v)
-        ATnu = dist_transpose_matvec(p.A, nu, part, stats) if p.m2 else None
+        Py, cons_y, eq_y = _pass_products(p, hessians, a_blocks, stats, y, v)
+        ATnu = a_blocks.transpose_matvec(nu) if p.m2 else None
         grad_xc = gradient_x(p, y, mu, nu, Px=Py, ATgam=ATnu)
         grad_uc = gradient_u(p, mu, nu)
         x = primal_corrector_x(p, x, y, mu, nu, rho, grad=grad_xc)

@@ -17,8 +17,17 @@ distributed run would issue them, and the reduction order is a fixed
 left-to-right pairwise tree over worker index, so results are bitwise
 reproducible for a fixed partition.  (Across *different* worker counts
 only floating-point-tolerance agreement is possible, since partial sums
-group differently.)  The single-worker path degenerates to plain serial
-products.
+group differently.)
+
+The column blocks are cut once per solve, not once per product:
+:class:`ColumnBlocks` takes a stack of matrices (the ``m1 + 1`` Hessians,
+or ``A``) and, for each worker, stacks the worker's columns of every dense
+matrix into one Fortran-order block and those of every sparse matrix into
+one CSC block.  A product with the whole stack then costs at most one
+dense and one sparse product per worker, and the reduced vector is split
+back into the per-matrix products.  Serial execution is the one-worker
+case of the same code: a block spanning every column of a single matrix
+is that matrix itself, not a copy.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "ColumnBlocks",
     "ColumnPartition",
     "CommStats",
     "partition_columns",
@@ -128,39 +138,102 @@ def _check_cols(M, partition):
         raise ValueError(f"matrix has {M.shape[1]} columns, partition covers {partition.n_cols}")
 
 
-def dist_matvec(M, x, partition: ColumnPartition, stats: CommStats | None = None, scatter: bool = True):
-    """``M @ x`` from per-worker column slices.
+def _check_vector(v, length):
+    v = np.asarray(v)
+    if v.shape != (length,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({length},)")
+    return v
 
-    Accounts one reduce of ``M.shape[0]`` doubles, plus one scatter of the
-    same volume when the result is handed back to the workers (the case
-    for the Hessian products; row evaluations destined for the dual side
-    pass ``scatter=False``).
+
+def _cut(matrices, lo, hi):
+    """Columns ``[lo, hi)`` of every matrix, stacked vertically into one block.
+
+    All matrices are dense or all are sparse; a dense stack is one
+    Fortran-order block, a sparse one a CSC block.  A single matrix whose
+    range spans every column is returned as is, not copied.
     """
-    _check_cols(M, partition)
-    x = np.asarray(x)
-    if x.shape != (partition.n_cols,):
-        raise ValueError(f"vector has shape {x.shape}, expected ({partition.n_cols},)")
-    n_rows = M.shape[0]
-    if partition.n_workers == 1:
-        full = M @ x
-        if sp.issparse(M):
-            full = np.asarray(full).reshape(n_rows)
-    else:
-        parts = []
-        for lo, hi in partition.ranges:
-            if hi == lo:
-                parts.append(np.zeros(n_rows))
-                continue
-            part = M[:, lo:hi] @ x[lo:hi]
-            if sp.issparse(M):
-                part = np.asarray(part).reshape(n_rows)
-            parts.append(part)
-        full = _tree_sum(parts)
-    if stats is not None:
-        stats.record_reduce(n_rows)
-        if scatter:
-            stats.record_scatter(n_rows)
-    return full
+    if len(matrices) == 1:
+        M = matrices[0]
+        return M if (lo, hi) == (0, M.shape[1]) else M[:, lo:hi]
+    if sp.issparse(matrices[0]):
+        return sp.vstack([M[:, lo:hi] for M in matrices], format="csc")
+    rows = sum(M.shape[0] for M in matrices)
+    return np.concatenate([M[:, lo:hi] for M in matrices], out=np.empty((rows, hi - lo), order="F"))
+
+
+class ColumnBlocks:
+    """Per-worker column blocks of a stack of matrices, cut once.
+
+    ``matrices`` share the partition's column count and may differ in row
+    count.  Each worker holds one dense block stacking its columns of every
+    dense matrix and one CSC block stacking its columns of every sparse
+    matrix, so :meth:`matvec` costs at most two local products per worker.
+    """
+
+    def __init__(self, matrices, partition: ColumnPartition):
+        self.partition = partition
+        self._rows = [M.shape[0] for M in matrices]
+        kinds = ([], [])  # indices of the dense and of the sparse matrices
+        for i, M in enumerate(matrices):
+            _check_cols(M, partition)
+            kinds[sp.issparse(M)].append(i)
+        # (indices into ``matrices``, one block per worker) for each kind present
+        self._groups = [
+            (members, [_cut([matrices[i] for i in members], lo, hi) for lo, hi in partition.ranges])
+            for members in kinds
+            if members
+        ]
+
+    def matvec(self, x, stats: CommStats | None = None, scatter: bool = True):
+        """``[M @ x for M in matrices]`` from per-worker partials.
+
+        The partials of each block kind are tree-reduced in worker order, so
+        every product is bitwise what a per-matrix reduction gives whenever
+        the local products are.  Accounts one reduce per matrix of its row
+        count, plus one scatter of the same volume when the products are
+        handed back to the workers (the Hessian products; row evaluations
+        destined for the dual side pass ``scatter=False``).
+        """
+        part = self.partition
+        x = _check_vector(x, part.n_cols)
+        out = [None] * len(self._rows)
+        for members, blocks in self._groups:
+            full = _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, part.ranges)])
+            start = 0
+            for i in members:
+                stop = start + self._rows[i]
+                out[i] = full[start:stop]
+                start = stop
+        if stats is not None:
+            for n_rows in self._rows:
+                stats.record_reduce(n_rows)
+                if scatter:
+                    stats.record_scatter(n_rows)
+        return out
+
+    def transpose_matvec(self, g):
+        """``M' g`` for a stack of one matrix ``M``, worker-locally: no communication.
+
+        Each worker owns the columns ``M[:, lo:hi]`` and therefore the slice
+        ``(M' g)[lo:hi] = M[:, lo:hi]' g`` outright.
+        """
+        if len(self._rows) != 1:
+            raise ValueError("transpose_matvec needs a stack of exactly one matrix")
+        g = _check_vector(g, self._rows[0])
+        (_, blocks), = self._groups
+        out = np.empty(self.partition.n_cols)
+        for block, (lo, hi) in zip(blocks, self.partition.ranges):
+            out[lo:hi] = block.T @ g
+        return out
+
+
+def dist_matvec(M, x, partition: ColumnPartition, stats: CommStats | None = None, scatter: bool = True):
+    """``M @ x`` from per-worker column slices, cut for this call.
+
+    Accounts as :meth:`ColumnBlocks.matvec`.  Repeated products with the
+    same matrices should cut the blocks once with :class:`ColumnBlocks`.
+    """
+    return ColumnBlocks([M], partition).matvec(x, stats, scatter)[0]
 
 
 def dist_dot(x, y, partition: ColumnPartition, stats: CommStats | None = None) -> float:
@@ -169,11 +242,7 @@ def dist_dot(x, y, partition: ColumnPartition, stats: CommStats | None = None) -
     y = np.asarray(y)
     if x.shape != (partition.n_cols,) or y.shape != (partition.n_cols,):
         raise ValueError("vectors must match the partition length")
-    if partition.n_workers == 1:
-        total = float(x @ y)
-    else:
-        parts = [float(x[lo:hi] @ y[lo:hi]) if hi > lo else 0.0 for lo, hi in partition.ranges]
-        total = float(_tree_sum(parts))
+    total = float(_tree_sum([float(x[lo:hi] @ y[lo:hi]) for lo, hi in partition.ranges]))
     if stats is not None:
         stats.record_reduce(1)
     return total
@@ -191,22 +260,5 @@ def dist_quadform(M, x, partition: ColumnPartition, stats: CommStats | None = No
 
 
 def dist_transpose_matvec(A, g, partition: ColumnPartition, stats: CommStats | None = None):
-    """``A' g`` computed worker-locally; no communication.
-
-    Each worker owns the columns ``A[:, lo:hi]`` and therefore the slice
-    ``(A' g)[lo:hi] = A[:, lo:hi]' g`` outright.
-    """
-    _check_cols(A, partition)
-    g = np.asarray(g)
-    if g.shape != (A.shape[0],):
-        raise ValueError(f"vector has shape {g.shape}, expected ({A.shape[0]},)")
-    if partition.n_workers == 1:
-        out = A.T @ g
-        return np.asarray(out).reshape(partition.n_cols) if sp.issparse(A) else out
-    out = np.empty(partition.n_cols)
-    for lo, hi in partition.ranges:
-        if hi == lo:
-            continue
-        part = A[:, lo:hi].T @ g
-        out[lo:hi] = np.asarray(part).reshape(hi - lo) if sp.issparse(A) else part
-    return out
+    """``A' g`` computed worker-locally; no communication (``stats`` is untouched)."""
+    return ColumnBlocks([A], partition).transpose_matvec(g)

@@ -343,6 +343,7 @@ def _matrix_from_json(obj, rows, cols, where):
         return np.asfortranarray(np.asarray(data, dtype=np.float64).reshape(rows, cols))
     entries = obj["cols"]
     data, ri, ci = [], [], []
+    seen = set()
     for jstr, pairs in entries.items():
         j = int(jstr)
         if not 0 <= j < cols:
@@ -351,6 +352,10 @@ def _matrix_from_json(obj, rows, cols, where):
             row, val = int(pair[0]), float(pair[1])
             if not 0 <= row < rows:
                 raise ProblemFormatError(f"{where}: row index {row} out of range")
+            # csc_matrix would silently sum a repeated entry
+            if (row, j) in seen:
+                raise ProblemFormatError(f"{where}: column {j} lists row {row} more than once")
+            seen.add((row, j))
             ri.append(row)
             ci.append(j)
             data.append(val)
@@ -392,10 +397,19 @@ def save_problem(problem: QcqpProblem, path) -> None:
 
 
 def load_problem(path) -> QcqpProblem:
-    """Read a problem JSON file; raises :class:`ProblemFormatError` on bad input."""
+    """Read a problem JSON file; raises :class:`ProblemFormatError` on bad input.
+
+    The non-standard literals ``NaN``, ``Infinity`` and ``-Infinity`` are
+    rejected: problem data is finite, and infinite bounds are the string
+    ``"inf"``.
+    """
+
+    def reject_constant(name):
+        raise ProblemFormatError(f"{path}: non-finite literal {name} is not allowed in a problem file")
+
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_constant)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,26 @@ class TestSolveCommand:
         save_problem(p, path)
         assert main(["solve", str(path)]) == 1
         assert "not PSD" in capsys.readouterr().err
+
+    def test_duplicate_sparse_entry_exit_one(self, toy_file, capsys):
+        path = Path(toy_file)
+        doc = json.loads(path.read_text())
+        doc["P"][1] = {"cols": {"0": [[0, 0.5], [0, 0.5]]}}
+        path.write_text(json.dumps(doc))
+        assert main(["solve", toy_file]) == 1
+        err = capsys.readouterr().err
+        assert "P[1]" in err and "column 0" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_exit_one(self, toy_file, capsys, literal):
+        path = Path(toy_file)
+        doc = json.loads(path.read_text())
+        doc["P"][0] = {"dense": [[float(literal)]]}
+        path.write_text(json.dumps(doc))
+        assert literal in path.read_text()
+        assert main(["solve", toy_file]) == 1
+        err = capsys.readouterr().err
+        assert toy_file in err and literal in err
 
     def test_max_iters_exit_two(self, toy_file):
         assert main(["solve", toy_file, "--tol", "1e-15", "--max-iters", "20"]) == 2

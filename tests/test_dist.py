@@ -11,7 +11,7 @@ from qcqpd import (
     dist_transpose_matvec,
     partition_columns,
 )
-from qcqpd.dist import dist_dot
+from qcqpd.dist import ColumnBlocks, dist_dot
 
 
 class TestPartition:
@@ -186,3 +186,72 @@ class TestDot:
         dist_dot(np.ones(4), np.ones(4), partition_columns(4, 2), stats)
         assert stats.reduce_ops == 1
         assert stats.bytes_reduced == 8
+
+
+STACKS = {
+    "dense": ("dense", "dense", "dense"),
+    "csc": ("csc", "csc", "csc"),
+    "mixed": ("csc", "dense", "dense", "csc", "dense"),
+}
+
+
+def _stack(kinds, n, rng, integer):
+    mats = []
+    for kind in kinds:
+        M = rng.integers(-4, 5, size=(n, n)).astype(float) if integer else rng.standard_normal((n, n))
+        mats.append(sp.csc_matrix(M * (rng.random((n, n)) < 0.4)) if kind == "csc" else np.asfortranarray(M))
+    return mats
+
+
+class TestColumnBlocks:
+    """The stacked per-worker kernel against one ``dist_matvec`` per matrix."""
+
+    # n = 3 leaves some of 4 or 5 workers an empty column range
+    @pytest.mark.parametrize("n", [3, 13])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kinds", STACKS.values(), ids=list(STACKS))
+    def test_small_integers_exact(self, kinds, workers, n):
+        # every partial sum is an integer far below 2**53, so any BLAS sums exactly
+        rng = np.random.default_rng(100 * workers + n)
+        mats = _stack(kinds, n, rng, integer=True)
+        x = rng.integers(-5, 6, size=n).astype(float)
+        part = partition_columns(n, workers)
+        out = ColumnBlocks(mats, part).matvec(x)
+        assert len(out) == len(mats)
+        for M, got in zip(mats, out):
+            assert np.array_equal(got, dist_matvec(M, x, part))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kinds", STACKS.values(), ids=list(STACKS))
+    def test_random_floats_agree(self, kinds, workers):
+        rng = np.random.default_rng(workers)
+        n = 37
+        mats = _stack(kinds, n, rng, integer=False)
+        x = rng.standard_normal(n)
+        part = partition_columns(n, workers)
+        for M, got in zip(mats, ColumnBlocks(mats, part).matvec(x)):
+            np.testing.assert_allclose(got, dist_matvec(M, x, part), rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_comm_one_reduce_scatter_pair_per_matrix(self, workers):
+        rng = np.random.default_rng(7)
+        n = 10
+        mats = _stack(STACKS["mixed"], n, rng, integer=True)
+        blocks = ColumnBlocks(mats, partition_columns(n, workers))
+        stats = CommStats()
+        for _ in range(2):  # two passes
+            blocks.matvec(rng.standard_normal(n), stats)
+        k = len(mats)
+        assert stats.as_dict() == {
+            "reduce_ops": 2 * k,
+            "scatter_ops": 2 * k,
+            "bytes_reduced": 2 * k * n * 8,
+            "bytes_scattered": 2 * k * n * 8,
+        }
+        blocks.matvec(np.ones(n), stats, scatter=False)
+        assert stats.reduce_ops == 3 * k and stats.scatter_ops == 2 * k
+
+    def test_transpose_needs_one_matrix(self):
+        blocks = ColumnBlocks([np.eye(3), np.eye(3)], partition_columns(3, 2))
+        with pytest.raises(ValueError):
+            blocks.transpose_matvec(np.ones(3))
