@@ -1,0 +1,54 @@
+"""Golden outputs: status, iterations and sha256 of report JSON + trace CSV.
+
+Solves a fixed instance set (the toy, random n1=64 seeds 0-2, MKL seed 0,
+the infeasible and unbounded instances) at 1 and 3 workers and prints one
+line per solve.  Two commits whose outputs match line for line produce
+byte-identical solves.  Run: ``python3 scripts/golden.py``.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+# Pin BLAS to one thread before numpy loads: summation order must not vary.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from qcqpd import (  # noqa: E402
+    MklSpec, QcqpProblem, RandomQcqpSpec, SolverConfig, build_mkl_qcqp,
+    gen_infeasible, gen_random_qcqp, gen_unbounded, solve,
+)
+
+
+def instances():
+    """``(name, problem, solver settings)`` of every golden instance."""
+    toy = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[1.0]], [[1.0]]], q=[[-2.0], [0.0]],
+                      c=[[], []], r=[0.0, -0.5], x_upper=[10.0])
+    yield "toy", toy, {"tol": 1e-6}
+    for seed in range(3):
+        yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}
+    yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}
+    yield "infeasible", gen_infeasible(64, seed=0), {"divergence_threshold": 1e4}
+    yield "unbounded", gen_unbounded(64, seed=0), {}
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        report, trace = os.path.join(tmp, "report.json"), os.path.join(tmp, "trace.csv")
+        for name, problem, settings in instances():
+            for workers in (1, 3):
+                rep = solve(problem, SolverConfig(n_workers=workers, **settings))
+                rep.write_report_json(report)
+                rep.write_trace_csv(trace)
+                digest = hashlib.sha256()
+                for path in (report, trace):
+                    with open(path, "rb") as fh:
+                        digest.update(fh.read())
+                print(f"{name} workers={workers} status={rep.status.value} "
+                      f"iterations={rep.iterations} sha256={digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

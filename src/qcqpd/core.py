@@ -1,15 +1,16 @@
 """Predictor-corrector proximal-multiplier solver for convex QCQPs.
 
-Each iteration performs four closed-form update groups from the current
-iterate ``(x, u, lam, gam)``:
+Each iteration updates the iterate ``(x, u, lam, gam)`` with two
+closed-form formulas, each applied at predictor and corrector:
 
-* dual predictors ``(mu, nu)`` from the constraint values at the iterate,
-* primal predictors ``(y, v)`` from the Lagrangian gradient at the
-  iterate, projected onto the box,
-* primal correctors ``(x+, u+)`` anchored at the iterate but with the
-  gradient re-evaluated at the predictors,
-* dual correctors ``(lam+, gam+)`` anchored at the iterate with the
-  constraints re-evaluated at the primal predictors.
+* :func:`primal_step`, a gradient step on ``(x, u)`` projected onto the
+  box (``u`` is unconstrained),
+* :func:`dual_step`, an ascent step on ``(lam, gam)`` with ``lam`` clipped
+  nonnegative.
+
+The predictor ``(y, v, mu, nu)`` evaluates the Lagrangian gradient and the
+constraint values at the iterate; the corrector anchors at the iterate
+again but evaluates them at the predictor (the extragradient form).
 
 All updates are component-wise, so the ``x`` block can be partitioned by
 coordinates; the Hessian products they need run through the
@@ -51,14 +52,8 @@ __all__ = [
     "SolveReport",
     "TraceRow",
     "solve",
-    "dual_predictor",
-    "dual_corrector",
-    "primal_predictor_x",
-    "primal_corrector_x",
-    "primal_predictor_u",
-    "primal_corrector_u",
-    "gradient_x",
-    "gradient_u",
+    "primal_step",
+    "dual_step",
     "compute_step_size",
     "update_epsilons",
     "update_weights",
@@ -120,74 +115,16 @@ class SolverConfig:
 
 
 # --- closed-form updates ----------------------------------------------------
-#
-# Each helper accepts optional precomputed pieces (constraint values,
-# gradients) so the solve loop can feed it the cached distributed products;
-# when omitted they are computed serially, which is what the unit tests and
-# the proximal-equivalence checks exercise.
 
 
-def gradient_x(problem, x, lam, gam, Px=None, ATgam=None):
-    """``P0 x + q0 + sum_i lam_i (Pi x + qi) + A' gam``."""
-    return problem.lagrangian_grad_x(x, lam, gam, Px=Px, ATgam=ATgam)
+def primal_step(problem, x, u, grad_x, grad_u, rho):
+    """``(project_box(x - rho * grad_x), u - rho * grad_u)``; ``u`` is unconstrained."""
+    return problem.project_box(x - rho * grad_x), u - rho * grad_u
 
 
-def gradient_u(problem, lam, gam):
-    """``c0 + sum_i lam_i ci + B' gam``."""
-    return problem.lagrangian_grad_u(lam, gam)
-
-
-def dual_predictor(problem, x, u, lam, gam, rho, cons=None, eq=None):
-    """Provisional multipliers from the constraint values at ``(x, u)``.
-
-    ``mu_i = max(0, lam_i + rho * cons_i)`` and ``nu = gam + rho * (Ax + Bu - b)``.
-    """
-    if cons is None:
-        cons = problem.constraint_values(x, u)
-    if eq is None:
-        eq = problem.equality_residual(x, u)
-    mu = np.maximum(0.0, lam + rho * cons)
-    nu = gam + rho * eq
-    return mu, nu
-
-
-def primal_predictor_x(problem, x, lam, gam, rho, grad=None):
-    """Projected gradient step from ``x`` using the multipliers at the iterate."""
-    if grad is None:
-        grad = gradient_x(problem, x, lam, gam)
-    return problem.project_box(x - rho * grad)
-
-
-def primal_corrector_x(problem, x, y, mu, nu, rho, grad=None):
-    """Step anchored at ``x`` with the gradient re-evaluated at ``(y, mu, nu)``."""
-    if grad is None:
-        grad = gradient_x(problem, y, mu, nu)
-    return problem.project_box(x - rho * grad)
-
-
-def primal_predictor_u(problem, u, lam, gam, rho, grad=None):
-    """Unprojected step on the auxiliary block (``u`` is unconstrained)."""
-    if grad is None:
-        grad = gradient_u(problem, lam, gam)
-    return u - rho * grad
-
-
-def primal_corrector_u(problem, u, mu, nu, rho, grad=None):
-    """Corrector step on ``u`` with multipliers replaced by their predictors."""
-    if grad is None:
-        grad = gradient_u(problem, mu, nu)
-    return u - rho * grad
-
-
-def dual_corrector(problem, lam, gam, y, v, rho, cons=None, eq=None):
-    """Multiplier step anchored at ``(lam, gam)``, constraints evaluated at ``(y, v)``."""
-    if cons is None:
-        cons = problem.constraint_values(y, v)
-    if eq is None:
-        eq = problem.equality_residual(y, v)
-    lam_next = np.maximum(0.0, lam + rho * cons)
-    gam_next = gam + rho * eq
-    return lam_next, gam_next
+def dual_step(lam, gam, cons, eq, rho):
+    """``(max(0, lam + rho * cons), gam + rho * eq)``."""
+    return np.maximum(0.0, lam + rho * cons), gam + rho * eq
 
 
 # --- adaptive step size -----------------------------------------------------
@@ -206,8 +143,11 @@ def _root_rule(a, b, c):
     return None
 
 
-def compute_step_size(problem, norms, x, u, lam, gam, epsilons, big_M, cons=None, grad=None):
+def compute_step_size(problem, norms, x, lam, epsilons, big_M, cons, grad):
     """Evaluate the eight step-size bounds at the current iterate.
+
+    ``cons`` are the quadratic constraint values and ``grad`` the
+    Lagrangian gradient in ``x``, both at the iterate.
 
     Returns ``(rho, components)`` with ``rho = min(components)`` exactly.
     Five bounds are static ratios ``eps_s / norm`` (falling back to
@@ -230,10 +170,6 @@ def compute_step_size(problem, norms, x, u, lam, gam, epsilons, big_M, cons=None
     """
     p = problem
     e1, e2, e3, e4, e5, e6, e7, e8 = (float(e) for e in epsilons)
-    if cons is None:
-        cons = p.constraint_values(x, u)
-    if grad is None:
-        grad = gradient_x(problem, x, lam, gam)
 
     rho1 = e1 / norms.frob_P0 if norms.frob_P0 != 0.0 else e1
 
@@ -451,57 +387,52 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, u0=
 
         # A' gam is worker-local: each worker needs only its own columns
         ATgam = a_blocks.transpose_matvec(gam) if p.m2 else None
-        grad_x = gradient_x(p, x, lam, gam, Px=Px, ATgam=ATgam)
-        grad_u = gradient_u(p, lam, gam)
+        grad_x = p.lagrangian_grad_x(x, lam, gam, Px=Px, ATgam=ATgam)
+        grad_u = p.lagrangian_grad_u(lam, gam)
 
         eps = update_epsilons(weights, cfg.eps0) if adaptive else eps_equal
-        rho, comps = compute_step_size(p, norms, x, u, lam, gam, eps, cfg.big_M, cons=cons, grad=grad_x)
+        rho, comps = compute_step_size(p, norms, x, lam, eps, cfg.big_M, cons, grad_x)
         rho_min = min(rho_min, rho)
         rho_max = max(rho_max, rho)
 
-        checked_here = False
-        if k % cfg.trace_every == 0:
+        # residual check on the cadence and at the iteration cap; only a
+        # check on the cadence is classified
+        on_cadence = k % cfg.trace_every == 0
+        if on_cadence or k >= cfg.max_iters:
             rep = compute_residuals(p, x, u, lam, gam, grad_x=grad_x, grad_u=grad_u, cons=cons, eq=eq, iteration=k)
             residuals.append(rep)
             res1, res2 = rep.res1, rep.res2
             objective = 0.5 * float(x @ Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
             trace.append(TraceRow(k, rho, res1, res2, objective))
-            checked_here = True
-            outcome = classify_termination(
-                residuals,
-                tol=cfg.tol,
-                divergence_threshold=cfg.divergence_threshold,
-                divergence_window=cfg.divergence_window,
-                plateau_rel_change=cfg.plateau_rel_change,
-            )
+            outcome = None
+            if on_cadence:
+                outcome = classify_termination(
+                    residuals,
+                    tol=cfg.tol,
+                    divergence_threshold=cfg.divergence_threshold,
+                    divergence_window=cfg.divergence_window,
+                    plateau_rel_change=cfg.plateau_rel_change,
+                )
+            if outcome is None and k >= cfg.max_iters:
+                outcome = (
+                    TerminationStatus.MAX_ITERS_EXCEEDED,
+                    f"residual tolerance {cfg.tol:g} not reached in {cfg.max_iters} iterations",
+                )
             if outcome is not None:
                 status, message = outcome
                 break
 
-        if k >= cfg.max_iters:
-            if not checked_here:
-                rep = compute_residuals(p, x, u, lam, gam, grad_x=grad_x, grad_u=grad_u, cons=cons, eq=eq, iteration=k)
-                residuals.append(rep)
-                res1, res2 = rep.res1, rep.res2
-                objective = 0.5 * float(x @ Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
-                trace.append(TraceRow(k, rho, res1, res2, objective))
-            status = TerminationStatus.MAX_ITERS_EXCEEDED
-            message = f"residual tolerance {cfg.tol:g} not reached in {cfg.max_iters} iterations"
-            break
+        # predictor from the k-th iterate
+        y, v = primal_step(p, x, u, grad_x, grad_u, rho)
+        mu, nu = dual_step(lam, gam, cons, eq, rho)
 
-        # predictor updates from the k-th iterates
-        mu, nu = dual_predictor(p, x, u, lam, gam, rho, cons=cons, eq=eq)
-        y = primal_predictor_x(p, x, lam, gam, rho, grad=grad_x)
-        v = primal_predictor_u(p, u, lam, gam, rho, grad=grad_u)
-
-        # corrector pass: same sweep at the predictor point
+        # corrector: anchored at the k-th iterate, evaluated at the predictor
         Py, cons_y, eq_y = _pass_products(p, hessians, a_blocks, stats, y, v)
         ATnu = a_blocks.transpose_matvec(nu) if p.m2 else None
-        grad_xc = gradient_x(p, y, mu, nu, Px=Py, ATgam=ATnu)
-        grad_uc = gradient_u(p, mu, nu)
-        x = primal_corrector_x(p, x, y, mu, nu, rho, grad=grad_xc)
-        u = primal_corrector_u(p, u, mu, nu, rho, grad=grad_uc)
-        lam, gam = dual_corrector(p, lam, gam, y, v, rho, cons=cons_y, eq=eq_y)
+        grad_xc = p.lagrangian_grad_x(y, mu, nu, Px=Py, ATgam=ATnu)
+        grad_uc = p.lagrangian_grad_u(mu, nu)
+        x, u = primal_step(p, x, u, grad_xc, grad_uc, rho)
+        lam, gam = dual_step(lam, gam, cons_y, eq_y, rho)
 
         if adaptive:
             weights = update_weights(rho, comps, weights)

@@ -43,7 +43,6 @@ __all__ = [
     "CommStats",
     "partition_columns",
     "dist_matvec",
-    "dist_quadform",
     "dist_transpose_matvec",
     "dist_dot",
 ]
@@ -246,17 +245,6 @@ def dist_dot(x, y, partition: ColumnPartition, stats: CommStats | None = None) -
     if stats is not None:
         stats.record_reduce(1)
     return total
-
-
-def dist_quadform(M, x, partition: ColumnPartition, stats: CommStats | None = None, Mx=None) -> float:
-    """``x' M x`` reusing the scattered slices of ``M @ x`` when available.
-
-    Costs one scalar reduce on top of the matvec (which is performed, and
-    accounted, only if ``Mx`` is not supplied).
-    """
-    if Mx is None:
-        Mx = dist_matvec(M, x, partition, stats)
-    return dist_dot(np.asarray(x), np.asarray(Mx), partition, stats)
 
 
 def dist_transpose_matvec(A, g, partition: ColumnPartition, stats: CommStats | None = None):

@@ -250,18 +250,38 @@ def smallest_eigenvalue_estimate(M, max_iter: int = 200) -> float:
         return shift - lam
 
 
+def _non_finite(name, M):
+    """Violation naming the first NaN or infinite entry of ``M``, or ``None``.
+
+    Sparse (CSC) matrices are checked on their stored entries.
+    """
+    data = M.data if sp.issparse(M) else M
+    finite = np.isfinite(data)
+    if finite.all():
+        return None
+    at = np.argwhere(~finite)[0]
+    if sp.issparse(M):
+        at = (M.indices[at[0]], np.searchsorted(M.indptr, at[0], side="right") - 1)
+    return f"{name}[{', '.join(str(int(i)) for i in at)}] is not finite"
+
+
 def validate(problem: QcqpProblem) -> ValidationReport:
     """Check well-formedness of a problem; returns a report, never raises.
 
-    Detects dimension mismatches, asymmetric or non-PSD constraint
-    matrices (smallest-eigenvalue estimate below ``-1e-8 * ||Pi||_F``),
-    and nonpositive box upper bounds.
+    Detects NaN or infinite entries in ``P``, ``q``, ``c``, ``r``, ``A``,
+    ``B`` and ``b`` (``x_upper`` may be ``+inf``), dimension mismatches,
+    asymmetric or non-PSD constraint matrices (smallest-eigenvalue estimate
+    below ``-1e-8 * ||Pi||_F``), and nonpositive box upper bounds.
     """
     v = []
     p = problem
     for i, Pi in enumerate(p.P):
         if Pi.shape != (p.n1, p.n1):
             v.append(f"P[{i}] has shape {Pi.shape}, expected {(p.n1, p.n1)}")
+            continue
+        msg = _non_finite(f"P[{i}]", Pi)
+        if msg:
+            v.append(msg)
             continue
         nrm = _frob(Pi)
         gap = _frob(Pi - Pi.T)
@@ -277,6 +297,11 @@ def validate(problem: QcqpProblem) -> ValidationReport:
     for i, ci in enumerate(p.c):
         if ci.shape != (p.n2,):
             v.append(f"c[{i}] has length {ci.shape[0]}, expected {p.n2}")
+    rest = [(f"q[{i}]", qi) for i, qi in enumerate(p.q)] + [(f"c[{i}]", ci) for i, ci in enumerate(p.c)]
+    for name, M in rest + [("r", p.r), ("A", p.A), ("B", p.B), ("b", p.b)]:
+        msg = _non_finite(name, M)
+        if msg:
+            v.append(msg)
     if p.r.shape != (p.m1 + 1,):
         v.append(f"r has length {p.r.shape[0]}, expected {p.m1 + 1}")
     if p.A.shape != (p.m2, p.n1):
@@ -333,23 +358,42 @@ def _matrix_to_json(M):
     return {"dense": [[float(v) for v in row] for row in np.asarray(M)]}
 
 
+def _array_from_json(obj, shape, where):
+    """A float64 array of exactly ``shape`` from nested JSON lists of numbers."""
+    try:
+        out = np.asarray(obj, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{where}: not a nested list of numbers ({exc})") from exc
+    # a matrix with no rows is written as []
+    if out.shape != shape and not (out.shape == (0,) and shape[0] == 0):
+        raise ProblemFormatError(f"{where}: expected shape {shape}, got {out.shape}")
+    return out.reshape(shape)
+
+
 def _matrix_from_json(obj, rows, cols, where):
     if not isinstance(obj, dict) or ("dense" not in obj) == ("cols" not in obj):
         raise ProblemFormatError(f"{where}: matrix must have exactly one of 'dense' or 'cols'")
     if "dense" in obj:
-        data = obj["dense"]
-        if len(data) != rows or any(len(row) != cols for row in data):
-            raise ProblemFormatError(f"{where}: dense matrix is not {rows}x{cols}")
-        return np.asfortranarray(np.asarray(data, dtype=np.float64).reshape(rows, cols))
+        return np.asfortranarray(_array_from_json(obj["dense"], (rows, cols), f"{where}: dense matrix"))
     entries = obj["cols"]
+    if not isinstance(entries, dict):
+        raise ProblemFormatError(f"{where}: 'cols' must map column indices to lists of [row, value] pairs")
     data, ri, ci = [], [], []
     seen = set()
     for jstr, pairs in entries.items():
-        j = int(jstr)
+        try:
+            j = int(jstr)
+        except ValueError as exc:
+            raise ProblemFormatError(f"{where}: column key {jstr!r} is not an integer") from exc
         if not 0 <= j < cols:
             raise ProblemFormatError(f"{where}: column index {j} out of range")
+        if not isinstance(pairs, list):
+            raise ProblemFormatError(f"{where}: column {j} must be a list of [row, value] pairs")
         for pair in pairs:
-            row, val = int(pair[0]), float(pair[1])
+            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], int)
+                    and isinstance(pair[1], (int, float))):
+                raise ProblemFormatError(f"{where}: column {j} entry {pair!r} is not a [row, value] pair")
+            row, val = pair[0], float(pair[1])
             if not 0 <= row < rows:
                 raise ProblemFormatError(f"{where}: row index {row} out of range")
             # csc_matrix would silently sum a repeated entry
@@ -416,27 +460,26 @@ def load_problem(path) -> QcqpProblem:
         n1, n2, m1, m2 = (int(doc[k]) for k in ("n1", "n2", "m1", "m2"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{path}: missing or bad dimension field ({exc})") from exc
-    for name, count in (("P", m1 + 1), ("q", m1 + 1), ("c", m1 + 1), ("r", m1 + 1), ("b", m2), ("x_upper", n1)):
+    if min(n1, n2, m1, m2) < 0:
+        raise ProblemFormatError(f"{path}: dimensions must be nonnegative")
+    for name, count in (("P", m1 + 1), ("q", m1 + 1), ("c", m1 + 1), ("r", m1 + 1), ("A", m2), ("B", m2),
+                        ("b", m2), ("x_upper", n1)):
         if name not in doc:
             raise ProblemFormatError(f"{path}: missing field '{name}'")
+        if not isinstance(doc[name], list):
+            raise ProblemFormatError(f"{path}: field '{name}' must be a list, got {type(doc[name]).__name__}")
         if len(doc[name]) != count:
             raise ProblemFormatError(f"{path}: field '{name}' has {len(doc[name])} entries, expected {count}")
     P = [_matrix_from_json(obj, n1, n1, f"{path}: P[{i}]") for i, obj in enumerate(doc["P"])]
+    q = [_array_from_json(qi, (n1,), f"{path}: q[{i}]") for i, qi in enumerate(doc["q"])]
+    c = [_array_from_json(ci, (n2,), f"{path}: c[{i}]") for i, ci in enumerate(doc["c"])]
+    r = _array_from_json(doc["r"], (m1 + 1,), f"{path}: r")
+    A = _matrix_from_json({"dense": doc["A"]}, m2, n1, f"{path}: A")
+    B = _matrix_from_json({"dense": doc["B"]}, m2, n2, f"{path}: B")
+    b = _array_from_json(doc["b"], (m2,), f"{path}: b")
+    x_upper = [_bound_from_json(v, f"{path}: x_upper") for v in doc["x_upper"]]
     try:
-        problem = QcqpProblem(
-            n1=n1,
-            n2=n2,
-            m1=m1,
-            m2=m2,
-            P=P,
-            q=doc["q"],
-            c=doc["c"],
-            r=doc["r"],
-            A=_matrix_from_json({"dense": doc["A"]}, m2, n1, f"{path}: A"),
-            B=_matrix_from_json({"dense": doc["B"]}, m2, n2, f"{path}: B"),
-            b=doc["b"],
-            x_upper=[_bound_from_json(v, f"{path}: x_upper") for v in doc["x_upper"]],
-        )
-    except (ValueError, TypeError) as exc:
+        problem = QcqpProblem(n1=n1, n2=n2, m1=m1, m2=m2, P=P, q=q, c=c, r=r, A=A, B=B, b=b, x_upper=x_upper)
+    except ValueError as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
     return problem

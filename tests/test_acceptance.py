@@ -28,14 +28,7 @@ from qcqpd import (
     update_epsilons,
 )
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
-from qcqpd.core import (
-    dual_corrector,
-    dual_predictor,
-    primal_corrector_u,
-    primal_corrector_x,
-    primal_predictor_u,
-    primal_predictor_x,
-)
+from qcqpd.core import dual_step, primal_step
 from helpers import random_box_state, random_problem, toy_problem
 
 
@@ -182,9 +175,9 @@ def test_criterion_4_step_size_rule():
         eps = update_epsilons(rng.uniform(1e-6, 5.0, 8), eps0)
         worst_eps = max(worst_eps, abs(eps.sum() - (1.0 - eps0)))
         norms = compute_norms(problem)
-        rho, comps = compute_step_size(problem, norms, x, u, lam, gam, eps, 1e12)
-        assert rho == comps.min(), "rho must be the exact minimum of its components"
         grad = problem.lagrangian_grad_x(x, lam, gam)
+        rho, comps = compute_step_size(problem, norms, x, lam, eps, 1e12, problem.constraint_values(x, u), grad)
+        assert rho == comps.min(), "rho must be the exact minimum of its components"
         expected = _step_size_case_table(problem, norms, x, u, lam, eps, 1e12, grad)
         rel = np.abs(comps - expected) / np.maximum(np.abs(expected), 1e-300)
         worst_comp = max(worst_comp, float(rel.max()))
@@ -209,7 +202,8 @@ def test_criterion_5_proximal_equivalence():
         rho = float(rng.uniform(0.005, 0.3))
 
         grad = problem.lagrangian_grad_x(x, lam, gam)
-        y = primal_predictor_x(problem, x, lam, gam, rho, grad=grad)
+        gu = problem.lagrangian_grad_u(lam, gam)
+        y, v = primal_step(problem, x, u, grad, gu, rho)
         raw = x - rho * grad
         for j in range(n1):
             if 0.0 < y[j] < problem.x_upper[j]:
@@ -218,10 +212,12 @@ def test_criterion_5_proximal_equivalence():
                 assert raw[j] <= 0.0
             else:
                 assert y[j] == problem.x_upper[j] and raw[j] >= problem.x_upper[j]
+        if n2:
+            worst_interior = max(worst_interior, float(np.abs(v - u + rho * gu).max()))
 
         cons = problem.constraint_values(x, u)
         eq = problem.equality_residual(x, u)
-        mu, nu = dual_predictor(problem, x, u, lam, gam, rho, cons=cons, eq=eq)
+        mu, nu = dual_step(lam, gam, cons, eq, rho)
         for i in range(m1):
             if mu[i] > 0.0:
                 worst_interior = max(worst_interior, abs(mu[i] - lam[i] - rho * cons[i]))
@@ -229,13 +225,9 @@ def test_criterion_5_proximal_equivalence():
                 assert lam[i] + rho * cons[i] <= 0.0
         worst_interior = max(worst_interior, float(np.abs(nu - gam - rho * eq).max()) if m2 else 0.0)
 
-        v = primal_predictor_u(problem, u, lam, gam, rho)
-        gu = problem.lagrangian_grad_u(lam, gam)
-        if n2:
-            worst_interior = max(worst_interior, float(np.abs(v - u + rho * gu).max()))
-
         grad_c = problem.lagrangian_grad_x(y, mu, nu)
-        x_next = primal_corrector_x(problem, x, y, mu, nu, rho, grad=grad_c)
+        gu_c = problem.lagrangian_grad_u(mu, nu)
+        x_next, u_next = primal_step(problem, x, u, grad_c, gu_c, rho)
         raw_c = x - rho * grad_c
         for j in range(n1):
             if 0.0 < x_next[j] < problem.x_upper[j]:
@@ -244,15 +236,12 @@ def test_criterion_5_proximal_equivalence():
                 assert raw_c[j] <= 0.0
             else:
                 assert x_next[j] == problem.x_upper[j] and raw_c[j] >= problem.x_upper[j]
-
-        u_next = primal_corrector_u(problem, u, mu, nu, rho)
         if n2:
-            gu_c = problem.lagrangian_grad_u(mu, nu)
             worst_interior = max(worst_interior, float(np.abs(u_next - u + rho * gu_c).max()))
 
         cons_y = problem.constraint_values(y, v)
         eq_y = problem.equality_residual(y, v)
-        lam_next, gam_next = dual_corrector(problem, lam, gam, y, v, rho, cons=cons_y, eq=eq_y)
+        lam_next, gam_next = dual_step(lam, gam, cons_y, eq_y, rho)
         for i in range(m1):
             if lam_next[i] > 0.0:
                 worst_interior = max(worst_interior, abs(lam_next[i] - lam[i] - rho * cons_y[i]))

@@ -1,12 +1,37 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcqpd
 from qcqpd import load_problem, save_problem, validate
 from qcqpd.cli import main
 from helpers import toy_problem
+
+
+# Every data field nonempty, so each can carry a bad value.
+FULL_DOC = {
+    "n1": 1, "n2": 1, "m1": 1, "m2": 1,
+    "P": [{"dense": [[1.0]]}, {"cols": {"0": [[0, 1.0]]}}],
+    "q": [[-2.0], [0.0]], "c": [[0.0], [0.0]], "r": [0.0, -0.5],
+    "A": [[1.0]], "B": [[0.0]], "b": [0.5], "x_upper": [10.0],
+}
+
+
+def _write_doc(path, keys=(), value=None):
+    """``FULL_DOC`` with the entry at ``keys`` set to ``value``; "BIG" is written as ``1e999``."""
+    doc = json.loads(json.dumps(FULL_DOC))
+    if keys:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+    path.write_text(json.dumps(doc).replace('"BIG"', "1e999"))
+    return str(path)
 
 
 @pytest.fixture
@@ -62,6 +87,43 @@ class TestSolveCommand:
         assert main(["solve", toy_file]) == 1
         err = capsys.readouterr().err
         assert toy_file in err and literal in err
+
+    def test_full_doc_is_valid(self, tmp_path):
+        assert main(["solve", _write_doc(tmp_path / "p.json")]) == 0
+
+    @pytest.mark.parametrize("keys, field", [
+        (("P", 0, "dense", 0, 0), "P[0][0, 0]"),
+        (("P", 1, "cols", "0", 0, 1), "P[1][0, 0]"),
+        (("q", 0, 0), "q[0][0]"),
+        (("c", 1, 0), "c[1][0]"),
+        (("r", 0), "r[0]"),
+        (("A", 0, 0), "A[0, 0]"),
+        (("B", 0, 0), "B[0, 0]"),
+        (("b", 0), "b[0]"),
+    ])
+    def test_overflowing_number_exit_one(self, tmp_path, capsys, keys, field):
+        path = _write_doc(tmp_path / "p.json", keys, "BIG")
+        assert "1e999" in Path(path).read_text()
+        assert main(["solve", path]) == 1
+        assert f"{field} is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, field", [
+        (("P",), "'P'"),
+        (("P", 0, "dense", 0), "P[0]: dense"),
+        (("P", 1, "cols"), "P[1]: 'cols'"),
+        (("P", 1, "cols", "0", 0), "P[1]: column 0"),
+        (("q",), "'q'"),
+    ])
+    def test_malformed_field_exit_one_without_traceback(self, tmp_path, keys, field):
+        path = _write_doc(tmp_path / "p.json", keys, 5)
+        src = os.path.dirname(os.path.dirname(qcqpd.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcqpd.cli", "solve", path],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert any(line.startswith("error:") and field in line for line in proc.stderr.splitlines())
 
     def test_max_iters_exit_two(self, toy_file):
         assert main(["solve", toy_file, "--tol", "1e-15", "--max-iters", "20"]) == 2

@@ -14,16 +14,7 @@ from qcqpd import (
     update_epsilons,
     update_weights,
 )
-from qcqpd.core import (
-    WEIGHT_FLOOR,
-    WeightMode,
-    dual_corrector,
-    dual_predictor,
-    primal_corrector_u,
-    primal_corrector_x,
-    primal_predictor_u,
-    primal_predictor_x,
-)
+from qcqpd.core import WEIGHT_FLOOR, WeightMode, dual_step, primal_step
 from helpers import equality_problem, interior_problem, random_box_state, random_problem, toy_problem
 
 
@@ -92,6 +83,13 @@ def _norm_problem(P0=None, P1=None, n1=1, q1=None, r1=0.0):
     )
 
 
+def _step_size(p, x, u, lam, gam, eps, big_M, grad=None):
+    """``compute_step_size`` with the constraint values and gradient at ``(x, u, lam, gam)``."""
+    if grad is None:
+        grad = p.lagrangian_grad_x(x, lam, gam)
+    return compute_step_size(p, compute_norms(p), x, lam, eps, big_M, p.constraint_values(x, u), grad)
+
+
 class TestStepSize:
     eps = np.full(8, 0.125)
 
@@ -99,14 +97,14 @@ class TestStepSize:
         # ||P0||_F = 4 and eps1 = 0.2 -> first bound 0.05
         p = _norm_problem(P0=np.diag([np.sqrt(8.0), np.sqrt(8.0)]), n1=2)
         e = np.array([0.2, 1, 1, 1, 1, 1, 1, 1])
-        _, comps = compute_step_size(p, compute_norms(p), np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0), e, 1e12)
+        _, comps = _step_size(p, np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0), e, 1e12)
         assert comps[0] == pytest.approx(0.05, rel=1e-15)
 
     def test_quadratic_root_case(self):
         # a=1 (|constraint value|), b=0 (lam), c=1 -> root of t^2 - 1 = 0
         p = _norm_problem(P1=[[1.0]], r1=-1.0)  # value at x=0 is -1
         e = np.array([1, 1.0, 1, 1, 1, 1, 1, 1])  # eps2 / (m1 ||P1||) = 1
-        _, comps = compute_step_size(p, compute_norms(p), np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), e, 1e12)
+        _, comps = _step_size(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), e, 1e12)
         assert comps[1] == pytest.approx(1.0, rel=1e-14)
 
     def test_linear_case_with_cap(self):
@@ -116,13 +114,13 @@ class TestStepSize:
         x = np.array([1.0])
         lam = np.zeros(1)
         grad = np.zeros(1)
-        _, comps = compute_step_size(p, compute_norms(p), x, np.zeros(0), lam, np.zeros(0), e, 1e12, grad=grad)
+        _, comps = _step_size(p, x, np.zeros(0), lam, np.zeros(0), e, 1e12, grad=grad)
         assert comps[2] == pytest.approx(0.25, rel=1e-14)
 
     def test_degenerate_fallbacks(self):
         p = interior_problem()  # m1 = 0, m2 = 0
         e = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
-        _, comps = compute_step_size(p, compute_norms(p), np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0), e, 1e12)
+        _, comps = _step_size(p, np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0), e, 1e12)
         assert comps[1] == 1e12           # no quadratic constraints
         assert comps[2] == pytest.approx(0.6)   # 2 * eps3, empty stack
         assert comps[4] == pytest.approx(0.5)   # eps5, empty stack
@@ -136,73 +134,83 @@ class TestStepSize:
             p = random_problem(rng, n1=6, m1=2, n2=1, m2=1, box=2.0)
             x, u, lam, gam = random_box_state(rng, p)
             eps = update_epsilons(rng.uniform(0.1, 2.0, 8), 0.0)
-            rho, comps = compute_step_size(p, compute_norms(p), x, u, lam, gam, eps, 1e12)
+            rho, comps = _step_size(p, x, u, lam, gam, eps, 1e12)
             assert rho == comps.min()
             assert rho > 0
 
     def test_zero_constraint_and_multiplier_uses_big_m(self):
         p = _norm_problem(P1=[[1.0]], r1=0.0)  # value at x=0 is exactly 0
-        rho, comps = compute_step_size(
-            p, compute_norms(p), np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), self.eps, 7e11
-        )
+        rho, comps = _step_size(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), self.eps, 7e11)
         assert comps[1] == 7e11
+
+
+def _primal_x(p, x, lam, gam, rho, grad=None):
+    """``x`` half of :func:`primal_step`, gradient at ``(x, lam, gam)`` unless given."""
+    if grad is None:
+        grad = p.lagrangian_grad_x(x, lam, gam)
+    return primal_step(p, x, np.zeros(0), grad, np.zeros(0), rho)[0]
+
+
+def _dual_at(p, x, u, lam, gam, rho):
+    """:func:`dual_step` with the constraint values at ``(x, u)``."""
+    return dual_step(lam, gam, p.constraint_values(x, u), p.equality_residual(x, u), rho)
 
 
 class TestUpdates:
     def test_dual_predictor_zero_constraint(self):
         p = toy_problem()
         p.q[0][:] = 0.0  # irrelevant to duals
-        mu, nu = dual_predictor(p, np.array([1.0]), np.zeros(0), np.array([0.2]), np.zeros(0), 0.1)
+        mu, nu = _dual_at(p, np.array([1.0]), np.zeros(0), np.array([0.2]), np.zeros(0), 0.1)
         np.testing.assert_allclose(mu, [0.2], rtol=0, atol=0)  # constraint value exactly 0
 
     def test_dual_predictor_positive_value(self):
         p = toy_problem()
-        mu, _ = dual_predictor(p, np.array([2.0]), np.zeros(0), np.array([0.2]), np.zeros(0), 0.1)
+        mu, _ = _dual_at(p, np.array([2.0]), np.zeros(0), np.array([0.2]), np.zeros(0), 0.1)
         assert mu[0] == pytest.approx(0.35, rel=1e-15)  # 0.2 + 0.1 * 1.5
 
     def test_dual_predictor_clamps(self):
         p = _norm_problem(P1=[[0.0]], r1=-1.0)
-        mu, _ = dual_predictor(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), 0.5)
+        mu, _ = _dual_at(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), 0.5)
         assert mu[0] == 0.0
 
     def test_primal_predictor_fixed_point(self):
         p = interior_problem()
-        y = primal_predictor_x(p, np.array([0.4, 0.4]), np.zeros(0), np.zeros(0), 0.3, grad=np.zeros(2))
+        y = _primal_x(p, np.array([0.4, 0.4]), np.zeros(0), np.zeros(0), 0.3, grad=np.zeros(2))
         np.testing.assert_array_equal(y, [0.4, 0.4])
 
     def test_primal_predictor_clamps_below(self):
         p = interior_problem()
-        y = primal_predictor_x(p, np.array([0.1, 0.1]), np.zeros(0), np.zeros(0), 0.5, grad=np.ones(2))
+        y = _primal_x(p, np.array([0.1, 0.1]), np.zeros(0), np.zeros(0), 0.5, grad=np.ones(2))
         np.testing.assert_array_equal(y, [0.0, 0.0])
 
     def test_primal_predictor_arithmetic(self):
         p = interior_problem()
         p.q[0] = np.array([-2.0, 0.0])
-        y = primal_predictor_x(p, np.array([0.5, 0.9]), np.zeros(0), np.zeros(0), 0.1)
+        y = _primal_x(p, np.array([0.5, 0.9]), np.zeros(0), np.zeros(0), 0.1)
         np.testing.assert_allclose(y, [0.65, 0.81], rtol=1e-15)
 
     def test_corrector_equals_predictor_at_same_point(self):
+        # the corrector anchors at the iterate and evaluates its gradient and
+        # constraint values at the predictor point (y, v, mu, nu); at the
+        # iterate itself it must reproduce the predictor exactly
         rng = np.random.default_rng(3)
         p = random_problem(rng, n1=5, m1=2, n2=2, m2=1, box=1.5)
         x, u, lam, gam = random_box_state(rng, p)
+        y, v, mu, nu = x.copy(), u.copy(), lam.copy(), gam.copy()
         rho = 0.05
-        np.testing.assert_array_equal(
-            primal_corrector_x(p, x, x, lam, gam, rho), primal_predictor_x(p, x, lam, gam, rho)
-        )
-        np.testing.assert_array_equal(
-            primal_corrector_u(p, u, lam, gam, rho), primal_predictor_u(p, u, lam, gam, rho)
-        )
-        lam2, gam2 = dual_corrector(p, lam, gam, x, u, rho)
-        mu, nu = dual_predictor(p, x, u, lam, gam, rho)
-        np.testing.assert_array_equal(lam2, mu)
-        np.testing.assert_array_equal(gam2, nu)
+        pred = primal_step(p, x, u, p.lagrangian_grad_x(x, lam, gam), p.lagrangian_grad_u(lam, gam), rho)
+        corr = primal_step(p, x, u, p.lagrangian_grad_x(y, mu, nu), p.lagrangian_grad_u(mu, nu), rho)
+        for a, b in zip(corr, pred):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(_dual_at(p, y, v, lam, gam, rho), _dual_at(p, x, u, lam, gam, rho)):
+            np.testing.assert_array_equal(a, b)
 
     def test_corrector_arithmetic(self):
         p = interior_problem()
         p.q[0] = np.array([-2.0, 0.0])
         x = np.array([0.5, 0.9])
         y = np.array([0.65, 0.81])
-        out = primal_corrector_x(p, x, y, np.zeros(0), np.zeros(0), 0.1)
+        out = _primal_x(p, x, np.zeros(0), np.zeros(0), 0.1, grad=p.lagrangian_grad_x(y, np.zeros(0), np.zeros(0)))
         np.testing.assert_allclose(out, [0.635, 0.819], rtol=1e-15)
 
     def test_u_predictor(self):
@@ -211,7 +219,7 @@ class TestUpdates:
             P=[np.zeros((1, 1))], q=[np.zeros(1)], c=[np.array([1.0])], r=[0.0],
             x_upper=[1.0],
         )
-        v = primal_predictor_u(p, np.array([2.0]), np.zeros(0), np.zeros(0), 0.5)
+        _, v = primal_step(p, np.zeros(1), np.array([2.0]), np.zeros(1), p.lagrangian_grad_u(np.zeros(0), np.zeros(0)), 0.5)
         np.testing.assert_allclose(v, [1.5], rtol=1e-15)
 
     def test_u_predictor_zero_terms(self):
@@ -221,11 +229,12 @@ class TestUpdates:
             A=np.zeros((1, 1)), B=np.zeros((1, 2)), b=np.zeros(1), x_upper=[1.0],
         )
         u = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(primal_predictor_u(p, u, np.zeros(0), np.ones(1), 0.7), u)
+        _, v = primal_step(p, np.zeros(1), u, np.zeros(1), p.lagrangian_grad_u(np.zeros(0), np.ones(1)), 0.7)
+        np.testing.assert_array_equal(v, u)
 
     def test_dual_corrector_clamps(self):
         p = _norm_problem(P1=[[0.0]], r1=-2.0)
-        lam2, _ = dual_corrector(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), 0.1)
+        lam2, _ = _dual_at(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), 0.1)
         assert lam2[0] == 0.0
 
 
@@ -273,6 +282,18 @@ class TestSolve:
         assert rep.iterations == 7
         assert len(rep.trace) >= 1
         assert rep.trace[-1].iteration == 7
+
+    def test_trace_at_cap_on_cadence_has_no_duplicate_row(self):
+        rep = solve(toy_problem(), SolverConfig(tol=1e-16, max_iters=20, trace_every=10))
+        assert rep.status is TerminationStatus.MAX_ITERS_EXCEEDED
+        assert [row.iteration for row in rep.trace] == [0, 10, 20]
+
+    def test_classifier_at_cap_wins_over_max_iters(self):
+        # the toy converges at the check of iteration 150 (tol=1e-6)
+        assert solve(toy_problem(), SolverConfig(tol=1e-6)).iterations == 150
+        rep = solve(toy_problem(), SolverConfig(tol=1e-6, max_iters=150))
+        assert rep.status is TerminationStatus.CONVERGED
+        assert rep.iterations == 150
 
     def test_divergence_guard(self):
         p = toy_problem()
@@ -357,7 +378,8 @@ class TestProximalEquivalence:
             x, u, lam, gam = random_box_state(rng, p)
             rho = float(rng.uniform(0.01, 0.2))
             g = p.lagrangian_grad_x(x, lam, gam)
-            y = primal_predictor_x(p, x, lam, gam, rho, grad=g)
+            gu = p.lagrangian_grad_u(lam, gam)
+            y, v = primal_step(p, x, u, g, gu, rho)
             raw = x - rho * g
             for j in range(p.n1):
                 if 0.0 < y[j] < p.x_upper[j]:
@@ -367,12 +389,10 @@ class TestProximalEquivalence:
                 else:
                     assert y[j] == p.x_upper[j] and raw[j] >= p.x_upper[j]
             cons = p.constraint_values(x, u)
-            mu, nu = dual_predictor(p, x, u, lam, gam, rho, cons=cons)
+            mu, nu = dual_step(lam, gam, cons, p.equality_residual(x, u), rho)
             for i in range(p.m1):
                 if mu[i] > 0.0:
                     assert abs(mu[i] - lam[i] - rho * cons[i]) <= 1e-10
                 else:
                     assert lam[i] + rho * cons[i] <= 0.0
-            v = primal_predictor_u(p, u, lam, gam, rho)
-            gu = p.lagrangian_grad_u(lam, gam)
             np.testing.assert_allclose(v - u + rho * gu, 0.0, atol=1e-10)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from qcqpd import (
     CommStats,
     dist_matvec,
-    dist_quadform,
     dist_transpose_matvec,
     partition_columns,
 )
@@ -107,40 +106,6 @@ class TestMatvec:
             dist_matvec(np.eye(3), np.ones(4), partition_columns(3, 1))
         with pytest.raises(ValueError):
             dist_matvec(np.eye(3), np.ones(3), partition_columns(4, 2))
-
-
-class TestQuadform:
-    def test_toy(self):
-        M = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
-        assert dist_quadform(M, np.array([1.0, 1.0]), partition_columns(2, 2)) == pytest.approx(10.0)
-
-    def test_zero_vector(self):
-        assert dist_quadform(np.eye(4), np.zeros(4), partition_columns(4, 2)) == 0.0
-
-    def test_psd_nonnegative_and_matches_serial(self):
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((40, 40))
-        M = np.asfortranarray(M.T @ M)
-        x = rng.standard_normal(40)
-        expected = float(x @ (M @ x))
-        for w in (1, 4, 9):
-            val = dist_quadform(M, x, partition_columns(40, w))
-            assert val >= 0.0
-            assert val == pytest.approx(expected, rel=1e-12)
-
-    def test_reuses_matvec_one_scalar_reduce(self):
-        stats = CommStats()
-        part = partition_columns(5, 2)
-        M = np.asfortranarray(np.eye(5))
-        x = np.arange(5.0)
-        Mx = dist_matvec(M, x, part, stats)
-        before = stats.as_dict()
-        val = dist_quadform(M, x, part, stats, Mx=Mx)
-        assert val == pytest.approx(float(x @ x))
-        after = stats.as_dict()
-        assert after["reduce_ops"] == before["reduce_ops"] + 1
-        assert after["bytes_reduced"] == before["bytes_reduced"] + 8
-        assert after["scatter_ops"] == before["scatter_ops"]
 
 
 class TestTransposeMatvec:

@@ -60,6 +60,29 @@ class TestValidate:
         report = validate(p)
         assert any("x_upper" in v for v in report.violations)
 
+    def test_non_finite_entries_flagged(self):
+        rng = np.random.default_rng(12)
+        p = random_problem(rng, n1=3, m1=1, n2=2, m2=1)  # x_upper all +inf, which stays valid
+        p.P[0][1, 2] = np.nan
+        p.P[1] = sp.csc_matrix(p.P[1])
+        p.P[1].data[5] = np.inf  # dense 3x3 in CSC order: column 1, row 2
+        p.q[1][0] = -np.inf
+        p.c[0][1] = np.nan
+        p.r[0] = np.inf
+        p.A[0, 2] = np.nan
+        p.B[0, 1] = -np.inf
+        p.b[0] = np.nan
+        assert validate(p).violations == [
+            "P[0][1, 2] is not finite",
+            "P[1][2, 1] is not finite",
+            "q[1][0] is not finite",
+            "c[0][1] is not finite",
+            "r[0] is not finite",
+            "A[0, 2] is not finite",
+            "B[0, 1] is not finite",
+            "b[0] is not finite",
+        ]
+
     def test_gram_matrices_accepted(self):
         # any M'M is PSD; the estimate must never reject one
         rng = np.random.default_rng(42)
