@@ -25,8 +25,6 @@ from .diagnostics import (
 from .dist import (
     ColumnPartition,
     CommStats,
-    dist_matvec,
-    dist_transpose_matvec,
     partition_columns,
 )
 from .generators import (
@@ -68,8 +66,6 @@ __all__ = [
     "ColumnPartition",
     "CommStats",
     "partition_columns",
-    "dist_matvec",
-    "dist_transpose_matvec",
     "SolverConfig",
     "SolveReport",
     "WeightMode",

@@ -10,10 +10,9 @@ seed: identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from .core import SolverConfig, solve
 from .diagnostics import TerminationStatus, compute_residuals, kkt_residual_max
@@ -27,7 +26,7 @@ from .generators import (
     gen_random_qcqp,
     gen_unbounded,
 )
-from .model import ProblemFormatError, load_problem, save_problem, validate
+from .model import ProblemFormatError, load_point, load_problem, save_problem, validate
 
 _EXIT_CODES = {
     TerminationStatus.CONVERGED: 0,
@@ -57,20 +56,19 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="qcqpd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="solve a problem file")
+    # Solver flags are stored under their SolverConfig field names and only
+    # when given, so SolverConfig holds the one copy of every default.
+    ps = sub.add_parser("solve", help="solve a problem file", argument_default=argparse.SUPPRESS)
     ps.add_argument("problem", help="problem JSON file")
-    ps.add_argument("--tol", type=float, default=1e-3)
-    ps.add_argument("--max-iters", type=int, default=200_000)
-    ps.add_argument("--workers", type=int, default=1)
-    ps.add_argument("--eps0", type=float, default=0.0)
-    ps.add_argument("--weights", choices=("adaptive", "equal"), default="adaptive")
-    ps.add_argument("--big-m", type=float, default=1e12)
-    ps.add_argument("--trace-every", type=int, default=10)
-    ps.add_argument("--divergence-threshold", type=float, default=1e6)
-    ps.add_argument("--divergence-window", type=int, default=50)
-    ps.add_argument("--plateau-rel-change", type=float, default=1e-6)
-    ps.add_argument("--report", help="write a solve report JSON here")
-    ps.add_argument("--trace", help="write the residual trace CSV here")
+    ps.add_argument("--tol", type=float)
+    ps.add_argument("--max-iters", type=int)
+    ps.add_argument("--workers", type=int, dest="n_workers", metavar="WORKERS")
+    ps.add_argument("--eps0", type=float)
+    ps.add_argument("--weights", choices=("adaptive", "equal"), dest="weight_mode")
+    ps.add_argument("--trace-every", type=int)
+    ps.add_argument("--divergence-threshold", type=float)
+    ps.add_argument("--report", default=None, help="write a solve report JSON here")
+    ps.add_argument("--trace", default=None, help="write the residual trace CSV here")
 
     pg = sub.add_parser("generate", help="generate a problem file")
     gsub = pg.add_subparsers(dest="family", required=True)
@@ -129,18 +127,8 @@ def _load_and_validate(path):
 
 def _run_solve(args) -> int:
     problem = _load_and_validate(args.problem)
-    config = SolverConfig(
-        tol=args.tol,
-        max_iters=args.max_iters,
-        n_workers=args.workers,
-        eps0=args.eps0,
-        weight_mode=args.weights,
-        big_M=args.big_m,
-        trace_every=args.trace_every,
-        divergence_threshold=args.divergence_threshold,
-        divergence_window=args.divergence_window,
-        plateau_rel_change=args.plateau_rel_change,
-    )
+    given = vars(args)
+    config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig) if f.name in given})
     report = solve(problem, config)
     print(
         f"status={report.status.value} iterations={report.iterations} "
@@ -213,17 +201,7 @@ def _run_generate(args) -> int:
 
 def _run_check_kkt(args) -> int:
     problem = _load_and_validate(args.problem)
-    with open(args.point) as fh:
-        doc = json.load(fh)
-    try:
-        x = np.asarray(doc["x"], dtype=np.float64).reshape(problem.n1)
-        u = np.asarray(doc.get("u", []), dtype=np.float64).reshape(problem.n2)
-        lam = np.asarray(doc.get("lambda", []), dtype=np.float64).reshape(problem.m1)
-        gam = np.asarray(doc.get("gamma", []), dtype=np.float64).reshape(problem.m2)
-    except (KeyError, ValueError) as exc:
-        raise ProblemFormatError(f"{args.point}: bad point file ({exc})") from exc
-    if (lam < 0).any():
-        raise ProblemFormatError(f"{args.point}: lambda must be nonnegative")
+    x, u, lam, gam = load_point(args.point, problem)
     kkt = kkt_residual_max(x, u, lam, gam, problem)
     rep = compute_residuals(problem, x, u, lam, gam)
     print(f"kkt_residual_max={kkt!r}")
@@ -239,7 +217,7 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return _run_generate(args)
         return _run_check_kkt(args)
-    except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
+    except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,11 +59,16 @@ __all__ = [
     "update_weights",
     "analytic_comm_stats",
     "WEIGHT_FLOOR",
+    "BIG_M",
 ]
 
 # Floor applied to weights after the multiplicative update so no eps_s can
 # underflow to exactly 0 (the step-size rule requires eps_s > 0).
 WEIGHT_FLOOR = 1e-12
+
+# The step-size rule's "arbitrarily large" constraint bound (see
+# compute_step_size).
+BIG_M = 1e12
 
 N_STEP_COMPONENTS = 8
 
@@ -81,9 +86,9 @@ class SolverConfig:
 
     ``tol`` is the residual tolerance for convergence; ``trace_every``
     the residual-check cadence in iterations (residual evaluation costs
-    as much as an update, so it is not done every iteration).  The
-    divergence/plateau fields drive the infeasibility / unboundedness
-    classification, see :func:`qcqpd.diagnostics.classify_termination`.
+    as much as an update, so it is not done every iteration).
+    ``divergence_threshold`` is the ``res2`` level that flags suspected
+    infeasibility, see :func:`qcqpd.diagnostics.classify_termination`.
     """
 
     tol: float = 1e-3
@@ -91,11 +96,8 @@ class SolverConfig:
     n_workers: int = 1
     eps0: float = 0.0
     weight_mode: WeightMode = WeightMode.ADAPTIVE
-    big_M: float = 1e12
     trace_every: int = 10
-    divergence_window: int = 50
     divergence_threshold: float = 1e6
-    plateau_rel_change: float = 1e-6
 
     def __post_init__(self):
         if isinstance(self.weight_mode, str):
@@ -108,8 +110,6 @@ class SolverConfig:
             raise ValueError("n_workers must be >= 1")
         if not 0.0 <= self.eps0 < 1.0:
             raise ValueError("eps0 must lie in [0, 1)")
-        if self.big_M <= 0:
-            raise ValueError("big_M must be > 0")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
 
@@ -143,7 +143,7 @@ def _root_rule(a, b, c):
     return None
 
 
-def compute_step_size(problem, norms, x, lam, epsilons, big_M, cons, grad):
+def compute_step_size(problem, norms, x, lam, epsilons, cons, grad):
     """Evaluate the eight step-size bounds at the current iterate.
 
     ``cons`` are the quadratic constraint values and ``grad`` the
@@ -156,8 +156,8 @@ def compute_step_size(problem, norms, x, lam, epsilons, big_M, cons, grad):
 
     * per-constraint quadratic-root bound with ``a_i`` the absolute
       constraint value, ``b_i = lam_i``, ``c_i = eps_2 / (m1 ||Pi||_F)``
-      (minimum over constraints; an arbitrary large ``big_M`` when a
-      constraint has ``a_i = b_i = 0``, and ``big_M`` outright when
+      (minimum over constraints; the arbitrarily large :data:`BIG_M` when
+      a constraint has ``a_i = b_i = 0``, and :data:`BIG_M` outright when
       ``m1 = 0``),
     * a quadratic-root bound capped at ``2 eps_3`` with ``a`` the
       Lagrangian-gradient norm, ``b = 2 ||x||`` and ``c`` scaled by the
@@ -174,14 +174,14 @@ def compute_step_size(problem, norms, x, lam, epsilons, big_M, cons, grad):
     rho1 = e1 / norms.frob_P0 if norms.frob_P0 != 0.0 else e1
 
     if p.m1 == 0:
-        rho2 = big_M
+        rho2 = BIG_M
     else:
         rho2 = math.inf
         for i in range(p.m1):
             nPi = norms.frob_Pi[i]
             ci = e2 / (p.m1 * nPi) if nPi != 0.0 else e2 / p.m1
             ri = _root_rule(abs(float(cons[i])), float(lam[i]), ci)
-            rho2 = min(rho2, big_M if ri is None else ri)
+            rho2 = min(rho2, BIG_M if ri is None else ri)
 
     x_norm = float(np.linalg.norm(x))
     if norms.frob_P_stacked == 0.0:
@@ -207,15 +207,16 @@ def update_epsilons(weights, eps0):
     return (w / w.sum()) * (1.0 - eps0)
 
 
-def update_weights(rho, components, weights, floor=WEIGHT_FLOOR):
+def update_weights(rho, components, weights):
     """Shrink each weight by the ratio of the chosen step to its own bound.
 
     The binding component keeps its weight (ratio exactly 1); every other
     weight shrinks, shifting budget toward the binding bound next
-    iteration.  Weights are floored so no eps_s can underflow to zero.
+    iteration.  Weights are floored at :data:`WEIGHT_FLOOR` so no eps_s
+    can underflow to zero.
     """
     ratios = rho / np.asarray(components, dtype=np.float64)
-    return np.maximum(np.asarray(weights, dtype=np.float64) * ratios, floor)
+    return np.maximum(np.asarray(weights, dtype=np.float64) * ratios, WEIGHT_FLOOR)
 
 
 # --- solve loop -------------------------------------------------------------
@@ -391,7 +392,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, u0=
         grad_u = p.lagrangian_grad_u(lam, gam)
 
         eps = update_epsilons(weights, cfg.eps0) if adaptive else eps_equal
-        rho, comps = compute_step_size(p, norms, x, lam, eps, cfg.big_M, cons, grad_x)
+        rho, comps = compute_step_size(p, norms, x, lam, eps, cons, grad_x)
         rho_min = min(rho_min, rho)
         rho_max = max(rho_max, rho)
 
@@ -406,13 +407,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, u0=
             trace.append(TraceRow(k, rho, res1, res2, objective))
             outcome = None
             if on_cadence:
-                outcome = classify_termination(
-                    residuals,
-                    tol=cfg.tol,
-                    divergence_threshold=cfg.divergence_threshold,
-                    divergence_window=cfg.divergence_window,
-                    plateau_rel_change=cfg.plateau_rel_change,
-                )
+                outcome = classify_termination(residuals, cfg.tol, cfg.divergence_threshold)
             if outcome is None and k >= cfg.max_iters:
                 outcome = (
                     TerminationStatus.MAX_ITERS_EXCEEDED,

@@ -36,6 +36,12 @@ __all__ = [
 ]
 
 
+# Residual checks a suspected-pathology pattern must span, and the largest
+# relative spread of res1 over them that still counts as a plateau.
+DIVERGENCE_WINDOW = 50
+PLATEAU_REL_CHANGE = 1e-6
+
+
 class TerminationStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERS_EXCEEDED = "max_iters_exceeded"
@@ -105,15 +111,15 @@ def compute_residuals(problem, x, u, lam, gam, grad_x=None, grad_u=None, cons=No
     return ResidualReport(res1=res1, res2=res2, iteration=iteration)
 
 
-def classify_termination(residuals, tol, divergence_threshold=1e6, divergence_window=50, plateau_rel_change=1e-6):
+def classify_termination(residuals, tol, divergence_threshold=1e6):
     """Classify a residual history; returns ``(status, message)`` or ``None``.
 
     * converged: both residuals of the last entry below ``tol``;
     * infeasibility suspected: ``res2`` above ``divergence_threshold``
-      and strictly increasing over the last ``divergence_window``
+      and strictly increasing over the last :data:`DIVERGENCE_WINDOW`
       entries, while ``res1`` stays below the same threshold;
     * unboundedness suspected: ``res2`` below ``tol`` but ``res1``
-      flat (relative spread below ``plateau_rel_change`` over the
+      flat (relative spread below :data:`PLATEAU_REL_CHANGE` over the
       window) at a level above ``10 * tol``.
 
     A pure function of the history: replaying a trace reproduces the
@@ -127,8 +133,8 @@ def classify_termination(residuals, tol, divergence_threshold=1e6, divergence_wi
         return TerminationStatus.CONVERGED, (
             f"res1={last.res1:.3e}, res2={last.res2:.3e} below tol={tol:g} at iteration {last.iteration}"
         )
-    if len(residuals) >= divergence_window:
-        window = residuals[-divergence_window:]
+    if len(residuals) >= DIVERGENCE_WINDOW:
+        window = residuals[-DIVERGENCE_WINDOW:]
         r2 = [r.res2 for r in window]
         if (
             last.res2 > divergence_threshold
@@ -137,7 +143,7 @@ def classify_termination(residuals, tol, divergence_threshold=1e6, divergence_wi
         ):
             return TerminationStatus.INFEASIBLE_SUSPECTED, (
                 f"res2={last.res2:.3e} exceeds {divergence_threshold:g} and grew monotonically "
-                f"over the last {divergence_window} checks while res1={last.res1:.3e} stayed bounded"
+                f"over the last {DIVERGENCE_WINDOW} checks while res1={last.res1:.3e} stayed bounded"
             )
         r1 = [r.res1 for r in window]
         hi = max(r1)
@@ -145,11 +151,11 @@ def classify_termination(residuals, tol, divergence_threshold=1e6, divergence_wi
             last.res2 < tol
             and last.res1 > 10.0 * tol
             and hi > 0.0
-            and (hi - min(r1)) / hi < plateau_rel_change
+            and (hi - min(r1)) / hi < PLATEAU_REL_CHANGE
         ):
             return TerminationStatus.UNBOUNDED_SUSPECTED, (
                 f"res2={last.res2:.3e} converged but res1 plateaued at {last.res1:.3e} "
-                f"(> 10*tol) over the last {divergence_window} checks"
+                f"(> 10*tol) over the last {DIVERGENCE_WINDOW} checks"
             )
     return None
 

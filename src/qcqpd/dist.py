@@ -4,7 +4,7 @@ Matrices are split by columns across ``n_workers`` execution contexts; a
 matrix-vector product is computed as a sum of per-worker partials
 (``M @ x = sum_w M[:, lo_w:hi_w] @ x[lo_w:hi_w]``), reduced at a
 coordinator, and the result scattered back so each worker holds its
-slice.  Quadratic forms reuse the scattered slices and reduce a single
+slice.  An inner product of two partitioned vectors reduces a single
 scalar.  Products against the transpose (``A' g``) need no communication
 at all: each worker's slice of the result only involves its own columns.
 
@@ -42,8 +42,6 @@ __all__ = [
     "ColumnPartition",
     "CommStats",
     "partition_columns",
-    "dist_matvec",
-    "dist_transpose_matvec",
     "dist_dot",
 ]
 
@@ -183,7 +181,7 @@ class ColumnBlocks:
             if members
         ]
 
-    def matvec(self, x, stats: CommStats | None = None, scatter: bool = True):
+    def matvec(self, x, stats: CommStats, scatter: bool = True):
         """``[M @ x for M in matrices]`` from per-worker partials.
 
         The partials of each block kind are tree-reduced in worker order, so
@@ -203,11 +201,10 @@ class ColumnBlocks:
                 stop = start + self._rows[i]
                 out[i] = full[start:stop]
                 start = stop
-        if stats is not None:
-            for n_rows in self._rows:
-                stats.record_reduce(n_rows)
-                if scatter:
-                    stats.record_scatter(n_rows)
+        for n_rows in self._rows:
+            stats.record_reduce(n_rows)
+            if scatter:
+                stats.record_scatter(n_rows)
         return out
 
     def transpose_matvec(self, g):
@@ -226,27 +223,12 @@ class ColumnBlocks:
         return out
 
 
-def dist_matvec(M, x, partition: ColumnPartition, stats: CommStats | None = None, scatter: bool = True):
-    """``M @ x`` from per-worker column slices, cut for this call.
-
-    Accounts as :meth:`ColumnBlocks.matvec`.  Repeated products with the
-    same matrices should cut the blocks once with :class:`ColumnBlocks`.
-    """
-    return ColumnBlocks([M], partition).matvec(x, stats, scatter)[0]
-
-
-def dist_dot(x, y, partition: ColumnPartition, stats: CommStats | None = None) -> float:
+def dist_dot(x, y, partition: ColumnPartition, stats: CommStats) -> float:
     """``x @ y`` over partitioned slices; one reduce of a single double."""
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != (partition.n_cols,) or y.shape != (partition.n_cols,):
         raise ValueError("vectors must match the partition length")
     total = float(_tree_sum([float(x[lo:hi] @ y[lo:hi]) for lo, hi in partition.ranges]))
-    if stats is not None:
-        stats.record_reduce(1)
+    stats.record_reduce(1)
     return total
-
-
-def dist_transpose_matvec(A, g, partition: ColumnPartition, stats: CommStats | None = None):
-    """``A' g`` computed worker-locally; no communication (``stats`` is untouched)."""
-    return ColumnBlocks([A], partition).transpose_matvec(g)

@@ -33,6 +33,7 @@ __all__ = [
     "validate",
     "compute_norms",
     "load_problem",
+    "load_point",
     "save_problem",
 ]
 
@@ -46,14 +47,12 @@ class ProblemFormatError(ValueError):
     """Raised when a problem file cannot be parsed into a valid shape."""
 
 
-def _as_matrix(M, rows, cols, fortran=True):
-    """Coerce ``M`` to a float64 matrix of the given shape (dense or CSC)."""
+def _as_matrix(M, rows, cols):
+    """Coerce ``M`` to a float64 matrix of the given shape (Fortran-order dense, or CSC)."""
     if sp.issparse(M):
         out = M.tocsc().astype(np.float64)
     else:
-        out = np.asarray(M, dtype=np.float64)
-        if fortran:
-            out = np.asfortranarray(out)
+        out = np.asfortranarray(M, dtype=np.float64)
     if out.shape != (rows, cols):
         raise ValueError(f"expected shape {(rows, cols)}, got {out.shape}")
     return out
@@ -215,7 +214,11 @@ def _frob(M) -> float:
     return float(np.linalg.norm(M, "fro")) if M.ndim == 2 else float(np.linalg.norm(M))
 
 
-def smallest_eigenvalue_estimate(M, max_iter: int = 200) -> float:
+# Iteration cap of both sparse smallest-eigenvalue methods.
+EIG_MAX_ITER = 200
+
+
+def smallest_eigenvalue_estimate(M) -> float:
     """Estimate the smallest eigenvalue of a symmetric matrix.
 
     Dense inputs use a direct symmetric eigensolve.  Sparse inputs try a
@@ -231,7 +234,7 @@ def smallest_eigenvalue_estimate(M, max_iter: int = 200) -> float:
     if n < 200:
         return float(np.linalg.eigvalsh(M.toarray())[0])
     try:
-        vals = sp.linalg.eigsh(M, k=1, which="SA", maxiter=max_iter, return_eigenvectors=False)
+        vals = sp.linalg.eigsh(M, k=1, which="SA", maxiter=EIG_MAX_ITER, return_eigenvectors=False)
         return float(vals[0])
     except Exception:
         # shifted power iteration: largest eigenvalue of s*I - M is s - lambda_min
@@ -240,7 +243,7 @@ def smallest_eigenvalue_estimate(M, max_iter: int = 200) -> float:
         v /= np.linalg.norm(v)
         shift = _frob(M)  # ||M||_F >= spectral radius
         lam = 0.0
-        for _ in range(max_iter):
+        for _ in range(EIG_MAX_ITER):
             w = shift * v - M @ v
             nw = np.linalg.norm(w)
             if nw == 0.0:
@@ -342,7 +345,10 @@ def compute_norms(problem: QcqpProblem) -> ProblemNorms:
 # Problem files are a single JSON document.  Matrices are either
 # {"dense": [[...], ...]} with row-major rows, or {"cols": {"j": [[row, val],
 # ...]}} column-sparse.  Infinite upper bounds serialize as the string "inf".
-# Floats round-trip exactly (Python emits shortest exact repr).
+# Floats round-trip exactly (Python emits shortest exact repr).  Numbers are
+# checked by type, since numpy converts strings and booleans (a bool is an
+# int to isinstance); NaN/Infinity literals are read as strings to fail it.
+_NUMBER_TYPES = {int, float}
 
 
 def _matrix_to_json(M):
@@ -359,10 +365,18 @@ def _matrix_to_json(M):
 
 
 def _array_from_json(obj, shape, where):
-    """A float64 array of exactly ``shape`` from nested JSON lists of numbers."""
+    """A float64 array of exactly ``shape`` (1-D, or 2-D given as a list of rows) of JSON numbers."""
+    rows = obj if len(shape) == 2 and isinstance(obj, list) else [obj]
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and set(map(type, row)) <= _NUMBER_TYPES):
+            at = f"{where} row {i}" if rows is obj else where
+            if not isinstance(row, list):
+                raise ProblemFormatError(f"{at}: not a list of numbers")
+            bad = next(v for v in row if type(v) not in _NUMBER_TYPES)
+            raise ProblemFormatError(f"{at}: {bad!r} is not a JSON number")
     try:
         out = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ProblemFormatError(f"{where}: not a nested list of numbers ({exc})") from exc
     # a matrix with no rows is written as []
     if out.shape != shape and not (out.shape == (0,) and shape[0] == 0):
@@ -390,8 +404,8 @@ def _matrix_from_json(obj, rows, cols, where):
         if not isinstance(pairs, list):
             raise ProblemFormatError(f"{where}: column {j} must be a list of [row, value] pairs")
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], int)
-                    and isinstance(pair[1], (int, float))):
+            if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int
+                    and type(pair[1]) in _NUMBER_TYPES):
                 raise ProblemFormatError(f"{where}: column {j} entry {pair!r} is not a [row, value] pair")
             row, val = pair[0], float(pair[1])
             if not 0 <= row < rows:
@@ -413,7 +427,7 @@ def _bound_to_json(v):
 def _bound_from_json(v, where):
     if v == "inf":
         return math.inf
-    if isinstance(v, (int, float)):
+    if type(v) in _NUMBER_TYPES:
         return float(v)
     raise ProblemFormatError(f"{where}: bound must be a number or 'inf', got {v!r}")
 
@@ -440,28 +454,31 @@ def save_problem(problem: QcqpProblem, path) -> None:
         fh.write("\n")
 
 
+def _read_json_object(path):
+    """The JSON object in ``path``; ``NaN``/``Infinity`` literals stay strings."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh, parse_constant=str)
+        except json.JSONDecodeError as exc:
+            raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ProblemFormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_problem(path) -> QcqpProblem:
     """Read a problem JSON file; raises :class:`ProblemFormatError` on bad input.
 
-    The non-standard literals ``NaN``, ``Infinity`` and ``-Infinity`` are
-    rejected: problem data is finite, and infinite bounds are the string
-    ``"inf"``.
+    Dimensions are JSON integers and every datum a JSON number; the
+    non-standard literals ``NaN``, ``Infinity`` and ``-Infinity`` are
+    rejected like strings: problem data is finite, and infinite bounds are
+    the string ``"inf"``.
     """
-
-    def reject_constant(name):
-        raise ProblemFormatError(f"{path}: non-finite literal {name} is not allowed in a problem file")
-
-    with open(path) as fh:
-        try:
-            doc = json.load(fh, parse_constant=reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        n1, n2, m1, m2 = (int(doc[k]) for k in ("n1", "n2", "m1", "m2"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{path}: missing or bad dimension field ({exc})") from exc
-    if min(n1, n2, m1, m2) < 0:
-        raise ProblemFormatError(f"{path}: dimensions must be nonnegative")
+    doc = _read_json_object(path)
+    for k in ("n1", "n2", "m1", "m2"):
+        if type(doc.get(k)) is not int or doc[k] < 0:
+            raise ProblemFormatError(f"{path}: dimension '{k}' must be a nonnegative integer, got {doc.get(k)!r}")
+    n1, n2, m1, m2 = (doc[k] for k in ("n1", "n2", "m1", "m2"))
     for name, count in (("P", m1 + 1), ("q", m1 + 1), ("c", m1 + 1), ("r", m1 + 1), ("A", m2), ("B", m2),
                         ("b", m2), ("x_upper", n1)):
         if name not in doc:
@@ -483,3 +500,23 @@ def load_problem(path) -> QcqpProblem:
     except ValueError as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
     return problem
+
+
+def load_point(path, problem: QcqpProblem):
+    """Read a point JSON file for ``problem``; returns ``(x, u, lam, gam)``.
+
+    Each of the lists ``x``, ``u``, ``lambda``, ``gamma`` (empty if absent)
+    holds exactly its dimension of finite numbers, ``lambda`` nonnegative;
+    raises :class:`ProblemFormatError` naming the field otherwise.
+    """
+    doc = _read_json_object(path)
+    blocks = []
+    for name, n in (("x", problem.n1), ("u", problem.n2), ("lambda", problem.m1), ("gamma", problem.m2)):
+        v = _array_from_json(doc.get(name, []), (n,), f"{path}: {name}")
+        msg = _non_finite(name, v)
+        if msg:
+            raise ProblemFormatError(f"{path}: {msg}")
+        blocks.append(v)
+    if (blocks[2] < 0).any():
+        raise ProblemFormatError(f"{path}: lambda must be nonnegative")
+    return tuple(blocks)

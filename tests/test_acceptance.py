@@ -28,7 +28,7 @@ from qcqpd import (
     update_epsilons,
 )
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
-from qcqpd.core import dual_step, primal_step
+from qcqpd.core import BIG_M, dual_step, primal_step
 from helpers import random_box_state, random_problem, toy_problem
 
 
@@ -104,13 +104,13 @@ def test_criterion_3_monotone_distance():
     _verdict("criterion 3 (monotone distance to solution)", ok, f"worst squared-distance increase={worst:.3e}")
 
 
-def _step_size_case_table(problem, norms, x, u, lam, eps, big_M, grad):
+def _step_size_case_table(problem, norms, x, u, lam, eps, grad):
     """Independent transcription of the eight-case step-size table."""
     out = np.empty(8)
     out[0] = eps[0] / norms.frob_P0 if norms.frob_P0 != 0 else eps[0]
 
     if problem.m1 == 0:
-        out[1] = big_M
+        out[1] = BIG_M
     else:
         best = math.inf
         cons = problem.constraint_values(x, u)
@@ -126,7 +126,7 @@ def _step_size_case_table(problem, norms, x, u, lam, eps, big_M, grad):
             elif b_i > 0:
                 val = c_i / b_i
             else:
-                val = big_M
+                val = BIG_M
             best = min(best, val)
         out[1] = best
 
@@ -176,9 +176,9 @@ def test_criterion_4_step_size_rule():
         worst_eps = max(worst_eps, abs(eps.sum() - (1.0 - eps0)))
         norms = compute_norms(problem)
         grad = problem.lagrangian_grad_x(x, lam, gam)
-        rho, comps = compute_step_size(problem, norms, x, lam, eps, 1e12, problem.constraint_values(x, u), grad)
+        rho, comps = compute_step_size(problem, norms, x, lam, eps, problem.constraint_values(x, u), grad)
         assert rho == comps.min(), "rho must be the exact minimum of its components"
-        expected = _step_size_case_table(problem, norms, x, u, lam, eps, 1e12, grad)
+        expected = _step_size_case_table(problem, norms, x, u, lam, eps, grad)
         rel = np.abs(comps - expected) / np.maximum(np.abs(expected), 1e-300)
         worst_comp = max(worst_comp, float(rel.max()))
     ok = worst_comp <= 1e-14 and worst_eps <= 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qcqpd
-from qcqpd import load_problem, save_problem, validate
+from qcqpd import SolverConfig, load_problem, save_problem, solve, validate
 from qcqpd.cli import main
 from helpers import toy_problem
 
@@ -32,6 +32,22 @@ def _write_doc(path, keys=(), value=None):
         parent[keys[-1]] = value
     path.write_text(json.dumps(doc).replace('"BIG"', "1e999"))
     return str(path)
+
+
+def _run_cli(*args):
+    """``python -m qcqpd.cli ARGS`` in a subprocess, so a traceback would show on stderr."""
+    src = os.path.dirname(os.path.dirname(qcqpd.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "qcqpd.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def _assert_error_names(proc, field):
+    """Exit 1, no traceback and an ``error:`` line naming ``field``."""
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("error:") and field in line for line in proc.stderr.splitlines())
 
 
 @pytest.fixture
@@ -58,6 +74,10 @@ class TestSolveCommand:
 
     def test_missing_file_exit_one(self, capsys):
         assert main(["solve", "/nonexistent/problem.json"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_unreadable_path_exit_one(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 1  # a directory, not a file
         assert "error:" in capsys.readouterr().err
 
     def test_invalid_problem_exit_one(self, tmp_path, capsys):
@@ -115,15 +135,33 @@ class TestSolveCommand:
         (("q",), "'q'"),
     ])
     def test_malformed_field_exit_one_without_traceback(self, tmp_path, keys, field):
-        path = _write_doc(tmp_path / "p.json", keys, 5)
-        src = os.path.dirname(os.path.dirname(qcqpd.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcqpd.cli", "solve", path],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert any(line.startswith("error:") and field in line for line in proc.stderr.splitlines())
+        _assert_error_names(_run_cli("solve", _write_doc(tmp_path / "p.json", keys, 5)), field)
+
+    # JSON strings, booleans and fractional dimensions are not numbers,
+    # although numpy and int() would convert them
+    @pytest.mark.parametrize("keys, value, field", [
+        (("q",), [["-2.0"], [True]], "q[0]"),
+        (("q", 1, 0), True, "q[1]"),
+        (("P", 0, "dense", 0, 0), "1.0", "P[0]: dense matrix row 0"),
+        (("P", 1, "cols", "0", 0, 1), True, "P[1]: column 0"),
+        (("A", 0, 0), False, "A: dense matrix row 0"),
+        (("b", 0), "0.5", "b"),
+        (("x_upper", 0), True, "x_upper"),
+        (("n1",), 1.7, "'n1'"),
+        (("m2",), True, "'m2'"),
+        (("n2",), "1", "'n2'"),
+    ])
+    def test_non_number_exit_one(self, tmp_path, keys, value, field):
+        _assert_error_names(_run_cli("solve", _write_doc(tmp_path / "p.json", keys, value)), field)
+
+    def test_flagless_solve_uses_solver_config_defaults(self, toy_file, tmp_path):
+        cli_report, cli_trace = tmp_path / "cli.json", tmp_path / "cli.csv"
+        assert main(["solve", toy_file, "--report", str(cli_report), "--trace", str(cli_trace)]) == 0
+        rep = solve(load_problem(toy_file), SolverConfig())
+        rep.write_report_json(tmp_path / "api.json")
+        rep.write_trace_csv(tmp_path / "api.csv")
+        assert cli_report.read_bytes() == (tmp_path / "api.json").read_bytes()
+        assert cli_trace.read_bytes() == (tmp_path / "api.csv").read_bytes()
 
     def test_max_iters_exit_two(self, toy_file):
         assert main(["solve", toy_file, "--tol", "1e-15", "--max-iters", "20"]) == 2
@@ -221,3 +259,23 @@ class TestCheckKkt:
         point = tmp_path / "point.json"
         point.write_text(json.dumps({"x": [1.0, 2.0], "u": [], "lambda": [0.0], "gamma": []}))
         assert main(["check-kkt", toy_file, str(point)]) == 1
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"x": [1.0], "lambda": [NaN]}', "lambda"),
+        ('{"x": [1e999], "lambda": [1.0]}', "x[0] is not finite"),
+        ("5", "JSON object"),
+        ('{"x": [1.0], "lambda": [1.0], "gamma": {}}', "gamma"),
+        ('{"x": [[1.0]], "lambda": [1.0]}', "x"),
+        ('{"x": [true], "lambda": [1.0]}', "x"),
+        ('{"x": ["1.0"], "lambda": [1.0]}', "x"),
+    ])
+    def test_malformed_point_exit_one_without_traceback(self, toy_file, tmp_path, text, field):
+        point = tmp_path / "point.json"
+        point.write_text(text)
+        _assert_error_names(_run_cli("check-kkt", toy_file, str(point)), field)
+
+    def test_solve_report_is_a_point(self, toy_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["solve", toy_file, "--tol", "1e-6", "--report", str(report)]) == 0
+        assert main(["check-kkt", toy_file, str(report)]) == 0
+        assert float(capsys.readouterr().out.splitlines()[-2].split("=")[1]) <= 1e-4

@@ -14,7 +14,7 @@ from qcqpd import (
     update_epsilons,
     update_weights,
 )
-from qcqpd.core import WEIGHT_FLOOR, WeightMode, dual_step, primal_step
+from qcqpd.core import BIG_M, WEIGHT_FLOOR, WeightMode, dual_step, primal_step
 from helpers import equality_problem, interior_problem, random_box_state, random_problem, toy_problem
 
 
@@ -83,11 +83,11 @@ def _norm_problem(P0=None, P1=None, n1=1, q1=None, r1=0.0):
     )
 
 
-def _step_size(p, x, u, lam, gam, eps, big_M, grad=None):
+def _step_size(p, x, u, lam, gam, eps, grad=None):
     """``compute_step_size`` with the constraint values and gradient at ``(x, u, lam, gam)``."""
     if grad is None:
         grad = p.lagrangian_grad_x(x, lam, gam)
-    return compute_step_size(p, compute_norms(p), x, lam, eps, big_M, p.constraint_values(x, u), grad)
+    return compute_step_size(p, compute_norms(p), x, lam, eps, p.constraint_values(x, u), grad)
 
 
 class TestStepSize:
@@ -97,14 +97,14 @@ class TestStepSize:
         # ||P0||_F = 4 and eps1 = 0.2 -> first bound 0.05
         p = _norm_problem(P0=np.diag([np.sqrt(8.0), np.sqrt(8.0)]), n1=2)
         e = np.array([0.2, 1, 1, 1, 1, 1, 1, 1])
-        _, comps = _step_size(p, np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0), e, 1e12)
+        _, comps = _step_size(p, np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0), e)
         assert comps[0] == pytest.approx(0.05, rel=1e-15)
 
     def test_quadratic_root_case(self):
         # a=1 (|constraint value|), b=0 (lam), c=1 -> root of t^2 - 1 = 0
         p = _norm_problem(P1=[[1.0]], r1=-1.0)  # value at x=0 is -1
         e = np.array([1, 1.0, 1, 1, 1, 1, 1, 1])  # eps2 / (m1 ||P1||) = 1
-        _, comps = _step_size(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), e, 1e12)
+        _, comps = _step_size(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), e)
         assert comps[1] == pytest.approx(1.0, rel=1e-14)
 
     def test_linear_case_with_cap(self):
@@ -114,14 +114,14 @@ class TestStepSize:
         x = np.array([1.0])
         lam = np.zeros(1)
         grad = np.zeros(1)
-        _, comps = _step_size(p, x, np.zeros(0), lam, np.zeros(0), e, 1e12, grad=grad)
+        _, comps = _step_size(p, x, np.zeros(0), lam, np.zeros(0), e, grad=grad)
         assert comps[2] == pytest.approx(0.25, rel=1e-14)
 
     def test_degenerate_fallbacks(self):
         p = interior_problem()  # m1 = 0, m2 = 0
         e = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
-        _, comps = _step_size(p, np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0), e, 1e12)
-        assert comps[1] == 1e12           # no quadratic constraints
+        _, comps = _step_size(p, np.zeros(2), np.zeros(0), np.zeros(0), np.zeros(0), e)
+        assert comps[1] == BIG_M          # no quadratic constraints
         assert comps[2] == pytest.approx(0.6)   # 2 * eps3, empty stack
         assert comps[4] == pytest.approx(0.5)   # eps5, empty stack
         assert comps[5] == pytest.approx(0.6)   # eps6, no C rows
@@ -134,14 +134,14 @@ class TestStepSize:
             p = random_problem(rng, n1=6, m1=2, n2=1, m2=1, box=2.0)
             x, u, lam, gam = random_box_state(rng, p)
             eps = update_epsilons(rng.uniform(0.1, 2.0, 8), 0.0)
-            rho, comps = _step_size(p, x, u, lam, gam, eps, 1e12)
+            rho, comps = _step_size(p, x, u, lam, gam, eps)
             assert rho == comps.min()
             assert rho > 0
 
     def test_zero_constraint_and_multiplier_uses_big_m(self):
         p = _norm_problem(P1=[[1.0]], r1=0.0)  # value at x=0 is exactly 0
-        rho, comps = _step_size(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), self.eps, 7e11)
-        assert comps[1] == 7e11
+        rho, comps = _step_size(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), self.eps)
+        assert comps[1] == BIG_M
 
 
 def _primal_x(p, x, lam, gam, rho, grad=None):

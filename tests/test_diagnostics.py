@@ -100,35 +100,35 @@ class TestClassification:
         n = 60
         res2 = [10.0 * 1.5**i for i in range(n)]  # monotone, ends far above threshold
         res1 = [1.0] * n
-        out = classify_termination(_history(res1, res2), tol=1e-3, divergence_threshold=1e6, divergence_window=50)
+        out = classify_termination(_history(res1, res2), tol=1e-3, divergence_threshold=1e6)
         assert out is not None and out[0] is TerminationStatus.INFEASIBLE_SUSPECTED
 
     def test_infeasible_needs_monotone_growth(self):
         n = 60
         res2 = [10.0 * 1.5**i for i in range(n)]
         res2[-2] = res2[-1] * 2  # break monotonicity inside the window
-        out = classify_termination(_history([1.0] * n, res2), tol=1e-3, divergence_threshold=1e6, divergence_window=50)
+        out = classify_termination(_history([1.0] * n, res2), tol=1e-3, divergence_threshold=1e6)
         assert out is None
 
     def test_infeasible_needs_bounded_res1(self):
         n = 60
         res2 = [10.0 * 1.5**i for i in range(n)]
         res1 = [1e7] * n  # res1 blown up too: not the infeasibility signature
-        out = classify_termination(_history(res1, res2), tol=1e-3, divergence_threshold=1e6, divergence_window=50)
+        out = classify_termination(_history(res1, res2), tol=1e-3, divergence_threshold=1e6)
         assert out is None
 
     def test_unbounded_pattern(self):
         n = 60
-        out = classify_termination(_history([0.125] * n, [0.0] * n), tol=1e-3, divergence_window=50)
+        out = classify_termination(_history([0.125] * n, [0.0] * n), tol=1e-3)
         assert out is not None and out[0] is TerminationStatus.UNBOUNDED_SUSPECTED
 
     def test_unbounded_needs_plateau_above_ten_tol(self):
         n = 60
-        out = classify_termination(_history([5e-3] * n, [0.0] * n), tol=1e-3, divergence_window=50)
+        out = classify_termination(_history([5e-3] * n, [0.0] * n), tol=1e-3)
         assert out is None  # res1 flat but below 10 * tol: keep iterating
 
     def test_window_must_fill_before_suspecting(self):
-        out = classify_termination(_history([0.125] * 10, [0.0] * 10), tol=1e-3, divergence_window=50)
+        out = classify_termination(_history([0.125] * 10, [0.0] * 10), tol=1e-3)
         assert out is None
 
     def test_pure_function_replay(self):
