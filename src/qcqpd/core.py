@@ -89,6 +89,7 @@ class SolverConfig:
     as much as an update, so it is not done every iteration).
     ``divergence_threshold`` is the ``res2`` level that flags suspected
     infeasibility, see :func:`qcqpd.diagnostics.classify_termination`.
+    Both ``tol`` and ``divergence_threshold`` must be finite and > 0.
     """
 
     tol: float = 1e-3
@@ -102,8 +103,10 @@ class SolverConfig:
     def __post_init__(self):
         if isinstance(self.weight_mode, str):
             self.weight_mode = WeightMode(self.weight_mode)
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        for name in ("tol", "divergence_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.n_workers < 1:
@@ -326,15 +329,15 @@ def _pass_products(problem, hessians, a_blocks, stats, x, u):
     return Px, cons, eq
 
 
-def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, u0=None, lam0=None, gam0=None, callback=None) -> SolveReport:
+def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, lam0=None, callback=None) -> SolveReport:
     """Run the predictor-corrector loop until a termination rule fires.
 
-    The starting point may be arbitrary (default all zeros); ``x0`` is
-    projected into the box and ``lam0`` clipped nonnegative so the
-    iterate invariants hold from the first step.  ``callback(k, x, u,
-    lam, gam)``, when given, is invoked once per iteration at the current
-    iterate, including the final one; the arrays are live views and must
-    be copied if stored.
+    The loop starts from ``x0`` and ``lam0`` (default zeros) and from
+    ``u = gam = 0``; ``x0`` is projected into the box and ``lam0`` clipped
+    nonnegative so the iterate invariants hold from the first step.
+    ``callback(k, x, u, lam, gam)``, when given, is invoked once per
+    iteration at the current iterate, including the final one; the arrays
+    are live views and must be copied if stored.
 
     Termination: residuals are evaluated every ``trace_every`` iterations
     and classified (converged / infeasibility suspected / unboundedness
@@ -351,9 +354,9 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, u0=
     stats = CommStats()
 
     x = p.project_box(np.zeros(p.n1) if x0 is None else np.asarray(x0, dtype=np.float64).copy())
-    u = np.zeros(p.n2) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
+    u = np.zeros(p.n2)
     lam = np.maximum(0.0, np.zeros(p.m1) if lam0 is None else np.asarray(lam0, dtype=np.float64))
-    gam = np.zeros(p.m2) if gam0 is None else np.asarray(gam0, dtype=np.float64).copy()
+    gam = np.zeros(p.m2)
 
     weights = np.ones(N_STEP_COMPONENTS)
     eps_equal = np.full(N_STEP_COMPONENTS, (1.0 - cfg.eps0) / N_STEP_COMPONENTS)

@@ -111,7 +111,7 @@ def compute_residuals(problem, x, u, lam, gam, grad_x=None, grad_u=None, cons=No
     return ResidualReport(res1=res1, res2=res2, iteration=iteration)
 
 
-def classify_termination(residuals, tol, divergence_threshold=1e6):
+def classify_termination(residuals, tol, divergence_threshold):
     """Classify a residual history; returns ``(status, message)`` or ``None``.
 
     * converged: both residuals of the last entry below ``tol``;
@@ -187,6 +187,10 @@ def kkt_residual_max(x, u, lam, gam, problem) -> float:
 
 # --- reference solver -------------------------------------------------------
 
+# Iteration caps of the reference solver: outer multiplier steps, inner gradient steps.
+REFERENCE_MAX_OUTER = 200
+REFERENCE_MAX_INNER = 20000
+
 
 def _al_value_grad(problem, x, u, lam, gam, beta):
     """Augmented-Lagrangian value and gradient blocks at ``(x, u)``."""
@@ -206,12 +210,12 @@ def _al_value_grad(problem, x, u, lam, gam, beta):
     return val, gx, gu
 
 
-def _al_inner(problem, x, u, lam, gam, beta, gtol, max_inner):
+def _al_inner(problem, x, u, lam, gam, beta, gtol):
     """Minimize the augmented Lagrangian over the box by spectral projected gradient."""
     p = problem
     val, gx, gu = _al_value_grad(p, x, u, lam, gam, beta)
     step = 1.0 / max(1.0, float(np.linalg.norm(gx)) + float(np.linalg.norm(gu)))
-    for _ in range(max_inner):
+    for _ in range(REFERENCE_MAX_INNER):
         stat = 0.0
         if p.n1:
             stat = float(np.abs(x - p.project_box(x - gx)).max())
@@ -238,7 +242,7 @@ def _al_inner(problem, x, u, lam, gam, beta, gtol, max_inner):
     return x, u
 
 
-def reference_solve_small(problem, tol=1e-6, max_outer=200, max_inner=20000):
+def reference_solve_small(problem, tol=1e-6):
     """Solve a small dense instance by an augmented-Lagrangian method.
 
     Outer multiplier steps wrap a spectral projected-gradient inner
@@ -256,8 +260,8 @@ def reference_solve_small(problem, tol=1e-6, max_outer=200, max_inner=20000):
     beta = 10.0
     gtol = 1e-2
     prev_viol = math.inf
-    for _ in range(max_outer):
-        x, u = _al_inner(p, x, u, lam, gam, beta, gtol, max_inner)
+    for _ in range(REFERENCE_MAX_OUTER):
+        x, u = _al_inner(p, x, u, lam, gam, beta, gtol)
         cons = p.constraint_values(x, u)
         eq = p.equality_residual(x, u)
         lam = np.maximum(0.0, lam + beta * cons)
@@ -273,7 +277,7 @@ def reference_solve_small(problem, tol=1e-6, max_outer=200, max_inner=20000):
             beta = min(beta * 4.0, 1e12)
         prev_viol = max(viol, 1e-300)
         gtol = max(0.2 * gtol, tol * 1e-2)
-    raise OracleError(f"reference solver did not reach kkt tolerance {tol:g} in {max_outer} outer iterations")
+    raise OracleError(f"reference solver did not reach kkt tolerance {tol:g} in {REFERENCE_MAX_OUTER} outer iterations")
 
 
 # --- kernel-combination SVM scoring ----------------------------------------

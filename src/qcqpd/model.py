@@ -37,8 +37,8 @@ __all__ = [
     "save_problem",
 ]
 
-# Relative tolerances for the well-formedness checks.  PSD acceptance uses a
-# smallest-eigenvalue estimate because an exact check is ill-posed in floats.
+# Relative tolerances for the well-formedness checks.  PSD acceptance tests P + tau*I,
+# tau = PSD_RTOL * max(||P||_F, 1), because an exact check is ill-posed in floats.
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-8
 
@@ -214,43 +214,33 @@ def _frob(M) -> float:
     return float(np.linalg.norm(M, "fro")) if M.ndim == 2 else float(np.linalg.norm(M))
 
 
-# Iteration cap of both sparse smallest-eigenvalue methods.
-EIG_MAX_ITER = 200
+def _is_psd(M, tau) -> bool:
+    """Whether ``M + tau*I`` (``M`` symmetric) is positive definite, by factorizing it.
 
-
-def smallest_eigenvalue_estimate(M) -> float:
-    """Estimate the smallest eigenvalue of a symmetric matrix.
-
-    Dense inputs use a direct symmetric eigensolve.  Sparse inputs try a
-    bounded-iteration Lanczos solve and fall back to a shifted power
-    iteration (power-iterate ``s*I - M`` with ``s`` an upper bound on the
-    spectrum) if it does not converge.
+    Sparse matrices get an LU that pivots on the diagonal only: when its row
+    and column orders agree it is ``LDL'`` of a symmetric permutation, positive
+    definite exactly when every pivot (diagonal of ``U``) is positive.  A diagonal
+    matrix is its own ``LDL'``: reading its pivots off keeps ``scipy.sparse.linalg``
+    (about 9 MB resident) unloaded for the diagonal sparse matrices the generators write.
     """
     n = M.shape[0]
-    if n == 0:
-        return 0.0
-    if not sp.issparse(M):
-        return float(np.linalg.eigvalsh(M)[0])
-    if n < 200:
-        return float(np.linalg.eigvalsh(M.toarray())[0])
+    if sp.issparse(M):
+        rows, cols = M.nonzero()
+        if (rows == cols).all():
+            return bool((M.diagonal() + tau > 0).all())
+        try:
+            lu = sp.linalg.splu(M + tau * sp.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError:  # exactly singular
+            return False
+        return bool((lu.perm_r == lu.perm_c).all() and (lu.U.diagonal() > 0).all())
+    A = np.array(M, dtype=np.float64)
+    A[np.diag_indices(n)] += tau
     try:
-        vals = sp.linalg.eigsh(M, k=1, which="SA", maxiter=EIG_MAX_ITER, return_eigenvectors=False)
-        return float(vals[0])
-    except Exception:
-        # shifted power iteration: largest eigenvalue of s*I - M is s - lambda_min
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        shift = _frob(M)  # ||M||_F >= spectral radius
-        lam = 0.0
-        for _ in range(EIG_MAX_ITER):
-            w = shift * v - M @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return shift
-            v = w / nw
-            lam = nw
-        return shift - lam
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _non_finite(name, M):
@@ -273,8 +263,8 @@ def validate(problem: QcqpProblem) -> ValidationReport:
 
     Detects NaN or infinite entries in ``P``, ``q``, ``c``, ``r``, ``A``,
     ``B`` and ``b`` (``x_upper`` may be ``+inf``), dimension mismatches,
-    asymmetric or non-PSD constraint matrices (smallest-eigenvalue estimate
-    below ``-1e-8 * ||Pi||_F``), and nonpositive box upper bounds.
+    asymmetric or non-PSD constraint matrices (``Pi + 1e-8 * max(||Pi||_F, 1) I``
+    not positive definite, tested after symmetry), and nonpositive box upper bounds.
     """
     v = []
     p = problem
@@ -291,9 +281,9 @@ def validate(problem: QcqpProblem) -> ValidationReport:
         if gap > SYMMETRY_RTOL * max(nrm, 1.0):
             v.append(f"P[{i}] is not symmetric (||P - P'||_F = {gap:.3e})")
             continue
-        lo = smallest_eigenvalue_estimate(Pi)
-        if lo < -PSD_RTOL * max(nrm, 1.0):
-            v.append(f"P[{i}] is not PSD (smallest eigenvalue ~ {lo:.3e})")
+        tau = PSD_RTOL * max(nrm, 1.0)
+        if not _is_psd(Pi, tau):
+            v.append(f"P[{i}] is not PSD (P[{i}] + {tau:.3e} I is not positive definite)")
     for i, qi in enumerate(p.q):
         if qi.shape != (p.n1,):
             v.append(f"q[{i}] has length {qi.shape[0]}, expected {p.n1}")
@@ -397,8 +387,10 @@ def _matrix_from_json(obj, rows, cols, where):
     for jstr, pairs in entries.items():
         try:
             j = int(jstr)
-        except ValueError as exc:
-            raise ProblemFormatError(f"{where}: column key {jstr!r} is not an integer") from exc
+        except ValueError:
+            j = -1
+        if str(j) != jstr:  # int() also reads "0_0", " 0", "+0", "00" and non-ASCII digits
+            raise ProblemFormatError(f"{where}: column key {jstr!r} is not a canonical integer")
         if not 0 <= j < cols:
             raise ProblemFormatError(f"{where}: column index {j} out of range")
         if not isinstance(pairs, list):

@@ -88,6 +88,24 @@ class TestSolveCommand:
         assert main(["solve", str(path)]) == 1
         assert "not PSD" in capsys.readouterr().err
 
+    def test_sparse_indefinite_exit_one(self, tmp_path, capsys):
+        path = _write_doc(tmp_path / "p.json", ("P", 1), {"cols": {"0": [[0, -1.0]]}})
+        assert main(["solve", path]) == 1
+        assert "P[1] is not PSD" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["0_0", " 0", "+0"])
+    def test_non_canonical_column_key_exit_one(self, tmp_path, key):
+        path = _write_doc(tmp_path / "p.json", ("P", 1, "cols"), {key: [[0, 1.0]]})
+        _assert_error_names(_run_cli("solve", path), f"P[1]: column key {key!r}")
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--tol", "inf"], "tol"),
+        (["--tol", "nan", "--max-iters", "2000"], "tol"),
+        (["--divergence-threshold", "-1"], "divergence_threshold"),
+    ])
+    def test_bad_solver_setting_exit_one(self, toy_file, flags, field):
+        _assert_error_names(_run_cli("solve", toy_file, *flags), field)
+
     def test_duplicate_sparse_entry_exit_one(self, toy_file, capsys):
         path = Path(toy_file)
         doc = json.loads(path.read_text())

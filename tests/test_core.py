@@ -239,6 +239,12 @@ class TestUpdates:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("field", ["tol", "divergence_threshold"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    def test_config_rejects_non_finite_or_nonpositive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
     def test_toy_kkt(self):
         t0 = time.time()
         rep = solve(toy_problem(), SolverConfig(tol=1e-6))

@@ -90,11 +90,11 @@ def _history(res1_seq, res2_seq):
 
 class TestClassification:
     def test_converged(self):
-        out = classify_termination(_history([5e-4], [5e-4]), tol=1e-3)
+        out = classify_termination(_history([5e-4], [5e-4]), tol=1e-3, divergence_threshold=1e6)
         assert out is not None and out[0] is TerminationStatus.CONVERGED
 
     def test_no_classification_when_above_tol(self):
-        assert classify_termination(_history([5e-2], [5e-4]), tol=1e-3) is None
+        assert classify_termination(_history([5e-2], [5e-4]), tol=1e-3, divergence_threshold=1e6) is None
 
     def test_infeasible_pattern(self):
         n = 60
@@ -119,21 +119,22 @@ class TestClassification:
 
     def test_unbounded_pattern(self):
         n = 60
-        out = classify_termination(_history([0.125] * n, [0.0] * n), tol=1e-3)
+        out = classify_termination(_history([0.125] * n, [0.0] * n), tol=1e-3, divergence_threshold=1e6)
         assert out is not None and out[0] is TerminationStatus.UNBOUNDED_SUSPECTED
 
     def test_unbounded_needs_plateau_above_ten_tol(self):
         n = 60
-        out = classify_termination(_history([5e-3] * n, [0.0] * n), tol=1e-3)
+        out = classify_termination(_history([5e-3] * n, [0.0] * n), tol=1e-3, divergence_threshold=1e6)
         assert out is None  # res1 flat but below 10 * tol: keep iterating
 
     def test_window_must_fill_before_suspecting(self):
-        out = classify_termination(_history([0.125] * 10, [0.0] * 10), tol=1e-3)
+        out = classify_termination(_history([0.125] * 10, [0.0] * 10), tol=1e-3, divergence_threshold=1e6)
         assert out is None
 
     def test_pure_function_replay(self):
         hist = _history([0.125] * 60, [0.0] * 60)
-        assert classify_termination(hist, tol=1e-3) == classify_termination(list(hist), tol=1e-3)
+        out = classify_termination(hist, tol=1e-3, divergence_threshold=1e6)
+        assert out == classify_termination(list(hist), tol=1e-3, divergence_threshold=1e6)
 
 
 class TestReferenceSolver:

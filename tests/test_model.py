@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from qcqpd import (
     ProblemFormatError,
     QcqpProblem,
     compute_norms,
+    gen_unbounded,
     load_problem,
     save_problem,
     validate,
 )
+from qcqpd.model import PSD_RTOL
 from helpers import random_problem, toy_problem
 
 
@@ -84,16 +87,63 @@ class TestValidate:
         ]
 
     def test_gram_matrices_accepted(self):
-        # any M'M is PSD; the estimate must never reject one
+        # any M'M is PSD, also when rank-deficient; neither storage may reject one
         rng = np.random.default_rng(42)
         for _ in range(20):
             n = rng.integers(1, 12)
-            M = rng.standard_normal((n, n))
-            assert validate(_simple_problem([M.T @ M], n1=n)).ok
+            M = rng.standard_normal((rng.integers(1, n + 1), n))
+            for G in (M.T @ M, sp.csc_matrix(M.T @ M)):
+                assert validate(_simple_problem([G], n1=n)).ok
 
     def test_sparse_psd_accepted(self):
         report = validate(_simple_problem([sp.identity(2, format="csc")]))
         assert report.ok
+
+    def test_large_sparse_indefinite_rejected(self):
+        # path-graph Laplacian (PSD, smallest eigenvalue 0) shifted down by 1e-3
+        n = 256
+        lap = sp.diags([-np.ones(n - 1), np.r_[1.0, np.full(n - 2, 2.0), 1.0], -np.ones(n - 1)], [-1, 0, 1])
+        assert validate(_simple_problem([sp.identity(n), lap.tocsc()], n1=n)).ok
+        bad = (lap - 1e-3 * sp.identity(n)).tocsc()
+        tau = PSD_RTOL * max(sp.linalg.norm(bad), 1.0)
+        report = validate(_simple_problem([sp.identity(n), bad], n1=n))
+        assert report.violations == [f"P[1] is not PSD (P[1] + {tau:.3e} I is not positive definite)"]
+
+    def test_unbounded_generator_singular_sparse_accepted(self):
+        p = gen_unbounded(256, seed=0)
+        assert all(sp.issparse(Pi) for Pi in p.P)
+        assert np.linalg.eigvalsh(p.P[0].toarray())[0] == 0.0
+        assert validate(p).ok
+
+    @pytest.mark.parametrize("storage", ["dense", "csc", "diagonal csc"])
+    @pytest.mark.parametrize("factor, ok", [(-0.5, True), (-2.0, False)])
+    def test_psd_slack_boundary(self, storage, factor, ok):
+        # smallest eigenvalue factor * tau; the rule accepts lambda_min >= -tau
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        spectrum = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        tau = PSD_RTOL * np.linalg.norm(spectrum)
+        spectrum[0] = factor * tau
+        P = (Q * spectrum) @ Q.T
+        P = (P + P.T) / 2
+        P = {"dense": np.asfortranarray(P), "csc": sp.csc_matrix(P), "diagonal csc": sp.diags(spectrum, format="csc")}
+        assert validate(_simple_problem([np.eye(6), P[storage]], n1=6)).ok is ok
+
+    def test_decision_matches_eigvalsh(self):
+        # symmetric matrices whose smallest eigenvalue lies within 1e-3 ||P||_F of zero,
+        # dense and sparsified, against the rule lambda_min >= -tau
+        rng = np.random.default_rng(7)
+        decisions = set()
+        for _ in range(100):
+            n = int(rng.integers(2, 30))
+            S = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+            S = np.triu(S) + np.triu(S, 1).T
+            S -= (np.linalg.eigvalsh(S)[0] + rng.uniform(-1e-3, 1e-3) * np.linalg.norm(S)) * np.eye(n)
+            want = np.linalg.eigvalsh(S)[0] >= -PSD_RTOL * max(np.linalg.norm(S), 1.0)
+            for P in (np.asfortranarray(S), sp.csc_matrix(S)):
+                assert validate(_simple_problem([np.eye(n), P], n1=n)).ok == want
+            decisions.add(bool(want))
+        assert decisions == {True, False}
 
 
 class TestNorms:
@@ -213,6 +263,17 @@ class TestSerialization:
         path = tmp_path / "p.json"
         path.write_text("{not json")
         with pytest.raises(ProblemFormatError, match="line 1"):
+            load_problem(path)
+
+    # int() reads all of these as column 0; save_problem writes only "0"
+    @pytest.mark.parametrize("key", ["0_0", " 0", "0 ", "+0", "-0", "00", "\u0660"])
+    def test_non_canonical_column_key_rejected(self, tmp_path, key):
+        path = tmp_path / "p.json"
+        save_problem(toy_problem(), path)
+        doc = json.loads(path.read_text())
+        doc["P"][1] = {"cols": {key: [[0, 1.0]]}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemFormatError, match=f"P\\[1\\]: column key {re.escape(repr(key))}"):
             load_problem(path)
 
     def test_matrix_needs_exactly_one_encoding(self, tmp_path):
