@@ -1,9 +1,15 @@
-"""Golden outputs: status, iterations and sha256 of report JSON + trace CSV.
+"""Golden outputs: status, iterations and sha256 of report JSON + trace CSV,
+then sha256 of every generated problem file.
 
 Solves a fixed instance set (the toy, random n1=64 seeds 0-2, MKL seed 0,
 the infeasible and unbounded instances) at 1 and 3 workers and prints one
-line per solve.  Two commits whose outputs match line for line produce
-byte-identical solves.  Run: ``python3 scripts/golden.py``.
+line per solve.  Then saves one problem file per generator family (random
+seed 0 with a box, MKL seed 0 with either margin, infeasible, unbounded)
+and prints one line per file.  Two commits whose outputs match line for
+line produce byte-identical solves and problem files.
+``scripts/golden.txt`` holds the expected output; everything but the
+hashes is compared in CI, and the hashes are for comparing two commits on
+one machine.  Run: ``python3 scripts/golden.py``.
 """
 
 import hashlib
@@ -18,7 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from qcqpd import (  # noqa: E402
     MklSpec, QcqpProblem, RandomQcqpSpec, SolverConfig, build_mkl_qcqp,
-    gen_infeasible, gen_random_qcqp, gen_unbounded, solve,
+    gen_infeasible, gen_random_qcqp, gen_unbounded, save_problem, solve,
 )
 
 
@@ -34,6 +40,23 @@ def instances():
     yield "unbounded", gen_unbounded(64, seed=0), {}
 
 
+def generated():
+    """``(name, problem)`` of every golden problem file."""
+    yield "random-s0-box", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=0, box_upper=1.0))
+    for svm in ("sm1", "sm2"):
+        yield f"mkl-{svm}-s0", build_mkl_qcqp(MklSpec(svm=svm, seed=0))[0]
+    yield "infeasible", gen_infeasible(64, seed=0)
+    yield "unbounded", gen_unbounded(64, seed=0)
+
+
+def sha256(*paths):
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         report, trace = os.path.join(tmp, "report.json"), os.path.join(tmp, "trace.csv")
@@ -42,12 +65,12 @@ def main():
                 rep = solve(problem, SolverConfig(n_workers=workers, **settings))
                 rep.write_report_json(report)
                 rep.write_trace_csv(trace)
-                digest = hashlib.sha256()
-                for path in (report, trace):
-                    with open(path, "rb") as fh:
-                        digest.update(fh.read())
                 print(f"{name} workers={workers} status={rep.status.value} "
-                      f"iterations={rep.iterations} sha256={digest.hexdigest()}")
+                      f"iterations={rep.iterations} sha256={sha256(report, trace)}")
+        path = os.path.join(tmp, "problem.json")
+        for name, problem in generated():
+            save_problem(problem, path)
+            print(f"{name} file sha256={sha256(path)}")
 
 
 if __name__ == "__main__":

@@ -13,13 +13,11 @@ from .core import (
     update_weights,
 )
 from .diagnostics import (
-    OracleError,
     ResidualReport,
     TerminationStatus,
     classify_termination,
     compute_residuals,
     kkt_residual_max,
-    reference_solve_small,
     test_set_accuracy,
 )
 from .dist import (
@@ -38,7 +36,6 @@ from .generators import (
     gen_twonorm,
     gen_unbounded,
     gram_matrix,
-    kernel_eval,
     load_csv_dataset,
 )
 from .model import (
@@ -76,11 +73,9 @@ __all__ = [
     "analytic_comm_stats",
     "TerminationStatus",
     "ResidualReport",
-    "OracleError",
     "compute_residuals",
     "classify_termination",
     "kkt_residual_max",
-    "reference_solve_small",
     "test_set_accuracy",
     "RandomQcqpSpec",
     "MklSpec",
@@ -90,7 +85,6 @@ __all__ = [
     "gen_infeasible",
     "gen_unbounded",
     "gen_twonorm",
-    "kernel_eval",
     "gram_matrix",
     "build_mkl_qcqp",
     "load_csv_dataset",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .core import SolverConfig, solve
@@ -77,8 +78,8 @@ def build_parser():
     pr.add_argument("--n1", type=int, required=True)
     pr.add_argument("--m1", type=int, required=True)
     pr.add_argument("--cond", type=float, help="condition number; known benchmark values pick their eigenvalue range")
-    pr.add_argument("--dmin", type=float)
-    pr.add_argument("--dmax", type=float)
+    pr.add_argument("--dmin", type=float, help="smallest Hessian eigenvalue; needs --dmax, excludes --cond")
+    pr.add_argument("--dmax", type=float, help="largest Hessian eigenvalue; needs --dmin, excludes --cond")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--box", type=float, help="finite box upper bound (default +inf)")
     pr.add_argument("--out", required=True)
@@ -143,10 +144,27 @@ def _run_solve(args) -> int:
     return _EXIT_CODES[report.status]
 
 
+def _require_finite(args, *flags):
+    """Reject a NaN or infinite value of any of the given ``--flags``, naming it."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{flag} must be finite, got {value!r}")
+
+
 def _run_generate(args) -> int:
     meta = None
     if args.family == "random-qcqp":
-        if args.dmin is not None and args.dmax is not None:
+        _require_finite(args, "cond", "dmin", "dmax")
+        if (args.dmin is None) != (args.dmax is None):
+            raise ValueError("--dmin and --dmax must be given together")
+        if args.dmin is not None and args.cond is not None:
+            raise ValueError("--cond cannot be combined with --dmin and --dmax")
+        if args.cond is not None and args.cond < 1:
+            raise ValueError(f"--cond must be >= 1, got {args.cond!r}")
+        if args.box is not None and not args.box > 0:
+            raise ValueError(f"--box must be > 0, got {args.box!r}")
+        if args.dmin is not None:
             d_min, d_max = args.dmin, args.dmax
         elif args.cond is not None:
             if args.cond in EIGENVALUE_RANGES:
@@ -175,6 +193,7 @@ def _run_generate(args) -> int:
         problem = gen_unbounded(args.n1, seed=args.seed)
         meta = {"family": "unbounded", "seed": args.seed, "n1": args.n1}
     else:
+        _require_finite(args, "c", "r")
         spec = MklSpec(
             dataset=args.dataset,
             csv_path=args.csv,

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import (
-    ResidualReport,
     TerminationStatus,
     classify_termination,
     compute_residuals,
@@ -329,21 +328,21 @@ def _pass_products(problem, hessians, a_blocks, stats, x, u):
     return Px, cons, eq
 
 
-def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, lam0=None, callback=None) -> SolveReport:
+def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=None) -> SolveReport:
     """Run the predictor-corrector loop until a termination rule fires.
 
-    The loop starts from ``x0`` and ``lam0`` (default zeros) and from
-    ``u = gam = 0``; ``x0`` is projected into the box and ``lam0`` clipped
-    nonnegative so the iterate invariants hold from the first step.
+    The loop starts from the origin, ``x = u = lam = gam = 0``, which meets
+    the box and the multiplier sign from the first step.
     ``callback(k, x, u, lam, gam)``, when given, is invoked once per
     iteration at the current iterate, including the final one; the arrays
     are live views and must be copied if stored.
 
-    Termination: residuals are evaluated every ``trace_every`` iterations
-    and classified (converged / infeasibility suspected / unboundedness
-    suspected); the loop also stops on iterate overflow (diverged) or
-    after ``max_iters`` iterations.  The reported residuals always refer
-    to the returned iterate.
+    Termination: residuals are evaluated every ``trace_every`` iterations,
+    each check is appended to the trace as a :class:`TraceRow`, and the
+    trace is classified (converged / infeasibility suspected /
+    unboundedness suspected); the loop also stops on iterate overflow
+    (diverged) or after ``max_iters`` iterations.  The reported residuals
+    always refer to the returned iterate.
     """
     p = problem
     cfg = config if config is not None else SolverConfig()
@@ -353,9 +352,9 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, lam
     a_blocks = ColumnBlocks([p.A], part)
     stats = CommStats()
 
-    x = p.project_box(np.zeros(p.n1) if x0 is None else np.asarray(x0, dtype=np.float64).copy())
+    x = np.zeros(p.n1)
     u = np.zeros(p.n2)
-    lam = np.maximum(0.0, np.zeros(p.m1) if lam0 is None else np.asarray(lam0, dtype=np.float64))
+    lam = np.zeros(p.m1)
     gam = np.zeros(p.m2)
 
     weights = np.ones(N_STEP_COMPONENTS)
@@ -363,7 +362,6 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, lam
     adaptive = cfg.weight_mode is WeightMode.ADAPTIVE
 
     trace: list[TraceRow] = []
-    residuals: list[ResidualReport] = []
     rho = math.nan
     rho_min = math.inf
     rho_max = -math.inf
@@ -403,14 +401,13 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, x0=None, lam
         # check on the cadence is classified
         on_cadence = k % cfg.trace_every == 0
         if on_cadence or k >= cfg.max_iters:
-            rep = compute_residuals(p, x, u, lam, gam, grad_x=grad_x, grad_u=grad_u, cons=cons, eq=eq, iteration=k)
-            residuals.append(rep)
+            rep = compute_residuals(p, x, u, lam, gam, grad_x=grad_x, grad_u=grad_u, cons=cons, eq=eq)
             res1, res2 = rep.res1, rep.res2
             objective = 0.5 * float(x @ Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
             trace.append(TraceRow(k, rho, res1, res2, objective))
             outcome = None
             if on_cadence:
-                outcome = classify_termination(residuals, cfg.tol, cfg.divergence_threshold)
+                outcome = classify_termination(trace, cfg.tol, cfg.divergence_threshold)
             if outcome is None and k >= cfg.max_iters:
                 outcome = (
                     TerminationStatus.MAX_ITERS_EXCEEDED,

@@ -86,10 +86,6 @@ class ColumnPartition:
     n_cols: int
     ranges: tuple = field(default_factory=tuple)
 
-    @property
-    def n_workers(self) -> int:
-        return len(self.ranges)
-
     def __post_init__(self):
         pos = 0
         for lo, hi in self.ranges:

@@ -21,6 +21,7 @@ exist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ __all__ = [
     "gen_random_qcqp",
     "gen_infeasible",
     "gen_unbounded",
-    "kernel_eval",
     "gram_matrix",
     "build_mkl_qcqp",
     "gen_twonorm",
@@ -52,45 +52,38 @@ EIGENVALUE_RANGES = {
     1e6: (0.00002, 20.0),
 }
 
-_KAPPA_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class RandomQcqpSpec:
     """Parameters of one random PSD instance.
 
-    Every Hessian gets eigenvalues in ``[d_min, d_max]`` with both
-    endpoints attained, so its condition number is exactly
-    ``kappa = d_max / d_min``.  ``r_range`` must stay nonpositive so the
-    origin is feasible for every generated constraint.
+    Every Hessian gets eigenvalues in ``[d_min, d_max]`` (both finite) with
+    both endpoints attained, so its condition number is exactly
+    :attr:`kappa`.  The linear terms ``qi`` are uniform on ``[-1, 1)`` and
+    the constants ``ri`` on ``[-1, 0)``, so the origin is feasible for
+    every generated constraint.
     """
 
     n1: int
     m1: int
     d_min: float = 4.0
     d_max: float = 5.0
-    kappa: float | None = None
-    q_range: tuple = (-1.0, 1.0)
-    r_range: tuple = (-1.0, 0.0)
     seed: int = 0
     box_upper: float | None = None
 
     def __post_init__(self):
         if self.n1 < 1 or self.m1 < 0:
             raise ValueError("need n1 >= 1 and m1 >= 0")
-        if not 0 < self.d_min <= self.d_max:
-            raise ValueError("need 0 < d_min <= d_max")
-        ratio = self.d_max / self.d_min
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", ratio)
-        elif abs(self.kappa - ratio) > _KAPPA_RTOL * ratio:
-            raise ValueError(f"kappa={self.kappa} inconsistent with d_max/d_min={ratio}")
+        if not (math.isfinite(self.d_max) and 0 < self.d_min <= self.d_max):
+            raise ValueError(f"need finite 0 < d_min <= d_max, got d_min={self.d_min!r}, d_max={self.d_max!r}")
         if self.n1 == 1 and self.kappa != 1.0:
             raise ValueError("kappa > 1 needs n1 >= 2 (both extreme eigenvalues must be attained)")
-        if self.r_range[1] > 0:
-            raise ValueError("r_range must be nonpositive so the origin stays feasible")
-        if self.box_upper is not None and self.box_upper <= 0:
-            raise ValueError("box_upper must be > 0")
+        if self.box_upper is not None and not self.box_upper > 0:
+            raise ValueError(f"box_upper must be > 0, got {self.box_upper!r}")
+
+    @property
+    def kappa(self) -> float:
+        """Condition number of every Hessian, ``d_max / d_min``."""
+        return self.d_max / self.d_min
 
 
 def _stream(seed, index):
@@ -129,9 +122,8 @@ def gen_random_qcqp(spec: RandomQcqpSpec) -> QcqpProblem:
     for i in range(s.m1 + 1):
         rng = _stream(s.seed, i)
         P.append(_random_psd(rng, s.n1, s.d_min, s.d_max))
-        q.append(rng.uniform(s.q_range[0], s.q_range[1], size=s.n1))
-        r.append(rng.uniform(s.r_range[0], s.r_range[1]))
-    assert all(ri <= 0 for ri in r[1:]), "origin must be feasible for every constraint"
+        q.append(rng.uniform(-1.0, 1.0, size=s.n1))
+        r.append(rng.uniform(-1.0, 0.0))
     upper = np.full(s.n1, np.inf if s.box_upper is None else s.box_upper)
     return QcqpProblem(
         n1=s.n1,
@@ -231,18 +223,6 @@ class Kernel:
 DEFAULT_MKL_KERNELS = tuple(Kernel("gaussian", s2) for s2 in (0.01, 0.1, 1.0, 10.0, 100.0))
 
 
-def kernel_eval(kernel: Kernel, d, dp) -> float:
-    """Kernel value for a single pair of points."""
-    d = np.asarray(d, dtype=np.float64)
-    dp = np.asarray(dp, dtype=np.float64)
-    if kernel.kind == "linear":
-        return float(d @ dp)
-    if kernel.kind == "polynomial":
-        return float((1.0 + d @ dp) ** 2)
-    diff = d - dp
-    return float(np.exp(-(diff @ diff) / (2.0 * kernel.sigma2)))
-
-
 def gram_matrix(kernel: Kernel, X, Y=None):
     """Gram block ``K[j, j'] = k(X_j, Y_j')``; symmetric with unit Gaussian diagonal when ``Y`` is ``X``."""
     X = np.asarray(X, dtype=np.float64)
@@ -282,7 +262,6 @@ class MklSpec:
     R: float | None = None
     seed: int = 0
     dim: int = 20
-    mean_scale: float | None = None
 
     def __post_init__(self):
         if self.dataset not in ("twonorm", "csv"):
@@ -293,14 +272,14 @@ class MklSpec:
             raise ValueError("need n_tr >= 2 and n_t >= 1")
         if self.svm not in ("sm1", "sm2"):
             raise ValueError(f"svm must be 'sm1' or 'sm2', got {self.svm!r}")
-        if self.margin_c <= 0:
-            raise ValueError("margin_c must be > 0")
+        if not (math.isfinite(self.margin_c) and self.margin_c > 0):
+            raise ValueError(f"margin_c must be finite and > 0, got {self.margin_c!r}")
         if not self.kernels:
             raise ValueError("need at least one kernel")
         if self.R is None:
             object.__setattr__(self, "R", float(len(self.kernels)))
-        elif self.R <= 0:
-            raise ValueError("R must be > 0")
+        elif not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"R must be finite and > 0, got {self.R!r}")
         object.__setattr__(self, "kernels", tuple(self.kernels))
 
 
@@ -315,8 +294,6 @@ class MklArtifacts:
     gram_cross: list
     train_indices: np.ndarray
     test_indices: np.ndarray
-    points: np.ndarray = None
-    labels_all: np.ndarray = None
 
     def sidecar_dict(self):
         return {
@@ -378,8 +355,7 @@ def build_mkl_qcqp(spec: MklSpec):
     s = spec
     n_total = s.n_tr + s.n_t
     if s.dataset == "twonorm":
-        a = s.mean_scale if s.mean_scale is not None else 2.0 / np.sqrt(s.dim)
-        X, y = gen_twonorm(n_total + (n_total % 2), s.dim, a, seed=s.seed)
+        X, y = gen_twonorm(n_total + (n_total % 2), s.dim, 2.0 / np.sqrt(s.dim), seed=s.seed)
         X, y = X[:n_total], y[:n_total]
     else:
         X, y = load_csv_dataset(s.csv_path)
@@ -394,7 +370,7 @@ def build_mkl_qcqp(spec: MklSpec):
 
     # order points train-first so Gram blocks slice contiguously
     ordered = np.concatenate([train_idx, test_idx])
-    Xo, yo = X[ordered], y[ordered]
+    Xo = X[ordered]
     gram_train, gram_cross, G = [], [], []
     for kern in s.kernels:
         K = gram_matrix(kern, Xo)
@@ -437,7 +413,5 @@ def build_mkl_qcqp(spec: MklSpec):
         gram_cross=gram_cross,
         train_indices=train_idx,
         test_indices=test_idx,
-        points=Xo,
-        labels_all=yo,
     )
     return problem, artifacts

@@ -186,9 +186,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class ProblemNorms:
@@ -258,6 +255,12 @@ def _non_finite(name, M):
     return f"{name}[{', '.join(str(int(i)) for i in at)}] is not finite"
 
 
+def _linear_data(p):
+    """``(name, array)`` of the data besides the Hessians and the bounds: ``q``, ``c``, ``r``, ``A``, ``B``, ``b``."""
+    return ([(f"q[{i}]", qi) for i, qi in enumerate(p.q)] + [(f"c[{i}]", ci) for i, ci in enumerate(p.c)]
+            + [("r", p.r), ("A", p.A), ("B", p.B), ("b", p.b)])
+
+
 def validate(problem: QcqpProblem) -> ValidationReport:
     """Check well-formedness of a problem; returns a report, never raises.
 
@@ -290,8 +293,7 @@ def validate(problem: QcqpProblem) -> ValidationReport:
     for i, ci in enumerate(p.c):
         if ci.shape != (p.n2,):
             v.append(f"c[{i}] has length {ci.shape[0]}, expected {p.n2}")
-    rest = [(f"q[{i}]", qi) for i, qi in enumerate(p.q)] + [(f"c[{i}]", ci) for i, ci in enumerate(p.c)]
-    for name, M in rest + [("r", p.r), ("A", p.A), ("B", p.B), ("b", p.b)]:
+    for name, M in _linear_data(p):
         msg = _non_finite(name, M)
         if msg:
             v.append(msg)
@@ -425,8 +427,20 @@ def _bound_from_json(v, where):
 
 
 def save_problem(problem: QcqpProblem, path) -> None:
-    """Write a problem to a JSON file (see module notes for the format)."""
+    """Write a problem to a JSON file (see module notes for the format).
+
+    A NaN or infinite datum (an upper bound may be ``+inf``) raises
+    ``ValueError`` naming it before the file is opened, so a problem that
+    cannot be written leaves no file.  The document is streamed to the
+    file rather than encoded whole in memory first: that would hold the
+    text of a large instance (119 MB for n1 = 1024, m1 = 4) alongside it.
+    """
     p = problem
+    bounds = np.where(p.x_upper == math.inf, 0.0, p.x_upper)
+    for name, M in [(f"P[{i}]", Pi) for i, Pi in enumerate(p.P)] + _linear_data(p) + [("x_upper", bounds)]:
+        msg = _non_finite(name, M)
+        if msg:
+            raise ValueError(f"cannot save the problem: {msg}")
     doc = {
         "n1": p.n1,
         "n2": p.n2,

@@ -1,0 +1,130 @@
+"""Reference implementations the tests compare the package against.
+
+* :func:`reference_solve_small`, an augmented-Lagrangian solver for small
+  dense instances, unrelated to the predictor-corrector path, so
+  agreement with :func:`qcqpd.solve` is an independent check;
+* :func:`kernel_eval`, the kernel value of one pair of points, which the
+  vectorized :func:`qcqpd.generators.gram_matrix` must reproduce entry by
+  entry.
+"""
+
+import math
+
+import numpy as np
+
+from qcqpd import kkt_residual_max
+from qcqpd.generators import Kernel
+
+
+class OracleError(RuntimeError):
+    """The reference solver failed to reach its target accuracy."""
+
+
+# --- reference solver -------------------------------------------------------
+
+# Iteration caps of the reference solver: outer multiplier steps, inner gradient steps.
+REFERENCE_MAX_OUTER = 200
+REFERENCE_MAX_INNER = 20000
+
+
+def _al_value_grad(problem, x, u, lam, gam, beta):
+    """Augmented-Lagrangian value and gradient blocks at ``(x, u)``."""
+    p = problem
+    cons = p.constraint_values(x, u)
+    eq = p.equality_residual(x, u)
+    lam_eff = np.maximum(0.0, lam + beta * cons)
+    val = (
+        p.objective(x, u)
+        + float(lam_eff @ lam_eff - lam @ lam) / (2.0 * beta)
+        + float(gam @ eq)
+        + 0.5 * beta * float(eq @ eq)
+    )
+    gam_eff = gam + beta * eq
+    gx = p.lagrangian_grad_x(x, lam_eff, gam_eff)
+    gu = p.lagrangian_grad_u(lam_eff, gam_eff)
+    return val, gx, gu
+
+
+def _al_inner(problem, x, u, lam, gam, beta, gtol):
+    """Minimize the augmented Lagrangian over the box by spectral projected gradient."""
+    p = problem
+    val, gx, gu = _al_value_grad(p, x, u, lam, gam, beta)
+    step = 1.0 / max(1.0, float(np.linalg.norm(gx)) + float(np.linalg.norm(gu)))
+    for _ in range(REFERENCE_MAX_INNER):
+        stat = 0.0
+        if p.n1:
+            stat = float(np.abs(x - p.project_box(x - gx)).max())
+        if p.n2:
+            stat = max(stat, float(np.abs(gu).max()))
+        if stat <= gtol:
+            break
+        # Armijo backtracking on the projected step
+        while True:
+            xn = p.project_box(x - step * gx)
+            un = u - step * gu
+            decrease = float(gx @ (x - xn)) + float(gu @ (u - un))
+            valn, gxn, gun = _al_value_grad(p, xn, un, lam, gam, beta)
+            if valn <= val - 1e-4 * decrease + 1e-14 * abs(val) or step < 1e-16:
+                break
+            step *= 0.5
+        # Barzilai-Borwein step for the next iteration
+        sx, su = xn - x, un - u
+        yx, yu = gxn - gx, gun - gu
+        ss = float(sx @ sx) + float(su @ su)
+        sy = float(sx @ yx) + float(su @ yu)
+        step = min(max(ss / sy, 1e-12), 1e8) if sy > 1e-18 * max(ss, 1e-30) else step * 2.0
+        x, u, val, gx, gu = xn, un, valn, gxn, gun
+    return x, u
+
+
+def reference_solve_small(problem, tol=1e-6):
+    """Solve a small dense instance by an augmented-Lagrangian method.
+
+    Outer multiplier steps wrap a spectral projected-gradient inner
+    minimization; the penalty grows whenever feasibility stalls.  Stops
+    once :func:`kkt_residual_max` falls below ``tol`` and raises
+    :class:`OracleError` otherwise.  Intended for cross-checking other
+    solvers on desk-scale problems (dense, ``n1`` up to a few hundred),
+    entirely unrelated to the predictor-corrector path.
+    """
+    p = problem
+    x = p.project_box(np.zeros(p.n1))
+    u = np.zeros(p.n2)
+    lam = np.zeros(p.m1)
+    gam = np.zeros(p.m2)
+    beta = 10.0
+    gtol = 1e-2
+    prev_viol = math.inf
+    for _ in range(REFERENCE_MAX_OUTER):
+        x, u = _al_inner(p, x, u, lam, gam, beta, gtol)
+        cons = p.constraint_values(x, u)
+        eq = p.equality_residual(x, u)
+        lam = np.maximum(0.0, lam + beta * cons)
+        gam = gam + beta * eq
+        if kkt_residual_max(x, u, lam, gam, p) <= tol:
+            return x, u, lam, gam
+        viol = 0.0
+        if p.m1:
+            viol = float(np.maximum(0.0, cons).max())
+        if p.m2:
+            viol = max(viol, float(np.abs(eq).max()))
+        if viol > 0.25 * prev_viol:
+            beta = min(beta * 4.0, 1e12)
+        prev_viol = max(viol, 1e-300)
+        gtol = max(0.2 * gtol, tol * 1e-2)
+    raise OracleError(f"reference solver did not reach kkt tolerance {tol:g} in {REFERENCE_MAX_OUTER} outer iterations")
+
+
+# --- kernels -----------------------------------------------------------------
+
+
+def kernel_eval(kernel: Kernel, d, dp) -> float:
+    """Kernel value for a single pair of points."""
+    d = np.asarray(d, dtype=np.float64)
+    dp = np.asarray(dp, dtype=np.float64)
+    if kernel.kind == "linear":
+        return float(d @ dp)
+    if kernel.kind == "polynomial":
+        return float((1.0 + d @ dp) ** 2)
+    diff = d - dp
+    return float(np.exp(-(diff @ diff) / (2.0 * kernel.sigma2)))

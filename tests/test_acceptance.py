@@ -23,13 +23,13 @@ from qcqpd import (
     gen_random_qcqp,
     gen_unbounded,
     kkt_residual_max,
-    reference_solve_small,
     solve,
     update_epsilons,
 )
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
 from qcqpd.core import BIG_M, dual_step, primal_step
 from helpers import random_box_state, random_problem, toy_problem
+from reference import reference_solve_small
 
 
 def _verdict(name, ok, detail):
@@ -318,7 +318,7 @@ def test_criterion_9_generator_spectra():
     worst = 0.0
     for n1 in (32, 128):
         for kappa, (d_min, d_max) in EIGENVALUE_RANGES.items():
-            spec = RandomQcqpSpec(n1=n1, m1=2, d_min=d_min, d_max=d_max, kappa=kappa, seed=9)
+            spec = RandomQcqpSpec(n1=n1, m1=2, d_min=d_min, d_max=d_max, seed=9)
             assert spec.kappa == pytest.approx(kappa, rel=1e-12)  # table round-trips
             problem = gen_random_qcqp(spec)
             for Pi in problem.P:

@@ -247,6 +247,22 @@ class TestGenerateCommand:
         assert code == 0
         assert load_problem(out).m1 == 3
 
+    @pytest.mark.parametrize("args, flag", [
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--cond", "0"], "--cond"),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--cond", "nan"], "--cond"),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--dmin", "1", "--dmax", "inf"], "--dmax"),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--box", "nan"], "--box"),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--dmax", "7"], "--dmin"),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--dmin", "1"], "--dmax"),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--cond", "2", "--dmin", "1", "--dmax", "2"], "--cond"),
+        (["mkl", "--ntr", "12", "--nt", "4", "--c", "nan"], "--c"),
+        (["mkl", "--ntr", "12", "--nt", "4", "--r", "nan"], "--r"),
+    ])
+    def test_bad_flag_exit_one_without_file(self, tmp_path, args, flag):
+        out = tmp_path / "x.json"
+        _assert_error_names(_run_cli("generate", *args, "--out", str(out)), flag)
+        assert not out.exists()
+
     def test_bad_kernel_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["generate", "mkl", "--kernels", "rbf:1", "--out", str(tmp_path / "x.json")])

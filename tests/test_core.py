@@ -276,12 +276,6 @@ class TestSolve:
         rep = solve(p, SolverConfig(tol=1e-5), callback=check)
         assert rep.status is TerminationStatus.CONVERGED
 
-    def test_arbitrary_start_is_projected(self):
-        p = toy_problem()
-        rep = solve(p, SolverConfig(tol=1e-6), x0=[-5.0], lam0=[-2.0])
-        assert rep.status is TerminationStatus.CONVERGED
-        assert abs(rep.x[0] - 1.0) <= 1e-4
-
     def test_max_iters_status(self):
         rep = solve(toy_problem(), SolverConfig(tol=1e-16, max_iters=7))
         assert rep.status is TerminationStatus.MAX_ITERS_EXCEEDED

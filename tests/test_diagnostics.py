@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from qcqpd import (
-    ResidualReport,
     SolverConfig,
     TerminationStatus,
     classify_termination,
     compute_residuals,
     kkt_residual_max,
-    reference_solve_small,
     solve,
 )
+from qcqpd.core import TraceRow
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
 from helpers import equality_problem, random_box_state, random_problem, toy_problem
+from reference import reference_solve_small
 
 
 class TestResiduals:
@@ -85,7 +85,8 @@ class TestKktResidualMax:
 
 
 def _history(res1_seq, res2_seq):
-    return [ResidualReport(r1, r2, iteration=10 * i) for i, (r1, r2) in enumerate(zip(res1_seq, res2_seq))]
+    """Trace rows of checks every 10 iterations; classification reads no ``rho`` or objective."""
+    return [TraceRow(10 * i, 0.0, r1, r2, 0.0) for i, (r1, r2) in enumerate(zip(res1_seq, res2_seq))]
 
 
 class TestClassification:

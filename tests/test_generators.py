@@ -13,12 +13,12 @@ from qcqpd import (
     gen_twonorm,
     gen_unbounded,
     gram_matrix,
-    kernel_eval,
     load_csv_dataset,
     save_problem,
     validate,
 )
 from qcqpd.generators import DEFAULT_MKL_KERNELS
+from reference import kernel_eval
 
 
 class TestRandomQcqp:
@@ -38,16 +38,8 @@ class TestRandomQcqp:
         assert EIGENVALUE_RANGES[1e4] == (0.003, 30.0)
         assert EIGENVALUE_RANGES[1e6] == (0.00002, 20.0)
         for kappa, (lo, hi) in EIGENVALUE_RANGES.items():
-            spec = RandomQcqpSpec(n1=8, m1=1, d_min=lo, d_max=hi, kappa=kappa)
+            spec = RandomQcqpSpec(n1=8, m1=1, d_min=lo, d_max=hi)
             assert spec.kappa == pytest.approx(kappa, rel=1e-12)
-
-    def test_inconsistent_kappa_rejected(self):
-        with pytest.raises(ValueError, match="kappa"):
-            RandomQcqpSpec(n1=8, m1=1, d_min=1.0, d_max=2.0, kappa=3.0)
-
-    def test_positive_r_range_rejected(self):
-        with pytest.raises(ValueError, match="origin"):
-            RandomQcqpSpec(n1=8, m1=1, r_range=(-1.0, 0.5))
 
     def test_deterministic_and_seed_sensitive(self, tmp_path):
         spec = RandomQcqpSpec(n1=12, m1=2, seed=7)
@@ -76,6 +68,15 @@ class TestRandomQcqp:
     def test_box_request(self):
         p = gen_random_qcqp(RandomQcqpSpec(n1=4, m1=1, seed=3, box_upper=2.5))
         assert (p.x_upper == 2.5).all()
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"d_min": 1.0, "d_max": np.inf}, "d_max"),
+        ({"d_min": np.nan, "d_max": 2.0}, "d_min"),
+        ({"box_upper": np.nan}, "box_upper"),
+    ])
+    def test_non_finite_field_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            RandomQcqpSpec(n1=4, m1=1, **fields)
 
 
 class TestPathologicalInstances:
@@ -183,6 +184,12 @@ class TestMklBuild:
         p, _ = build_mkl_qcqp(MklSpec(n_tr=6, n_t=2, svm="sm1", margin_c=C, seed=12))
         assert p.P[0].nnz == 0
         assert (p.x_upper == C).all()
+
+    @pytest.mark.parametrize("field", ["margin_c", "R"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MklSpec(**{field: value})
 
     def test_budget_default_and_slots(self):
         p, art = build_mkl_qcqp(MklSpec(n_tr=10, n_t=3, seed=13))

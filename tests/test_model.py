@@ -230,6 +230,14 @@ class TestSerialization:
         assert loaded.x_upper[1] == np.inf
         self._assert_problems_equal(loaded, p)
 
+    def test_unwritable_problem_leaves_no_file(self, tmp_path):
+        p = toy_problem()
+        p.x_upper[0] = np.nan
+        path = tmp_path / "p.json"
+        with pytest.raises(ValueError, match=re.escape("x_upper[0] is not finite")):
+            save_problem(p, path)
+        assert not path.exists()
+
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(11)
         p = random_problem(rng, n1=4, m1=1)
