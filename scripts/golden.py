@@ -67,7 +67,7 @@ def main():
                 rep.write_trace_csv(trace)
                 print(f"{name} workers={workers} status={rep.status.value} "
                       f"iterations={rep.iterations} sha256={sha256(report, trace)}")
-        path = os.path.join(tmp, "problem.json")
+        path = os.path.join(tmp, "problem.npz")
         for name, problem in generated():
             save_problem(problem, path)
             print(f"{name} file sha256={sha256(path)}")

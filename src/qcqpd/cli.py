@@ -45,7 +45,10 @@ def _parse_kernels(text):
         if token in ("linear", "polynomial"):
             kernels.append(Kernel(token))
         elif token.startswith("gaussian:"):
-            kernels.append(Kernel("gaussian", float(token.split(":", 1)[1])))
+            try:
+                kernels.append(Kernel("gaussian", float(token.split(":", 1)[1])))
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(f"bad kernel {token!r}: {exc}") from exc
         else:
             raise argparse.ArgumentTypeError(
                 f"bad kernel {token!r}; use linear, polynomial or gaussian:<sigma2>"
@@ -60,7 +63,7 @@ def build_parser():
     # Solver flags are stored under their SolverConfig field names and only
     # when given, so SolverConfig holds the one copy of every default.
     ps = sub.add_parser("solve", help="solve a problem file", argument_default=argparse.SUPPRESS)
-    ps.add_argument("problem", help="problem JSON file")
+    ps.add_argument("problem", help="problem .npz archive")
     ps.add_argument("--tol", type=float)
     ps.add_argument("--max-iters", type=int)
     ps.add_argument("--workers", type=int, dest="n_workers", metavar="WORKERS")
@@ -112,7 +115,7 @@ def build_parser():
     pm.add_argument("--meta")
 
     pk = sub.add_parser("check-kkt", help="evaluate optimality residuals at a point")
-    pk.add_argument("problem", help="problem JSON file")
+    pk.add_argument("problem", help="problem .npz archive")
     pk.add_argument("point", help="point JSON file with x, u, lambda, gamma")
 
     return parser

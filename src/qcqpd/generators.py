@@ -213,8 +213,8 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and (self.sigma2 is None or self.sigma2 <= 0):
-            raise ValueError("gaussian kernel needs sigma2 > 0")
+        if self.kind == "gaussian" and (self.sigma2 is None or not 0 < self.sigma2 < math.inf):
+            raise ValueError(f"gaussian kernel needs a finite sigma2 > 0, got {self.sigma2!r}")
 
     def label(self) -> str:
         return f"gaussian:{self.sigma2:g}" if self.kind == "gaussian" else self.kind
@@ -335,6 +335,9 @@ def load_csv_dataset(path):
     y = data[:, 0]
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError(f"{path}: labels must be -1 or +1")
+    bad = np.nonzero(~np.isfinite(data[:, 1:]).all(axis=1))[0]
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 1} has a non-finite feature")
     return data[:, 1:], y
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,14 +48,24 @@ class ProblemFormatError(ValueError):
     """Raised when a problem file cannot be parsed into a valid shape."""
 
 
-def _as_matrix(M, rows, cols):
-    """Coerce ``M`` to a float64 matrix of the given shape (Fortran-order dense, or CSC)."""
+def _as_matrix(M, rows, cols, name):
+    """Coerce ``M`` to a float64 matrix of the given shape (Fortran-order dense, or canonical CSC)."""
     if sp.issparse(M):
-        out = M.tocsc().astype(np.float64)
+        out = M.tocsc().astype(np.float64)  # a copy, so summing duplicates leaves M as it was
+        out.sum_duplicates()
     else:
         out = np.asfortranarray(M, dtype=np.float64)
     if out.shape != (rows, cols):
-        raise ValueError(f"expected shape {(rows, cols)}, got {out.shape}")
+        raise ValueError(f"{name} has shape {out.shape}, expected {(rows, cols)}")
+    return out
+
+
+def _as_vector(v, n, name):
+    """Coerce ``v`` to a float64 vector of length ``n``."""
+    out = np.asarray(v, dtype=np.float64)
+    if out.shape != (n,):
+        raise ValueError(f"{name} has length {out.shape[0]}, expected {n}" if out.ndim == 1
+                         else f"{name} has shape {out.shape}, expected {(n,)}")
     return out
 
 
@@ -107,18 +118,17 @@ class QcqpProblem:
             raise ValueError("dimensions must be nonnegative")
         if len(self.P) != m1 + 1:
             raise ValueError(f"expected {m1 + 1} P matrices, got {len(self.P)}")
-        if len(self.q) != m1 + 1 or len(self.c) != m1 + 1:
-            raise ValueError("q and c must both have m1 + 1 entries")
-        self.P = [_as_matrix(Pi, n1, n1) for Pi in self.P]
-        self.q = [np.asarray(qi, dtype=np.float64).reshape(n1) for qi in self.q]
-        self.c = [np.asarray(ci, dtype=np.float64).reshape(n2) for ci in self.c]
-        self.r = np.asarray(self.r, dtype=np.float64).reshape(m1 + 1)
-        self.A = _as_matrix(self.A if self.A is not None else np.zeros((m2, n1)), m2, n1)
-        self.B = _as_matrix(self.B if self.B is not None else np.zeros((m2, n2)), m2, n2)
-        self.b = np.asarray(self.b if self.b is not None else np.zeros(m2), dtype=np.float64).reshape(m2)
-        if self.x_upper is None:
-            self.x_upper = np.full(n1, np.inf)
-        self.x_upper = np.asarray(self.x_upper, dtype=np.float64).reshape(n1)
+        for name in ("q", "c"):
+            if len(getattr(self, name)) != m1 + 1:
+                raise ValueError(f"expected {m1 + 1} {name} vectors, got {len(getattr(self, name))}")
+        self.P = [_as_matrix(Pi, n1, n1, f"P[{i}]") for i, Pi in enumerate(self.P)]
+        self.q = [_as_vector(qi, n1, f"q[{i}]") for i, qi in enumerate(self.q)]
+        self.c = [_as_vector(ci, n2, f"c[{i}]") for i, ci in enumerate(self.c)]
+        self.r = _as_vector(self.r, m1 + 1, "r")
+        self.A = _as_matrix(self.A if self.A is not None else np.zeros((m2, n1)), m2, n1, "A")
+        self.B = _as_matrix(self.B if self.B is not None else np.zeros((m2, n2)), m2, n2, "B")
+        self.b = _as_vector(self.b if self.b is not None else np.zeros(m2), m2, "b")
+        self.x_upper = _as_vector(self.x_upper if self.x_upper is not None else np.full(n1, np.inf), n1, "x_upper")
 
     def constraint_values(self, x, u):
         """Values of the m1 quadratic constraints at ``(x, u)``."""
@@ -265,16 +275,14 @@ def validate(problem: QcqpProblem) -> ValidationReport:
     """Check well-formedness of a problem; returns a report, never raises.
 
     Detects NaN or infinite entries in ``P``, ``q``, ``c``, ``r``, ``A``,
-    ``B`` and ``b`` (``x_upper`` may be ``+inf``), dimension mismatches,
-    asymmetric or non-PSD constraint matrices (``Pi + 1e-8 * max(||Pi||_F, 1) I``
-    not positive definite, tested after symmetry), and nonpositive box upper bounds.
+    ``B`` and ``b`` (``x_upper`` may be ``+inf``), asymmetric or non-PSD
+    constraint matrices (``Pi + 1e-8 * max(||Pi||_F, 1) I`` not positive
+    definite, tested after symmetry), and nonpositive box upper bounds.
+    Shapes are checked by the :class:`QcqpProblem` constructor.
     """
     v = []
     p = problem
     for i, Pi in enumerate(p.P):
-        if Pi.shape != (p.n1, p.n1):
-            v.append(f"P[{i}] has shape {Pi.shape}, expected {(p.n1, p.n1)}")
-            continue
         msg = _non_finite(f"P[{i}]", Pi)
         if msg:
             v.append(msg)
@@ -287,30 +295,13 @@ def validate(problem: QcqpProblem) -> ValidationReport:
         tau = PSD_RTOL * max(nrm, 1.0)
         if not _is_psd(Pi, tau):
             v.append(f"P[{i}] is not PSD (P[{i}] + {tau:.3e} I is not positive definite)")
-    for i, qi in enumerate(p.q):
-        if qi.shape != (p.n1,):
-            v.append(f"q[{i}] has length {qi.shape[0]}, expected {p.n1}")
-    for i, ci in enumerate(p.c):
-        if ci.shape != (p.n2,):
-            v.append(f"c[{i}] has length {ci.shape[0]}, expected {p.n2}")
     for name, M in _linear_data(p):
         msg = _non_finite(name, M)
         if msg:
             v.append(msg)
-    if p.r.shape != (p.m1 + 1,):
-        v.append(f"r has length {p.r.shape[0]}, expected {p.m1 + 1}")
-    if p.A.shape != (p.m2, p.n1):
-        v.append(f"A has shape {p.A.shape}, expected {(p.m2, p.n1)}")
-    if p.B.shape != (p.m2, p.n2):
-        v.append(f"B has shape {p.B.shape}, expected {(p.m2, p.n2)}")
-    if p.b.shape != (p.m2,):
-        v.append(f"b has length {p.b.shape[0]}, expected {p.m2}")
-    if p.x_upper.shape != (p.n1,):
-        v.append(f"x_upper has length {p.x_upper.shape[0]}, expected {p.n1}")
-    else:
-        bad = np.nonzero(~(p.x_upper > 0))[0]
-        if bad.size:
-            v.append(f"x_upper must be > 0; offending indices {bad[:5].tolist()}")
+    bad = np.nonzero(~(p.x_upper > 0))[0]
+    if bad.size:
+        v.append(f"x_upper must be > 0; offending indices {bad[:5].tolist()}")
     return ValidationReport(v)
 
 
@@ -334,106 +325,42 @@ def compute_norms(problem: QcqpProblem) -> ProblemNorms:
 
 # --- serialization ---------------------------------------------------------
 #
-# Problem files are a single JSON document.  Matrices are either
-# {"dense": [[...], ...]} with row-major rows, or {"cols": {"j": [[row, val],
-# ...]}} column-sparse.  Infinite upper bounds serialize as the string "inf".
-# Floats round-trip exactly (Python emits shortest exact repr).  Numbers are
-# checked by type, since numpy converts strings and booleans (a bool is an
-# int to isinstance); NaN/Infinity literals are read as strings to fail it.
-_NUMBER_TYPES = {int, float}
+# A problem file is an uncompressed NumPy ``.npz`` archive: a zip of ``.npy``
+# members, one typed array per field (FORMATS.md lists them).  ``np.savez``
+# stamps each member with the wall-clock time, so members are written here
+# with a fixed timestamp and saving a problem twice gives the same bytes.
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+_CSC_PARTS = ("data", "indices", "indptr")
+# What np.load raises on a damaged or foreign file.  Reading a damaged member
+# can also raise OSError (a bad offset), RuntimeError (an "encrypted" flag) or
+# MemoryError (a header declaring more data than could ever be allocated).
+_ARCHIVE_ERRORS = (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile)
+_MEMBER_ERRORS = _ARCHIVE_ERRORS + (OSError, RuntimeError, MemoryError)
 
 
-def _matrix_to_json(M):
-    if sp.issparse(M):
-        M = M.tocsc()
-        cols = {}
-        for j in range(M.shape[1]):
-            start, end = M.indptr[j], M.indptr[j + 1]
-            if start == end:
-                continue
-            cols[str(j)] = [[int(r), float(val)] for r, val in zip(M.indices[start:end], M.data[start:end])]
-        return {"cols": cols}
-    return {"dense": [[float(v) for v in row] for row in np.asarray(M)]}
-
-
-def _array_from_json(obj, shape, where):
-    """A float64 array of exactly ``shape`` (1-D, or 2-D given as a list of rows) of JSON numbers."""
-    rows = obj if len(shape) == 2 and isinstance(obj, list) else [obj]
-    for i, row in enumerate(rows):
-        if not (isinstance(row, list) and set(map(type, row)) <= _NUMBER_TYPES):
-            at = f"{where} row {i}" if rows is obj else where
-            if not isinstance(row, list):
-                raise ProblemFormatError(f"{at}: not a list of numbers")
-            bad = next(v for v in row if type(v) not in _NUMBER_TYPES)
-            raise ProblemFormatError(f"{at}: {bad!r} is not a JSON number")
-    try:
-        out = np.asarray(obj, dtype=np.float64)
-    except (OverflowError, ValueError) as exc:
-        raise ProblemFormatError(f"{where}: not a nested list of numbers ({exc})") from exc
-    # a matrix with no rows is written as []
-    if out.shape != shape and not (out.shape == (0,) and shape[0] == 0):
-        raise ProblemFormatError(f"{where}: expected shape {shape}, got {out.shape}")
-    return out.reshape(shape)
-
-
-def _matrix_from_json(obj, rows, cols, where):
-    if not isinstance(obj, dict) or ("dense" not in obj) == ("cols" not in obj):
-        raise ProblemFormatError(f"{where}: matrix must have exactly one of 'dense' or 'cols'")
-    if "dense" in obj:
-        return np.asfortranarray(_array_from_json(obj["dense"], (rows, cols), f"{where}: dense matrix"))
-    entries = obj["cols"]
-    if not isinstance(entries, dict):
-        raise ProblemFormatError(f"{where}: 'cols' must map column indices to lists of [row, value] pairs")
-    data, ri, ci = [], [], []
-    seen = set()
-    for jstr, pairs in entries.items():
-        try:
-            j = int(jstr)
-        except ValueError:
-            j = -1
-        if str(j) != jstr:  # int() also reads "0_0", " 0", "+0", "00" and non-ASCII digits
-            raise ProblemFormatError(f"{where}: column key {jstr!r} is not a canonical integer")
-        if not 0 <= j < cols:
-            raise ProblemFormatError(f"{where}: column index {j} out of range")
-        if not isinstance(pairs, list):
-            raise ProblemFormatError(f"{where}: column {j} must be a list of [row, value] pairs")
-        for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int
-                    and type(pair[1]) in _NUMBER_TYPES):
-                raise ProblemFormatError(f"{where}: column {j} entry {pair!r} is not a [row, value] pair")
-            row, val = pair[0], float(pair[1])
-            if not 0 <= row < rows:
-                raise ProblemFormatError(f"{where}: row index {row} out of range")
-            # csc_matrix would silently sum a repeated entry
-            if (row, j) in seen:
-                raise ProblemFormatError(f"{where}: column {j} lists row {row} more than once")
-            seen.add((row, j))
-            ri.append(row)
-            ci.append(j)
-            data.append(val)
-    return sp.csc_matrix((data, (ri, ci)), shape=(rows, cols))
-
-
-def _bound_to_json(v):
-    return "inf" if math.isinf(v) else float(v)
-
-
-def _bound_from_json(v, where):
-    if v == "inf":
-        return math.inf
-    if type(v) in _NUMBER_TYPES:
-        return float(v)
-    raise ProblemFormatError(f"{where}: bound must be a number or 'inf', got {v!r}")
+def _members(p):
+    """``(member name, array)`` of every field of ``p``, in file order."""
+    yield "dims", np.array([p.n1, p.n2, p.m1, p.m2], dtype=np.int64)
+    for i, Pi in enumerate(p.P):
+        if sp.issparse(Pi):
+            yield from ((f"P{i}_{part}", getattr(Pi, part)) for part in _CSC_PARTS)
+        else:
+            yield f"P{i}", Pi
+    yield "q", np.stack(p.q)
+    yield "c", np.stack(p.c)
+    yield "r", p.r
+    yield "A", p.A.toarray() if sp.issparse(p.A) else p.A
+    yield "B", p.B.toarray() if sp.issparse(p.B) else p.B
+    yield "b", p.b
+    yield "x_upper", p.x_upper
 
 
 def save_problem(problem: QcqpProblem, path) -> None:
-    """Write a problem to a JSON file (see module notes for the format).
+    """Write a problem to an ``.npz`` archive at ``path`` (no suffix is added).
 
     A NaN or infinite datum (an upper bound may be ``+inf``) raises
     ``ValueError`` naming it before the file is opened, so a problem that
-    cannot be written leaves no file.  The document is streamed to the
-    file rather than encoded whole in memory first: that would hold the
-    text of a large instance (119 MB for n1 = 1024, m1 = 4) alongside it.
+    cannot be written leaves no file.
     """
     p = problem
     bounds = np.where(p.x_upper == math.inf, 0.0, p.x_upper)
@@ -441,23 +368,82 @@ def save_problem(problem: QcqpProblem, path) -> None:
         msg = _non_finite(name, M)
         if msg:
             raise ValueError(f"cannot save the problem: {msg}")
-    doc = {
-        "n1": p.n1,
-        "n2": p.n2,
-        "m1": p.m1,
-        "m2": p.m2,
-        "P": [_matrix_to_json(Pi) for Pi in p.P],
-        "q": [[float(v) for v in qi] for qi in p.q],
-        "c": [[float(v) for v in ci] for ci in p.c],
-        "r": [float(v) for v in p.r],
-        "A": [[float(v) for v in row] for row in np.asarray(p.A.toarray() if sp.issparse(p.A) else p.A)],
-        "B": [[float(v) for v in row] for row in np.asarray(p.B.toarray() if sp.issparse(p.B) else p.B)],
-        "b": [float(v) for v in p.b],
-        "x_upper": [_bound_to_json(v) for v in p.x_upper],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, allow_nan=False)
-        fh.write("\n")
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, arr in _members(p):
+            # zip64 because a streamed member's size is not known in advance, as in np.savez
+            with archive.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_DATE), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
+
+
+def _member(archive, path, name, shape, integer=False):
+    """Member ``name`` of ``archive``, checked to be float64 (any integer dtype if ``integer``)
+    and to have ``shape`` (any 1-D shape if ``None``)."""
+    if name not in archive.files:
+        raise ProblemFormatError(f"{path}: missing member '{name}'")
+    try:
+        arr = archive[name]
+    except _MEMBER_ERRORS as exc:
+        raise ProblemFormatError(f"{path}: member '{name}' is not a readable array ({exc})") from exc
+    if not (np.issubdtype(arr.dtype, np.integer) if integer else arr.dtype == np.float64):
+        want = "an integer dtype" if integer else "float64"
+        raise ProblemFormatError(f"{path}: {name} has dtype {arr.dtype}, expected {want}")
+    if arr.shape != shape and not (shape is None and arr.ndim == 1):
+        raise ProblemFormatError(f"{path}: {name} has shape {arr.shape}, expected {shape or 'a 1-D array'}")
+    return arr
+
+
+def _hessian(archive, path, i, n1):
+    """``P[i]``, stored either dense as ``P{i}`` or as canonical CSC in ``P{i}_data/_indices/_indptr``."""
+    csc = [f"P{i}_{part}" for part in _CSC_PARTS]
+    if (f"P{i}" in archive.files) == any(name in archive.files for name in csc):
+        raise ProblemFormatError(f"{path}: P[{i}] needs exactly one encoding: member 'P{i}' (dense) "
+                                 f"or members {', '.join(map(repr, csc))} (CSC)")
+    if f"P{i}" in archive.files:
+        return _member(archive, path, f"P{i}", (n1, n1))
+    data = _member(archive, path, csc[0], None)
+    indices = _member(archive, path, csc[1], data.shape, integer=True)
+    indptr = _member(archive, path, csc[2], (n1 + 1,), integer=True)
+    try:
+        Pi = sp.csc_matrix((data, indices, indptr), shape=(n1, n1))
+        Pi.check_format(full_check=True)
+    except ValueError as exc:
+        raise ProblemFormatError(f"{path}: P[{i}]: {exc}") from exc
+    if Pi.nnz != data.size:  # csc_matrix silently drops entries past indptr[-1]
+        raise ProblemFormatError(f"{path}: P[{i}]: indptr ends at {Pi.nnz}, expected {data.size}")
+    if not Pi.has_canonical_format:  # csc_matrix would silently sum a repeated entry
+        raise ProblemFormatError(f"{path}: P[{i}]: row indices are not sorted and unique within each column")
+    return Pi
+
+
+def load_problem(path) -> QcqpProblem:
+    """Read a problem archive; raises :class:`ProblemFormatError` naming the field on bad input.
+
+    Every member must be present with exactly its dtype and shape, and each
+    CSC Hessian must be canonical.  Values are not checked here: ``validate``
+    rejects non-finite data and non-PSD Hessians.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except _ARCHIVE_ERRORS as exc:
+        raise ProblemFormatError(f"{path}: not a qcqpd problem archive") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ProblemFormatError(f"{path}: not a qcqpd problem archive (a single .npy array)")
+    with archive:
+        dims = _member(archive, path, "dims", (4,), integer=True)
+        if (dims < 0).any():
+            raise ProblemFormatError(f"{path}: dims must be nonnegative, got {dims.tolist()}")
+        n1, n2, m1, m2 = (int(d) for d in dims)
+        P = [_hessian(archive, path, i, n1) for i in range(m1 + 1)]
+        return QcqpProblem(
+            n1=n1, n2=n2, m1=m1, m2=m2, P=P,
+            q=list(_member(archive, path, "q", (m1 + 1, n1))),
+            c=list(_member(archive, path, "c", (m1 + 1, n2))),
+            r=_member(archive, path, "r", (m1 + 1,)),
+            A=_member(archive, path, "A", (m2, n1)),
+            B=_member(archive, path, "B", (m2, n2)),
+            b=_member(archive, path, "b", (m2,)),
+            x_upper=_member(archive, path, "x_upper", (n1,)),
+        )
 
 
 def _read_json_object(path):
@@ -472,40 +458,22 @@ def _read_json_object(path):
     return doc
 
 
-def load_problem(path) -> QcqpProblem:
-    """Read a problem JSON file; raises :class:`ProblemFormatError` on bad input.
+def _vector_from_json(obj, n, where):
+    """A float64 vector of exactly ``n`` JSON numbers.
 
-    Dimensions are JSON integers and every datum a JSON number; the
-    non-standard literals ``NaN``, ``Infinity`` and ``-Infinity`` are
-    rejected like strings: problem data is finite, and infinite bounds are
-    the string ``"inf"``.
+    Numbers are checked by type, since numpy converts strings and booleans
+    (a bool is an int to isinstance); ``NaN``/``Infinity`` literals arrive
+    as strings and fail it.
     """
-    doc = _read_json_object(path)
-    for k in ("n1", "n2", "m1", "m2"):
-        if type(doc.get(k)) is not int or doc[k] < 0:
-            raise ProblemFormatError(f"{path}: dimension '{k}' must be a nonnegative integer, got {doc.get(k)!r}")
-    n1, n2, m1, m2 = (doc[k] for k in ("n1", "n2", "m1", "m2"))
-    for name, count in (("P", m1 + 1), ("q", m1 + 1), ("c", m1 + 1), ("r", m1 + 1), ("A", m2), ("B", m2),
-                        ("b", m2), ("x_upper", n1)):
-        if name not in doc:
-            raise ProblemFormatError(f"{path}: missing field '{name}'")
-        if not isinstance(doc[name], list):
-            raise ProblemFormatError(f"{path}: field '{name}' must be a list, got {type(doc[name]).__name__}")
-        if len(doc[name]) != count:
-            raise ProblemFormatError(f"{path}: field '{name}' has {len(doc[name])} entries, expected {count}")
-    P = [_matrix_from_json(obj, n1, n1, f"{path}: P[{i}]") for i, obj in enumerate(doc["P"])]
-    q = [_array_from_json(qi, (n1,), f"{path}: q[{i}]") for i, qi in enumerate(doc["q"])]
-    c = [_array_from_json(ci, (n2,), f"{path}: c[{i}]") for i, ci in enumerate(doc["c"])]
-    r = _array_from_json(doc["r"], (m1 + 1,), f"{path}: r")
-    A = _matrix_from_json({"dense": doc["A"]}, m2, n1, f"{path}: A")
-    B = _matrix_from_json({"dense": doc["B"]}, m2, n2, f"{path}: B")
-    b = _array_from_json(doc["b"], (m2,), f"{path}: b")
-    x_upper = [_bound_from_json(v, f"{path}: x_upper") for v in doc["x_upper"]]
+    if not isinstance(obj, list) or len(obj) != n:
+        raise ProblemFormatError(f"{where}: expected a list of {n} numbers")
+    for v in obj:
+        if type(v) not in (int, float):
+            raise ProblemFormatError(f"{where}: {v!r} is not a JSON number")
     try:
-        problem = QcqpProblem(n1=n1, n2=n2, m1=m1, m2=m2, P=P, q=q, c=c, r=r, A=A, B=B, b=b, x_upper=x_upper)
-    except ValueError as exc:
-        raise ProblemFormatError(f"{path}: {exc}") from exc
-    return problem
+        return np.array(obj, dtype=np.float64)
+    except OverflowError as exc:
+        raise ProblemFormatError(f"{where}: {exc}") from exc
 
 
 def load_point(path, problem: QcqpProblem):
@@ -518,7 +486,7 @@ def load_point(path, problem: QcqpProblem):
     doc = _read_json_object(path)
     blocks = []
     for name, n in (("x", problem.n1), ("u", problem.n2), ("lambda", problem.m1), ("gamma", problem.m2)):
-        v = _array_from_json(doc.get(name, []), (n,), f"{path}: {name}")
+        v = _vector_from_json(doc.get(name, []), n, f"{path}: {name}")
         msg = _non_finite(name, v)
         if msg:
             raise ProblemFormatError(f"{path}: {msg}")

@@ -91,3 +91,16 @@ def random_box_state(rng, problem, scale=1.0):
     lam = rng.uniform(0.0, scale, problem.m1)
     gam = scale * rng.standard_normal(problem.m2)
     return x, u, lam, gam
+
+
+def read_members(path):
+    """The members of a problem archive, as a dict of arrays."""
+    with np.load(path) as archive:
+        return dict(archive)
+
+
+def write_members(path, members):
+    """Write ``members`` as an uncompressed ``.npz`` archive at exactly ``path``."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    return str(path)

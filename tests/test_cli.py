@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -10,28 +12,32 @@ import pytest
 import qcqpd
 from qcqpd import SolverConfig, load_problem, save_problem, solve, validate
 from qcqpd.cli import main
-from helpers import toy_problem
+from helpers import toy_problem, write_members
 
 
-# Every data field nonempty, so each can carry a bad value.
-FULL_DOC = {
-    "n1": 1, "n2": 1, "m1": 1, "m2": 1,
-    "P": [{"dense": [[1.0]]}, {"cols": {"0": [[0, 1.0]]}}],
-    "q": [[-2.0], [0.0]], "c": [[0.0], [0.0]], "r": [0.0, -0.5],
-    "A": [[1.0]], "B": [[0.0]], "b": [0.5], "x_upper": [10.0],
+# Every data field nonempty, so each can carry a bad value; P[1] is CSC.
+FULL_MEMBERS = {
+    "dims": np.array([1, 1, 1, 1]),
+    "P0": np.array([[1.0]]),
+    "P1_data": np.array([1.0]), "P1_indices": np.array([0]), "P1_indptr": np.array([0, 1]),
+    "q": np.array([[-2.0], [0.0]]), "c": np.array([[0.0], [0.0]]), "r": np.array([0.0, -0.5]),
+    "A": np.array([[1.0]]), "B": np.array([[0.0]]), "b": np.array([0.5]), "x_upper": np.array([10.0]),
 }
 
 
-def _write_doc(path, keys=(), value=None):
-    """``FULL_DOC`` with the entry at ``keys`` set to ``value``; "BIG" is written as ``1e999``."""
-    doc = json.loads(json.dumps(FULL_DOC))
-    if keys:
-        parent = doc
-        for key in keys[:-1]:
-            parent = parent[key]
-        parent[keys[-1]] = value
-    path.write_text(json.dumps(doc).replace('"BIG"', "1e999"))
-    return str(path)
+def _write_archive(path, keys=(), value=None):
+    """``FULL_MEMBERS`` with member ``keys[0]`` (at index ``keys[1:]``, if given) set to ``value``.
+
+    ``value=None`` with a bare member name leaves that member out.
+    """
+    members = {name: arr.copy() for name, arr in FULL_MEMBERS.items()}
+    if len(keys) > 1:
+        members[keys[0]][keys[1:]] = value
+    elif value is None and keys:
+        del members[keys[0]]
+    elif keys:
+        members[keys[0]] = value
+    return write_members(path, members)
 
 
 def _run_cli(*args):
@@ -52,7 +58,7 @@ def _assert_error_names(proc, field):
 
 @pytest.fixture
 def toy_file(tmp_path):
-    path = tmp_path / "toy.json"
+    path = tmp_path / "toy.npz"
     save_problem(toy_problem(), path)
     return str(path)
 
@@ -73,7 +79,7 @@ class TestSolveCommand:
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
     def test_missing_file_exit_one(self, capsys):
-        assert main(["solve", "/nonexistent/problem.json"]) == 1
+        assert main(["solve", "/nonexistent/problem.npz"]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_unreadable_path_exit_one(self, tmp_path, capsys):
@@ -83,20 +89,15 @@ class TestSolveCommand:
     def test_invalid_problem_exit_one(self, tmp_path, capsys):
         p = toy_problem()
         p.P[1] = np.array([[-1.0]])  # not PSD
-        path = tmp_path / "bad.json"
+        path = tmp_path / "bad.npz"
         save_problem(p, path)
         assert main(["solve", str(path)]) == 1
         assert "not PSD" in capsys.readouterr().err
 
     def test_sparse_indefinite_exit_one(self, tmp_path, capsys):
-        path = _write_doc(tmp_path / "p.json", ("P", 1), {"cols": {"0": [[0, -1.0]]}})
+        path = _write_archive(tmp_path / "p.npz", ("P1_data",), np.array([-1.0]))
         assert main(["solve", path]) == 1
         assert "P[1] is not PSD" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", ["0_0", " 0", "+0"])
-    def test_non_canonical_column_key_exit_one(self, tmp_path, key):
-        path = _write_doc(tmp_path / "p.json", ("P", 1, "cols"), {key: [[0, 1.0]]})
-        _assert_error_names(_run_cli("solve", path), f"P[1]: column key {key!r}")
 
     @pytest.mark.parametrize("flags, field", [
         (["--tol", "inf"], "tol"),
@@ -106,32 +107,49 @@ class TestSolveCommand:
     def test_bad_solver_setting_exit_one(self, toy_file, flags, field):
         _assert_error_names(_run_cli("solve", toy_file, *flags), field)
 
-    def test_duplicate_sparse_entry_exit_one(self, toy_file, capsys):
-        path = Path(toy_file)
-        doc = json.loads(path.read_text())
-        doc["P"][1] = {"cols": {"0": [[0, 0.5], [0, 0.5]]}}
-        path.write_text(json.dumps(doc))
-        assert main(["solve", toy_file]) == 1
+    def test_duplicate_sparse_entry_exit_one(self, tmp_path, capsys):
+        members = {**FULL_MEMBERS, "P1_data": np.array([0.5, 0.5]), "P1_indices": np.array([0, 0]),
+                   "P1_indptr": np.array([0, 2])}
+        path = write_members(tmp_path / "p.npz", members)
+        assert main(["solve", path]) == 1
         err = capsys.readouterr().err
-        assert "P[1]" in err and "column 0" in err
+        assert "P[1]" in err and "sorted and unique" in err
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_literal_exit_one(self, toy_file, capsys, literal):
-        path = Path(toy_file)
-        doc = json.loads(path.read_text())
-        doc["P"][0] = {"dense": [[float(literal)]]}
-        path.write_text(json.dumps(doc))
-        assert literal in path.read_text()
-        assert main(["solve", toy_file]) == 1
-        err = capsys.readouterr().err
-        assert toy_file in err and literal in err
+    @pytest.mark.parametrize("kind, message", [
+        ("json", "not a qcqpd problem archive"),
+        ("truncated", "not a qcqpd problem archive"),
+        ("npy", "not a qcqpd problem archive (a single .npy array)"),
+        ("object member", "member 'q' is not a readable array"),
+        ("oversized header", "member 'x_upper' is not a readable array"),
+    ])
+    def test_not_an_archive_exit_one_without_traceback(self, toy_file, tmp_path, kind, message):
+        path = tmp_path / "p.npz"
+        if kind == "json":  # the JSON problem format of earlier versions
+            path.write_text('{"n1": 1, "n2": 0, "m1": 0, "m2": 0, "P": [{"dense": [[1.0]]}]}\n')
+        elif kind == "truncated":
+            data = Path(toy_file).read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        elif kind == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.eye(2))
+        elif kind == "object member":
+            write_members(path, {**FULL_MEMBERS, "q": FULL_MEMBERS["q"].astype(object)})
+        else:  # x_upper's header claims 2**40 doubles (8 TiB) and the member holds one
+            write_members(path, {k: v for k, v in FULL_MEMBERS.items() if k != "x_upper"})
+            member = io.BytesIO()
+            np.lib.format.write_array_header_1_0(member, {"descr": "<f8", "fortran_order": False, "shape": (2**40,)})
+            member.write(np.float64(10.0).tobytes())
+            with zipfile.ZipFile(path, "a") as archive:
+                archive.writestr("x_upper.npy", member.getvalue())
+        _assert_error_names(_run_cli("solve", str(path)), f"{path}: {message}")
 
     def test_full_doc_is_valid(self, tmp_path):
-        assert main(["solve", _write_doc(tmp_path / "p.json")]) == 0
+        assert main(["solve", _write_archive(tmp_path / "p.npz")]) == 0
 
+    # a number beyond the float64 range is stored as inf
     @pytest.mark.parametrize("keys, field", [
-        (("P", 0, "dense", 0, 0), "P[0][0, 0]"),
-        (("P", 1, "cols", "0", 0, 1), "P[1][0, 0]"),
+        (("P0", 0, 0), "P[0][0, 0]"),
+        (("P1_data", 0), "P[1][0, 0]"),
         (("q", 0, 0), "q[0][0]"),
         (("c", 1, 0), "c[1][0]"),
         (("r", 0), "r[0]"),
@@ -140,37 +158,44 @@ class TestSolveCommand:
         (("b", 0), "b[0]"),
     ])
     def test_overflowing_number_exit_one(self, tmp_path, capsys, keys, field):
-        path = _write_doc(tmp_path / "p.json", keys, "BIG")
-        assert "1e999" in Path(path).read_text()
+        path = _write_archive(tmp_path / "p.npz", keys, float("1e999"))
         assert main(["solve", path]) == 1
         assert f"{field} is not finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("keys, field", [
-        (("P",), "'P'"),
-        (("P", 0, "dense", 0), "P[0]: dense"),
-        (("P", 1, "cols"), "P[1]: 'cols'"),
-        (("P", 1, "cols", "0", 0), "P[1]: column 0"),
-        (("q",), "'q'"),
-    ])
-    def test_malformed_field_exit_one_without_traceback(self, tmp_path, keys, field):
-        _assert_error_names(_run_cli("solve", _write_doc(tmp_path / "p.json", keys, 5)), field)
-
-    # JSON strings, booleans and fractional dimensions are not numbers,
-    # although numpy and int() would convert them
     @pytest.mark.parametrize("keys, value, field", [
-        (("q",), [["-2.0"], [True]], "q[0]"),
-        (("q", 1, 0), True, "q[1]"),
-        (("P", 0, "dense", 0, 0), "1.0", "P[0]: dense matrix row 0"),
-        (("P", 1, "cols", "0", 0, 1), True, "P[1]: column 0"),
-        (("A", 0, 0), False, "A: dense matrix row 0"),
-        (("b", 0), "0.5", "b"),
-        (("x_upper", 0), True, "x_upper"),
-        (("n1",), 1.7, "'n1'"),
-        (("m2",), True, "'m2'"),
-        (("n2",), "1", "'n2'"),
+        (("P0",), None, "P[0] needs exactly one encoding"),
+        (("P1_indptr",), None, "missing member 'P1_indptr'"),
+        (("x_upper",), None, "missing member 'x_upper'"),
+        (("P0",), np.eye(2), "P0 has shape (2, 2), expected (1, 1)"),
+        (("P1_data",), np.ones((1, 1)), "P1_data has shape (1, 1), expected a 1-D array"),
+        (("P1_indices",), np.array([0, 0]), "P1_indices has shape (2,), expected (1,)"),
+        (("P1_indptr",), np.array([0, 1, 1]), "P1_indptr has shape (3,), expected (2,)"),
+        (("P1_indices",), np.array([1]), "P[1]: indices must be < 1"),
+        (("P1_indptr",), np.array([1, 1]), "P[1]: index pointer should start with 0"),
+        (("P1_indptr",), np.array([0, 0]), "P[1]: indptr ends at 0, expected 1"),
+        (("q",), np.array([-2.0, 0.0]), "q has shape (2,), expected (2, 1)"),
+        (("dims",), np.array([1, 1, 1]), "dims has shape (3,), expected (4,)"),
+        (("dims",), np.array([1, -1, 1, 1]), "dims must be nonnegative"),
     ])
-    def test_non_number_exit_one(self, tmp_path, keys, value, field):
-        _assert_error_names(_run_cli("solve", _write_doc(tmp_path / "p.json", keys, value)), field)
+    def test_malformed_field_exit_one_without_traceback(self, tmp_path, keys, value, field):
+        _assert_error_names(_run_cli("solve", _write_archive(tmp_path / "p.npz", keys, value)), field)
+
+    # every datum is float64 and every index an integer: strings, booleans,
+    # integers and other float widths are rejected, not converted
+    @pytest.mark.parametrize("name, value, field", [
+        ("q", np.array([["-2.0"], ["0"]]), "q has dtype <U4, expected float64"),
+        ("P0", np.array([[True]]), "P0 has dtype bool, expected float64"),
+        ("P1_data", np.array([1]), "P1_data has dtype int64, expected float64"),
+        ("P1_indices", np.array([0.0]), "P1_indices has dtype float64, expected an integer dtype"),
+        ("A", np.array([[False]]), "A has dtype bool, expected float64"),
+        ("b", np.array(["0.5"]), "b has dtype <U3, expected float64"),
+        ("r", np.array([0.0, -0.5], dtype=np.float32), "r has dtype float32, expected float64"),
+        ("x_upper", np.array([True]), "x_upper has dtype bool, expected float64"),
+        ("dims", np.array([1.7, 1.0, 1.0, 1.0]), "dims has dtype float64, expected an integer dtype"),
+        ("dims", np.array([True, True, True, True]), "dims has dtype bool, expected an integer dtype"),
+    ])
+    def test_non_number_exit_one(self, tmp_path, name, value, field):
+        _assert_error_names(_run_cli("solve", _write_archive(tmp_path / "p.npz", (name,), value)), field)
 
     def test_flagless_solve_uses_solver_config_defaults(self, toy_file, tmp_path):
         cli_report, cli_trace = tmp_path / "cli.json", tmp_path / "cli.csv"
@@ -185,7 +210,7 @@ class TestSolveCommand:
         assert main(["solve", toy_file, "--tol", "1e-15", "--max-iters", "20"]) == 2
 
     def test_infeasible_exit_three(self, tmp_path):
-        path = tmp_path / "infeasible.json"
+        path = tmp_path / "infeasible.npz"
         assert main(["generate", "infeasible", "--n1", "64", "--seed", "1", "--out", str(path)]) == 0
         code = main([
             "solve", str(path), "--max-iters", "50000", "--divergence-threshold", "1e4",
@@ -193,7 +218,7 @@ class TestSolveCommand:
         assert code == 3
 
     def test_unbounded_exit_four(self, tmp_path):
-        path = tmp_path / "unbounded.json"
+        path = tmp_path / "unbounded.npz"
         assert main(["generate", "unbounded", "--n1", "64", "--seed", "1", "--out", str(path)]) == 0
         assert main(["solve", str(path)]) == 4
 
@@ -213,14 +238,14 @@ class TestSolveCommand:
 
 class TestGenerateCommand:
     def test_random_qcqp_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
         args = ["generate", "random-qcqp", "--n1", "64", "--m1", "2", "--cond", "1.25", "--seed", "7"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_random_qcqp_meta(self, tmp_path):
-        out, meta = tmp_path / "p.json", tmp_path / "meta.json"
+        out, meta = tmp_path / "p.npz", tmp_path / "meta.json"
         main(["generate", "random-qcqp", "--n1", "8", "--m1", "1", "--cond", "100", "--seed", "3",
               "--out", str(out), "--meta", str(meta)])
         doc = json.loads(meta.read_text())
@@ -229,7 +254,7 @@ class TestGenerateCommand:
         assert validate(load_problem(out)).ok
 
     def test_mkl_generates_valid_problem(self, tmp_path):
-        out, meta = tmp_path / "mkl.json", tmp_path / "meta.json"
+        out, meta = tmp_path / "mkl.npz", tmp_path / "meta.json"
         code = main(["generate", "mkl", "--dataset", "twonorm", "--ntr", "24", "--nt", "8",
                      "--svm", "sm2", "--c", "1.0", "--out", str(out), "--meta", str(meta)])
         assert code == 0
@@ -241,7 +266,7 @@ class TestGenerateCommand:
         assert len(doc["train_indices"]) == 24
 
     def test_mkl_custom_kernels(self, tmp_path):
-        out = tmp_path / "mkl.json"
+        out = tmp_path / "mkl.npz"
         code = main(["generate", "mkl", "--ntr", "12", "--nt", "4", "--kernels",
                      "linear,polynomial,gaussian:0.5", "--out", str(out)])
         assert code == 0
@@ -259,17 +284,25 @@ class TestGenerateCommand:
         (["mkl", "--ntr", "12", "--nt", "4", "--r", "nan"], "--r"),
     ])
     def test_bad_flag_exit_one_without_file(self, tmp_path, args, flag):
-        out = tmp_path / "x.json"
+        out = tmp_path / "x.npz"
         _assert_error_names(_run_cli("generate", *args, "--out", str(out)), flag)
+        assert not out.exists()
+
+    def test_nan_kernel_width_exit_without_file(self, tmp_path):
+        out = tmp_path / "x.npz"
+        proc = _run_cli("generate", "mkl", "--ntr", "12", "--nt", "4", "--kernels", "gaussian:nan", "--out", str(out))
+        assert proc.returncode == 2  # an argparse usage error, like any bad flag value
+        assert "Traceback" not in proc.stderr
+        assert "argument --kernels" in proc.stderr and "finite sigma2 > 0" in proc.stderr
         assert not out.exists()
 
     def test_bad_kernel_flag(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["generate", "mkl", "--kernels", "rbf:1", "--out", str(tmp_path / "x.json")])
+            main(["generate", "mkl", "--kernels", "rbf:1", "--out", str(tmp_path / "x.npz")])
 
     def test_bad_spec_exit_one(self, tmp_path, capsys):
         code = main(["generate", "random-qcqp", "--n1", "4", "--m1", "1",
-                     "--dmin", "2.0", "--dmax", "1.0", "--out", str(tmp_path / "x.json")])
+                     "--dmin", "2.0", "--dmax", "1.0", "--out", str(tmp_path / "x.npz")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 

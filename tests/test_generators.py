@@ -47,7 +47,7 @@ class TestRandomQcqp:
         b = gen_random_qcqp(spec)
         for Pa, Pb in zip(a.P, b.P):
             assert np.array_equal(Pa, Pb)
-        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa, pb = tmp_path / "a.npz", tmp_path / "b.npz"
         save_problem(a, pa)
         save_problem(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
@@ -215,7 +215,7 @@ class TestMklBuild:
 
     def test_deterministic(self, tmp_path):
         spec = MklSpec(n_tr=8, n_t=2, seed=16)
-        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa, pb = tmp_path / "a.npz", tmp_path / "b.npz"
         save_problem(build_mkl_qcqp(spec)[0], pa)
         save_problem(build_mkl_qcqp(spec)[0], pb)
         assert pa.read_bytes() == pb.read_bytes()
@@ -251,4 +251,10 @@ class TestCsvLoader:
         csv = tmp_path / "bad.csv"
         csv.write_text("2,0.5,0.5\n")
         with pytest.raises(ValueError, match="labels"):
+            load_csv_dataset(csv)
+
+    def test_non_finite_feature_rejected(self, tmp_path):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("1,0.5,0.5\n-1,nan,0.5\n")
+        with pytest.raises(ValueError, match="data row 2 has a non-finite feature"):
             load_csv_dataset(csv)

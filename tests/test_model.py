@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -6,16 +5,23 @@ import pytest
 import scipy.sparse as sp
 
 from qcqpd import (
+    MklSpec,
     ProblemFormatError,
     QcqpProblem,
+    RandomQcqpSpec,
+    SolverConfig,
+    build_mkl_qcqp,
     compute_norms,
+    gen_infeasible,
+    gen_random_qcqp,
     gen_unbounded,
     load_problem,
     save_problem,
+    solve,
     validate,
 )
 from qcqpd.model import PSD_RTOL
-from helpers import random_problem, toy_problem
+from helpers import random_problem, read_members, toy_problem, write_members
 
 
 def _simple_problem(P_list, n1=2, x_upper=None):
@@ -52,10 +58,21 @@ class TestValidate:
         assert any("not PSD" in v for v in report.violations)
 
     def test_dimension_mismatch_reported(self):
-        p = _simple_problem([np.eye(2)])
-        p.q[0] = np.zeros(3)  # mutate behind the constructor's checks
-        report = validate(p)
-        assert any("q[0]" in v for v in report.violations)
+        fields = dict(n1=2, n2=1, m1=1, m2=1, P=[np.eye(2)] * 2, q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2,
+                      r=np.zeros(2), A=np.zeros((1, 2)), B=np.zeros((1, 1)), b=np.zeros(1), x_upper=np.ones(2))
+        QcqpProblem(**fields)
+        for name, value, message in [
+            ("P", [np.eye(2), np.eye(3)], "P[1] has shape (3, 3), expected (2, 2)"),
+            ("q", [np.zeros(3), np.zeros(2)], "q[0] has length 3, expected 2"),
+            ("c", [np.zeros(1), np.zeros((1, 1))], "c[1] has shape (1, 1), expected (1,)"),
+            ("r", np.zeros(3), "r has length 3, expected 2"),
+            ("A", np.zeros((2, 2)), "A has shape (2, 2), expected (1, 2)"),
+            ("B", np.zeros((1, 2)), "B has shape (1, 2), expected (1, 1)"),
+            ("b", 0.0, "b has shape (), expected (1,)"),
+            ("x_upper", np.ones(1), "x_upper has length 1, expected 2"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                QcqpProblem(**{**fields, name: value})
 
     def test_nonpositive_upper_bound_flagged(self):
         p = _simple_problem([np.eye(2)])
@@ -193,6 +210,17 @@ class TestNorms:
             assert np.isfinite(v) and v >= 0
 
 
+# One instance of every family scripts/golden.py saves, small enough to solve quickly.
+GOLDEN_FAMILIES = {
+    "toy": toy_problem,
+    "random-box": lambda: gen_random_qcqp(RandomQcqpSpec(n1=16, m1=2, seed=0, box_upper=1.0)),
+    "mkl-sm1": lambda: build_mkl_qcqp(MklSpec(svm="sm1", n_tr=16, n_t=4, seed=0))[0],
+    "mkl-sm2": lambda: build_mkl_qcqp(MklSpec(svm="sm2", n_tr=16, n_t=4, seed=0))[0],
+    "infeasible": lambda: gen_infeasible(16, seed=0),
+    "unbounded": lambda: gen_unbounded(16, seed=0),
+}
+
+
 class TestSerialization:
     def _assert_problems_equal(self, a, b):
         assert (a.n1, a.n2, a.m1, a.m2) == (b.n1, b.n2, b.m1, b.m2)
@@ -215,25 +243,55 @@ class TestSerialization:
     def test_round_trip_dense(self, tmp_path):
         rng = np.random.default_rng(10)
         p = random_problem(rng, n1=5, m1=2, n2=2, m2=1, box=3.0)
-        path = tmp_path / "p.json"
+        path = tmp_path / "p.npz"
         save_problem(p, path)
         self._assert_problems_equal(load_problem(path), p)
 
     def test_round_trip_sparse_and_infinite_bounds(self, tmp_path):
         P1 = sp.csc_matrix(np.diag([1.0, 0.0, 2.5]))
         p = _simple_problem([np.eye(3), P1], n1=3, x_upper=[1.0, np.inf, 2.0])
-        path = tmp_path / "p.json"
+        path = tmp_path / "p.npz"
         save_problem(p, path)
-        text = path.read_text()
-        assert '"inf"' in text
+        members = read_members(path)
+        assert "P0" in members and "P1_data" in members and "P1" not in members
+        assert members["x_upper"][1] == np.inf
         loaded = load_problem(path)
         assert loaded.x_upper[1] == np.inf
         self._assert_problems_equal(loaded, p)
 
+    def test_non_canonical_csc_is_saved_canonical(self, tmp_path):
+        # column 0 lists row 1 before row 0 and row 1 twice; the constructor sums and sorts
+        P1 = sp.csc_matrix((np.array([0.5, 1.0, 0.5]), np.array([1, 0, 1]), np.array([0, 3, 3])), shape=(2, 2))
+        assert not P1.has_canonical_format
+        p = _simple_problem([np.eye(2), P1])
+        path = tmp_path / "p.npz"
+        save_problem(p, path)
+        loaded = load_problem(path)
+        assert loaded.P[1].has_canonical_format
+        np.testing.assert_array_equal(loaded.P[1].toarray(), [[1.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("family", list(GOLDEN_FAMILIES))
+    def test_round_trip_solves_identically(self, tmp_path, family, workers):
+        p = GOLDEN_FAMILIES[family]()
+        path = tmp_path / "p.npz"
+        save_problem(p, path)
+        loaded = load_problem(path)
+        self._assert_problems_equal(loaded, p)
+        for Pi in loaded.P:
+            assert Pi.has_canonical_format if sp.issparse(Pi) else Pi.flags.f_contiguous
+        outputs = []
+        for problem in (p, loaded):
+            rep = solve(problem, SolverConfig(n_workers=workers, max_iters=300))
+            rep.write_report_json(tmp_path / "report.json")
+            rep.write_trace_csv(tmp_path / "trace.csv")
+            outputs.append(((tmp_path / "report.json").read_bytes(), (tmp_path / "trace.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_unwritable_problem_leaves_no_file(self, tmp_path):
         p = toy_problem()
         p.x_upper[0] = np.nan
-        path = tmp_path / "p.json"
+        path = tmp_path / "p.npz"
         with pytest.raises(ValueError, match=re.escape("x_upper[0] is not finite")):
             save_problem(p, path)
         assert not path.exists()
@@ -241,55 +299,35 @@ class TestSerialization:
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(11)
         p = random_problem(rng, n1=4, m1=1)
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
+        first = tmp_path / "a.npz"
+        second = tmp_path / "b.npz"
         save_problem(p, first)
         save_problem(load_problem(first), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_missing_matrix_is_dimension_error(self, tmp_path):
-        p = toy_problem()
-        path = tmp_path / "p.json"
-        save_problem(p, path)
-        doc = json.loads(path.read_text())
-        doc["m1"] = 2  # claims two constraints but only one constraint matrix present
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ProblemFormatError, match="'P' has 2 entries, expected 3"):
+        path = tmp_path / "p.npz"
+        save_problem(toy_problem(), path)
+        members = read_members(path)
+        members["dims"][2] = 2  # claims two constraints but only one constraint matrix present
+        write_members(path, members)
+        with pytest.raises(ProblemFormatError, match=re.escape("P[2] needs exactly one encoding")):
             load_problem(path)
 
     def test_bad_bound_rejected(self, tmp_path):
-        p = toy_problem()
-        path = tmp_path / "p.json"
-        save_problem(p, path)
-        doc = json.loads(path.read_text())
-        doc["x_upper"] = ["huge"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ProblemFormatError, match="x_upper"):
-            load_problem(path)
-
-    def test_invalid_json_reports_line(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text("{not json")
-        with pytest.raises(ProblemFormatError, match="line 1"):
-            load_problem(path)
-
-    # int() reads all of these as column 0; save_problem writes only "0"
-    @pytest.mark.parametrize("key", ["0_0", " 0", "0 ", "+0", "-0", "00", "\u0660"])
-    def test_non_canonical_column_key_rejected(self, tmp_path, key):
-        path = tmp_path / "p.json"
+        path = tmp_path / "p.npz"
         save_problem(toy_problem(), path)
-        doc = json.loads(path.read_text())
-        doc["P"][1] = {"cols": {key: [[0, 1.0]]}}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ProblemFormatError, match=f"P\\[1\\]: column key {re.escape(repr(key))}"):
+        members = read_members(path)
+        members["x_upper"] = np.array(["huge"])
+        write_members(path, members)
+        with pytest.raises(ProblemFormatError, match="x_upper has dtype <U4, expected float64"):
             load_problem(path)
 
     def test_matrix_needs_exactly_one_encoding(self, tmp_path):
-        p = toy_problem()
-        path = tmp_path / "p.json"
-        save_problem(p, path)
-        doc = json.loads(path.read_text())
-        doc["P"][0] = {"dense": [[1.0]], "cols": {}}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ProblemFormatError, match="exactly one"):
+        path = tmp_path / "p.npz"
+        save_problem(toy_problem(), path)
+        members = read_members(path)
+        members.update(P0_data=np.ones(1), P0_indices=np.zeros(1, dtype=np.int32), P0_indptr=np.array([0, 1]))
+        write_members(path, members)
+        with pytest.raises(ProblemFormatError, match=re.escape("P[0] needs exactly one encoding")):
             load_problem(path)
