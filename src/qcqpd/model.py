@@ -411,7 +411,11 @@ def _hessian(archive, path, i, n1):
     if Pi.nnz != data.size:  # csc_matrix silently drops entries past indptr[-1]
         raise ProblemFormatError(f"{path}: P[{i}]: indptr ends at {Pi.nnz}, expected {data.size}")
     if not Pi.has_canonical_format:  # csc_matrix would silently sum a repeated entry
-        raise ProblemFormatError(f"{path}: P[{i}]: row indices are not sorted and unique within each column")
+        # entry k breaks the order if it does not rise above entry k-1 of the same column
+        bad = np.flatnonzero(np.diff(indices) <= 0) + 1
+        k = bad[~np.isin(bad, indptr)][0]
+        col = int(np.searchsorted(indptr, k, side="right")) - 1
+        raise ProblemFormatError(f"{path}: P[{i}]: column {col}: row indices are not sorted and unique")
     return Pi
 
 

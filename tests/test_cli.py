@@ -28,10 +28,13 @@ FULL_MEMBERS = {
 def _write_archive(path, keys=(), value=None):
     """``FULL_MEMBERS`` with member ``keys[0]`` (at index ``keys[1:]``, if given) set to ``value``.
 
-    ``value=None`` with a bare member name leaves that member out.
+    ``value=None`` with a bare member name leaves that member out; a dict
+    ``value`` with no ``keys`` replaces the members it names.
     """
     members = {name: arr.copy() for name, arr in FULL_MEMBERS.items()}
-    if len(keys) > 1:
+    if isinstance(value, dict):
+        members.update(value)
+    elif len(keys) > 1:
         members[keys[0]][keys[1:]] = value
     elif value is None and keys:
         del members[keys[0]]
@@ -176,6 +179,9 @@ class TestSolveCommand:
         (("q",), np.array([-2.0, 0.0]), "q has shape (2,), expected (2, 1)"),
         (("dims",), np.array([1, 1, 1]), "dims has shape (3,), expected (4,)"),
         (("dims",), np.array([1, -1, 1, 1]), "dims must be nonnegative"),
+        # a repeated row in a CSC column is named by its column
+        pytest.param((), {"P1_data": np.array([0.5, 0.5]), "P1_indices": np.array([0, 0]),
+                          "P1_indptr": np.array([0, 2])}, "P[1]: column 0", id="keys3-P[1]: column 0"),
     ])
     def test_malformed_field_exit_one_without_traceback(self, tmp_path, keys, value, field):
         _assert_error_names(_run_cli("solve", _write_archive(tmp_path / "p.npz", keys, value)), field)
@@ -193,6 +199,9 @@ class TestSolveCommand:
         ("x_upper", np.array([True]), "x_upper has dtype bool, expected float64"),
         ("dims", np.array([1.7, 1.0, 1.0, 1.0]), "dims has dtype float64, expected an integer dtype"),
         ("dims", np.array([True, True, True, True]), "dims has dtype bool, expected an integer dtype"),
+        # n2 given as the string "1" turns the whole member into strings
+        pytest.param("dims", np.array([1, "1", 1, 1]), "dims has dtype <U21, expected an integer dtype",
+                     id="keys9-1-'n2'"),
     ])
     def test_non_number_exit_one(self, tmp_path, name, value, field):
         _assert_error_names(_run_cli("solve", _write_archive(tmp_path / "p.npz", (name,), value)), field)

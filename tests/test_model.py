@@ -331,3 +331,14 @@ class TestSerialization:
         write_members(path, members)
         with pytest.raises(ProblemFormatError, match=re.escape("P[0] needs exactly one encoding")):
             load_problem(path)
+
+    def test_unsorted_csc_column_is_named(self, tmp_path):
+        path = tmp_path / "p.npz"
+        save_problem(random_problem(np.random.default_rng(3), n1=3, m1=0), path)
+        members = read_members(path)
+        del members["P0"]
+        # column 0 empty, column 1 sorted, column 2 out of order
+        members.update(P0_data=np.ones(4), P0_indices=np.array([0, 2, 2, 1]), P0_indptr=np.array([0, 0, 2, 4]))
+        write_members(path, members)
+        with pytest.raises(ProblemFormatError, match=re.escape("P[0]: column 2: row indices are not sorted")):
+            load_problem(path)
