@@ -39,6 +39,7 @@ _EXIT_CODES = {
 
 
 def _parse_kernels(text):
+    """The kernels of a ``--kernels`` value; ``ValueError`` naming the flag on a bad one."""
     kernels = []
     for token in text.split(","):
         token = token.strip()
@@ -48,11 +49,9 @@ def _parse_kernels(text):
             try:
                 kernels.append(Kernel("gaussian", float(token.split(":", 1)[1])))
             except ValueError as exc:
-                raise argparse.ArgumentTypeError(f"bad kernel {token!r}: {exc}") from exc
+                raise ValueError(f"--kernels: bad kernel {token!r}: {exc}") from exc
         else:
-            raise argparse.ArgumentTypeError(
-                f"bad kernel {token!r}; use linear, polynomial or gaussian:<sigma2>"
-            )
+            raise ValueError(f"--kernels: bad kernel {token!r}; use linear, polynomial or gaussian:<sigma2>")
     return tuple(kernels)
 
 
@@ -108,7 +107,7 @@ def build_parser():
     pm.add_argument("--svm", choices=("sm1", "sm2"), default="sm2")
     pm.add_argument("--c", type=float, default=1.0)
     pm.add_argument("--r", type=float, default=None, help="kernel-weight budget (default: #kernels)")
-    pm.add_argument("--kernels", type=_parse_kernels, default=None, help="e.g. gaussian:0.01,linear")
+    pm.add_argument("--kernels", default=None, help="e.g. gaussian:0.01,linear")
     pm.add_argument("--dim", type=int, default=20)
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--out", required=True)
@@ -202,7 +201,7 @@ def _run_generate(args) -> int:
             csv_path=args.csv,
             n_tr=args.ntr,
             n_t=args.nt if args.nt is not None else max(1, args.ntr // 4),
-            kernels=args.kernels if args.kernels is not None else MklSpec.kernels,
+            kernels=_parse_kernels(args.kernels) if args.kernels is not None else MklSpec.kernels,
             svm=args.svm,
             margin_c=args.c,
             R=args.r,

@@ -13,11 +13,11 @@ constraint values at the iterate; the corrector anchors at the iterate
 again but evaluates them at the predictor (the extragradient form).
 
 All updates are component-wise, so the ``x`` block can be partitioned by
-coordinates; the Hessian products they need run through the
-column-partitioned kernels in :mod:`qcqpd.dist`, two matvec sweeps per
-iteration (one per pass, with the products cached and shared by every
-consumer in the pass).  The column blocks of the Hessians and of ``A`` are
-cut once per solve.
+coordinates; the products they need run through the column-partitioned
+kernels in :mod:`qcqpd.dist`.  Each pass (predictor or corrector) is one
+call of :func:`_pass`, which issues one collective per quantity: the
+stacked Hessian products, the constraint values and the equality rows.
+The column blocks of the Hessians and of ``A`` are cut once per solve.
 
 The step size is recomputed every iteration as the minimum of eight
 bounds driven by precomputed Frobenius norms and the current iterate;
@@ -292,40 +292,48 @@ def analytic_comm_stats(problem, iterations):
     One *pass* (predictor or corrector) issues, for an ``n1``-dimensional
     problem with ``m1`` quadratic and ``m2`` equality constraints:
 
-    * ``m1 + 1`` Hessian matvec reduces of ``n1`` doubles, each scattered
+    * one reduce of the ``(m1 + 1) n1`` stacked Hessian products, scattered
       back to the workers,
-    * ``m1`` single-double reduces for the quadratic constraint values,
-    * one reduce of ``m2`` doubles for the equality rows (absent when
-      ``m2 = 0``).
+    * one reduce of the ``m1`` quadratic constraint values (absent when
+      ``m1 = 0``),
+    * one reduce of the ``m2`` equality rows (absent when ``m2 = 0``).
 
     A finished solve of ``k`` iterations runs ``2k`` such passes plus the
     one extra predictor pass of the iteration that observed termination.
     """
     p = problem
     passes = 2 * iterations + 1
-    reduces_per_pass = (p.m1 + 1) + p.m1 + (1 if p.m2 > 0 else 0)
+    reduces_per_pass = 1 + (p.m1 > 0) + (p.m2 > 0)
     bytes_reduced_per_pass = 8 * ((p.m1 + 1) * p.n1 + p.m1 + p.m2)
     return CommStats(
         reduce_ops=passes * reduces_per_pass,
-        scatter_ops=passes * (p.m1 + 1),
+        scatter_ops=passes,
         bytes_reduced=passes * bytes_reduced_per_pass,
         bytes_scattered=passes * 8 * (p.m1 + 1) * p.n1,
     )
 
 
-def _pass_products(problem, hessians, a_blocks, stats, x, u):
-    """One matvec sweep at ``(x, u)``: Hessian products, constraint and equality values."""
+def _pass(problem, hessians, a_blocks, stats, x, u, lam, gam):
+    """One pass at ``(x, u, lam, gam)``: ``(Px, cons, eq, grad_x, grad_u)``.
+
+    ``Px`` stacks the Hessian products (row ``i`` is ``Pi x``), ``cons`` are
+    the quadratic constraint values, ``eq`` the equality rows ``A x + B u - b``
+    and ``grad_x``, ``grad_u`` the Lagrangian gradient blocks.  ``Px``,
+    ``cons`` and ``eq`` cost one reduce each (none for an empty ``cons`` or
+    ``eq``); ``A' gam`` is worker-local.
+    """
     p = problem
-    part = hessians.partition
-    Px = hessians.matvec(x, stats)
-    cons = np.empty(p.m1)
-    for i in range(1, p.m1 + 1):
-        cons[i - 1] = dist_dot(0.5 * Px[i] + p.q[i], x, part, stats) + float(p.c[i] @ u) + p.r[i]
+    Px = hessians.matvec(x, stats).reshape(p.m1 + 1, p.n1)
+    G = Px + p.q  # row i: Pi x + qi
+    grad_x = G[0] + lam @ G[1:]
+    cons = np.zeros(0)
+    if p.m1:
+        cons = dist_dot(0.5 * Px[1:] + p.q[1:], x, hessians.partition, stats) + p.c[1:] @ u + p.r[1:]
+    eq = np.zeros(0)
     if p.m2:
-        eq = a_blocks.matvec(x, stats, scatter=False)[0] + p.B @ u - p.b
-    else:
-        eq = np.zeros(0)
-    return Px, cons, eq
+        eq = a_blocks.matvec(x, stats, scatter=False) + p.B @ u - p.b
+        grad_x = grad_x + a_blocks.transpose_matvec(gam)
+    return Px, cons, eq, grad_x, p.lagrangian_grad_u(lam, gam)
 
 
 def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=None) -> SolveReport:
@@ -371,7 +379,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     k = 0
 
     while True:
-        Px, cons, eq = _pass_products(p, hessians, a_blocks, stats, x, u)
+        Px, cons, eq, grad_x, grad_u = _pass(p, hessians, a_blocks, stats, x, u, lam, gam)
 
         if not (
             np.isfinite(x).all()
@@ -386,11 +394,6 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
 
         if callback is not None:
             callback(k, x, u, lam, gam)
-
-        # A' gam is worker-local: each worker needs only its own columns
-        ATgam = a_blocks.transpose_matvec(gam) if p.m2 else None
-        grad_x = p.lagrangian_grad_x(x, lam, gam, Px=Px, ATgam=ATgam)
-        grad_u = p.lagrangian_grad_u(lam, gam)
 
         eps = update_epsilons(weights, cfg.eps0) if adaptive else eps_equal
         rho, comps = compute_step_size(p, norms, x, lam, eps, cons, grad_x)
@@ -422,10 +425,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
         mu, nu = dual_step(lam, gam, cons, eq, rho)
 
         # corrector: anchored at the k-th iterate, evaluated at the predictor
-        Py, cons_y, eq_y = _pass_products(p, hessians, a_blocks, stats, y, v)
-        ATnu = a_blocks.transpose_matvec(nu) if p.m2 else None
-        grad_xc = p.lagrangian_grad_x(y, mu, nu, Px=Py, ATgam=ATnu)
-        grad_uc = p.lagrangian_grad_u(mu, nu)
+        _, cons_y, eq_y, grad_xc, grad_uc = _pass(p, hessians, a_blocks, stats, y, v, mu, nu)
         x, u = primal_step(p, x, u, grad_xc, grad_uc, rho)
         lam, gam = dual_step(lam, gam, cons_y, eq_y, rho)
 
@@ -433,7 +433,8 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
             weights = update_weights(rho, comps, weights)
         k += 1
 
-    objective = p.objective(x, u) if np.isfinite(x).all() and np.isfinite(u).all() else math.nan
+    # every exit but divergence has just traced the returned iterate
+    objective = math.nan if status is TerminationStatus.DIVERGED else trace[-1].objective
     return SolveReport(
         status=status,
         message=message,

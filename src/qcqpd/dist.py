@@ -4,9 +4,11 @@ Matrices are split by columns across ``n_workers`` execution contexts; a
 matrix-vector product is computed as a sum of per-worker partials
 (``M @ x = sum_w M[:, lo_w:hi_w] @ x[lo_w:hi_w]``), reduced at a
 coordinator, and the result scattered back so each worker holds its
-slice.  An inner product of two partitioned vectors reduces a single
-scalar.  Products against the transpose (``A' g``) need no communication
-at all: each worker's slice of the result only involves its own columns.
+slice.  The row-wise inner products ``X @ y`` of a partitioned ``y`` with
+the rows of ``X`` reduce ``len(X)`` doubles.  Every call is one
+collective, whatever it stacks.  Products against the transpose
+(``A' g``) need no communication at all: each worker's slice of the
+result only involves its own columns.
 
 Workers here are simulated: the per-worker local-compute phases run
 sequentially in worker order inside one process, separated by the same
@@ -24,10 +26,10 @@ The column blocks are cut once per solve, not once per product:
 or ``A``) and, for each worker, stacks the worker's columns of every dense
 matrix into one Fortran-order block and those of every sparse matrix into
 one CSC block.  A product with the whole stack then costs at most one
-dense and one sparse product per worker, and the reduced vector is split
-back into the per-matrix products.  Serial execution is the one-worker
-case of the same code: a block spanning every column of a single matrix
-is that matrix itself, not a copy.
+dense and one sparse product per worker and one reduce, and returns the
+stacked product ``(M_0 x; M_1 x; ...)`` in matrix order.  Serial
+execution is the one-worker case of the same code: a block spanning
+every column of a single matrix is that matrix itself, not a copy.
 """
 
 from __future__ import annotations
@@ -165,42 +167,44 @@ class ColumnBlocks:
 
     def __init__(self, matrices, partition: ColumnPartition):
         self.partition = partition
-        self._rows = [M.shape[0] for M in matrices]
+        self._n_matrices = len(matrices)
+        starts = np.cumsum([0] + [M.shape[0] for M in matrices])
+        self._n_rows = int(starts[-1])
         kinds = ([], [])  # indices of the dense and of the sparse matrices
         for i, M in enumerate(matrices):
             _check_cols(M, partition)
             kinds[sp.issparse(M)].append(i)
-        # (indices into ``matrices``, one block per worker) for each kind present
+        # (rows of the stacked product, one block per worker) for each kind present
         self._groups = [
-            (members, [_cut([matrices[i] for i in members], lo, hi) for lo, hi in partition.ranges])
+            (np.concatenate([np.arange(starts[i], starts[i + 1]) for i in members]),
+             [_cut([matrices[i] for i in members], lo, hi) for lo, hi in partition.ranges])
             for members in kinds
             if members
         ]
 
     def matvec(self, x, stats: CommStats, scatter: bool = True):
-        """``[M @ x for M in matrices]`` from per-worker partials.
+        """The stacked product ``(M_0 x; M_1 x; ...)``, matrix by matrix, from per-worker partials.
 
         The partials of each block kind are tree-reduced in worker order, so
         every product is bitwise what a per-matrix reduction gives whenever
-        the local products are.  Accounts one reduce per matrix of its row
-        count, plus one scatter of the same volume when the products are
-        handed back to the workers (the Hessian products; row evaluations
-        destined for the dual side pass ``scatter=False``).
+        the local products are.  Accounts one reduce of all the rows, plus
+        one scatter of the same volume when the products are handed back to
+        the workers (the Hessian products; row evaluations destined for the
+        dual side pass ``scatter=False``).
         """
         part = self.partition
         x = _check_vector(x, part.n_cols)
-        out = [None] * len(self._rows)
-        for members, blocks in self._groups:
-            full = _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, part.ranges)])
-            start = 0
-            for i in members:
-                stop = start + self._rows[i]
-                out[i] = full[start:stop]
-                start = stop
-        for n_rows in self._rows:
-            stats.record_reduce(n_rows)
-            if scatter:
-                stats.record_scatter(n_rows)
+        sums = [_tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, part.ranges)])
+                for _, blocks in self._groups]
+        if len(sums) == 1:  # one kind: its rows are the whole stack, in order
+            out = sums[0]
+        else:
+            out = np.empty(self._n_rows)
+            for (rows, _), total in zip(self._groups, sums):
+                out[rows] = total
+        stats.record_reduce(self._n_rows)
+        if scatter:
+            stats.record_scatter(self._n_rows)
         return out
 
     def transpose_matvec(self, g):
@@ -209,9 +213,9 @@ class ColumnBlocks:
         Each worker owns the columns ``M[:, lo:hi]`` and therefore the slice
         ``(M' g)[lo:hi] = M[:, lo:hi]' g`` outright.
         """
-        if len(self._rows) != 1:
+        if self._n_matrices != 1:
             raise ValueError("transpose_matvec needs a stack of exactly one matrix")
-        g = _check_vector(g, self._rows[0])
+        g = _check_vector(g, self._n_rows)
         (_, blocks), = self._groups
         out = np.empty(self.partition.n_cols)
         for block, (lo, hi) in zip(blocks, self.partition.ranges):
@@ -219,12 +223,13 @@ class ColumnBlocks:
         return out
 
 
-def dist_dot(x, y, partition: ColumnPartition, stats: CommStats) -> float:
-    """``x @ y`` over partitioned slices; one reduce of a single double."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != (partition.n_cols,) or y.shape != (partition.n_cols,):
-        raise ValueError("vectors must match the partition length")
-    total = float(_tree_sum([float(x[lo:hi] @ y[lo:hi]) for lo, hi in partition.ranges]))
-    stats.record_reduce(1)
+def dist_dot(X, y, partition: ColumnPartition, stats: CommStats) -> np.ndarray:
+    """The row-wise products ``X @ y`` over partitioned column slices; one reduce of ``len(X)`` doubles."""
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError(f"X has shape {X.shape}, expected a matrix")
+    _check_cols(X, partition)
+    y = _check_vector(y, partition.n_cols)
+    total = _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in partition.ranges])
+    stats.record_reduce(len(X))
     return total

@@ -60,6 +60,18 @@ def _as_matrix(M, rows, cols, name):
     return out
 
 
+def _as_rows(v, rows, cols, name):
+    """Coerce ``v`` (an array, or a list of ``rows`` vectors) to a C-contiguous float64 ``(rows, cols)`` array."""
+    if not isinstance(v, np.ndarray):  # a list of vectors: name the first that does not fit
+        if len(v) != rows:
+            raise ValueError(f"expected {rows} {name} vectors, got {len(v)}")
+        v = np.array([_as_vector(vi, cols, f"{name}[{i}]") for i, vi in enumerate(v)])
+    out = np.ascontiguousarray(v, dtype=np.float64)
+    if out.shape != (rows, cols):
+        raise ValueError(f"{name} has shape {out.shape}, expected {(rows, cols)}")
+    return out
+
+
 def _as_vector(v, n, name):
     """Coerce ``v`` to a float64 vector of length ``n``."""
     out = np.asarray(v, dtype=np.float64)
@@ -82,10 +94,11 @@ class QcqpProblem:
     P : list of matrices
         ``m1 + 1`` symmetric PSD matrices ``P[0]..P[m1]``, each ``n1 x n1``.
         Dense matrices are stored Fortran-ordered; sparse ones as CSC.
-    q : list of ndarray
-        ``m1 + 1`` vectors of length ``n1``.
-    c : list of ndarray
-        ``m1 + 1`` vectors of length ``n2``.
+    q : ndarray
+        ``(m1 + 1, n1)``, C-contiguous: row ``i`` is ``qi``.  A list of
+        ``m1 + 1`` vectors is accepted as input.
+    c : ndarray
+        ``(m1 + 1, n2)``, C-contiguous: row ``i`` is ``ci``, likewise.
     r : ndarray
         ``m1 + 1`` scalars.
     A, B : matrices
@@ -104,8 +117,8 @@ class QcqpProblem:
     m1: int
     m2: int
     P: list = field(default_factory=list)
-    q: list = field(default_factory=list)
-    c: list = field(default_factory=list)
+    q: np.ndarray = field(default_factory=list)
+    c: np.ndarray = field(default_factory=list)
     r: np.ndarray = None
     A: np.ndarray = None
     B: np.ndarray = None
@@ -118,12 +131,9 @@ class QcqpProblem:
             raise ValueError("dimensions must be nonnegative")
         if len(self.P) != m1 + 1:
             raise ValueError(f"expected {m1 + 1} P matrices, got {len(self.P)}")
-        for name in ("q", "c"):
-            if len(getattr(self, name)) != m1 + 1:
-                raise ValueError(f"expected {m1 + 1} {name} vectors, got {len(getattr(self, name))}")
         self.P = [_as_matrix(Pi, n1, n1, f"P[{i}]") for i, Pi in enumerate(self.P)]
-        self.q = [_as_vector(qi, n1, f"q[{i}]") for i, qi in enumerate(self.q)]
-        self.c = [_as_vector(ci, n2, f"c[{i}]") for i, ci in enumerate(self.c)]
+        self.q = _as_rows(self.q, m1 + 1, n1, "q")
+        self.c = _as_rows(self.c, m1 + 1, n2, "c")
         self.r = _as_vector(self.r, m1 + 1, "r")
         self.A = _as_matrix(self.A if self.A is not None else np.zeros((m2, n1)), m2, n1, "A")
         self.B = _as_matrix(self.B if self.B is not None else np.zeros((m2, n2)), m2, n2, "B")
@@ -132,15 +142,8 @@ class QcqpProblem:
 
     def constraint_values(self, x, u):
         """Values of the m1 quadratic constraints at ``(x, u)``."""
-        vals = np.empty(self.m1)
-        for i in range(1, self.m1 + 1):
-            vals[i - 1] = (
-                0.5 * float(x @ (self.P[i] @ x))
-                + float(self.q[i] @ x)
-                + float(self.c[i] @ u)
-                + self.r[i]
-            )
-        return vals
+        quad = np.array([float(x @ (Pi @ x)) for Pi in self.P[1:]])
+        return 0.5 * quad + self.q[1:] @ x + self.c[1:] @ u + self.r[1:]
 
     def equality_residual(self, x, u):
         """``A x + B u - b`` (length m2)."""
@@ -159,31 +162,17 @@ class QcqpProblem:
         """Project onto the box ``0 <= x_j <= x_upper_j``."""
         return np.clip(x, 0.0, self.x_upper)
 
-    def lagrangian_grad_x(self, x, lam, gam, Px=None, ATgam=None):
-        """``P0 x + q0 + sum_i lam_i (Pi x + qi) + A' gam``.
+    def lagrangian_grad_x(self, x, lam, gam):
+        """``P0 x + q0 + sum_i lam_i (Pi x + qi) + A' gam``, with serial products.
 
-        ``Px`` may carry precomputed products ``[P0 x, ..., Pm1 x]`` and
-        ``ATgam`` a precomputed ``A' gam``.
+        The reference for the solver's partitioned evaluation (``qcqpd.core``).
         """
-        if Px is None:
-            Px = [self.P[i] @ x for i in range(self.m1 + 1)]
-        g = Px[0] + self.q[0]
-        for i in range(1, self.m1 + 1):
-            li = lam[i - 1]
-            if li != 0.0:
-                g = g + li * (Px[i] + self.q[i])
-        if self.m2:
-            g = g + (self.A.T @ gam if ATgam is None else ATgam)
-        return g
+        G = np.array([Pi @ x for Pi in self.P]) + self.q  # row i: Pi x + qi
+        return G[0] + lam @ G[1:] + self.A.T @ gam
 
     def lagrangian_grad_u(self, lam, gam):
         """``c0 + sum_i lam_i ci + B' gam``."""
-        g = self.c[0].copy()
-        for i in range(1, self.m1 + 1):
-            g += lam[i - 1] * self.c[i]
-        if self.m2:
-            g += self.B.T @ gam
-        return g
+        return self.c[0] + lam @ self.c[1:] + self.B.T @ gam
 
 
 @dataclass
@@ -316,8 +305,8 @@ def compute_norms(problem: QcqpProblem) -> ProblemNorms:
         frob_P0=_frob(p.P[0]),
         frob_Pi=frob_Pi,
         frob_P_stacked=math.sqrt(float(np.sum(frob_Pi**2))),
-        frob_Q=_frob(np.array([p.q[i] for i in range(1, p.m1 + 1)]).reshape(p.m1, p.n1)),
-        frob_C=_frob(np.array([p.c[i] for i in range(1, p.m1 + 1)]).reshape(p.m1, p.n2)),
+        frob_Q=_frob(p.q[1:]),
+        frob_C=_frob(p.c[1:]),
         frob_A=_frob(p.A),
         frob_B=_frob(p.B),
     )
@@ -346,8 +335,8 @@ def _members(p):
             yield from ((f"P{i}_{part}", getattr(Pi, part)) for part in _CSC_PARTS)
         else:
             yield f"P{i}", Pi
-    yield "q", np.stack(p.q)
-    yield "c", np.stack(p.c)
+    yield "q", p.q
+    yield "c", p.c
     yield "r", p.r
     yield "A", p.A.toarray() if sp.issparse(p.A) else p.A
     yield "B", p.B.toarray() if sp.issparse(p.B) else p.B
@@ -440,8 +429,8 @@ def load_problem(path) -> QcqpProblem:
         P = [_hessian(archive, path, i, n1) for i in range(m1 + 1)]
         return QcqpProblem(
             n1=n1, n2=n2, m1=m1, m2=m2, P=P,
-            q=list(_member(archive, path, "q", (m1 + 1, n1))),
-            c=list(_member(archive, path, "c", (m1 + 1, n2))),
+            q=_member(archive, path, "q", (m1 + 1, n1)),
+            c=_member(archive, path, "c", (m1 + 1, n2)),
             r=_member(archive, path, "r", (m1 + 1,)),
             A=_member(archive, path, "A", (m2, n1)),
             B=_member(archive, path, "B", (m2, n2)),

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from qcqpd import (
+    MklSpec,
     QcqpProblem,
     SolverConfig,
     TerminationStatus,
     analytic_comm_stats,
+    build_mkl_qcqp,
     compute_norms,
     compute_step_size,
+    gen_infeasible,
+    gen_unbounded,
     solve,
     update_epsilons,
     update_weights,
@@ -301,6 +305,7 @@ class TestSolve:
         rep = solve(p, SolverConfig(tol=1e-6, max_iters=100))
         assert rep.status is TerminationStatus.DIVERGED
         assert "non-finite" in rep.message
+        assert np.isnan(rep.objective)
 
     def test_deterministic_rerun(self):
         rng = np.random.default_rng(5)
@@ -322,13 +327,36 @@ class TestSolve:
 
     def test_comm_matches_analytic_count(self):
         rng = np.random.default_rng(7)
-        for p in (
-            toy_problem(),
-            random_problem(rng, n1=6, m1=3, box=2.0),
-            random_problem(rng, n1=5, m1=1, n2=2, m2=2, box=2.0),
+        mkl_sm2 = build_mkl_qcqp(MklSpec(n_tr=12, n_t=4, svm="sm2", seed=0))[0]
+        assert (mkl_sm2.m1, mkl_sm2.m2) == (5, 1)
+        # (problem, reduces and scatters per pass): one reduce and one scatter of the
+        # stacked Hessian products, one reduce of the constraint values when m1 > 0
+        # and one of the equality rows when m2 > 0
+        for p, reduces, scatters in (
+            (toy_problem(), 2, 1),
+            (random_problem(rng, n1=6, m1=3, box=2.0), 2, 1),
+            (random_problem(rng, n1=5, m1=1, n2=2, m2=2, box=2.0), 3, 1),
+            (mkl_sm2, 3, 1),
+            (interior_problem(), 1, 1),
         ):
             rep = solve(p, SolverConfig(tol=1e-4, max_iters=500, n_workers=2))
+            passes = 2 * rep.iterations + 1
+            assert (rep.comm.reduce_ops, rep.comm.scatter_ops) == (reduces * passes, scatters * passes)
             assert rep.comm.as_dict() == analytic_comm_stats(p, rep.iterations).as_dict()
+
+    @pytest.mark.parametrize("problem, settings, status", [
+        (toy_problem(), {"tol": 1e-6}, TerminationStatus.CONVERGED),
+        (toy_problem(), {"tol": 1e-16, "max_iters": 25}, TerminationStatus.MAX_ITERS_EXCEEDED),
+        (gen_infeasible(8, seed=0), {"divergence_threshold": 1e4}, TerminationStatus.INFEASIBLE_SUSPECTED),
+        (gen_unbounded(8, seed=0), {}, TerminationStatus.UNBOUNDED_SUSPECTED),
+    ], ids=["converged", "max_iters", "infeasible", "unbounded"])
+    def test_objective_is_last_trace_row(self, problem, settings, status):
+        for workers in (1, 3):
+            rep = solve(problem, SolverConfig(n_workers=workers, **settings))
+            assert rep.status is status
+            assert rep.trace[-1].iteration == rep.iterations
+            assert rep.objective == rep.trace[-1].objective
+            assert rep.objective == pytest.approx(problem.objective(rep.x, rep.u), rel=1e-12)
 
     def test_equal_weight_mode_runs(self):
         rep = solve(toy_problem(), SolverConfig(tol=1e-6, weight_mode=WeightMode.EQUAL))

@@ -10,7 +10,7 @@ from qcqpd.dist import ColumnBlocks, dist_dot
 
 def _matvec(M, x, part, stats=None, scatter=True):
     """``M @ x`` through a one-matrix :class:`ColumnBlocks` stack."""
-    return ColumnBlocks([M], part).matvec(x, CommStats() if stats is None else stats, scatter)[0]
+    return ColumnBlocks([M], part).matvec(x, CommStats() if stats is None else stats, scatter)
 
 
 def _transpose_matvec(A, g, part):
@@ -153,16 +153,38 @@ class TestTransposeMatvec:
 class TestDot:
     def test_matches_numpy(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal(31)
+        X = rng.standard_normal((4, 31))
         y = rng.standard_normal(31)
         for w in (1, 2, 7):
-            assert dist_dot(x, y, partition_columns(31, w), CommStats()) == pytest.approx(float(x @ y), rel=1e-12)
+            out = dist_dot(X, y, partition_columns(31, w), CommStats())
+            assert out.shape == (4,)
+            np.testing.assert_allclose(out, X @ y, rtol=1e-12)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    def test_small_integers_exact(self, workers):
+        # n = 3 leaves some of 4 or 5 workers an empty column range
+        rng = np.random.default_rng(workers)
+        for n in (3, 13):
+            X = rng.integers(-4, 5, size=(5, n)).astype(float)
+            y = rng.integers(-5, 6, size=n).astype(float)
+            assert np.array_equal(dist_dot(X, y, partition_columns(n, workers), CommStats()), X @ y)
 
     def test_counts_one_scalar_reduce(self):
         stats = CommStats()
-        dist_dot(np.ones(4), np.ones(4), partition_columns(4, 2), stats)
-        assert stats.reduce_ops == 1
-        assert stats.bytes_reduced == 8
+        dist_dot(np.ones((1, 4)), np.ones(4), partition_columns(4, 2), stats)
+        assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 0, "bytes_reduced": 8, "bytes_scattered": 0}
+
+    def test_counts_one_reduce_of_every_row(self):
+        stats = CommStats()
+        for _ in range(2):
+            dist_dot(np.ones((5, 4)), np.ones(4), partition_columns(4, 3), stats)
+        assert stats.as_dict() == {"reduce_ops": 2, "scatter_ops": 0, "bytes_reduced": 2 * 5 * 8, "bytes_scattered": 0}
+
+    def test_shape_mismatch(self):
+        part = partition_columns(4, 2)
+        for X, y in [(np.ones(4), np.ones(4)), (np.ones((2, 3)), np.ones(4)), (np.ones((2, 4)), np.ones(3))]:
+            with pytest.raises(ValueError):
+                dist_dot(X, y, part, CommStats())
 
 
 STACKS = {
@@ -172,16 +194,20 @@ STACKS = {
 }
 
 
-def _stack(kinds, n, rng, integer):
+def _stack(kinds, n, rng, integer, rows=None):
+    """One matrix per kind with ``n`` columns and ``rows`` rows (``n`` when not given)."""
     mats = []
-    for kind in kinds:
-        M = rng.integers(-4, 5, size=(n, n)).astype(float) if integer else rng.standard_normal((n, n))
-        mats.append(sp.csc_matrix(M * (rng.random((n, n)) < 0.4)) if kind == "csc" else np.asfortranarray(M))
+    for kind, m in zip(kinds, rows or [n] * len(kinds)):
+        M = rng.integers(-4, 5, size=(m, n)).astype(float) if integer else rng.standard_normal((m, n))
+        mats.append(sp.csc_matrix(M * (rng.random((m, n)) < 0.4)) if kind == "csc" else np.asfortranarray(M))
     return mats
 
 
 class TestColumnBlocks:
-    """A stack of several matrices against a one-matrix stack per matrix."""
+    """A stack of several matrices against a one-matrix stack per matrix.
+
+    The stack's product is the per-matrix products concatenated in matrix order.
+    """
 
     # n = 3 leaves some of 4 or 5 workers an empty column range
     @pytest.mark.parametrize("n", [3, 13])
@@ -194,9 +220,9 @@ class TestColumnBlocks:
         x = rng.integers(-5, 6, size=n).astype(float)
         part = partition_columns(n, workers)
         out = ColumnBlocks(mats, part).matvec(x, CommStats())
-        assert len(out) == len(mats)
-        for M, got in zip(mats, out):
-            assert np.array_equal(got, _matvec(M, x, part))
+        assert out.shape == (len(mats) * n,)
+        assert np.array_equal(out, np.concatenate([_matvec(M, x, part) for M in mats]))
+        assert np.array_equal(out, np.concatenate([M @ x for M in mats]))
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", STACKS.values(), ids=list(STACKS))
@@ -206,11 +232,21 @@ class TestColumnBlocks:
         mats = _stack(kinds, n, rng, integer=False)
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
-        for M, got in zip(mats, ColumnBlocks(mats, part).matvec(x, CommStats())):
-            np.testing.assert_allclose(got, _matvec(M, x, part), rtol=1e-13, atol=1e-15)
+        out = ColumnBlocks(mats, part).matvec(x, CommStats())
+        np.testing.assert_allclose(out, np.concatenate([_matvec(M, x, part) for M in mats]), rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_comm_one_reduce_scatter_pair_per_matrix(self, workers):
+    def test_rows_in_matrix_order(self, workers):
+        # matrices of different heights, sparse and dense interleaved
+        rng = np.random.default_rng(9)
+        n = 7
+        mats = _stack(STACKS["mixed"], n, rng, integer=True, rows=[2, 5, 1, 3, 4])
+        x = rng.integers(-5, 6, size=n).astype(float)
+        out = ColumnBlocks(mats, partition_columns(n, workers)).matvec(x, CommStats())
+        assert np.array_equal(out, np.concatenate([M @ x for M in mats]))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_comm_one_reduce_scatter_pair_per_call(self, workers):
         rng = np.random.default_rng(7)
         n = 10
         mats = _stack(STACKS["mixed"], n, rng, integer=True)
@@ -220,13 +256,18 @@ class TestColumnBlocks:
             blocks.matvec(rng.standard_normal(n), stats)
         k = len(mats)
         assert stats.as_dict() == {
-            "reduce_ops": 2 * k,
-            "scatter_ops": 2 * k,
+            "reduce_ops": 2,
+            "scatter_ops": 2,
             "bytes_reduced": 2 * k * n * 8,
             "bytes_scattered": 2 * k * n * 8,
         }
         blocks.matvec(np.ones(n), stats, scatter=False)
-        assert stats.reduce_ops == 3 * k and stats.scatter_ops == 2 * k
+        assert stats.as_dict() == {
+            "reduce_ops": 3,
+            "scatter_ops": 2,
+            "bytes_reduced": 3 * k * n * 8,
+            "bytes_scattered": 2 * k * n * 8,
+        }
 
     def test_transpose_needs_one_matrix(self):
         blocks = ColumnBlocks([np.eye(3), np.eye(3)], partition_columns(3, 2))

@@ -60,11 +60,20 @@ class TestValidate:
     def test_dimension_mismatch_reported(self):
         fields = dict(n1=2, n2=1, m1=1, m2=1, P=[np.eye(2)] * 2, q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2,
                       r=np.zeros(2), A=np.zeros((1, 2)), B=np.zeros((1, 1)), b=np.zeros(1), x_upper=np.ones(2))
-        QcqpProblem(**fields)
+        p = QcqpProblem(**{**fields, "q": [[1, 2], np.array([3.0, 4.0])], "c": np.asfortranarray([[5.0], [6.0]])})
+        # lists of vectors and Fortran-order arrays are stored as C-contiguous float64 (m1 + 1, n) arrays
+        for arr, rows in ((p.q, [[1.0, 2.0], [3.0, 4.0]]), (p.c, [[5.0], [6.0]])):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.c_contiguous
+            np.testing.assert_array_equal(arr, rows)
         for name, value, message in [
             ("P", [np.eye(2), np.eye(3)], "P[1] has shape (3, 3), expected (2, 2)"),
             ("q", [np.zeros(3), np.zeros(2)], "q[0] has length 3, expected 2"),
+            ("q", [np.zeros(2)], "expected 2 q vectors, got 1"),
+            ("q", np.zeros((2, 3)), "q has shape (2, 3), expected (2, 2)"),
+            ("q", np.zeros(2), "q has shape (2,), expected (2, 2)"),
             ("c", [np.zeros(1), np.zeros((1, 1))], "c[1] has shape (1, 1), expected (1,)"),
+            ("c", [np.zeros(1)] * 3, "expected 2 c vectors, got 3"),
+            ("c", np.zeros((3, 1)), "c has shape (3, 1), expected (2, 1)"),
             ("r", np.zeros(3), "r has length 3, expected 2"),
             ("A", np.zeros((2, 2)), "A has shape (2, 2), expected (1, 2)"),
             ("B", np.zeros((1, 2)), "B has shape (1, 2), expected (1, 1)"),
