@@ -1,23 +1,25 @@
 """Predictor-corrector proximal-multiplier solver for convex QCQPs.
 
-Each iteration updates the iterate ``(x, u, lam, gam)`` with two
-closed-form formulas, each applied at predictor and corrector:
+The iterate is one state vector ``z = (x, u, lam, gam)``, and an iteration
+is Korpelevich's extragradient form of one projected step
+(:func:`projected_step`),
 
-* :func:`primal_step`, a gradient step on ``(x, u)`` projected onto the
-  box (``u`` is unconstrained),
-* :func:`dual_step`, an ascent step on ``(lam, gam)`` with ``lam`` clipped
-  nonnegative.
+    w  = P_Z(z - rho F(z))    (predictor)
+    z+ = P_Z(z - rho F(w))    (corrector)
 
-The predictor ``(y, v, mu, nu)`` evaluates the Lagrangian gradient and the
-constraint values at the iterate; the corrector anchors at the iterate
-again but evaluates them at the predictor (the extragradient form).
+with ``F = (grad_x L, grad_u L, -cons, -eq)`` the saddle operator of the
+Lagrangian and ``P_Z`` the clip onto ``Z = box x R^n2 x R+^m1 x R^m2``:
+a gradient step on ``(x, u)`` projected onto the box (``u`` is
+unconstrained) and an ascent step on ``(lam, gam)`` with ``lam`` clipped
+nonnegative.
 
-All updates are component-wise, so the ``x`` block can be partitioned by
-coordinates; the products they need run through the column-partitioned
+The step is component-wise, so the ``x`` block can be partitioned by
+coordinates; the products it needs run through the column-partitioned
 kernels in :mod:`qcqpd.dist`.  Each pass (predictor or corrector) is one
-call of :func:`_pass`, which issues one collective per quantity: the
-stacked Hessian products, the constraint values and the equality rows.
-The column blocks of the Hessians and of ``A`` are cut once per solve.
+call of :func:`_pass`, which writes ``F`` into one buffer and issues one
+collective per quantity: the stacked Hessian products, the constraint
+values and the equality rows.  The column blocks of the Hessians and of
+``A`` are cut once per solve.
 
 The step size is recomputed every iteration as the minimum of eight
 bounds driven by precomputed Frobenius norms and the current iterate;
@@ -51,8 +53,8 @@ __all__ = [
     "SolveReport",
     "TraceRow",
     "solve",
-    "primal_step",
-    "dual_step",
+    "projected_step",
+    "state_bounds",
     "compute_step_size",
     "update_epsilons",
     "update_weights",
@@ -70,6 +72,8 @@ WEIGHT_FLOOR = 1e-12
 BIG_M = 1e12
 
 N_STEP_COMPONENTS = 8
+
+_EMPTY = np.zeros(0)
 
 
 class WeightMode(enum.Enum):
@@ -116,17 +120,38 @@ class SolverConfig:
             raise ValueError("trace_every must be >= 1")
 
 
-# --- closed-form updates ----------------------------------------------------
+# --- the projected step ----------------------------------------------------
 
 
-def primal_step(problem, x, u, grad_x, grad_u, rho):
-    """``(project_box(x - rho * grad_x), u - rho * grad_u)``; ``u`` is unconstrained."""
-    return problem.project_box(x - rho * grad_x), u - rho * grad_u
+def _blocks(problem, v):
+    """Views of the ``x``, ``u``, ``lam`` and ``gam`` blocks of a state-length vector ``v``."""
+    p = problem
+    i, j, k = p.n1, p.n1 + p.n2, p.n1 + p.n2 + p.m1
+    return v[:i], v[i:j], v[j:k], v[k:]
 
 
-def dual_step(lam, gam, cons, eq, rho):
-    """``(max(0, lam + rho * cons), gam + rho * eq)``."""
-    return np.maximum(0.0, lam + rho * cons), gam + rho * eq
+def state_bounds(problem):
+    """``(lower, upper)`` of ``Z`` over ``z = (x, u, lam, gam)``: ``(0, -inf, 0, -inf)``
+    and ``(x_upper, inf, inf, inf)`` block by block."""
+    p = problem
+    n = p.n1 + p.n2 + p.m1 + p.m2
+    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+    x_lo, _, lam_lo, _ = _blocks(p, lower)
+    x_lo[:] = lam_lo[:] = 0.0
+    _blocks(p, upper)[0][:] = p.x_upper
+    return lower, upper
+
+
+def projected_step(z, F, rho, lower, upper, out):
+    """``P_Z(z - rho F) = min(max(z - rho F, lower), upper)``, written into ``out``.
+
+    With ``F = (grad_x, grad_u, -cons, -eq)`` the blocks are
+    ``project_box(x - rho grad_x)``, ``u - rho grad_u``,
+    ``max(0, lam + rho cons)`` and ``gam + rho eq`` bit for bit:
+    ``lam - rho (-cons)`` is ``lam + rho cons`` exactly, and ``u`` and ``gam``
+    clip against infinite bounds.  ``out`` may be ``z``.
+    """
+    return np.minimum(np.maximum(z - rho * F, lower), upper, out=out)
 
 
 # --- adaptive step size -----------------------------------------------------
@@ -149,12 +174,13 @@ def compute_step_size(problem, norms, x, lam, epsilons, cons, grad):
     """Evaluate the eight step-size bounds at the current iterate.
 
     ``cons`` are the quadratic constraint values and ``grad`` the
-    Lagrangian gradient in ``x``, both at the iterate.
+    Lagrangian gradient in ``x``, both at the iterate; ``epsilons`` holds
+    the eight budgets.
 
     Returns ``(rho, components)`` with ``rho = min(components)`` exactly.
     Five bounds are static ratios ``eps_s / norm`` (falling back to
-    ``eps_s`` when the norm vanishes); the remaining three depend on the
-    iterate:
+    ``eps_s`` when the norm vanishes), one vector division by
+    ``norms.bound_den``; the remaining three depend on the iterate:
 
     * per-constraint quadratic-root bound with ``a_i`` the absolute
       constraint value, ``b_i = lam_i``, ``c_i = eps_2 / (m1 ||Pi||_F)``
@@ -170,36 +196,26 @@ def compute_step_size(problem, norms, x, lam, epsilons, cons, grad):
     the latter two degenerate to their ``c -> inf`` limits ``2 eps_3``
     and ``eps_5``.
     """
-    p = problem
-    e1, e2, e3, e4, e5, e6, e7, e8 = (float(e) for e in epsilons)
+    eps = np.asarray(epsilons, dtype=np.float64)
+    components = eps / norms.bound_den
+    _, e2, e3, _, e5, _, _, _ = eps.tolist()
 
-    rho1 = e1 / norms.frob_P0 if norms.frob_P0 != 0.0 else e1
+    rho2 = BIG_M if problem.m1 == 0 else math.inf
+    for a, b, scale in zip(cons.tolist(), lam.tolist(), norms.pi_scale):
+        r = _root_rule(abs(a), b, e2 / scale)
+        rho2 = min(rho2, BIG_M if r is None else r)
 
-    if p.m1 == 0:
-        rho2 = BIG_M
-    else:
-        rho2 = math.inf
-        for i in range(p.m1):
-            nPi = norms.frob_Pi[i]
-            ci = e2 / (p.m1 * nPi) if nPi != 0.0 else e2 / p.m1
-            ri = _root_rule(abs(float(cons[i])), float(lam[i]), ci)
-            rho2 = min(rho2, BIG_M if ri is None else ri)
-
-    x_norm = float(np.linalg.norm(x))
-    if norms.frob_P_stacked == 0.0:
+    x_norm = math.sqrt(x.dot(x))  # what np.linalg.norm computes, without its wrapper
+    stacked = norms.frob_P_stacked
+    if stacked == 0.0:
         rho3 = 2.0 * e3
         rho5 = e5
     else:
-        r = _root_rule(float(np.linalg.norm(grad)), 2.0 * x_norm, 2.0 * e3 / norms.frob_P_stacked)
+        r = _root_rule(math.sqrt(grad.dot(grad)), 2.0 * x_norm, 2.0 * e3 / stacked)
         rho3 = 2.0 * e3 if r is None else min(2.0 * e3, r)
-        rho5 = e5 if x_norm == 0.0 else e5 / (x_norm * norms.frob_P_stacked)
+        rho5 = e5 if x_norm == 0.0 else e5 / (x_norm * stacked)
 
-    rho4 = e4 / norms.frob_Q if norms.frob_Q != 0.0 else e4
-    rho6 = e6 / norms.frob_C if norms.frob_C != 0.0 else e6
-    rho7 = e7 / norms.frob_A if norms.frob_A != 0.0 else e7
-    rho8 = e8 / norms.frob_B if norms.frob_B != 0.0 else e8
-
-    components = np.array([rho1, rho2, rho3, rho4, rho5, rho6, rho7, rho8])
+    components[1], components[2], components[4] = rho2, rho3, rho5
     return float(components.min()), components
 
 
@@ -300,6 +316,13 @@ def analytic_comm_stats(problem, iterations):
 
     A finished solve of ``k`` iterations runs ``2k`` such passes plus the
     one extra predictor pass of the iteration that observed termination.
+
+    Scalar reductions over all ``n1`` coordinates of ``x`` are not booked,
+    here or in the solve's :class:`CommStats`: the step size's ``||x||``
+    and ``||grad_x L||`` every iteration, and the residual check's
+    clipped-gradient sum of squares and the trace objective's ``x' P0 x``
+    every check.  A column-partitioned deployment needs a reduce of one
+    double for each.
     """
     p = problem
     passes = 2 * iterations + 1
@@ -313,27 +336,33 @@ def analytic_comm_stats(problem, iterations):
     )
 
 
-def _pass(problem, hessians, a_blocks, stats, x, u, lam, gam):
-    """One pass at ``(x, u, lam, gam)``: ``(Px, cons, eq, grad_x, grad_u)``.
+def _pass(problem, hessians, a_blocks, stats, at, f):
+    """One pass at the state blocks ``at = (x, u, lam, gam)``; returns ``(Px, cons, eq)``.
 
-    ``Px`` stacks the Hessian products (row ``i`` is ``Pi x``), ``cons`` are
-    the quadratic constraint values, ``eq`` the equality rows ``A x + B u - b``
-    and ``grad_x``, ``grad_u`` the Lagrangian gradient blocks.  ``Px``,
-    ``cons`` and ``eq`` cost one reduce each (none for an empty ``cons`` or
-    ``eq``); ``A' gam`` is worker-local.
+    Writes ``F = (grad_x, grad_u, -cons, -eq)`` into the blocks ``f`` of
+    the operator buffer.  ``Px`` stacks the Hessian products (row ``i`` is
+    ``Pi x``), ``cons`` are the quadratic constraint values and ``eq`` the
+    equality rows ``A x + B u - b``.  ``Px``, ``cons`` and ``eq`` cost one
+    reduce each (none for an empty ``cons`` or ``eq``); ``A' gam`` is
+    worker-local.
     """
     p = problem
+    x, u, lam, gam = at
+    grad_x, grad_u, neg_cons, neg_eq = f
     Px = hessians.matvec(x, stats).reshape(p.m1 + 1, p.n1)
     G = Px + p.q  # row i: Pi x + qi
-    grad_x = G[0] + lam @ G[1:]
-    cons = np.zeros(0)
+    np.add(G[0], lam @ G[1:], out=grad_x)
+    cons = eq = _EMPTY
     if p.m1:
         cons = dist_dot(0.5 * Px[1:] + p.q[1:], x, hessians.partition, stats) + p.c[1:] @ u + p.r[1:]
-    eq = np.zeros(0)
+        np.negative(cons, out=neg_cons)
     if p.m2:
         eq = a_blocks.matvec(x, stats, scatter=False) + p.B @ u - p.b
-        grad_x = grad_x + a_blocks.transpose_matvec(gam)
-    return Px, cons, eq, grad_x, p.lagrangian_grad_u(lam, gam)
+        np.negative(eq, out=neg_eq)
+        grad_x += a_blocks.transpose_matvec(gam)
+    if p.n2:
+        grad_u[:] = p.lagrangian_grad_u(lam, gam)
+    return Px, cons, eq
 
 
 def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=None) -> SolveReport:
@@ -343,7 +372,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     the box and the multiplier sign from the first step.
     ``callback(k, x, u, lam, gam)``, when given, is invoked once per
     iteration at the current iterate, including the final one; the arrays
-    are live views and must be copied if stored.
+    are live views of the state vector and must be copied if stored.
 
     Termination: residuals are evaluated every ``trace_every`` iterations,
     each check is appended to the trace as a :class:`TraceRow`, and the
@@ -360,10 +389,15 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     a_blocks = ColumnBlocks([p.A], part)
     stats = CommStats()
 
-    x = np.zeros(p.n1)
-    u = np.zeros(p.n2)
-    lam = np.zeros(p.m1)
-    gam = np.zeros(p.m2)
+    # the iterate z, the predictor w and the operator F, each one buffer
+    # whose blocks are views
+    lower, upper = state_bounds(p)
+    z = np.zeros_like(lower)
+    w = np.empty_like(z)
+    F = np.empty_like(z)
+    at_z, at_w, f = _blocks(p, z), _blocks(p, w), _blocks(p, F)
+    x, u, lam, gam = at_z
+    grad_x, grad_u, _, _ = f
 
     weights = np.ones(N_STEP_COMPONENTS)
     eps_equal = np.full(N_STEP_COMPONENTS, (1.0 - cfg.eps0) / N_STEP_COMPONENTS)
@@ -379,14 +413,9 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     k = 0
 
     while True:
-        Px, cons, eq, grad_x, grad_u = _pass(p, hessians, a_blocks, stats, x, u, lam, gam)
+        Px, cons, eq = _pass(p, hessians, a_blocks, stats, at_z, f)
 
-        if not (
-            np.isfinite(x).all()
-            and np.isfinite(u).all()
-            and np.isfinite(lam).all()
-            and np.isfinite(gam).all()
-        ):
+        if not np.isfinite(z).all():
             status = TerminationStatus.DIVERGED
             message = f"non-finite iterate at iteration {k}"
             res1 = res2 = math.nan
@@ -420,14 +449,11 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
                 status, message = outcome
                 break
 
-        # predictor from the k-th iterate
-        y, v = primal_step(p, x, u, grad_x, grad_u, rho)
-        mu, nu = dual_step(lam, gam, cons, eq, rho)
-
-        # corrector: anchored at the k-th iterate, evaluated at the predictor
-        _, cons_y, eq_y, grad_xc, grad_uc = _pass(p, hessians, a_blocks, stats, y, v, mu, nu)
-        x, u = primal_step(p, x, u, grad_xc, grad_uc, rho)
-        lam, gam = dual_step(lam, gam, cons_y, eq_y, rho)
+        # predictor from the k-th iterate; the corrector anchors at it again
+        # but takes F at the predictor
+        projected_step(z, F, rho, lower, upper, w)
+        _pass(p, hessians, a_blocks, stats, at_w, f)
+        projected_step(z, F, rho, lower, upper, z)
 
         if adaptive:
             weights = update_weights(rho, comps, weights)

@@ -25,11 +25,15 @@ The column blocks are cut once per solve, not once per product:
 :class:`ColumnBlocks` takes a stack of matrices (the ``m1 + 1`` Hessians,
 or ``A``) and, for each worker, stacks the worker's columns of every dense
 matrix into one Fortran-order block and those of every sparse matrix into
-one CSC block.  A product with the whole stack then costs at most one
-dense and one sparse product per worker and one reduce, and returns the
-stacked product ``(M_0 x; M_1 x; ...)`` in matrix order.  Serial
-execution is the one-worker case of the same code: a block spanning
-every column of a single matrix is that matrix itself, not a copy.
+one CSC block.  The sparse blocks of all workers are then placed on the
+diagonal of one CSC matrix, so the sparse partials of every worker come
+from one product: row band ``w`` of that product is worker ``w``'s
+partial, accumulated column by column in the order of the worker's own
+block.  A product with the whole stack therefore costs one dense product
+per worker, one sparse product and one reduce, and returns the stacked
+product ``(M_0 x; M_1 x; ...)`` in matrix order.  Serial execution is the
+one-worker case of the same code: a block spanning every column of a
+single matrix is that matrix itself, not a copy.
 """
 
 from __future__ import annotations
@@ -156,13 +160,29 @@ def _cut(matrices, lo, hi):
     return np.concatenate([M[:, lo:hi] for M in matrices], out=np.empty((rows, hi - lo), order="F"))
 
 
+def _runs(members, starts):
+    """``(rows of the stacked product, rows of the group's product)`` of each
+    maximal run of consecutive stack matrices in ``members``, as slices."""
+    runs = []
+    pos = 0  # rows of the group's product placed so far
+    for i in members:
+        lo, hi = int(starts[i]), int(starts[i + 1])
+        if runs and runs[-1][1] == lo:  # extends the previous run
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, pos])
+        pos += hi - lo
+    return [(slice(lo, hi), slice(src, src + hi - lo)) for lo, hi, src in runs]
+
+
 class ColumnBlocks:
     """Per-worker column blocks of a stack of matrices, cut once.
 
     ``matrices`` share the partition's column count and may differ in row
     count.  Each worker holds one dense block stacking its columns of every
-    dense matrix and one CSC block stacking its columns of every sparse
-    matrix, so :meth:`matvec` costs at most two local products per worker.
+    dense matrix; the CSC blocks stacking each worker's columns of every
+    sparse matrix sit on the diagonal of one block-diagonal CSC matrix.  So
+    :meth:`matvec` costs one dense product per worker and one sparse product.
     """
 
     def __init__(self, matrices, partition: ColumnPartition):
@@ -174,13 +194,23 @@ class ColumnBlocks:
         for i, M in enumerate(matrices):
             _check_cols(M, partition)
             kinds[sp.issparse(M)].append(i)
-        # (rows of the stacked product, one block per worker) for each kind present
-        self._groups = [
-            (np.concatenate([np.arange(starts[i], starts[i + 1]) for i in members]),
-             [_cut([matrices[i] for i in members], lo, hi) for lo, hi in partition.ranges])
-            for members in kinds
-            if members
-        ]
+        # (rows of the stacked product, blocks) for each kind present: one
+        # block per worker when dense, one block-diagonal matrix when sparse
+        self._groups = []
+        for sparse, members in enumerate(kinds):
+            if not members:
+                continue
+            blocks = [_cut([matrices[i] for i in members], lo, hi) for lo, hi in partition.ranges]
+            if sparse:
+                blocks = sp.block_diag(blocks, format="csc") if len(blocks) > 1 else blocks[0]
+            self._groups.append((_runs(members, starts), blocks))
+
+    def _partials(self, blocks, x):
+        """Each worker's partial product with ``blocks``, in worker order."""
+        ranges = self.partition.ranges
+        if type(blocks) is list:
+            return [block @ x[lo:hi] for block, (lo, hi) in zip(blocks, ranges)]
+        return list((blocks @ x).reshape(len(ranges), -1))
 
     def matvec(self, x, stats: CommStats, scatter: bool = True):
         """The stacked product ``(M_0 x; M_1 x; ...)``, matrix by matrix, from per-worker partials.
@@ -192,16 +222,15 @@ class ColumnBlocks:
         the workers (the Hessian products; row evaluations destined for the
         dual side pass ``scatter=False``).
         """
-        part = self.partition
-        x = _check_vector(x, part.n_cols)
-        sums = [_tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, part.ranges)])
-                for _, blocks in self._groups]
-        if len(sums) == 1:  # one kind: its rows are the whole stack, in order
-            out = sums[0]
+        x = _check_vector(x, self.partition.n_cols)
+        if len(self._groups) == 1:  # one kind: its rows are the whole stack, in order
+            out = _tree_sum(self._partials(self._groups[0][1], x))
         else:
             out = np.empty(self._n_rows)
-            for (rows, _), total in zip(self._groups, sums):
-                out[rows] = total
+            for runs, blocks in self._groups:
+                total = _tree_sum(self._partials(blocks, x))
+                for rows, src in runs:
+                    out[rows] = total[src]
         stats.record_reduce(self._n_rows)
         if scatter:
             stats.record_scatter(self._n_rows)
@@ -211,14 +240,19 @@ class ColumnBlocks:
         """``M' g`` for a stack of one matrix ``M``, worker-locally: no communication.
 
         Each worker owns the columns ``M[:, lo:hi]`` and therefore the slice
-        ``(M' g)[lo:hi] = M[:, lo:hi]' g`` outright.
+        ``(M' g)[lo:hi] = M[:, lo:hi]' g`` outright.  A sparse ``M`` gives
+        every slice from one product of the block-diagonal matrix's
+        transpose with ``g`` repeated once per worker.
         """
         if self._n_matrices != 1:
             raise ValueError("transpose_matvec needs a stack of exactly one matrix")
         g = _check_vector(g, self._n_rows)
         (_, blocks), = self._groups
+        ranges = self.partition.ranges
+        if type(blocks) is not list:
+            return blocks.T @ np.tile(g, len(ranges))
         out = np.empty(self.partition.n_cols)
-        for block, (lo, hi) in zip(blocks, self.partition.ranges):
+        for block, (lo, hi) in zip(blocks, ranges):
             out[lo:hi] = block.T @ g
         return out
 

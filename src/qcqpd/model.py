@@ -42,6 +42,8 @@ __all__ = [
 # tau = PSD_RTOL * max(||P||_F, 1), because an exact check is ill-posed in floats.
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-8
+# Columns per tile of the dense symmetry test.
+SYMMETRY_TILE = 128
 
 
 class ProblemFormatError(ValueError):
@@ -188,11 +190,18 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ProblemNorms:
-    """Frobenius norms used by the adaptive step-size rule.
+    """Frobenius norms used by the adaptive step-size rule, and its per-solve constants.
 
     ``frob_P_stacked`` is the norm of the vertically stacked constraint
     matrices ``(P1; ...; Pm1)``; ``frob_Q`` / ``frob_C`` stack the
     constraint vectors ``qi`` / ``ci`` (i >= 1) as rows.
+
+    ``bound_den`` holds, for each of the eight bounds, the divisor of its
+    budget ``eps_s`` in the five static bounds ``eps_s / norm_s`` (bounds
+    1, 4, 6, 7 and 8 on ``P0``, ``Q``, ``C``, ``A`` and ``B``; a zero norm
+    divides by 1) and 1 at the three bounds that depend on the iterate.
+    ``pi_scale`` holds ``m1 ||Pi||_F`` per constraint (``m1`` for a zero
+    norm) as Python floats.
     """
 
     frob_P0: float
@@ -202,12 +211,31 @@ class ProblemNorms:
     frob_C: float
     frob_A: float
     frob_B: float
+    bound_den: np.ndarray
+    pi_scale: tuple
 
 
 def _frob(M) -> float:
     if sp.issparse(M):
         return math.sqrt(M.multiply(M).sum())
     return float(np.linalg.norm(M, "fro")) if M.ndim == 2 else float(np.linalg.norm(M))
+
+
+def _asymmetry(M) -> float:
+    """``||M - M'||_F`` of a square matrix.
+
+    A dense matrix is summed over column tiles of its lower triangle, each
+    off-diagonal tile counted twice, so no ``n x n`` temporary is made.
+    """
+    if sp.issparse(M):
+        return _frob(M - M.T)
+    total = 0.0
+    for j in range(0, M.shape[0], SYMMETRY_TILE):
+        e = j + SYMMETRY_TILE
+        for D, weight in ((M[j:e, j:e] - M[j:e, j:e].T, 1.0), (M[e:, j:e] - M[j:e, e:].T, 2.0)):
+            d = D.ravel(order="K")
+            total += weight * float(d @ d)
+    return math.sqrt(total)
 
 
 def _is_psd(M, tau) -> bool:
@@ -277,7 +305,7 @@ def validate(problem: QcqpProblem) -> ValidationReport:
             v.append(msg)
             continue
         nrm = _frob(Pi)
-        gap = _frob(Pi - Pi.T)
+        gap = _asymmetry(Pi)
         if gap > SYMMETRY_RTOL * max(nrm, 1.0):
             v.append(f"P[{i}] is not symmetric (||P - P'||_F = {gap:.3e})")
             continue
@@ -295,20 +323,25 @@ def validate(problem: QcqpProblem) -> ValidationReport:
 
 
 def compute_norms(problem: QcqpProblem) -> ProblemNorms:
-    """Precompute the Frobenius norms consumed by the step-size rule.
+    """Precompute the Frobenius norms and the constants of the step-size rule.
 
     Empty stacks (m1 = 0, or empty blocks) contribute zero norms.
     """
     p = problem
     frob_Pi = np.array([_frob(p.P[i]) for i in range(1, p.m1 + 1)])
+    frob_P0, frob_Q, frob_C = _frob(p.P[0]), _frob(p.q[1:]), _frob(p.c[1:])
+    frob_A, frob_B = _frob(p.A), _frob(p.B)
+    den = np.array([frob_P0, 1.0, 1.0, frob_Q, 1.0, frob_C, frob_A, frob_B])
     return ProblemNorms(
-        frob_P0=_frob(p.P[0]),
+        frob_P0=frob_P0,
         frob_Pi=frob_Pi,
         frob_P_stacked=math.sqrt(float(np.sum(frob_Pi**2))),
-        frob_Q=_frob(p.q[1:]),
-        frob_C=_frob(p.c[1:]),
-        frob_A=_frob(p.A),
-        frob_B=_frob(p.B),
+        frob_Q=frob_Q,
+        frob_C=frob_C,
+        frob_A=frob_A,
+        frob_B=frob_B,
+        bound_den=np.where(den != 0.0, den, 1.0),
+        pi_scale=tuple(np.where(frob_Pi != 0.0, p.m1 * frob_Pi, p.m1).tolist()),
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from qcqpd import QcqpProblem
+from qcqpd.core import projected_step, state_bounds
 
 
 def toy_problem():
@@ -91,6 +92,22 @@ def random_box_state(rng, problem, scale=1.0):
     lam = rng.uniform(0.0, scale, problem.m1)
     gam = scale * rng.standard_normal(problem.m2)
     return x, u, lam, gam
+
+
+def operator(problem, x, u, lam, gam):
+    """The saddle operator ``F = (grad_x L, grad_u L, -cons, -eq)`` at ``(x, u, lam, gam)``, by serial products."""
+    p = problem
+    return np.concatenate([p.lagrangian_grad_x(x, lam, gam), p.lagrangian_grad_u(lam, gam),
+                           -p.constraint_values(x, u), -p.equality_residual(x, u)])
+
+
+def step(problem, state, F, rho):
+    """The ``(x, u, lam, gam)`` blocks of :func:`qcqpd.core.projected_step` from ``state`` along ``F``."""
+    p = problem
+    z = np.concatenate(state)
+    lower, upper = state_bounds(p)
+    out = projected_step(z, F, rho, lower, upper, np.empty_like(z))
+    return np.split(out, np.cumsum([p.n1, p.n2, p.m1]))
 
 
 def read_members(path):

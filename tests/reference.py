@@ -3,6 +3,8 @@
 * :func:`reference_solve_small`, an augmented-Lagrangian solver for small
   dense instances, unrelated to the predictor-corrector path, so
   agreement with :func:`qcqpd.solve` is an independent check;
+* :func:`reference_step_size`, the eight step-size bounds one bound at a
+  time, which :func:`qcqpd.compute_step_size` must reproduce bit for bit;
 * :func:`kernel_eval`, the kernel value of one pair of points, which the
   vectorized :func:`qcqpd.generators.gram_matrix` must reproduce entry by
   entry.
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from qcqpd import kkt_residual_max
+from qcqpd.core import BIG_M, _root_rule
 from qcqpd.generators import Kernel
 
 
@@ -113,6 +116,48 @@ def reference_solve_small(problem, tol=1e-6):
         prev_viol = max(viol, 1e-300)
         gtol = max(0.2 * gtol, tol * 1e-2)
     raise OracleError(f"reference solver did not reach kkt tolerance {tol:g} in {REFERENCE_MAX_OUTER} outer iterations")
+
+
+# --- step size ---------------------------------------------------------------
+
+
+def reference_step_size(problem, norms, x, lam, epsilons, cons, grad):
+    """``(rho, components)`` of the eight step-size bounds, each bound on its own.
+
+    The same arithmetic as :func:`qcqpd.compute_step_size`, one scalar
+    division per static bound and ``np.linalg.norm`` for the norms.
+    """
+    p = problem
+    e1, e2, e3, e4, e5, e6, e7, e8 = (float(e) for e in epsilons)
+
+    rho1 = e1 / norms.frob_P0 if norms.frob_P0 != 0.0 else e1
+
+    if p.m1 == 0:
+        rho2 = BIG_M
+    else:
+        rho2 = math.inf
+        for i in range(p.m1):
+            nPi = norms.frob_Pi[i]
+            ci = e2 / (p.m1 * nPi) if nPi != 0.0 else e2 / p.m1
+            ri = _root_rule(abs(float(cons[i])), float(lam[i]), ci)
+            rho2 = min(rho2, BIG_M if ri is None else ri)
+
+    x_norm = float(np.linalg.norm(x))
+    if norms.frob_P_stacked == 0.0:
+        rho3 = 2.0 * e3
+        rho5 = e5
+    else:
+        r = _root_rule(float(np.linalg.norm(grad)), 2.0 * x_norm, 2.0 * e3 / norms.frob_P_stacked)
+        rho3 = 2.0 * e3 if r is None else min(2.0 * e3, r)
+        rho5 = e5 if x_norm == 0.0 else e5 / (x_norm * norms.frob_P_stacked)
+
+    rho4 = e4 / norms.frob_Q if norms.frob_Q != 0.0 else e4
+    rho6 = e6 / norms.frob_C if norms.frob_C != 0.0 else e6
+    rho7 = e7 / norms.frob_A if norms.frob_A != 0.0 else e7
+    rho8 = e8 / norms.frob_B if norms.frob_B != 0.0 else e8
+
+    components = np.array([rho1, rho2, rho3, rho4, rho5, rho6, rho7, rho8])
+    return float(components.min()), components
 
 
 # --- kernels -----------------------------------------------------------------

@@ -27,8 +27,8 @@ from qcqpd import (
     update_epsilons,
 )
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
-from qcqpd.core import BIG_M, dual_step, primal_step
-from helpers import random_box_state, random_problem, toy_problem
+from qcqpd.core import BIG_M
+from helpers import operator, random_box_state, random_problem, step, toy_problem
 from reference import reference_solve_small
 
 
@@ -201,9 +201,10 @@ def test_criterion_5_proximal_equivalence():
         x, u, lam, gam = random_box_state(rng, problem)
         rho = float(rng.uniform(0.005, 0.3))
 
+        # predictor from (x, u, lam, gam), corrector anchored there with F at the predictor
         grad = problem.lagrangian_grad_x(x, lam, gam)
         gu = problem.lagrangian_grad_u(lam, gam)
-        y, v = primal_step(problem, x, u, grad, gu, rho)
+        y, v, mu, nu = step(problem, (x, u, lam, gam), operator(problem, x, u, lam, gam), rho)
         raw = x - rho * grad
         for j in range(n1):
             if 0.0 < y[j] < problem.x_upper[j]:
@@ -217,7 +218,6 @@ def test_criterion_5_proximal_equivalence():
 
         cons = problem.constraint_values(x, u)
         eq = problem.equality_residual(x, u)
-        mu, nu = dual_step(lam, gam, cons, eq, rho)
         for i in range(m1):
             if mu[i] > 0.0:
                 worst_interior = max(worst_interior, abs(mu[i] - lam[i] - rho * cons[i]))
@@ -227,7 +227,7 @@ def test_criterion_5_proximal_equivalence():
 
         grad_c = problem.lagrangian_grad_x(y, mu, nu)
         gu_c = problem.lagrangian_grad_u(mu, nu)
-        x_next, u_next = primal_step(problem, x, u, grad_c, gu_c, rho)
+        x_next, u_next, lam_next, gam_next = step(problem, (x, u, lam, gam), operator(problem, y, v, mu, nu), rho)
         raw_c = x - rho * grad_c
         for j in range(n1):
             if 0.0 < x_next[j] < problem.x_upper[j]:
@@ -241,7 +241,6 @@ def test_criterion_5_proximal_equivalence():
 
         cons_y = problem.constraint_values(y, v)
         eq_y = problem.equality_residual(y, v)
-        lam_next, gam_next = dual_step(lam, gam, cons_y, eq_y, rho)
         for i in range(m1):
             if lam_next[i] > 0.0:
                 worst_interior = max(worst_interior, abs(lam_next[i] - lam[i] - rho * cons_y[i]))

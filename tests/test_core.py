@@ -2,6 +2,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qcqpd import (
     MklSpec,
@@ -18,8 +21,11 @@ from qcqpd import (
     update_epsilons,
     update_weights,
 )
-from qcqpd.core import BIG_M, WEIGHT_FLOOR, WeightMode, dual_step, primal_step
-from helpers import equality_problem, interior_problem, random_box_state, random_problem, toy_problem
+from qcqpd.core import BIG_M, WEIGHT_FLOOR, WeightMode
+from helpers import (
+    equality_problem, interior_problem, operator, random_box_state, random_problem, step, toy_problem,
+)
+from reference import reference_step_size
 
 
 class TestEpsilonWeights:
@@ -147,17 +153,51 @@ class TestStepSize:
         rho, comps = _step_size(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), self.eps)
         assert comps[1] == BIG_M
 
+    def test_bitwise_per_bound_reference(self):
+        # the vectorized rule against one scalar computation per bound, on
+        # states with zero norms (P0, Q, Pi, the whole stack), m1 = 0 and x = 0
+        rng = np.random.default_rng(10)
+        for trial in range(300):
+            m1 = int(rng.integers(0, 4))
+            m2 = int(rng.integers(0, 3))
+            p = random_problem(rng, n1=int(rng.integers(1, 9)), m1=m1, n2=int(rng.integers(0, 3)), m2=m2, box=2.0)
+            if trial % 3 == 0:
+                p.P[0] = np.zeros_like(p.P[0])
+            if trial % 4 == 0 and m1:
+                p.q[1:] = 0.0
+            if trial % 5 == 0:
+                for i in range(1, m1 + 1 - (trial % 2)):
+                    p.P[i] = np.zeros_like(p.P[i])
+            x, u, lam, gam = random_box_state(rng, p)
+            if trial % 7 == 0:
+                x, lam = np.zeros(p.n1), np.zeros(m1)
+            eps = update_epsilons(rng.uniform(1e-6, 5.0, 8), float(rng.uniform(0.0, 0.9)))
+            norms = compute_norms(p)
+            args = (p, norms, x, lam, eps, p.constraint_values(x, u), p.lagrangian_grad_x(x, lam, gam))
+            rho, comps = compute_step_size(*args)
+            ref_rho, ref_comps = reference_step_size(*args)
+            assert comps.tobytes() == ref_comps.tobytes()
+            assert rho == ref_rho
+
 
 def _primal_x(p, x, lam, gam, rho, grad=None):
-    """``x`` half of :func:`primal_step`, gradient at ``(x, lam, gam)`` unless given."""
-    if grad is None:
-        grad = p.lagrangian_grad_x(x, lam, gam)
-    return primal_step(p, x, np.zeros(0), grad, np.zeros(0), rho)[0]
+    """``x`` block of the projected step, gradient at ``(x, lam, gam)`` unless given."""
+    u = np.zeros(p.n2)
+    F = operator(p, x, u, lam, gam)
+    if grad is not None:
+        F[:p.n1] = grad
+    return step(p, (x, u, lam, gam), F, rho)[0]
 
 
 def _dual_at(p, x, u, lam, gam, rho):
-    """:func:`dual_step` with the constraint values at ``(x, u)``."""
-    return dual_step(lam, gam, p.constraint_values(x, u), p.equality_residual(x, u), rho)
+    """``(lam, gam)`` blocks of the projected step, with the constraint values at ``(x, u)``."""
+    return step(p, (x, u, lam, gam), operator(p, x, u, lam, gam), rho)[2:]
+
+
+def _u_step(p, u, lam, gam, rho):
+    """``u`` block of the projected step from ``x = 0``, ``lam``, ``gam``."""
+    x = np.zeros(p.n1)
+    return step(p, (x, u, lam, gam), operator(p, x, u, lam, gam), rho)[1]
 
 
 class TestUpdates:
@@ -194,19 +234,17 @@ class TestUpdates:
         np.testing.assert_allclose(y, [0.65, 0.81], rtol=1e-15)
 
     def test_corrector_equals_predictor_at_same_point(self):
-        # the corrector anchors at the iterate and evaluates its gradient and
-        # constraint values at the predictor point (y, v, mu, nu); at the
-        # iterate itself it must reproduce the predictor exactly
+        # the corrector anchors at the iterate and evaluates F at the
+        # predictor point (y, v, mu, nu); at the iterate itself it must
+        # reproduce the predictor exactly
         rng = np.random.default_rng(3)
         p = random_problem(rng, n1=5, m1=2, n2=2, m2=1, box=1.5)
         x, u, lam, gam = random_box_state(rng, p)
         y, v, mu, nu = x.copy(), u.copy(), lam.copy(), gam.copy()
         rho = 0.05
-        pred = primal_step(p, x, u, p.lagrangian_grad_x(x, lam, gam), p.lagrangian_grad_u(lam, gam), rho)
-        corr = primal_step(p, x, u, p.lagrangian_grad_x(y, mu, nu), p.lagrangian_grad_u(mu, nu), rho)
+        pred = step(p, (x, u, lam, gam), operator(p, x, u, lam, gam), rho)
+        corr = step(p, (x, u, lam, gam), operator(p, y, v, mu, nu), rho)
         for a, b in zip(corr, pred):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(_dual_at(p, y, v, lam, gam, rho), _dual_at(p, x, u, lam, gam, rho)):
             np.testing.assert_array_equal(a, b)
 
     def test_corrector_arithmetic(self):
@@ -223,7 +261,7 @@ class TestUpdates:
             P=[np.zeros((1, 1))], q=[np.zeros(1)], c=[np.array([1.0])], r=[0.0],
             x_upper=[1.0],
         )
-        _, v = primal_step(p, np.zeros(1), np.array([2.0]), np.zeros(1), p.lagrangian_grad_u(np.zeros(0), np.zeros(0)), 0.5)
+        v = _u_step(p, np.array([2.0]), np.zeros(0), np.zeros(0), 0.5)
         np.testing.assert_allclose(v, [1.5], rtol=1e-15)
 
     def test_u_predictor_zero_terms(self):
@@ -233,7 +271,7 @@ class TestUpdates:
             A=np.zeros((1, 1)), B=np.zeros((1, 2)), b=np.zeros(1), x_upper=[1.0],
         )
         u = np.array([1.0, -2.0])
-        _, v = primal_step(p, np.zeros(1), u, np.zeros(1), p.lagrangian_grad_u(np.zeros(0), np.ones(1)), 0.7)
+        v = _u_step(p, u, np.zeros(0), np.ones(1), 0.7)
         np.testing.assert_array_equal(v, u)
 
     def test_dual_corrector_clamps(self):
@@ -241,6 +279,37 @@ class TestUpdates:
         lam2, _ = _dual_at(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), 0.1)
         assert lam2[0] == 0.0
 
+
+# magnitudes up to 1e150, so rho * F cannot overflow
+_finite = st.floats(-1e150, 1e150)
+_nonneg = st.floats(0.0, 1e150)
+
+
+@st.composite
+def _step_cases(draw):
+    """A problem's box, a state meeting it and the multiplier sign, ``F``'s pieces and ``rho``."""
+    n1, n2, m1, m2 = (draw(st.integers(lo, 4)) for lo in (1, 0, 0, 0))
+    upper = draw(hnp.arrays(np.float64, n1, elements=st.one_of(st.just(np.inf), st.floats(1e-300, 1e150))))
+    p = QcqpProblem(n1=n1, n2=n2, m1=m1, m2=m2, P=[np.zeros((n1, n1))] * (m1 + 1), q=np.zeros((m1 + 1, n1)),
+                    c=np.zeros((m1 + 1, n2)), r=np.zeros(m1 + 1), x_upper=upper)
+    x = np.minimum(draw(hnp.arrays(np.float64, n1, elements=_nonneg)), upper)
+    state = (x, draw(hnp.arrays(np.float64, n2, elements=_finite)),
+             draw(hnp.arrays(np.float64, m1, elements=_nonneg)), draw(hnp.arrays(np.float64, m2, elements=_finite)))
+    pieces = tuple(draw(hnp.arrays(np.float64, n, elements=_finite)) for n in (n1, n2, m1, m2))
+    return p, state, pieces, draw(st.floats(1e-12, 1e3))
+
+
+class TestProjectedStep:
+    @given(_step_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_are_the_per_block_formulas_bitwise(self, case):
+        # F = (g, g_u, -cons, -eq): each block of the one clip is its own
+        # update formula, bit for bit
+        p, (x, u, lam, gam), (g, g_u, cons, eq), rho = case
+        out = step(p, (x, u, lam, gam), np.concatenate([g, g_u, -cons, -eq]), rho)
+        expected = (p.project_box(x - rho * g), u - rho * g_u, np.maximum(0.0, lam + rho * cons), gam + rho * eq)
+        for got, want in zip(out, expected):
+            assert got.tobytes() == want.tobytes()
 
 class TestSolve:
     @pytest.mark.parametrize("field", ["tol", "divergence_threshold"])
@@ -397,9 +466,9 @@ class TestSolve:
 
 class TestProximalEquivalence:
     def test_first_order_conditions(self):
-        # each closed-form update is the exact minimizer of its proximal
-        # subproblem: interior components satisfy the stationarity equation,
-        # boundary components clamp exactly
+        # each block of the projected step is the exact minimizer of its
+        # proximal subproblem: interior components satisfy the stationarity
+        # equation, boundary components clamp exactly
         rng = np.random.default_rng(8)
         for _ in range(30):
             p = random_problem(rng, n1=7, m1=2, n2=2, m2=1, box=1.0)
@@ -407,7 +476,7 @@ class TestProximalEquivalence:
             rho = float(rng.uniform(0.01, 0.2))
             g = p.lagrangian_grad_x(x, lam, gam)
             gu = p.lagrangian_grad_u(lam, gam)
-            y, v = primal_step(p, x, u, g, gu, rho)
+            y, v, mu, nu = step(p, (x, u, lam, gam), operator(p, x, u, lam, gam), rho)
             raw = x - rho * g
             for j in range(p.n1):
                 if 0.0 < y[j] < p.x_upper[j]:
@@ -417,7 +486,6 @@ class TestProximalEquivalence:
                 else:
                     assert y[j] == p.x_upper[j] and raw[j] >= p.x_upper[j]
             cons = p.constraint_values(x, u)
-            mu, nu = dual_step(lam, gam, cons, p.equality_residual(x, u), rho)
             for i in range(p.m1):
                 if mu[i] > 0.0:
                     assert abs(mu[i] - lam[i] - rho * cons[i]) <= 1e-10

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcqpd import CommStats, partition_columns
-from qcqpd.dist import ColumnBlocks, dist_dot
+from qcqpd.dist import ColumnBlocks, _tree_sum, dist_dot
 
 
 def _matvec(M, x, part, stats=None, scatter=True):
@@ -146,8 +146,11 @@ class TestTransposeMatvec:
         rng = np.random.default_rng(5)
         A = sp.random(8, 12, density=0.3, random_state=np.random.RandomState(6), format="csc")
         g = rng.standard_normal(8)
-        out = _transpose_matvec(A, g, partition_columns(12, 3))
+        part = partition_columns(12, 3)
+        out = _transpose_matvec(A, g, part)
         np.testing.assert_allclose(out, A.T @ g, rtol=1e-12)
+        for lo, hi in part.ranges:  # each worker's slice from its own columns, bit for bit
+            assert np.array_equal(out[lo:hi], A[:, lo:hi].T @ g)
 
 
 class TestDot:
@@ -223,6 +226,24 @@ class TestColumnBlocks:
         assert out.shape == (len(mats) * n,)
         assert np.array_equal(out, np.concatenate([_matvec(M, x, part) for M in mats]))
         assert np.array_equal(out, np.concatenate([M @ x for M in mats]))
+
+    # n = 3 leaves some of 4 or 5 workers an empty column range
+    @pytest.mark.parametrize("n", [3, 13])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kinds", [STACKS["csc"], STACKS["mixed"]], ids=["csc", "mixed"])
+    def test_sparse_rows_are_per_worker_csc_products_bitwise(self, kinds, workers, n):
+        # random floats: the sparse rows equal each matrix's per-worker CSC
+        # products tree-summed, bit for bit; the dense rows are the dense stack's
+        rng = np.random.default_rng(200 + 10 * workers + n)
+        mats = _stack(kinds, n, rng, integer=False)
+        x = rng.standard_normal(n)
+        part = partition_columns(n, workers)
+        dense = [M for M in mats if not sp.issparse(M)]
+        dense_rows = iter(np.split(ColumnBlocks(dense, part).matvec(x, CommStats()), len(dense)) if dense else ())
+        expected = [_tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges]) if sp.issparse(M)
+                    else next(dense_rows) for M in mats]
+        out = ColumnBlocks(mats, part).matvec(x, CommStats())
+        assert out.tobytes() == np.concatenate(expected).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", STACKS.values(), ids=list(STACKS))

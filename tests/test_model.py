@@ -20,7 +20,7 @@ from qcqpd import (
     solve,
     validate,
 )
-from qcqpd.model import PSD_RTOL
+from qcqpd.model import PSD_RTOL, SYMMETRY_TILE, _asymmetry
 from helpers import random_problem, read_members, toy_problem, write_members
 
 
@@ -49,6 +49,20 @@ class TestValidate:
         report = validate(_simple_problem([np.array([[0.0, 1.0], [0.0, 0.0]])]))
         assert not report.ok
         assert "not symmetric" in report.violations[0]
+
+    # n spans three symmetry tiles, the last one partial
+    @pytest.mark.parametrize("at", [(5, 9), (7, 200), (270, 290)], ids=["diagonal", "off-diagonal", "last-diagonal"])
+    def test_asymmetric_pair_in_a_tile_flagged(self, at):
+        n = 2 * SYMMETRY_TILE + 40
+        rng = np.random.default_rng(11)
+        M = rng.standard_normal((n, n))
+        P = np.asfortranarray((M + M.T) / 2 + n * np.eye(n))
+        assert _asymmetry(P) == 0.0 and validate(_simple_problem([P], n1=n)).ok
+        P[at] += 1e-3
+        report = validate(_simple_problem([P], n1=n))
+        assert any("not symmetric" in v for v in report.violations)
+        for A in (P, np.asfortranarray(M), np.ascontiguousarray(M)):
+            assert _asymmetry(A) == pytest.approx(np.linalg.norm(A - A.T), rel=1e-12)
 
     def test_indefinite_matrix_flagged(self):
         # eigenvalues are exactly +-1 (diagonal), well below the PSD slack
