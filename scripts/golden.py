@@ -1,12 +1,12 @@
 """Golden outputs: status, iterations and sha256 of report JSON + trace CSV,
 then sha256 of every generated problem file.
 
-Solves a fixed instance set (the toy, random n1=64 seeds 0-2, MKL seed 0,
-the infeasible and unbounded instances) at 1 and 3 workers and prints one
-line per solve.  Then saves one problem file per generator family (random
-seed 0 with a box, MKL seed 0 with either margin, infeasible, unbounded)
-and prints one line per file.  Two commits whose outputs match line for
-line produce byte-identical solves and problem files.
+Solves a fixed instance set (the toy, random n1=64 seeds 0-2, random n1=600
+seed 0, MKL seed 0, the infeasible and unbounded instances) at 1 and 3
+workers and prints one line per solve.  Then saves one problem file per
+generator family (random seed 0 with a box, MKL seed 0 with either margin,
+infeasible, unbounded) and prints one line per file.  Two commits whose
+outputs match line for line produce byte-identical solves and problem files.
 ``scripts/golden.txt`` holds the expected output; everything but the
 hashes is compared in CI, and the hashes are for comparing two commits on
 one machine.  Run: ``python3 scripts/golden.py``.
@@ -35,6 +35,8 @@ def instances():
     yield "toy", toy, {"tol": 1e-6}
     for seed in range(3):
         yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}
+    # n1 >= 512: at one worker the Hessian products go through dsymv
+    yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}
     yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}
     yield "infeasible", gen_infeasible(64, seed=0), {"divergence_threshold": 1e4}
     yield "unbounded", gen_unbounded(64, seed=0), {}

@@ -146,7 +146,7 @@ def projected_step(z, F, rho, lower, upper, out):
     """``P_Z(z - rho F) = min(max(z - rho F, lower), upper)``, written into ``out``.
 
     With ``F = (grad_x, grad_u, -cons, -eq)`` the blocks are
-    ``project_box(x - rho grad_x)``, ``u - rho grad_u``,
+    ``clip(x - rho grad_x, 0, x_upper)``, ``u - rho grad_u``,
     ``max(0, lam + rho cons)`` and ``gam + rho eq`` bit for bit:
     ``lam - rho (-cons)`` is ``lam + rho cons`` exactly, and ``u`` and ``gam``
     clip against infinite bounds.  ``out`` may be ``z``.
@@ -380,12 +380,18 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     unboundedness suspected); the loop also stops on iterate overflow
     (diverged) or after ``max_iters`` iterations.  The reported residuals
     always refer to the returned iterate.
+
+    Precondition: every ``P[i]`` is symmetric, as :func:`qcqpd.validate`
+    checks.  On one worker a dense Hessian of at least
+    :data:`qcqpd.dist.SYMMETRIC_MIN_COLS` columns is multiplied by ``dsymv``,
+    which reads one triangle, so an unvalidated non-symmetric ``P[i]`` gives
+    the product of its symmetrised triangle.
     """
     p = problem
     cfg = config if config is not None else SolverConfig()
     norms = compute_norms(p)
     part = partition_columns(p.n1, cfg.n_workers)
-    hessians = ColumnBlocks(p.P, part)
+    hessians = ColumnBlocks(p.P, part, symmetric=True)
     a_blocks = ColumnBlocks([p.A], part)
     stats = CommStats()
 

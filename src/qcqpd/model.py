@@ -160,10 +160,6 @@ class QcqpProblem:
             + float(self.r[0])
         )
 
-    def project_box(self, x):
-        """Project onto the box ``0 <= x_j <= x_upper_j``."""
-        return np.clip(x, 0.0, self.x_upper)
-
     def lagrangian_grad_x(self, x, lam, gam):
         """``P0 x + q0 + sum_i lam_i (Pi x + qi) + A' gam``, with serial products.
 

@@ -7,7 +7,9 @@
   time, which :func:`qcqpd.compute_step_size` must reproduce bit for bit;
 * :func:`kernel_eval`, the kernel value of one pair of points, which the
   vectorized :func:`qcqpd.generators.gram_matrix` must reproduce entry by
-  entry.
+  entry;
+* :func:`project_box`, the projection onto the box, which the ``x`` block
+  of :func:`qcqpd.core.projected_step` must reproduce bit for bit.
 """
 
 import math
@@ -24,6 +26,12 @@ class OracleError(RuntimeError):
 
 
 # --- reference solver -------------------------------------------------------
+
+
+def project_box(problem, x):
+    """Project onto the box ``0 <= x_j <= x_upper_j``."""
+    return np.clip(x, 0.0, problem.x_upper)
+
 
 # Iteration caps of the reference solver: outer multiplier steps, inner gradient steps.
 REFERENCE_MAX_OUTER = 200
@@ -56,14 +64,14 @@ def _al_inner(problem, x, u, lam, gam, beta, gtol):
     for _ in range(REFERENCE_MAX_INNER):
         stat = 0.0
         if p.n1:
-            stat = float(np.abs(x - p.project_box(x - gx)).max())
+            stat = float(np.abs(x - project_box(p, x - gx)).max())
         if p.n2:
             stat = max(stat, float(np.abs(gu).max()))
         if stat <= gtol:
             break
         # Armijo backtracking on the projected step
         while True:
-            xn = p.project_box(x - step * gx)
+            xn = project_box(p, x - step * gx)
             un = u - step * gu
             decrease = float(gx @ (x - xn)) + float(gu @ (u - un))
             valn, gxn, gun = _al_value_grad(p, xn, un, lam, gam, beta)
@@ -91,7 +99,7 @@ def reference_solve_small(problem, tol=1e-6):
     entirely unrelated to the predictor-corrector path.
     """
     p = problem
-    x = p.project_box(np.zeros(p.n1))
+    x = project_box(p, np.zeros(p.n1))
     u = np.zeros(p.n2)
     lam = np.zeros(p.m1)
     gam = np.zeros(p.m2)

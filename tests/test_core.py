@@ -25,7 +25,7 @@ from qcqpd.core import BIG_M, WEIGHT_FLOOR, WeightMode
 from helpers import (
     equality_problem, interior_problem, operator, random_box_state, random_problem, step, toy_problem,
 )
-from reference import reference_step_size
+from reference import project_box, reference_step_size
 
 
 class TestEpsilonWeights:
@@ -307,7 +307,7 @@ class TestProjectedStep:
         # update formula, bit for bit
         p, (x, u, lam, gam), (g, g_u, cons, eq), rho = case
         out = step(p, (x, u, lam, gam), np.concatenate([g, g_u, -cons, -eq]), rho)
-        expected = (p.project_box(x - rho * g), u - rho * g_u, np.maximum(0.0, lam + rho * cons), gam + rho * eq)
+        expected = (project_box(p, x - rho * g), u - rho * g_u, np.maximum(0.0, lam + rho * cons), gam + rho * eq)
         for got, want in zip(out, expected):
             assert got.tobytes() == want.tobytes()
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcqpd import CommStats, partition_columns
-from qcqpd.dist import ColumnBlocks, _tree_sum, dist_dot
+from qcqpd.dist import SYMMETRIC_MIN_COLS, ColumnBlocks, _tree_sum, dist_dot
 
 
 def _matvec(M, x, part, stats=None, scatter=True):
@@ -294,3 +298,88 @@ class TestColumnBlocks:
         blocks = ColumnBlocks([np.eye(3), np.eye(3)], partition_columns(3, 2))
         with pytest.raises(ValueError):
             blocks.transpose_matvec(np.ones(3))
+
+
+def _symmetric_stack(kinds, n, rng):
+    """One symmetric ``n x n`` matrix per kind: Fortran-order dense, C-order dense or CSC."""
+    mats = []
+    for kind in kinds:
+        G = rng.standard_normal((n, n))
+        S = G + G.T
+        if kind == "csc":
+            mask = rng.random((n, n)) < 0.02
+            mats.append(sp.csc_matrix(S * (mask | mask.T)))
+        else:
+            mats.append(np.ascontiguousarray(S) if kind == "c-order" else np.asfortranarray(S))
+    return mats
+
+
+SYMMETRIC_STACKS = {
+    "dense": ("dense", "c-order", "dense", "dense", "c-order"),
+    "dense-csc": ("dense", "csc", "c-order", "csc"),
+}
+
+
+class TestSymmetricStack:
+    """``symmetric=True``: one worker spanning at least SYMMETRIC_MIN_COLS columns
+    multiplies each dense matrix by ``dsymv``; everything else is the generic stack."""
+
+    # 600 is not a multiple of 4
+    @pytest.mark.parametrize("n", [SYMMETRIC_MIN_COLS, 600])
+    @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
+    def test_one_worker_matches_per_matrix_products(self, kinds, n):
+        rng = np.random.default_rng(n)
+        mats = _symmetric_stack(kinds, n, rng)
+        x = rng.standard_normal(n)
+        stats = CommStats()
+        out = ColumnBlocks(mats, partition_columns(n, 1), symmetric=True).matvec(x, stats)
+        np.testing.assert_allclose(out, np.concatenate([M @ x for M in mats]), rtol=1e-12, atol=1e-12)
+        rows = len(mats) * n
+        assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 1,
+                                   "bytes_reduced": 8 * rows, "bytes_scattered": 8 * rows}
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("n", [SYMMETRIC_MIN_COLS, 600])
+    @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
+    def test_partitioned_is_the_generic_stack_bitwise(self, kinds, n, workers):
+        rng = np.random.default_rng(n + workers)
+        mats = _symmetric_stack(kinds, n, rng)
+        x = rng.standard_normal(n)
+        part = partition_columns(n, workers)
+        out = ColumnBlocks(mats, part, symmetric=True).matvec(x, CommStats())
+        assert out.tobytes() == ColumnBlocks(mats, part).matvec(x, CommStats()).tobytes()
+
+    @pytest.mark.parametrize("n, workers, one_triangle", [
+        (SYMMETRIC_MIN_COLS, 1, True),
+        (SYMMETRIC_MIN_COLS - 1, 1, False),
+        (SYMMETRIC_MIN_COLS, 2, False),
+    ])
+    def test_one_triangle_only_on_one_worker_from_min_cols(self, n, workers, one_triangle):
+        # a non-symmetric matrix shows which path ran: dsymv gives the product
+        # of one triangle symmetrised, the generic stack the matrix's own product
+        rng = np.random.default_rng(11)
+        M = np.asfortranarray(rng.standard_normal((n, n)))
+        x = rng.standard_normal(n)
+        out = ColumnBlocks([M], partition_columns(n, workers), symmetric=True).matvec(x, CommStats())
+        upper = np.triu(M) + np.triu(M, 1).T
+        lower = np.tril(M) + np.tril(M, -1).T
+        symmetrised = [S @ x for S in (upper, lower)]
+        if one_triangle:
+            assert any(np.allclose(out, y, rtol=1e-12, atol=1e-12) for y in symmetrised)
+        else:
+            np.testing.assert_allclose(out, M @ x, rtol=1e-12, atol=1e-12)
+
+    def test_small_solve_does_not_import_scipy_linalg(self):
+        # dsymv comes from scipy.linalg, imported only when a stack needs it:
+        # importing it raises the resident memory of a small solve by about 7 MB
+        code = (
+            "import sys\n"
+            "from qcqpd import RandomQcqpSpec, SolverConfig, gen_random_qcqp, solve\n"
+            "solve(gen_random_qcqp(RandomQcqpSpec(n1=160, m1=2, seed=0)), SolverConfig(n_workers=1))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
