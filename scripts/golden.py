@@ -2,8 +2,8 @@
 then sha256 of every generated problem file.
 
 Solves a fixed instance set (the toy, random n1=64 seeds 0-2, random n1=600
-seed 0, MKL seed 0, the infeasible and unbounded instances) at 1 and 3
-workers and prints one line per solve.  Then saves one problem file per
+seed 0, MKL seed 0 with either margin, the infeasible and unbounded
+instances) at 1 and 3 workers and prints one line per solve.  Then saves one problem file per
 generator family (random seed 0 with a box, MKL seed 0 with either margin,
 infeasible, unbounded) and prints one line per file.  Two commits whose
 outputs match line for line produce byte-identical solves and problem files.
@@ -38,6 +38,7 @@ def instances():
     # n1 >= 512: at one worker the Hessian products go through dsymv
     yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}
     yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}
+    yield "mkl-sm1-s0", build_mkl_qcqp(MklSpec(svm="sm1", seed=0))[0], {}
     yield "infeasible", gen_infeasible(64, seed=0), {"divergence_threshold": 1e4}
     yield "unbounded", gen_unbounded(64, seed=0), {}
 

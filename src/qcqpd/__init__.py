@@ -9,8 +9,6 @@ from .core import (
     analytic_comm_stats,
     compute_step_size,
     solve,
-    update_epsilons,
-    update_weights,
 )
 from .diagnostics import (
     ResidualReport,
@@ -68,8 +66,6 @@ __all__ = [
     "WeightMode",
     "solve",
     "compute_step_size",
-    "update_epsilons",
-    "update_weights",
     "analytic_comm_stats",
     "TerminationStatus",
     "ResidualReport",

@@ -21,13 +21,13 @@ collective per quantity: the stacked Hessian products, the constraint
 values and the equality rows.  The column blocks of the Hessians and of
 ``A`` are cut once per solve.
 
-The step size is recomputed every iteration as the minimum of eight
-bounds driven by precomputed Frobenius norms and the current iterate;
-each bound ``s`` owns a budget fraction ``eps_s`` of ``1 - eps0``, and a
-multiplicative weight rule shifts budget toward whichever bound is
-currently binding.  Scalars derived from reduced vectors (norms, the
-step size, the weights) are computed redundantly from the same reduced
-values, so every worker agrees on them bitwise.
+The step size is recomputed every iteration from eight bounds driven by
+precomputed Frobenius norms and the current iterate, each owning a share
+of the budget ``1 - EPS0``; :func:`adaptive_step_size` computes the fixed
+point of the paper's multiplicative weight rule for the shares in closed
+form.  ``EPS0 > 0`` keeps ``rho ||P0|| < 1``: at 1 the extragradient
+corrector stalls.  Scalars derived from reduced vectors (norms, the step
+size) are computed redundantly, so every worker agrees on them bitwise.
 """
 
 from __future__ import annotations
@@ -56,28 +56,24 @@ __all__ = [
     "projected_step",
     "state_bounds",
     "compute_step_size",
-    "update_epsilons",
-    "update_weights",
+    "adaptive_step_size",
     "analytic_comm_stats",
-    "WEIGHT_FLOOR",
+    "EPS0",
     "BIG_M",
 ]
 
-# Floor applied to weights after the multiplicative update so no eps_s can
-# underflow to exactly 0 (the step-size rule requires eps_s > 0).
-WEIGHT_FLOOR = 1e-12
+# The step-size bounds split the budget 1 - EPS0 (see the module docstring).
+EPS0 = 0.1
 
 # The step-size rule's "arbitrarily large" constraint bound (see
 # compute_step_size).
 BIG_M = 1e12
 
-N_STEP_COMPONENTS = 8
-
 _EMPTY = np.zeros(0)
 
 
 class WeightMode(enum.Enum):
-    """Budget allocation across the eight step-size bounds."""
+    """Budget split across the eight step-size bounds: adaptive, or ``(1 - EPS0) / 8`` each."""
 
     ADAPTIVE = "adaptive"
     EQUAL = "equal"
@@ -93,12 +89,13 @@ class SolverConfig:
     ``divergence_threshold`` is the ``res2`` level that flags suspected
     infeasibility, see :func:`qcqpd.diagnostics.classify_termination`.
     Both ``tol`` and ``divergence_threshold`` must be finite and > 0.
+    ``weight_mode`` splits the step-size budget ``1 - EPS0``, a constant:
+    at ``EPS0 = 0`` the step can reach ``rho ||P0|| = 1`` and stall.
     """
 
     tol: float = 1e-3
     max_iters: int = 200_000
     n_workers: int = 1
-    eps0: float = 0.0
     weight_mode: WeightMode = WeightMode.ADAPTIVE
     trace_every: int = 10
     divergence_threshold: float = 1e6
@@ -114,8 +111,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if not 0.0 <= self.eps0 < 1.0:
-            raise ValueError("eps0 must lie in [0, 1)")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
 
@@ -160,11 +155,12 @@ def projected_step(z, F, rho, lower, upper, out):
 def _root_rule(a, b, c):
     """Positive root of ``a t^2 + b t - c = 0`` for a, b >= 0, c > 0.
 
-    Degenerates to ``c / b`` when ``a = 0`` and to ``None`` when both
-    ``a`` and ``b`` vanish (callers substitute their own cap then).
+    ``2c / (b + sqrt(b^2 + 4ac))``, which does not cancel when ``b^2 >> 4ac``;
+    ``c / b`` when ``a = 0``, and ``None`` when both ``a`` and ``b`` vanish
+    (callers substitute their own cap then).
     """
     if a > 0.0:
-        return (-b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+        return 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))
     if b > 0.0:
         return c / b
     return None
@@ -219,22 +215,32 @@ def compute_step_size(problem, norms, x, lam, epsilons, cons, grad):
     return float(components.min()), components
 
 
-def update_epsilons(weights, eps0):
-    """Split the budget ``1 - eps0`` across the bounds proportionally to weight."""
-    w = np.asarray(weights, dtype=np.float64)
-    return (w / w.sum()) * (1.0 - eps0)
+def adaptive_step_size(problem, norms, x, lam, cons, grad):
+    """The largest step that any split of the budget ``1 - EPS0`` allows.
 
-
-def update_weights(rho, components, weights):
-    """Shrink each weight by the ratio of the chosen step to its own bound.
-
-    The binding component keeps its weight (ratio exactly 1); every other
-    weight shrinks, shifting budget toward the binding bound next
-    iteration.  Weights are floored at :data:`WEIGHT_FLOOR` so no eps_s
-    can underflow to zero.
+    Bound ``s`` of :func:`compute_step_size` allows ``rho`` when ``eps_s``
+    is at least ``need_s(rho)``: ``rho bound_den[s]`` for the static bounds,
+    ``max_i pi_scale_i (|cons_i| rho^2 + lam_i rho)`` for bound 2 (0 when
+    ``m1 = 0``), ``max(rho/2, S (||grad|| rho^2 + 2 ||x|| rho) / 2)`` for
+    bound 3 and ``rho ||x|| S`` for bound 5, with ``S = ||P_stacked||_F`` and
+    that formula's fallbacks.  Each need is a maximum of terms
+    ``alpha rho^2 + beta rho``, so ``sum_s need_s(rho) = 1 - EPS0`` at the
+    smallest positive root over the at most ``2 m1`` choices of terms,
+    capped at :data:`BIG_M`.  There every bound binds: the fixed point of
+    the paper's multiplicative weight rule.
     """
-    ratios = rho / np.asarray(components, dtype=np.float64)
-    return np.maximum(np.asarray(weights, dtype=np.float64) * ratios, WEIGHT_FLOOR)
+    stacked = norms.frob_P_stacked
+    x_norm = math.sqrt(x.dot(x))
+    beta = norms.static_den_sum + (x_norm * stacked if x_norm and stacked else 1.0)
+    bound3 = [(0.0, 0.5)]
+    if stacked:
+        bound3.append((0.5 * stacked * math.sqrt(grad.dot(grad)), stacked * x_norm))
+    bound2 = [(s * abs(a), s * b) for a, b, s in zip(cons.tolist(), lam.tolist(), norms.pi_scale)]
+    rho = BIG_M
+    for a2, b2 in bound2 or [(0.0, 0.0)]:
+        for a3, b3 in bound3:
+            rho = min(rho, _root_rule(a2 + a3, beta + b2 + b3, 1.0 - EPS0))
+    return rho
 
 
 # --- solve loop -------------------------------------------------------------
@@ -405,8 +411,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     x, u, lam, gam = at_z
     grad_x, grad_u, _, _ = f
 
-    weights = np.ones(N_STEP_COMPONENTS)
-    eps_equal = np.full(N_STEP_COMPONENTS, (1.0 - cfg.eps0) / N_STEP_COMPONENTS)
+    eps_equal = np.full(8, (1.0 - EPS0) / 8)
     adaptive = cfg.weight_mode is WeightMode.ADAPTIVE
 
     trace: list[TraceRow] = []
@@ -430,8 +435,8 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
         if callback is not None:
             callback(k, x, u, lam, gam)
 
-        eps = update_epsilons(weights, cfg.eps0) if adaptive else eps_equal
-        rho, comps = compute_step_size(p, norms, x, lam, eps, cons, grad_x)
+        rho = (adaptive_step_size(p, norms, x, lam, cons, grad_x) if adaptive
+               else compute_step_size(p, norms, x, lam, eps_equal, cons, grad_x)[0])
         rho_min = min(rho_min, rho)
         rho_max = max(rho_max, rho)
 
@@ -460,9 +465,6 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
         projected_step(z, F, rho, lower, upper, w)
         _pass(p, hessians, a_blocks, stats, at_w, f)
         projected_step(z, F, rho, lower, upper, z)
-
-        if adaptive:
-            weights = update_weights(rho, comps, weights)
         k += 1
 
     # every exit but divergence has just traced the returned iterate

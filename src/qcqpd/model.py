@@ -195,7 +195,7 @@ class ProblemNorms:
     ``bound_den`` holds, for each of the eight bounds, the divisor of its
     budget ``eps_s`` in the five static bounds ``eps_s / norm_s`` (bounds
     1, 4, 6, 7 and 8 on ``P0``, ``Q``, ``C``, ``A`` and ``B``; a zero norm
-    divides by 1) and 1 at the three bounds that depend on the iterate.
+    divides by 1), summed in ``static_den_sum``, and 1 at the other three.
     ``pi_scale`` holds ``m1 ||Pi||_F`` per constraint (``m1`` for a zero
     norm) as Python floats.
     """
@@ -208,6 +208,7 @@ class ProblemNorms:
     frob_A: float
     frob_B: float
     bound_den: np.ndarray
+    static_den_sum: float
     pi_scale: tuple
 
 
@@ -328,6 +329,7 @@ def compute_norms(problem: QcqpProblem) -> ProblemNorms:
     frob_P0, frob_Q, frob_C = _frob(p.P[0]), _frob(p.q[1:]), _frob(p.c[1:])
     frob_A, frob_B = _frob(p.A), _frob(p.B)
     den = np.array([frob_P0, 1.0, 1.0, frob_Q, 1.0, frob_C, frob_A, frob_B])
+    den[den == 0.0] = 1.0
     return ProblemNorms(
         frob_P0=frob_P0,
         frob_Pi=frob_Pi,
@@ -336,7 +338,8 @@ def compute_norms(problem: QcqpProblem) -> ProblemNorms:
         frob_C=frob_C,
         frob_A=frob_A,
         frob_B=frob_B,
-        bound_den=np.where(den != 0.0, den, 1.0),
+        bound_den=den,
+        static_den_sum=float(den[[0, 3, 5, 6, 7]].sum()),
         pi_scale=tuple(np.where(frob_Pi != 0.0, p.m1 * frob_Pi, p.m1).tolist()),
     )
 

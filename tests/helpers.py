@@ -94,6 +94,32 @@ def random_box_state(rng, problem, scale=1.0):
     return x, u, lam, gam
 
 
+def step_size_state(rng, trial):
+    """``(problem, x, u, lam, gam)`` for step-size checks, with degenerate cases by ``trial``.
+
+    ``m1 = 0`` at random; a zero ``P0`` every 5th trial, a zero ``q1`` every
+    7th (with ``m1 > 0``), ``x = 0`` and ``lam = 0`` every 11th and a zero
+    constraint-Hessian stack every 13th.
+    """
+    n1 = int(rng.integers(1, 9))
+    m1 = int(rng.integers(0, 4))
+    n2 = int(rng.integers(0, 3))
+    m2 = int(rng.integers(0, 3))
+    problem = random_problem(rng, n1=n1, m1=m1, n2=n2, m2=m2, box=2.0)
+    if trial % 5 == 0:
+        problem.P[0] = np.zeros((n1, n1))
+    if trial % 7 == 0 and m1:
+        problem.q[1] = np.zeros(n1)
+    if trial % 13 == 0:
+        for i in range(1, m1 + 1):
+            problem.P[i] = np.zeros((n1, n1))
+    x, u, lam, gam = random_box_state(rng, problem)
+    if trial % 11 == 0:
+        x = np.zeros(n1)
+        lam = np.zeros(m1)
+    return problem, x, u, lam, gam
+
+
 def operator(problem, x, u, lam, gam):
     """The saddle operator ``F = (grad_x L, grad_u L, -cons, -eq)`` at ``(x, u, lam, gam)``, by serial products."""
     p = problem

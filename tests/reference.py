@@ -168,6 +168,31 @@ def reference_step_size(problem, norms, x, lam, epsilons, cons, grad):
     return float(components.min()), components
 
 
+def reference_budget_needs(problem, norms, x, lam, cons, grad, rho):
+    """``need_s(rho)``: the least budget ``eps_s`` at which bound ``s`` of
+    :func:`reference_step_size` allows the step ``rho``, one bound at a time."""
+    p = problem
+
+    def static(norm):
+        return rho * norm if norm != 0.0 else rho
+
+    need2 = 0.0
+    for i in range(p.m1):
+        scale = p.m1 * norms.frob_Pi[i] if norms.frob_Pi[i] != 0.0 else p.m1
+        need2 = max(need2, scale * (abs(float(cons[i])) * rho**2 + float(lam[i]) * rho))
+
+    x_norm = float(np.linalg.norm(x))
+    stacked = norms.frob_P_stacked
+    if stacked == 0.0:
+        need3, need5 = rho / 2.0, rho
+    else:
+        need3 = max(rho / 2.0, stacked * (float(np.linalg.norm(grad)) * rho**2 + 2.0 * x_norm * rho) / 2.0)
+        need5 = rho if x_norm == 0.0 else rho * x_norm * stacked
+
+    return np.array([static(norms.frob_P0), need2, need3, static(norms.frob_Q), need5,
+                     static(norms.frob_C), static(norms.frob_A), static(norms.frob_B)])
+
+
 # --- kernels -----------------------------------------------------------------
 
 

@@ -24,12 +24,11 @@ from qcqpd import (
     gen_unbounded,
     kkt_residual_max,
     solve,
-    update_epsilons,
 )
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
-from qcqpd.core import BIG_M
-from helpers import operator, random_box_state, random_problem, step, toy_problem
-from reference import reference_solve_small
+from qcqpd.core import BIG_M, EPS0, adaptive_step_size
+from helpers import operator, random_box_state, random_problem, step, step_size_state, toy_problem
+from reference import reference_budget_needs, reference_solve_small
 
 
 def _verdict(name, ok, detail):
@@ -122,7 +121,7 @@ def _step_size_case_table(problem, norms, x, u, lam, eps, grad):
             else:
                 c_i = eps[1] / problem.m1
             if a_i > 0:
-                val = (-b_i + math.sqrt(b_i**2 + 4 * a_i * c_i)) / (2 * a_i)
+                val = 2 * c_i / (b_i + math.sqrt(b_i**2 + 4 * a_i * c_i))
             elif b_i > 0:
                 val = c_i / b_i
             else:
@@ -138,7 +137,7 @@ def _step_size_case_table(problem, norms, x, u, lam, eps, grad):
         b = 2 * float(np.linalg.norm(x))
         c = 2 * eps[2] / norms.frob_P_stacked
         if a > 0:
-            out[2] = min(2 * eps[2], (-b + math.sqrt(b**2 + 4 * a * c)) / (2 * a))
+            out[2] = min(2 * eps[2], 2 * c / (b + math.sqrt(b**2 + 4 * a * c)))
         elif b > 0:
             out[2] = min(2 * eps[2], c / b)
         else:
@@ -156,36 +155,28 @@ def _step_size_case_table(problem, norms, x, u, lam, eps, grad):
 def test_criterion_4_step_size_rule():
     rng = np.random.default_rng(4)
     worst_comp = 0.0
-    worst_eps = 0.0
+    worst_budget = 0.0
     for trial in range(1000):
-        n1 = int(rng.integers(1, 9))
-        m1 = int(rng.integers(0, 4))
-        n2 = int(rng.integers(0, 3))
-        m2 = int(rng.integers(0, 3))
-        problem = random_problem(rng, n1=n1, m1=m1, n2=n2, m2=m2, box=2.0)
-        if trial % 5 == 0:
-            problem.P[0] = np.zeros((n1, n1))  # exercise the zero-norm branches
-        if trial % 7 == 0 and m1:
-            problem.q[1] = np.zeros(n1)
-        x, u, lam, gam = random_box_state(rng, problem)
-        if trial % 11 == 0:
-            x = np.zeros(n1)
-            lam = np.zeros(m1)
-        eps0 = float(rng.uniform(0.0, 0.9))
-        eps = update_epsilons(rng.uniform(1e-6, 5.0, 8), eps0)
-        worst_eps = max(worst_eps, abs(eps.sum() - (1.0 - eps0)))
+        problem, x, u, lam, gam = step_size_state(rng, trial)
+        w = rng.uniform(1e-6, 5.0, 8)
+        eps = w / w.sum() * (1.0 - float(rng.uniform(0.0, 0.9)))
         norms = compute_norms(problem)
+        cons = problem.constraint_values(x, u)
         grad = problem.lagrangian_grad_x(x, lam, gam)
-        rho, comps = compute_step_size(problem, norms, x, lam, eps, problem.constraint_values(x, u), grad)
+        rho, comps = compute_step_size(problem, norms, x, lam, eps, cons, grad)
         assert rho == comps.min(), "rho must be the exact minimum of its components"
         expected = _step_size_case_table(problem, norms, x, u, lam, eps, grad)
         rel = np.abs(comps - expected) / np.maximum(np.abs(expected), 1e-300)
         worst_comp = max(worst_comp, float(rel.max()))
-    ok = worst_comp <= 1e-14 and worst_eps <= 1e-12
+        # the adaptive step spends exactly the budget 1 - EPS0
+        args = (problem, norms, x, lam, cons, grad)
+        needs = reference_budget_needs(*args, adaptive_step_size(*args))
+        worst_budget = max(worst_budget, abs(needs.sum() / (1.0 - EPS0) - 1.0))
+    ok = worst_comp <= 1e-14 and worst_budget <= 1e-12
     _verdict(
         "criterion 4 (step-size rule, 1000 states)",
         ok,
-        f"worst component rel err={worst_comp:.2e}, worst eps-sum err={worst_eps:.2e}",
+        f"worst component rel err={worst_comp:.2e}, worst adaptive budget rel err={worst_budget:.2e}",
     )
 
 

@@ -235,6 +235,10 @@ class TestSolveCommand:
         with pytest.raises(SystemExit):
             main(["solve", toy_file, "--frobnicate"])
 
+    def test_eps0_is_not_a_flag(self, toy_file):
+        with pytest.raises(SystemExit):
+            main(["solve", toy_file, "--eps0", "0.1"])
+
     def test_identical_runs_identical_outputs(self, toy_file, tmp_path):
         outputs = []
         for tag in ("a", "b"):

@@ -18,65 +18,56 @@ from qcqpd import (
     gen_infeasible,
     gen_unbounded,
     solve,
-    update_epsilons,
-    update_weights,
 )
-from qcqpd.core import BIG_M, WEIGHT_FLOOR, WeightMode
+from qcqpd.core import BIG_M, EPS0, WeightMode, _root_rule, adaptive_step_size
 from helpers import (
-    equality_problem, interior_problem, operator, random_box_state, random_problem, step, toy_problem,
+    equality_problem, interior_problem, operator, random_box_state, random_problem, step, step_size_state,
+    toy_problem,
 )
-from reference import project_box, reference_step_size
+from reference import project_box, reference_budget_needs, reference_step_size
 
 
-class TestEpsilonWeights:
-    def test_even_split(self):
-        np.testing.assert_allclose(update_epsilons(np.ones(8), 0.0), np.full(8, 0.125), rtol=0, atol=0)
+def _closed_form_states(n_states=300):
+    """``((problem, norms, x, lam, cons, grad), rho*)`` over :func:`step_size_state` draws."""
+    rng = np.random.default_rng(12)
+    for trial in range(n_states):
+        p, x, u, lam, gam = step_size_state(rng, trial)
+        norms = compute_norms(p)
+        args = (p, norms, x, lam, p.constraint_values(x, u), p.lagrangian_grad_x(x, lam, gam))
+        yield args, adaptive_step_size(*args)
 
-    def test_weighted_split(self):
-        eps = update_epsilons(np.array([1.0, 3.0, 1, 1, 1, 1, 1, 1]), 0.2)
-        assert eps[1] == pytest.approx(0.24, rel=1e-15)
-        np.testing.assert_allclose(np.delete(eps, 1), 0.08, rtol=1e-15)
 
-    def test_half_budget(self):
-        np.testing.assert_allclose(update_epsilons(np.ones(8), 0.5), np.full(8, 0.0625), rtol=1e-15)
+class TestAdaptiveStepSize:
+    def test_reference_rule_returns_the_closed_form(self):
+        # at the split eps_s = need_s(rho*) every bound allows rho* and one binds
+        for (p, norms, x, lam, cons, grad), rho in _closed_form_states():
+            eps = reference_budget_needs(p, norms, x, lam, cons, grad, rho)
+            ref_rho, _ = compute_step_size(p, norms, x, lam, eps, cons, grad)
+            assert ref_rho == pytest.approx(rho, rel=1e-12, abs=0)
 
-    def test_sum_conservation(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            w = rng.uniform(1e-12, 10.0, 8)
-            eps0 = rng.uniform(0.0, 0.99)
-            assert abs(update_epsilons(w, eps0).sum() - (1.0 - eps0)) <= 1e-12
+    def test_needs_fit_the_budget(self):
+        for args, rho in _closed_form_states():
+            assert reference_budget_needs(*args, rho).sum() <= (1.0 - EPS0) * (1.0 + 1e-12)
 
-    def test_weight_ratio_update(self):
-        w = update_weights(0.1, np.array([0.1, 0.2, 1, 1, 1, 1, 1, 1]), np.ones(8))
-        assert w[0] == 1.0
-        assert w[1] == pytest.approx(0.5, rel=1e-15)
+    def test_larger_step_exceeds_the_budget(self):
+        for args, rho in _closed_form_states():
+            assert reference_budget_needs(*args, 1.01 * rho).sum() > 1.0 - EPS0
 
-    def test_equal_components_leave_weights_unchanged(self):
-        w0 = np.full(8, 0.7)
-        np.testing.assert_array_equal(update_weights(0.3, np.full(8, 0.3), w0), w0)
+    def test_beats_the_equal_split(self):
+        eps = np.full(8, (1.0 - EPS0) / 8)
+        for (p, norms, x, lam, cons, grad), rho in _closed_form_states():
+            assert rho >= compute_step_size(p, norms, x, lam, eps, cons, grad)[0] * (1.0 - 1e-12)
 
-    def test_binding_component_keeps_weight_exactly(self):
-        comps = np.array([0.5, 0.01, 2.0, 3, 4, 5, 6, 7])
-        w = update_weights(comps.min(), comps, np.ones(8))
-        assert w[1] == 1.0
 
-    def test_floor_prevents_underflow(self):
-        comps = np.array([1e12, 1e-3, 1, 1, 1, 1, 1, 1])
-        w = update_weights(1e-3, comps, np.ones(8))
-        assert w[0] == WEIGHT_FLOOR  # raw ratio would be 1e-15
-        # the floored weights still yield a conserved epsilon budget
-        assert abs(update_epsilons(w, 0.0).sum() - 1.0) <= 1e-12
-
-    def test_sum_conserved_along_recursion(self):
-        rng = np.random.default_rng(1)
-        w = np.ones(8)
-        for _ in range(1000):
-            eps = update_epsilons(w, 0.1)
-            assert abs(eps.sum() - 0.9) <= 1e-12
-            comps = rng.uniform(1e-6, 1e12, 8)
-            w = update_weights(comps.min(), comps, w)
-            assert (w > 0).all()
+class TestRootRule:
+    @pytest.mark.parametrize("a, b, c", [
+        (1e-17, 1.0, 0.01),  # b^2 >> 4ac: (-b + sqrt(b^2 + 4ac)) / 2a cancels to 0
+        (1.0, 0.0, 4.0), (1.0, 2.0, 3.0), (0.0, 4.0, 2.0), (3.0, 1e-9, 1e6),
+    ])
+    def test_root_solves_the_quadratic(self, a, b, c):
+        t = _root_rule(a, b, c)
+        assert t > 0
+        assert a * t * t + b * t == pytest.approx(c, rel=1e-14)
 
 
 def _norm_problem(P0=None, P1=None, n1=1, q1=None, r1=0.0):
@@ -143,7 +134,8 @@ class TestStepSize:
         for _ in range(50):
             p = random_problem(rng, n1=6, m1=2, n2=1, m2=1, box=2.0)
             x, u, lam, gam = random_box_state(rng, p)
-            eps = update_epsilons(rng.uniform(0.1, 2.0, 8), 0.0)
+            w = rng.uniform(0.1, 2.0, 8)
+            eps = w / w.sum()
             rho, comps = _step_size(p, x, u, lam, gam, eps)
             assert rho == comps.min()
             assert rho > 0
@@ -171,7 +163,8 @@ class TestStepSize:
             x, u, lam, gam = random_box_state(rng, p)
             if trial % 7 == 0:
                 x, lam = np.zeros(p.n1), np.zeros(m1)
-            eps = update_epsilons(rng.uniform(1e-6, 5.0, 8), float(rng.uniform(0.0, 0.9)))
+            w = rng.uniform(1e-6, 5.0, 8)
+            eps = w / w.sum() * (1.0 - float(rng.uniform(0.0, 0.9)))
             norms = compute_norms(p)
             args = (p, norms, x, lam, eps, p.constraint_values(x, u), p.lagrangian_grad_x(x, lam, gam))
             rho, comps = compute_step_size(*args)
@@ -430,6 +423,17 @@ class TestSolve:
     def test_equal_weight_mode_runs(self):
         rep = solve(toy_problem(), SolverConfig(tol=1e-6, weight_mode=WeightMode.EQUAL))
         assert rep.status is TerminationStatus.CONVERGED
+
+    @pytest.mark.parametrize("P0", [1e6, 1e8, 1e10])
+    def test_stiff_objective_converges(self, P0):
+        # min P0 x^2 / 2 - 2x s.t. x^2 <= 1: the answer is 2/P0.  With a
+        # budget of 1 the step reaches rho P0 = 1 and the corrector stalls.
+        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[P0]], [[2.0]]], q=[[-2.0], [0.0]],
+                        c=[[], []], r=[0.0, -1.0], x_upper=[np.inf])
+        rep = solve(p, SolverConfig())
+        assert rep.status is TerminationStatus.CONVERGED
+        assert abs(rep.x[0] - 2.0 / P0) <= 1e-3 * 2.0 / P0
+        assert rep.rho_max * P0 <= 1.0 - EPS0
 
     def test_sparse_hessians_with_workers(self):
         import scipy.sparse as sp
