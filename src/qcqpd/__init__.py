@@ -5,9 +5,7 @@ optimality diagnostics."""
 from .core import (
     SolverConfig,
     SolveReport,
-    WeightMode,
     analytic_comm_stats,
-    compute_step_size,
     solve,
 )
 from .diagnostics import (
@@ -63,9 +61,7 @@ __all__ = [
     "partition_columns",
     "SolverConfig",
     "SolveReport",
-    "WeightMode",
     "solve",
-    "compute_step_size",
     "analytic_comm_stats",
     "TerminationStatus",
     "ResidualReport",

@@ -66,8 +66,6 @@ def build_parser():
     ps.add_argument("--tol", type=float)
     ps.add_argument("--max-iters", type=int)
     ps.add_argument("--workers", type=int, dest="n_workers", metavar="WORKERS")
-    ps.add_argument("--weights", choices=("adaptive", "equal"), dest="weight_mode")
-    ps.add_argument("--trace-every", type=int)
     ps.add_argument("--divergence-threshold", type=float)
     ps.add_argument("--report", default=None, help="write a solve report JSON here")
     ps.add_argument("--trace", default=None, help="write the residual trace CSV here")

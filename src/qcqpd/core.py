@@ -32,7 +32,6 @@ size) are computed redundantly, so every worker agrees on them bitwise.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,61 +47,53 @@ from .dist import ColumnBlocks, CommStats, dist_dot, partition_columns
 from .model import QcqpProblem, compute_norms
 
 __all__ = [
-    "WeightMode",
     "SolverConfig",
     "SolveReport",
     "TraceRow",
     "solve",
     "projected_step",
     "state_bounds",
-    "compute_step_size",
     "adaptive_step_size",
     "analytic_comm_stats",
     "EPS0",
     "BIG_M",
+    "TRACE_EVERY",
 ]
 
 # The step-size bounds split the budget 1 - EPS0 (see the module docstring).
 EPS0 = 0.1
 
-# The step-size rule's "arbitrarily large" constraint bound (see
-# compute_step_size).
+# The step size's cap (see adaptive_step_size).
 BIG_M = 1e12
 
+# The residual-check cadence in iterations: a check costs as much as an
+# update, so it is not done every iteration.  The classifier's window
+# counts checks, so it spans DIVERGENCE_WINDOW * TRACE_EVERY iterations.
+TRACE_EVERY = 10
+
 _EMPTY = np.zeros(0)
-
-
-class WeightMode(enum.Enum):
-    """Budget split across the eight step-size bounds: adaptive, or ``(1 - EPS0) / 8`` each."""
-
-    ADAPTIVE = "adaptive"
-    EQUAL = "equal"
 
 
 @dataclass
 class SolverConfig:
     """Solve parameters.
 
-    ``tol`` is the residual tolerance for convergence; ``trace_every``
-    the residual-check cadence in iterations (residual evaluation costs
-    as much as an update, so it is not done every iteration).
-    ``divergence_threshold`` is the ``res2`` level that flags suspected
-    infeasibility, see :func:`qcqpd.diagnostics.classify_termination`.
-    Both ``tol`` and ``divergence_threshold`` must be finite and > 0.
-    ``weight_mode`` splits the step-size budget ``1 - EPS0``, a constant:
-    at ``EPS0 = 0`` the step can reach ``rho ||P0|| = 1`` and stall.
+    ``tol`` is the residual tolerance for convergence, ``max_iters`` the
+    iteration cap and ``n_workers`` the number of column blocks ``x`` is
+    partitioned into.  ``divergence_threshold`` is the ``res2`` level that
+    flags suspected infeasibility, see
+    :func:`qcqpd.diagnostics.classify_termination`.  Both ``tol`` and
+    ``divergence_threshold`` must be finite and > 0.  The step-size budget
+    share :data:`EPS0` and the check cadence :data:`TRACE_EVERY` are
+    constants.
     """
 
     tol: float = 1e-3
     max_iters: int = 200_000
     n_workers: int = 1
-    weight_mode: WeightMode = WeightMode.ADAPTIVE
-    trace_every: int = 10
     divergence_threshold: float = 1e6
 
     def __post_init__(self):
-        if isinstance(self.weight_mode, str):
-            self.weight_mode = WeightMode(self.weight_mode)
         for name in ("tol", "divergence_threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -111,8 +102,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
 
 
 # --- the projected step ----------------------------------------------------
@@ -153,81 +142,40 @@ def projected_step(z, F, rho, lower, upper, out):
 
 
 def _root_rule(a, b, c):
-    """Positive root of ``a t^2 + b t - c = 0`` for a, b >= 0, c > 0.
+    """Positive root of ``a t^2 + b t - c = 0`` for a >= 0, b > 0, c > 0.
 
-    ``2c / (b + sqrt(b^2 + 4ac))``, which does not cancel when ``b^2 >> 4ac``;
-    ``c / b`` when ``a = 0``, and ``None`` when both ``a`` and ``b`` vanish
-    (callers substitute their own cap then).
+    ``2c / (b + sqrt(b^2 + 4ac))``, which does not cancel when ``b^2 >> 4ac``,
+    and ``c / b`` when ``a = 0``.  When ``b^2 + 4ac`` overflows (``b`` above
+    about 1e154) its root is taken as ``hypot(b, 2 sqrt(ac))``.
     """
     if a > 0.0:
-        return 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))
-    if b > 0.0:
-        return c / b
-    return None
-
-
-def compute_step_size(problem, norms, x, lam, epsilons, cons, grad):
-    """Evaluate the eight step-size bounds at the current iterate.
-
-    ``cons`` are the quadratic constraint values and ``grad`` the
-    Lagrangian gradient in ``x``, both at the iterate; ``epsilons`` holds
-    the eight budgets.
-
-    Returns ``(rho, components)`` with ``rho = min(components)`` exactly.
-    Five bounds are static ratios ``eps_s / norm`` (falling back to
-    ``eps_s`` when the norm vanishes), one vector division by
-    ``norms.bound_den``; the remaining three depend on the iterate:
-
-    * per-constraint quadratic-root bound with ``a_i`` the absolute
-      constraint value, ``b_i = lam_i``, ``c_i = eps_2 / (m1 ||Pi||_F)``
-      (minimum over constraints; the arbitrarily large :data:`BIG_M` when
-      a constraint has ``a_i = b_i = 0``, and :data:`BIG_M` outright when
-      ``m1 = 0``),
-    * a quadratic-root bound capped at ``2 eps_3`` with ``a`` the
-      Lagrangian-gradient norm, ``b = 2 ||x||`` and ``c`` scaled by the
-      stacked constraint-Hessian norm,
-    * ``eps_5 / (||x|| ||P_stacked||)``.
-
-    When the stacked norm is zero (no quadratic constraints: a plain QP)
-    the latter two degenerate to their ``c -> inf`` limits ``2 eps_3``
-    and ``eps_5``.
-    """
-    eps = np.asarray(epsilons, dtype=np.float64)
-    components = eps / norms.bound_den
-    _, e2, e3, _, e5, _, _, _ = eps.tolist()
-
-    rho2 = BIG_M if problem.m1 == 0 else math.inf
-    for a, b, scale in zip(cons.tolist(), lam.tolist(), norms.pi_scale):
-        r = _root_rule(abs(a), b, e2 / scale)
-        rho2 = min(rho2, BIG_M if r is None else r)
-
-    x_norm = math.sqrt(x.dot(x))  # what np.linalg.norm computes, without its wrapper
-    stacked = norms.frob_P_stacked
-    if stacked == 0.0:
-        rho3 = 2.0 * e3
-        rho5 = e5
-    else:
-        r = _root_rule(math.sqrt(grad.dot(grad)), 2.0 * x_norm, 2.0 * e3 / stacked)
-        rho3 = 2.0 * e3 if r is None else min(2.0 * e3, r)
-        rho5 = e5 if x_norm == 0.0 else e5 / (x_norm * stacked)
-
-    components[1], components[2], components[4] = rho2, rho3, rho5
-    return float(components.min()), components
+        d = b * b + 4.0 * a * c
+        return 2.0 * c / (b + (math.sqrt(d) if d < math.inf else math.hypot(b, 2.0 * math.sqrt(a * c))))
+    return c / b
 
 
 def adaptive_step_size(problem, norms, x, lam, cons, grad):
     """The largest step that any split of the budget ``1 - EPS0`` allows.
 
-    Bound ``s`` of :func:`compute_step_size` allows ``rho`` when ``eps_s``
-    is at least ``need_s(rho)``: ``rho bound_den[s]`` for the static bounds,
-    ``max_i pi_scale_i (|cons_i| rho^2 + lam_i rho)`` for bound 2 (0 when
-    ``m1 = 0``), ``max(rho/2, S (||grad|| rho^2 + 2 ||x|| rho) / 2)`` for
-    bound 3 and ``rho ||x|| S`` for bound 5, with ``S = ||P_stacked||_F`` and
-    that formula's fallbacks.  Each need is a maximum of terms
+    ``cons`` are the quadratic constraint values and ``grad`` the
+    Lagrangian gradient in ``x``, both at the iterate.  Each of the eight
+    step-size bounds owns a share ``eps_s`` of the budget and allows
+    ``rho`` when ``eps_s`` is at least ``need_s(rho)``:
+
+    * bounds 1, 4, 6, 7 and 8, static ratios on ``P0``, ``Q``, ``C``, ``A``
+      and ``B``: ``rho ||M||_F`` (``rho`` for a zero norm), summed over the
+      five in ``norms.static_den_sum``;
+    * bound 2, per quadratic constraint: ``max_i pi_scale_i (|cons_i| rho^2
+      + lam_i rho)``, 0 when ``m1 = 0``;
+    * bound 3: ``max(rho/2, S (||grad|| rho^2 + 2 ||x|| rho) / 2)``;
+    * bound 5: ``rho ||x|| S`` (``rho`` when ``||x|| S = 0``),
+
+    with ``S = ||P_stacked||_F``.  Each need is a maximum of terms
     ``alpha rho^2 + beta rho``, so ``sum_s need_s(rho) = 1 - EPS0`` at the
     smallest positive root over the at most ``2 m1`` choices of terms,
     capped at :data:`BIG_M`.  There every bound binds: the fixed point of
-    the paper's multiplicative weight rule.
+    the paper's multiplicative weight rule.  The ``beta`` of every root is at
+    least ``static_den_sum > 0``.
     """
     stacked = norms.frob_P_stacked
     x_norm = math.sqrt(x.dot(x))
@@ -380,7 +328,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     iteration at the current iterate, including the final one; the arrays
     are live views of the state vector and must be copied if stored.
 
-    Termination: residuals are evaluated every ``trace_every`` iterations,
+    Termination: residuals are evaluated every :data:`TRACE_EVERY` iterations,
     each check is appended to the trace as a :class:`TraceRow`, and the
     trace is classified (converged / infeasibility suspected /
     unboundedness suspected); the loop also stops on iterate overflow
@@ -411,9 +359,6 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     x, u, lam, gam = at_z
     grad_x, grad_u, _, _ = f
 
-    eps_equal = np.full(8, (1.0 - EPS0) / 8)
-    adaptive = cfg.weight_mode is WeightMode.ADAPTIVE
-
     trace: list[TraceRow] = []
     rho = math.nan
     rho_min = math.inf
@@ -435,14 +380,13 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
         if callback is not None:
             callback(k, x, u, lam, gam)
 
-        rho = (adaptive_step_size(p, norms, x, lam, cons, grad_x) if adaptive
-               else compute_step_size(p, norms, x, lam, eps_equal, cons, grad_x)[0])
+        rho = adaptive_step_size(p, norms, x, lam, cons, grad_x)
         rho_min = min(rho_min, rho)
         rho_max = max(rho_max, rho)
 
         # residual check on the cadence and at the iteration cap; only a
         # check on the cadence is classified
-        on_cadence = k % cfg.trace_every == 0
+        on_cadence = k % TRACE_EVERY == 0
         if on_cadence or k >= cfg.max_iters:
             rep = compute_residuals(p, x, u, lam, gam, grad_x=grad_x, grad_u=grad_u, cons=cons, eq=eq)
             res1, res2 = rep.res1, rep.res2

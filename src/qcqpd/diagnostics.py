@@ -33,8 +33,9 @@ __all__ = [
 ]
 
 
-# Residual checks a suspected-pathology pattern must span, and the largest
-# relative spread of res1 over them that still counts as a plateau.
+# Residual checks a suspected-pathology pattern must span (500 iterations at
+# qcqpd.core.TRACE_EVERY), and the largest relative spread of res1 over them
+# that still counts as a plateau.
 DIVERGENCE_WINDOW = 50
 PLATEAU_REL_CHANGE = 1e-6
 

@@ -192,12 +192,11 @@ class ProblemNorms:
     matrices ``(P1; ...; Pm1)``; ``frob_Q`` / ``frob_C`` stack the
     constraint vectors ``qi`` / ``ci`` (i >= 1) as rows.
 
-    ``bound_den`` holds, for each of the eight bounds, the divisor of its
-    budget ``eps_s`` in the five static bounds ``eps_s / norm_s`` (bounds
-    1, 4, 6, 7 and 8 on ``P0``, ``Q``, ``C``, ``A`` and ``B``; a zero norm
-    divides by 1), summed in ``static_den_sum``, and 1 at the other three.
-    ``pi_scale`` holds ``m1 ||Pi||_F`` per constraint (``m1`` for a zero
-    norm) as Python floats.
+    ``static_den_sum`` sums the norms of the five static bounds (bounds 1,
+    4, 6, 7 and 8 on ``P0``, ``Q``, ``C``, ``A`` and ``B``), a zero norm
+    counting as 1.  ``pi_scale`` holds ``m1 ||Pi||_F`` per constraint
+    (``m1`` for a zero norm) as Python floats.  See
+    :func:`qcqpd.core.adaptive_step_size`.
     """
 
     frob_P0: float
@@ -207,15 +206,26 @@ class ProblemNorms:
     frob_C: float
     frob_A: float
     frob_B: float
-    bound_den: np.ndarray
     static_den_sum: float
     pi_scale: tuple
 
 
 def _frob(M) -> float:
-    if sp.issparse(M):
-        return math.sqrt(M.multiply(M).sum())
-    return float(np.linalg.norm(M, "fro")) if M.ndim == 2 else float(np.linalg.norm(M))
+    """Frobenius norm of a matrix, 2-norm of a vector.
+
+    The entries are squared as they are; only when that overflows (an entry
+    above about 1.3e154) is ``M`` rescaled by its largest magnitude first.
+    """
+    with np.errstate(over="ignore"):
+        if sp.issparse(M):
+            norm = math.sqrt(M.multiply(M).sum())
+        else:
+            norm = float(np.linalg.norm(M, "fro")) if M.ndim == 2 else float(np.linalg.norm(M))
+    if norm == math.inf:
+        scale = float(abs(M).max())
+        if scale < math.inf:
+            norm = scale * _frob(M / scale)
+    return norm
 
 
 def _asymmetry(M) -> float:
@@ -328,7 +338,7 @@ def compute_norms(problem: QcqpProblem) -> ProblemNorms:
     frob_Pi = np.array([_frob(p.P[i]) for i in range(1, p.m1 + 1)])
     frob_P0, frob_Q, frob_C = _frob(p.P[0]), _frob(p.q[1:]), _frob(p.c[1:])
     frob_A, frob_B = _frob(p.A), _frob(p.B)
-    den = np.array([frob_P0, 1.0, 1.0, frob_Q, 1.0, frob_C, frob_A, frob_B])
+    den = np.array([frob_P0, frob_Q, frob_C, frob_A, frob_B])
     den[den == 0.0] = 1.0
     return ProblemNorms(
         frob_P0=frob_P0,
@@ -338,8 +348,7 @@ def compute_norms(problem: QcqpProblem) -> ProblemNorms:
         frob_C=frob_C,
         frob_A=frob_A,
         frob_B=frob_B,
-        bound_den=den,
-        static_den_sum=float(den[[0, 3, 5, 6, 7]].sum()),
+        static_den_sum=float(den.sum()),
         pi_scale=tuple(np.where(frob_Pi != 0.0, p.m1 * frob_Pi, p.m1).tolist()),
     )
 

@@ -4,7 +4,11 @@
   dense instances, unrelated to the predictor-corrector path, so
   agreement with :func:`qcqpd.solve` is an independent check;
 * :func:`reference_step_size`, the eight step-size bounds one bound at a
-  time, which :func:`qcqpd.compute_step_size` must reproduce bit for bit;
+  time for a given budget split.  At the split
+  :func:`reference_budget_needs` gives it must return the closed-form
+  :func:`qcqpd.core.adaptive_step_size`, and at the even split
+  (:func:`even_split_step_size`) it is the baseline the adaptive split is
+  measured against;
 * :func:`kernel_eval`, the kernel value of one pair of points, which the
   vectorized :func:`qcqpd.generators.gram_matrix` must reproduce entry by
   entry;
@@ -17,7 +21,7 @@ import math
 import numpy as np
 
 from qcqpd import kkt_residual_max
-from qcqpd.core import BIG_M, _root_rule
+from qcqpd.core import BIG_M, EPS0, _root_rule
 from qcqpd.generators import Kernel
 
 
@@ -132,8 +136,22 @@ def reference_solve_small(problem, tol=1e-6):
 def reference_step_size(problem, norms, x, lam, epsilons, cons, grad):
     """``(rho, components)`` of the eight step-size bounds, each bound on its own.
 
-    The same arithmetic as :func:`qcqpd.compute_step_size`, one scalar
-    division per static bound and ``np.linalg.norm`` for the norms.
+    ``epsilons`` holds the eight budgets ``eps_s``.  Five bounds are static
+    ratios ``eps_s / norm`` (``eps_s`` when the norm vanishes); the other
+    three depend on the iterate:
+
+    * per-constraint quadratic-root bound with ``a_i`` the absolute
+      constraint value, ``b_i = lam_i``, ``c_i = eps_2 / (m1 ||Pi||_F)``
+      (minimum over constraints; the arbitrarily large :data:`BIG_M` when
+      a constraint has ``a_i = b_i = 0``, and outright when ``m1 = 0``),
+    * a quadratic-root bound capped at ``2 eps_3`` with ``a`` the
+      Lagrangian-gradient norm, ``b = 2 ||x||`` and ``c`` scaled by the
+      stacked constraint-Hessian norm (the cap alone when ``a = b = 0``),
+    * ``eps_5 / (||x|| ||P_stacked||)``.
+
+    When the stacked norm is zero (no quadratic constraints: a plain QP)
+    the latter two degenerate to their ``c -> inf`` limits ``2 eps_3`` and
+    ``eps_5``.
     """
     p = problem
     e1, e2, e3, e4, e5, e6, e7, e8 = (float(e) for e in epsilons)
@@ -147,16 +165,16 @@ def reference_step_size(problem, norms, x, lam, epsilons, cons, grad):
         for i in range(p.m1):
             nPi = norms.frob_Pi[i]
             ci = e2 / (p.m1 * nPi) if nPi != 0.0 else e2 / p.m1
-            ri = _root_rule(abs(float(cons[i])), float(lam[i]), ci)
-            rho2 = min(rho2, BIG_M if ri is None else ri)
+            a, b = abs(float(cons[i])), float(lam[i])
+            rho2 = min(rho2, _root_rule(a, b, ci) if a or b else BIG_M)
 
     x_norm = float(np.linalg.norm(x))
     if norms.frob_P_stacked == 0.0:
         rho3 = 2.0 * e3
         rho5 = e5
     else:
-        r = _root_rule(float(np.linalg.norm(grad)), 2.0 * x_norm, 2.0 * e3 / norms.frob_P_stacked)
-        rho3 = 2.0 * e3 if r is None else min(2.0 * e3, r)
+        a, b = float(np.linalg.norm(grad)), 2.0 * x_norm
+        rho3 = min(2.0 * e3, _root_rule(a, b, 2.0 * e3 / norms.frob_P_stacked)) if a or b else 2.0 * e3
         rho5 = e5 if x_norm == 0.0 else e5 / (x_norm * norms.frob_P_stacked)
 
     rho4 = e4 / norms.frob_Q if norms.frob_Q != 0.0 else e4
@@ -166,6 +184,18 @@ def reference_step_size(problem, norms, x, lam, epsilons, cons, grad):
 
     components = np.array([rho1, rho2, rho3, rho4, rho5, rho6, rho7, rho8])
     return float(components.min()), components
+
+
+EVEN_SPLIT = np.full(8, (1.0 - EPS0) / 8)
+
+
+def even_split_step_size(problem, norms, x, lam, cons, grad):
+    """The step size at the even split ``(1 - EPS0) / 8`` of the budget.
+
+    Takes the arguments of :func:`qcqpd.core.adaptive_step_size`, so a test
+    can put it in that function's place to solve with the even split.
+    """
+    return reference_step_size(problem, norms, x, lam, EVEN_SPLIT, cons, grad)[0]
 
 
 def reference_budget_needs(problem, norms, x, lam, cons, grad, rho):

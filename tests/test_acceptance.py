@@ -18,7 +18,6 @@ from qcqpd import (
     analytic_comm_stats,
     build_mkl_qcqp,
     compute_norms,
-    compute_step_size,
     gen_infeasible,
     gen_random_qcqp,
     gen_unbounded,
@@ -26,9 +25,10 @@ from qcqpd import (
     solve,
 )
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
+import qcqpd.core
 from qcqpd.core import BIG_M, EPS0, adaptive_step_size
 from helpers import operator, random_box_state, random_problem, step, step_size_state, toy_problem
-from reference import reference_budget_needs, reference_solve_small
+from reference import even_split_step_size, reference_budget_needs, reference_solve_small
 
 
 def _verdict(name, ok, detail):
@@ -154,29 +154,27 @@ def _step_size_case_table(problem, norms, x, u, lam, eps, grad):
 
 def test_criterion_4_step_size_rule():
     rng = np.random.default_rng(4)
-    worst_comp = 0.0
+    worst_rho = 0.0
     worst_budget = 0.0
     for trial in range(1000):
         problem, x, u, lam, gam = step_size_state(rng, trial)
-        w = rng.uniform(1e-6, 5.0, 8)
-        eps = w / w.sum() * (1.0 - float(rng.uniform(0.0, 0.9)))
         norms = compute_norms(problem)
         cons = problem.constraint_values(x, u)
         grad = problem.lagrangian_grad_x(x, lam, gam)
-        rho, comps = compute_step_size(problem, norms, x, lam, eps, cons, grad)
-        assert rho == comps.min(), "rho must be the exact minimum of its components"
-        expected = _step_size_case_table(problem, norms, x, u, lam, eps, grad)
-        rel = np.abs(comps - expected) / np.maximum(np.abs(expected), 1e-300)
-        worst_comp = max(worst_comp, float(rel.max()))
-        # the adaptive step spends exactly the budget 1 - EPS0
         args = (problem, norms, x, lam, cons, grad)
-        needs = reference_budget_needs(*args, adaptive_step_size(*args))
+        rho = adaptive_step_size(*args)
+        # at the split eps_s = need_s(rho) every bound of the table allows
+        # rho and one binds, so the table's minimum is rho
+        needs = reference_budget_needs(*args, rho)
+        table_rho = _step_size_case_table(problem, norms, x, u, lam, needs, grad).min()
+        worst_rho = max(worst_rho, abs(table_rho / rho - 1.0))
+        # the adaptive step spends exactly the budget 1 - EPS0
         worst_budget = max(worst_budget, abs(needs.sum() / (1.0 - EPS0) - 1.0))
-    ok = worst_comp <= 1e-14 and worst_budget <= 1e-12
+    ok = worst_rho <= 1e-12 and worst_budget <= 1e-12
     _verdict(
         "criterion 4 (step-size rule, 1000 states)",
         ok,
-        f"worst component rel err={worst_comp:.2e}, worst adaptive budget rel err={worst_budget:.2e}",
+        f"worst case-table rho rel err={worst_rho:.2e}, worst adaptive budget rel err={worst_budget:.2e}",
     )
 
 
@@ -244,10 +242,12 @@ def test_criterion_5_proximal_equivalence():
     _verdict("criterion 5 (proximal equivalence, 200 states)", ok, f"worst interior FOC residual={worst_interior:.2e}")
 
 
-def test_criterion_6_adaptive_vs_equal_weights():
+def test_criterion_6_adaptive_vs_equal_weights(monkeypatch):
     problem = gen_random_qcqp(RandomQcqpSpec(n1=256, m1=1, seed=6))
-    adaptive = solve(problem, SolverConfig(tol=1e-3, weight_mode="adaptive"))
-    equal = solve(problem, SolverConfig(tol=1e-3, weight_mode="equal"))
+    adaptive = solve(problem, SolverConfig(tol=1e-3))
+    # the even split (1 - EPS0) / 8 of the budget, in the solver's step-size slot
+    monkeypatch.setattr(qcqpd.core, "adaptive_step_size", even_split_step_size)
+    equal = solve(problem, SolverConfig(tol=1e-3))
     ok = (
         adaptive.status is TerminationStatus.CONVERGED
         and equal.status is TerminationStatus.CONVERGED

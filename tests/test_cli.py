@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +13,7 @@ import pytest
 
 import qcqpd
 from qcqpd import SolverConfig, load_problem, save_problem, solve, validate
-from qcqpd.cli import main
+from qcqpd.cli import build_parser, main
 from helpers import toy_problem, write_members
 
 
@@ -235,9 +237,19 @@ class TestSolveCommand:
         with pytest.raises(SystemExit):
             main(["solve", toy_file, "--frobnicate"])
 
-    def test_eps0_is_not_a_flag(self, toy_file):
+    @pytest.mark.parametrize("flags", [["--eps0", "0.1"], ["--weights", "equal"], ["--trace-every", "5"]],
+                             ids=["eps0", "weights", "trace-every"])
+    def test_removed_setting_is_not_a_flag(self, toy_file, flags):
         with pytest.raises(SystemExit):
-            main(["solve", toy_file, "--eps0", "0.1"])
+            main(["solve", toy_file, *flags])
+
+    def test_solver_flags_are_the_config_fields(self):
+        # a solver flag is stored under its field name only when given; the
+        # other options (output paths, help) have defaults of their own
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [a.dest for a in sub.choices["solve"]._actions
+                 if a.option_strings and a.default is argparse.SUPPRESS and not isinstance(a, argparse._HelpAction)]
+        assert sorted(flags) == sorted(f.name for f in dataclasses.fields(SolverConfig))
 
     def test_identical_runs_identical_outputs(self, toy_file, tmp_path):
         outputs = []

@@ -191,6 +191,13 @@ class TestNorms:
         norms = compute_norms(_simple_problem([np.eye(2)]))
         assert norms.frob_P0 == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_huge_entries_have_a_finite_norm(self, sparse):
+        # squaring 1e200 overflows; the norm itself is representable
+        M = np.diag([1e200, 1e200])
+        norms = compute_norms(_simple_problem([sp.csc_matrix(M) if sparse else M]))
+        assert norms.frob_P0 == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
     def test_empty_stacks_are_zero(self):
         norms = compute_norms(_simple_problem([np.eye(2)]))
         assert norms.frob_P_stacked == 0.0
