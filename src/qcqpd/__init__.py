@@ -36,10 +36,8 @@ from .generators import (
 )
 from .model import (
     ProblemFormatError,
-    ProblemNorms,
     QcqpProblem,
     ValidationReport,
-    compute_norms,
     load_problem,
     save_problem,
     validate,
@@ -49,11 +47,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QcqpProblem",
-    "ProblemNorms",
     "ValidationReport",
     "ProblemFormatError",
     "validate",
-    "compute_norms",
     "load_problem",
     "save_problem",
     "ColumnPartition",

@@ -22,18 +22,20 @@ values and the equality rows.  The column blocks of the Hessians and of
 ``A`` are cut once per solve.
 
 The step size is recomputed every iteration from eight bounds driven by
-precomputed Frobenius norms and the current iterate, each owning a share
-of the budget ``1 - EPS0``; :func:`adaptive_step_size` computes the fixed
-point of the paper's multiplicative weight rule for the shares in closed
-form.  ``EPS0 > 0`` keeps ``rho ||P0|| < 1``: at 1 the extragradient
-corrector stalls.  Scalars derived from reduced vectors (norms, the step
-size) are computed redundantly, so every worker agrees on them bitwise.
+three per-solve norm constants (:class:`ProblemNorms`) and the current
+iterate, each owning a share of the budget ``1 - EPS0``;
+:func:`adaptive_step_size` computes the fixed point of the paper's
+multiplicative weight rule for the shares in closed form.  ``EPS0 > 0``
+keeps ``rho ||P0|| < 1``: at 1 the extragradient corrector stalls.
+Scalars derived from reduced vectors (norms, the step size) are computed
+redundantly, so every worker agrees on them bitwise.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +46,7 @@ from .diagnostics import (
     compute_residuals,
 )
 from .dist import ColumnBlocks, CommStats, dist_dot, partition_columns
-from .model import QcqpProblem, compute_norms
+from .model import QcqpProblem, _frob
 
 __all__ = [
     "SolverConfig",
@@ -53,6 +55,8 @@ __all__ = [
     "solve",
     "projected_step",
     "state_bounds",
+    "ProblemNorms",
+    "compute_norms",
     "adaptive_step_size",
     "analytic_comm_stats",
     "EPS0",
@@ -80,8 +84,8 @@ class SolverConfig:
 
     ``tol`` is the residual tolerance for convergence, ``max_iters`` the
     iteration cap and ``n_workers`` the number of column blocks ``x`` is
-    partitioned into.  ``divergence_threshold`` is the ``res2`` level that
-    flags suspected infeasibility, see
+    partitioned into; both are integers >= 1.  ``divergence_threshold`` is
+    the ``res2`` level that flags suspected infeasibility, see
     :func:`qcqpd.diagnostics.classify_termination`.  Both ``tol`` and
     ``divergence_threshold`` must be finite and > 0.  The step-size budget
     share :data:`EPS0` and the check cadence :data:`TRACE_EVERY` are
@@ -98,10 +102,12 @@ class SolverConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+        for name in ("max_iters", "n_workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 # --- the projected step ----------------------------------------------------
@@ -154,13 +160,50 @@ def _root_rule(a, b, c):
     return c / b
 
 
-def adaptive_step_size(problem, norms, x, lam, cons, grad):
+@dataclass(frozen=True)
+class ProblemNorms:
+    """The three per-solve constants of :func:`adaptive_step_size`.
+
+    ``stacked`` is ``||(P1; ...; Pm1)||_F``, the norm of the stacked
+    constraint Hessians (0 when ``m1 = 0``).  ``static_den_sum`` sums the
+    Frobenius norms of the five static bounds' matrices ``P0``, ``Q``,
+    ``C``, ``A`` and ``B`` (``Q`` and ``C`` stack ``qi`` and ``ci``,
+    ``i >= 1``, as rows), a zero norm counting as 1.  ``pi_scale`` holds
+    ``m1 ||Pi||_F`` per quadratic constraint (``m1`` for a zero norm) as
+    Python floats.
+    """
+
+    stacked: float
+    static_den_sum: float
+    pi_scale: tuple
+
+
+def compute_norms(problem: QcqpProblem) -> ProblemNorms:
+    """The norms :func:`adaptive_step_size` reads, once per solve.
+
+    Every norm is :func:`qcqpd.model._frob`, which rescales when squaring
+    overflows; the stacked norm is taken over the per-constraint norms, so
+    it is finite whenever they are.
+    """
+    p = problem
+    pi_norms = np.array([_frob(p.P[i]) for i in range(1, p.m1 + 1)])
+    den = np.array([_frob(M) for M in (p.P[0], p.q[1:], p.c[1:], p.A, p.B)])
+    den[den == 0.0] = 1.0
+    return ProblemNorms(
+        stacked=_frob(pi_norms),
+        static_den_sum=float(den.sum()),
+        pi_scale=tuple(np.where(pi_norms != 0.0, p.m1 * pi_norms, p.m1).tolist()),
+    )
+
+
+def adaptive_step_size(norms, x, lam, cons, grad):
     """The largest step that any split of the budget ``1 - EPS0`` allows.
 
-    ``cons`` are the quadratic constraint values and ``grad`` the
-    Lagrangian gradient in ``x``, both at the iterate.  Each of the eight
-    step-size bounds owns a share ``eps_s`` of the budget and allows
-    ``rho`` when ``eps_s`` is at least ``need_s(rho)``:
+    ``norms`` are the solve's :class:`ProblemNorms`; ``cons`` are the
+    quadratic constraint values and ``grad`` the Lagrangian gradient in
+    ``x``, both at the iterate.  Each of the eight step-size bounds owns a
+    share ``eps_s`` of the budget and allows ``rho`` when ``eps_s`` is at
+    least ``need_s(rho)``:
 
     * bounds 1, 4, 6, 7 and 8, static ratios on ``P0``, ``Q``, ``C``, ``A``
       and ``B``: ``rho ||M||_F`` (``rho`` for a zero norm), summed over the
@@ -170,14 +213,14 @@ def adaptive_step_size(problem, norms, x, lam, cons, grad):
     * bound 3: ``max(rho/2, S (||grad|| rho^2 + 2 ||x|| rho) / 2)``;
     * bound 5: ``rho ||x|| S`` (``rho`` when ``||x|| S = 0``),
 
-    with ``S = ||P_stacked||_F``.  Each need is a maximum of terms
+    with ``S = norms.stacked``.  Each need is a maximum of terms
     ``alpha rho^2 + beta rho``, so ``sum_s need_s(rho) = 1 - EPS0`` at the
     smallest positive root over the at most ``2 m1`` choices of terms,
     capped at :data:`BIG_M`.  There every bound binds: the fixed point of
     the paper's multiplicative weight rule.  The ``beta`` of every root is at
     least ``static_den_sum > 0``.
     """
-    stacked = norms.frob_P_stacked
+    stacked = norms.stacked
     x_norm = math.sqrt(x.dot(x))
     beta = norms.static_den_sum + (x_norm * stacked if x_norm and stacked else 1.0)
     bound3 = [(0.0, 0.5)]
@@ -380,7 +423,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
         if callback is not None:
             callback(k, x, u, lam, gam)
 
-        rho = adaptive_step_size(p, norms, x, lam, cons, grad_x)
+        rho = adaptive_step_size(norms, x, lam, cons, grad_x)
         rho_min = min(rho_min, rho)
         rho_max = max(rho_max, rho)
 

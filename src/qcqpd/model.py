@@ -28,11 +28,9 @@ import scipy.sparse as sp
 
 __all__ = [
     "QcqpProblem",
-    "ProblemNorms",
     "ValidationReport",
     "ProblemFormatError",
     "validate",
-    "compute_norms",
     "load_problem",
     "load_point",
     "save_problem",
@@ -184,32 +182,6 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class ProblemNorms:
-    """Frobenius norms used by the adaptive step-size rule, and its per-solve constants.
-
-    ``frob_P_stacked`` is the norm of the vertically stacked constraint
-    matrices ``(P1; ...; Pm1)``; ``frob_Q`` / ``frob_C`` stack the
-    constraint vectors ``qi`` / ``ci`` (i >= 1) as rows.
-
-    ``static_den_sum`` sums the norms of the five static bounds (bounds 1,
-    4, 6, 7 and 8 on ``P0``, ``Q``, ``C``, ``A`` and ``B``), a zero norm
-    counting as 1.  ``pi_scale`` holds ``m1 ||Pi||_F`` per constraint
-    (``m1`` for a zero norm) as Python floats.  See
-    :func:`qcqpd.core.adaptive_step_size`.
-    """
-
-    frob_P0: float
-    frob_Pi: np.ndarray
-    frob_P_stacked: float
-    frob_Q: float
-    frob_C: float
-    frob_A: float
-    frob_B: float
-    static_den_sum: float
-    pi_scale: tuple
-
-
 def _frob(M) -> float:
     """Frobenius norm of a matrix, 2-norm of a vector.
 
@@ -327,30 +299,6 @@ def validate(problem: QcqpProblem) -> ValidationReport:
     if bad.size:
         v.append(f"x_upper must be > 0; offending indices {bad[:5].tolist()}")
     return ValidationReport(v)
-
-
-def compute_norms(problem: QcqpProblem) -> ProblemNorms:
-    """Precompute the Frobenius norms and the constants of the step-size rule.
-
-    Empty stacks (m1 = 0, or empty blocks) contribute zero norms.
-    """
-    p = problem
-    frob_Pi = np.array([_frob(p.P[i]) for i in range(1, p.m1 + 1)])
-    frob_P0, frob_Q, frob_C = _frob(p.P[0]), _frob(p.q[1:]), _frob(p.c[1:])
-    frob_A, frob_B = _frob(p.A), _frob(p.B)
-    den = np.array([frob_P0, frob_Q, frob_C, frob_A, frob_B])
-    den[den == 0.0] = 1.0
-    return ProblemNorms(
-        frob_P0=frob_P0,
-        frob_Pi=frob_Pi,
-        frob_P_stacked=math.sqrt(float(np.sum(frob_Pi**2))),
-        frob_Q=frob_Q,
-        frob_C=frob_C,
-        frob_A=frob_A,
-        frob_B=frob_B,
-        static_den_sum=float(den.sum()),
-        pi_scale=tuple(np.where(frob_Pi != 0.0, p.m1 * frob_Pi, p.m1).tolist()),
-    )
 
 
 # --- serialization ---------------------------------------------------------

@@ -58,6 +58,22 @@ def equality_problem():
     )
 
 
+def hessian_problem(P_list, n1=2, x_upper=None):
+    """Problem with the Hessians ``P_list`` (``P0`` first) and every other datum zero or empty."""
+    m1 = len(P_list) - 1
+    return QcqpProblem(
+        n1=n1,
+        n2=0,
+        m1=m1,
+        m2=0,
+        P=P_list,
+        q=[np.zeros(n1)] * (m1 + 1),
+        c=[np.zeros(0)] * (m1 + 1),
+        r=np.zeros(m1 + 1),
+        x_upper=x_upper,
+    )
+
+
 def random_problem(rng, n1, m1, n2=0, m2=0, box=None, psd_shift=0.5):
     """Dense random valid problem with PSD Hessians (Gram construction)."""
     P = []

@@ -3,6 +3,8 @@
 * :func:`reference_solve_small`, an augmented-Lagrangian solver for small
   dense instances, unrelated to the predictor-corrector path, so
   agreement with :func:`qcqpd.solve` is an independent check;
+* :func:`reference_norms`, the per-bound norms from ``np.linalg.norm`` on
+  dense copies, independent of the package's ``_frob``;
 * :func:`reference_step_size`, the eight step-size bounds one bound at a
   time for a given budget split.  At the split
   :func:`reference_budget_needs` gives it must return the closed-form
@@ -17,8 +19,10 @@
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from qcqpd import kkt_residual_max
 from qcqpd.core import BIG_M, EPS0, _root_rule
@@ -133,12 +137,38 @@ def reference_solve_small(problem, tol=1e-6):
 # --- step size ---------------------------------------------------------------
 
 
-def reference_step_size(problem, norms, x, lam, epsilons, cons, grad):
+def _dense(M):
+    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
+
+
+def reference_norms(problem):
+    """The Frobenius norms of the step-size bounds, by ``np.linalg.norm`` on dense copies.
+
+    ``P0``, ``Pi`` (one per quadratic constraint), ``stacked`` (the
+    vertically stacked ``(P1; ...; Pm1)``), ``Q`` and ``C`` (the rows ``qi``
+    and ``ci``, ``i >= 1``), ``A`` and ``B``; an empty block has norm 0.
+    Entries must be small enough that their squares do not overflow.
+    """
+    p = problem
+    Pi = [_dense(M) for M in p.P[1:]]
+    return SimpleNamespace(
+        P0=float(np.linalg.norm(_dense(p.P[0]))),
+        Pi=np.array([np.linalg.norm(M) for M in Pi]),
+        stacked=float(np.linalg.norm(np.vstack(Pi))) if Pi else 0.0,
+        Q=float(np.linalg.norm(p.q[1:])),
+        C=float(np.linalg.norm(p.c[1:])),
+        A=float(np.linalg.norm(_dense(p.A))),
+        B=float(np.linalg.norm(_dense(p.B))),
+    )
+
+
+def reference_step_size(problem, x, lam, epsilons, cons, grad):
     """``(rho, components)`` of the eight step-size bounds, each bound on its own.
 
-    ``epsilons`` holds the eight budgets ``eps_s``.  Five bounds are static
-    ratios ``eps_s / norm`` (``eps_s`` when the norm vanishes); the other
-    three depend on the iterate:
+    ``epsilons`` holds the eight budgets ``eps_s``; the norms are
+    :func:`reference_norms`.  Five bounds are static ratios
+    ``eps_s / norm`` (``eps_s`` when the norm vanishes); the other three
+    depend on the iterate:
 
     * per-constraint quadratic-root bound with ``a_i`` the absolute
       constraint value, ``b_i = lam_i``, ``c_i = eps_2 / (m1 ||Pi||_F)``
@@ -154,33 +184,34 @@ def reference_step_size(problem, norms, x, lam, epsilons, cons, grad):
     ``eps_5``.
     """
     p = problem
+    norms = reference_norms(p)
     e1, e2, e3, e4, e5, e6, e7, e8 = (float(e) for e in epsilons)
 
-    rho1 = e1 / norms.frob_P0 if norms.frob_P0 != 0.0 else e1
+    rho1 = e1 / norms.P0 if norms.P0 != 0.0 else e1
 
     if p.m1 == 0:
         rho2 = BIG_M
     else:
         rho2 = math.inf
         for i in range(p.m1):
-            nPi = norms.frob_Pi[i]
+            nPi = norms.Pi[i]
             ci = e2 / (p.m1 * nPi) if nPi != 0.0 else e2 / p.m1
             a, b = abs(float(cons[i])), float(lam[i])
             rho2 = min(rho2, _root_rule(a, b, ci) if a or b else BIG_M)
 
     x_norm = float(np.linalg.norm(x))
-    if norms.frob_P_stacked == 0.0:
+    if norms.stacked == 0.0:
         rho3 = 2.0 * e3
         rho5 = e5
     else:
         a, b = float(np.linalg.norm(grad)), 2.0 * x_norm
-        rho3 = min(2.0 * e3, _root_rule(a, b, 2.0 * e3 / norms.frob_P_stacked)) if a or b else 2.0 * e3
-        rho5 = e5 if x_norm == 0.0 else e5 / (x_norm * norms.frob_P_stacked)
+        rho3 = min(2.0 * e3, _root_rule(a, b, 2.0 * e3 / norms.stacked)) if a or b else 2.0 * e3
+        rho5 = e5 if x_norm == 0.0 else e5 / (x_norm * norms.stacked)
 
-    rho4 = e4 / norms.frob_Q if norms.frob_Q != 0.0 else e4
-    rho6 = e6 / norms.frob_C if norms.frob_C != 0.0 else e6
-    rho7 = e7 / norms.frob_A if norms.frob_A != 0.0 else e7
-    rho8 = e8 / norms.frob_B if norms.frob_B != 0.0 else e8
+    rho4 = e4 / norms.Q if norms.Q != 0.0 else e4
+    rho6 = e6 / norms.C if norms.C != 0.0 else e6
+    rho7 = e7 / norms.A if norms.A != 0.0 else e7
+    rho8 = e8 / norms.B if norms.B != 0.0 else e8
 
     components = np.array([rho1, rho2, rho3, rho4, rho5, rho6, rho7, rho8])
     return float(components.min()), components
@@ -189,38 +220,40 @@ def reference_step_size(problem, norms, x, lam, epsilons, cons, grad):
 EVEN_SPLIT = np.full(8, (1.0 - EPS0) / 8)
 
 
-def even_split_step_size(problem, norms, x, lam, cons, grad):
+def even_split_step_size(problem, x, lam, cons, grad):
     """The step size at the even split ``(1 - EPS0) / 8`` of the budget.
 
-    Takes the arguments of :func:`qcqpd.core.adaptive_step_size`, so a test
-    can put it in that function's place to solve with the even split.
+    Takes the state arguments of :func:`qcqpd.core.adaptive_step_size`
+    after the problem, so a test that binds the problem can put it in that
+    function's place to solve with the even split.
     """
-    return reference_step_size(problem, norms, x, lam, EVEN_SPLIT, cons, grad)[0]
+    return reference_step_size(problem, x, lam, EVEN_SPLIT, cons, grad)[0]
 
 
-def reference_budget_needs(problem, norms, x, lam, cons, grad, rho):
+def reference_budget_needs(problem, x, lam, cons, grad, rho):
     """``need_s(rho)``: the least budget ``eps_s`` at which bound ``s`` of
     :func:`reference_step_size` allows the step ``rho``, one bound at a time."""
     p = problem
+    norms = reference_norms(p)
 
     def static(norm):
         return rho * norm if norm != 0.0 else rho
 
     need2 = 0.0
     for i in range(p.m1):
-        scale = p.m1 * norms.frob_Pi[i] if norms.frob_Pi[i] != 0.0 else p.m1
+        scale = p.m1 * norms.Pi[i] if norms.Pi[i] != 0.0 else p.m1
         need2 = max(need2, scale * (abs(float(cons[i])) * rho**2 + float(lam[i]) * rho))
 
     x_norm = float(np.linalg.norm(x))
-    stacked = norms.frob_P_stacked
+    stacked = norms.stacked
     if stacked == 0.0:
         need3, need5 = rho / 2.0, rho
     else:
         need3 = max(rho / 2.0, stacked * (float(np.linalg.norm(grad)) * rho**2 + 2.0 * x_norm * rho) / 2.0)
         need5 = rho if x_norm == 0.0 else rho * x_norm * stacked
 
-    return np.array([static(norms.frob_P0), need2, need3, static(norms.frob_Q), need5,
-                     static(norms.frob_C), static(norms.frob_A), static(norms.frob_B)])
+    return np.array([static(norms.P0), need2, need3, static(norms.Q), need5,
+                     static(norms.C), static(norms.A), static(norms.B)])
 
 
 # --- kernels -----------------------------------------------------------------

@@ -17,7 +17,6 @@ from qcqpd import (
     TerminationStatus,
     analytic_comm_stats,
     build_mkl_qcqp,
-    compute_norms,
     gen_infeasible,
     gen_random_qcqp,
     gen_unbounded,
@@ -26,9 +25,9 @@ from qcqpd import (
 )
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
 import qcqpd.core
-from qcqpd.core import BIG_M, EPS0, adaptive_step_size
+from qcqpd.core import BIG_M, EPS0, adaptive_step_size, compute_norms
 from helpers import operator, random_box_state, random_problem, step, step_size_state, toy_problem
-from reference import even_split_step_size, reference_budget_needs, reference_solve_small
+from reference import even_split_step_size, reference_budget_needs, reference_norms, reference_solve_small
 
 
 def _verdict(name, ok, detail):
@@ -103,10 +102,11 @@ def test_criterion_3_monotone_distance():
     _verdict("criterion 3 (monotone distance to solution)", ok, f"worst squared-distance increase={worst:.3e}")
 
 
-def _step_size_case_table(problem, norms, x, u, lam, eps, grad):
-    """Independent transcription of the eight-case step-size table."""
+def _step_size_case_table(problem, x, u, lam, eps, grad):
+    """Independent transcription of the eight-case step-size table, on :func:`reference_norms`."""
+    norms = reference_norms(problem)
     out = np.empty(8)
-    out[0] = eps[0] / norms.frob_P0 if norms.frob_P0 != 0 else eps[0]
+    out[0] = eps[0] / norms.P0 if norms.P0 != 0 else eps[0]
 
     if problem.m1 == 0:
         out[1] = BIG_M
@@ -116,8 +116,8 @@ def _step_size_case_table(problem, norms, x, u, lam, eps, grad):
         for i in range(problem.m1):
             a_i = abs(cons[i])
             b_i = lam[i]
-            if norms.frob_Pi[i] != 0:
-                c_i = eps[1] / (problem.m1 * norms.frob_Pi[i])
+            if norms.Pi[i] != 0:
+                c_i = eps[1] / (problem.m1 * norms.Pi[i])
             else:
                 c_i = eps[1] / problem.m1
             if a_i > 0:
@@ -129,13 +129,13 @@ def _step_size_case_table(problem, norms, x, u, lam, eps, grad):
             best = min(best, val)
         out[1] = best
 
-    if norms.frob_P_stacked == 0:
+    if norms.stacked == 0:
         out[2] = 2 * eps[2]
         out[4] = eps[4]
     else:
         a = float(np.linalg.norm(grad))
         b = 2 * float(np.linalg.norm(x))
-        c = 2 * eps[2] / norms.frob_P_stacked
+        c = 2 * eps[2] / norms.stacked
         if a > 0:
             out[2] = min(2 * eps[2], 2 * c / (b + math.sqrt(b**2 + 4 * a * c)))
         elif b > 0:
@@ -143,12 +143,12 @@ def _step_size_case_table(problem, norms, x, u, lam, eps, grad):
         else:
             out[2] = 2 * eps[2]
         xn = float(np.linalg.norm(x))
-        out[4] = eps[4] if xn == 0 else eps[4] / (xn * norms.frob_P_stacked)
+        out[4] = eps[4] if xn == 0 else eps[4] / (xn * norms.stacked)
 
-    out[3] = eps[3] / norms.frob_Q if norms.frob_Q != 0 else eps[3]
-    out[5] = eps[5] / norms.frob_C if norms.frob_C != 0 else eps[5]
-    out[6] = eps[6] / norms.frob_A if norms.frob_A != 0 else eps[6]
-    out[7] = eps[7] / norms.frob_B if norms.frob_B != 0 else eps[7]
+    out[3] = eps[3] / norms.Q if norms.Q != 0 else eps[3]
+    out[5] = eps[5] / norms.C if norms.C != 0 else eps[5]
+    out[6] = eps[6] / norms.A if norms.A != 0 else eps[6]
+    out[7] = eps[7] / norms.B if norms.B != 0 else eps[7]
     return out
 
 
@@ -158,15 +158,13 @@ def test_criterion_4_step_size_rule():
     worst_budget = 0.0
     for trial in range(1000):
         problem, x, u, lam, gam = step_size_state(rng, trial)
-        norms = compute_norms(problem)
         cons = problem.constraint_values(x, u)
         grad = problem.lagrangian_grad_x(x, lam, gam)
-        args = (problem, norms, x, lam, cons, grad)
-        rho = adaptive_step_size(*args)
+        rho = adaptive_step_size(compute_norms(problem), x, lam, cons, grad)
         # at the split eps_s = need_s(rho) every bound of the table allows
         # rho and one binds, so the table's minimum is rho
-        needs = reference_budget_needs(*args, rho)
-        table_rho = _step_size_case_table(problem, norms, x, u, lam, needs, grad).min()
+        needs = reference_budget_needs(problem, x, lam, cons, grad, rho)
+        table_rho = _step_size_case_table(problem, x, u, lam, needs, grad).min()
         worst_rho = max(worst_rho, abs(table_rho / rho - 1.0))
         # the adaptive step spends exactly the budget 1 - EPS0
         worst_budget = max(worst_budget, abs(needs.sum() / (1.0 - EPS0) - 1.0))
@@ -246,7 +244,8 @@ def test_criterion_6_adaptive_vs_equal_weights(monkeypatch):
     problem = gen_random_qcqp(RandomQcqpSpec(n1=256, m1=1, seed=6))
     adaptive = solve(problem, SolverConfig(tol=1e-3))
     # the even split (1 - EPS0) / 8 of the budget, in the solver's step-size slot
-    monkeypatch.setattr(qcqpd.core, "adaptive_step_size", even_split_step_size)
+    monkeypatch.setattr(qcqpd.core, "adaptive_step_size",
+                        lambda _norms, *state: even_split_step_size(problem, *state))
     equal = solve(problem, SolverConfig(tol=1e-3))
     ok = (
         adaptive.status is TerminationStatus.CONVERGED

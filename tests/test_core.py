@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -13,35 +14,112 @@ from qcqpd import (
     TerminationStatus,
     analytic_comm_stats,
     build_mkl_qcqp,
-    compute_norms,
     gen_infeasible,
     gen_unbounded,
     solve,
 )
-from qcqpd.core import BIG_M, EPS0, _root_rule, adaptive_step_size
+from qcqpd.core import BIG_M, EPS0, _root_rule, adaptive_step_size, compute_norms
 from helpers import (
-    equality_problem, interior_problem, operator, random_box_state, random_problem, step, step_size_state,
-    toy_problem,
+    equality_problem, hessian_problem, interior_problem, operator, random_box_state, random_problem, step,
+    step_size_state, toy_problem,
 )
-from reference import even_split_step_size, project_box, reference_budget_needs, reference_step_size
+from reference import (
+    even_split_step_size, project_box, reference_budget_needs, reference_norms, reference_step_size,
+)
+
+
+class TestNorms:
+    def test_identity_frobenius(self):
+        # ||P0||_F = sqrt(2); the four empty blocks count as 1 each
+        norms = compute_norms(hessian_problem([np.eye(2)]))
+        assert norms.static_den_sum == pytest.approx(np.sqrt(2.0) + 4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    def test_huge_entries_have_a_finite_norm(self, sparse):
+        # squaring 1e200 overflows; the norms themselves are representable
+        M = np.diag([1e200, 1e200])
+        M = sp.csc_matrix(M) if sparse else M
+        norms = compute_norms(hessian_problem([M, M]))
+        assert norms.static_den_sum == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert norms.stacked == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert norms.pi_scale == pytest.approx((np.sqrt(2.0) * 1e200,), rel=1e-15)
+
+    def test_empty_stacks_are_zero(self):
+        norms = compute_norms(hessian_problem([np.eye(2)]))
+        assert norms.stacked == 0.0
+        assert norms.pi_scale == ()
+        # a zero constraint Hessian scales its bound by m1
+        norms = compute_norms(hessian_problem([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]))
+        assert norms.stacked == 0.0
+        assert norms.pi_scale == (2.0, 2.0)
+
+    def test_three_four_five(self):
+        p = hessian_problem([np.eye(2), np.eye(2)])
+        p.q[1] = np.array([3.0, 4.0])
+        # ||P0||_F + ||Q||_F + 1 for each of the empty C, A and B
+        assert compute_norms(p).static_den_sum == pytest.approx(np.sqrt(2.0) + 5.0 + 3.0, rel=1e-15)
+
+    def test_stacked_norm_identity(self):
+        rng = np.random.default_rng(7)
+        p = random_problem(rng, n1=6, m1=3)
+        norms = compute_norms(p)
+        per_constraint = np.array(norms.pi_scale) / p.m1
+        assert norms.stacked**2 == pytest.approx(float(np.sum(per_constraint**2)), rel=1e-10)
+
+    def test_permutation_covariance(self):
+        rng = np.random.default_rng(8)
+        p = random_problem(rng, n1=5, m1=4)
+        perm = [2, 0, 3, 1]
+        shuffled = QcqpProblem(
+            n1=p.n1,
+            n2=p.n2,
+            m1=p.m1,
+            m2=p.m2,
+            P=[p.P[0]] + [p.P[1 + i] for i in perm],
+            q=[p.q[0]] + [p.q[1 + i] for i in perm],
+            c=[p.c[0]] + [p.c[1 + i] for i in perm],
+            r=np.concatenate([[p.r[0]], p.r[1:][perm]]),
+            x_upper=p.x_upper,
+        )
+        assert compute_norms(shuffled).pi_scale == tuple(np.array(compute_norms(p).pi_scale)[perm])
+
+    def test_all_norms_finite_nonnegative(self):
+        rng = np.random.default_rng(9)
+        p = random_problem(rng, n1=4, m1=2, n2=3, m2=2)
+        norms = compute_norms(p)
+        for v in (norms.stacked, norms.static_den_sum, *norms.pi_scale):
+            assert np.isfinite(v) and v >= 0
+        assert norms.static_den_sum > 0
+
+    def test_matches_reference_norms(self):
+        # criterion 4's state family, against np.linalg.norm on dense copies
+        rng = np.random.default_rng(4)
+        for trial in range(1000):
+            p = step_size_state(rng, trial)[0]
+            ref = reference_norms(p)
+            norms = compute_norms(p)
+            den = [n if n != 0.0 else 1.0 for n in (ref.P0, ref.Q, ref.C, ref.A, ref.B)]
+            assert norms.stacked == pytest.approx(ref.stacked, rel=1e-12, abs=0)
+            assert norms.static_den_sum == pytest.approx(sum(den), rel=1e-12, abs=0)
+            pi_scale = [p.m1 * n if n != 0.0 else p.m1 for n in ref.Pi]
+            assert norms.pi_scale == pytest.approx(pi_scale, rel=1e-12, abs=0)
 
 
 def _closed_form_states(n_states=300):
-    """``((problem, norms, x, lam, cons, grad), rho*)`` over :func:`step_size_state` draws."""
+    """``((problem, x, lam, cons, grad), rho*)`` over :func:`step_size_state` draws."""
     rng = np.random.default_rng(12)
     for trial in range(n_states):
         p, x, u, lam, gam = step_size_state(rng, trial)
-        norms = compute_norms(p)
-        args = (p, norms, x, lam, p.constraint_values(x, u), p.lagrangian_grad_x(x, lam, gam))
-        yield args, adaptive_step_size(*args)
+        state = (x, lam, p.constraint_values(x, u), p.lagrangian_grad_x(x, lam, gam))
+        yield (p, *state), adaptive_step_size(compute_norms(p), *state)
 
 
 class TestAdaptiveStepSize:
     def test_reference_rule_returns_the_closed_form(self):
         # at the split eps_s = need_s(rho*) every bound allows rho* and one binds
-        for (p, norms, x, lam, cons, grad), rho in _closed_form_states():
-            eps = reference_budget_needs(p, norms, x, lam, cons, grad, rho)
-            ref_rho, _ = reference_step_size(p, norms, x, lam, eps, cons, grad)
+        for (p, x, lam, cons, grad), rho in _closed_form_states():
+            eps = reference_budget_needs(p, x, lam, cons, grad, rho)
+            ref_rho, _ = reference_step_size(p, x, lam, eps, cons, grad)
             assert ref_rho == pytest.approx(rho, rel=1e-12, abs=0)
 
     def test_needs_fit_the_budget(self):
@@ -87,7 +165,7 @@ def _step_size(p, x, u, lam, gam, eps, grad=None):
     """``reference_step_size`` with the constraint values and gradient at ``(x, u, lam, gam)``."""
     if grad is None:
         grad = p.lagrangian_grad_x(x, lam, gam)
-    return reference_step_size(p, compute_norms(p), x, lam, eps, p.constraint_values(x, u), grad)
+    return reference_step_size(p, x, lam, eps, p.constraint_values(x, u), grad)
 
 
 class TestStepSize:
@@ -285,6 +363,12 @@ class TestSolve:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["max_iters", "n_workers"])
+    @pytest.mark.parametrize("value", [10.5, 2.0, True, "5"])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
     def test_toy_kkt(self):
         t0 = time.time()
         rep = solve(toy_problem(), SolverConfig(tol=1e-6))
@@ -410,8 +494,6 @@ class TestSolve:
     def test_overflowing_objective_norm_converges(self, P0, sparse):
         # the same instance with P0^2 beyond the float range: the Frobenius
         # norm and the step-size root must not overflow and leave rho = 0
-        import scipy.sparse as sp
-
         P = [np.array([[P0]]), np.array([[2.0]])]
         p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[sp.csc_matrix(M) for M in P] if sparse else P,
                         q=[[-2.0], [0.0]], c=[[], []], r=[0.0, -1.0], x_upper=[np.inf])
@@ -420,9 +502,19 @@ class TestSolve:
         assert abs(rep.x[0] - 2.0 / P0) <= 1e-3 * 2.0 / P0
         assert rep.rho_max <= (1.0 - EPS0) / P0
 
-    def test_sparse_hessians_with_workers(self):
-        import scipy.sparse as sp
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
+    @pytest.mark.parametrize("P1", [1e160, 1e300])
+    def test_overflowing_constraint_norm_converges(self, P1, sparse):
+        # min x^2/2 - 2x s.t. P1 x^2/2 <= 1, solved at x = sqrt(2/P1): the
+        # stacked constraint norm must stay finite, or rho = 0
+        P = [np.array([[1.0]]), np.array([[P1]])]
+        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[sp.csc_matrix(M) for M in P] if sparse else P,
+                        q=[[-2.0], [0.0]], c=[[], []], r=[0.0, -1.0], x_upper=[np.inf])
+        rep = solve(p, SolverConfig())
+        assert rep.status is TerminationStatus.CONVERGED
+        assert abs(rep.x[0] - np.sqrt(2.0 / P1)) <= 1e-3 * np.sqrt(2.0 / P1)
 
+    def test_sparse_hessians_with_workers(self):
         rng = np.random.default_rng(9)
         n = 12
         p = random_problem(rng, n1=n, m1=1, box=2.0)

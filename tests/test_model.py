@@ -11,7 +11,6 @@ from qcqpd import (
     RandomQcqpSpec,
     SolverConfig,
     build_mkl_qcqp,
-    compute_norms,
     gen_infeasible,
     gen_random_qcqp,
     gen_unbounded,
@@ -21,32 +20,17 @@ from qcqpd import (
     validate,
 )
 from qcqpd.model import PSD_RTOL, SYMMETRY_TILE, _asymmetry
-from helpers import random_problem, read_members, toy_problem, write_members
-
-
-def _simple_problem(P_list, n1=2, x_upper=None):
-    m1 = len(P_list) - 1
-    return QcqpProblem(
-        n1=n1,
-        n2=0,
-        m1=m1,
-        m2=0,
-        P=P_list,
-        q=[np.zeros(n1)] * (m1 + 1),
-        c=[np.zeros(0)] * (m1 + 1),
-        r=np.zeros(m1 + 1),
-        x_upper=x_upper,
-    )
+from helpers import hessian_problem, random_problem, read_members, toy_problem, write_members
 
 
 class TestValidate:
     def test_identity_is_valid(self):
-        report = validate(_simple_problem([np.eye(2)]))
+        report = validate(hessian_problem([np.eye(2)]))
         assert report.ok
         assert report.violations == []
 
     def test_asymmetric_matrix_flagged(self):
-        report = validate(_simple_problem([np.array([[0.0, 1.0], [0.0, 0.0]])]))
+        report = validate(hessian_problem([np.array([[0.0, 1.0], [0.0, 0.0]])]))
         assert not report.ok
         assert "not symmetric" in report.violations[0]
 
@@ -57,9 +41,9 @@ class TestValidate:
         rng = np.random.default_rng(11)
         M = rng.standard_normal((n, n))
         P = np.asfortranarray((M + M.T) / 2 + n * np.eye(n))
-        assert _asymmetry(P) == 0.0 and validate(_simple_problem([P], n1=n)).ok
+        assert _asymmetry(P) == 0.0 and validate(hessian_problem([P], n1=n)).ok
         P[at] += 1e-3
-        report = validate(_simple_problem([P], n1=n))
+        report = validate(hessian_problem([P], n1=n))
         assert any("not symmetric" in v for v in report.violations)
         for A in (P, np.asfortranarray(M), np.ascontiguousarray(M)):
             assert _asymmetry(A) == pytest.approx(np.linalg.norm(A - A.T), rel=1e-12)
@@ -68,7 +52,7 @@ class TestValidate:
         # eigenvalues are exactly +-1 (diagonal), well below the PSD slack
         bad = np.diag([-1.0, 1.0])
         assert np.linalg.eigvalsh(bad)[0] == -1.0
-        report = validate(_simple_problem([np.eye(2), bad]))
+        report = validate(hessian_problem([np.eye(2), bad]))
         assert any("not PSD" in v for v in report.violations)
 
     def test_dimension_mismatch_reported(self):
@@ -98,7 +82,7 @@ class TestValidate:
                 QcqpProblem(**{**fields, name: value})
 
     def test_nonpositive_upper_bound_flagged(self):
-        p = _simple_problem([np.eye(2)])
+        p = hessian_problem([np.eye(2)])
         p.x_upper = np.array([1.0, 0.0])
         report = validate(p)
         assert any("x_upper" in v for v in report.violations)
@@ -133,20 +117,20 @@ class TestValidate:
             n = rng.integers(1, 12)
             M = rng.standard_normal((rng.integers(1, n + 1), n))
             for G in (M.T @ M, sp.csc_matrix(M.T @ M)):
-                assert validate(_simple_problem([G], n1=n)).ok
+                assert validate(hessian_problem([G], n1=n)).ok
 
     def test_sparse_psd_accepted(self):
-        report = validate(_simple_problem([sp.identity(2, format="csc")]))
+        report = validate(hessian_problem([sp.identity(2, format="csc")]))
         assert report.ok
 
     def test_large_sparse_indefinite_rejected(self):
         # path-graph Laplacian (PSD, smallest eigenvalue 0) shifted down by 1e-3
         n = 256
         lap = sp.diags([-np.ones(n - 1), np.r_[1.0, np.full(n - 2, 2.0), 1.0], -np.ones(n - 1)], [-1, 0, 1])
-        assert validate(_simple_problem([sp.identity(n), lap.tocsc()], n1=n)).ok
+        assert validate(hessian_problem([sp.identity(n), lap.tocsc()], n1=n)).ok
         bad = (lap - 1e-3 * sp.identity(n)).tocsc()
         tau = PSD_RTOL * max(sp.linalg.norm(bad), 1.0)
-        report = validate(_simple_problem([sp.identity(n), bad], n1=n))
+        report = validate(hessian_problem([sp.identity(n), bad], n1=n))
         assert report.violations == [f"P[1] is not PSD (P[1] + {tau:.3e} I is not positive definite)"]
 
     def test_unbounded_generator_singular_sparse_accepted(self):
@@ -167,7 +151,7 @@ class TestValidate:
         P = (Q * spectrum) @ Q.T
         P = (P + P.T) / 2
         P = {"dense": np.asfortranarray(P), "csc": sp.csc_matrix(P), "diagonal csc": sp.diags(spectrum, format="csc")}
-        assert validate(_simple_problem([np.eye(6), P[storage]], n1=6)).ok is ok
+        assert validate(hessian_problem([np.eye(6), P[storage]], n1=6)).ok is ok
 
     def test_decision_matches_eigvalsh(self):
         # symmetric matrices whose smallest eigenvalue lies within 1e-3 ||P||_F of zero,
@@ -181,63 +165,9 @@ class TestValidate:
             S -= (np.linalg.eigvalsh(S)[0] + rng.uniform(-1e-3, 1e-3) * np.linalg.norm(S)) * np.eye(n)
             want = np.linalg.eigvalsh(S)[0] >= -PSD_RTOL * max(np.linalg.norm(S), 1.0)
             for P in (np.asfortranarray(S), sp.csc_matrix(S)):
-                assert validate(_simple_problem([np.eye(n), P], n1=n)).ok == want
+                assert validate(hessian_problem([np.eye(n), P], n1=n)).ok == want
             decisions.add(bool(want))
         assert decisions == {True, False}
-
-
-class TestNorms:
-    def test_identity_frobenius(self):
-        norms = compute_norms(_simple_problem([np.eye(2)]))
-        assert norms.frob_P0 == pytest.approx(np.sqrt(2.0), rel=1e-15)
-
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
-    def test_huge_entries_have_a_finite_norm(self, sparse):
-        # squaring 1e200 overflows; the norm itself is representable
-        M = np.diag([1e200, 1e200])
-        norms = compute_norms(_simple_problem([sp.csc_matrix(M) if sparse else M]))
-        assert norms.frob_P0 == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
-
-    def test_empty_stacks_are_zero(self):
-        norms = compute_norms(_simple_problem([np.eye(2)]))
-        assert norms.frob_P_stacked == 0.0
-        assert norms.frob_Q == 0.0
-        assert norms.frob_C == 0.0
-
-    def test_three_four_five(self):
-        p = _simple_problem([np.eye(2), np.eye(2)])
-        p.q[1] = np.array([3.0, 4.0])
-        assert compute_norms(p).frob_Q == pytest.approx(5.0, rel=1e-15)
-
-    def test_stacked_norm_identity(self):
-        rng = np.random.default_rng(7)
-        p = random_problem(rng, n1=6, m1=3)
-        norms = compute_norms(p)
-        assert norms.frob_P_stacked**2 == pytest.approx(float(np.sum(norms.frob_Pi**2)), rel=1e-10)
-
-    def test_permutation_covariance(self):
-        rng = np.random.default_rng(8)
-        p = random_problem(rng, n1=5, m1=4)
-        perm = [2, 0, 3, 1]
-        shuffled = QcqpProblem(
-            n1=p.n1,
-            n2=p.n2,
-            m1=p.m1,
-            m2=p.m2,
-            P=[p.P[0]] + [p.P[1 + i] for i in perm],
-            q=[p.q[0]] + [p.q[1 + i] for i in perm],
-            c=[p.c[0]] + [p.c[1 + i] for i in perm],
-            r=np.concatenate([[p.r[0]], p.r[1:][perm]]),
-            x_upper=p.x_upper,
-        )
-        np.testing.assert_array_equal(compute_norms(shuffled).frob_Pi, compute_norms(p).frob_Pi[perm])
-
-    def test_all_norms_finite_nonnegative(self):
-        rng = np.random.default_rng(9)
-        p = random_problem(rng, n1=4, m1=2, n2=3, m2=2)
-        norms = compute_norms(p)
-        for v in (norms.frob_P0, norms.frob_P_stacked, norms.frob_Q, norms.frob_C, norms.frob_A, norms.frob_B):
-            assert np.isfinite(v) and v >= 0
 
 
 # One instance of every family scripts/golden.py saves, small enough to solve quickly.
@@ -279,7 +209,7 @@ class TestSerialization:
 
     def test_round_trip_sparse_and_infinite_bounds(self, tmp_path):
         P1 = sp.csc_matrix(np.diag([1.0, 0.0, 2.5]))
-        p = _simple_problem([np.eye(3), P1], n1=3, x_upper=[1.0, np.inf, 2.0])
+        p = hessian_problem([np.eye(3), P1], n1=3, x_upper=[1.0, np.inf, 2.0])
         path = tmp_path / "p.npz"
         save_problem(p, path)
         members = read_members(path)
@@ -293,7 +223,7 @@ class TestSerialization:
         # column 0 lists row 1 before row 0 and row 1 twice; the constructor sums and sorts
         P1 = sp.csc_matrix((np.array([0.5, 1.0, 0.5]), np.array([1, 0, 1]), np.array([0, 3, 3])), shape=(2, 2))
         assert not P1.has_canonical_format
-        p = _simple_problem([np.eye(2), P1])
+        p = hessian_problem([np.eye(2), P1])
         path = tmp_path / "p.npz"
         save_problem(p, path)
         loaded = load_problem(path)
