@@ -18,8 +18,8 @@ coordinates; the products it needs run through the column-partitioned
 kernels in :mod:`qcqpd.dist`.  Each pass (predictor or corrector) is one
 call of :func:`_pass`, which writes ``F`` into one buffer and issues one
 collective per quantity: the stacked Hessian products, the constraint
-values and the equality rows.  The column blocks of the Hessians and of
-``A`` are cut once per solve.
+values and the equality rows ``A x``.  The column blocks of the Hessians are
+cut once per solve; ``A' gam`` is worker-local.
 
 The step size is recomputed every iteration from eight bounds driven by
 three per-solve norm constants (:class:`ProblemNorms`) and the current
@@ -100,6 +100,8 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("tol", "divergence_threshold"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("max_iters", "n_workers"):
@@ -333,15 +335,15 @@ def analytic_comm_stats(problem, iterations):
     )
 
 
-def _pass(problem, hessians, a_blocks, stats, at, f):
+def _pass(problem, hessians, stats, at, f):
     """One pass at the state blocks ``at = (x, u, lam, gam)``; returns ``(Px, cons, eq)``.
 
     Writes ``F = (grad_x, grad_u, -cons, -eq)`` into the blocks ``f`` of
     the operator buffer.  ``Px`` stacks the Hessian products (row ``i`` is
     ``Pi x``), ``cons`` are the quadratic constraint values and ``eq`` the
     equality rows ``A x + B u - b``.  ``Px``, ``cons`` and ``eq`` cost one
-    reduce each (none for an empty ``cons`` or ``eq``); ``A' gam`` is
-    worker-local.
+    reduce each (none for an empty ``cons`` or ``eq``).  ``A' gam`` is one
+    local product: a worker's slice of it reads only its own columns of ``A``.
     """
     p = problem
     x, u, lam, gam = at
@@ -354,9 +356,9 @@ def _pass(problem, hessians, a_blocks, stats, at, f):
         cons = dist_dot(0.5 * Px[1:] + p.q[1:], x, hessians.partition, stats) + p.c[1:] @ u + p.r[1:]
         np.negative(cons, out=neg_cons)
     if p.m2:
-        eq = a_blocks.matvec(x, stats, scatter=False) + p.B @ u - p.b
+        eq = dist_dot(p.A, x, hessians.partition, stats) + p.B @ u - p.b
         np.negative(eq, out=neg_eq)
-        grad_x += a_blocks.transpose_matvec(gam)
+        grad_x += p.A.T @ gam
     if p.n2:
         grad_u[:] = p.lagrangian_grad_u(lam, gam)
     return Px, cons, eq
@@ -387,9 +389,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     p = problem
     cfg = config if config is not None else SolverConfig()
     norms = compute_norms(p)
-    part = partition_columns(p.n1, cfg.n_workers)
-    hessians = ColumnBlocks(p.P, part, symmetric=True)
-    a_blocks = ColumnBlocks([p.A], part)
+    hessians = ColumnBlocks(p.P, partition_columns(p.n1, cfg.n_workers))
     stats = CommStats()
 
     # the iterate z, the predictor w and the operator F, each one buffer
@@ -412,7 +412,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     k = 0
 
     while True:
-        Px, cons, eq = _pass(p, hessians, a_blocks, stats, at_z, f)
+        Px, cons, eq = _pass(p, hessians, stats, at_z, f)
 
         if not np.isfinite(z).all():
             status = TerminationStatus.DIVERGED
@@ -450,7 +450,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
         # predictor from the k-th iterate; the corrector anchors at it again
         # but takes F at the predictor
         projected_step(z, F, rho, lower, upper, w)
-        _pass(p, hessians, a_blocks, stats, at_w, f)
+        _pass(p, hessians, stats, at_w, f)
         projected_step(z, F, rho, lower, upper, z)
         k += 1
 

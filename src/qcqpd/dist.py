@@ -5,10 +5,11 @@ matrix-vector product is computed as a sum of per-worker partials
 (``M @ x = sum_w M[:, lo_w:hi_w] @ x[lo_w:hi_w]``), reduced at a
 coordinator, and the result scattered back so each worker holds its
 slice.  The row-wise inner products ``X @ y`` of a partitioned ``y`` with
-the rows of ``X`` reduce ``len(X)`` doubles.  Every call is one
-collective, whatever it stacks.  Products against the transpose
-(``A' g``) need no communication at all: each worker's slice of the
-result only involves its own columns.
+the rows of ``X`` (the constraint values, the equality rows ``A x``) reduce
+``len(X)`` doubles and scatter nothing.  Every call is one collective,
+whatever it stacks.  Products against the transpose (``A' g``) need no
+kernel here: each worker's slice of the result only involves its own
+columns.
 
 Workers here are simulated: the per-worker local-compute phases run
 sequentially in worker order inside one process, separated by the same
@@ -21,27 +22,27 @@ reproducible for a fixed partition.  (Across *different* worker counts
 only floating-point-tolerance agreement is possible, since partial sums
 group differently.)
 
-The column blocks are cut once per solve, not once per product:
-:class:`ColumnBlocks` takes a stack of matrices (the ``m1 + 1`` Hessians,
-or ``A``) and, for each worker, stacks the worker's columns of every dense
-matrix into one Fortran-order block and those of every sparse matrix into
-one CSC block.  The sparse blocks of all workers are then placed on the
-diagonal of one CSC matrix, so the sparse partials of every worker come
-from one product: row band ``w`` of that product is worker ``w``'s
-partial, accumulated column by column in the order of the worker's own
-block.  A product with the whole stack therefore costs one dense product
-per worker, one sparse product and one reduce, and returns the stacked
-product ``(M_0 x; M_1 x; ...)`` in matrix order.  Serial execution is the
+The column blocks of the Hessian stack are cut once per solve, not once
+per product: :class:`ColumnBlocks` takes the ``m1 + 1`` Hessians and, for
+each worker, stacks the worker's columns of every dense matrix into one
+Fortran-order block and those of every sparse matrix into one CSC block.
+The sparse blocks of all workers are then placed on the diagonal of one
+CSC matrix, so the sparse partials of every worker come from one product:
+row band ``w`` of that product is worker ``w``'s partial, accumulated
+column by column in the order of the worker's own block.  A product with
+the whole stack therefore costs one dense product per worker, one sparse
+product and one reduce, and returns the stacked product
+``(P_0 x; P_1 x; ...)`` in matrix order.  Serial execution is the
 one-worker case of the same code: a block spanning every column of a
 single matrix is that matrix itself, not a copy.
 
-One exception applies to a stack declared symmetric (the Hessians) on one
-worker: each dense matrix of at least :data:`SYMMETRIC_MIN_COLS` columns is
-not stacked but multiplied on its own by the Level-2 BLAS symmetric product
-``dsymv``, which reads one triangle, so half the bytes of the stacked GEMV,
-and writes its rows of the stacked product in place.  Below that size the
-stacked GEMV is cache-resident and no slower, so small stacks and every
-partitioned run take the generic path unchanged.
+One exception applies on one worker: each dense Hessian of at least
+:data:`SYMMETRIC_MIN_COLS` columns is not stacked but multiplied on its own
+by the Level-2 BLAS symmetric product ``dsymv``, which reads one triangle,
+so half the bytes of the stacked GEMV, and writes its rows of the stacked
+product in place.  Below that size the stacked GEMV is cache-resident and
+no slower, so small stacks and every partitioned run take the generic path
+unchanged.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ __all__ = [
 
 _FLOAT_BYTES = 8
 
-# Columns from which a symmetric stack's dense matrices go through ``dsymv``
+# Columns from which the stack's dense matrices go through ``dsymv``
 # on one worker: 512 columns are 2 MiB of float64 per matrix, the per-core
 # L2, below which the stacked GEMV is no slower.
 SYMMETRIC_MIN_COLS = 512
@@ -189,26 +190,26 @@ def _runs(members, starts):
 
 
 class ColumnBlocks:
-    """Per-worker column blocks of a stack of matrices, cut once.
+    """Per-worker column blocks of the Hessian stack, cut once.
 
-    ``matrices`` share the partition's column count and may differ in row
-    count.  Each worker holds one dense block stacking its columns of every
-    dense matrix; the CSC blocks stacking each worker's columns of every
-    sparse matrix sit on the diagonal of one block-diagonal CSC matrix.  So
-    :meth:`matvec` costs one dense product per worker and one sparse product.
+    ``matrices`` share the partition's column count.  Each worker holds one
+    dense block stacking its columns of every dense matrix; the CSC blocks
+    stacking each worker's columns of every sparse matrix sit on the
+    diagonal of one block-diagonal CSC matrix.  So :meth:`matvec` costs one
+    dense product per worker and one sparse product.
 
-    ``symmetric=True`` declares every matrix symmetric.  On one worker and at
-    least :data:`SYMMETRIC_MIN_COLS` columns, each dense matrix is then kept
-    whole instead and multiplied by ``dsymv``, which reads one triangle (of a
-    non-symmetric matrix it gives the product of that triangle symmetrised).
+    The matrices are taken to be symmetric, as Hessians are: on one worker
+    and at least :data:`SYMMETRIC_MIN_COLS` columns, each dense matrix is
+    kept whole instead and multiplied by ``dsymv``, which reads one
+    triangle (of a non-symmetric matrix it gives the product of that
+    triangle symmetrised).
     """
 
-    def __init__(self, matrices, partition: ColumnPartition, symmetric: bool = False):
+    def __init__(self, matrices, partition: ColumnPartition):
         self.partition = partition
-        self._n_matrices = len(matrices)
         starts = np.cumsum([0] + [M.shape[0] for M in matrices])
         self._n_rows = int(starts[-1])
-        whole = symmetric and partition.n_cols >= SYMMETRIC_MIN_COLS and len(partition.ranges) == 1
+        whole = partition.n_cols >= SYMMETRIC_MIN_COLS and len(partition.ranges) == 1
         kinds = ([], [])  # indices of the dense and of the sparse matrices
         self._symmetric = []  # (rows of the stacked product, F-contiguous matrix) for dsymv
         for i, M in enumerate(matrices):
@@ -242,16 +243,15 @@ class ColumnBlocks:
             return [block @ x[lo:hi] for block, (lo, hi) in zip(blocks, ranges)]
         return list((blocks @ x).reshape(len(ranges), -1))
 
-    def matvec(self, x, stats: CommStats, scatter: bool = True):
-        """The stacked product ``(M_0 x; M_1 x; ...)``, matrix by matrix, from per-worker partials.
+    def matvec(self, x, stats: CommStats):
+        """The stacked product ``(P_0 x; P_1 x; ...)``, matrix by matrix, from per-worker partials.
 
         The partials of each block kind are tree-reduced in worker order, so
         every product is bitwise what a per-matrix reduction gives whenever
         the local products are; the rows of a matrix kept whole for ``dsymv``
-        are its one worker's product.  Accounts one reduce of all the rows, plus
-        one scatter of the same volume when the products are handed back to
-        the workers (the Hessian products; row evaluations destined for the
-        dual side pass ``scatter=False``).
+        are its one worker's product.  Accounts one reduce of all the rows
+        and one scatter of the same volume, which hands the products back to
+        the workers.
         """
         x = _check_vector(x, self.partition.n_cols)
         if len(self._groups) == 1 and not self._symmetric:  # one kind: its rows are the whole stack
@@ -265,28 +265,7 @@ class ColumnBlocks:
                 for rows, src in runs:
                     out[rows] = total[src]
         stats.record_reduce(self._n_rows)
-        if scatter:
-            stats.record_scatter(self._n_rows)
-        return out
-
-    def transpose_matvec(self, g):
-        """``M' g`` for a stack of one matrix ``M``, worker-locally: no communication.
-
-        Each worker owns the columns ``M[:, lo:hi]`` and therefore the slice
-        ``(M' g)[lo:hi] = M[:, lo:hi]' g`` outright.  A sparse ``M`` gives
-        every slice from one product of the block-diagonal matrix's
-        transpose with ``g`` repeated once per worker.
-        """
-        if self._n_matrices != 1:
-            raise ValueError("transpose_matvec needs a stack of exactly one matrix")
-        g = _check_vector(g, self._n_rows)
-        (_, blocks), = self._groups
-        ranges = self.partition.ranges
-        if type(blocks) is not list:
-            return blocks.T @ np.tile(g, len(ranges))
-        out = np.empty(self.partition.n_cols)
-        for block, (lo, hi) in zip(blocks, ranges):
-            out[lo:hi] = block.T @ g
+        stats.record_scatter(self._n_rows)
         return out
 
 

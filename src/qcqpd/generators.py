@@ -223,24 +223,20 @@ class Kernel:
 DEFAULT_MKL_KERNELS = tuple(Kernel("gaussian", s2) for s2 in (0.01, 0.1, 1.0, 10.0, 100.0))
 
 
-def gram_matrix(kernel: Kernel, X, Y=None):
-    """Gram block ``K[j, j'] = k(X_j, Y_j')``; symmetric with unit Gaussian diagonal when ``Y`` is ``X``."""
+def gram_matrix(kernel: Kernel, X):
+    """Gram matrix ``K[j, j'] = k(X_j, X_j')`` of the rows of ``X``; symmetric, with unit Gaussian diagonal."""
     X = np.asarray(X, dtype=np.float64)
-    symmetric = Y is None
-    Y = X if symmetric else np.asarray(Y, dtype=np.float64)
-    inner = X @ Y.T
+    inner = X @ X.T
     if kernel.kind == "linear":
         K = inner
     elif kernel.kind == "polynomial":
         K = (1.0 + inner) ** 2
     else:
-        sq = np.maximum((X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * inner, 0.0)
-        if symmetric:
-            np.fill_diagonal(sq, 0.0)
+        sq_norms = (X * X).sum(axis=1)
+        sq = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * inner, 0.0)
+        np.fill_diagonal(sq, 0.0)
         K = np.exp(-sq / (2.0 * kernel.sigma2))
-    if symmetric:
-        K = 0.5 * (K + K.T)
-    return K
+    return 0.5 * (K + K.T)
 
 
 @dataclass(frozen=True)

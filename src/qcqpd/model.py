@@ -60,6 +60,13 @@ def _as_matrix(M, rows, cols, name):
     return out
 
 
+def _dense(M, shape):
+    """``M`` as an array: a sparse matrix densified, ``None`` as zeros of ``shape``."""
+    if M is None:
+        return np.zeros(shape)
+    return M.toarray() if sp.issparse(M) else M
+
+
 def _as_rows(v, rows, cols, name):
     """Coerce ``v`` (an array, or a list of ``rows`` vectors) to a C-contiguous float64 ``(rows, cols)`` array."""
     if not isinstance(v, np.ndarray):  # a list of vectors: name the first that does not fit
@@ -101,8 +108,9 @@ class QcqpProblem:
         ``(m1 + 1, n2)``, C-contiguous: row ``i`` is ``ci``, likewise.
     r : ndarray
         ``m1 + 1`` scalars.
-    A, B : matrices
-        Equality constraint blocks, ``m2 x n1`` and ``m2 x n2``.
+    A, B : ndarray
+        Equality constraint blocks, ``m2 x n1`` and ``m2 x n2``, dense and
+        Fortran-ordered as in a problem archive; a sparse input is densified.
     b : ndarray
         Equality right-hand side, length ``m2``.
     x_upper : ndarray
@@ -135,8 +143,8 @@ class QcqpProblem:
         self.q = _as_rows(self.q, m1 + 1, n1, "q")
         self.c = _as_rows(self.c, m1 + 1, n2, "c")
         self.r = _as_vector(self.r, m1 + 1, "r")
-        self.A = _as_matrix(self.A if self.A is not None else np.zeros((m2, n1)), m2, n1, "A")
-        self.B = _as_matrix(self.B if self.B is not None else np.zeros((m2, n2)), m2, n2, "B")
+        self.A = _as_matrix(_dense(self.A, (m2, n1)), m2, n1, "A")
+        self.B = _as_matrix(_dense(self.B, (m2, n2)), m2, n2, "B")
         self.b = _as_vector(self.b if self.b is not None else np.zeros(m2), m2, "b")
         self.x_upper = _as_vector(self.x_upper if self.x_upper is not None else np.full(n1, np.inf), n1, "x_upper")
 
@@ -327,8 +335,8 @@ def _members(p):
     yield "q", p.q
     yield "c", p.c
     yield "r", p.r
-    yield "A", p.A.toarray() if sp.issparse(p.A) else p.A
-    yield "B", p.B.toarray() if sp.issparse(p.B) else p.B
+    yield "A", p.A
+    yield "B", p.B
     yield "b", p.b
     yield "x_upper", p.x_upper
 

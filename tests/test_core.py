@@ -18,7 +18,8 @@ from qcqpd import (
     gen_unbounded,
     solve,
 )
-from qcqpd.core import BIG_M, EPS0, _root_rule, adaptive_step_size, compute_norms
+from qcqpd.core import BIG_M, EPS0, _blocks, _pass, _root_rule, adaptive_step_size, compute_norms
+from qcqpd.dist import ColumnBlocks, CommStats, partition_columns
 from helpers import (
     equality_problem, hessian_problem, interior_problem, operator, random_box_state, random_problem, step,
     step_size_state, toy_problem,
@@ -356,9 +357,34 @@ class TestProjectedStep:
         for got, want in zip(out, expected):
             assert got.tobytes() == want.tobytes()
 
+
+def _pass_problems():
+    """A small MKL instance (CSC ``P0``, dense constraint Hessians, ``n2 = m2 = 1``)
+    and a random one with ``n2 = m2 = 2`` and one CSC constraint Hessian."""
+    mkl = build_mkl_qcqp(MklSpec(n_tr=12, n_t=4, svm="sm2", seed=0))[0]
+    rnd = random_problem(np.random.default_rng(12), n1=11, m1=2, n2=2, m2=2, box=2.0)
+    rnd.P[1] = sp.csc_matrix(rnd.P[1])
+    return [mkl, rnd]
+
+
+class TestPass:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_writes_the_operator_and_books_one_pass(self, workers):
+        for p in _pass_problems():
+            assert min(p.n2, p.m1, p.m2) >= 1
+            assert {sp.issparse(Pi) for Pi in p.P} == {False, True}
+            state = random_box_state(np.random.default_rng(workers), p)
+            z = np.concatenate(state)
+            F = np.full_like(z, np.nan)
+            stats = CommStats()
+            _pass(p, ColumnBlocks(p.P, partition_columns(p.n1, workers)), stats, _blocks(p, z), _blocks(p, F))
+            np.testing.assert_allclose(F, operator(p, *state), rtol=1e-12)
+            assert stats.as_dict() == analytic_comm_stats(p, 0).as_dict()  # one pass
+
+
 class TestSolve:
     @pytest.mark.parametrize("field", ["tol", "divergence_threshold"])
-    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0, "1e-3", None, True])
     def test_config_rejects_non_finite_or_nonpositive(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
@@ -438,12 +464,13 @@ class TestSolve:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_count_independence(self, workers):
-        rng = np.random.default_rng(6)
-        p = random_problem(rng, n1=24, m1=2, box=3.0)
-        base = solve(p, SolverConfig(tol=1e-5, n_workers=1))
-        other = solve(p, SolverConfig(tol=1e-5, n_workers=workers))
-        assert base.iterations == other.iterations
-        assert other.objective == pytest.approx(base.objective, rel=1e-8)
+        # the MKL instance puts its equality row on both sides of the partition
+        for p in (random_problem(np.random.default_rng(6), n1=24, m1=2, box=3.0),
+                  build_mkl_qcqp(MklSpec(n_tr=12, n_t=4, svm="sm2", seed=0))[0]):
+            base = solve(p, SolverConfig(tol=1e-5, n_workers=1))
+            other = solve(p, SolverConfig(tol=1e-5, n_workers=workers))
+            assert base.iterations == other.iterations
+            assert other.objective == pytest.approx(base.objective, rel=1e-8)
 
     def test_comm_matches_analytic_count(self):
         rng = np.random.default_rng(7)

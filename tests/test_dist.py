@@ -12,13 +12,9 @@ from qcqpd import CommStats, partition_columns
 from qcqpd.dist import SYMMETRIC_MIN_COLS, ColumnBlocks, _tree_sum, dist_dot
 
 
-def _matvec(M, x, part, stats=None, scatter=True):
+def _matvec(M, x, part, stats=None):
     """``M @ x`` through a one-matrix :class:`ColumnBlocks` stack."""
-    return ColumnBlocks([M], part).matvec(x, CommStats() if stats is None else stats, scatter)
-
-
-def _transpose_matvec(A, g, part):
-    return ColumnBlocks([A], part).transpose_matvec(g)
+    return ColumnBlocks([M], part).matvec(x, CommStats() if stats is None else stats)
 
 
 class TestPartition:
@@ -82,7 +78,9 @@ class TestMatvec:
         if sparse:
             M = sp.random(n1, n1, density=0.05, random_state=np.random.RandomState(3), format="csc")
         else:
-            M = np.asfortranarray(rng.standard_normal((n1, n1)))
+            # symmetric: from SYMMETRIC_MIN_COLS columns one worker reads one triangle
+            G = rng.standard_normal((n1, n1))
+            M = np.asfortranarray(G + G.T)
         x = rng.standard_normal(n1)
         serial = _matvec(M, x, partition_columns(n1, 1))
         np.testing.assert_allclose(serial, M @ x, rtol=1e-12, atol=1e-14)
@@ -107,54 +105,12 @@ class TestMatvec:
         assert stats.scatter_ops == 1
         assert stats.bytes_reduced == 6 * 8
         assert stats.bytes_scattered == 6 * 8
-        _matvec(M, np.ones(6), partition_columns(6, 3), stats, scatter=False)
-        assert stats.reduce_ops == 2
-        assert stats.scatter_ops == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             _matvec(np.eye(3), np.ones(4), partition_columns(3, 1))
         with pytest.raises(ValueError):
             _matvec(np.eye(3), np.ones(3), partition_columns(4, 2))
-
-
-class TestTransposeMatvec:
-    def test_identity(self):
-        out = _transpose_matvec(np.eye(2), np.array([2.0, 3.0]), partition_columns(2, 2))
-        np.testing.assert_array_equal(out, [2.0, 3.0])
-
-    def test_zero(self):
-        out = _transpose_matvec(np.ones((3, 4)), np.zeros(3), partition_columns(4, 2))
-        np.testing.assert_array_equal(out, np.zeros(4))
-
-    @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_matches_serial(self, workers):
-        rng = np.random.default_rng(4)
-        A = np.asfortranarray(rng.standard_normal((6, 17)))
-        g = rng.standard_normal(6)
-        out = _transpose_matvec(A, g, partition_columns(17, workers))
-        np.testing.assert_allclose(out, A.T @ g, rtol=1e-12)
-
-    def test_no_communication(self):
-        # each worker's slice of A' g comes from its own columns alone, so
-        # nothing is reduced (the solve's counts omit it, see test_core)
-        rng = np.random.default_rng(8)
-        A = rng.standard_normal((5, 9))
-        g = rng.standard_normal(5)
-        part = partition_columns(9, 3)
-        out = _transpose_matvec(A, g, part)
-        for lo, hi in part.ranges:
-            assert np.array_equal(out[lo:hi], A[:, lo:hi].T @ g)
-
-    def test_sparse(self):
-        rng = np.random.default_rng(5)
-        A = sp.random(8, 12, density=0.3, random_state=np.random.RandomState(6), format="csc")
-        g = rng.standard_normal(8)
-        part = partition_columns(12, 3)
-        out = _transpose_matvec(A, g, part)
-        np.testing.assert_allclose(out, A.T @ g, rtol=1e-12)
-        for lo, hi in part.ranges:  # each worker's slice from its own columns, bit for bit
-            assert np.array_equal(out[lo:hi], A[:, lo:hi].T @ g)
 
 
 class TestDot:
@@ -286,18 +242,6 @@ class TestColumnBlocks:
             "bytes_reduced": 2 * k * n * 8,
             "bytes_scattered": 2 * k * n * 8,
         }
-        blocks.matvec(np.ones(n), stats, scatter=False)
-        assert stats.as_dict() == {
-            "reduce_ops": 3,
-            "scatter_ops": 2,
-            "bytes_reduced": 3 * k * n * 8,
-            "bytes_scattered": 2 * k * n * 8,
-        }
-
-    def test_transpose_needs_one_matrix(self):
-        blocks = ColumnBlocks([np.eye(3), np.eye(3)], partition_columns(3, 2))
-        with pytest.raises(ValueError):
-            blocks.transpose_matvec(np.ones(3))
 
 
 def _symmetric_stack(kinds, n, rng):
@@ -321,8 +265,8 @@ SYMMETRIC_STACKS = {
 
 
 class TestSymmetricStack:
-    """``symmetric=True``: one worker spanning at least SYMMETRIC_MIN_COLS columns
-    multiplies each dense matrix by ``dsymv``; everything else is the generic stack."""
+    """One worker spanning at least SYMMETRIC_MIN_COLS columns multiplies each
+    dense matrix by ``dsymv``; everything else is the generic stack."""
 
     # 600 is not a multiple of 4
     @pytest.mark.parametrize("n", [SYMMETRIC_MIN_COLS, 600])
@@ -332,7 +276,7 @@ class TestSymmetricStack:
         mats = _symmetric_stack(kinds, n, rng)
         x = rng.standard_normal(n)
         stats = CommStats()
-        out = ColumnBlocks(mats, partition_columns(n, 1), symmetric=True).matvec(x, stats)
+        out = ColumnBlocks(mats, partition_columns(n, 1)).matvec(x, stats)
         np.testing.assert_allclose(out, np.concatenate([M @ x for M in mats]), rtol=1e-12, atol=1e-12)
         rows = len(mats) * n
         assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 1,
@@ -342,12 +286,16 @@ class TestSymmetricStack:
     @pytest.mark.parametrize("n", [SYMMETRIC_MIN_COLS, 600])
     @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
     def test_partitioned_is_the_generic_stack_bitwise(self, kinds, n, workers):
+        # no dsymv: each matrix's rows are its per-worker products tree-summed,
+        # a dense matrix's taken in Fortran order as its workers' blocks are
         rng = np.random.default_rng(n + workers)
         mats = _symmetric_stack(kinds, n, rng)
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
-        out = ColumnBlocks(mats, part, symmetric=True).matvec(x, CommStats())
-        assert out.tobytes() == ColumnBlocks(mats, part).matvec(x, CommStats()).tobytes()
+        out = ColumnBlocks(mats, part).matvec(x, CommStats())
+        expected = [_tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges])
+                    for M in (M if sp.issparse(M) else np.asfortranarray(M) for M in mats)]
+        assert out.tobytes() == np.concatenate(expected).tobytes()
 
     @pytest.mark.parametrize("n, workers, one_triangle", [
         (SYMMETRIC_MIN_COLS, 1, True),
@@ -360,7 +308,7 @@ class TestSymmetricStack:
         rng = np.random.default_rng(11)
         M = np.asfortranarray(rng.standard_normal((n, n)))
         x = rng.standard_normal(n)
-        out = ColumnBlocks([M], partition_columns(n, workers), symmetric=True).matvec(x, CommStats())
+        out = ColumnBlocks([M], partition_columns(n, workers)).matvec(x, CommStats())
         upper = np.triu(M) + np.triu(M, 1).T
         lower = np.tril(M) + np.tril(M, -1).T
         symmetrised = [S @ x for S in (upper, lower)]

@@ -63,6 +63,11 @@ class TestValidate:
         for arr, rows in ((p.q, [[1.0, 2.0], [3.0, 4.0]]), (p.c, [[5.0], [6.0]])):
             assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.c_contiguous
             np.testing.assert_array_equal(arr, rows)
+        # a sparse A or B is densified, Fortran-ordered as the archive reads back
+        p = QcqpProblem(**{**fields, "A": sp.csc_matrix([[1.0, 0.0]]), "B": sp.csr_matrix([[2.0]])})
+        for arr, rows in ((p.A, [[1.0, 0.0]]), (p.B, [[2.0]])):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.f_contiguous
+            np.testing.assert_array_equal(arr, rows)
         for name, value, message in [
             ("P", [np.eye(2), np.eye(3)], "P[1] has shape (3, 3), expected (2, 2)"),
             ("q", [np.zeros(3), np.zeros(2)], "q[0] has length 3, expected 2"),
