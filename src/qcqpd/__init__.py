@@ -9,7 +9,6 @@ from .core import (
     solve,
 )
 from .diagnostics import (
-    ResidualReport,
     TerminationStatus,
     classify_termination,
     compute_residuals,
@@ -60,7 +59,6 @@ __all__ = [
     "solve",
     "analytic_comm_stats",
     "TerminationStatus",
-    "ResidualReport",
     "compute_residuals",
     "classify_termination",
     "kkt_residual_max",

@@ -221,9 +221,11 @@ def _run_check_kkt(args) -> int:
     problem = _load_and_validate(args.problem)
     x, u, lam, gam = load_point(args.point, problem)
     kkt = kkt_residual_max(x, u, lam, gam, problem)
-    rep = compute_residuals(problem, x, u, lam, gam)
+    F = (problem.lagrangian_grad_x(x, lam, gam), problem.lagrangian_grad_u(lam, gam),
+         -problem.constraint_values(x, u), -problem.equality_residual(x, u))
+    res1, res2 = compute_residuals(problem, x, lam, F)
     print(f"kkt_residual_max={kkt!r}")
-    print(f"res1={rep.res1!r} res2={rep.res2!r}")
+    print(f"res1={res1!r} res2={res2!r}")
     return 0
 
 

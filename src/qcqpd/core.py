@@ -75,8 +75,6 @@ BIG_M = 1e12
 # counts checks, so it spans DIVERGENCE_WINDOW * TRACE_EVERY iterations.
 TRACE_EVERY = 10
 
-_EMPTY = np.zeros(0)
-
 
 @dataclass
 class SolverConfig:
@@ -203,7 +201,8 @@ def adaptive_step_size(norms, x, lam, cons, grad):
 
     ``norms`` are the solve's :class:`ProblemNorms`; ``cons`` are the
     quadratic constraint values and ``grad`` the Lagrangian gradient in
-    ``x``, both at the iterate.  Each of the eight step-size bounds owns a
+    ``x``, both at the iterate.  Only ``|cons|`` is read, so the operator
+    block ``-cons`` serves as well.  Each of the eight step-size bounds owns a
     share ``eps_s`` of the budget and allows ``rho`` when ``eps_s`` is at
     least ``need_s(rho)``:
 
@@ -283,10 +282,10 @@ class SolveReport:
             "res2": num(self.res2),
             "rho": {"min": num(self.rho_min), "max": num(self.rho_max), "final": num(self.rho_final)},
             "comm": self.comm.as_dict(),
-            "x": [float(v) for v in self.x],
-            "u": [float(v) for v in self.u],
-            "lambda": [float(v) for v in self.lam],
-            "gamma": [float(v) for v in self.gam],
+            "x": [num(v) for v in self.x],
+            "u": [num(v) for v in self.u],
+            "lambda": [num(v) for v in self.lam],
+            "gamma": [num(v) for v in self.gam],
         }
 
     def write_report_json(self, path):
@@ -336,22 +335,22 @@ def analytic_comm_stats(problem, iterations):
 
 
 def _pass(problem, hessians, stats, at, f):
-    """One pass at the state blocks ``at = (x, u, lam, gam)``; returns ``(Px, cons, eq)``.
+    """One pass at the state blocks ``at = (x, u, lam, gam)``; returns the
+    ``(m1 + 1, n1)`` Hessian products ``Px`` (row ``i`` is ``Pi x``).
 
     Writes ``F = (grad_x, grad_u, -cons, -eq)`` into the blocks ``f`` of
-    the operator buffer.  ``Px`` stacks the Hessian products (row ``i`` is
-    ``Pi x``), ``cons`` are the quadratic constraint values and ``eq`` the
-    equality rows ``A x + B u - b``.  ``Px``, ``cons`` and ``eq`` cost one
-    reduce each (none for an empty ``cons`` or ``eq``).  ``A' gam`` is one
-    local product: a worker's slice of it reads only its own columns of ``A``.
+    the operator buffer, with ``cons`` the quadratic constraint values and
+    ``eq`` the equality rows ``A x + B u - b``.  ``Px``, ``cons`` and ``eq``
+    cost one reduce each (none for an empty ``cons`` or ``eq``).  ``A' gam``
+    is one local product: a worker's slice of it reads only its own columns
+    of ``A``.
     """
     p = problem
     x, u, lam, gam = at
     grad_x, grad_u, neg_cons, neg_eq = f
-    Px = hessians.matvec(x, stats).reshape(p.m1 + 1, p.n1)
+    Px = hessians.matvec(x, stats)
     G = Px + p.q  # row i: Pi x + qi
     np.add(G[0], lam @ G[1:], out=grad_x)
-    cons = eq = _EMPTY
     if p.m1:
         cons = dist_dot(0.5 * Px[1:] + p.q[1:], x, hessians.partition, stats) + p.c[1:] @ u + p.r[1:]
         np.negative(cons, out=neg_cons)
@@ -361,7 +360,7 @@ def _pass(problem, hessians, stats, at, f):
         grad_x += p.A.T @ gam
     if p.n2:
         grad_u[:] = p.lagrangian_grad_u(lam, gam)
-    return Px, cons, eq
+    return Px
 
 
 def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=None) -> SolveReport:
@@ -400,7 +399,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     F = np.empty_like(z)
     at_z, at_w, f = _blocks(p, z), _blocks(p, w), _blocks(p, F)
     x, u, lam, gam = at_z
-    grad_x, grad_u, _, _ = f
+    grad_x, _, neg_cons, _ = f
 
     trace: list[TraceRow] = []
     rho = math.nan
@@ -412,7 +411,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     k = 0
 
     while True:
-        Px, cons, eq = _pass(p, hessians, stats, at_z, f)
+        Px = _pass(p, hessians, stats, at_z, f)
 
         if not np.isfinite(z).all():
             status = TerminationStatus.DIVERGED
@@ -423,7 +422,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
         if callback is not None:
             callback(k, x, u, lam, gam)
 
-        rho = adaptive_step_size(norms, x, lam, cons, grad_x)
+        rho = adaptive_step_size(norms, x, lam, neg_cons, grad_x)
         rho_min = min(rho_min, rho)
         rho_max = max(rho_max, rho)
 
@@ -431,8 +430,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
         # check on the cadence is classified
         on_cadence = k % TRACE_EVERY == 0
         if on_cadence or k >= cfg.max_iters:
-            rep = compute_residuals(p, x, u, lam, gam, grad_x=grad_x, grad_u=grad_u, cons=cons, eq=eq)
-            res1, res2 = rep.res1, rep.res2
+            res1, res2 = compute_residuals(p, x, lam, f)
             objective = 0.5 * float(x @ Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
             trace.append(TraceRow(k, rho, res1, res2, objective))
             outcome = None

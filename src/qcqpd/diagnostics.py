@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ResidualReport",
     "TerminationStatus",
     "compute_residuals",
     "classify_termination",
@@ -48,14 +46,6 @@ class TerminationStatus(enum.Enum):
     DIVERGED = "diverged"
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Residual pair measured at one iterate."""
-
-    res1: float
-    res2: float
-
-
 def _clipped_gradient(problem, x, grad_x):
     """Gradient components clipped against the box normal cone.
 
@@ -71,37 +61,30 @@ def _clipped_gradient(problem, x, grad_x):
     return clipped
 
 
-def compute_residuals(problem, x, u, lam, gam, grad_x=None, grad_u=None, cons=None, eq=None) -> ResidualReport:
-    """Averaged dual-feasibility and complementarity/feasibility residuals.
+def compute_residuals(problem, x, lam, F):
+    """Averaged dual-feasibility and complementarity/feasibility residuals ``(res1, res2)``.
 
-    ``res1 = sqrt((sum_j clip(g_x)_j^2 + ||g_u||^2) / (n1 + n2))`` with
-    ``g_x``, ``g_u`` the Lagrangian gradient blocks and the clipping of
-    :func:`_clipped_gradient`; ``res2 = sqrt((sum_i (lam_i |cons_i|)^2 +
-    ||Ax + Bu - b||^2) / (m1 + m2))``.  An empty block contributes a zero
-    residual by convention.  Precomputed pieces may be supplied to avoid
-    re-evaluating the Hessian products.
+    ``F = (g_x, g_u, -cons, -eq)`` are the four blocks of the saddle
+    operator at the iterate: the Lagrangian gradient blocks, then the
+    negated quadratic constraint values and equality rows ``Ax + Bu - b``.
+    ``res1 = sqrt((sum_j clip(g_x)_j^2 + ||g_u||^2) / (n1 + n2))`` with the
+    clipping of :func:`_clipped_gradient`; ``res2 = sqrt((sum_i (lam_i
+    |cons_i|)^2 + ||eq||^2) / (m1 + m2))``.  An empty block contributes a
+    zero residual by convention.
     """
     p = problem
-    if grad_x is None:
-        grad_x = p.lagrangian_grad_x(x, lam, gam)
-    if grad_u is None:
-        grad_u = p.lagrangian_grad_u(lam, gam)
-    if cons is None:
-        cons = p.constraint_values(x, u)
-    if eq is None:
-        eq = p.equality_residual(x, u)
-
+    grad_x, grad_u, neg_cons, neg_eq = F
     if p.n1 + p.n2 > 0:
         clipped = _clipped_gradient(p, x, grad_x)
         res1 = math.sqrt((float(clipped @ clipped) + float(grad_u @ grad_u)) / (p.n1 + p.n2))
     else:
         res1 = 0.0
     if p.m1 + p.m2 > 0:
-        comp = lam * np.abs(cons)
-        res2 = math.sqrt((float(comp @ comp) + float(eq @ eq)) / (p.m1 + p.m2))
+        comp = lam * np.abs(neg_cons)
+        res2 = math.sqrt((float(comp @ comp) + float(neg_eq @ neg_eq)) / (p.m1 + p.m2))
     else:
         res2 = 0.0
-    return ResidualReport(res1=res1, res2=res2)
+    return res1, res2
 
 
 def classify_termination(residuals, tol, divergence_threshold):

@@ -23,24 +23,24 @@ only floating-point-tolerance agreement is possible, since partial sums
 group differently.)
 
 The column blocks of the Hessian stack are cut once per solve, not once
-per product: :class:`ColumnBlocks` takes the ``m1 + 1`` Hessians and, for
-each worker, stacks the worker's columns of every dense matrix into one
-Fortran-order block and those of every sparse matrix into one CSC block.
-The sparse blocks of all workers are then placed on the diagonal of one
-CSC matrix, so the sparse partials of every worker come from one product:
-row band ``w`` of that product is worker ``w``'s partial, accumulated
-column by column in the order of the worker's own block.  A product with
-the whole stack therefore costs one dense product per worker, one sparse
-product and one reduce, and returns the stacked product
-``(P_0 x; P_1 x; ...)`` in matrix order.  Serial execution is the
+per product: :class:`ColumnBlocks` takes the ``m1 + 1`` square ``n x n``
+Hessians and, for each worker, stacks the worker's columns of every dense
+matrix into one Fortran-order block and those of every sparse matrix into
+one CSC block.  The sparse blocks of all workers are then placed on the
+diagonal of one CSC matrix, so the sparse partials of every worker come
+from one product: row band ``w`` of that product is worker ``w``'s
+partial, accumulated column by column in the order of the worker's own
+block.  A product with the whole stack therefore costs one dense product
+per worker, one sparse product and one reduce, and returns the ``(m1 + 1,
+n)`` array whose row ``i`` is ``P_i x``.  Serial execution is the
 one-worker case of the same code: a block spanning every column of a
 single matrix is that matrix itself, not a copy.
 
 One exception applies on one worker: each dense Hessian of at least
 :data:`SYMMETRIC_MIN_COLS` columns is not stacked but multiplied on its own
 by the Level-2 BLAS symmetric product ``dsymv``, which reads one triangle,
-so half the bytes of the stacked GEMV, and writes its rows of the stacked
-product in place.  Below that size the stacked GEMV is cache-resident and
+so half the bytes of the stacked GEMV, and writes its row of the product
+in place.  Below that size the stacked GEMV is cache-resident and
 no slower, so small stacks and every partitioned run take the generic path
 unchanged.
 """
@@ -146,11 +146,6 @@ def _tree_sum(parts):
     return parts[0]
 
 
-def _check_cols(M, partition):
-    if M.shape[1] != partition.n_cols:
-        raise ValueError(f"matrix has {M.shape[1]} columns, partition covers {partition.n_cols}")
-
-
 def _check_vector(v, length):
     v = np.asarray(v)
     if v.shape != (length,):
@@ -170,33 +165,31 @@ def _cut(matrices, lo, hi):
         return M if (lo, hi) == (0, M.shape[1]) else M[:, lo:hi]
     if sp.issparse(matrices[0]):
         return sp.vstack([M[:, lo:hi] for M in matrices], format="csc")
-    rows = sum(M.shape[0] for M in matrices)
+    rows = len(matrices) * matrices[0].shape[0]
     return np.concatenate([M[:, lo:hi] for M in matrices], out=np.empty((rows, hi - lo), order="F"))
 
 
-def _runs(members, starts):
-    """``(rows of the stacked product, rows of the group's product)`` of each
-    maximal run of consecutive stack matrices in ``members``, as slices."""
+def _runs(members):
+    """``(stack matrices, group matrices)`` of each maximal run of consecutive
+    stack matrices in ``members``, as slices."""
     runs = []
-    pos = 0  # rows of the group's product placed so far
-    for i in members:
-        lo, hi = int(starts[i]), int(starts[i + 1])
-        if runs and runs[-1][1] == lo:  # extends the previous run
-            runs[-1][1] = hi
+    for pos, i in enumerate(members):
+        if runs and runs[-1][1] == i:  # extends the previous run
+            runs[-1][1] = i + 1
         else:
-            runs.append([lo, hi, pos])
-        pos += hi - lo
+            runs.append([i, i + 1, pos])
     return [(slice(lo, hi), slice(src, src + hi - lo)) for lo, hi, src in runs]
 
 
 class ColumnBlocks:
-    """Per-worker column blocks of the Hessian stack, cut once.
+    """Per-worker column blocks of a square Hessian stack, cut once.
 
-    ``matrices`` share the partition's column count.  Each worker holds one
-    dense block stacking its columns of every dense matrix; the CSC blocks
-    stacking each worker's columns of every sparse matrix sit on the
-    diagonal of one block-diagonal CSC matrix.  So :meth:`matvec` costs one
-    dense product per worker and one sparse product.
+    ``matrices`` are ``n x n`` with ``n`` the partition's column count.
+    Each worker holds one dense block stacking its columns of every dense
+    matrix; the CSC blocks stacking each worker's columns of every sparse
+    matrix sit on the diagonal of one block-diagonal CSC matrix.  So
+    :meth:`matvec` costs one dense product per worker and one sparse
+    product, and returns the ``(k, n)`` array of the ``k`` products.
 
     The matrices are taken to be symmetric, as Hessians are: on one worker
     and at least :data:`SYMMETRIC_MIN_COLS` columns, each dense matrix is
@@ -207,26 +200,27 @@ class ColumnBlocks:
 
     def __init__(self, matrices, partition: ColumnPartition):
         self.partition = partition
-        starts = np.cumsum([0] + [M.shape[0] for M in matrices])
-        self._n_rows = int(starts[-1])
-        whole = partition.n_cols >= SYMMETRIC_MIN_COLS and len(partition.ranges) == 1
+        n = partition.n_cols
+        self._shape = (len(matrices), n)
+        whole = n >= SYMMETRIC_MIN_COLS and len(partition.ranges) == 1
         kinds = ([], [])  # indices of the dense and of the sparse matrices
-        self._symmetric = []  # (rows of the stacked product, F-contiguous matrix) for dsymv
+        self._symmetric = []  # (row of the product, F-contiguous matrix) for dsymv
         for i, M in enumerate(matrices):
-            _check_cols(M, partition)
+            if M.shape != (n, n):
+                raise ValueError(f"matrix {i} has shape {M.shape}, expected ({n}, {n})")
             if whole and not sp.issparse(M):
                 # a symmetric matrix is its own transpose, and the transpose
                 # of a C-order array is an F-order view: f2py copies neither
-                F = M.T if M.flags.c_contiguous else np.asfortranarray(M)
-                self._symmetric.append((slice(int(starts[i]), int(starts[i + 1])), F))
+                self._symmetric.append((i, M.T if M.flags.c_contiguous else np.asfortranarray(M)))
             else:
                 kinds[sp.issparse(M)].append(i)
         if self._symmetric:
             from scipy.linalg.blas import dsymv  # only here: importing it costs about 7 MB
 
             self._dsymv = dsymv
-        # (rows of the stacked product, blocks) for each kind present: one
-        # block per worker when dense, one block-diagonal matrix when sparse
+        # (matrix count, runs of rows of the product, blocks) for each kind
+        # present: one block per worker when dense, one block-diagonal
+        # matrix when sparse
         self._groups = []
         for sparse, members in enumerate(kinds):
             if not members:
@@ -234,7 +228,7 @@ class ColumnBlocks:
             blocks = [_cut([matrices[i] for i in members], lo, hi) for lo, hi in partition.ranges]
             if sparse:
                 blocks = sp.block_diag(blocks, format="csc") if len(blocks) > 1 else blocks[0]
-            self._groups.append((_runs(members, starts), blocks))
+            self._groups.append((len(members), _runs(members), blocks))
 
     def _partials(self, blocks, x):
         """Each worker's partial product with ``blocks``, in worker order."""
@@ -244,28 +238,29 @@ class ColumnBlocks:
         return list((blocks @ x).reshape(len(ranges), -1))
 
     def matvec(self, x, stats: CommStats):
-        """The stacked product ``(P_0 x; P_1 x; ...)``, matrix by matrix, from per-worker partials.
+        """The ``(k, n)`` array whose row ``i`` is ``P_i x``, from per-worker partials.
 
         The partials of each block kind are tree-reduced in worker order, so
         every product is bitwise what a per-matrix reduction gives whenever
-        the local products are; the rows of a matrix kept whole for ``dsymv``
-        are its one worker's product.  Accounts one reduce of all the rows
+        the local products are; the row of a matrix kept whole for ``dsymv``
+        is its one worker's product.  Accounts one reduce of all the rows
         and one scatter of the same volume, which hands the products back to
         the workers.
         """
         x = _check_vector(x, self.partition.n_cols)
+        k, n = self._shape
         if len(self._groups) == 1 and not self._symmetric:  # one kind: its rows are the whole stack
-            out = _tree_sum(self._partials(self._groups[0][1], x))
+            out = _tree_sum(self._partials(self._groups[0][2], x)).reshape(k, n)
         else:
-            out = np.empty(self._n_rows)
-            for rows, M in self._symmetric:
-                self._dsymv(1.0, M, x, beta=0.0, y=out[rows], overwrite_y=1)
-            for runs, blocks in self._groups:
-                total = _tree_sum(self._partials(blocks, x))
+            out = np.empty((k, n))
+            for i, M in self._symmetric:
+                self._dsymv(1.0, M, x, beta=0.0, y=out[i], overwrite_y=1)
+            for count, runs, blocks in self._groups:
+                total = _tree_sum(self._partials(blocks, x)).reshape(count, n)
                 for rows, src in runs:
                     out[rows] = total[src]
-        stats.record_reduce(self._n_rows)
-        stats.record_scatter(self._n_rows)
+        stats.record_reduce(out.size)
+        stats.record_scatter(out.size)
         return out
 
 
@@ -274,7 +269,8 @@ def dist_dot(X, y, partition: ColumnPartition, stats: CommStats) -> np.ndarray:
     X = np.asarray(X)
     if X.ndim != 2:
         raise ValueError(f"X has shape {X.shape}, expected a matrix")
-    _check_cols(X, partition)
+    if X.shape[1] != partition.n_cols:
+        raise ValueError(f"X has {X.shape[1]} columns, partition covers {partition.n_cols}")
     y = _check_vector(y, partition.n_cols)
     total = _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in partition.ranges])
     stats.record_reduce(len(X))

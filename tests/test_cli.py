@@ -350,6 +350,7 @@ class TestCheckKkt:
         ('{"x": [[1.0]], "lambda": [1.0]}', "x"),
         ('{"x": [true], "lambda": [1.0]}', "x"),
         ('{"x": ["1.0"], "lambda": [1.0]}', "x"),
+        ('{"x": [null], "lambda": [1.0]}', "x: None"),  # a diverged report's non-finite entry
     ])
     def test_malformed_point_exit_one_without_traceback(self, toy_file, tmp_path, text, field):
         point = tmp_path / "point.json"
@@ -361,3 +362,17 @@ class TestCheckKkt:
         assert main(["solve", toy_file, "--tol", "1e-6", "--report", str(report)]) == 0
         assert main(["check-kkt", toy_file, str(report)]) == 0
         assert float(capsys.readouterr().out.splitlines()[-2].split("=")[1]) <= 1e-4
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_reproduces_the_solve_residuals(self, tmp_path, capsys, workers):
+        # the MKL instance has a u block, an equality row and a mixed dense/CSC Hessian stack
+        problem = tmp_path / "mkl.npz"
+        assert main(["generate", "mkl", "--ntr", "12", "--nt", "4", "--out", str(problem)]) == 0
+        report = tmp_path / "report.json"
+        assert main(["solve", str(problem), "--workers", str(workers), "--report", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["check-kkt", str(problem), str(report)]) == 0
+        printed = dict(item.split("=") for item in capsys.readouterr().out.splitlines()[-1].split())
+        solved = json.loads(report.read_text())
+        for name in ("res1", "res2"):
+            assert float(printed[name]) == pytest.approx(solved[name], rel=1e-9)

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -445,13 +446,23 @@ class TestSolve:
         assert rep.status is TerminationStatus.CONVERGED
         assert rep.iterations == 150
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, tmp_path):
         p = toy_problem()
         p.q[0] = np.array([np.nan])
         rep = solve(p, SolverConfig(tol=1e-6, max_iters=100))
         assert rep.status is TerminationStatus.DIVERGED
         assert "non-finite" in rep.message
         assert np.isnan(rep.objective)
+        # the report is strict JSON: a non-finite iterate entry is written as null
+        path = tmp_path / "report.json"
+        rep.write_report_json(path)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(path.read_text(), parse_constant=reject)
+        assert report["x"] == [None]
+        assert report["objective"] is None
 
     def test_deterministic_rerun(self):
         rng = np.random.default_rng(5)

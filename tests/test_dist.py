@@ -13,8 +13,8 @@ from qcqpd.dist import SYMMETRIC_MIN_COLS, ColumnBlocks, _tree_sum, dist_dot
 
 
 def _matvec(M, x, part, stats=None):
-    """``M @ x`` through a one-matrix :class:`ColumnBlocks` stack."""
-    return ColumnBlocks([M], part).matvec(x, CommStats() if stats is None else stats)
+    """``M @ x``: the one row of a one-matrix :class:`ColumnBlocks` stack's product."""
+    return ColumnBlocks([M], part).matvec(x, CommStats() if stats is None else stats)[0]
 
 
 class TestPartition:
@@ -109,8 +109,12 @@ class TestMatvec:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             _matvec(np.eye(3), np.ones(4), partition_columns(3, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrix 0"):
             _matvec(np.eye(3), np.ones(3), partition_columns(4, 2))
+        with pytest.raises(ValueError, match="matrix 0"):
+            _matvec(np.ones((2, 3)), np.ones(3), partition_columns(3, 1))
+        with pytest.raises(ValueError, match="matrix 1 has shape"):
+            ColumnBlocks([np.eye(3), sp.csc_matrix(np.ones((3, 2)))], partition_columns(3, 1))
 
 
 class TestDot:
@@ -157,19 +161,19 @@ STACKS = {
 }
 
 
-def _stack(kinds, n, rng, integer, rows=None):
-    """One matrix per kind with ``n`` columns and ``rows`` rows (``n`` when not given)."""
+def _stack(kinds, n, rng, integer):
+    """One ``n x n`` matrix per kind."""
     mats = []
-    for kind, m in zip(kinds, rows or [n] * len(kinds)):
-        M = rng.integers(-4, 5, size=(m, n)).astype(float) if integer else rng.standard_normal((m, n))
-        mats.append(sp.csc_matrix(M * (rng.random((m, n)) < 0.4)) if kind == "csc" else np.asfortranarray(M))
+    for kind in kinds:
+        M = rng.integers(-4, 5, size=(n, n)).astype(float) if integer else rng.standard_normal((n, n))
+        mats.append(sp.csc_matrix(M * (rng.random((n, n)) < 0.4)) if kind == "csc" else np.asfortranarray(M))
     return mats
 
 
 class TestColumnBlocks:
     """A stack of several matrices against a one-matrix stack per matrix.
 
-    The stack's product is the per-matrix products concatenated in matrix order.
+    The stack's product is the per-matrix products stacked as rows in matrix order.
     """
 
     # n = 3 leaves some of 4 or 5 workers an empty column range
@@ -183,9 +187,9 @@ class TestColumnBlocks:
         x = rng.integers(-5, 6, size=n).astype(float)
         part = partition_columns(n, workers)
         out = ColumnBlocks(mats, part).matvec(x, CommStats())
-        assert out.shape == (len(mats) * n,)
-        assert np.array_equal(out, np.concatenate([_matvec(M, x, part) for M in mats]))
-        assert np.array_equal(out, np.concatenate([M @ x for M in mats]))
+        assert out.shape == (len(mats), n)
+        assert np.array_equal(out, np.stack([_matvec(M, x, part) for M in mats]))
+        assert np.array_equal(out, np.stack([M @ x for M in mats]))
 
     # n = 3 leaves some of 4 or 5 workers an empty column range
     @pytest.mark.parametrize("n", [3, 13])
@@ -199,11 +203,11 @@ class TestColumnBlocks:
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
         dense = [M for M in mats if not sp.issparse(M)]
-        dense_rows = iter(np.split(ColumnBlocks(dense, part).matvec(x, CommStats()), len(dense)) if dense else ())
+        dense_rows = iter(ColumnBlocks(dense, part).matvec(x, CommStats()) if dense else ())
         expected = [_tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges]) if sp.issparse(M)
                     else next(dense_rows) for M in mats]
         out = ColumnBlocks(mats, part).matvec(x, CommStats())
-        assert out.tobytes() == np.concatenate(expected).tobytes()
+        assert out.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", STACKS.values(), ids=list(STACKS))
@@ -214,17 +218,7 @@ class TestColumnBlocks:
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
         out = ColumnBlocks(mats, part).matvec(x, CommStats())
-        np.testing.assert_allclose(out, np.concatenate([_matvec(M, x, part) for M in mats]), rtol=1e-13, atol=1e-15)
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_rows_in_matrix_order(self, workers):
-        # matrices of different heights, sparse and dense interleaved
-        rng = np.random.default_rng(9)
-        n = 7
-        mats = _stack(STACKS["mixed"], n, rng, integer=True, rows=[2, 5, 1, 3, 4])
-        x = rng.integers(-5, 6, size=n).astype(float)
-        out = ColumnBlocks(mats, partition_columns(n, workers)).matvec(x, CommStats())
-        assert np.array_equal(out, np.concatenate([M @ x for M in mats]))
+        np.testing.assert_allclose(out, np.stack([_matvec(M, x, part) for M in mats]), rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_comm_one_reduce_scatter_pair_per_call(self, workers):
@@ -277,7 +271,7 @@ class TestSymmetricStack:
         x = rng.standard_normal(n)
         stats = CommStats()
         out = ColumnBlocks(mats, partition_columns(n, 1)).matvec(x, stats)
-        np.testing.assert_allclose(out, np.concatenate([M @ x for M in mats]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out, np.stack([M @ x for M in mats]), rtol=1e-12, atol=1e-12)
         rows = len(mats) * n
         assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 1,
                                    "bytes_reduced": 8 * rows, "bytes_scattered": 8 * rows}
@@ -295,7 +289,7 @@ class TestSymmetricStack:
         out = ColumnBlocks(mats, part).matvec(x, CommStats())
         expected = [_tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges])
                     for M in (M if sp.issparse(M) else np.asfortranarray(M) for M in mats)]
-        assert out.tobytes() == np.concatenate(expected).tobytes()
+        assert out.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("n, workers, one_triangle", [
         (SYMMETRIC_MIN_COLS, 1, True),
@@ -308,7 +302,7 @@ class TestSymmetricStack:
         rng = np.random.default_rng(11)
         M = np.asfortranarray(rng.standard_normal((n, n)))
         x = rng.standard_normal(n)
-        out = ColumnBlocks([M], partition_columns(n, workers)).matvec(x, CommStats())
+        out = _matvec(M, x, partition_columns(n, workers))
         upper = np.triu(M) + np.triu(M, 1).T
         lower = np.tril(M) + np.tril(M, -1).T
         symmetrised = [S @ x for S in (upper, lower)]
