@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from .model import _frob
+
 __all__ = [
     "TerminationStatus",
     "compute_residuals",
@@ -70,13 +72,20 @@ def compute_residuals(problem, x, lam, F):
     ``res1 = sqrt((sum_j clip(g_x)_j^2 + ||g_u||^2) / (n1 + n2))`` with the
     clipping of :func:`_clipped_gradient`; ``res2 = sqrt((sum_i (lam_i
     |cons_i|)^2 + ||eq||^2) / (m1 + m2))``.  An empty block contributes a
-    zero residual by convention.
+    zero residual by convention.  When the sum of squares in ``res1``
+    overflows, the blocks are rescaled as in :func:`qcqpd.model._frob`, so a
+    finite gradient gives a finite ``res1``.
     """
     p = problem
     grad_x, grad_u, neg_cons, neg_eq = F
     if p.n1 + p.n2 > 0:
         clipped = _clipped_gradient(p, x, grad_x)
-        res1 = math.sqrt((float(clipped @ clipped) + float(grad_u @ grad_u)) / (p.n1 + p.n2))
+        with np.errstate(over="ignore"):
+            total = float(clipped @ clipped) + float(grad_u @ grad_u)
+        if total == math.inf:  # an entry above about 1.3e154: the rescaling norm
+            res1 = _frob(np.concatenate((clipped, grad_u))) / math.sqrt(p.n1 + p.n2)
+        else:
+            res1 = math.sqrt(total / (p.n1 + p.n2))
     else:
         res1 = 0.0
     if p.m1 + p.m2 > 0:

@@ -42,6 +42,9 @@ SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-8
 # Columns per tile of the dense symmetry test.
 SYMMETRY_TILE = 128
+# Columns from which a dense Hessian's PSD test factorizes in place with LAPACK's
+# ``dpotrf``; below it ``np.linalg.cholesky`` runs and ``scipy.linalg`` stays unloaded.
+LAPACK_MIN_COLS = 512
 
 
 class ProblemFormatError(ValueError):
@@ -225,9 +228,13 @@ def _asymmetry(M) -> float:
     return math.sqrt(total)
 
 
-def _is_psd(M, tau) -> bool:
+def _is_psd(M, tau, buf) -> bool:
     """Whether ``M + tau*I`` (``M`` symmetric) is positive definite, by factorizing it.
 
+    A dense matrix of at least :data:`LAPACK_MIN_COLS` columns is copied into
+    ``buf``, a Fortran-order scratch matrix of its shape, and factorized there
+    by ``dpotrf``; a smaller one is copied and passed to ``np.linalg.cholesky``
+    (``buf`` may then be ``None``).  Both read the lower triangle only.
     Sparse matrices get an LU that pivots on the diagonal only: when its row
     and column orders agree it is ``LDL'`` of a symmetric permutation, positive
     definite exactly when every pivot (diagonal of ``U``) is positive.  A diagonal
@@ -245,6 +252,15 @@ def _is_psd(M, tau) -> bool:
         except RuntimeError:  # exactly singular
             return False
         return bool((lu.perm_r == lu.perm_c).all() and (lu.U.diagonal() > 0).all())
+    if n >= LAPACK_MIN_COLS:
+        from scipy.linalg.lapack import dpotrf  # only here: importing scipy.linalg costs about 8 MB
+
+        np.copyto(buf, M)
+        buf[np.diag_indices(n)] += tau
+        _, info = dpotrf(buf, lower=1, clean=0, overwrite_a=1)
+        if info < 0:
+            raise RuntimeError(f"dpotrf rejected argument {-info}")
+        return info == 0
     A = np.array(M, dtype=np.float64)
     A[np.diag_indices(n)] += tau
     try:
@@ -276,16 +292,21 @@ def _linear_data(p):
 
 
 def validate(problem: QcqpProblem) -> ValidationReport:
-    """Check well-formedness of a problem; returns a report, never raises.
+    """Check well-formedness of a problem; returns a report, never raises on bad data.
 
     Detects NaN or infinite entries in ``P``, ``q``, ``c``, ``r``, ``A``,
     ``B`` and ``b`` (``x_upper`` may be ``+inf``), asymmetric or non-PSD
     constraint matrices (``Pi + 1e-8 * max(||Pi||_F, 1) I`` not positive
     definite, tested after symmetry), and nonpositive box upper bounds.
-    Shapes are checked by the :class:`QcqpProblem` constructor.
+    Shapes are checked by the :class:`QcqpProblem` constructor.  Only an
+    illegal-argument code from LAPACK, a fault of this code, raises
+    ``RuntimeError``.
     """
     v = []
     p = problem
+    # one scratch matrix for every dense Hessian large enough to factorize in place
+    dense = p.n1 >= LAPACK_MIN_COLS and any(not sp.issparse(Pi) for Pi in p.P)
+    buf = np.empty((p.n1, p.n1), order="F") if dense else None
     for i, Pi in enumerate(p.P):
         msg = _non_finite(f"P[{i}]", Pi)
         if msg:
@@ -297,7 +318,7 @@ def validate(problem: QcqpProblem) -> ValidationReport:
             v.append(f"P[{i}] is not symmetric (||P - P'||_F = {gap:.3e})")
             continue
         tau = PSD_RTOL * max(nrm, 1.0)
-        if not _is_psd(Pi, tau):
+        if not _is_psd(Pi, tau, buf):
             v.append(f"P[{i}] is not PSD (P[{i}] + {tau:.3e} I is not positive definite)")
     for name, M in _linear_data(p):
         msg = _non_finite(name, M)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from qcqpd import (
+    QcqpProblem,
     SolverConfig,
     TerminationStatus,
     classify_termination,
     compute_residuals,
     kkt_residual_max,
     solve,
+    validate,
 )
 from qcqpd.core import TraceRow
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
@@ -47,6 +49,20 @@ class TestResiduals:
     def test_empty_blocks_convention(self):
         p = random_problem(np.random.default_rng(0), n1=3, m1=0)
         _, res2 = _residuals(p, np.zeros(3), np.zeros(0), np.zeros(0), np.zeros(0))
+        assert res2 == 0.0
+
+    @pytest.mark.parametrize("q0, c0, want", [
+        (-1.0, [1e308], 1e308 / np.sqrt(2)),  # g_u = c0 = 1e308, g_x = -1 outward at the lower bound
+        (-1e200, [], 1e200),  # g_x = -1e200 outward, no u block
+    ], ids=["u-block", "x-block"])
+    def test_huge_gradient_gives_finite_res1(self, q0, c0, want):
+        # the squares overflow: res1 rescales instead of reading inf (or
+        # raising numpy's overflow warning under the suite's warning filter)
+        n2 = len(c0)
+        p = QcqpProblem(n1=1, n2=n2, m1=0, m2=0, P=[np.array([[1.0]])], q=[np.array([q0])], c=[np.array(c0)], r=[0.0])
+        assert validate(p).ok
+        res1, res2 = _residuals(p, np.zeros(1), np.zeros(n2), np.zeros(0), np.zeros(0))
+        assert res1 == pytest.approx(want, rel=1e-15)
         assert res2 == 0.0
 
 

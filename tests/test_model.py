@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from qcqpd import (
     solve,
     validate,
 )
-from qcqpd.model import PSD_RTOL, SYMMETRY_TILE, _asymmetry
+from qcqpd.model import LAPACK_MIN_COLS, PSD_RTOL, SYMMETRY_TILE, _asymmetry
 from helpers import hessian_problem, random_problem, read_members, toy_problem, write_members
 
 
@@ -144,19 +147,59 @@ class TestValidate:
         assert np.linalg.eigvalsh(p.P[0].toarray())[0] == 0.0
         assert validate(p).ok
 
-    @pytest.mark.parametrize("storage", ["dense", "csc", "diagonal csc"])
+    @pytest.mark.parametrize("storage", ["dense", "csc", "diagonal csc", "dense lapack"])
     @pytest.mark.parametrize("factor, ok", [(-0.5, True), (-2.0, False)])
     def test_psd_slack_boundary(self, storage, factor, ok):
-        # smallest eigenvalue factor * tau; the rule accepts lambda_min >= -tau
+        # smallest eigenvalue factor * tau; the rule accepts lambda_min >= -tau.
+        # "dense lapack" has LAPACK_MIN_COLS columns, the smallest factorized by dpotrf
+        n = LAPACK_MIN_COLS if storage == "dense lapack" else 6
         rng = np.random.default_rng(5)
-        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        spectrum = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spectrum = np.r_[0.0, np.linspace(1.0, 5.0, n - 1)]
         tau = PSD_RTOL * np.linalg.norm(spectrum)
         spectrum[0] = factor * tau
         P = (Q * spectrum) @ Q.T
         P = (P + P.T) / 2
-        P = {"dense": np.asfortranarray(P), "csc": sp.csc_matrix(P), "diagonal csc": sp.diags(spectrum, format="csc")}
-        assert validate(hessian_problem([np.eye(6), P[storage]], n1=6)).ok is ok
+        P = {"dense": np.asfortranarray(P), "csc": sp.csc_matrix(P), "diagonal csc": sp.diags(spectrum, format="csc"),
+             "dense lapack": np.asfortranarray(P)}
+        assert validate(hessian_problem([np.eye(n), P[storage]], n1=n)).ok is ok
+
+    def test_lapack_scratch_reused_across_hessians(self):
+        # one scratch matrix serves every Hessian: the indefinite middle one
+        # leaves it partly factorized, and the PSD one after it must still pass
+        n = LAPACK_MIN_COLS
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((n, n))
+        psd = np.asfortranarray(M @ M.T / n)
+        indefinite = np.asfortranarray(psd - 0.1 * np.eye(n))
+        tau = PSD_RTOL * max(np.linalg.norm(indefinite), 1.0)
+        assert np.linalg.eigvalsh(indefinite)[0] < -tau
+        report = validate(hessian_problem([psd, indefinite, psd], n1=n))
+        assert report.violations == [f"P[1] is not PSD (P[1] + {tau:.3e} I is not positive definite)"]
+
+    def test_lapack_illegal_argument_raises(self, monkeypatch):
+        # a negative info is a fault of the call, not of the data: it must not read as "not PSD"
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kw: (a, -1))
+        with pytest.raises(RuntimeError, match="dpotrf rejected argument 1"):
+            validate(hessian_problem([np.eye(LAPACK_MIN_COLS)], n1=LAPACK_MIN_COLS))
+
+    def test_small_families_do_not_import_scipy_linalg(self):
+        # below LAPACK_MIN_COLS the PSD test needs no scipy.linalg (about 8 MB resident)
+        code = (
+            "import sys\n"
+            "from qcqpd import MklSpec, RandomQcqpSpec, build_mkl_qcqp, gen_infeasible, gen_random_qcqp, gen_unbounded, validate\n"
+            "problems = [gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=0)), build_mkl_qcqp(MklSpec())[0],\n"
+            "            gen_infeasible(64, seed=0), gen_unbounded(64, seed=0)]\n"
+            "assert all(validate(p).ok for p in problems)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
     def test_decision_matches_eigvalsh(self):
         # symmetric matrices whose smallest eigenvalue lies within 1e-3 ||P||_F of zero,
