@@ -16,7 +16,7 @@ import math
 import sys
 
 from .core import SolverConfig, solve
-from .diagnostics import TerminationStatus, compute_residuals, kkt_residual_max
+from .diagnostics import TerminationStatus, compute_residuals, kkt_residual_max, serial_operator
 from .generators import (
     EIGENVALUE_RANGES,
     Kernel,
@@ -221,9 +221,7 @@ def _run_check_kkt(args) -> int:
     problem = _load_and_validate(args.problem)
     x, u, lam, gam = load_point(args.point, problem)
     kkt = kkt_residual_max(x, u, lam, gam, problem)
-    F = (problem.lagrangian_grad_x(x, lam, gam), problem.lagrangian_grad_u(lam, gam),
-         -problem.constraint_values(x, u), -problem.equality_residual(x, u))
-    res1, res2 = compute_residuals(problem, x, lam, F)
+    res1, res2 = compute_residuals(problem, x, lam, serial_operator(problem, x, u, lam, gam))
     print(f"kkt_residual_max={kkt!r}")
     print(f"res1={res1!r} res2={res2!r}")
     return 0

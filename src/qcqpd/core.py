@@ -370,14 +370,18 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     the box and the multiplier sign from the first step.
     ``callback(k, x, u, lam, gam)``, when given, is invoked once per
     iteration at the current iterate, including the final one; the arrays
-    are live views of the state vector and must be copied if stored.
+    are live views of the state vector and must be copied if stored.  The
+    loop, the callback included, runs under ``np.errstate(over="ignore")``:
+    an overflow shows as a non-finite iterate, which ends the solve
+    ``diverged``, or as a non-finite trace objective.
 
     Termination: residuals are evaluated every :data:`TRACE_EVERY` iterations,
     each check is appended to the trace as a :class:`TraceRow`, and the
     trace is classified (converged / infeasibility suspected /
     unboundedness suspected); the loop also stops on iterate overflow
     (diverged) or after ``max_iters`` iterations.  The reported residuals
-    always refer to the returned iterate.
+    always refer to the returned iterate; ``converged`` means both are below
+    ``tol``, so the iterate is primal feasible to within ``tol`` in RMS.
 
     Precondition: every ``P[i]`` is symmetric, as :func:`qcqpd.validate`
     checks.  On one worker a dense Hessian of at least
@@ -410,47 +414,48 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     res1 = res2 = math.nan
     k = 0
 
-    while True:
-        Px = _pass(p, hessians, stats, at_z, f)
+    with np.errstate(over="ignore"):
+        while True:
+            Px = _pass(p, hessians, stats, at_z, f)
 
-        if not np.isfinite(z).all():
-            status = TerminationStatus.DIVERGED
-            message = f"non-finite iterate at iteration {k}"
-            res1 = res2 = math.nan
-            break
-
-        if callback is not None:
-            callback(k, x, u, lam, gam)
-
-        rho = adaptive_step_size(norms, x, lam, neg_cons, grad_x)
-        rho_min = min(rho_min, rho)
-        rho_max = max(rho_max, rho)
-
-        # residual check on the cadence and at the iteration cap; only a
-        # check on the cadence is classified
-        on_cadence = k % TRACE_EVERY == 0
-        if on_cadence or k >= cfg.max_iters:
-            res1, res2 = compute_residuals(p, x, lam, f)
-            objective = 0.5 * float(x @ Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
-            trace.append(TraceRow(k, rho, res1, res2, objective))
-            outcome = None
-            if on_cadence:
-                outcome = classify_termination(trace, cfg.tol, cfg.divergence_threshold)
-            if outcome is None and k >= cfg.max_iters:
-                outcome = (
-                    TerminationStatus.MAX_ITERS_EXCEEDED,
-                    f"residual tolerance {cfg.tol:g} not reached in {cfg.max_iters} iterations",
-                )
-            if outcome is not None:
-                status, message = outcome
+            if not np.isfinite(z).all():
+                status = TerminationStatus.DIVERGED
+                message = f"non-finite iterate at iteration {k}"
+                res1 = res2 = math.nan
                 break
 
-        # predictor from the k-th iterate; the corrector anchors at it again
-        # but takes F at the predictor
-        projected_step(z, F, rho, lower, upper, w)
-        _pass(p, hessians, stats, at_w, f)
-        projected_step(z, F, rho, lower, upper, z)
-        k += 1
+            if callback is not None:
+                callback(k, x, u, lam, gam)
+
+            rho = adaptive_step_size(norms, x, lam, neg_cons, grad_x)
+            rho_min = min(rho_min, rho)
+            rho_max = max(rho_max, rho)
+
+            # residual check on the cadence and at the iteration cap; only a
+            # check on the cadence is classified
+            on_cadence = k % TRACE_EVERY == 0
+            if on_cadence or k >= cfg.max_iters:
+                res1, res2 = compute_residuals(p, x, lam, f)
+                objective = 0.5 * float(x @ Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
+                trace.append(TraceRow(k, rho, res1, res2, objective))
+                outcome = None
+                if on_cadence:
+                    outcome = classify_termination(trace, cfg.tol, cfg.divergence_threshold)
+                if outcome is None and k >= cfg.max_iters:
+                    outcome = (
+                        TerminationStatus.MAX_ITERS_EXCEEDED,
+                        f"residual tolerance {cfg.tol:g} not reached in {cfg.max_iters} iterations",
+                    )
+                if outcome is not None:
+                    status, message = outcome
+                    break
+
+            # predictor from the k-th iterate; the corrector anchors at it again
+            # but takes F at the predictor
+            projected_step(z, F, rho, lower, upper, w)
+            _pass(p, hessians, stats, at_w, f)
+            projected_step(z, F, rho, lower, upper, z)
+            k += 1
 
     # every exit but divergence has just traced the returned iterate
     objective = math.nan if status is TerminationStatus.DIVERGED else trace[-1].objective

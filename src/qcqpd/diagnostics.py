@@ -1,18 +1,17 @@
-"""Optimality residuals, termination classification and solution checks.
+"""Optimality conditions, termination classification and solution checks.
 
-Two averaged residuals drive the stopping test: ``res1`` measures dual
-feasibility (the Lagrangian gradient, clipped against the normal cone of
-the box on the ``x`` block) and ``res2`` measures complementarity plus
-primal feasibility of the equalities.  Their joint behavior also exposes
-pathological instances: a diverging ``res2`` with bounded ``res1`` points
-at infeasibility, while ``res1`` leveling off at a nonzero value with
-``res2`` converged points at an unbounded objective.  Neither detection
-is a certificate; both are flagged as "suspected".
-
-The module also provides an independent optimality certificate
-(:func:`kkt_residual_max`, a max-norm aggregation of all first-order
-conditions) and the test-set accuracy evaluation for kernel-combination
-SVM instances.
+The first-order conditions are defined once (:func:`_conditions`) as five
+vectors: stationarity, the Lagrangian gradient clipped against the box
+normal cone in ``x`` and the gradient in ``u``, and feasibility, the
+complementarity ``lam_i |cons_i|``, the violation ``max(0, cons_i)`` and
+the equality rows.  The RMS of each group is the stopping pair ``(res1,
+res2)`` (:func:`compute_residuals`), the max-norm over all five the
+certificate :func:`kkt_residual_max`.  The pair also exposes pathological
+instances: a diverging ``res2`` with bounded ``res1`` points at
+infeasibility, while ``res1`` leveling off at a nonzero value with ``res2``
+converged, so at a primal-feasible iterate, points at an unbounded
+objective.  Neither detection is a certificate; both are flagged as
+"suspected".  Kernel-combination SVM solutions are scored on a test set.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ __all__ = [
     "compute_residuals",
     "classify_termination",
     "kkt_residual_max",
+    "serial_operator",
     "test_set_accuracy",
 ]
 
@@ -48,52 +48,57 @@ class TerminationStatus(enum.Enum):
     DIVERGED = "diverged"
 
 
-def _clipped_gradient(problem, x, grad_x):
-    """Gradient components clipped against the box normal cone.
+def serial_operator(problem, x, u, lam, gam):
+    """The operator blocks ``(g_x, g_u, -cons, -eq)`` at a point, from the serial
+    :class:`qcqpd.QcqpProblem` evaluators rather than the solver's pass."""
+    p = problem
+    return (p.lagrangian_grad_x(x, lam, gam), p.lagrangian_grad_u(lam, gam),
+            -p.constraint_values(x, u), -p.equality_residual(x, u))
 
-    At the lower bound only an outward (negative) gradient counts as a
-    violation; at a finite upper bound only a positive one; strictly
-    inside, the full component counts.
+
+def _conditions(problem, x, lam, F):
+    """The stationarity vectors ``(clip(g_x), g_u)`` and the feasibility vectors
+    ``(lam |cons|, max(0, cons), eq)`` of the operator blocks ``F = (g_x, g_u,
+    -cons, -eq)``; all five are zero exactly at a KKT point.
+
+    ``clip`` keeps the part of ``g_x`` outside the box normal cone: at the
+    lower bound only a negative component, at a finite upper bound only a
+    positive one, strictly inside the whole component.
     """
+    grad_x, grad_u, neg_cons, neg_eq = F
     clipped = np.array(grad_x, dtype=np.float64, copy=True)
     at_lo = x <= 0.0
     clipped[at_lo] = np.minimum(0.0, clipped[at_lo])
     at_hi = x >= problem.x_upper
     clipped[at_hi] = np.maximum(0.0, clipped[at_hi])
-    return clipped
+    return (clipped, grad_u), (lam * np.abs(neg_cons), np.maximum(0.0, -neg_cons), neg_eq)
+
+
+def _rms(blocks, count):
+    """``sqrt(sum of squares / count)`` over ``blocks``, 0 for ``count = 0``; when the sum
+    overflows (the caller silences numpy's warning) the entries are rescaled as in ``_frob``."""
+    if not count:
+        return 0.0
+    total = sum(float(v @ v) for v in blocks)
+    if total == math.inf:  # an entry above about 1.3e154: the rescaling norm
+        return _frob(np.concatenate(blocks)) / math.sqrt(count)
+    return math.sqrt(total / count)
 
 
 def compute_residuals(problem, x, lam, F):
-    """Averaged dual-feasibility and complementarity/feasibility residuals ``(res1, res2)``.
+    """The stopping pair ``(res1, res2)``: RMS stationarity and RMS feasibility.
 
-    ``F = (g_x, g_u, -cons, -eq)`` are the four blocks of the saddle
-    operator at the iterate: the Lagrangian gradient blocks, then the
-    negated quadratic constraint values and equality rows ``Ax + Bu - b``.
-    ``res1 = sqrt((sum_j clip(g_x)_j^2 + ||g_u||^2) / (n1 + n2))`` with the
-    clipping of :func:`_clipped_gradient`; ``res2 = sqrt((sum_i (lam_i
-    |cons_i|)^2 + ||eq||^2) / (m1 + m2))``.  An empty block contributes a
-    zero residual by convention.  When the sum of squares in ``res1``
-    overflows, the blocks are rescaled as in :func:`qcqpd.model._frob`, so a
-    finite gradient gives a finite ``res1``.
+    ``F = (g_x, g_u, -cons, -eq)`` are the operator blocks at the iterate:
+    the Lagrangian gradient, the negated quadratic constraint values and the
+    negated equality rows ``Ax + Bu - b``.  Over :func:`_conditions`, ``res1
+    = sqrt((||clip(g_x)||^2 + ||g_u||^2) / (n1 + n2))`` and ``res2 =
+    sqrt((||lam |cons|||^2 + ||max(0, cons)||^2 + ||eq||^2) / (m1 + m2))``;
+    an empty group gives 0, and an overflowing sum of squares is rescaled.
     """
     p = problem
-    grad_x, grad_u, neg_cons, neg_eq = F
-    if p.n1 + p.n2 > 0:
-        clipped = _clipped_gradient(p, x, grad_x)
-        with np.errstate(over="ignore"):
-            total = float(clipped @ clipped) + float(grad_u @ grad_u)
-        if total == math.inf:  # an entry above about 1.3e154: the rescaling norm
-            res1 = _frob(np.concatenate((clipped, grad_u))) / math.sqrt(p.n1 + p.n2)
-        else:
-            res1 = math.sqrt(total / (p.n1 + p.n2))
-    else:
-        res1 = 0.0
-    if p.m1 + p.m2 > 0:
-        comp = lam * np.abs(neg_cons)
-        res2 = math.sqrt((float(comp @ comp) + float(neg_eq @ neg_eq)) / (p.m1 + p.m2))
-    else:
-        res2 = 0.0
-    return res1, res2
+    with np.errstate(over="ignore"):
+        stationarity, feasibility = _conditions(p, x, lam, F)
+        return _rms(stationarity, p.n1 + p.n2), _rms(feasibility, p.m1 + p.m2)
 
 
 def classify_termination(residuals, tol, divergence_threshold):
@@ -106,7 +111,8 @@ def classify_termination(residuals, tol, divergence_threshold):
     * infeasibility suspected: ``res2`` above ``divergence_threshold``
       and strictly increasing over the last :data:`DIVERGENCE_WINDOW`
       entries, while ``res1`` stays below the same threshold;
-    * unboundedness suspected: ``res2`` below ``tol`` but ``res1``
+    * unboundedness suspected: ``res2`` below ``tol``, so the iterate is
+      primal feasible to within ``tol``, but ``res1``
       flat (relative spread below :data:`PLATEAU_REL_CHANGE` over the
       window) at a level above ``10 * tol``.
 
@@ -149,28 +155,15 @@ def classify_termination(residuals, tol, divergence_threshold):
 
 
 def kkt_residual_max(x, u, lam, gam, problem) -> float:
-    """Max-norm aggregation of all first-order optimality conditions.
+    """Max-norm of the five condition vectors of :func:`_conditions` at a point.
 
-    Combines box-clipped stationarity in ``x``, stationarity in ``u``,
-    complementarity ``|lam_i * cons_i|``, quadratic constraint violation
-    ``max(0, cons_i)`` and the equality residual.  Independent of the
-    averaged residual pair; zero exactly at a KKT point.
+    The certificate reads the same conditions as :func:`compute_residuals`,
+    on :func:`serial_operator`; a max-norm bounds an RMS, so ``max(res1,
+    res2) <= kkt_residual_max``.  Zero exactly at a KKT point.
     """
-    p = problem
     lam = np.asarray(lam, dtype=np.float64)
-    terms = [0.0]
-    if p.n1:
-        clipped = _clipped_gradient(p, x, p.lagrangian_grad_x(x, lam, gam))
-        terms.append(float(np.abs(clipped).max()))
-    if p.n2:
-        terms.append(float(np.abs(p.lagrangian_grad_u(lam, gam)).max()))
-    if p.m1:
-        cons = p.constraint_values(x, u)
-        terms.append(float((lam * np.abs(cons)).max()))
-        terms.append(float(np.maximum(0.0, cons).max()))
-    if p.m2:
-        terms.append(float(np.abs(p.equality_residual(x, u)).max()))
-    return max(terms)
+    stationarity, feasibility = _conditions(problem, x, lam, serial_operator(problem, x, u, lam, gam))
+    return max((float(np.abs(v).max()) for v in stationarity + feasibility if v.size), default=0.0)
 
 
 # --- kernel-combination SVM scoring ----------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 
 from qcqpd import QcqpProblem
 from qcqpd.core import projected_step, state_bounds
+from qcqpd.diagnostics import serial_operator
 
 
 def toy_problem():
@@ -138,9 +139,7 @@ def step_size_state(rng, trial):
 
 def operator(problem, x, u, lam, gam):
     """The saddle operator ``F = (grad_x L, grad_u L, -cons, -eq)`` at ``(x, u, lam, gam)``, by serial products."""
-    p = problem
-    return np.concatenate([p.lagrangian_grad_x(x, lam, gam), p.lagrangian_grad_u(lam, gam),
-                           -p.constraint_values(x, u), -p.equality_residual(x, u)])
+    return np.concatenate(serial_operator(problem, x, u, lam, gam))
 
 
 def step(problem, state, F, rho):

@@ -3,6 +3,10 @@
 * :func:`reference_solve_small`, an augmented-Lagrangian solver for small
   dense instances, unrelated to the predictor-corrector path, so
   agreement with :func:`qcqpd.solve` is an independent check;
+* :func:`reference_kkt`, the residual pair and the max-norm certificate
+  from the five first-order condition vectors, written out on dense
+  copies, so sharing the conditions between the stopping test and the
+  certificate is checked against a separate definition;
 * :func:`reference_norms`, the per-bound norms from ``np.linalg.norm`` on
   dense copies, independent of the package's ``_frob``;
 * :func:`reference_step_size`, the eight step-size bounds one bound at a
@@ -132,6 +136,43 @@ def reference_solve_small(problem, tol=1e-6):
         prev_viol = max(viol, 1e-300)
         gtol = max(0.2 * gtol, tol * 1e-2)
     raise OracleError(f"reference solver did not reach kkt tolerance {tol:g} in {REFERENCE_MAX_OUTER} outer iterations")
+
+
+# --- optimality conditions -----------------------------------------------------
+
+
+def reference_kkt(problem, x, u, lam, gam):
+    """``(res1, res2, kkt_max)`` from the five first-order condition vectors at a point.
+
+    Textbook formulas on dense copies, sharing no code with
+    :mod:`qcqpd.diagnostics` or the ``QcqpProblem`` evaluators.  With
+    ``f_i = x'Pi x / 2 + qi'x + ci'u + ri`` the vectors are: the gradient
+    ``g = P0 x + q0 + sum_i lam_i (Pi x + qi) + A'gam`` with its component
+    ``g_j`` replaced by ``min(g_j, 0)`` at ``x_j = 0`` and ``max(g_j, 0)`` at
+    ``x_j = x_upper_j``; ``c0 + sum_i lam_i ci + B'gam``; ``|lam_i f_i|``;
+    ``max(f_i, 0)``; and ``A x + B u - b``.  ``res1`` is the RMS of the first
+    two over ``n1 + n2`` entries, ``res2`` that of the other three over
+    ``m1 + m2`` (0 for an empty count), and ``kkt_max`` the largest magnitude
+    of all five.
+    """
+    p = problem
+    P, A, B = [_dense(M) for M in p.P], _dense(p.A), _dense(p.B)
+    f = np.array([0.5 * x @ P[i] @ x + p.q[i] @ x + p.c[i] @ u + p.r[i] for i in range(1, p.m1 + 1)])
+    g_x = P[0] @ x + p.q[0] + A.T @ gam
+    g_u = p.c[0] + B.T @ gam
+    for i in range(1, p.m1 + 1):
+        g_x += lam[i - 1] * (P[i] @ x + p.q[i])
+        g_u += lam[i - 1] * p.c[i]
+    g_x = np.array([min(g, 0.0) if xj <= 0.0 else max(g, 0.0) if xj >= top else g
+                    for g, xj, top in zip(g_x, x, p.x_upper)])
+    stationarity = [g_x, g_u]
+    feasibility = [np.abs(lam * f), np.maximum(f, 0.0), A @ x + B @ u - p.b]
+
+    def rms(vectors, count):
+        return math.sqrt(sum(float(v @ v) for v in vectors) / count) if count else 0.0
+
+    kkt_max = max((float(np.abs(v).max()) for v in stationarity + feasibility if v.size), default=0.0)
+    return rms(stationarity, p.n1 + p.n2), rms(feasibility, p.m1 + p.m2), kkt_max
 
 
 # --- step size ---------------------------------------------------------------

@@ -17,7 +17,9 @@ from qcqpd import (
     build_mkl_qcqp,
     gen_infeasible,
     gen_unbounded,
+    kkt_residual_max,
     solve,
+    validate,
 )
 from qcqpd.core import BIG_M, EPS0, _blocks, _pass, _root_rule, adaptive_step_size, compute_norms
 from qcqpd.dist import ColumnBlocks, CommStats, partition_columns
@@ -551,6 +553,35 @@ class TestSolve:
         rep = solve(p, SolverConfig())
         assert rep.status is TerminationStatus.CONVERGED
         assert abs(rep.x[0] - np.sqrt(2.0 / P1)) <= 1e-3 * np.sqrt(2.0 / P1)
+
+    def test_overflowing_objective_value_diverges_without_a_warning(self):
+        # c0 = 1e308 pushes u past the float range: the trace objective reads
+        # -inf and the solve ends diverged, and numpy's overflow warning (an
+        # error under the suite's filter) stays off
+        p = QcqpProblem(n1=1, n2=1, m1=0, m2=0, P=[[[1.0]]], q=[[-1.0]], c=[[1e308]], r=[0.0])
+        assert validate(p).ok
+        rep = solve(p, SolverConfig())
+        assert rep.status is TerminationStatus.DIVERGED
+        assert rep.iterations == 13
+        assert rep.trace[1].iteration == 10 and rep.trace[1].objective == -np.inf
+
+    @pytest.mark.parametrize("problem, x_star", [
+        # min x s.t. 1 - x <= 0, 0 <= x <= 10
+        (QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[0.0]], [[0.0]]], q=[[1.0], [-1.0]], c=[[], []],
+                     r=[0.0, 1.0], x_upper=[10.0]), [1.0]),
+        # min ||x||^2/2 + x1 + x2 s.t. ||x||^2/2 - x1 - x2 + 0.5 <= 0, x >= 0
+        (QcqpProblem(n1=2, n2=0, m1=1, m2=0, P=[np.eye(2), np.eye(2)], q=[[1.0, 1.0], [-1.0, -1.0]],
+                     c=[[], []], r=[0.0, 0.5]), [1.0 - np.sqrt(0.5)] * 2),
+    ], ids=["linear", "ball"])
+    def test_infeasible_origin_is_not_converged(self, problem, x_star):
+        # at the origin the objective gradient points out of the box and
+        # lam = 0: only the violation of the constraint is nonzero there
+        assert validate(problem).ok
+        rep = solve(problem, SolverConfig())
+        assert rep.status is TerminationStatus.CONVERGED
+        assert rep.iterations > 0
+        assert np.abs(rep.x - x_star).max() <= 1e-3
+        assert kkt_residual_max(rep.x, rep.u, rep.lam, rep.gam, problem) <= 2e-3
 
     def test_sparse_hessians_with_workers(self):
         rng = np.random.default_rng(9)

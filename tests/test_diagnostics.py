@@ -12,15 +12,29 @@ from qcqpd import (
     validate,
 )
 from qcqpd.core import TraceRow
+from qcqpd.diagnostics import serial_operator
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
-from helpers import equality_problem, operator, random_box_state, random_problem, toy_problem
-from reference import reference_solve_small
+from helpers import equality_problem, random_box_state, random_problem, step_size_state, toy_problem
+from reference import reference_kkt, reference_solve_small
 
 
 def _residuals(p, x, u, lam, gam):
-    """:func:`compute_residuals` at ``(x, u, lam, gam)``, fed the blocks of the serial operator."""
-    F = operator(p, x, u, lam, gam)
-    return compute_residuals(p, x, lam, np.split(F, np.cumsum([p.n1, p.n2, p.m1])))
+    """:func:`compute_residuals` at ``(x, u, lam, gam)``, fed the serial operator."""
+    return compute_residuals(p, x, lam, serial_operator(p, x, u, lam, gam))
+
+
+def _kkt_states(n_states=120):
+    """:func:`step_size_state` draws with coordinates on both faces of the box.
+
+    Every third coordinate is put at 0 and every third at ``x_upper``; the
+    quadratic constraints are left as drawn, and many are violated.
+    """
+    rng = np.random.default_rng(17)
+    for trial in range(n_states):
+        p, x, u, lam, gam = step_size_state(rng, trial)
+        x[::3] = 0.0
+        x[1::3] = p.x_upper[1::3]
+        yield p, x, u, lam, gam
 
 
 class TestResiduals:
@@ -45,6 +59,14 @@ class TestResiduals:
         p = toy_problem()
         res1, _ = _residuals(p, np.array([10.0]), np.zeros(0), np.zeros(1), np.zeros(0))
         assert res1 > 0  # gradient 10 - 2 = 8 points outward at the bound
+
+    def test_violated_constraint_counts_in_res2(self):
+        # min x s.t. 1 - x <= 0: at the origin the gradient points into the
+        # box and lam = 0, so only the violation 1 of the constraint is nonzero
+        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[0.0]], [[0.0]]], q=[[1.0], [-1.0]], c=[[], []],
+                        r=[0.0, 1.0], x_upper=[10.0])
+        assert _residuals(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0)) == (0.0, 1.0)
+        assert kkt_residual_max(np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), p) == 1.0
 
     def test_empty_blocks_convention(self):
         p = random_problem(np.random.default_rng(0), n1=3, m1=0)
@@ -87,9 +109,21 @@ class TestKktResidualMax:
             x, u, lam, gam = random_box_state(rng, p)
             res1, res2 = _residuals(p, x, u, lam, gam)
             kkt = kkt_residual_max(x, u, lam, gam, p)
+            # the max-norm and the RMS of the same vectors
             dim = np.sqrt(max(p.n1 + p.n2, p.m1 + p.m2))
-            assert res1 <= dim * kkt + 1e-15
-            assert res2 <= dim * kkt + 1e-15
+            assert max(res1, res2) <= kkt * (1 + 1e-15)
+            assert kkt <= dim * max(res1, res2) * (1 + 1e-15)
+
+
+class TestSharedConditions:
+    def test_residuals_and_certificate_match_the_reference(self):
+        violated = on_faces = 0
+        for p, x, u, lam, gam in _kkt_states():
+            got = (*_residuals(p, x, u, lam, gam), kkt_residual_max(x, u, lam, gam, p))
+            np.testing.assert_allclose(got, reference_kkt(p, x, u, lam, gam), rtol=1e-12, atol=0.0)
+            violated += bool(p.m1 and (p.constraint_values(x, u) > 0.0).any())
+            on_faces += bool((x == 0.0).any() and (x == p.x_upper).any())
+        assert violated >= 30 and on_faces >= 60
 
 
 def _history(res1_seq, res2_seq):
