@@ -375,13 +375,14 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     an overflow shows as a non-finite iterate, which ends the solve
     ``diverged``, or as a non-finite trace objective.
 
-    Termination: residuals are evaluated every :data:`TRACE_EVERY` iterations,
-    each check is appended to the trace as a :class:`TraceRow`, and the
-    trace is classified (converged / infeasibility suspected /
-    unboundedness suspected); the loop also stops on iterate overflow
-    (diverged) or after ``max_iters`` iterations.  The reported residuals
-    always refer to the returned iterate; ``converged`` means both are below
-    ``tol``, so the iterate is primal feasible to within ``tol`` in RMS.
+    Termination: residuals are evaluated every :data:`TRACE_EVERY` iterations
+    and at the ``max_iters`` cap, each check is appended to the trace as a
+    :class:`TraceRow`, and the trace is classified (converged / infeasibility
+    suspected / unboundedness suspected); the loop also stops on iterate
+    overflow (diverged), or at the cap when its check is not classified.
+    The reported residuals always refer to the returned iterate;
+    ``converged`` means both are below ``tol``, so the iterate is primal
+    feasible to within ``tol`` in RMS.
 
     Precondition: every ``P[i]`` is symmetric, as :func:`qcqpd.validate`
     checks.  On one worker a dense Hessian of at least
@@ -431,16 +432,13 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
             rho_min = min(rho_min, rho)
             rho_max = max(rho_max, rho)
 
-            # residual check on the cadence and at the iteration cap; only a
-            # check on the cadence is classified
-            on_cadence = k % TRACE_EVERY == 0
-            if on_cadence or k >= cfg.max_iters:
+            # residual check on the cadence and at the iteration cap; every
+            # check is classified
+            if k % TRACE_EVERY == 0 or k >= cfg.max_iters:
                 res1, res2 = compute_residuals(p, x, lam, f)
                 objective = 0.5 * float(x @ Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
                 trace.append(TraceRow(k, rho, res1, res2, objective))
-                outcome = None
-                if on_cadence:
-                    outcome = classify_termination(trace, cfg.tol, cfg.divergence_threshold)
+                outcome = classify_termination(trace, cfg.tol, cfg.divergence_threshold)
                 if outcome is None and k >= cfg.max_iters:
                     outcome = (
                         TerminationStatus.MAX_ITERS_EXCEEDED,

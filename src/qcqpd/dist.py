@@ -23,18 +23,16 @@ only floating-point-tolerance agreement is possible, since partial sums
 group differently.)
 
 The column blocks of the Hessian stack are cut once per solve, not once
-per product: :class:`ColumnBlocks` takes the ``m1 + 1`` square ``n x n``
-Hessians and, for each worker, stacks the worker's columns of every dense
-matrix into one Fortran-order block and those of every sparse matrix into
-one CSC block.  The sparse blocks of all workers are then placed on the
-diagonal of one CSC matrix, so the sparse partials of every worker come
-from one product: row band ``w`` of that product is worker ``w``'s
-partial, accumulated column by column in the order of the worker's own
-block.  A product with the whole stack therefore costs one dense product
-per worker, one sparse product and one reduce, and returns the ``(m1 + 1,
-n)`` array whose row ``i`` is ``P_i x``.  Serial execution is the
-one-worker case of the same code: a block spanning every column of a
-single matrix is that matrix itself, not a copy.
+per product: :class:`ColumnBlocks` takes the ``m1 + 1`` Hessians, each a
+square ``n x n`` matrix or the length-``n`` vector holding a diagonal one,
+and for each worker stacks the worker's columns of every square matrix into
+one Fortran-order block.  A diagonal Hessian's row of the product is ``d *
+x``: each worker's columns of it come from its own slices of ``d`` and ``x``
+alone.  A product with the whole stack therefore costs one dense product
+per worker, one elementwise product of the diagonals and one reduce, and
+returns the ``(m1 + 1, n)`` array whose row ``i`` is ``P_i x``.  Serial
+execution is the one-worker case of the same code: a block spanning every
+column of a single matrix is that matrix itself, not a copy.
 
 One exception applies on one worker: each dense Hessian of at least
 :data:`SYMMETRIC_MIN_COLS` columns is not stacked but multiplied on its own
@@ -50,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "ColumnBlocks",
@@ -154,45 +151,29 @@ def _check_vector(v, length):
 
 
 def _cut(matrices, lo, hi):
-    """Columns ``[lo, hi)`` of every matrix, stacked vertically into one block.
+    """Columns ``[lo, hi)`` of every matrix, stacked vertically into one Fortran-order block.
 
-    All matrices are dense or all are sparse; a dense stack is one
-    Fortran-order block, a sparse one a CSC block.  A single matrix whose
-    range spans every column is returned as is, not copied.
+    A single matrix whose range spans every column is returned as is, not copied.
     """
     if len(matrices) == 1:
         M = matrices[0]
         return M if (lo, hi) == (0, M.shape[1]) else M[:, lo:hi]
-    if sp.issparse(matrices[0]):
-        return sp.vstack([M[:, lo:hi] for M in matrices], format="csc")
     rows = len(matrices) * matrices[0].shape[0]
     return np.concatenate([M[:, lo:hi] for M in matrices], out=np.empty((rows, hi - lo), order="F"))
 
 
-def _runs(members):
-    """``(stack matrices, group matrices)`` of each maximal run of consecutive
-    stack matrices in ``members``, as slices."""
-    runs = []
-    for pos, i in enumerate(members):
-        if runs and runs[-1][1] == i:  # extends the previous run
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i, i + 1, pos])
-    return [(slice(lo, hi), slice(src, src + hi - lo)) for lo, hi, src in runs]
-
-
 class ColumnBlocks:
-    """Per-worker column blocks of a square Hessian stack, cut once.
+    """Per-worker column blocks of a Hessian stack, cut once.
 
-    ``matrices`` are ``n x n`` with ``n`` the partition's column count.
-    Each worker holds one dense block stacking its columns of every dense
-    matrix; the CSC blocks stacking each worker's columns of every sparse
-    matrix sit on the diagonal of one block-diagonal CSC matrix.  So
-    :meth:`matvec` costs one dense product per worker and one sparse
+    Each of the ``k`` Hessians is an ``n x n`` matrix or the length-``n``
+    vector holding a diagonal one, with ``n`` the partition's column count.
+    Each worker holds one dense block stacking its columns of every square
+    matrix; the diagonals are held as one ``(kd, n)`` array.  So
+    :meth:`matvec` costs one dense product per worker and one elementwise
     product, and returns the ``(k, n)`` array of the ``k`` products.
 
     The matrices are taken to be symmetric, as Hessians are: on one worker
-    and at least :data:`SYMMETRIC_MIN_COLS` columns, each dense matrix is
+    and at least :data:`SYMMETRIC_MIN_COLS` columns, each square matrix is
     kept whole instead and multiplied by ``dsymv``, which reads one
     triangle (of a non-symmetric matrix it gives the product of that
     triangle symmetrised).
@@ -203,62 +184,59 @@ class ColumnBlocks:
         n = partition.n_cols
         self._shape = (len(matrices), n)
         whole = n >= SYMMETRIC_MIN_COLS and len(partition.ranges) == 1
-        kinds = ([], [])  # indices of the dense and of the sparse matrices
+        square, diagonal = [], []  # indices of the square matrices and of the diagonals
         self._symmetric = []  # (row of the product, F-contiguous matrix) for dsymv
         for i, M in enumerate(matrices):
-            if M.shape != (n, n):
-                raise ValueError(f"matrix {i} has shape {M.shape}, expected ({n}, {n})")
-            if whole and not sp.issparse(M):
+            if M.shape not in ((n, n), (n,)):
+                raise ValueError(f"matrix {i} has shape {M.shape}, expected ({n}, {n}) or ({n},)")
+            if M.ndim == 1:
+                diagonal.append(i)
+            elif whole:
                 # a symmetric matrix is its own transpose, and the transpose
                 # of a C-order array is an F-order view: f2py copies neither
                 self._symmetric.append((i, M.T if M.flags.c_contiguous else np.asfortranarray(M)))
             else:
-                kinds[sp.issparse(M)].append(i)
+                square.append(i)
         if self._symmetric:
             from scipy.linalg.blas import dsymv  # only here: importing it costs about 7 MB
 
             self._dsymv = dsymv
-        # (matrix count, runs of rows of the product, blocks) for each kind
-        # present: one block per worker when dense, one block-diagonal
-        # matrix when sparse
-        self._groups = []
-        for sparse, members in enumerate(kinds):
-            if not members:
-                continue
-            blocks = [_cut([matrices[i] for i in members], lo, hi) for lo, hi in partition.ranges]
-            if sparse:
-                blocks = sp.block_diag(blocks, format="csc") if len(blocks) > 1 else blocks[0]
-            self._groups.append((len(members), _runs(members), blocks))
+        # (rows of the product, one block per worker) of the stacked square matrices
+        self._square = None
+        if square:
+            self._square = (square, [_cut([matrices[i] for i in square], lo, hi) for lo, hi in partition.ranges])
+        # (rows of the product, the diagonals stacked as rows)
+        self._diagonal = (diagonal, np.array([matrices[i] for i in diagonal])) if diagonal else None
 
-    def _partials(self, blocks, x):
-        """Each worker's partial product with ``blocks``, in worker order."""
-        ranges = self.partition.ranges
-        if type(blocks) is list:
-            return [block @ x[lo:hi] for block, (lo, hi) in zip(blocks, ranges)]
-        return list((blocks @ x).reshape(len(ranges), -1))
+    def _reduce(self, blocks, x):
+        """The tree sum, in worker order, of each worker's product of its block with its slice of ``x``."""
+        return _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, self.partition.ranges)])
 
     def matvec(self, x, stats: CommStats):
         """The ``(k, n)`` array whose row ``i`` is ``P_i x``, from per-worker partials.
 
-        The partials of each block kind are tree-reduced in worker order, so
+        The square matrices' partials are tree-reduced in worker order, so
         every product is bitwise what a per-matrix reduction gives whenever
         the local products are; the row of a matrix kept whole for ``dsymv``
-        is its one worker's product.  Accounts one reduce of all the rows
-        and one scatter of the same volume, which hands the products back to
-        the workers.
+        is its one worker's product, and a diagonal's row is ``d * x``, each
+        worker's columns of it its own.  Accounts one reduce of all the rows,
+        the diagonals' included, and one scatter of the same volume, which
+        hands the products back to the workers.
         """
         x = _check_vector(x, self.partition.n_cols)
         k, n = self._shape
-        if len(self._groups) == 1 and not self._symmetric:  # one kind: its rows are the whole stack
-            out = _tree_sum(self._partials(self._groups[0][2], x)).reshape(k, n)
+        if self._square and len(self._square[0]) == k:  # every row square: the reduce is the product
+            out = self._reduce(self._square[1], x).reshape(k, n)
         else:
             out = np.empty((k, n))
             for i, M in self._symmetric:
                 self._dsymv(1.0, M, x, beta=0.0, y=out[i], overwrite_y=1)
-            for count, runs, blocks in self._groups:
-                total = _tree_sum(self._partials(blocks, x)).reshape(count, n)
-                for rows, src in runs:
-                    out[rows] = total[src]
+            if self._square:
+                rows, blocks = self._square
+                out[rows] = self._reduce(blocks, x).reshape(len(rows), n)
+            if self._diagonal:
+                rows, D = self._diagonal
+                out[rows] = D * x
         stats.record_reduce(out.size)
         stats.record_scatter(out.size)
         return out

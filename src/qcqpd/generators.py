@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import QcqpProblem
 
@@ -153,7 +152,7 @@ def gen_infeasible(n1: int, seed: int = 0) -> QcqpProblem:
     rng = _stream(seed, 2)
     q2 = rng.uniform(-1.0, 1.0, size=n1)
     r2 = rng.uniform(-1.0, 0.0)
-    P = list(base.P) + [sp.identity(n1, format="csc")]
+    P = list(base.P) + [np.ones(n1)]  # the identity, as its diagonal
     q = list(base.q) + [q2]
     r = np.append(base.r, 0.5 * float(q2 @ q2) + (r2 + 1.0) + 100.0)
     return QcqpProblem(
@@ -180,7 +179,7 @@ def gen_unbounded(n1: int, seed: int = 0) -> QcqpProblem:
     """
     if n1 < 2:
         raise ValueError("need n1 >= 2")
-    D0 = sp.diags(np.append(np.ones(n1 - 1), 0.0), format="csc")
+    D0 = np.append(np.ones(n1 - 1), 0.0)  # the diagonal of the shared Hessian
     q0 = np.zeros(n1)
     q0[-1] = -1.0
     q1 = np.ones(n1)
@@ -384,10 +383,10 @@ def build_mkl_qcqp(spec: MklSpec):
 
     n_tr, C = s.n_tr, s.margin_c
     if s.svm == "sm1":
-        P0 = sp.csc_matrix((n_tr, n_tr))
+        P0 = np.zeros(n_tr)  # the zero matrix, as its diagonal
         upper = np.full(n_tr, C)
     else:
-        P0 = sp.identity(n_tr, format="csc") / C
+        P0 = np.full(n_tr, 1.0 / C)  # I / C, as its diagonal
         upper = np.full(n_tr, np.inf)
     m = len(s.kernels)
     problem = QcqpProblem(

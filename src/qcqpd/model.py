@@ -12,8 +12,9 @@ unconstrained block carrying the linear-only terms; it may be empty.
 Upper bounds may be ``+inf``, in which case the box degenerates to the
 half-line ``x_j >= 0``.
 
-Matrices are kept column-major (dense Fortran order, or CSC for sparse)
-so that per-worker column slices are contiguous.
+Matrices are kept column-major (Fortran order) so that per-worker column
+slices are contiguous.  A Hessian is either a dense ``n1 x n1`` matrix or a
+length-``n1`` vector holding the diagonal of a diagonal one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "QcqpProblem",
@@ -51,28 +51,29 @@ class ProblemFormatError(ValueError):
     """Raised when a problem file cannot be parsed into a valid shape."""
 
 
-def _as_matrix(M, rows, cols, name):
-    """Coerce ``M`` to a float64 matrix of the given shape (Fortran-order dense, or canonical CSC)."""
-    if sp.issparse(M):
-        out = M.tocsc().astype(np.float64)  # a copy, so summing duplicates leaves M as it was
-        out.sum_duplicates()
-    else:
-        out = np.asfortranarray(M, dtype=np.float64)
-    if out.shape != (rows, cols):
-        raise ValueError(f"{name} has shape {out.shape}, expected {(rows, cols)}")
+def _refuse_sparse(v, name):
+    """``v``, unless it is a sparse matrix: numpy cannot convert one, so it is refused by name."""
+    if hasattr(v, "toarray"):
+        raise ValueError(f"{name} is a sparse matrix; pass {name}.toarray(), or .diagonal() for a diagonal Hessian")
+    return v
+
+
+def _as_matrix(M, name, *shapes):
+    """Coerce ``M`` to a Fortran-order float64 array of one of ``shapes``."""
+    out = np.asfortranarray(_refuse_sparse(M, name), dtype=np.float64)
+    if out.shape not in shapes:
+        raise ValueError(f"{name} has shape {out.shape}, expected {' or '.join(map(str, shapes))}")
     return out
 
 
-def _dense(M, shape):
-    """``M`` as an array: a sparse matrix densified, ``None`` as zeros of ``shape``."""
-    if M is None:
-        return np.zeros(shape)
-    return M.toarray() if sp.issparse(M) else M
+def _hessian_product(M, x):
+    """``M x`` for a Hessian stored dense or as its diagonal (``d @ x`` would be the scalar ``d'x``)."""
+    return M @ x if M.ndim == 2 else M * x
 
 
 def _as_rows(v, rows, cols, name):
     """Coerce ``v`` (an array, or a list of ``rows`` vectors) to a C-contiguous float64 ``(rows, cols)`` array."""
-    if not isinstance(v, np.ndarray):  # a list of vectors: name the first that does not fit
+    if not isinstance(_refuse_sparse(v, name), np.ndarray):  # a list of vectors: name the first that does not fit
         if len(v) != rows:
             raise ValueError(f"expected {rows} {name} vectors, got {len(v)}")
         v = np.array([_as_vector(vi, cols, f"{name}[{i}]") for i, vi in enumerate(v)])
@@ -84,7 +85,7 @@ def _as_rows(v, rows, cols, name):
 
 def _as_vector(v, n, name):
     """Coerce ``v`` to a float64 vector of length ``n``."""
-    out = np.asarray(v, dtype=np.float64)
+    out = np.asarray(_refuse_sparse(v, name), dtype=np.float64)
     if out.shape != (n,):
         raise ValueError(f"{name} has length {out.shape[0]}, expected {n}" if out.ndim == 1
                          else f"{name} has shape {out.shape}, expected {(n,)}")
@@ -101,9 +102,10 @@ class QcqpProblem:
         Dimensions of the ``x`` and ``u`` blocks (``n2`` may be 0).
     m1, m2 : int
         Number of quadratic inequality and linear equality constraints.
-    P : list of matrices
-        ``m1 + 1`` symmetric PSD matrices ``P[0]..P[m1]``, each ``n1 x n1``.
-        Dense matrices are stored Fortran-ordered; sparse ones as CSC.
+    P : list of arrays
+        ``m1 + 1`` symmetric PSD matrices ``P[0]..P[m1]``, each a
+        Fortran-ordered ``(n1, n1)`` array or, for a diagonal matrix, the
+        ``(n1,)`` vector of its diagonal.
     q : ndarray
         ``(m1 + 1, n1)``, C-contiguous: row ``i`` is ``qi``.  A list of
         ``m1 + 1`` vectors is accepted as input.
@@ -113,14 +115,16 @@ class QcqpProblem:
         ``m1 + 1`` scalars.
     A, B : ndarray
         Equality constraint blocks, ``m2 x n1`` and ``m2 x n2``, dense and
-        Fortran-ordered as in a problem archive; a sparse input is densified.
+        Fortran-ordered as in a problem archive.
     b : ndarray
         Equality right-hand side, length ``m2``.
     x_upper : ndarray
         Box upper bounds, all > 0, entries may be ``+inf``.
 
-    Instances are immutable by convention after construction and safe to
-    share read-only across workers.
+    A scipy sparse matrix in any field raises ``ValueError``: pass
+    ``.toarray()``, or ``.diagonal()`` for a diagonal Hessian.  Instances are
+    immutable by convention after construction and safe to share read-only
+    across workers.
     """
 
     n1: int
@@ -142,39 +146,30 @@ class QcqpProblem:
             raise ValueError("dimensions must be nonnegative")
         if len(self.P) != m1 + 1:
             raise ValueError(f"expected {m1 + 1} P matrices, got {len(self.P)}")
-        self.P = [_as_matrix(Pi, n1, n1, f"P[{i}]") for i, Pi in enumerate(self.P)]
+        self.P = [_as_matrix(Pi, f"P[{i}]", (n1, n1), (n1,)) for i, Pi in enumerate(self.P)]
         self.q = _as_rows(self.q, m1 + 1, n1, "q")
         self.c = _as_rows(self.c, m1 + 1, n2, "c")
         self.r = _as_vector(self.r, m1 + 1, "r")
-        self.A = _as_matrix(_dense(self.A, (m2, n1)), m2, n1, "A")
-        self.B = _as_matrix(_dense(self.B, (m2, n2)), m2, n2, "B")
+        self.A = _as_matrix(self.A if self.A is not None else np.zeros((m2, n1)), "A", (m2, n1))
+        self.B = _as_matrix(self.B if self.B is not None else np.zeros((m2, n2)), "B", (m2, n2))
         self.b = _as_vector(self.b if self.b is not None else np.zeros(m2), m2, "b")
         self.x_upper = _as_vector(self.x_upper if self.x_upper is not None else np.full(n1, np.inf), n1, "x_upper")
 
     def constraint_values(self, x, u):
         """Values of the m1 quadratic constraints at ``(x, u)``."""
-        quad = np.array([float(x @ (Pi @ x)) for Pi in self.P[1:]])
+        quad = np.array([float(x @ _hessian_product(Pi, x)) for Pi in self.P[1:]])
         return 0.5 * quad + self.q[1:] @ x + self.c[1:] @ u + self.r[1:]
 
     def equality_residual(self, x, u):
         """``A x + B u - b`` (length m2)."""
         return self.A @ x + self.B @ u - self.b
 
-    def objective(self, x, u):
-        """``0.5 x'P0 x + q0'x + c0'u + r0``."""
-        return (
-            0.5 * float(x @ (self.P[0] @ x))
-            + float(self.q[0] @ x)
-            + float(self.c[0] @ u)
-            + float(self.r[0])
-        )
-
     def lagrangian_grad_x(self, x, lam, gam):
         """``P0 x + q0 + sum_i lam_i (Pi x + qi) + A' gam``, with serial products.
 
         The reference for the solver's partitioned evaluation (``qcqpd.core``).
         """
-        G = np.array([Pi @ x for Pi in self.P]) + self.q  # row i: Pi x + qi
+        G = np.array([_hessian_product(Pi, x) for Pi in self.P]) + self.q  # row i: Pi x + qi
         return G[0] + lam @ G[1:] + self.A.T @ gam
 
     def lagrangian_grad_u(self, lam, gam):
@@ -200,10 +195,7 @@ def _frob(M) -> float:
     above about 1.3e154) is ``M`` rescaled by its largest magnitude first.
     """
     with np.errstate(over="ignore"):
-        if sp.issparse(M):
-            norm = math.sqrt(M.multiply(M).sum())
-        else:
-            norm = float(np.linalg.norm(M, "fro")) if M.ndim == 2 else float(np.linalg.norm(M))
+        norm = float(np.linalg.norm(M, "fro")) if M.ndim == 2 else float(np.linalg.norm(M))
     if norm == math.inf:
         scale = float(abs(M).max())
         if scale < math.inf:
@@ -214,11 +206,9 @@ def _frob(M) -> float:
 def _asymmetry(M) -> float:
     """``||M - M'||_F`` of a square matrix.
 
-    A dense matrix is summed over column tiles of its lower triangle, each
-    off-diagonal tile counted twice, so no ``n x n`` temporary is made.
+    Summed over column tiles of its lower triangle, each off-diagonal tile
+    counted twice, so no ``n x n`` temporary is made.
     """
-    if sp.issparse(M):
-        return _frob(M - M.T)
     total = 0.0
     for j in range(0, M.shape[0], SYMMETRY_TILE):
         e = j + SYMMETRY_TILE
@@ -229,29 +219,18 @@ def _asymmetry(M) -> float:
 
 
 def _is_psd(M, tau, buf) -> bool:
-    """Whether ``M + tau*I`` (``M`` symmetric) is positive definite, by factorizing it.
+    """Whether ``M + tau*I`` (``M`` symmetric) is positive definite.
 
-    A dense matrix of at least :data:`LAPACK_MIN_COLS` columns is copied into
-    ``buf``, a Fortran-order scratch matrix of its shape, and factorized there
-    by ``dpotrf``; a smaller one is copied and passed to ``np.linalg.cholesky``
-    (``buf`` may then be ``None``).  Both read the lower triangle only.
-    Sparse matrices get an LU that pivots on the diagonal only: when its row
-    and column orders agree it is ``LDL'`` of a symmetric permutation, positive
-    definite exactly when every pivot (diagonal of ``U``) is positive.  A diagonal
-    matrix is its own ``LDL'``: reading its pivots off keeps ``scipy.sparse.linalg``
-    (about 9 MB resident) unloaded for the diagonal sparse matrices the generators write.
+    A diagonal ``M``, stored as a vector, is when every ``M_j + tau > 0``.
+    A dense matrix is factorized: one of at least :data:`LAPACK_MIN_COLS`
+    columns is copied into ``buf``, a Fortran-order scratch matrix of its
+    shape, and factorized there by ``dpotrf``; a smaller one is copied and
+    passed to ``np.linalg.cholesky`` (``buf`` may then be ``None``).  Both
+    read the lower triangle only.
     """
+    if M.ndim == 1:
+        return bool((M + tau > 0).all())
     n = M.shape[0]
-    if sp.issparse(M):
-        rows, cols = M.nonzero()
-        if (rows == cols).all():
-            return bool((M.diagonal() + tau > 0).all())
-        try:
-            lu = sp.linalg.splu(M + tau * sp.identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        except RuntimeError:  # exactly singular
-            return False
-        return bool((lu.perm_r == lu.perm_c).all() and (lu.U.diagonal() > 0).all())
     if n >= LAPACK_MIN_COLS:
         from scipy.linalg.lapack import dpotrf  # only here: importing scipy.linalg costs about 8 MB
 
@@ -271,17 +250,11 @@ def _is_psd(M, tau, buf) -> bool:
 
 
 def _non_finite(name, M):
-    """Violation naming the first NaN or infinite entry of ``M``, or ``None``.
-
-    Sparse (CSC) matrices are checked on their stored entries.
-    """
-    data = M.data if sp.issparse(M) else M
-    finite = np.isfinite(data)
+    """Violation naming the first NaN or infinite entry of ``M``, or ``None``."""
+    finite = np.isfinite(M)
     if finite.all():
         return None
     at = np.argwhere(~finite)[0]
-    if sp.issparse(M):
-        at = (M.indices[at[0]], np.searchsorted(M.indptr, at[0], side="right") - 1)
     return f"{name}[{', '.join(str(int(i)) for i in at)}] is not finite"
 
 
@@ -297,7 +270,8 @@ def validate(problem: QcqpProblem) -> ValidationReport:
     Detects NaN or infinite entries in ``P``, ``q``, ``c``, ``r``, ``A``,
     ``B`` and ``b`` (``x_upper`` may be ``+inf``), asymmetric or non-PSD
     constraint matrices (``Pi + 1e-8 * max(||Pi||_F, 1) I`` not positive
-    definite, tested after symmetry), and nonpositive box upper bounds.
+    definite, tested after symmetry; a diagonal is read off, not
+    factorized), and nonpositive box upper bounds.
     Shapes are checked by the :class:`QcqpProblem` constructor.  Only an
     illegal-argument code from LAPACK, a fault of this code, raises
     ``RuntimeError``.
@@ -305,7 +279,7 @@ def validate(problem: QcqpProblem) -> ValidationReport:
     v = []
     p = problem
     # one scratch matrix for every dense Hessian large enough to factorize in place
-    dense = p.n1 >= LAPACK_MIN_COLS and any(not sp.issparse(Pi) for Pi in p.P)
+    dense = p.n1 >= LAPACK_MIN_COLS and any(Pi.ndim == 2 for Pi in p.P)
     buf = np.empty((p.n1, p.n1), order="F") if dense else None
     for i, Pi in enumerate(p.P):
         msg = _non_finite(f"P[{i}]", Pi)
@@ -313,7 +287,7 @@ def validate(problem: QcqpProblem) -> ValidationReport:
             v.append(msg)
             continue
         nrm = _frob(Pi)
-        gap = _asymmetry(Pi)
+        gap = _asymmetry(Pi) if Pi.ndim == 2 else 0.0  # a diagonal is symmetric
         if gap > SYMMETRY_RTOL * max(nrm, 1.0):
             v.append(f"P[{i}] is not symmetric (||P - P'||_F = {gap:.3e})")
             continue
@@ -337,7 +311,6 @@ def validate(problem: QcqpProblem) -> ValidationReport:
 # stamps each member with the wall-clock time, so members are written here
 # with a fixed timestamp and saving a problem twice gives the same bytes.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
-_CSC_PARTS = ("data", "indices", "indptr")
 # What np.load raises on a damaged or foreign file.  Reading a damaged member
 # can also raise OSError (a bad offset), RuntimeError (an "encrypted" flag) or
 # MemoryError (a header declaring more data than could ever be allocated).
@@ -349,10 +322,7 @@ def _members(p):
     """``(member name, array)`` of every field of ``p``, in file order."""
     yield "dims", np.array([p.n1, p.n2, p.m1, p.m2], dtype=np.int64)
     for i, Pi in enumerate(p.P):
-        if sp.issparse(Pi):
-            yield from ((f"P{i}_{part}", getattr(Pi, part)) for part in _CSC_PARTS)
-        else:
-            yield f"P{i}", Pi
+        yield f"P{i}", Pi
     yield "q", p.q
     yield "c", p.c
     yield "r", p.r
@@ -382,9 +352,9 @@ def save_problem(problem: QcqpProblem, path) -> None:
                 np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
-def _member(archive, path, name, shape, integer=False):
+def _member(archive, path, name, *shapes, integer=False):
     """Member ``name`` of ``archive``, checked to be float64 (any integer dtype if ``integer``)
-    and to have ``shape`` (any 1-D shape if ``None``)."""
+    and to have one of ``shapes``."""
     if name not in archive.files:
         raise ProblemFormatError(f"{path}: missing member '{name}'")
     try:
@@ -394,44 +364,17 @@ def _member(archive, path, name, shape, integer=False):
     if not (np.issubdtype(arr.dtype, np.integer) if integer else arr.dtype == np.float64):
         want = "an integer dtype" if integer else "float64"
         raise ProblemFormatError(f"{path}: {name} has dtype {arr.dtype}, expected {want}")
-    if arr.shape != shape and not (shape is None and arr.ndim == 1):
-        raise ProblemFormatError(f"{path}: {name} has shape {arr.shape}, expected {shape or 'a 1-D array'}")
+    if arr.shape not in shapes:
+        raise ProblemFormatError(f"{path}: {name} has shape {arr.shape}, expected {' or '.join(map(str, shapes))}")
     return arr
-
-
-def _hessian(archive, path, i, n1):
-    """``P[i]``, stored either dense as ``P{i}`` or as canonical CSC in ``P{i}_data/_indices/_indptr``."""
-    csc = [f"P{i}_{part}" for part in _CSC_PARTS]
-    if (f"P{i}" in archive.files) == any(name in archive.files for name in csc):
-        raise ProblemFormatError(f"{path}: P[{i}] needs exactly one encoding: member 'P{i}' (dense) "
-                                 f"or members {', '.join(map(repr, csc))} (CSC)")
-    if f"P{i}" in archive.files:
-        return _member(archive, path, f"P{i}", (n1, n1))
-    data = _member(archive, path, csc[0], None)
-    indices = _member(archive, path, csc[1], data.shape, integer=True)
-    indptr = _member(archive, path, csc[2], (n1 + 1,), integer=True)
-    try:
-        Pi = sp.csc_matrix((data, indices, indptr), shape=(n1, n1))
-        Pi.check_format(full_check=True)
-    except ValueError as exc:
-        raise ProblemFormatError(f"{path}: P[{i}]: {exc}") from exc
-    if Pi.nnz != data.size:  # csc_matrix silently drops entries past indptr[-1]
-        raise ProblemFormatError(f"{path}: P[{i}]: indptr ends at {Pi.nnz}, expected {data.size}")
-    if not Pi.has_canonical_format:  # csc_matrix would silently sum a repeated entry
-        # entry k breaks the order if it does not rise above entry k-1 of the same column
-        bad = np.flatnonzero(np.diff(indices) <= 0) + 1
-        k = bad[~np.isin(bad, indptr)][0]
-        col = int(np.searchsorted(indptr, k, side="right")) - 1
-        raise ProblemFormatError(f"{path}: P[{i}]: column {col}: row indices are not sorted and unique")
-    return Pi
 
 
 def load_problem(path) -> QcqpProblem:
     """Read a problem archive; raises :class:`ProblemFormatError` naming the field on bad input.
 
-    Every member must be present with exactly its dtype and shape, and each
-    CSC Hessian must be canonical.  Values are not checked here: ``validate``
-    rejects non-finite data and non-PSD Hessians.
+    Every member must be present with exactly its dtype and shape; a Hessian
+    member ``P{i}`` is ``(n1, n1)``, or ``(n1,)`` for a diagonal.  Values are
+    not checked here: ``validate`` rejects non-finite data and non-PSD Hessians.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -444,7 +387,7 @@ def load_problem(path) -> QcqpProblem:
         if (dims < 0).any():
             raise ProblemFormatError(f"{path}: dims must be nonnegative, got {dims.tolist()}")
         n1, n2, m1, m2 = (int(d) for d in dims)
-        P = [_hessian(archive, path, i, n1) for i in range(m1 + 1)]
+        P = [_member(archive, path, f"P{i}", (n1, n1), (n1,)) for i in range(m1 + 1)]
         return QcqpProblem(
             n1=n1, n2=n2, m1=m1, m2=m2, P=P,
             q=_member(archive, path, "q", (m1 + 1, n1)),

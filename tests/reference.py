@@ -1,5 +1,7 @@
 """Reference implementations the tests compare the package against.
 
+* :func:`objective`, the objective value ``0.5 x'P0 x + q0'x + c0'u + r0``
+  of a problem at a point, on a dense copy of ``P0``;
 * :func:`reference_solve_small`, an augmented-Lagrangian solver for small
   dense instances, unrelated to the predictor-corrector path, so
   agreement with :func:`qcqpd.solve` is an independent check;
@@ -26,7 +28,6 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 
 from qcqpd import kkt_residual_max
 from qcqpd.core import BIG_M, EPS0, _root_rule
@@ -35,6 +36,18 @@ from qcqpd.generators import Kernel
 
 class OracleError(RuntimeError):
     """The reference solver failed to reach its target accuracy."""
+
+
+def _dense(M):
+    """A matrix as a dense array; a Hessian stored as its diagonal becomes the diagonal matrix."""
+    M = np.asarray(M, dtype=np.float64)
+    return np.diag(M) if M.ndim == 1 else M
+
+
+def objective(problem, x, u):
+    """``0.5 x'P0 x + q0'x + c0'u + r0``."""
+    p = problem
+    return 0.5 * float(x @ _dense(p.P[0]) @ x) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
 
 
 # --- reference solver -------------------------------------------------------
@@ -57,7 +70,7 @@ def _al_value_grad(problem, x, u, lam, gam, beta):
     eq = p.equality_residual(x, u)
     lam_eff = np.maximum(0.0, lam + beta * cons)
     val = (
-        p.objective(x, u)
+        objective(p, x, u)
         + float(lam_eff @ lam_eff - lam @ lam) / (2.0 * beta)
         + float(gam @ eq)
         + 0.5 * beta * float(eq @ eq)
@@ -176,10 +189,6 @@ def reference_kkt(problem, x, u, lam, gam):
 
 
 # --- step size ---------------------------------------------------------------
-
-
-def _dense(M):
-    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=np.float64)
 
 
 def reference_norms(problem):

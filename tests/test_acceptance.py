@@ -27,7 +27,7 @@ from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
 import qcqpd.core
 from qcqpd.core import BIG_M, EPS0, adaptive_step_size, compute_norms
 from helpers import operator, random_box_state, random_problem, step, step_size_state, toy_problem
-from reference import even_split_step_size, reference_budget_needs, reference_norms, reference_solve_small
+from reference import even_split_step_size, objective, reference_budget_needs, reference_norms, reference_solve_small
 
 
 def _verdict(name, ok, detail):
@@ -70,7 +70,7 @@ def test_criterion_2_oracle_cross_check():
         rep = solve(problem, SolverConfig(tol=1e-4))
         assert rep.status is TerminationStatus.CONVERGED, f"instance seed={160 + j} did not converge"
         x_ref, u_ref, _, _ = reference_solve_small(problem, tol=1e-8)
-        obj_ref = problem.objective(x_ref, u_ref)
+        obj_ref = objective(problem, x_ref, u_ref)
         worst_rel = max(worst_rel, abs(rep.objective - obj_ref) / max(1e-12, abs(obj_ref)))
         worst_kkt = max(worst_kkt, kkt_residual_max(rep.x, rep.u, rep.lam, rep.gam, problem))
     elapsed = time.time() - t0

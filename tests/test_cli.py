@@ -17,11 +17,11 @@ from qcqpd.cli import build_parser, main
 from helpers import toy_problem, write_members
 
 
-# Every data field nonempty, so each can carry a bad value; P[1] is CSC.
+# Every data field nonempty, so each can carry a bad value; P[1] is a diagonal.
 FULL_MEMBERS = {
     "dims": np.array([1, 1, 1, 1]),
     "P0": np.array([[1.0]]),
-    "P1_data": np.array([1.0]), "P1_indices": np.array([0]), "P1_indptr": np.array([0, 1]),
+    "P1": np.array([1.0]),
     "q": np.array([[-2.0], [0.0]]), "c": np.array([[0.0], [0.0]]), "r": np.array([0.0, -0.5]),
     "A": np.array([[1.0]]), "B": np.array([[0.0]]), "b": np.array([0.5]), "x_upper": np.array([10.0]),
 }
@@ -100,7 +100,7 @@ class TestSolveCommand:
         assert "not PSD" in capsys.readouterr().err
 
     def test_sparse_indefinite_exit_one(self, tmp_path, capsys):
-        path = _write_archive(tmp_path / "p.npz", ("P1_data",), np.array([-1.0]))
+        path = _write_archive(tmp_path / "p.npz", ("P1",), np.array([-1.0]))
         assert main(["solve", path]) == 1
         assert "P[1] is not PSD" in capsys.readouterr().err
 
@@ -111,14 +111,6 @@ class TestSolveCommand:
     ])
     def test_bad_solver_setting_exit_one(self, toy_file, flags, field):
         _assert_error_names(_run_cli("solve", toy_file, *flags), field)
-
-    def test_duplicate_sparse_entry_exit_one(self, tmp_path, capsys):
-        members = {**FULL_MEMBERS, "P1_data": np.array([0.5, 0.5]), "P1_indices": np.array([0, 0]),
-                   "P1_indptr": np.array([0, 2])}
-        path = write_members(tmp_path / "p.npz", members)
-        assert main(["solve", path]) == 1
-        err = capsys.readouterr().err
-        assert "P[1]" in err and "sorted and unique" in err
 
     @pytest.mark.parametrize("kind, message", [
         ("json", "not a qcqpd problem archive"),
@@ -154,7 +146,7 @@ class TestSolveCommand:
     # a number beyond the float64 range is stored as inf
     @pytest.mark.parametrize("keys, field", [
         (("P0", 0, 0), "P[0][0, 0]"),
-        (("P1_data", 0), "P[1][0, 0]"),
+        (("P1", 0), "P[1][0]"),
         (("q", 0, 0), "q[0][0]"),
         (("c", 1, 0), "c[1][0]"),
         (("r", 0), "r[0]"),
@@ -168,33 +160,32 @@ class TestSolveCommand:
         assert f"{field} is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keys, value, field", [
-        (("P0",), None, "P[0] needs exactly one encoding"),
-        (("P1_indptr",), None, "missing member 'P1_indptr'"),
+        (("P0",), None, "missing member 'P0'"),
+        (("P1",), None, "missing member 'P1'"),
         (("x_upper",), None, "missing member 'x_upper'"),
-        (("P0",), np.eye(2), "P0 has shape (2, 2), expected (1, 1)"),
-        (("P1_data",), np.ones((1, 1)), "P1_data has shape (1, 1), expected a 1-D array"),
-        (("P1_indices",), np.array([0, 0]), "P1_indices has shape (2,), expected (1,)"),
-        (("P1_indptr",), np.array([0, 1, 1]), "P1_indptr has shape (3,), expected (2,)"),
-        (("P1_indices",), np.array([1]), "P[1]: indices must be < 1"),
-        (("P1_indptr",), np.array([1, 1]), "P[1]: index pointer should start with 0"),
-        (("P1_indptr",), np.array([0, 0]), "P[1]: indptr ends at 0, expected 1"),
+        # a Hessian member is (n1, n1) or, for a diagonal, (n1,)
+        (("P0",), np.eye(2), "P0 has shape (2, 2), expected (1, 1) or (1,)"),
+        (("P1",), np.ones((1, 2)), "P1 has shape (1, 2), expected (1, 1) or (1,)"),
+        (("P1",), np.ones(2), "P1 has shape (2,), expected (1, 1) or (1,)"),
+        (("P1",), np.ones((1, 1, 1)), "P1 has shape (1, 1, 1), expected (1, 1) or (1,)"),
+        (("P0",), np.array(1.0), "P0 has shape (), expected (1, 1) or (1,)"),
+        (("P0",), np.ones(0), "P0 has shape (0,), expected (1, 1) or (1,)"),
+        # dims claim a second constraint, whose Hessian is not stored
+        (("dims", 2), 2, "missing member 'P2'"),
         (("q",), np.array([-2.0, 0.0]), "q has shape (2,), expected (2, 1)"),
         (("dims",), np.array([1, 1, 1]), "dims has shape (3,), expected (4,)"),
         (("dims",), np.array([1, -1, 1, 1]), "dims must be nonnegative"),
-        # a repeated row in a CSC column is named by its column
-        pytest.param((), {"P1_data": np.array([0.5, 0.5]), "P1_indices": np.array([0, 0]),
-                          "P1_indptr": np.array([0, 2])}, "P[1]: column 0", id="keys3-P[1]: column 0"),
     ])
     def test_malformed_field_exit_one_without_traceback(self, tmp_path, keys, value, field):
         _assert_error_names(_run_cli("solve", _write_archive(tmp_path / "p.npz", keys, value)), field)
 
-    # every datum is float64 and every index an integer: strings, booleans,
+    # every datum is float64 and the dimensions integers: strings, booleans,
     # integers and other float widths are rejected, not converted
     @pytest.mark.parametrize("name, value, field", [
         ("q", np.array([["-2.0"], ["0"]]), "q has dtype <U4, expected float64"),
         ("P0", np.array([[True]]), "P0 has dtype bool, expected float64"),
-        ("P1_data", np.array([1]), "P1_data has dtype int64, expected float64"),
-        ("P1_indices", np.array([0.0]), "P1_indices has dtype float64, expected an integer dtype"),
+        ("P1", np.array([1]), "P1 has dtype int64, expected float64"),
+        ("P1", np.array(["1.0"]), "P1 has dtype <U3, expected float64"),
         ("A", np.array([[False]]), "A has dtype bool, expected float64"),
         ("b", np.array(["0.5"]), "b has dtype <U3, expected float64"),
         ("r", np.array([0.0, -0.5], dtype=np.float32), "r has dtype float32, expected float64"),
@@ -365,7 +356,7 @@ class TestCheckKkt:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_reproduces_the_solve_residuals(self, tmp_path, capsys, workers):
-        # the MKL instance has a u block, an equality row and a mixed dense/CSC Hessian stack
+        # the MKL instance has a u block, an equality row, a diagonal P0 and dense constraint Hessians
         problem = tmp_path / "mkl.npz"
         assert main(["generate", "mkl", "--ntr", "12", "--nt", "4", "--out", str(problem)]) == 0
         report = tmp_path / "report.json"

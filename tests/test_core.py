@@ -3,7 +3,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -11,24 +10,26 @@ from hypothesis.extra import numpy as hnp
 from qcqpd import (
     MklSpec,
     QcqpProblem,
+    RandomQcqpSpec,
     SolverConfig,
     TerminationStatus,
     analytic_comm_stats,
     build_mkl_qcqp,
     gen_infeasible,
+    gen_random_qcqp,
     gen_unbounded,
     kkt_residual_max,
     solve,
     validate,
 )
-from qcqpd.core import BIG_M, EPS0, _blocks, _pass, _root_rule, adaptive_step_size, compute_norms
+from qcqpd.core import BIG_M, EPS0, TRACE_EVERY, _blocks, _pass, _root_rule, adaptive_step_size, compute_norms
 from qcqpd.dist import ColumnBlocks, CommStats, partition_columns
 from helpers import (
     equality_problem, hessian_problem, interior_problem, operator, random_box_state, random_problem, step,
     step_size_state, toy_problem,
 )
 from reference import (
-    even_split_step_size, project_box, reference_budget_needs, reference_norms, reference_step_size,
+    even_split_step_size, objective, project_box, reference_budget_needs, reference_norms, reference_step_size,
 )
 
 
@@ -38,11 +39,11 @@ class TestNorms:
         norms = compute_norms(hessian_problem([np.eye(2)]))
         assert norms.static_den_sum == pytest.approx(np.sqrt(2.0) + 4.0, rel=1e-15)
 
+    # the id "csc" names the diagonal storage by the sparse storage it replaced
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
     def test_huge_entries_have_a_finite_norm(self, sparse):
         # squaring 1e200 overflows; the norms themselves are representable
-        M = np.diag([1e200, 1e200])
-        M = sp.csc_matrix(M) if sparse else M
+        M = np.full(2, 1e200) if sparse else np.diag([1e200, 1e200])
         norms = compute_norms(hessian_problem([M, M]))
         assert norms.static_den_sum == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
         assert norms.stacked == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
@@ -362,11 +363,11 @@ class TestProjectedStep:
 
 
 def _pass_problems():
-    """A small MKL instance (CSC ``P0``, dense constraint Hessians, ``n2 = m2 = 1``)
-    and a random one with ``n2 = m2 = 2`` and one CSC constraint Hessian."""
+    """A small MKL instance (diagonal ``P0``, dense constraint Hessians, ``n2 = m2 = 1``)
+    and a random one with ``n2 = m2 = 2`` and one diagonal constraint Hessian."""
     mkl = build_mkl_qcqp(MklSpec(n_tr=12, n_t=4, svm="sm2", seed=0))[0]
     rnd = random_problem(np.random.default_rng(12), n1=11, m1=2, n2=2, m2=2, box=2.0)
-    rnd.P[1] = sp.csc_matrix(rnd.P[1])
+    rnd.P[1] = np.diagonal(rnd.P[1]).copy()
     return [mkl, rnd]
 
 
@@ -375,7 +376,7 @@ class TestPass:
     def test_writes_the_operator_and_books_one_pass(self, workers):
         for p in _pass_problems():
             assert min(p.n2, p.m1, p.m2) >= 1
-            assert {sp.issparse(Pi) for Pi in p.P} == {False, True}
+            assert {Pi.ndim for Pi in p.P} == {1, 2}
             state = random_box_state(np.random.default_rng(workers), p)
             z = np.concatenate(state)
             F = np.full_like(z, np.nan)
@@ -448,6 +449,15 @@ class TestSolve:
         assert rep.status is TerminationStatus.CONVERGED
         assert rep.iterations == 150
 
+    def test_check_at_cap_off_cadence_is_classified(self):
+        # 349 is not a multiple of TRACE_EVERY: the check at the cap meets the
+        # tolerance (res1 about 2.8e-4, res2 about 8.8e-4) and reads converged
+        rep = solve(gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=0)), SolverConfig(max_iters=349))
+        assert 349 % TRACE_EVERY
+        assert rep.status is TerminationStatus.CONVERGED
+        assert rep.iterations == rep.trace[-1].iteration == 349
+        assert max(rep.res1, rep.res2) < 1e-3
+
     def test_divergence_guard(self, tmp_path):
         p = toy_problem()
         p.q[0] = np.array([np.nan])
@@ -516,7 +526,7 @@ class TestSolve:
             assert rep.status is status
             assert rep.trace[-1].iteration == rep.iterations
             assert rep.objective == rep.trace[-1].objective
-            assert rep.objective == pytest.approx(problem.objective(rep.x, rep.u), rel=1e-12)
+            assert rep.objective == pytest.approx(objective(problem, rep.x, rep.u), rel=1e-12)
 
     @pytest.mark.parametrize("P0", [1e6, 1e8, 1e10])
     def test_stiff_objective_converges(self, P0):
@@ -529,26 +539,28 @@ class TestSolve:
         assert abs(rep.x[0] - 2.0 / P0) <= 1e-3 * 2.0 / P0
         assert rep.rho_max * P0 <= 1.0 - EPS0
 
+    # the id "csc" names the diagonal storage by the sparse storage it replaced
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
     @pytest.mark.parametrize("P0", [1e160, 1e300])
     def test_overflowing_objective_norm_converges(self, P0, sparse):
         # the same instance with P0^2 beyond the float range: the Frobenius
         # norm and the step-size root must not overflow and leave rho = 0
         P = [np.array([[P0]]), np.array([[2.0]])]
-        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[sp.csc_matrix(M) for M in P] if sparse else P,
+        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[M[0] for M in P] if sparse else P,
                         q=[[-2.0], [0.0]], c=[[], []], r=[0.0, -1.0], x_upper=[np.inf])
         rep = solve(p, SolverConfig())
         assert rep.status is TerminationStatus.CONVERGED
         assert abs(rep.x[0] - 2.0 / P0) <= 1e-3 * 2.0 / P0
         assert rep.rho_max <= (1.0 - EPS0) / P0
 
+    # the id "csc" names the diagonal storage by the sparse storage it replaced
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csc"])
     @pytest.mark.parametrize("P1", [1e160, 1e300])
     def test_overflowing_constraint_norm_converges(self, P1, sparse):
         # min x^2/2 - 2x s.t. P1 x^2/2 <= 1, solved at x = sqrt(2/P1): the
         # stacked constraint norm must stay finite, or rho = 0
         P = [np.array([[1.0]]), np.array([[P1]])]
-        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[sp.csc_matrix(M) for M in P] if sparse else P,
+        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[M[0] for M in P] if sparse else P,
                         q=[[-2.0], [0.0]], c=[[], []], r=[0.0, -1.0], x_upper=[np.inf])
         rep = solve(p, SolverConfig())
         assert rep.status is TerminationStatus.CONVERGED
@@ -587,7 +599,7 @@ class TestSolve:
         rng = np.random.default_rng(9)
         n = 12
         p = random_problem(rng, n1=n, m1=1, box=2.0)
-        p.P[1] = sp.csc_matrix(p.P[1])
+        p.P[1] = np.diagonal(p.P[1]).copy()  # a diagonal Hessian, stored as its diagonal
         serial = solve(p, SolverConfig(tol=1e-6, n_workers=1))
         parallel = solve(p, SolverConfig(tol=1e-6, n_workers=3))
         assert serial.status is TerminationStatus.CONVERGED

@@ -11,11 +11,11 @@ from qcqpd import (
     solve,
     validate,
 )
-from qcqpd.core import TraceRow
+from qcqpd.core import TraceRow, compute_norms
 from qcqpd.diagnostics import serial_operator
 from qcqpd.diagnostics import test_set_accuracy as mkl_accuracy
 from helpers import equality_problem, random_box_state, random_problem, step_size_state, toy_problem
-from reference import reference_kkt, reference_solve_small
+from reference import objective, reference_kkt, reference_solve_small
 
 
 def _residuals(p, x, u, lam, gam):
@@ -126,6 +126,23 @@ class TestSharedConditions:
         assert violated >= 30 and on_faces >= 60
 
 
+    def test_diagonal_and_square_storage_agree(self):
+        # the same Hessians as vectors d and as np.diag(d): the serial operator,
+        # the certificate and the norms read them alike
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            p = random_problem(rng, n1=6, m1=2, n2=2, m2=1, box=1.0)
+            p.P[0], p.P[2] = rng.uniform(0.0, 2.0, 6), rng.uniform(0.0, 2.0, 6)
+            square = QcqpProblem(**{**vars(p), "P": [np.diag(Pi) if Pi.ndim == 1 else Pi for Pi in p.P]})
+            x, u, lam, gam = random_box_state(rng, p)
+            for got, want in zip(serial_operator(p, x, u, lam, gam), serial_operator(square, x, u, lam, gam)):
+                np.testing.assert_array_equal(got, want)
+            assert kkt_residual_max(x, u, lam, gam, p) == kkt_residual_max(x, u, lam, gam, square)
+            diag_norms, square_norms = compute_norms(p), compute_norms(square)
+            for name in ("stacked", "static_den_sum", "pi_scale"):
+                assert getattr(diag_norms, name) == pytest.approx(getattr(square_norms, name), rel=1e-15)
+
+
 def _history(res1_seq, res2_seq):
     """Trace rows of checks every 10 iterations; classification reads no ``rho`` or objective."""
     return [TraceRow(10 * i, 0.0, r1, r2, 0.0) for i, (r1, r2) in enumerate(zip(res1_seq, res2_seq))]
@@ -197,7 +214,7 @@ class TestReferenceSolver:
         rep = solve(p, SolverConfig(tol=1e-5))
         assert rep.status is TerminationStatus.CONVERGED
         xo, uo, lo, go = reference_solve_small(p, tol=1e-8)
-        assert rep.objective == pytest.approx(p.objective(xo, uo), rel=1e-3)
+        assert rep.objective == pytest.approx(objective(p, xo, uo), rel=1e-3)
 
     def test_oracle_point_has_small_averaged_residuals(self):
         rng = np.random.default_rng(4)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -75,15 +76,15 @@ class TestMatvec:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_parallel_serial_equivalence(self, n1, sparse):
         rng = np.random.default_rng(n1)
-        if sparse:
-            M = sp.random(n1, n1, density=0.05, random_state=np.random.RandomState(3), format="csc")
+        if sparse:  # a diagonal Hessian, stored as its diagonal
+            M = rng.standard_normal(n1)
         else:
             # symmetric: from SYMMETRIC_MIN_COLS columns one worker reads one triangle
             G = rng.standard_normal((n1, n1))
             M = np.asfortranarray(G + G.T)
         x = rng.standard_normal(n1)
         serial = _matvec(M, x, partition_columns(n1, 1))
-        np.testing.assert_allclose(serial, M @ x, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(serial, (np.diag(M) if sparse else M) @ x, rtol=1e-12, atol=1e-14)
         for w in (2, 7, 32, n1):
             out = _matvec(M, x, partition_columns(n1, w))
             np.testing.assert_allclose(out, serial, rtol=1e-12, atol=1e-14)
@@ -113,8 +114,8 @@ class TestMatvec:
             _matvec(np.eye(3), np.ones(3), partition_columns(4, 2))
         with pytest.raises(ValueError, match="matrix 0"):
             _matvec(np.ones((2, 3)), np.ones(3), partition_columns(3, 1))
-        with pytest.raises(ValueError, match="matrix 1 has shape"):
-            ColumnBlocks([np.eye(3), sp.csc_matrix(np.ones((3, 2)))], partition_columns(3, 1))
+        with pytest.raises(ValueError, match=re.escape("matrix 1 has shape (2,), expected (3, 3) or (3,)")):
+            ColumnBlocks([np.eye(3), np.ones(2)], partition_columns(3, 1))
 
 
 class TestDot:
@@ -154,20 +155,26 @@ class TestDot:
                 dist_dot(X, y, part, CommStats())
 
 
+# The ids "csc" and "mixed" name the sparse stacks by the storage that a
+# diagonal Hessian's vector replaced.
 STACKS = {
     "dense": ("dense", "dense", "dense"),
-    "csc": ("csc", "csc", "csc"),
-    "mixed": ("csc", "dense", "dense", "csc", "dense"),
+    "csc": ("diagonal", "diagonal", "diagonal"),
+    "mixed": ("diagonal", "dense", "dense", "diagonal", "dense"),
 }
 
 
 def _stack(kinds, n, rng, integer):
-    """One ``n x n`` matrix per kind."""
-    mats = []
-    for kind in kinds:
-        M = rng.integers(-4, 5, size=(n, n)).astype(float) if integer else rng.standard_normal((n, n))
-        mats.append(sp.csc_matrix(M * (rng.random((n, n)) < 0.4)) if kind == "csc" else np.asfortranarray(M))
-    return mats
+    """One Hessian per kind: a Fortran-order ``n x n`` matrix, or a length-``n`` diagonal."""
+    shapes = {"dense": (n, n), "diagonal": (n,)}
+    if integer:
+        return [np.asfortranarray(rng.integers(-4, 5, size=shapes[kind]).astype(float)) for kind in kinds]
+    return [np.asfortranarray(rng.standard_normal(shapes[kind])) for kind in kinds]
+
+
+def _as_square(M):
+    """A Hessian as its ``n x n`` matrix."""
+    return np.diag(M) if M.ndim == 1 else M
 
 
 class TestColumnBlocks:
@@ -189,25 +196,31 @@ class TestColumnBlocks:
         out = ColumnBlocks(mats, part).matvec(x, CommStats())
         assert out.shape == (len(mats), n)
         assert np.array_equal(out, np.stack([_matvec(M, x, part) for M in mats]))
-        assert np.array_equal(out, np.stack([M @ x for M in mats]))
+        assert np.array_equal(out, np.stack([_as_square(M) @ x for M in mats]))
 
     # n = 3 leaves some of 4 or 5 workers an empty column range
     @pytest.mark.parametrize("n", [3, 13])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", [STACKS["csc"], STACKS["mixed"]], ids=["csc", "mixed"])
     def test_sparse_rows_are_per_worker_csc_products_bitwise(self, kinds, workers, n):
-        # random floats: the sparse rows equal each matrix's per-worker CSC
-        # products tree-summed, bit for bit; the dense rows are the dense stack's
+        # random floats, none zero: each diagonal row is np.diag(d) @ x and the
+        # tree sum of the per-worker products of d as a CSC matrix, which the
+        # kernel computed before diagonals were stored as vectors, bit for bit;
+        # the dense rows are the dense stack's
         rng = np.random.default_rng(200 + 10 * workers + n)
         mats = _stack(kinds, n, rng, integer=False)
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
-        dense = [M for M in mats if not sp.issparse(M)]
+        dense = [M for M in mats if M.ndim == 2]
         dense_rows = iter(ColumnBlocks(dense, part).matvec(x, CommStats()) if dense else ())
-        expected = [_tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges]) if sp.issparse(M)
-                    else next(dense_rows) for M in mats]
         out = ColumnBlocks(mats, part).matvec(x, CommStats())
-        assert out.tobytes() == np.stack(expected).tobytes()
+        for row, M in zip(out, mats):
+            if M.ndim == 2:
+                assert row.tobytes() == next(dense_rows).tobytes()
+                continue
+            csc = sp.csc_matrix(np.diag(M))
+            assert row.tobytes() == (np.diag(M) @ x).tobytes()
+            assert row.tobytes() == _tree_sum([csc[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges]).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", STACKS.values(), ids=list(STACKS))
@@ -219,6 +232,7 @@ class TestColumnBlocks:
         part = partition_columns(n, workers)
         out = ColumnBlocks(mats, part).matvec(x, CommStats())
         np.testing.assert_allclose(out, np.stack([_matvec(M, x, part) for M in mats]), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_comm_one_reduce_scatter_pair_per_call(self, workers):
@@ -239,22 +253,23 @@ class TestColumnBlocks:
 
 
 def _symmetric_stack(kinds, n, rng):
-    """One symmetric ``n x n`` matrix per kind: Fortran-order dense, C-order dense or CSC."""
+    """One symmetric Hessian per kind: Fortran-order dense, C-order dense or a diagonal."""
     mats = []
     for kind in kinds:
         G = rng.standard_normal((n, n))
         S = G + G.T
-        if kind == "csc":
-            mask = rng.random((n, n)) < 0.02
-            mats.append(sp.csc_matrix(S * (mask | mask.T)))
+        if kind == "diagonal":
+            mats.append(np.diagonal(S).copy())
         else:
             mats.append(np.ascontiguousarray(S) if kind == "c-order" else np.asfortranarray(S))
     return mats
 
 
+# The id "dense-csc" names the dense and diagonal stack by the storage that a
+# diagonal Hessian's vector replaced.
 SYMMETRIC_STACKS = {
     "dense": ("dense", "c-order", "dense", "dense", "c-order"),
-    "dense-csc": ("dense", "csc", "c-order", "csc"),
+    "dense-csc": ("dense", "diagonal", "c-order", "diagonal"),
 }
 
 
@@ -271,7 +286,7 @@ class TestSymmetricStack:
         x = rng.standard_normal(n)
         stats = CommStats()
         out = ColumnBlocks(mats, partition_columns(n, 1)).matvec(x, stats)
-        np.testing.assert_allclose(out, np.stack([M @ x for M in mats]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-12, atol=1e-12)
         rows = len(mats) * n
         assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 1,
                                    "bytes_reduced": 8 * rows, "bytes_scattered": 8 * rows}
@@ -280,15 +295,16 @@ class TestSymmetricStack:
     @pytest.mark.parametrize("n", [SYMMETRIC_MIN_COLS, 600])
     @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
     def test_partitioned_is_the_generic_stack_bitwise(self, kinds, n, workers):
-        # no dsymv: each matrix's rows are its per-worker products tree-summed,
-        # a dense matrix's taken in Fortran order as its workers' blocks are
+        # no dsymv: each dense matrix's row is its per-worker products
+        # tree-summed, taken in Fortran order as its workers' blocks are, and
+        # each diagonal's row is d * x
         rng = np.random.default_rng(n + workers)
         mats = _symmetric_stack(kinds, n, rng)
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
         out = ColumnBlocks(mats, part).matvec(x, CommStats())
-        expected = [_tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges])
-                    for M in (M if sp.issparse(M) else np.asfortranarray(M) for M in mats)]
+        expected = [M * x if M.ndim == 1 else _tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges])
+                    for M in (M if M.ndim == 1 else np.asfortranarray(M) for M in mats)]
         assert out.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("n, workers, one_triangle", [

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from qcqpd import (
     EIGENVALUE_RANGES,
@@ -18,7 +17,7 @@ from qcqpd import (
     validate,
 )
 from qcqpd.generators import DEFAULT_MKL_KERNELS
-from reference import kernel_eval
+from reference import kernel_eval, objective
 
 
 class TestRandomQcqp:
@@ -88,7 +87,7 @@ class TestPathologicalInstances:
             x = 3.0 * rng.standard_normal(16)
             assert p.constraint_values(x, np.zeros(0))[1] >= 100.0
         assert validate(p).ok
-        assert sp.issparse(p.P[2])
+        np.testing.assert_array_equal(p.P[2], np.ones(16))  # the identity, as its diagonal
 
     def test_unbounded_ray(self):
         p = gen_unbounded(8, seed=5)
@@ -97,7 +96,7 @@ class TestPathologicalInstances:
         for t in (0.0, 10.0, 1e3):
             ray[-1] = t
             # objective falls linearly along the ray, constraint is blind to it
-            assert p.objective(ray, np.zeros(0)) == pytest.approx(-t + p.r[0], rel=1e-15)
+            assert objective(p, ray, np.zeros(0)) == pytest.approx(-t + p.r[0], rel=1e-15)
             assert p.constraint_values(ray, np.zeros(0))[0] == p.r[1]
 
     def test_unbounded_needs_two_dims(self):
@@ -176,13 +175,13 @@ class TestMklBuild:
     def test_sm2_objective_hessian(self):
         C = 2.0
         p, _ = build_mkl_qcqp(MklSpec(n_tr=6, n_t=2, svm="sm2", margin_c=C, seed=12))
-        np.testing.assert_allclose(p.P[0].toarray(), np.eye(6) / C, rtol=1e-15)
+        np.testing.assert_array_equal(p.P[0], np.full(6, 1.0 / C))  # I / C, as its diagonal
         assert np.isinf(p.x_upper).all()
 
     def test_sm1_box_and_zero_hessian(self):
         C = 3.0
         p, _ = build_mkl_qcqp(MklSpec(n_tr=6, n_t=2, svm="sm1", margin_c=C, seed=12))
-        assert p.P[0].nnz == 0
+        np.testing.assert_array_equal(p.P[0], np.zeros(6))  # the zero matrix, as its diagonal
         assert (p.x_upper == C).all()
 
     @pytest.mark.parametrize("field", ["margin_c", "R"])

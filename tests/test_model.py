@@ -66,13 +66,14 @@ class TestValidate:
         for arr, rows in ((p.q, [[1.0, 2.0], [3.0, 4.0]]), (p.c, [[5.0], [6.0]])):
             assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.c_contiguous
             np.testing.assert_array_equal(arr, rows)
-        # a sparse A or B is densified, Fortran-ordered as the archive reads back
-        p = QcqpProblem(**{**fields, "A": sp.csc_matrix([[1.0, 0.0]]), "B": sp.csr_matrix([[2.0]])})
-        for arr, rows in ((p.A, [[1.0, 0.0]]), (p.B, [[2.0]])):
+        # a Hessian is a square matrix or its diagonal; A and B are Fortran-ordered as the archive reads back
+        p = QcqpProblem(**{**fields, "P": [np.eye(2), [1.0, 2.0]], "A": [[1.0, 0.0]], "B": [[2.0]]})
+        for arr, rows in ((p.P[1], [1.0, 2.0]), (p.A, [[1.0, 0.0]]), (p.B, [[2.0]])):
             assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.f_contiguous
             np.testing.assert_array_equal(arr, rows)
         for name, value, message in [
-            ("P", [np.eye(2), np.eye(3)], "P[1] has shape (3, 3), expected (2, 2)"),
+            ("P", [np.eye(2), np.eye(3)], "P[1] has shape (3, 3), expected (2, 2) or (2,)"),
+            ("P", [np.ones(3), np.eye(2)], "P[0] has shape (3,), expected (2, 2) or (2,)"),
             ("q", [np.zeros(3), np.zeros(2)], "q[0] has length 3, expected 2"),
             ("q", [np.zeros(2)], "expected 2 q vectors, got 1"),
             ("q", np.zeros((2, 3)), "q has shape (2, 3), expected (2, 2)"),
@@ -89,6 +90,24 @@ class TestValidate:
             with pytest.raises(ValueError, match=re.escape(message)):
                 QcqpProblem(**{**fields, name: value})
 
+    @pytest.mark.parametrize("name, value, field", [
+        ("P", [np.eye(2), sp.identity(2, format="csc")], "P[1]"),
+        ("q", sp.csr_matrix(np.zeros((2, 2))), "q"),
+        ("q", [np.zeros(2), sp.csr_matrix(np.zeros((1, 2)))], "q[1]"),
+        ("c", sp.csr_matrix(np.zeros((2, 1))), "c"),
+        ("r", sp.csr_matrix(np.zeros((1, 2))), "r"),
+        ("A", sp.csc_matrix([[1.0, 0.0]]), "A"),
+        ("B", sp.csr_matrix([[2.0]]), "B"),
+        ("b", sp.csr_matrix([[0.5]]), "b"),
+        ("x_upper", sp.csr_matrix(np.ones((1, 2))), "x_upper"),
+    ])
+    def test_sparse_input_is_refused_by_name(self, name, value, field):
+        # numpy cannot convert a sparse matrix: the caller passes .toarray() or .diagonal()
+        fields = dict(n1=2, n2=1, m1=1, m2=1, P=[np.eye(2)] * 2, q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2,
+                      r=np.zeros(2), A=np.zeros((1, 2)), B=np.zeros((1, 1)), b=np.zeros(1), x_upper=np.ones(2))
+        with pytest.raises(ValueError, match=re.escape(f"{field} is a sparse matrix")):
+            QcqpProblem(**{**fields, name: value})
+
     def test_nonpositive_upper_bound_flagged(self):
         p = hessian_problem([np.eye(2)])
         p.x_upper = np.array([1.0, 0.0])
@@ -99,8 +118,8 @@ class TestValidate:
         rng = np.random.default_rng(12)
         p = random_problem(rng, n1=3, m1=1, n2=2, m2=1)  # x_upper all +inf, which stays valid
         p.P[0][1, 2] = np.nan
-        p.P[1] = sp.csc_matrix(p.P[1])
-        p.P[1].data[5] = np.inf  # dense 3x3 in CSC order: column 1, row 2
+        p.P[1] = np.diagonal(p.P[1]).copy()
+        p.P[1][2] = np.inf
         p.q[1][0] = -np.inf
         p.c[0][1] = np.nan
         p.r[0] = np.inf
@@ -109,7 +128,7 @@ class TestValidate:
         p.b[0] = np.nan
         assert validate(p).violations == [
             "P[0][1, 2] is not finite",
-            "P[1][2, 1] is not finite",
+            "P[1][2] is not finite",
             "q[1][0] is not finite",
             "c[0][1] is not finite",
             "r[0] is not finite",
@@ -119,34 +138,38 @@ class TestValidate:
         ]
 
     def test_gram_matrices_accepted(self):
-        # any M'M is PSD, also when rank-deficient; neither storage may reject one
+        # any M'M is PSD, also when rank-deficient, and so is a diagonal of
+        # squared column norms; neither storage may reject one
         rng = np.random.default_rng(42)
         for _ in range(20):
             n = rng.integers(1, 12)
             M = rng.standard_normal((rng.integers(1, n + 1), n))
-            for G in (M.T @ M, sp.csc_matrix(M.T @ M)):
+            for G in (M.T @ M, np.square(M).sum(axis=0)):
                 assert validate(hessian_problem([G], n1=n)).ok
 
     def test_sparse_psd_accepted(self):
-        report = validate(hessian_problem([sp.identity(2, format="csc")]))
+        report = validate(hessian_problem([np.ones(2)]))  # the identity, as its diagonal
         assert report.ok
 
     def test_large_sparse_indefinite_rejected(self):
-        # path-graph Laplacian (PSD, smallest eigenvalue 0) shifted down by 1e-3
+        # the spectrum of the path-graph Laplacian (PSD, smallest eigenvalue 0)
+        # as a diagonal, shifted down by 1e-3
         n = 256
-        lap = sp.diags([-np.ones(n - 1), np.r_[1.0, np.full(n - 2, 2.0), 1.0], -np.ones(n - 1)], [-1, 0, 1])
-        assert validate(hessian_problem([sp.identity(n), lap.tocsc()], n1=n)).ok
-        bad = (lap - 1e-3 * sp.identity(n)).tocsc()
-        tau = PSD_RTOL * max(sp.linalg.norm(bad), 1.0)
-        report = validate(hessian_problem([sp.identity(n), bad], n1=n))
+        lap = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+        assert validate(hessian_problem([np.ones(n), lap], n1=n)).ok
+        bad = lap - 1e-3
+        tau = PSD_RTOL * max(np.linalg.norm(bad), 1.0)
+        report = validate(hessian_problem([np.ones(n), bad], n1=n))
         assert report.violations == [f"P[1] is not PSD (P[1] + {tau:.3e} I is not positive definite)"]
 
     def test_unbounded_generator_singular_sparse_accepted(self):
         p = gen_unbounded(256, seed=0)
-        assert all(sp.issparse(Pi) for Pi in p.P)
-        assert np.linalg.eigvalsh(p.P[0].toarray())[0] == 0.0
+        assert all(Pi.shape == (256,) for Pi in p.P)
+        assert p.P[0].min() == 0.0
         assert validate(p).ok
 
+    # "csc" and "diagonal csc" hold what a caller with such a sparse matrix
+    # passes: its .toarray(), C-ordered, and its .diagonal()
     @pytest.mark.parametrize("storage", ["dense", "csc", "diagonal csc", "dense lapack"])
     @pytest.mark.parametrize("factor, ok", [(-0.5, True), (-2.0, False)])
     def test_psd_slack_boundary(self, storage, factor, ok):
@@ -160,7 +183,7 @@ class TestValidate:
         spectrum[0] = factor * tau
         P = (Q * spectrum) @ Q.T
         P = (P + P.T) / 2
-        P = {"dense": np.asfortranarray(P), "csc": sp.csc_matrix(P), "diagonal csc": sp.diags(spectrum, format="csc"),
+        P = {"dense": np.asfortranarray(P), "csc": np.ascontiguousarray(P), "diagonal csc": spectrum,
              "dense lapack": np.asfortranarray(P)}
         assert validate(hessian_problem([np.eye(n), P[storage]], n1=n)).ok is ok
 
@@ -185,25 +208,44 @@ class TestValidate:
         with pytest.raises(RuntimeError, match="dpotrf rejected argument 1"):
             validate(hessian_problem([np.eye(LAPACK_MIN_COLS)], n1=LAPACK_MIN_COLS))
 
-    def test_small_families_do_not_import_scipy_linalg(self):
-        # below LAPACK_MIN_COLS the PSD test needs no scipy.linalg (about 8 MB resident)
+    def test_small_families_do_not_import_scipy_linalg(self, tmp_path):
+        # below LAPACK_MIN_COLS the PSD test needs no scipy.linalg (about 8 MB
+        # resident), and no family needs scipy.sparse at any size: each is
+        # generated, saved, loaded, validated and solved, and the scipy modules
+        # loaded after it are printed
         code = (
-            "import sys\n"
-            "from qcqpd import MklSpec, RandomQcqpSpec, build_mkl_qcqp, gen_infeasible, gen_random_qcqp, gen_unbounded, validate\n"
-            "problems = [gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=0)), build_mkl_qcqp(MklSpec())[0],\n"
-            "            gen_infeasible(64, seed=0), gen_unbounded(64, seed=0)]\n"
-            "assert all(validate(p).ok for p in problems)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+            "import os, sys\n"
+            "from qcqpd import (MklSpec, RandomQcqpSpec, SolverConfig, build_mkl_qcqp, gen_infeasible,\n"
+            "                   gen_random_qcqp, gen_unbounded, load_problem, save_problem, solve, validate)\n"
+            "families = [('random', lambda: gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=0))),\n"
+            "            ('mkl-sm1', lambda: build_mkl_qcqp(MklSpec(svm='sm1'))[0]),\n"
+            "            ('mkl-sm2', lambda: build_mkl_qcqp(MklSpec())[0]),\n"
+            "            ('infeasible', lambda: gen_infeasible(64, seed=0)),\n"
+            "            ('unbounded', lambda: gen_unbounded(64, seed=0)),\n"
+            f"            ('random-large', lambda: gen_random_qcqp(RandomQcqpSpec(n1={LAPACK_MIN_COLS}, m1=1, seed=0)))]\n"
+            "path = os.path.join(sys.argv[1], 'p.npz')\n"
+            "for name, build in families:\n"
+            "    save_problem(build(), path)\n"
+            "    p = load_problem(path)\n"
+            "    assert validate(p).ok, name\n"
+            "    solve(p, SolverConfig(max_iters=20))\n"
+            "    loaded = sorted({'.'.join(m.split('.')[:2]) for m in sys.modules if m.startswith('scipy.')})\n"
+            "    print(name, *loaded)\n"
         )
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[]"
+        lines = [line.split() for line in res.stdout.splitlines()]
+        assert [line[0] for line in lines] == ["random", "mkl-sm1", "mkl-sm2", "infeasible", "unbounded", "random-large"]
+        for name, *modules in lines:
+            assert "scipy.sparse" not in modules, name
+            if name != "random-large":
+                assert "scipy.linalg" not in modules, name
 
     def test_decision_matches_eigvalsh(self):
         # symmetric matrices whose smallest eigenvalue lies within 1e-3 ||P||_F of zero,
-        # dense and sparsified, against the rule lambda_min >= -tau
+        # in either memory order, against the rule lambda_min >= -tau
         rng = np.random.default_rng(7)
         decisions = set()
         for _ in range(100):
@@ -212,7 +254,7 @@ class TestValidate:
             S = np.triu(S) + np.triu(S, 1).T
             S -= (np.linalg.eigvalsh(S)[0] + rng.uniform(-1e-3, 1e-3) * np.linalg.norm(S)) * np.eye(n)
             want = np.linalg.eigvalsh(S)[0] >= -PSD_RTOL * max(np.linalg.norm(S), 1.0)
-            for P in (np.asfortranarray(S), sp.csc_matrix(S)):
+            for P in (np.asfortranarray(S), np.ascontiguousarray(S)):
                 assert validate(hessian_problem([np.eye(n), P], n1=n)).ok == want
             decisions.add(bool(want))
         assert decisions == {True, False}
@@ -233,11 +275,8 @@ class TestSerialization:
     def _assert_problems_equal(self, a, b):
         assert (a.n1, a.n2, a.m1, a.m2) == (b.n1, b.n2, b.m1, b.m2)
         for Pa, Pb in zip(a.P, b.P):
-            if sp.issparse(Pa) or sp.issparse(Pb):
-                assert sp.issparse(Pa) is sp.issparse(Pb)
-                assert (Pa != Pb).nnz == 0
-            else:
-                np.testing.assert_array_equal(Pa, Pb)
+            assert Pa.shape == Pb.shape
+            np.testing.assert_array_equal(Pa, Pb)
         for qa, qb in zip(a.q, b.q):
             np.testing.assert_array_equal(qa, qb)
         for ca, cb in zip(a.c, b.c):
@@ -256,27 +295,16 @@ class TestSerialization:
         self._assert_problems_equal(load_problem(path), p)
 
     def test_round_trip_sparse_and_infinite_bounds(self, tmp_path):
-        P1 = sp.csc_matrix(np.diag([1.0, 0.0, 2.5]))
+        P1 = np.array([1.0, 0.0, 2.5])  # diag(1, 0, 2.5)
         p = hessian_problem([np.eye(3), P1], n1=3, x_upper=[1.0, np.inf, 2.0])
         path = tmp_path / "p.npz"
         save_problem(p, path)
         members = read_members(path)
-        assert "P0" in members and "P1_data" in members and "P1" not in members
+        assert members["P0"].shape == (3, 3) and members["P1"].shape == (3,)
         assert members["x_upper"][1] == np.inf
         loaded = load_problem(path)
         assert loaded.x_upper[1] == np.inf
         self._assert_problems_equal(loaded, p)
-
-    def test_non_canonical_csc_is_saved_canonical(self, tmp_path):
-        # column 0 lists row 1 before row 0 and row 1 twice; the constructor sums and sorts
-        P1 = sp.csc_matrix((np.array([0.5, 1.0, 0.5]), np.array([1, 0, 1]), np.array([0, 3, 3])), shape=(2, 2))
-        assert not P1.has_canonical_format
-        p = hessian_problem([np.eye(2), P1])
-        path = tmp_path / "p.npz"
-        save_problem(p, path)
-        loaded = load_problem(path)
-        assert loaded.P[1].has_canonical_format
-        np.testing.assert_array_equal(loaded.P[1].toarray(), [[1.0, 0.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("family", list(GOLDEN_FAMILIES))
@@ -287,7 +315,7 @@ class TestSerialization:
         loaded = load_problem(path)
         self._assert_problems_equal(loaded, p)
         for Pi in loaded.P:
-            assert Pi.has_canonical_format if sp.issparse(Pi) else Pi.flags.f_contiguous
+            assert Pi.flags.f_contiguous
         outputs = []
         for problem in (p, loaded):
             rep = solve(problem, SolverConfig(n_workers=workers, max_iters=300))
@@ -319,7 +347,7 @@ class TestSerialization:
         members = read_members(path)
         members["dims"][2] = 2  # claims two constraints but only one constraint matrix present
         write_members(path, members)
-        with pytest.raises(ProblemFormatError, match=re.escape("P[2] needs exactly one encoding")):
+        with pytest.raises(ProblemFormatError, match=re.escape("missing member 'P2'")):
             load_problem(path)
 
     def test_bad_bound_rejected(self, tmp_path):
@@ -331,22 +359,13 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match="x_upper has dtype <U4, expected float64"):
             load_problem(path)
 
-    def test_matrix_needs_exactly_one_encoding(self, tmp_path):
+    @pytest.mark.parametrize("shape", [(2, 1), (1,), (3,), (3, 3), ()])
+    def test_hessian_of_another_shape_is_named(self, tmp_path, shape):
+        # a Hessian member is square or a diagonal of length n1, nothing else
         path = tmp_path / "p.npz"
-        save_problem(toy_problem(), path)
+        save_problem(hessian_problem([np.eye(2), np.ones(2)]), path)
         members = read_members(path)
-        members.update(P0_data=np.ones(1), P0_indices=np.zeros(1, dtype=np.int32), P0_indptr=np.array([0, 1]))
+        members["P1"] = np.ones(shape)
         write_members(path, members)
-        with pytest.raises(ProblemFormatError, match=re.escape("P[0] needs exactly one encoding")):
-            load_problem(path)
-
-    def test_unsorted_csc_column_is_named(self, tmp_path):
-        path = tmp_path / "p.npz"
-        save_problem(random_problem(np.random.default_rng(3), n1=3, m1=0), path)
-        members = read_members(path)
-        del members["P0"]
-        # column 0 empty, column 1 sorted, column 2 out of order
-        members.update(P0_data=np.ones(4), P0_indices=np.array([0, 2, 2, 1]), P0_indptr=np.array([0, 0, 2, 4]))
-        write_members(path, members)
-        with pytest.raises(ProblemFormatError, match=re.escape("P[0]: column 2: row indices are not sorted")):
+        with pytest.raises(ProblemFormatError, match=re.escape(f"P1 has shape {shape}, expected (2, 2) or (2,)")):
             load_problem(path)
