@@ -9,7 +9,8 @@ infeasible, unbounded) and prints one line per file.  Two commits whose
 outputs match line for line produce byte-identical solves and problem files.
 ``scripts/golden.txt`` holds the expected output; everything but the
 hashes is compared in CI, and the hashes are for comparing two commits on
-one machine.  Run: ``python3 scripts/golden.py``.
+one machine.  CI also runs the script twice and requires the same output,
+hashes included.  Run: ``python3 scripts/golden.py``.
 """
 
 import hashlib

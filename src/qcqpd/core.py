@@ -70,9 +70,11 @@ EPS0 = 0.1
 # The step size's cap (see adaptive_step_size).
 BIG_M = 1e12
 
-# The residual-check cadence in iterations: a check costs as much as an
-# update, so it is not done every iteration.  The classifier's window
-# counts checks, so it spans DIVERGENCE_WINDOW * TRACE_EVERY iterations.
+# The residual-check cadence in iterations: a check (compute_residuals and
+# classify_termination) costs about a fifth to a quarter of an iteration on
+# the kernel-learning instances, so it is not done every iteration.  The
+# classifier's window counts checks, so it spans DIVERGENCE_WINDOW *
+# TRACE_EVERY iterations.
 TRACE_EVERY = 10
 
 
@@ -139,25 +141,16 @@ def projected_step(z, F, rho, lower, upper, out):
     ``clip(x - rho grad_x, 0, x_upper)``, ``u - rho grad_u``,
     ``max(0, lam + rho cons)`` and ``gam + rho eq`` bit for bit:
     ``lam - rho (-cons)`` is ``lam + rho cons`` exactly, and ``u`` and ``gam``
-    clip against infinite bounds.  ``out`` may be ``z``.
+    clip against infinite bounds.  ``out`` may be ``z``.  The operations are
+    those of the expression, done in one temporary.
     """
-    return np.minimum(np.maximum(z - rho * F, lower), upper, out=out)
+    t = np.multiply(F, rho)
+    np.subtract(z, t, out=t)
+    np.maximum(t, lower, out=t)
+    return np.minimum(t, upper, out=out)
 
 
 # --- adaptive step size -----------------------------------------------------
-
-
-def _root_rule(a, b, c):
-    """Positive root of ``a t^2 + b t - c = 0`` for a >= 0, b > 0, c > 0.
-
-    ``2c / (b + sqrt(b^2 + 4ac))``, which does not cancel when ``b^2 >> 4ac``,
-    and ``c / b`` when ``a = 0``.  When ``b^2 + 4ac`` overflows (``b`` above
-    about 1e154) its root is taken as ``hypot(b, 2 sqrt(ac))``.
-    """
-    if a > 0.0:
-        d = b * b + 4.0 * a * c
-        return 2.0 * c / (b + (math.sqrt(d) if d < math.inf else math.hypot(b, 2.0 * math.sqrt(a * c))))
-    return c / b
 
 
 @dataclass(frozen=True)
@@ -220,6 +213,11 @@ def adaptive_step_size(norms, x, lam, cons, grad):
     capped at :data:`BIG_M`.  There every bound binds: the fixed point of
     the paper's multiplicative weight rule.  The ``beta`` of every root is at
     least ``static_den_sum > 0``.
+
+    The positive root of ``a t^2 + b t - c = 0`` is ``2c / (b + sqrt(b^2 +
+    4ac))``, which does not cancel when ``b^2 >> 4ac``, and ``c / b`` when
+    ``a = 0``; when ``b^2 + 4ac`` overflows (``b`` above about 1e154) its root
+    is taken as ``hypot(b, 2 sqrt(ac))``.
     """
     stacked = norms.stacked
     x_norm = math.sqrt(x.dot(x))
@@ -227,11 +225,20 @@ def adaptive_step_size(norms, x, lam, cons, grad):
     bound3 = [(0.0, 0.5)]
     if stacked:
         bound3.append((0.5 * stacked * math.sqrt(grad.dot(grad)), stacked * x_norm))
-    bound2 = [(s * abs(a), s * b) for a, b, s in zip(cons.tolist(), lam.tolist(), norms.pi_scale)]
+    c = 1.0 - EPS0
     rho = BIG_M
-    for a2, b2 in bound2 or [(0.0, 0.0)]:
+    # one (a2, b2) term of bound 2 per constraint, a zero term when m1 = 0
+    for con, mult, s in zip(cons.tolist(), lam.tolist(), norms.pi_scale) if norms.pi_scale else [(0.0, 0.0, 1.0)]:
+        a2, beta2 = s * abs(con), beta + s * mult
         for a3, b3 in bound3:
-            rho = min(rho, _root_rule(a2 + a3, beta + b2 + b3, 1.0 - EPS0))
+            a, b = a2 + a3, beta2 + b3
+            if a > 0.0:
+                d = b * b + 4.0 * a * c
+                t = 2.0 * c / (b + (math.sqrt(d) if d < math.inf else math.hypot(b, 2.0 * math.sqrt(a * c))))
+            else:
+                t = c / b
+            if t < rho:
+                rho = t
     return rho
 
 
@@ -351,15 +358,25 @@ def _pass(problem, hessians, stats, at, f):
     Px = hessians.matvec(x, stats)
     G = Px + p.q  # row i: Pi x + qi
     np.add(G[0], lam @ G[1:], out=grad_x)
+    # each expression below is done in place, in the order it is written:
+    # cons = dist_dot(0.5 Px[1:] + q[1:], x) + C u + r, eq = dist_dot(A, x) + B u - b
+    # and grad_u = c0 + lam' C + B' gam, with C the rows ci, i >= 1
     if p.m1:
-        cons = dist_dot(0.5 * Px[1:] + p.q[1:], x, hessians.partition, stats) + p.c[1:] @ u + p.r[1:]
+        H = np.multiply(Px[1:], 0.5)
+        H += p.q[1:]
+        cons = dist_dot(H, x, hessians.partition, stats)
+        cons += p.c[1:] @ u
+        cons += p.r[1:]
         np.negative(cons, out=neg_cons)
     if p.m2:
-        eq = dist_dot(p.A, x, hessians.partition, stats) + p.B @ u - p.b
+        eq = dist_dot(p.A, x, hessians.partition, stats)
+        eq += p.B @ u
+        eq -= p.b
         np.negative(eq, out=neg_eq)
         grad_x += p.A.T @ gam
     if p.n2:
-        grad_u[:] = p.lagrangian_grad_u(lam, gam)
+        np.add(p.c[0], lam @ p.c[1:], out=grad_u)
+        grad_u += p.B.T @ gam
     return Px
 
 

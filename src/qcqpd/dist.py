@@ -144,10 +144,16 @@ def _tree_sum(parts):
 
 
 def _check_vector(v, length):
-    v = np.asarray(v)
+    """Raise unless ``v`` has shape ``(length,)``: at several workers a wrong length would be cut silently."""
     if v.shape != (length,):
         raise ValueError(f"vector has shape {v.shape}, expected ({length},)")
-    return v
+
+
+def _rows(indices):
+    """Row indices as a ``slice`` when they are one contiguous run, else as the list."""
+    if indices == list(range(indices[0], indices[0] + len(indices))):
+        return slice(indices[0], indices[0] + len(indices))
+    return indices
 
 
 def _cut(matrices, lo, hi):
@@ -170,7 +176,11 @@ class ColumnBlocks:
     Each worker holds one dense block stacking its columns of every square
     matrix; the diagonals are held as one ``(kd, n)`` array.  So
     :meth:`matvec` costs one dense product per worker and one elementwise
-    product, and returns the ``(k, n)`` array of the ``k`` products.
+    product, and returns the ``(k, n)`` array of the ``k`` products.  The
+    product rows of each kind, square or diagonal, are held as a ``slice``
+    when they form one contiguous run (as in the usual stacks: every matrix
+    of one kind, or a diagonal ``P0`` before dense constraint Hessians), so
+    they are written by basic slicing, and as an index list otherwise.
 
     The matrices are taken to be symmetric, as Hessians are: on one worker
     and at least :data:`SYMMETRIC_MIN_COLS` columns, each square matrix is
@@ -204,9 +214,10 @@ class ColumnBlocks:
         # (rows of the product, one block per worker) of the stacked square matrices
         self._square = None
         if square:
-            self._square = (square, [_cut([matrices[i] for i in square], lo, hi) for lo, hi in partition.ranges])
+            blocks = [_cut([matrices[i] for i in square], lo, hi) for lo, hi in partition.ranges]
+            self._square = (_rows(square), blocks)
         # (rows of the product, the diagonals stacked as rows)
-        self._diagonal = (diagonal, np.array([matrices[i] for i in diagonal])) if diagonal else None
+        self._diagonal = (_rows(diagonal), np.array([matrices[i] for i in diagonal])) if diagonal else None
 
     def _reduce(self, blocks, x):
         """The tree sum, in worker order, of each worker's product of its block with its slice of ``x``."""
@@ -219,37 +230,48 @@ class ColumnBlocks:
         every product is bitwise what a per-matrix reduction gives whenever
         the local products are; the row of a matrix kept whole for ``dsymv``
         is its one worker's product, and a diagonal's row is ``d * x``, each
-        worker's columns of it its own.  Accounts one reduce of all the rows,
-        the diagonals' included, and one scatter of the same volume, which
-        hands the products back to the workers.
+        worker's columns of it its own.  On one worker, rows held as a slice
+        are written in place: the stacked product straight into its rows by
+        ``np.matmul(..., out=)``, the diagonals' by ``np.multiply(..., out=)``,
+        bitwise the products ``@`` and ``*`` return.  Accounts one reduce of
+        all the rows, the diagonals' included, and one scatter of the same
+        volume, which hands the products back to the workers.
         """
-        x = _check_vector(x, self.partition.n_cols)
+        _check_vector(x, self.partition.n_cols)
         k, n = self._shape
-        if self._square and len(self._square[0]) == k:  # every row square: the reduce is the product
-            out = self._reduce(self._square[1], x).reshape(k, n)
+        square, diagonal = self._square, self._diagonal
+        if square and len(square[1]) > 1 and square[0] == slice(0, k):  # every row square: the reduce is the product
+            out = self._reduce(square[1], x).reshape(k, n)
         else:
             out = np.empty((k, n))
             for i, M in self._symmetric:
                 self._dsymv(1.0, M, x, beta=0.0, y=out[i], overwrite_y=1)
-            if self._square:
-                rows, blocks = self._square
-                out[rows] = self._reduce(blocks, x).reshape(len(rows), n)
-            if self._diagonal:
-                rows, D = self._diagonal
-                out[rows] = D * x
+            if square:
+                rows, blocks = square
+                if len(blocks) == 1 and type(rows) is slice:
+                    np.matmul(blocks[0], x, out=out[rows].reshape(-1))
+                else:
+                    out[rows] = self._reduce(blocks, x).reshape(-1, n)
+            if diagonal:
+                rows, D = diagonal
+                if type(rows) is slice:
+                    np.multiply(D, x, out=out[rows])
+                else:
+                    out[rows] = D * x
         stats.record_reduce(out.size)
         stats.record_scatter(out.size)
         return out
 
 
 def dist_dot(X, y, partition: ColumnPartition, stats: CommStats) -> np.ndarray:
-    """The row-wise products ``X @ y`` over partitioned column slices; one reduce of ``len(X)`` doubles."""
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ValueError(f"X has shape {X.shape}, expected a matrix")
-    if X.shape[1] != partition.n_cols:
-        raise ValueError(f"X has {X.shape[1]} columns, partition covers {partition.n_cols}")
-    y = _check_vector(y, partition.n_cols)
-    total = _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in partition.ranges])
+    """The row-wise products ``X @ y`` over partitioned column slices; one reduce of ``len(X)`` doubles.
+
+    On one worker this is ``X @ y``, bitwise the one-part tree sum.
+    """
+    n = partition.n_cols
+    if X.shape[1:] != (n,) or y.shape != (n,):
+        raise ValueError(f"X has shape {X.shape} and y {y.shape}, expected a matrix of {n} columns and ({n},)")
+    ranges = partition.ranges
+    total = X @ y if len(ranges) == 1 else _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in ranges])
     stats.record_reduce(len(X))
     return total

@@ -11,6 +11,14 @@
   certificate is checked against a separate definition;
 * :func:`reference_norms`, the per-bound norms from ``np.linalg.norm`` on
   dense copies, independent of the package's ``_frob``;
+* :func:`_root_rule`, the positive root of the quadratic each step-size
+  bound solves, and :func:`pairwise_step_size`, the closed-form step size
+  as the least of these roots over every pair of a bound-2 and a bound-3
+  term, which :func:`qcqpd.core.adaptive_step_size` inlines and must
+  reproduce bit for bit;
+* :func:`reference_pass`, one predictor or corrector pass written as the
+  compound expressions that :func:`qcqpd.core._pass` evaluates in place,
+  which it must reproduce bit for bit;
 * :func:`reference_step_size`, the eight step-size bounds one bound at a
   time for a given budget split.  At the split
   :func:`reference_budget_needs` gives it must return the closed-form
@@ -30,7 +38,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from qcqpd import kkt_residual_max
-from qcqpd.core import BIG_M, EPS0, _root_rule
+from qcqpd.core import BIG_M, EPS0
+from qcqpd.dist import dist_dot
 from qcqpd.generators import Kernel
 
 
@@ -191,6 +200,41 @@ def reference_kkt(problem, x, u, lam, gam):
 # --- step size ---------------------------------------------------------------
 
 
+def _root_rule(a, b, c):
+    """Positive root of ``a t^2 + b t - c = 0`` for a >= 0, b > 0, c > 0.
+
+    ``2c / (b + sqrt(b^2 + 4ac))``, which does not cancel when ``b^2 >> 4ac``,
+    and ``c / b`` when ``a = 0``.  When ``b^2 + 4ac`` overflows (``b`` above
+    about 1e154) its root is taken as ``hypot(b, 2 sqrt(ac))``.
+    """
+    if a > 0.0:
+        d = b * b + 4.0 * a * c
+        return 2.0 * c / (b + (math.sqrt(d) if d < math.inf else math.hypot(b, 2.0 * math.sqrt(a * c))))
+    return c / b
+
+
+def pairwise_step_size(norms, x, lam, cons, grad):
+    """``min(BIG_M, _root_rule(a2 + a3, beta + b2 + b3, 1 - EPS0))`` over every
+    pair of a bound-2 term ``(a2, b2)`` and a bound-3 term ``(a3, b3)``.
+
+    The terms are those of :func:`qcqpd.core.adaptive_step_size`: ``(0, 0)``
+    stands for bound 2 when ``m1 = 0``, and bound 3 has ``(0, 1/2)`` and,
+    when ``stacked > 0``, ``(S ||grad|| / 2, S ||x||)``.
+    """
+    stacked = norms.stacked
+    x_norm = math.sqrt(x.dot(x))
+    beta = norms.static_den_sum + (x_norm * stacked if x_norm and stacked else 1.0)
+    bound3 = [(0.0, 0.5)]
+    if stacked:
+        bound3.append((0.5 * stacked * math.sqrt(grad.dot(grad)), stacked * x_norm))
+    bound2 = [(s * abs(a), s * b) for a, b, s in zip(cons.tolist(), lam.tolist(), norms.pi_scale)]
+    rho = BIG_M
+    for a2, b2 in bound2 or [(0.0, 0.0)]:
+        for a3, b3 in bound3:
+            rho = min(rho, _root_rule(a2 + a3, beta + b2 + b3, 1.0 - EPS0))
+    return rho
+
+
 def reference_norms(problem):
     """The Frobenius norms of the step-size bounds, by ``np.linalg.norm`` on dense copies.
 
@@ -304,6 +348,34 @@ def reference_budget_needs(problem, x, lam, cons, grad, rho):
 
     return np.array([static(norms.P0), need2, need3, static(norms.Q), need5,
                      static(norms.C), static(norms.A), static(norms.B)])
+
+
+# --- one pass ----------------------------------------------------------------
+
+
+def reference_pass(problem, hessians, stats, at, f):
+    """:func:`qcqpd.core._pass` with each quantity one compound expression.
+
+    Writes ``F = (grad_x, grad_u, -cons, -eq)`` at the state blocks ``at``
+    into the blocks ``f`` through the same kernels, ``hessians.matvec`` and
+    :func:`qcqpd.dist.dist_dot`, and returns the Hessian products.
+    """
+    p = problem
+    x, u, lam, gam = at
+    grad_x, grad_u, neg_cons, neg_eq = f
+    Px = hessians.matvec(x, stats)
+    G = Px + p.q
+    np.add(G[0], lam @ G[1:], out=grad_x)
+    if p.m1:
+        cons = dist_dot(0.5 * Px[1:] + p.q[1:], x, hessians.partition, stats) + p.c[1:] @ u + p.r[1:]
+        np.negative(cons, out=neg_cons)
+    if p.m2:
+        eq = dist_dot(p.A, x, hessians.partition, stats) + p.B @ u - p.b
+        np.negative(eq, out=neg_eq)
+        grad_x += p.A.T @ gam
+    if p.n2:
+        grad_u[:] = p.lagrangian_grad_u(lam, gam)
+    return Px
 
 
 # --- kernels -----------------------------------------------------------------

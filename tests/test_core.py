@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import time
 
 import numpy as np
@@ -22,14 +24,15 @@ from qcqpd import (
     solve,
     validate,
 )
-from qcqpd.core import BIG_M, EPS0, TRACE_EVERY, _blocks, _pass, _root_rule, adaptive_step_size, compute_norms
+from qcqpd.core import BIG_M, EPS0, TRACE_EVERY, _blocks, _pass, adaptive_step_size, compute_norms
 from qcqpd.dist import ColumnBlocks, CommStats, partition_columns
 from helpers import (
     equality_problem, hessian_problem, interior_problem, operator, random_box_state, random_problem, step,
     step_size_state, toy_problem,
 )
 from reference import (
-    even_split_step_size, objective, project_box, reference_budget_needs, reference_norms, reference_step_size,
+    _root_rule, even_split_step_size, objective, pairwise_step_size, project_box, reference_budget_needs,
+    reference_norms, reference_pass, reference_step_size,
 )
 
 
@@ -138,6 +141,36 @@ class TestAdaptiveStepSize:
     def test_beats_the_equal_split(self):
         for args, rho in _closed_form_states():
             assert rho >= even_split_step_size(*args) * (1.0 - 1e-12)
+
+    def test_inlined_roots_are_the_pairwise_rule_bitwise(self):
+        for args in _inlined_rule_states():
+            assert adaptive_step_size(*args).hex() == pairwise_step_size(*args).hex()
+
+    def test_huge_multiplier_takes_the_hypot_branch(self):
+        # the largest b is at least s lam_i > 1e154: b^2 overflows, and the
+        # least root is c / b to rounding
+        for norms, x, lam, cons, grad in list(_inlined_rule_states())[-3:]:
+            b = max(norms.pi_scale) * float(lam[0])
+            assert math.isinf(b * b)
+            assert adaptive_step_size(norms, x, lam, cons, grad) == pytest.approx((1.0 - EPS0) / b, rel=1e-9)
+
+
+def _inlined_rule_states():
+    """``(norms, x, lam, cons, grad)``: the random states of :func:`_closed_form_states`
+    (``m1 = 0`` and a zero stack among them), then on one random problem with
+    ``m1 = 2``: zero ``cons`` and ``lam``, ``stacked = 0``, ``m1 = 0``, and
+    last three multipliers so large that every root's ``b`` exceeds 1e154."""
+    for (p, *state), _ in _closed_form_states():
+        yield (compute_norms(p), *state)
+    rng = np.random.default_rng(5)
+    p = random_problem(rng, n1=6, m1=2, n2=1, m2=1, box=2.0)
+    x, u, lam, gam = random_box_state(rng, p)
+    norms, cons, grad = compute_norms(p), p.constraint_values(x, u), p.lagrangian_grad_x(x, lam, gam)
+    yield norms, x, np.zeros(2), np.zeros(2), grad
+    yield dataclasses.replace(norms, stacked=0.0), x, lam, cons, grad
+    yield dataclasses.replace(norms, pi_scale=()), x, lam[:0], cons[:0], grad
+    for big in (1e155, 1e200, 1e300):
+        yield norms, x, np.array([big, big]), cons, grad
 
 
 class TestRootRule:
@@ -371,19 +404,41 @@ def _pass_problems():
     return [mkl, rnd]
 
 
+def _stack_problems():
+    """Stacks whose product rows are laid out otherwise: dense and diagonal
+    Hessians interleaved (both kinds' rows index lists), all dense (at one
+    worker written in place), and ``n1 = 512`` with a diagonal ``P0`` (at one
+    worker through ``dsymv``)."""
+    rng = np.random.default_rng(13)
+    interleaved = random_problem(rng, n1=9, m1=3, n2=2, m2=2, box=2.0)
+    for i in (1, 3):
+        interleaved.P[i] = np.diagonal(interleaved.P[i]).copy()
+    dense = random_problem(rng, n1=10, m1=2, n2=1, m2=1, box=2.0)
+    large = random_problem(rng, n1=512, m1=2, n2=1, m2=1, box=2.0)
+    large.P[0] = np.diagonal(large.P[0]).copy()
+    return [interleaved, dense, large]
+
+
 class TestPass:
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_writes_the_operator_and_books_one_pass(self, workers):
         for p in _pass_problems():
             assert min(p.n2, p.m1, p.m2) >= 1
             assert {Pi.ndim for Pi in p.P} == {1, 2}
+        # the in-place pass is the compound expressions bit for bit, its
+        # products and its traffic included
+        for p in _pass_problems() + _stack_problems():
             state = random_box_state(np.random.default_rng(workers), p)
             z = np.concatenate(state)
-            F = np.full_like(z, np.nan)
-            stats = CommStats()
-            _pass(p, ColumnBlocks(p.P, partition_columns(p.n1, workers)), stats, _blocks(p, z), _blocks(p, F))
+            hessians = ColumnBlocks(p.P, partition_columns(p.n1, workers))
+            F, want = [np.full_like(z, np.nan) for _ in range(2)]
+            stats, want_stats = CommStats(), CommStats()
+            Px = _pass(p, hessians, stats, _blocks(p, z), _blocks(p, F))
+            want_Px = reference_pass(p, hessians, want_stats, _blocks(p, z), _blocks(p, want))
+            assert F.tobytes() == want.tobytes()
+            assert Px.tobytes() == want_Px.tobytes()
             np.testing.assert_allclose(F, operator(p, *state), rtol=1e-12)
-            assert stats.as_dict() == analytic_comm_stats(p, 0).as_dict()  # one pass
+            assert stats.as_dict() == want_stats.as_dict() == analytic_comm_stats(p, 0).as_dict()  # one pass
 
 
 class TestSolve:

@@ -108,8 +108,11 @@ class TestMatvec:
         assert stats.bytes_scattered == 6 * 8
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            _matvec(np.eye(3), np.ones(4), partition_columns(3, 1))
+        # at 2 and 3 workers a wrong length would be cut silently by x[lo:hi]
+        for workers in (1, 2, 3):
+            for length in (2, 4):
+                with pytest.raises(ValueError, match=re.escape(f"vector has shape ({length},), expected (3,)")):
+                    _matvec(np.eye(3), np.ones(length), partition_columns(3, workers))
         with pytest.raises(ValueError, match="matrix 0"):
             _matvec(np.eye(3), np.ones(3), partition_columns(4, 2))
         with pytest.raises(ValueError, match="matrix 0"):
@@ -149,10 +152,14 @@ class TestDot:
         assert stats.as_dict() == {"reduce_ops": 2, "scatter_ops": 0, "bytes_reduced": 2 * 5 * 8, "bytes_scattered": 0}
 
     def test_shape_mismatch(self):
-        part = partition_columns(4, 2)
-        for X, y in [(np.ones(4), np.ones(4)), (np.ones((2, 3)), np.ones(4)), (np.ones((2, 4)), np.ones(3))]:
-            with pytest.raises(ValueError):
-                dist_dot(X, y, part, CommStats())
+        # at 2 and 3 workers a wrong length would be cut silently by y[lo:hi]
+        cases = [(np.ones(4), np.ones(4)), (np.ones((2, 4, 1)), np.ones(4)),
+                 (np.ones((2, 3)), np.ones(4)), (np.ones((2, 5)), np.ones(4)),
+                 (np.ones((2, 4)), np.ones(3)), (np.ones((2, 4)), np.ones(5))]
+        for workers in (1, 2, 3):
+            for X, y in cases:
+                with pytest.raises(ValueError):
+                    dist_dot(X, y, partition_columns(4, workers), CommStats())
 
 
 # The ids "csc" and "mixed" name the sparse stacks by the storage that a
