@@ -18,7 +18,6 @@ import sys
 from .core import SolverConfig, solve
 from .diagnostics import TerminationStatus, compute_residuals, kkt_residual_max, serial_operator
 from .generators import (
-    EIGENVALUE_RANGES,
     Kernel,
     MklSpec,
     RandomQcqpSpec,
@@ -39,7 +38,7 @@ _EXIT_CODES = {
 
 
 def _parse_kernels(text):
-    """The kernels of a ``--kernels`` value; ``ValueError`` naming the flag on a bad one."""
+    """The kernels of a ``--kernels`` value, one :meth:`Kernel.label` each; a bad one raises naming ``kernels``."""
     kernels = []
     for token in text.split(","):
         token = token.strip()
@@ -49,9 +48,9 @@ def _parse_kernels(text):
             try:
                 kernels.append(Kernel("gaussian", float(token.split(":", 1)[1])))
             except ValueError as exc:
-                raise ValueError(f"--kernels: bad kernel {token!r}: {exc}") from exc
+                raise ValueError(f"kernels: bad kernel {token!r}: {exc}") from exc
         else:
-            raise ValueError(f"--kernels: bad kernel {token!r}; use linear, polynomial or gaussian:<sigma2>")
+            raise ValueError(f"kernels: bad kernel {token!r}; use linear, polynomial or gaussian:<sigma2>")
     return tuple(kernels)
 
 
@@ -70,45 +69,39 @@ def build_parser():
     ps.add_argument("--report", default=None, help="write a solve report JSON here")
     ps.add_argument("--trace", default=None, help="write the residual trace CSV here")
 
+    # Spec flags likewise: RandomQcqpSpec and MklSpec hold every default and check.
     pg = sub.add_parser("generate", help="generate a problem file")
     gsub = pg.add_subparsers(dest="family", required=True)
 
-    pr = gsub.add_parser("random-qcqp", help="random PSD instance")
+    pr = gsub.add_parser("random-qcqp", help="random PSD instance", argument_default=argparse.SUPPRESS)
     pr.add_argument("--n1", type=int, required=True)
     pr.add_argument("--m1", type=int, required=True)
-    pr.add_argument("--cond", type=float, help="condition number; known benchmark values pick their eigenvalue range")
-    pr.add_argument("--dmin", type=float, help="smallest Hessian eigenvalue; needs --dmax, excludes --cond")
-    pr.add_argument("--dmax", type=float, help="largest Hessian eigenvalue; needs --dmin, excludes --cond")
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--box", type=float, help="finite box upper bound (default +inf)")
-    pr.add_argument("--out", required=True)
-    pr.add_argument("--meta", help="write a sidecar metadata JSON here")
+    pr.add_argument("--dmin", type=float, dest="d_min", metavar="DMIN", help="smallest Hessian eigenvalue")
+    pr.add_argument("--dmax", type=float, dest="d_max", metavar="DMAX", help="largest Hessian eigenvalue")
+    pr.add_argument("--seed", type=int)
+    pr.add_argument("--box", type=float, dest="box_upper", metavar="BOX", help="finite box upper bound")
 
     pi = gsub.add_parser("infeasible", help="instance with an unsatisfiable constraint")
     pi.add_argument("--n1", type=int, required=True)
     pi.add_argument("--seed", type=int, default=0)
-    pi.add_argument("--out", required=True)
-    pi.add_argument("--meta")
 
     pu = gsub.add_parser("unbounded", help="instance with an unbounded objective ray")
     pu.add_argument("--n1", type=int, required=True)
     pu.add_argument("--seed", type=int, default=0)
-    pu.add_argument("--out", required=True)
-    pu.add_argument("--meta")
 
-    pm = gsub.add_parser("mkl", help="kernel-combination SVM instance")
-    pm.add_argument("--dataset", choices=("twonorm", "csv"), default="twonorm")
-    pm.add_argument("--csv", help="CSV path (rows: label,feat1,...)")
-    pm.add_argument("--ntr", type=int, default=160)
-    pm.add_argument("--nt", type=int, default=None, help="test points (default ntr // 4)")
-    pm.add_argument("--svm", choices=("sm1", "sm2"), default="sm2")
-    pm.add_argument("--c", type=float, default=1.0)
-    pm.add_argument("--r", type=float, default=None, help="kernel-weight budget (default: #kernels)")
-    pm.add_argument("--kernels", default=None, help="e.g. gaussian:0.01,linear")
-    pm.add_argument("--dim", type=int, default=20)
-    pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--out", required=True)
-    pm.add_argument("--meta")
+    pm = gsub.add_parser("mkl", help="kernel-combination SVM instance", argument_default=argparse.SUPPRESS)
+    pm.add_argument("--dataset", help="twonorm or csv")
+    pm.add_argument("--csv", dest="csv_path", metavar="CSV", help="CSV path (rows: label,feat1,...)")
+    pm.add_argument("--ntr", type=int, dest="n_tr", metavar="NTR")
+    pm.add_argument("--nt", type=int, dest="n_t", metavar="NT")
+    pm.add_argument("--svm", help="sm1 or sm2")
+    pm.add_argument("--c", type=float, dest="margin_c", metavar="C")
+    pm.add_argument("--kernels", help="e.g. gaussian:0.01,linear")
+    pm.add_argument("--seed", type=int)
+
+    for family in (pr, pi, pu, pm):
+        family.add_argument("--out", required=True, default=None)
+        family.add_argument("--meta", default=None, help="write a sidecar metadata JSON here")
 
     pk = sub.add_parser("check-kkt", help="evaluate optimality residuals at a point")
     pk.add_argument("problem", help="problem .npz archive")
@@ -125,11 +118,15 @@ def _load_and_validate(path):
     return problem
 
 
+def _from_flags(cls, args):
+    """``cls`` built from the flags given, each stored under its field name."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
+
+
 def _run_solve(args) -> int:
     problem = _load_and_validate(args.problem)
-    given = vars(args)
-    config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig) if f.name in given})
-    report = solve(problem, config)
+    report = solve(problem, _from_flags(SolverConfig, args))
     print(
         f"status={report.status.value} iterations={report.iterations} "
         f"objective={report.objective:.12g} res1={report.res1:.6g} res2={report.res2:.6g}"
@@ -143,48 +140,13 @@ def _run_solve(args) -> int:
     return _EXIT_CODES[report.status]
 
 
-def _require_finite(args, *flags):
-    """Reject a NaN or infinite value of any of the given ``--flags``, naming it."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{flag} must be finite, got {value!r}")
-
-
 def _run_generate(args) -> int:
-    meta = None
     if args.family == "random-qcqp":
-        _require_finite(args, "cond", "dmin", "dmax")
-        if (args.dmin is None) != (args.dmax is None):
-            raise ValueError("--dmin and --dmax must be given together")
-        if args.dmin is not None and args.cond is not None:
-            raise ValueError("--cond cannot be combined with --dmin and --dmax")
-        if args.cond is not None and args.cond < 1:
-            raise ValueError(f"--cond must be >= 1, got {args.cond!r}")
-        if args.box is not None and not args.box > 0:
-            raise ValueError(f"--box must be > 0, got {args.box!r}")
-        if args.dmin is not None:
-            d_min, d_max = args.dmin, args.dmax
-        elif args.cond is not None:
-            if args.cond in EIGENVALUE_RANGES:
-                d_min, d_max = EIGENVALUE_RANGES[args.cond]
-            else:
-                d_min, d_max = 5.0 / args.cond, 5.0
-        else:
-            d_min, d_max = EIGENVALUE_RANGES[1.25]
-        spec = RandomQcqpSpec(
-            n1=args.n1, m1=args.m1, d_min=d_min, d_max=d_max, seed=args.seed, box_upper=args.box
-        )
+        spec = _from_flags(RandomQcqpSpec, args)
         problem = gen_random_qcqp(spec)
-        meta = {
-            "family": "random-qcqp",
-            "seed": args.seed,
-            "n1": spec.n1,
-            "m1": spec.m1,
-            "d_min": spec.d_min,
-            "d_max": spec.d_max,
-            "kappa": spec.kappa,
-        }
+        meta = {"family": "random-qcqp", **dataclasses.asdict(spec), "kappa": spec.kappa}
+        if spec.box_upper is not None and math.isinf(spec.box_upper):
+            meta["box_upper"] = None  # no finite box, as when none is given
     elif args.family == "infeasible":
         problem = gen_infeasible(args.n1, seed=args.seed)
         meta = {"family": "infeasible", "seed": args.seed, "n1": args.n1}
@@ -192,20 +154,9 @@ def _run_generate(args) -> int:
         problem = gen_unbounded(args.n1, seed=args.seed)
         meta = {"family": "unbounded", "seed": args.seed, "n1": args.n1}
     else:
-        _require_finite(args, "c", "r")
-        spec = MklSpec(
-            dataset=args.dataset,
-            csv_path=args.csv,
-            n_tr=args.ntr,
-            n_t=args.nt if args.nt is not None else max(1, args.ntr // 4),
-            kernels=_parse_kernels(args.kernels) if args.kernels is not None else MklSpec.kernels,
-            svm=args.svm,
-            margin_c=args.c,
-            R=args.r,
-            dim=args.dim,
-            seed=args.seed,
-        )
-        problem, artifacts = build_mkl_qcqp(spec)
+        if "kernels" in args:
+            args.kernels = _parse_kernels(args.kernels)
+        problem, artifacts = build_mkl_qcqp(_from_flags(MklSpec, args))
         meta = artifacts.sidecar_dict()
     save_problem(problem, args.out)
     print(f"wrote {args.out}")

@@ -22,6 +22,8 @@ exist.
 from __future__ import annotations
 
 import math
+import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,10 @@ EIGENVALUE_RANGES = {
     1e4: (0.003, 30.0),
     1e6: (0.00002, 20.0),
 }
+
+# Dimension of the twonorm point cloud (Breiman's two-norm data set).
+TWONORM_DIM = 20
+
 
 @dataclass(frozen=True)
 class RandomQcqpSpec:
@@ -86,6 +92,9 @@ class RandomQcqpSpec:
 
 
 def _stream(seed, index):
+    """Child stream ``index`` of ``seed``; ``ValueError`` naming ``seed`` unless it is an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
@@ -216,7 +225,12 @@ class Kernel:
             raise ValueError(f"gaussian kernel needs a finite sigma2 > 0, got {self.sigma2!r}")
 
     def label(self) -> str:
-        return f"gaussian:{self.sigma2:g}" if self.kind == "gaussian" else self.kind
+        """The ``--kernels`` token of this kernel; a Gaussian's ``sigma2`` is
+        written short (``:g``) when that parses back to it, in full otherwise."""
+        if self.kind != "gaussian":
+            return self.kind
+        short = f"{self.sigma2:g}"
+        return f"gaussian:{short if float(short) == self.sigma2 else repr(float(self.sigma2))}"
 
 
 DEFAULT_MKL_KERNELS = tuple(Kernel("gaussian", s2) for s2 in (0.01, 0.1, 1.0, 10.0, 100.0))
@@ -242,23 +256,22 @@ def gram_matrix(kernel: Kernel, X):
 class MklSpec:
     """Parameters of one kernel-combination SVM training instance.
 
-    ``R`` bounds the total kernel weight (it multiplies the auxiliary
-    variable in the objective); with every Gram matrix normalized to unit
-    trace it defaults to the number of kernels.
+    ``n_t`` test points default to ``max(1, n_tr // 4)``.  The kernel-weight
+    budget :attr:`R` multiplies the auxiliary variable in the objective.
     """
 
     dataset: str = "twonorm"
     csv_path: str | None = None
     n_tr: int = 160
-    n_t: int = 40
+    n_t: int | None = None
     kernels: tuple = DEFAULT_MKL_KERNELS
     svm: str = "sm2"
     margin_c: float = 1.0
-    R: float | None = None
     seed: int = 0
-    dim: int = 20
 
     def __post_init__(self):
+        if self.n_t is None:
+            object.__setattr__(self, "n_t", max(1, self.n_tr // 4))
         if self.dataset not in ("twonorm", "csv"):
             raise ValueError(f"dataset must be 'twonorm' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
@@ -271,11 +284,12 @@ class MklSpec:
             raise ValueError(f"margin_c must be finite and > 0, got {self.margin_c!r}")
         if not self.kernels:
             raise ValueError("need at least one kernel")
-        if self.R is None:
-            object.__setattr__(self, "R", float(len(self.kernels)))
-        elif not (math.isfinite(self.R) and self.R > 0):
-            raise ValueError(f"R must be finite and > 0, got {self.R!r}")
         object.__setattr__(self, "kernels", tuple(self.kernels))
+
+    @property
+    def R(self) -> float:
+        """Total kernel-weight bound: the number of unit-trace Gram matrices."""
+        return float(len(self.kernels))
 
 
 @dataclass
@@ -292,8 +306,10 @@ class MklArtifacts:
 
     def sidecar_dict(self):
         return {
+            "family": "mkl",
             "seed": self.spec.seed,
             "dataset": self.spec.dataset,
+            "csv_path": self.spec.csv_path,
             "svm": self.spec.svm,
             "margin_c": self.spec.margin_c,
             "R": self.spec.R,
@@ -324,7 +340,14 @@ def gen_twonorm(n_points: int, dim: int, a: float, seed: int = 0):
 
 def load_csv_dataset(path):
     """Load ``label,feat1,...,featk`` rows; labels must be +-1."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if data.size == 0:
+        raise ValueError(f"{path}: no data rows")
     if data.shape[1] < 2:
         raise ValueError(f"{path}: need a label column plus at least one feature")
     y = data[:, 0]
@@ -353,7 +376,7 @@ def build_mkl_qcqp(spec: MklSpec):
     s = spec
     n_total = s.n_tr + s.n_t
     if s.dataset == "twonorm":
-        X, y = gen_twonorm(n_total + (n_total % 2), s.dim, 2.0 / np.sqrt(s.dim), seed=s.seed)
+        X, y = gen_twonorm(n_total + (n_total % 2), TWONORM_DIM, 2.0 / np.sqrt(TWONORM_DIM), seed=s.seed)
         X, y = X[:n_total], y[:n_total]
     else:
         X, y = load_csv_dataset(s.csv_path)

@@ -12,8 +12,22 @@ import numpy as np
 import pytest
 
 import qcqpd
-from qcqpd import SolverConfig, load_problem, save_problem, solve, validate
-from qcqpd.cli import build_parser, main
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qcqpd import (
+    Kernel,
+    MklSpec,
+    RandomQcqpSpec,
+    SolverConfig,
+    build_mkl_qcqp,
+    gen_random_qcqp,
+    load_problem,
+    save_problem,
+    solve,
+    validate,
+)
+from qcqpd.cli import _parse_kernels, build_parser, main
 from helpers import toy_problem, write_members
 
 
@@ -59,6 +73,20 @@ def _assert_error_names(proc, field):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert any(line.startswith("error:") and field in line for line in proc.stderr.splitlines())
+
+
+def _subparser(*path):
+    """The subcommand parser at ``path``, e.g. ``("generate", "mkl")``."""
+    parser = build_parser()
+    for name in path:
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
+def _stored_when_given(parser):
+    """Destinations of the options stored only when given (help aside)."""
+    return sorted(a.dest for a in parser._actions
+                  if a.option_strings and a.default is argparse.SUPPRESS and not isinstance(a, argparse._HelpAction))
 
 
 @pytest.fixture
@@ -237,10 +265,7 @@ class TestSolveCommand:
     def test_solver_flags_are_the_config_fields(self):
         # a solver flag is stored under its field name only when given; the
         # other options (output paths, help) have defaults of their own
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        flags = [a.dest for a in sub.choices["solve"]._actions
-                 if a.option_strings and a.default is argparse.SUPPRESS and not isinstance(a, argparse._HelpAction)]
-        assert sorted(flags) == sorted(f.name for f in dataclasses.fields(SolverConfig))
+        assert _stored_when_given(_subparser("solve")) == sorted(f.name for f in dataclasses.fields(SolverConfig))
 
     def test_identical_runs_identical_outputs(self, toy_file, tmp_path):
         outputs = []
@@ -255,18 +280,19 @@ class TestSolveCommand:
 class TestGenerateCommand:
     def test_random_qcqp_deterministic(self, tmp_path):
         a, b = tmp_path / "a.npz", tmp_path / "b.npz"
-        args = ["generate", "random-qcqp", "--n1", "64", "--m1", "2", "--cond", "1.25", "--seed", "7"]
+        args = ["generate", "random-qcqp", "--n1", "64", "--m1", "2", "--dmin", "4", "--dmax", "5", "--seed", "7"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_random_qcqp_meta(self, tmp_path):
         out, meta = tmp_path / "p.npz", tmp_path / "meta.json"
-        main(["generate", "random-qcqp", "--n1", "8", "--m1", "1", "--cond", "100", "--seed", "3",
+        main(["generate", "random-qcqp", "--n1", "8", "--m1", "1", "--dmin", "0.1", "--dmax", "10", "--seed", "3",
               "--out", str(out), "--meta", str(meta)])
         doc = json.loads(meta.read_text())
         assert doc["kappa"] == pytest.approx(100.0)
         assert doc["d_min"] == 0.1 and doc["d_max"] == 10.0
+        assert doc["box_upper"] is None
         assert validate(load_problem(out)).ok
 
     def test_mkl_generates_valid_problem(self, tmp_path):
@@ -288,22 +314,26 @@ class TestGenerateCommand:
         assert code == 0
         assert load_problem(out).m1 == 3
 
+    # a rejected value exits 1 and the message names the spec field (or, for
+    # the pathology families, the argument) the flag sets
     @pytest.mark.parametrize("args, flag", [
-        (["random-qcqp", "--n1", "4", "--m1", "1", "--cond", "0"], "--cond"),
-        (["random-qcqp", "--n1", "4", "--m1", "1", "--cond", "nan"], "--cond"),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--seed", "-1"], "--seed"),
+        (["infeasible", "--n1", "4", "--seed", "-1"], "--seed"),
         (["random-qcqp", "--n1", "4", "--m1", "1", "--dmin", "1", "--dmax", "inf"], "--dmax"),
         (["random-qcqp", "--n1", "4", "--m1", "1", "--box", "nan"], "--box"),
-        (["random-qcqp", "--n1", "4", "--m1", "1", "--dmax", "7"], "--dmin"),
-        (["random-qcqp", "--n1", "4", "--m1", "1", "--dmin", "1"], "--dmax"),
-        (["random-qcqp", "--n1", "4", "--m1", "1", "--cond", "2", "--dmin", "1", "--dmax", "2"], "--cond"),
+        (["unbounded", "--n1", "4", "--seed", "-1"], "--seed"),
+        (["mkl", "--ntr", "12", "--nt", "4", "--seed", "-1"], "--seed"),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--dmin", "nan"], "--dmin"),
         (["mkl", "--ntr", "12", "--nt", "4", "--c", "nan"], "--c"),
-        (["mkl", "--ntr", "12", "--nt", "4", "--r", "nan"], "--r"),
+        (["mkl", "--ntr", "12", "--nt", "4", "--svm", "sm3"], "--svm"),
         (["mkl", "--ntr", "12", "--nt", "4", "--kernels", "gaussian:nan"], "--kernels"),
         (["mkl", "--ntr", "12", "--nt", "4", "--kernels", "rbf:1"], "--kernels"),
+        (["mkl", "--dataset", "csv"], "--csv"),
     ])
     def test_bad_flag_exit_one_without_file(self, tmp_path, args, flag):
+        dest = next(a.dest for a in _subparser("generate", args[0])._actions if flag in a.option_strings)
         out = tmp_path / "x.npz"
-        _assert_error_names(_run_cli("generate", *args, "--out", str(out)), flag)
+        _assert_error_names(_run_cli("generate", *args, "--out", str(out)), dest)
         assert not out.exists()
 
     def test_bad_spec_exit_one(self, tmp_path, capsys):
@@ -311,6 +341,56 @@ class TestGenerateCommand:
                      "--dmin", "2.0", "--dmax", "1.0", "--out", str(tmp_path / "x.npz")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, spec", [("random-qcqp", RandomQcqpSpec), ("mkl", MklSpec)])
+    def test_generate_flags_are_the_spec_fields(self, family, spec):
+        # as for solve: stored under the field name only when given, so the
+        # spec holds the one default and the one check of every setting
+        assert _stored_when_given(_subparser("generate", family)) == sorted(f.name for f in dataclasses.fields(spec))
+
+    @pytest.mark.parametrize("args", [
+        ["random-qcqp", "--n1", "4", "--m1", "1", "--cond", "100"],
+        ["mkl", "--r", "5"],
+        ["mkl", "--dim", "20"],
+    ], ids=["cond", "r", "dim"])
+    def test_removed_setting_is_not_a_flag(self, tmp_path, args):
+        with pytest.raises(SystemExit):
+            main(["generate", *args, "--out", str(tmp_path / "x.npz")])
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["mkl", "--ntr", "60", "--seed", "0"], lambda: build_mkl_qcqp(MklSpec(n_tr=60, seed=0))[0]),
+        (["random-qcqp", "--n1", "8", "--m1", "1", "--dmin", "0.1", "--dmax", "10", "--box", "2"],
+         lambda: gen_random_qcqp(RandomQcqpSpec(n1=8, m1=1, d_min=0.1, d_max=10.0, box_upper=2.0))),
+    ], ids=["mkl", "random-qcqp"])
+    def test_cli_writes_the_library_instance(self, tmp_path, flags, problem):
+        cli, api = tmp_path / "cli.npz", tmp_path / "api.npz"
+        assert main(["generate", *flags, "--out", str(cli)]) == 0
+        save_problem(problem(), api)
+        assert cli.read_bytes() == api.read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["random-qcqp", "--n1", "6", "--m1", "2", "--dmin", "0.5", "--dmax", "3", "--box", "0.5", "--seed", "4"],
+        ["random-qcqp", "--n1", "6", "--m1", "1", "--box", "inf"],
+        ["mkl", "--ntr", "10", "--svm", "sm1", "--c", "2.5", "--seed", "3",
+         "--kernels", "linear,gaussian:0.123456789,polynomial"],
+    ], ids=["random-box", "random-inf-box", "mkl"])
+    def test_sidecar_reproduces_the_file(self, tmp_path, flags):
+        out, meta, again = tmp_path / "p.npz", tmp_path / "meta.json", tmp_path / "again.npz"
+        assert main(["generate", *flags, "--out", str(out), "--meta", str(meta)]) == 0
+        doc = json.loads(meta.read_text(), parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        if doc["family"] == "mkl":
+            doc["kernels"] = _parse_kernels(",".join(doc["kernels"]))
+        spec, build = {"mkl": (MklSpec, lambda s: build_mkl_qcqp(s)[0]),
+                       "random-qcqp": (RandomQcqpSpec, gen_random_qcqp)}[doc["family"]]
+        save_problem(build(spec(**{f.name: doc[f.name] for f in dataclasses.fields(spec)})), again)
+        assert again.read_bytes() == out.read_bytes()
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([Kernel("linear"), Kernel("polynomial")]),
+        st.floats(min_value=0, exclude_min=True, allow_infinity=False).map(lambda s2: Kernel("gaussian", s2)),
+    ), min_size=1, max_size=4))
+    def test_kernels_parser_inverts_label(self, kernels):
+        assert _parse_kernels(",".join(k.label() for k in kernels)) == tuple(kernels)
 
 
 class TestCheckKkt:

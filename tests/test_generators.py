@@ -1,3 +1,7 @@
+import dataclasses
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +109,14 @@ class TestPathologicalInstances:
 
 
 class TestKernels:
+    @pytest.mark.parametrize("sigma2, label", [
+        (0.123456789, "gaussian:0.123456789"), (0.5, "gaussian:0.5"), (1e-7, "gaussian:1e-07"),
+        (np.float64(1 / 3), "gaussian:0.3333333333333333"),
+    ])
+    def test_label_is_exact(self, sigma2, label):
+        assert Kernel("gaussian", sigma2).label() == label
+        assert float(label.split(":")[1]) == sigma2
+
     def test_linear(self):
         assert kernel_eval(Kernel("linear"), [1.0, 2.0], [3.0, 4.0]) == 11.0
 
@@ -142,6 +154,26 @@ class TestKernels:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Kernel("sigmoid")
+
+
+class TestSeed:
+    FAMILIES = {
+        "random-qcqp": lambda seed: gen_random_qcqp(RandomQcqpSpec(n1=4, m1=1, seed=seed)),
+        "infeasible": lambda seed: gen_infeasible(4, seed=seed),
+        "unbounded": lambda seed: gen_unbounded(4, seed=seed),
+        "mkl": lambda seed: build_mkl_qcqp(MklSpec(n_tr=6, n_t=2, seed=seed)),
+        "twonorm": lambda seed: gen_twonorm(4, 2, 1.0, seed=seed),
+    }
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None], ids=repr)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bad_seed_names_seed(self, family, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            self.FAMILIES[family](seed)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_numpy_integer_seed_accepted(self, family):
+        self.FAMILIES[family](np.int64(3))
 
 
 class TestTwonorm:
@@ -184,11 +216,22 @@ class TestMklBuild:
         np.testing.assert_array_equal(p.P[0], np.zeros(6))  # the zero matrix, as its diagonal
         assert (p.x_upper == C).all()
 
-    @pytest.mark.parametrize("field", ["margin_c", "R"])
+    @pytest.mark.parametrize("field", ["margin_c"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             MklSpec(**{field: value})
+
+    def test_settings_are_eight_fields(self):
+        # R is the number of kernels and twonorm is 20-dimensional: neither is a setting
+        names = [f.name for f in dataclasses.fields(MklSpec)]
+        assert names == ["dataset", "csv_path", "n_tr", "n_t", "kernels", "svm", "margin_c", "seed"]
+        assert MklSpec(kernels=(Kernel("linear"), Kernel("polynomial"))).R == 2.0
+
+    @pytest.mark.parametrize("n_tr, n_t", [(160, 40), (60, 15), (7, 1), (2, 1)])
+    def test_test_points_default_to_a_quarter(self, n_tr, n_t):
+        assert MklSpec(n_tr=n_tr).n_t == n_t
+        assert MklSpec(n_tr=n_tr, n_t=3).n_t == 3
 
     def test_budget_default_and_slots(self):
         p, art = build_mkl_qcqp(MklSpec(n_tr=10, n_t=3, seed=13))
@@ -251,6 +294,20 @@ class TestCsvLoader:
         csv.write_text("2,0.5,0.5\n")
         with pytest.raises(ValueError, match="labels"):
             load_csv_dataset(csv)
+
+    def test_unparsable_cell_names_the_file(self, tmp_path):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("1,0.5\n-1,abc\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(csv))}: could not convert string 'abc'"):
+            load_csv_dataset(csv)
+
+    def test_empty_file_rejected_without_warning(self, tmp_path):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(csv))}: no data rows"):
+                load_csv_dataset(csv)
 
     def test_non_finite_feature_rejected(self, tmp_path):
         csv = tmp_path / "bad.csv"
