@@ -32,11 +32,11 @@ from qcqpd import (  # noqa: E402
 def instances():
     """``(name, problem, solver settings)`` of every golden instance."""
     toy = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[1.0]], [[1.0]]], q=[[-2.0], [0.0]],
-                      c=[[], []], r=[0.0, -0.5], x_upper=[10.0])
+                      r=[0.0, -0.5], x_upper=[10.0])
     yield "toy", toy, {"tol": 1e-6}
     for seed in range(3):
         yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}
-    # n1 >= 512: at one worker the Hessian products go through dsymv
+    # n1 >= qcqpd.model.LARGE_DENSE_COLS = 512: at one worker the Hessian products go through dsymv
     yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}
     yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}
     yield "mkl-sm1-s0", build_mkl_qcqp(MklSpec(svm="sm1", seed=0))[0], {}

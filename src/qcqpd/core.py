@@ -403,7 +403,8 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
 
     Precondition: every ``P[i]`` is symmetric, as :func:`qcqpd.validate`
     checks.  On one worker a dense Hessian of at least
-    :data:`qcqpd.dist.SYMMETRIC_MIN_COLS` columns is multiplied by ``dsymv``,
+    :data:`qcqpd.model.LARGE_DENSE_COLS` columns, the size from which
+    ``validate`` factorizes it with ``dpotrf``, is multiplied by ``dsymv``,
     which reads one triangle, so an unvalidated non-symmetric ``P[i]`` gives
     the product of its symmetrised triangle.
     """

@@ -31,16 +31,16 @@ x``: each worker's columns of it come from its own slices of ``d`` and ``x``
 alone.  A product with the whole stack therefore costs one dense product
 per worker, one elementwise product of the diagonals and one reduce, and
 returns the ``(m1 + 1, n)`` array whose row ``i`` is ``P_i x``.  Serial
-execution is the one-worker case of the same code: a block spanning every
-column of a single matrix is that matrix itself, not a copy.
+execution is the one-worker case of the same code: the block of a single
+matrix is a view of its columns, not a copy.
 
 One exception applies on one worker: each dense Hessian of at least
-:data:`SYMMETRIC_MIN_COLS` columns is not stacked but multiplied on its own
-by the Level-2 BLAS symmetric product ``dsymv``, which reads one triangle,
-so half the bytes of the stacked GEMV, and writes its row of the product
-in place.  Below that size the stacked GEMV is cache-resident and
-no slower, so small stacks and every partitioned run take the generic path
-unchanged.
+:data:`qcqpd.model.LARGE_DENSE_COLS` columns is not stacked but multiplied
+on its own, as stored, by the Level-2 BLAS symmetric product ``dsymv``,
+which reads one triangle, so half the bytes of the stacked GEMV, and
+writes its row of the product in place.  Below that size the stacked GEMV
+is cache-resident and no slower, so small stacks and every partitioned run
+take the generic path unchanged.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .model import LARGE_DENSE_COLS
 
 __all__ = [
     "ColumnBlocks",
@@ -58,11 +60,6 @@ __all__ = [
 ]
 
 _FLOAT_BYTES = 8
-
-# Columns from which the stack's dense matrices go through ``dsymv``
-# on one worker: 512 columns are 2 MiB of float64 per matrix, the per-core
-# L2, below which the stacked GEMV is no slower.
-SYMMETRIC_MIN_COLS = 512
 
 
 @dataclass
@@ -159,11 +156,10 @@ def _rows(indices):
 def _cut(matrices, lo, hi):
     """Columns ``[lo, hi)`` of every matrix, stacked vertically into one Fortran-order block.
 
-    A single matrix whose range spans every column is returned as is, not copied.
+    Of a single matrix the block is the view ``M[:, lo:hi]``, not a copy.
     """
     if len(matrices) == 1:
-        M = matrices[0]
-        return M if (lo, hi) == (0, M.shape[1]) else M[:, lo:hi]
+        return matrices[0][:, lo:hi]
     rows = len(matrices) * matrices[0].shape[0]
     return np.concatenate([M[:, lo:hi] for M in matrices], out=np.empty((rows, hi - lo), order="F"))
 
@@ -183,28 +179,28 @@ class ColumnBlocks:
     they are written by basic slicing, and as an index list otherwise.
 
     The matrices are taken to be symmetric, as Hessians are: on one worker
-    and at least :data:`SYMMETRIC_MIN_COLS` columns, each square matrix is
-    kept whole instead and multiplied by ``dsymv``, which reads one
-    triangle (of a non-symmetric matrix it gives the product of that
-    triangle symmetrised).
+    and at least :data:`qcqpd.model.LARGE_DENSE_COLS` columns, each square
+    matrix is kept whole instead, as stored, and multiplied by ``dsymv``,
+    which reads one triangle (of a non-symmetric matrix it gives the
+    product of that triangle symmetrised); a matrix not in Fortran order,
+    as a :class:`qcqpd.model.QcqpProblem` Hessian always is, is copied on
+    each call.
     """
 
     def __init__(self, matrices, partition: ColumnPartition):
         self.partition = partition
         n = partition.n_cols
         self._shape = (len(matrices), n)
-        whole = n >= SYMMETRIC_MIN_COLS and len(partition.ranges) == 1
+        whole = n >= LARGE_DENSE_COLS and len(partition.ranges) == 1
         square, diagonal = [], []  # indices of the square matrices and of the diagonals
-        self._symmetric = []  # (row of the product, F-contiguous matrix) for dsymv
+        self._symmetric = []  # (row of the product, matrix) for dsymv
         for i, M in enumerate(matrices):
             if M.shape not in ((n, n), (n,)):
                 raise ValueError(f"matrix {i} has shape {M.shape}, expected ({n}, {n}) or ({n},)")
             if M.ndim == 1:
                 diagonal.append(i)
             elif whole:
-                # a symmetric matrix is its own transpose, and the transpose
-                # of a C-order array is an F-order view: f2py copies neither
-                self._symmetric.append((i, M.T if M.flags.c_contiguous else np.asfortranarray(M)))
+                self._symmetric.append((i, M))
             else:
                 square.append(i)
         if self._symmetric:
@@ -239,25 +235,21 @@ class ColumnBlocks:
         """
         _check_vector(x, self.partition.n_cols)
         k, n = self._shape
-        square, diagonal = self._square, self._diagonal
-        if square and len(square[1]) > 1 and square[0] == slice(0, k):  # every row square: the reduce is the product
-            out = self._reduce(square[1], x).reshape(k, n)
-        else:
-            out = np.empty((k, n))
-            for i, M in self._symmetric:
-                self._dsymv(1.0, M, x, beta=0.0, y=out[i], overwrite_y=1)
-            if square:
-                rows, blocks = square
-                if len(blocks) == 1 and type(rows) is slice:
-                    np.matmul(blocks[0], x, out=out[rows].reshape(-1))
-                else:
-                    out[rows] = self._reduce(blocks, x).reshape(-1, n)
-            if diagonal:
-                rows, D = diagonal
-                if type(rows) is slice:
-                    np.multiply(D, x, out=out[rows])
-                else:
-                    out[rows] = D * x
+        out = np.empty((k, n))
+        for i, M in self._symmetric:
+            self._dsymv(1.0, M, x, beta=0.0, y=out[i], overwrite_y=1)
+        if self._square:
+            rows, blocks = self._square
+            if len(blocks) == 1 and type(rows) is slice:
+                np.matmul(blocks[0], x, out=out[rows].reshape(-1))
+            else:
+                out[rows] = self._reduce(blocks, x).reshape(-1, n)
+        if self._diagonal:
+            rows, D = self._diagonal
+            if type(rows) is slice:
+                np.multiply(D, x, out=out[rows])
+            else:
+                out[rows] = D * x
         stats.record_reduce(out.size)
         stats.record_scatter(out.size)
         return out

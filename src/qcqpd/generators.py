@@ -140,7 +140,6 @@ def gen_random_qcqp(spec: RandomQcqpSpec) -> QcqpProblem:
         m2=0,
         P=P,
         q=q,
-        c=[np.zeros(0)] * (s.m1 + 1),
         r=np.array(r),
         x_upper=upper,
     )
@@ -171,7 +170,6 @@ def gen_infeasible(n1: int, seed: int = 0) -> QcqpProblem:
         m2=0,
         P=P,
         q=q,
-        c=[np.zeros(0)] * 3,
         r=r,
         x_upper=np.full(n1, np.inf),
     )
@@ -202,7 +200,6 @@ def gen_unbounded(n1: int, seed: int = 0) -> QcqpProblem:
         m2=0,
         P=[D0, D0],
         q=[q0, q1],
-        c=[np.zeros(0)] * 2,
         r=np.array([r0, r1]),
         x_upper=np.full(n1, np.inf),
     )
@@ -321,21 +318,21 @@ class MklArtifacts:
         }
 
 
-def gen_twonorm(n_points: int, dim: int, a: float, seed: int = 0):
-    """Two-class Gaussian point cloud: half at mean ``(a, ..., a)`` labeled
-    +1, half at ``(-a, ..., -a)`` labeled -1, unit covariance."""
-    if n_points % 2:
-        raise ValueError("n_points must be even")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+def gen_twonorm(n_points: int, seed: int = 0):
+    """Breiman's two-norm data in :data:`TWONORM_DIM` dimensions, unit
+    covariance: ``ceil(n_points / 2)`` points at mean ``(a, ..., a)`` labeled
+    +1, then as many at ``(-a, ..., -a)`` labeled -1, ``a = 2 /
+    sqrt(TWONORM_DIM)``; the first ``n_points`` rows are returned, so an odd
+    count gives the first rows of the next even one."""
     rng = _stream(seed, 0)
-    half = n_points // 2
+    half = -(-n_points // 2)
+    a = 2.0 / np.sqrt(TWONORM_DIM)
     X = np.vstack([
-        rng.standard_normal((half, dim)) + a,
-        rng.standard_normal((half, dim)) - a,
+        rng.standard_normal((half, TWONORM_DIM)) + a,
+        rng.standard_normal((half, TWONORM_DIM)) - a,
     ])
     y = np.concatenate([np.ones(half), -np.ones(half)])
-    return X, y
+    return X[:n_points], y[:n_points]
 
 
 def load_csv_dataset(path):
@@ -376,8 +373,7 @@ def build_mkl_qcqp(spec: MklSpec):
     s = spec
     n_total = s.n_tr + s.n_t
     if s.dataset == "twonorm":
-        X, y = gen_twonorm(n_total + (n_total % 2), TWONORM_DIM, 2.0 / np.sqrt(TWONORM_DIM), seed=s.seed)
-        X, y = X[:n_total], y[:n_total]
+        X, y = gen_twonorm(n_total, seed=s.seed)
     else:
         X, y = load_csv_dataset(s.csv_path)
         if X.shape[0] < n_total:
@@ -420,7 +416,6 @@ def build_mkl_qcqp(spec: MklSpec):
         P=[P0] + G,
         q=[-np.ones(n_tr)] + [np.zeros(n_tr)] * m,
         c=[np.array([s.R])] + [np.array([-1.0])] * m,
-        r=np.zeros(m + 1),
         A=ltr.reshape(1, n_tr),
         B=np.zeros((1, 1)),
         b=np.zeros(1),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +42,11 @@ SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-8
 # Columns per tile of the dense symmetry test.
 SYMMETRY_TILE = 128
-# Columns from which a dense Hessian's PSD test factorizes in place with LAPACK's
-# ``dpotrf``; below it ``np.linalg.cholesky`` runs and ``scipy.linalg`` stays unloaded.
-LAPACK_MIN_COLS = 512
+# Columns from which a dense Hessian counts as large: ``validate`` factorizes it in
+# place with LAPACK's ``dpotrf``, and a one-worker solve multiplies it with the
+# BLAS ``dsymv`` (``qcqpd.dist``).  512 columns are 2 MiB of float64, the per-core
+# L2.  Below it ``scipy.linalg`` (about 8 MB) stays unloaded.
+LARGE_DENSE_COLS = 512
 
 
 class ProblemFormatError(ValueError):
@@ -111,8 +113,9 @@ class QcqpProblem:
         ``m1 + 1`` vectors is accepted as input.
     c : ndarray
         ``(m1 + 1, n2)``, C-contiguous: row ``i`` is ``ci``, likewise.
+        Defaults to zeros.
     r : ndarray
-        ``m1 + 1`` scalars.
+        ``m1 + 1`` scalars; defaults to zeros.
     A, B : ndarray
         Equality constraint blocks, ``m2 x n1`` and ``m2 x n2``, dense and
         Fortran-ordered as in a problem archive.
@@ -131,9 +134,9 @@ class QcqpProblem:
     n2: int
     m1: int
     m2: int
-    P: list = field(default_factory=list)
-    q: np.ndarray = field(default_factory=list)
-    c: np.ndarray = field(default_factory=list)
+    P: list
+    q: np.ndarray
+    c: np.ndarray = None
     r: np.ndarray = None
     A: np.ndarray = None
     B: np.ndarray = None
@@ -148,8 +151,8 @@ class QcqpProblem:
             raise ValueError(f"expected {m1 + 1} P matrices, got {len(self.P)}")
         self.P = [_as_matrix(Pi, f"P[{i}]", (n1, n1), (n1,)) for i, Pi in enumerate(self.P)]
         self.q = _as_rows(self.q, m1 + 1, n1, "q")
-        self.c = _as_rows(self.c, m1 + 1, n2, "c")
-        self.r = _as_vector(self.r, m1 + 1, "r")
+        self.c = _as_rows(self.c if self.c is not None else np.zeros((m1 + 1, n2)), m1 + 1, n2, "c")
+        self.r = _as_vector(self.r if self.r is not None else np.zeros(m1 + 1), m1 + 1, "r")
         self.A = _as_matrix(self.A if self.A is not None else np.zeros((m2, n1)), "A", (m2, n1))
         self.B = _as_matrix(self.B if self.B is not None else np.zeros((m2, n2)), "B", (m2, n2))
         self.b = _as_vector(self.b if self.b is not None else np.zeros(m2), m2, "b")
@@ -195,7 +198,7 @@ def _frob(M) -> float:
     above about 1.3e154) is ``M`` rescaled by its largest magnitude first.
     """
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(M, "fro")) if M.ndim == 2 else float(np.linalg.norm(M))
+        norm = float(np.linalg.norm(M))
     if norm == math.inf:
         scale = float(abs(M).max())
         if scale < math.inf:
@@ -222,7 +225,7 @@ def _is_psd(M, tau, buf) -> bool:
     """Whether ``M + tau*I`` (``M`` symmetric) is positive definite.
 
     A diagonal ``M``, stored as a vector, is when every ``M_j + tau > 0``.
-    A dense matrix is factorized: one of at least :data:`LAPACK_MIN_COLS`
+    A dense matrix is factorized: one of at least :data:`LARGE_DENSE_COLS`
     columns is copied into ``buf``, a Fortran-order scratch matrix of its
     shape, and factorized there by ``dpotrf``; a smaller one is copied and
     passed to ``np.linalg.cholesky`` (``buf`` may then be ``None``).  Both
@@ -231,7 +234,7 @@ def _is_psd(M, tau, buf) -> bool:
     if M.ndim == 1:
         return bool((M + tau > 0).all())
     n = M.shape[0]
-    if n >= LAPACK_MIN_COLS:
+    if n >= LARGE_DENSE_COLS:
         from scipy.linalg.lapack import dpotrf  # only here: importing scipy.linalg costs about 8 MB
 
         np.copyto(buf, M)
@@ -279,7 +282,7 @@ def validate(problem: QcqpProblem) -> ValidationReport:
     v = []
     p = problem
     # one scratch matrix for every dense Hessian large enough to factorize in place
-    dense = p.n1 >= LAPACK_MIN_COLS and any(Pi.ndim == 2 for Pi in p.P)
+    dense = p.n1 >= LARGE_DENSE_COLS and any(Pi.ndim == 2 for Pi in p.P)
     buf = np.empty((p.n1, p.n1), order="F") if dense else None
     for i, Pi in enumerate(p.P):
         msg = _non_finite(f"P[{i}]", Pi)

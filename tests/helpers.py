@@ -20,7 +20,6 @@ def toy_problem():
         m2=0,
         P=[np.array([[1.0]]), np.array([[1.0]])],
         q=[np.array([-2.0]), np.array([0.0])],
-        c=[np.zeros(0), np.zeros(0)],
         r=[0.0, -0.5],
         x_upper=[10.0],
     )
@@ -35,8 +34,6 @@ def interior_problem():
         m2=0,
         P=[np.eye(2)],
         q=[np.array([-0.5, -0.5])],
-        c=[np.zeros(0)],
-        r=[0.0],
         x_upper=[1.0, 1.0],
     )
 
@@ -50,8 +47,6 @@ def equality_problem():
         m2=1,
         P=[np.array([[1.0]])],
         q=[np.array([0.0])],
-        c=[np.zeros(0)],
-        r=[0.0],
         A=np.array([[1.0]]),
         B=np.zeros((1, 0)),
         b=[0.5],
@@ -69,8 +64,6 @@ def hessian_problem(P_list, n1=2, x_upper=None):
         m2=0,
         P=P_list,
         q=[np.zeros(n1)] * (m1 + 1),
-        c=[np.zeros(0)] * (m1 + 1),
-        r=np.zeros(m1 + 1),
         x_upper=x_upper,
     )
 

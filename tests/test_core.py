@@ -193,7 +193,7 @@ def _norm_problem(P0=None, P1=None, n1=1, q1=None, r1=0.0):
     q = [np.zeros(n1)] + [np.zeros(n1) if q1 is None else np.asarray(q1, float)] * m1
     return QcqpProblem(
         n1=n1, n2=0, m1=m1, m2=0,
-        P=mats, q=q, c=[np.zeros(0)] * (m1 + 1),
+        P=mats, q=q,
         r=np.concatenate([[0.0], [r1] * m1]),
         x_upper=np.full(n1, np.inf),
     )

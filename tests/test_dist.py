@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcqpd import CommStats, partition_columns
-from qcqpd.dist import SYMMETRIC_MIN_COLS, ColumnBlocks, _tree_sum, dist_dot
+from qcqpd.dist import ColumnBlocks, _tree_sum, dist_dot
+from qcqpd.model import LARGE_DENSE_COLS
 
 
 def _matvec(M, x, part, stats=None):
@@ -79,7 +80,7 @@ class TestMatvec:
         if sparse:  # a diagonal Hessian, stored as its diagonal
             M = rng.standard_normal(n1)
         else:
-            # symmetric: from SYMMETRIC_MIN_COLS columns one worker reads one triangle
+            # symmetric: from LARGE_DENSE_COLS columns one worker reads one triangle
             G = rng.standard_normal((n1, n1))
             M = np.asfortranarray(G + G.T)
         x = rng.standard_normal(n1)
@@ -281,11 +282,11 @@ SYMMETRIC_STACKS = {
 
 
 class TestSymmetricStack:
-    """One worker spanning at least SYMMETRIC_MIN_COLS columns multiplies each
+    """One worker spanning at least LARGE_DENSE_COLS columns multiplies each
     dense matrix by ``dsymv``; everything else is the generic stack."""
 
     # 600 is not a multiple of 4
-    @pytest.mark.parametrize("n", [SYMMETRIC_MIN_COLS, 600])
+    @pytest.mark.parametrize("n", [LARGE_DENSE_COLS, 600])
     @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
     def test_one_worker_matches_per_matrix_products(self, kinds, n):
         rng = np.random.default_rng(n)
@@ -297,9 +298,12 @@ class TestSymmetricStack:
         rows = len(mats) * n
         assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 1,
                                    "bytes_reduced": 8 * rows, "bytes_scattered": 8 * rows}
+        # dsymv takes each matrix as stored: a C-order one gives the bits of its Fortran copy
+        fortran = ColumnBlocks([np.asfortranarray(M) for M in mats], partition_columns(n, 1)).matvec(x, CommStats())
+        assert out.tobytes() == fortran.tobytes()
 
     @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("n", [SYMMETRIC_MIN_COLS, 600])
+    @pytest.mark.parametrize("n", [LARGE_DENSE_COLS, 600])
     @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
     def test_partitioned_is_the_generic_stack_bitwise(self, kinds, n, workers):
         # no dsymv: each dense matrix's row is its per-worker products
@@ -315,9 +319,9 @@ class TestSymmetricStack:
         assert out.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("n, workers, one_triangle", [
-        (SYMMETRIC_MIN_COLS, 1, True),
-        (SYMMETRIC_MIN_COLS - 1, 1, False),
-        (SYMMETRIC_MIN_COLS, 2, False),
+        (LARGE_DENSE_COLS, 1, True),
+        (LARGE_DENSE_COLS - 1, 1, False),
+        (LARGE_DENSE_COLS, 2, False),
     ])
     def test_one_triangle_only_on_one_worker_from_min_cols(self, n, workers, one_triangle):
         # a non-symmetric matrix shows which path ran: dsymv gives the product

@@ -162,7 +162,7 @@ class TestSeed:
         "infeasible": lambda seed: gen_infeasible(4, seed=seed),
         "unbounded": lambda seed: gen_unbounded(4, seed=seed),
         "mkl": lambda seed: build_mkl_qcqp(MklSpec(n_tr=6, n_t=2, seed=seed)),
-        "twonorm": lambda seed: gen_twonorm(4, 2, 1.0, seed=seed),
+        "twonorm": lambda seed: gen_twonorm(4, seed=seed),
     }
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None], ids=repr)
@@ -178,22 +178,25 @@ class TestSeed:
 
 class TestTwonorm:
     def test_balance_and_determinism(self):
-        X, y = gen_twonorm(200, 20, 2.0 / np.sqrt(20.0), seed=9)
+        X, y = gen_twonorm(200, seed=9)
+        assert X.shape == (200, 20)
         assert (y == 1).sum() == 100 and (y == -1).sum() == 100
-        X2, y2 = gen_twonorm(200, 20, 2.0 / np.sqrt(20.0), seed=9)
+        X2, y2 = gen_twonorm(200, seed=9)
         assert np.array_equal(X, X2) and np.array_equal(y, y2)
 
     def test_class_means(self):
-        n, dim = 10_000, 20
-        a = 2.0 / np.sqrt(dim)
-        X, y = gen_twonorm(n, dim, a, seed=10)
+        n = 10_000
+        a = 2.0 / np.sqrt(20.0)
+        X, y = gen_twonorm(n, seed=10)
         bound = 5.0 / np.sqrt(n / 2)  # 5 sigma of the sample mean
         assert np.abs(X[y == 1].mean(axis=0) - a).max() <= bound
         assert np.abs(X[y == -1].mean(axis=0) + a).max() <= bound
 
-    def test_odd_count_rejected(self):
-        with pytest.raises(ValueError):
-            gen_twonorm(7, 3, 1.0)
+    def test_odd_count_is_a_prefix_of_the_next_even(self):
+        X, y = gen_twonorm(7, seed=4)
+        X8, y8 = gen_twonorm(8, seed=4)
+        assert X.tobytes() == X8[:7].tobytes() and y.tobytes() == y8[:7].tobytes()
+        assert (y == 1).sum() == 4 and (y == -1).sum() == 3
 
 
 class TestMklBuild:

@@ -22,7 +22,7 @@ from qcqpd import (
     solve,
     validate,
 )
-from qcqpd.model import LAPACK_MIN_COLS, PSD_RTOL, SYMMETRY_TILE, _asymmetry
+from qcqpd.model import LARGE_DENSE_COLS, PSD_RTOL, SYMMETRY_TILE, _asymmetry
 from helpers import hessian_problem, random_problem, read_members, toy_problem, write_members
 
 
@@ -89,6 +89,24 @@ class TestValidate:
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
                 QcqpProblem(**{**fields, name: value})
+
+    def test_c_and_r_default_to_zeros(self, tmp_path):
+        fields = dict(n1=2, n2=3, m1=1, m2=0, P=[np.eye(2)] * 2, q=[np.ones(2)] * 2)
+        implicit = QcqpProblem(**fields)
+        explicit = QcqpProblem(**fields, c=[np.zeros(3)] * 2, r=[0.0, 0.0])
+        for a, b in ((implicit.c, explicit.c), (implicit.r, explicit.r)):
+            assert a.dtype == b.dtype and a.flags.c_contiguous and np.array_equal(a, b)
+        assert implicit.c.shape == (2, 3) and implicit.r.shape == (2,)
+        save_problem(implicit, tmp_path / "implicit.npz")
+        save_problem(explicit, tmp_path / "explicit.npz")
+        assert (tmp_path / "implicit.npz").read_bytes() == (tmp_path / "explicit.npz").read_bytes()
+
+    @pytest.mark.parametrize("name", ["P", "q"])
+    def test_missing_hessians_or_linear_terms_name_the_field(self, name):
+        fields = dict(n1=1, n2=0, m1=0, m2=0, P=[[[1.0]]], q=[[0.0]])
+        del fields[name]
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            QcqpProblem(**fields)
 
     @pytest.mark.parametrize("name, value, field", [
         ("P", [np.eye(2), sp.identity(2, format="csc")], "P[1]"),
@@ -174,8 +192,8 @@ class TestValidate:
     @pytest.mark.parametrize("factor, ok", [(-0.5, True), (-2.0, False)])
     def test_psd_slack_boundary(self, storage, factor, ok):
         # smallest eigenvalue factor * tau; the rule accepts lambda_min >= -tau.
-        # "dense lapack" has LAPACK_MIN_COLS columns, the smallest factorized by dpotrf
-        n = LAPACK_MIN_COLS if storage == "dense lapack" else 6
+        # "dense lapack" has LARGE_DENSE_COLS columns, the smallest factorized by dpotrf
+        n = LARGE_DENSE_COLS if storage == "dense lapack" else 6
         rng = np.random.default_rng(5)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         spectrum = np.r_[0.0, np.linspace(1.0, 5.0, n - 1)]
@@ -190,7 +208,7 @@ class TestValidate:
     def test_lapack_scratch_reused_across_hessians(self):
         # one scratch matrix serves every Hessian: the indefinite middle one
         # leaves it partly factorized, and the PSD one after it must still pass
-        n = LAPACK_MIN_COLS
+        n = LARGE_DENSE_COLS
         rng = np.random.default_rng(8)
         M = rng.standard_normal((n, n))
         psd = np.asfortranarray(M @ M.T / n)
@@ -206,10 +224,10 @@ class TestValidate:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kw: (a, -1))
         with pytest.raises(RuntimeError, match="dpotrf rejected argument 1"):
-            validate(hessian_problem([np.eye(LAPACK_MIN_COLS)], n1=LAPACK_MIN_COLS))
+            validate(hessian_problem([np.eye(LARGE_DENSE_COLS)], n1=LARGE_DENSE_COLS))
 
     def test_small_families_do_not_import_scipy_linalg(self, tmp_path):
-        # below LAPACK_MIN_COLS the PSD test needs no scipy.linalg (about 8 MB
+        # below LARGE_DENSE_COLS the PSD test needs no scipy.linalg (about 8 MB
         # resident), and no family needs scipy.sparse at any size: each is
         # generated, saved, loaded, validated and solved, and the scipy modules
         # loaded after it are printed
@@ -222,7 +240,7 @@ class TestValidate:
             "            ('mkl-sm2', lambda: build_mkl_qcqp(MklSpec())[0]),\n"
             "            ('infeasible', lambda: gen_infeasible(64, seed=0)),\n"
             "            ('unbounded', lambda: gen_unbounded(64, seed=0)),\n"
-            f"            ('random-large', lambda: gen_random_qcqp(RandomQcqpSpec(n1={LAPACK_MIN_COLS}, m1=1, seed=0)))]\n"
+            f"            ('random-large', lambda: gen_random_qcqp(RandomQcqpSpec(n1={LARGE_DENSE_COLS}, m1=1, seed=0)))]\n"
             "path = os.path.join(sys.argv[1], 'p.npz')\n"
             "for name, build in families:\n"
             "    save_problem(build(), path)\n"
@@ -242,6 +260,44 @@ class TestValidate:
             assert "scipy.sparse" not in modules, name
             if name != "random-large":
                 assert "scipy.linalg" not in modules, name
+
+    def test_scipy_paths_switch_at_large_dense_cols(self):
+        # one size class decides both scipy.linalg paths: a problem one column
+        # short of LARGE_DENSE_COLS is validated and solved on one worker with
+        # no scipy.linalg loaded; at LARGE_DENSE_COLS validate factorizes each
+        # dense Hessian with dpotrf and the solve multiplies it with dsymv
+        code = (
+            "import sys\n"
+            "from qcqpd import RandomQcqpSpec, SolverConfig, gen_random_qcqp, solve, validate\n"
+            "from qcqpd.model import LARGE_DENSE_COLS\n"
+            "def run(n1):\n"
+            "    p = gen_random_qcqp(RandomQcqpSpec(n1=n1, m1=1, seed=0))\n"
+            "    assert validate(p).ok\n"
+            "    solve(p, SolverConfig(max_iters=1, n_workers=1))\n"
+            "run(LARGE_DENSE_COLS - 1)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+            "import scipy.linalg.blas, scipy.linalg.lapack\n"
+            "calls = {}\n"
+            "def counted(module, name):\n"
+            "    f = getattr(module, name)\n"
+            "    def wrapper(*args, **kwargs):\n"
+            "        calls[name] = calls.get(name, 0) + 1\n"
+            "        return f(*args, **kwargs)\n"
+            "    setattr(module, name, wrapper)\n"
+            "counted(scipy.linalg.lapack, 'dpotrf')\n"
+            "counted(scipy.linalg.blas, 'dsymv')\n"
+            "run(LARGE_DENSE_COLS)\n"
+            "print(calls.get('dpotrf', 0), calls.get('dsymv', 0))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert res.returncode == 0, res.stderr
+        below, at = res.stdout.splitlines()
+        assert below == "[]"
+        dpotrf, dsymv = map(int, at.split())
+        assert dpotrf == 2  # one per dense Hessian
+        assert dsymv > 0
 
     def test_decision_matches_eigvalsh(self):
         # symmetric matrices whose smallest eigenvalue lies within 1e-3 ||P||_F of zero,
