@@ -2,11 +2,12 @@
 then sha256 of every generated problem file.
 
 Solves a fixed instance set (the toy, random n1=64 seeds 0-2, random n1=600
-seed 0, MKL seed 0 with either margin, the infeasible and unbounded
-instances) at 1 and 3 workers and prints one line per solve.  Then saves one problem file per
-generator family (random seed 0 with a box, MKL seed 0 with either margin,
-infeasible, unbounded) and prints one line per file.  Two commits whose
-outputs match line for line produce byte-identical solves and problem files.
+seed 0, MKL seed 0 with either margin and with 60 training points, the
+infeasible and unbounded instances) at 1 and 3 workers and prints one line
+per solve.  Then saves one problem file per generator family (random seed
+0 with a box, MKL seed 0 with either margin, infeasible, unbounded) and
+prints one line per file.  Two commits whose outputs match line for line
+produce byte-identical solves and problem files.
 ``scripts/golden.txt`` holds the expected output; everything but the
 hashes is compared in CI, and the hashes are for comparing two commits on
 one machine.  CI also runs the script twice and requires the same output,
@@ -40,6 +41,9 @@ def instances():
     yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}
     yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}
     yield "mkl-sm1-s0", build_mkl_qcqp(MklSpec(svm="sm1", seed=0))[0], {}
+    # five 60-column Gram Hessians stack into 300 rows, not a multiple of 8:
+    # the stacked block's leading dimension is padded to 304
+    yield "mkl-n60", build_mkl_qcqp(MklSpec(n_tr=60, seed=0))[0], {}
     yield "infeasible", gen_infeasible(64, seed=0), {"divergence_threshold": 1e4}
     yield "unbounded", gen_unbounded(64, seed=0), {}
 

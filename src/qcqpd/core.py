@@ -16,10 +16,12 @@ nonnegative.
 The step is component-wise, so the ``x`` block can be partitioned by
 coordinates; the products it needs run through the column-partitioned
 kernels in :mod:`qcqpd.dist`.  Each pass (predictor or corrector) is one
-call of :func:`_pass`, which writes ``F`` into one buffer and issues one
-collective per quantity: the stacked Hessian products, the constraint
-values and the equality rows ``A x``.  The column blocks of the Hessians are
-cut once per solve; ``A' gam`` is worker-local.
+call of :func:`_pass`, which writes ``F`` into one buffer and issues two
+collectives: the stacked Hessian products, and the ``m1`` quadratic
+constraint values with the ``m2`` equality rows ``A x`` as one block of
+``m1 + m2`` rows (none when that block is empty).  The column blocks of
+the Hessians are cut once per solve; the multipliers' term of the
+gradient, ``lam' (Px + q)[1:] + gam' A``, is one worker-local product.
 
 The step size is recomputed every iteration from eight bounds driven by
 three per-solve norm constants (:class:`ProblemNorms`) and the current
@@ -70,9 +72,10 @@ EPS0 = 0.1
 # The step size's cap (see adaptive_step_size).
 BIG_M = 1e12
 
-# The residual-check cadence in iterations: a check (compute_residuals and
-# classify_termination) costs about a fifth to a quarter of an iteration on
-# the kernel-learning instances, so it is not done every iteration.  The
+# The residual-check cadence in iterations: a check (compute_residuals, the
+# trace objective and classify_termination) costs about a quarter to three
+# tenths of an iteration on the kernel-learning instances (about 20 us against
+# 70-73 us at n1 = 160 on one BLAS thread), so it is not done every iteration.  The
 # classifier's window counts checks, so it spans DIVERGENCE_WINDOW *
 # TRACE_EVERY iterations.
 TRACE_EVERY = 10
@@ -315,9 +318,9 @@ def analytic_comm_stats(problem, iterations):
 
     * one reduce of the ``(m1 + 1) n1`` stacked Hessian products, scattered
       back to the workers,
-    * one reduce of the ``m1`` quadratic constraint values (absent when
-      ``m1 = 0``),
-    * one reduce of the ``m2`` equality rows (absent when ``m2 = 0``).
+    * one reduce of the ``m1 + m2`` constraint rows, the quadratic
+      constraint values and the equality rows in one block (absent when
+      ``m1 + m2 = 0``).
 
     A finished solve of ``k`` iterations runs ``2k`` such passes plus the
     one extra predictor pass of the iteration that observed termination.
@@ -331,7 +334,7 @@ def analytic_comm_stats(problem, iterations):
     """
     p = problem
     passes = 2 * iterations + 1
-    reduces_per_pass = 1 + (p.m1 > 0) + (p.m2 > 0)
+    reduces_per_pass = 1 + (p.m1 + p.m2 > 0)
     bytes_reduced_per_pass = 8 * ((p.m1 + 1) * p.n1 + p.m1 + p.m2)
     return CommStats(
         reduce_ops=passes * reduces_per_pass,
@@ -341,42 +344,65 @@ def analytic_comm_stats(problem, iterations):
     )
 
 
-def _pass(problem, hessians, stats, at, f):
-    """One pass at the state blocks ``at = (x, u, lam, gam)``; returns the
-    ``(m1 + 1, n1)`` Hessian products ``Px`` (row ``i`` is ``Pi x``).
+def _pass_views(problem, v):
+    """Views ``(x, u, primal, dual)`` of a state-length vector ``v``, with
+    ``primal = (x, u)`` and ``dual = (lam, gam)``."""
+    i, j = problem.n1, problem.n1 + problem.n2
+    return v[:i], v[i:j], v[:j], v[j:]
 
-    Writes ``F = (grad_x, grad_u, -cons, -eq)`` into the blocks ``f`` of
-    the operator buffer, with ``cons`` the quadratic constraint values and
-    ``eq`` the equality rows ``A x + B u - b``.  ``Px``, ``cons`` and ``eq``
-    cost one reduce each (none for an empty ``cons`` or ``eq``).  ``A' gam``
-    is one local product: a worker's slice of it reads only its own columns
-    of ``A``.
+
+def _pass_buffers(problem):
+    """The arrays :func:`_pass` reuses, built once per solve: ``(J, HA, -(r[1:]; -b))``.
+
+    ``J`` is ``(1 + m1 + m2, n1 + n2)``: the rows ``Pi x + qi`` (``i <=
+    m1``, written by every pass) and then ``A``, with the ``u`` columns
+    ``(c0; C; B)`` beside them.  ``HA`` is ``(m1 + m2, n1)``: the rows ``0.5
+    Pi x + qi`` (``i >= 1``, written by every pass) and then ``A``.
     """
     p = problem
-    x, u, lam, gam = at
-    grad_x, grad_u, neg_cons, neg_eq = f
+    # row-major whatever the order of c, A and B, so each product takes one BLAS path
+    J = np.ascontiguousarray(np.block([[np.zeros((p.m1 + 1, p.n1)), p.c], [p.A, p.B]]))
+    HA = np.ascontiguousarray(np.vstack([np.zeros((p.m1, p.n1)), p.A]))
+    return J, HA, np.concatenate([-p.r[1:], p.b])
+
+
+def _pass(problem, hessians, buffers, stats, at, f):
+    """One pass at the state views ``at`` (of :func:`_pass_views`); returns
+    the ``(m1 + 1, n1)`` Hessian products ``Px`` (row ``i`` is ``Pi x``).
+
+    Writes ``F = (grad_x, grad_u, -cons, -eq)`` into the views ``f`` of the
+    operator buffer, with ``cons`` the quadratic constraint values and
+    ``eq`` the equality rows ``A x + B u - b``.  The two constraint kinds
+    are one block of ``m1 + m2`` rows ``g = (cons - r[1:], eq + b)`` with
+    multipliers ``y = (lam, gam)``, so with the :func:`_pass_buffers`
+    ``(J, HA, -(r[1:]; -b))``::
+
+        (grad_x, grad_u) = J[0] + y' J[1:]
+        g = HA x + (C; B) u
+        (-cons, -eq) = -(r[1:]; -b) - g
+
+    ``Px`` costs one reduce and ``HA x`` another (none when ``m1 + m2 =
+    0``); ``y' J[1:]`` is one local product, a worker's slice of it reading
+    only its own columns.  The zero-size products of an empty ``g`` or
+    ``u`` are skipped.
+    """
+    p = problem
+    J, HA, neg_rb = buffers
+    x, u, _, y = at
+    _, _, grad, neg_g = f
     Px = hessians.matvec(x, stats)
-    G = Px + p.q  # row i: Pi x + qi
-    np.add(G[0], lam @ G[1:], out=grad_x)
-    # each expression below is done in place, in the order it is written:
-    # cons = dist_dot(0.5 Px[1:] + q[1:], x) + C u + r, eq = dist_dot(A, x) + B u - b
-    # and grad_u = c0 + lam' C + B' gam, with C the rows ci, i >= 1
-    if p.m1:
-        H = np.multiply(Px[1:], 0.5)
+    np.add(Px, p.q, out=J[:p.m1 + 1, :p.n1])
+    np.add(J[0], y @ J[1:], out=grad)
+    if len(HA):
+        # HA[:m1] = 0.5 Px[1:] + q[1:] and g = dist_dot(HA, x) + (C; B) u,
+        # each done in place in the order it is written
+        H = HA[:p.m1]
+        np.multiply(Px[1:], 0.5, out=H)
         H += p.q[1:]
-        cons = dist_dot(H, x, hessians.partition, stats)
-        cons += p.c[1:] @ u
-        cons += p.r[1:]
-        np.negative(cons, out=neg_cons)
-    if p.m2:
-        eq = dist_dot(p.A, x, hessians.partition, stats)
-        eq += p.B @ u
-        eq -= p.b
-        np.negative(eq, out=neg_eq)
-        grad_x += p.A.T @ gam
-    if p.n2:
-        np.add(p.c[0], lam @ p.c[1:], out=grad_u)
-        grad_u += p.B.T @ gam
+        g = dist_dot(HA, x, hessians.partition, stats)
+        if p.n2:
+            g += J[1:, p.n1:] @ u
+        np.subtract(neg_rb, g, out=neg_g)
     return Px
 
 
@@ -420,9 +446,11 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     z = np.zeros_like(lower)
     w = np.empty_like(z)
     F = np.empty_like(z)
-    at_z, at_w, f = _blocks(p, z), _blocks(p, w), _blocks(p, F)
-    x, u, lam, gam = at_z
-    grad_x, _, neg_cons, _ = f
+    buffers = _pass_buffers(p)
+    at_z, at_w, f = _pass_views(p, z), _pass_views(p, w), _pass_views(p, F)
+    x, u, lam, gam = _blocks(p, z)
+    f_blocks = _blocks(p, F)
+    grad_x, _, neg_cons, _ = f_blocks
 
     trace: list[TraceRow] = []
     rho = math.nan
@@ -435,7 +463,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
 
     with np.errstate(over="ignore"):
         while True:
-            Px = _pass(p, hessians, stats, at_z, f)
+            Px = _pass(p, hessians, buffers, stats, at_z, f)
 
             if not np.isfinite(z).all():
                 status = TerminationStatus.DIVERGED
@@ -453,7 +481,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
             # residual check on the cadence and at the iteration cap; every
             # check is classified
             if k % TRACE_EVERY == 0 or k >= cfg.max_iters:
-                res1, res2 = compute_residuals(p, x, lam, f)
+                res1, res2 = compute_residuals(p, x, lam, f_blocks)
                 objective = 0.5 * float(x @ Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
                 trace.append(TraceRow(k, rho, res1, res2, objective))
                 outcome = classify_termination(trace, cfg.tol, cfg.divergence_threshold)
@@ -469,7 +497,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
             # predictor from the k-th iterate; the corrector anchors at it again
             # but takes F at the predictor
             projected_step(z, F, rho, lower, upper, w)
-            _pass(p, hessians, stats, at_w, f)
+            _pass(p, hessians, buffers, stats, at_w, f)
             projected_step(z, F, rho, lower, upper, z)
             k += 1
 

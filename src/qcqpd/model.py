@@ -45,7 +45,8 @@ SYMMETRY_TILE = 128
 # Columns from which a dense Hessian counts as large: ``validate`` factorizes it in
 # place with LAPACK's ``dpotrf``, and a one-worker solve multiplies it with the
 # BLAS ``dsymv`` (``qcqpd.dist``).  512 columns are 2 MiB of float64, the per-core
-# L2.  Below it ``scipy.linalg`` (about 8 MB) stays unloaded.
+# L2.  Below it ``scipy.linalg`` stays unloaded: importing it raises a bare numpy
+# process's ru_maxrss from 27 to 55 MB.
 LARGE_DENSE_COLS = 512
 
 
@@ -235,7 +236,9 @@ def _is_psd(M, tau, buf) -> bool:
         return bool((M + tau > 0).all())
     n = M.shape[0]
     if n >= LARGE_DENSE_COLS:
-        from scipy.linalg.lapack import dpotrf  # only here: importing scipy.linalg costs about 8 MB
+        # only here: in a bare numpy process, importing scipy.linalg's BLAS and
+        # LAPACK wrappers raises ru_maxrss from 27 to 55 MB
+        from scipy.linalg.lapack import dpotrf
 
         np.copyto(buf, M)
         buf[np.diag_indices(n)] += tau

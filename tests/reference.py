@@ -353,28 +353,25 @@ def reference_budget_needs(problem, x, lam, cons, grad, rho):
 # --- one pass ----------------------------------------------------------------
 
 
-def reference_pass(problem, hessians, stats, at, f):
+def reference_pass(problem, hessians, stats, z, F):
     """:func:`qcqpd.core._pass` with each quantity one compound expression.
 
-    Writes ``F = (grad_x, grad_u, -cons, -eq)`` at the state blocks ``at``
-    into the blocks ``f`` through the same kernels, ``hessians.matvec`` and
-    :func:`qcqpd.dist.dist_dot`, and returns the Hessian products.
+    Writes ``F = (grad_x, grad_u, -cons, -eq)`` at the state ``z`` through
+    the same kernels, ``hessians.matvec`` and :func:`qcqpd.dist.dist_dot`,
+    with the quadratic and equality constraints as one block of ``m1 + m2``
+    rows and multipliers ``y = (lam, gam)``, and returns the Hessian
+    products.  ``J`` and ``HA`` are row-major, as the pass's buffers are.
     """
     p = problem
-    x, u, lam, gam = at
-    grad_x, grad_u, neg_cons, neg_eq = f
+    n1, nu = p.n1, p.n1 + p.n2
+    x, u, y = z[:n1], z[n1:nu], z[nu:]
     Px = hessians.matvec(x, stats)
-    G = Px + p.q
-    np.add(G[0], lam @ G[1:], out=grad_x)
-    if p.m1:
-        cons = dist_dot(0.5 * Px[1:] + p.q[1:], x, hessians.partition, stats) + p.c[1:] @ u + p.r[1:]
-        np.negative(cons, out=neg_cons)
-    if p.m2:
-        eq = dist_dot(p.A, x, hessians.partition, stats) + p.B @ u - p.b
-        np.negative(eq, out=neg_eq)
-        grad_x += p.A.T @ gam
-    if p.n2:
-        grad_u[:] = p.lagrangian_grad_u(lam, gam)
+    J = np.ascontiguousarray(np.block([[Px + p.q, p.c], [p.A, p.B]]))
+    F[:nu] = J[0] + y @ J[1:]
+    if p.m1 + p.m2:
+        HA = np.ascontiguousarray(np.vstack([0.5 * Px[1:] + p.q[1:], p.A]))
+        g = dist_dot(HA, x, hessians.partition, stats)
+        F[nu:] = -np.concatenate([p.r[1:], -p.b]) - (g + J[1:, n1:] @ u if p.n2 else g)
     return Px
 
 

@@ -24,7 +24,7 @@ from qcqpd import (
     solve,
     validate,
 )
-from qcqpd.core import BIG_M, EPS0, TRACE_EVERY, _blocks, _pass, adaptive_step_size, compute_norms
+from qcqpd.core import BIG_M, EPS0, TRACE_EVERY, _pass, _pass_buffers, _pass_views, adaptive_step_size, compute_norms
 from qcqpd.dist import ColumnBlocks, CommStats, partition_columns
 from helpers import (
     equality_problem, hessian_problem, interior_problem, operator, random_box_state, random_problem, step,
@@ -426,15 +426,19 @@ class TestPass:
             assert min(p.n2, p.m1, p.m2) >= 1
             assert {Pi.ndim for Pi in p.P} == {1, 2}
         # the in-place pass is the compound expressions bit for bit, its
-        # products and its traffic included
-        for p in _pass_problems() + _stack_problems():
+        # products and its traffic included; with m1 = 0 or 1 beside a
+        # column-major A, a stacked constraint block could come out column-major
+        rng = np.random.default_rng(14)
+        small_m1 = [random_problem(rng, n1=5, m1=m1, n2=2, m2=2, box=2.0) for m1 in (0, 1)]
+        assert not small_m1[1].A.flags.c_contiguous
+        for p in _pass_problems() + _stack_problems() + small_m1:
             state = random_box_state(np.random.default_rng(workers), p)
             z = np.concatenate(state)
             hessians = ColumnBlocks(p.P, partition_columns(p.n1, workers))
             F, want = [np.full_like(z, np.nan) for _ in range(2)]
             stats, want_stats = CommStats(), CommStats()
-            Px = _pass(p, hessians, stats, _blocks(p, z), _blocks(p, F))
-            want_Px = reference_pass(p, hessians, want_stats, _blocks(p, z), _blocks(p, want))
+            Px = _pass(p, hessians, _pass_buffers(p), stats, _pass_views(p, z), _pass_views(p, F))
+            want_Px = reference_pass(p, hessians, want_stats, z, want)
             assert F.tobytes() == want.tobytes()
             assert Px.tobytes() == want_Px.tobytes()
             np.testing.assert_allclose(F, operator(p, *state), rtol=1e-12)
@@ -555,13 +559,13 @@ class TestSolve:
         mkl_sm2 = build_mkl_qcqp(MklSpec(n_tr=12, n_t=4, svm="sm2", seed=0))[0]
         assert (mkl_sm2.m1, mkl_sm2.m2) == (5, 1)
         # (problem, reduces and scatters per pass): one reduce and one scatter of the
-        # stacked Hessian products, one reduce of the constraint values when m1 > 0
-        # and one of the equality rows when m2 > 0
+        # stacked Hessian products, and one reduce of the m1 constraint values and
+        # the m2 equality rows together when m1 + m2 > 0
         for p, reduces, scatters in (
             (toy_problem(), 2, 1),
             (random_problem(rng, n1=6, m1=3, box=2.0), 2, 1),
-            (random_problem(rng, n1=5, m1=1, n2=2, m2=2, box=2.0), 3, 1),
-            (mkl_sm2, 3, 1),
+            (random_problem(rng, n1=5, m1=1, n2=2, m2=2, box=2.0), 2, 1),
+            (mkl_sm2, 2, 1),
             (interior_problem(), 1, 1),
         ):
             rep = solve(p, SolverConfig(tol=1e-4, max_iters=500, n_workers=2))

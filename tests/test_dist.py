@@ -185,11 +185,50 @@ def _as_square(M):
     return np.diag(M) if M.ndim == 1 else M
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _off_line_copy(block):
+    """A Fortran-order copy of ``block`` with an unpadded leading dimension and
+    its base one double past a 64-byte line."""
+    rows, cols = block.shape
+    flat = np.empty(rows * cols + 9)
+    skip = -_address(flat) % 64 // 8 + 1
+    copy = flat[skip:skip + rows * cols].reshape((rows, cols), order="F")
+    copy[...] = block
+    return copy
+
+
 class TestColumnBlocks:
     """A stack of several matrices against a one-matrix stack per matrix.
 
     The stack's product is the per-matrix products stacked as rows in matrix order.
     """
+
+    # three dense 8- or 13-column matrices stack into 24 or 39 rows
+    @pytest.mark.parametrize("n", [8, 13])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"]], ids=["dense", "mixed"])
+    def test_stacked_blocks_start_on_cache_lines(self, kinds, workers, n):
+        rng = np.random.default_rng(300 + 10 * workers + n)
+        mats = _stack(kinds, n, rng, integer=False)
+        x = rng.standard_normal(n)
+        part = partition_columns(n, workers)
+        aligned = ColumnBlocks(mats, part)
+        rows, blocks = aligned._square
+        assert len(blocks) == workers
+        for block, (lo, hi) in zip(blocks, part.ranges):
+            assert block.shape == (3 * n, hi - lo)
+            assert _address(block) % 64 == 0
+            assert block.strides[1] % 64 == 0
+        # the product bits do not depend on where the blocks sit
+        unaligned = ColumnBlocks(mats, part)
+        unaligned._square = (rows, [_off_line_copy(block) for block in blocks])
+        assert all(_address(block) % 64 == 8 for block in unaligned._square[1])
+        out = aligned.matvec(x, CommStats())
+        assert out.tobytes() == unaligned.matvec(x, CommStats()).tobytes()
+        np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-13, atol=1e-13)
 
     # n = 3 leaves some of 4 or 5 workers an empty column range
     @pytest.mark.parametrize("n", [3, 13])
@@ -340,7 +379,8 @@ class TestSymmetricStack:
 
     def test_small_solve_does_not_import_scipy_linalg(self):
         # dsymv comes from scipy.linalg, imported only when a stack needs it:
-        # importing it raises the resident memory of a small solve by about 7 MB
+        # importing it raises the peak resident memory of a bare numpy process
+        # from 27 to 55 MB
         code = (
             "import sys\n"
             "from qcqpd import RandomQcqpSpec, SolverConfig, gen_random_qcqp, solve\n"

@@ -227,8 +227,8 @@ class TestValidate:
             validate(hessian_problem([np.eye(LARGE_DENSE_COLS)], n1=LARGE_DENSE_COLS))
 
     def test_small_families_do_not_import_scipy_linalg(self, tmp_path):
-        # below LARGE_DENSE_COLS the PSD test needs no scipy.linalg (about 8 MB
-        # resident), and no family needs scipy.sparse at any size: each is
+        # below LARGE_DENSE_COLS the PSD test needs no scipy.linalg (about 28 MB
+        # peak resident), and no family needs scipy.sparse at any size: each is
         # generated, saved, loaded, validated and solved, and the scipy modules
         # loaded after it are printed
         code = (
