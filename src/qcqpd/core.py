@@ -15,13 +15,17 @@ nonnegative.
 
 The step is component-wise, so the ``x`` block can be partitioned by
 coordinates; the products it needs run through the column-partitioned
-kernels in :mod:`qcqpd.dist`.  Each pass (predictor or corrector) is one
-call of :func:`_pass`, which writes ``F`` into one buffer and issues two
-collectives: the stacked Hessian products, and the ``m1`` quadratic
-constraint values with the ``m2`` equality rows ``A x`` as one block of
-``m1 + m2`` rows (none when that block is empty).  The column blocks of
-the Hessians are cut once per solve; the multipliers' term of the
-gradient, ``lam' (Px + q)[1:] + gam' A``, is one worker-local product.
+kernels in :mod:`qcqpd.dist`.  Each pass (predictor or corrector) writes
+``F`` into one buffer and issues two collectives: the stacked Hessian
+products, and the ``m1`` quadratic constraint values with the ``m2``
+equality rows ``A x`` as one block of ``m1 + m2`` rows (none when that
+block is empty).  The multipliers' term of the gradient, ``lam' (Px +
+q)[1:] + gam' A``, is one worker-local product.  Everything a pass needs
+is set up once per solve: the column blocks of the Hessians are cut, and
+:func:`_bind_pass` binds one pass to each state buffer, the iterate and
+the predictor, as a fixed sequence of ``out=`` calls on views, with each
+worker's slice of ``x``, its partial buffers and the reduction trees
+built up front, so a pass allocates nothing.
 
 The step size is recomputed every iteration from eight bounds driven by
 three per-solve norm constants (:class:`ProblemNorms`) and the current
@@ -47,7 +51,7 @@ from .diagnostics import (
     classify_termination,
     compute_residuals,
 )
-from .dist import ColumnBlocks, CommStats, dist_dot, partition_columns
+from .dist import ColumnBlocks, CommStats, Plan, bind_dot, partition_columns
 from .model import QcqpProblem, _frob
 
 __all__ = [
@@ -73,9 +77,9 @@ EPS0 = 0.1
 BIG_M = 1e12
 
 # The residual-check cadence in iterations: a check (compute_residuals, the
-# trace objective and classify_termination) costs about a quarter to three
-# tenths of an iteration on the kernel-learning instances (about 20 us against
-# 70-73 us at n1 = 160 on one BLAS thread), so it is not done every iteration.  The
+# trace objective and classify_termination) costs about three tenths of an
+# iteration on the kernel-learning instances (15-18 us against 52-56 us at
+# n1 = 160 on one BLAS thread), so it is not done every iteration.  The
 # classifier's window counts checks, so it spans DIVERGENCE_WINDOW *
 # TRACE_EVERY iterations.
 TRACE_EVERY = 10
@@ -352,58 +356,62 @@ def _pass_views(problem, v):
 
 
 def _pass_buffers(problem):
-    """The arrays :func:`_pass` reuses, built once per solve: ``(J, HA, -(r[1:]; -b))``.
+    """The arrays both passes share, built once per solve: ``(J, HA, -(r[1:]; -b), Px, g)``.
 
     ``J`` is ``(1 + m1 + m2, n1 + n2)``: the rows ``Pi x + qi`` (``i <=
     m1``, written by every pass) and then ``A``, with the ``u`` columns
     ``(c0; C; B)`` beside them.  ``HA`` is ``(m1 + m2, n1)``: the rows ``0.5
-    Pi x + qi`` (``i >= 1``, written by every pass) and then ``A``.
+    Pi x + qi`` (``i >= 1``, written by every pass) and then ``A``.  ``Px``
+    receives the ``(m1 + 1, n1)`` Hessian products and ``g`` the ``m1 +
+    m2`` constraint rows of the latest pass.
     """
     p = problem
     # row-major whatever the order of c, A and B, so each product takes one BLAS path
     J = np.ascontiguousarray(np.block([[np.zeros((p.m1 + 1, p.n1)), p.c], [p.A, p.B]]))
     HA = np.ascontiguousarray(np.vstack([np.zeros((p.m1, p.n1)), p.A]))
-    return J, HA, np.concatenate([-p.r[1:], p.b])
+    return J, HA, np.concatenate([-p.r[1:], p.b]), np.empty((p.m1 + 1, p.n1)), np.empty(p.m1 + p.m2)
 
 
-def _pass(problem, hessians, buffers, stats, at, f):
-    """One pass at the state views ``at`` (of :func:`_pass_views`); returns
-    the ``(m1 + 1, n1)`` Hessian products ``Px`` (row ``i`` is ``Pi x``).
+def _bind_pass(problem, hessians, buffers, v, F, stats):
+    """One pass at the state buffer ``v``, bound once per solve as a :class:`qcqpd.dist.Plan`.
 
-    Writes ``F = (grad_x, grad_u, -cons, -eq)`` into the views ``f`` of the
-    operator buffer, with ``cons`` the quadratic constraint values and
-    ``eq`` the equality rows ``A x + B u - b``.  The two constraint kinds
-    are one block of ``m1 + m2`` rows ``g = (cons - r[1:], eq + b)`` with
-    multipliers ``y = (lam, gam)``, so with the :func:`_pass_buffers`
-    ``(J, HA, -(r[1:]; -b))``::
+    Each run writes the Hessian products into ``Px`` (row ``i`` is ``Pi
+    x``) and ``F = (grad_x, grad_u, -cons, -eq)`` into the operator buffer
+    ``F``, with ``cons`` the quadratic constraint values and ``eq`` the
+    equality rows ``A x + B u - b``, all at the current contents of ``v``.
+    The two constraint kinds are one block of ``m1 + m2`` rows ``g = (cons -
+    r[1:], eq + b)`` with multipliers ``y = (lam, gam)``, so with the
+    :func:`_pass_buffers` ``(J, HA, -(r[1:]; -b), Px, g)``::
 
         (grad_x, grad_u) = J[0] + y' J[1:]
         g = HA x + (C; B) u
         (-cons, -eq) = -(r[1:]; -b) - g
 
-    ``Px`` costs one reduce and ``HA x`` another (none when ``m1 + m2 =
-    0``); ``y' J[1:]`` is one local product, a worker's slice of it reading
-    only its own columns.  The zero-size products of an empty ``g`` or
-    ``u`` are skipped.
+    Each step is one ``out=`` call on views bound here, in the order the
+    expressions are written, so a run allocates nothing.  ``Px`` costs one
+    reduce and one scatter and ``HA x`` one reduce (none when ``m1 + m2 =
+    0``); ``y' J[1:]`` and ``(C; B) u`` are local products, a worker's
+    slice of the first reading only its own columns.  The zero-size
+    products of an empty ``g`` or ``u`` are left out.
     """
     p = problem
-    J, HA, neg_rb = buffers
-    x, u, _, y = at
-    _, _, grad, neg_g = f
-    Px = hessians.matvec(x, stats)
-    np.add(Px, p.q, out=J[:p.m1 + 1, :p.n1])
-    np.add(J[0], y @ J[1:], out=grad)
+    J, HA, neg_rb, Px, g = buffers
+    x, u, _, y = _pass_views(p, v)
+    _, _, grad, neg_g = _pass_views(p, F)
+    Pq, yJ = J[:p.m1 + 1, :p.n1], np.empty(p.n1 + p.n2)
+    plan = hessians.bind(x, Px, stats) + Plan(
+        [(np.add, (Px, p.q, Pq)), (np.dot, (y, J[1:], yJ)), (np.add, (J[0], yJ, grad))], [Pq, yJ, grad])
     if len(HA):
-        # HA[:m1] = 0.5 Px[1:] + q[1:] and g = dist_dot(HA, x) + (C; B) u,
-        # each done in place in the order it is written
+        # HA[:m1] = 0.5 Px[1:] + q[1:] and g = HA x + (C; B) u, each in the
+        # order it is written
         H = HA[:p.m1]
-        np.multiply(Px[1:], 0.5, out=H)
-        H += p.q[1:]
-        g = dist_dot(HA, x, hessians.partition, stats)
+        plan += Plan([(np.multiply, (Px[1:], 0.5, H)), (np.add, (H, p.q[1:], H))], [H])
+        plan += bind_dot(HA, x, g, hessians.partition, stats)
         if p.n2:
-            g += J[1:, p.n1:] @ u
-        np.subtract(neg_rb, g, out=neg_g)
-    return Px
+            CB, Cu = np.ascontiguousarray(J[1:, p.n1:]), np.empty(len(HA))
+            plan += Plan([(np.dot, (CB, u, Cu)), (np.add, (g, Cu, g))], [Cu])
+        plan += Plan([(np.subtract, (neg_rb, g, neg_g))], [neg_g])
+    return plan
 
 
 def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=None) -> SolveReport:
@@ -441,13 +449,14 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     stats = CommStats()
 
     # the iterate z, the predictor w and the operator F, each one buffer
-    # whose blocks are views
+    # whose blocks are views; one pass bound to each state buffer
     lower, upper = state_bounds(p)
     z = np.zeros_like(lower)
     w = np.empty_like(z)
     F = np.empty_like(z)
     buffers = _pass_buffers(p)
-    at_z, at_w, f = _pass_views(p, z), _pass_views(p, w), _pass_views(p, F)
+    Px = buffers[3]
+    pass_z, pass_w = (_bind_pass(p, hessians, buffers, v, F, stats) for v in (z, w))
     x, u, lam, gam = _blocks(p, z)
     f_blocks = _blocks(p, F)
     grad_x, _, neg_cons, _ = f_blocks
@@ -463,7 +472,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
 
     with np.errstate(over="ignore"):
         while True:
-            Px = _pass(p, hessians, buffers, stats, at_z, f)
+            pass_z()
 
             if not np.isfinite(z).all():
                 status = TerminationStatus.DIVERGED
@@ -497,7 +506,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
             # predictor from the k-th iterate; the corrector anchors at it again
             # but takes F at the predictor
             projected_step(z, F, rho, lower, upper, w)
-            _pass(p, hessians, buffers, stats, at_w, f)
+            pass_w()
             projected_step(z, F, rho, lower, upper, z)
             k += 1
 

@@ -6,7 +6,7 @@ matrix-vector product is computed as a sum of per-worker partials
 coordinator, and the result scattered back so each worker holds its
 slice.  The row-wise inner products ``X @ y`` of a partitioned ``y`` with
 the rows of ``X`` (the constraint values, the equality rows ``A x``) reduce
-``len(X)`` doubles and scatter nothing.  Every call is one collective,
+``len(X)`` doubles and scatter nothing.  Every product is one collective,
 whatever it stacks.  Products against the transpose (``A' g``) need no
 kernel here: each worker's slice of the result only involves its own
 columns.
@@ -30,9 +30,17 @@ one Fortran-order block.  A diagonal Hessian's row of the product is ``d *
 x``: each worker's columns of it come from its own slices of ``d`` and ``x``
 alone.  A product with the whole stack therefore costs one dense product
 per worker, one elementwise product of the diagonals and one reduce, and
-returns the ``(m1 + 1, n)`` array whose row ``i`` is ``P_i x``.  Serial
-execution is the one-worker case of the same code: the block of a single
-matrix is a view of its columns, not a copy.  A stacked block starts every
+writes the ``(m1 + 1, n)`` array whose row ``i`` is ``P_i x``.
+
+Each product is also set up once per solve, as a persistent collective is
+in a message-passing deployment: :meth:`ColumnBlocks.bind` and
+:func:`bind_dot` bind the operand and result views, each worker's slice
+of the vector, one buffer per worker's partial and the reduction tree
+into a :class:`Plan`, a fixed sequence of ``out=`` calls that each solver
+pass runs as it is, allocating nothing.  Serial execution is the
+one-worker case of the same code: the lone partial is written straight
+into the result, and the block of a single matrix is a view of its
+columns, not a copy.  A stacked block starts every
 column on a 64-byte cache line: with one OpenBLAS thread on a shared
 2-core Xeon, the ``(800, 160)`` GEMV of the kernel-learning instance took
 9-11 us aligned and 16-24 us at the other seven 8-byte offsets, with the
@@ -51,6 +59,7 @@ So small stacks and every partitioned run take the generic path unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -60,8 +69,9 @@ __all__ = [
     "ColumnBlocks",
     "ColumnPartition",
     "CommStats",
+    "Plan",
+    "bind_dot",
     "partition_columns",
-    "dist_dot",
 ]
 
 _FLOAT_BYTES = 8
@@ -135,22 +145,67 @@ def partition_columns(n_cols: int, n_workers: int) -> ColumnPartition:
     return ColumnPartition(n_cols, tuple(ranges))
 
 
-def _tree_sum(parts):
-    """Pairwise left-to-right tree reduction; fixed, deterministic order."""
-    while len(parts) > 1:
-        nxt = []
-        for i in range(0, len(parts) - 1, 2):
-            nxt.append(parts[i] + parts[i + 1])
-        if len(parts) % 2:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
+class Plan:
+    """A fixed sequence of calls, bound once to the arrays they read and write.
+
+    Each step is a ``(function, args)`` pair run as ``function(*args)``:
+    mostly a numpy call whose last argument is its ``out`` array, or the
+    :class:`CommStats` booking of a collective.  ``writes`` holds the
+    arrays one run overwrites entirely, its outputs and the buffers it
+    owns.  Plans chain in order with ``+``; calling a plan runs its steps.
+    """
+
+    __slots__ = ("steps", "writes")
+
+    def __init__(self, steps=(), writes=()):
+        self.steps = tuple(steps)
+        self.writes = tuple(writes)
+
+    def __add__(self, other):
+        return Plan(self.steps + other.steps, self.writes + other.writes)
+
+    def __call__(self):
+        for function, args in self.steps:
+            function(*args)
 
 
-def _check_vector(v, length):
-    """Raise unless ``v`` has shape ``(length,)``: at several workers a wrong length would be cut silently."""
-    if v.shape != (length,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({length},)")
+def _gemv(A, b, out):
+    """The step writing ``A @ b`` into ``out``.
+
+    ``np.dot`` gives the bits of ``@`` at about half its call overhead,
+    but copies a matrix that is not one contiguous segment on every call,
+    so such a matrix (a column slice of a row-major matrix, a block with a
+    padded leading dimension) takes ``np.matmul``.
+    """
+    one_segment = A.flags.c_contiguous or A.flags.f_contiguous
+    return (np.dot if one_segment else np.matmul), (A, b, out)
+
+
+def _reduce(operands, out):
+    """The steps writing the tree sum over workers of ``A_w @ b_w`` into ``out``, and the partials they own.
+
+    ``operands`` holds one ``(A_w, b_w)`` pair per worker, in worker order.
+    One worker's product is written straight into ``out``.  Otherwise each
+    product goes into its own partial, and the partials add in a fixed
+    pairwise left-to-right tree over worker index, each sum overwriting
+    the left operand's partial and the last written into ``out``, so the
+    bits do not depend on the run.
+    """
+    if len(operands) == 1:
+        return [_gemv(*operands[0], out)], []
+    parts = [np.empty_like(out) for _ in operands]
+    steps = [_gemv(A, b, part) for (A, b), part in zip(operands, parts)]
+    level = parts
+    while len(level) > 1:
+        sums = []
+        for i in range(0, len(level) - 1, 2):
+            total = out if len(level) == 2 else level[i]
+            steps.append((np.add, (level[i], level[i + 1], total)))
+            sums.append(total)
+        if len(level) % 2:
+            sums.append(level[-1])
+        level = sums
+    return steps, parts
 
 
 def _rows(indices):
@@ -195,12 +250,13 @@ class ColumnBlocks:
     Each worker holds one dense block stacking its columns of every square
     matrix (a view of its columns when there is one, else an
     :func:`_aligned_block`); the diagonals are held as one ``(kd, n)``
-    array.  So :meth:`matvec` costs one dense product per worker and one
-    elementwise product, and returns the ``(k, n)`` array of the ``k``
+    array.  :meth:`bind` binds a vector ``x`` and a ``(k, n)`` products
+    buffer once per solve; each run of the bound plan costs one dense
+    product per worker and one elementwise product, and writes the ``k``
     products.  The product rows of each kind, square or diagonal, are held
     as a ``slice`` when they form one contiguous run (as in the usual
     stacks: every matrix of one kind, or a diagonal ``P0`` before dense
-    constraint Hessians), so they are written by basic slicing, and as an
+    constraint Hessians), so they are written through one view, and as an
     index list otherwise.
 
     The matrices are taken to be symmetric, as Hessians are: on one worker
@@ -209,7 +265,7 @@ class ColumnBlocks:
     which reads one triangle (of a non-symmetric matrix it gives the
     product of that triangle symmetrised); a matrix not in Fortran order,
     as a :class:`qcqpd.model.QcqpProblem` Hessian always is, is copied on
-    each call.
+    each run.
     """
 
     def __init__(self, matrices, partition: ColumnPartition):
@@ -241,55 +297,65 @@ class ColumnBlocks:
         # (rows of the product, the diagonals stacked as rows)
         self._diagonal = (_rows(diagonal), np.array([matrices[i] for i in diagonal])) if diagonal else None
 
-    def _reduce(self, blocks, x):
-        """The tree sum, in worker order, of each worker's product of its block with its slice of ``x``."""
-        return _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, self.partition.ranges)])
+    def bind(self, x, out, stats: CommStats) -> Plan:
+        """The plan writing ``P_i x`` into row ``i`` of the ``(k, n)`` array ``out`` from per-worker partials.
 
-    def matvec(self, x, stats: CommStats):
-        """The ``(k, n)`` array whose row ``i`` is ``P_i x``, from per-worker partials.
-
-        The square matrices' partials are tree-reduced in worker order, so
-        every product is bitwise what a per-matrix reduction gives whenever
-        the local products are; the row of a matrix kept whole for ``dsymv``
-        is its one worker's product, and a diagonal's row is ``d * x``, each
-        worker's columns of it its own.  On one worker, rows held as a slice
-        are written in place: the stacked product straight into its rows by
-        ``np.matmul(..., out=)``, the diagonals' by ``np.multiply(..., out=)``,
-        bitwise the products ``@`` and ``*`` return.  Accounts one reduce of
-        all the rows, the diagonals' included, and one scatter of the same
-        volume, which hands the products back to the workers.
+        ``x`` and ``out`` are bound once, as views: each run reads the
+        current ``x`` and overwrites every row of ``out``.  The square
+        matrices' partials, each worker's block times its slice of ``x``,
+        are tree-reduced in worker order (see :func:`_reduce`), so every
+        product is bitwise what a per-matrix reduction gives whenever the
+        local products are; their sum is written straight into its rows
+        when they form one run, else into a buffer copied row by row.  The
+        row of a matrix kept whole for ``dsymv`` is its one worker's product,
+        written in place, and a diagonal's row is ``d * x``, each worker's
+        columns of it its own.  Each run books one reduce of all the rows,
+        the diagonals' included, and one scatter of the same volume, which
+        hands the products back to the workers.
         """
-        _check_vector(x, self.partition.n_cols)
         k, n = self._shape
-        out = np.empty((k, n))
+        if x.shape != (n,):
+            raise ValueError(f"vector has shape {x.shape}, expected ({n},)")
+        if out.shape != (k, n) or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous ({k}, {n}) array, got shape {out.shape}")
+        steps, writes = [], [out]
         for i, M in self._symmetric:
-            self._dsymv(1.0, M, x, beta=0.0, y=out[i], overwrite_y=1)
+            steps.append((partial(self._dsymv, 1.0, M, x, beta=0.0, y=out[i], overwrite_y=1), ()))
         if self._square:
             rows, blocks = self._square
-            if len(blocks) == 1 and type(rows) is slice:
-                np.matmul(blocks[0], x, out=out[rows].reshape(-1))
-            else:
-                out[rows] = self._reduce(blocks, x).reshape(-1, n)
+            whole = type(rows) is slice
+            total = out[rows].reshape(-1) if whole else np.empty(len(rows) * n)
+            operands = [(block, x[lo:hi]) for block, (lo, hi) in zip(blocks, self.partition.ranges)]
+            reduce_steps, parts = _reduce(operands, total)
+            steps += reduce_steps
+            writes += parts
+            if not whole:
+                writes.append(total)
+                steps += [(np.copyto, (out[i], row)) for i, row in zip(rows, total.reshape(-1, n))]
         if self._diagonal:
             rows, D = self._diagonal
             if type(rows) is slice:
-                np.multiply(D, x, out=out[rows])
+                steps.append((np.multiply, (D, x, out[rows])))
             else:
-                out[rows] = D * x
-        stats.record_reduce(out.size)
-        stats.record_scatter(out.size)
-        return out
+                steps += [(np.multiply, (d, x, out[i])) for i, d in zip(rows, D)]
+        steps += [(stats.record_reduce, (out.size,)), (stats.record_scatter, (out.size,))]
+        return Plan(steps, writes)
 
 
-def dist_dot(X, y, partition: ColumnPartition, stats: CommStats) -> np.ndarray:
-    """The row-wise products ``X @ y`` over partitioned column slices; one reduce of ``len(X)`` doubles.
+def bind_dot(X, y, out, partition: ColumnPartition, stats: CommStats) -> Plan:
+    """The plan writing the row-wise products ``X @ y`` over partitioned column slices into ``out``.
 
-    On one worker this is ``X @ y``, bitwise the one-part tree sum.
+    ``X``, ``y`` and ``out`` are bound once, as views, so rows of ``X``
+    rewritten between runs are read afresh.  Each worker multiplies its
+    columns of ``X`` by its slice of ``y``; the partials are tree-reduced in
+    worker order (see :func:`_reduce`).  On one worker this is ``X @ y``.
+    Each run books one reduce of ``len(X)`` doubles.
     """
     n = partition.n_cols
-    if X.shape[1:] != (n,) or y.shape != (n,):
-        raise ValueError(f"X has shape {X.shape} and y {y.shape}, expected a matrix of {n} columns and ({n},)")
-    ranges = partition.ranges
-    total = X @ y if len(ranges) == 1 else _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in ranges])
-    stats.record_reduce(len(X))
-    return total
+    if X.ndim != 2 or X.shape[1:] != (n,) or y.shape != (n,) or out.shape != X.shape[:1]:
+        raise ValueError(f"X has shape {X.shape}, y {y.shape} and out {out.shape}, "
+                         f"expected a matrix of {n} columns, ({n},) and one entry per row")
+    steps, parts = _reduce([(X[:, lo:hi], y[lo:hi]) for lo, hi in partition.ranges], out)
+    steps.append((stats.record_reduce, (len(X),)))
+    return Plan(steps, [out, *parts])
+

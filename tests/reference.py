@@ -16,9 +16,14 @@
   as the least of these roots over every pair of a bound-2 and a bound-3
   term, which :func:`qcqpd.core.adaptive_step_size` inlines and must
   reproduce bit for bit;
+* :func:`reference_products` and :func:`reference_dot`, the partitioned
+  Hessian products and row-wise products computed per call: a list of
+  per-worker products of fresh slices, summed by :func:`_tree_sum` into a
+  new array, which the plans of :meth:`qcqpd.dist.ColumnBlocks.bind` and
+  :func:`qcqpd.dist.bind_dot` must reproduce bit for bit;
 * :func:`reference_pass`, one predictor or corrector pass written as the
-  compound expressions that :func:`qcqpd.core._pass` evaluates in place,
-  which it must reproduce bit for bit;
+  compound expressions over those per-call kernels, which the plan of
+  :func:`qcqpd.core._bind_pass` must reproduce bit for bit;
 * :func:`reference_step_size`, the eight step-size bounds one bound at a
   time for a given budget split.  At the split
   :func:`reference_budget_needs` gives it must return the closed-form
@@ -39,7 +44,6 @@ import numpy as np
 
 from qcqpd import kkt_residual_max
 from qcqpd.core import BIG_M, EPS0
-from qcqpd.dist import dist_dot
 from qcqpd.generators import Kernel
 
 
@@ -353,24 +357,67 @@ def reference_budget_needs(problem, x, lam, cons, grad, rho):
 # --- one pass ----------------------------------------------------------------
 
 
+def _tree_sum(parts):
+    """Pairwise left-to-right tree reduction; fixed, deterministic order."""
+    while len(parts) > 1:
+        nxt = []
+        for i in range(0, len(parts) - 1, 2):
+            nxt.append(parts[i] + parts[i + 1])
+        if len(parts) % 2:
+            nxt.append(parts[-1])
+        parts = nxt
+    return parts[0]
+
+
+def reference_products(hessians, x, stats):
+    """The ``(k, n)`` products ``P_i x`` of a :class:`qcqpd.dist.ColumnBlocks` stack, in a new array.
+
+    Reads the stack's own blocks: each row kept whole is ``dsymv``'s
+    product, the square rows are the tree sum of the per-worker products
+    ``block @ x[lo:hi]``, and the diagonal rows are ``D * x``.  Books one
+    reduce and one scatter of every row.
+    """
+    k, n = hessians._shape
+    out = np.empty((k, n))
+    for i, M in hessians._symmetric:
+        hessians._dsymv(1.0, M, x, beta=0.0, y=out[i], overwrite_y=1)
+    if hessians._square:
+        rows, blocks = hessians._square
+        out[rows] = _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, hessians.partition.ranges)]
+                              ).reshape(-1, n)
+    if hessians._diagonal:
+        rows, D = hessians._diagonal
+        out[rows] = D * x
+    stats.record_reduce(out.size)
+    stats.record_scatter(out.size)
+    return out
+
+
+def reference_dot(X, y, partition, stats):
+    """The row-wise products ``X @ y`` as the tree sum of ``X[:, lo:hi] @ y[lo:hi]`` over
+    workers; books one reduce of ``len(X)`` doubles."""
+    stats.record_reduce(len(X))
+    return _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in partition.ranges])
+
+
 def reference_pass(problem, hessians, stats, z, F):
-    """:func:`qcqpd.core._pass` with each quantity one compound expression.
+    """The plan of :func:`qcqpd.core._bind_pass` with each quantity one compound expression.
 
     Writes ``F = (grad_x, grad_u, -cons, -eq)`` at the state ``z`` through
-    the same kernels, ``hessians.matvec`` and :func:`qcqpd.dist.dist_dot`,
-    with the quadratic and equality constraints as one block of ``m1 + m2``
-    rows and multipliers ``y = (lam, gam)``, and returns the Hessian
-    products.  ``J`` and ``HA`` are row-major, as the pass's buffers are.
+    :func:`reference_products` and :func:`reference_dot`, with the
+    quadratic and equality constraints as one block of ``m1 + m2`` rows and
+    multipliers ``y = (lam, gam)``, and returns the Hessian products.
+    ``J`` and ``HA`` are row-major, as the pass's buffers are.
     """
     p = problem
     n1, nu = p.n1, p.n1 + p.n2
     x, u, y = z[:n1], z[n1:nu], z[nu:]
-    Px = hessians.matvec(x, stats)
+    Px = reference_products(hessians, x, stats)
     J = np.ascontiguousarray(np.block([[Px + p.q, p.c], [p.A, p.B]]))
     F[:nu] = J[0] + y @ J[1:]
     if p.m1 + p.m2:
         HA = np.ascontiguousarray(np.vstack([0.5 * Px[1:] + p.q[1:], p.A]))
-        g = dist_dot(HA, x, hessians.partition, stats)
+        g = reference_dot(HA, x, hessians.partition, stats)
         F[nu:] = -np.concatenate([p.r[1:], -p.b]) - (g + J[1:, n1:] @ u if p.n2 else g)
     return Px
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qcqpd import (
     solve,
     validate,
 )
-from qcqpd.core import BIG_M, EPS0, TRACE_EVERY, _pass, _pass_buffers, _pass_views, adaptive_step_size, compute_norms
+from qcqpd.core import BIG_M, EPS0, TRACE_EVERY, _bind_pass, _pass_buffers, adaptive_step_size, compute_norms
 from qcqpd.dist import ColumnBlocks, CommStats, partition_columns
 from helpers import (
     equality_problem, hessian_problem, interior_problem, operator, random_box_state, random_problem, step,
@@ -419,30 +420,95 @@ def _stack_problems():
     return [interleaved, dense, large]
 
 
+def _uneven_problems():
+    """Partitions with two column widths (``n1 = 13`` and ``37``) and, at 4 or
+    5 workers, empty column ranges (``n1 = 3``), each with ``n2 = m2 = 1`` and
+    one diagonal constraint Hessian."""
+    rng = np.random.default_rng(15)
+    problems = [random_problem(rng, n1=n1, m1=2, n2=1, m2=1, box=2.0) for n1 in (13, 37, 3)]
+    for p in problems:
+        p.P[2] = np.diagonal(p.P[2]).copy()
+    return problems
+
+
+def _bound_pass(problem, workers, z, F, stats):
+    """``(plan, Px, g, hessians)``: one pass bound to the state ``z`` and the operator buffer ``F``."""
+    p = problem
+    hessians = ColumnBlocks(p.P, partition_columns(p.n1, workers))
+    buffers = _pass_buffers(p)
+    return _bind_pass(p, hessians, buffers, z, F, stats), buffers[3], buffers[4], hessians
+
+
 class TestPass:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     def test_writes_the_operator_and_books_one_pass(self, workers):
         for p in _pass_problems():
             assert min(p.n2, p.m1, p.m2) >= 1
             assert {Pi.ndim for Pi in p.P} == {1, 2}
-        # the in-place pass is the compound expressions bit for bit, its
-        # products and its traffic included; with m1 = 0 or 1 beside a
-        # column-major A, a stacked constraint block could come out column-major
+        # the bound pass is the compound expressions over the per-call
+        # kernels bit for bit, its products and its traffic included; with
+        # m1 = 0 or 1 beside a column-major A, a stacked constraint block
+        # could come out column-major
         rng = np.random.default_rng(14)
         small_m1 = [random_problem(rng, n1=5, m1=m1, n2=2, m2=2, box=2.0) for m1 in (0, 1)]
         assert not small_m1[1].A.flags.c_contiguous
-        for p in _pass_problems() + _stack_problems() + small_m1:
+        for p in _pass_problems() + _stack_problems() + small_m1 + _uneven_problems():
             state = random_box_state(np.random.default_rng(workers), p)
             z = np.concatenate(state)
-            hessians = ColumnBlocks(p.P, partition_columns(p.n1, workers))
             F, want = [np.full_like(z, np.nan) for _ in range(2)]
             stats, want_stats = CommStats(), CommStats()
-            Px = _pass(p, hessians, _pass_buffers(p), stats, _pass_views(p, z), _pass_views(p, F))
+            plan, Px, _, hessians = _bound_pass(p, workers, z, F, stats)
+            plan()
             want_Px = reference_pass(p, hessians, want_stats, z, want)
             assert F.tobytes() == want.tobytes()
             assert Px.tobytes() == want_Px.tobytes()
             np.testing.assert_allclose(F, operator(p, *state), rtol=1e-12)
             assert stats.as_dict() == want_stats.as_dict() == analytic_comm_stats(p, 0).as_dict()  # one pass
+            # a second run reads the state afresh, through the same views
+            z[:] = np.concatenate(random_box_state(rng, p))
+            plan()
+            want_Px = reference_pass(p, hessians, CommStats(), z, want)
+            assert F.tobytes() == want.tobytes()
+            assert Px.tobytes() == want_Px.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    def test_one_call_writes_every_bound_buffer(self, workers):
+        # the buffers persist from pass to pass, so an entry a pass did not
+        # write would repeat the previous pass's value the same way on every
+        # run; filled with NaN, none may survive one call.  The plan's writes
+        # are the products Px, the per-worker partials and the tree sums,
+        # the constraint rows g and the pass's temporaries
+        for p in _pass_problems() + _stack_problems() + _uneven_problems():
+            z = np.concatenate(random_box_state(np.random.default_rng(workers), p))
+            F = np.empty_like(z)
+            plan, Px, g, _ = _bound_pass(p, workers, z, F, CommStats())
+            assert any(a is Px for a in plan.writes) and any(a is g for a in plan.writes)
+            buffers = [*plan.writes, F]
+            for a in buffers:
+                a.fill(np.nan)
+            plan()
+            for a in buffers:
+                assert np.isfinite(a).all()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_call_allocates_almost_nothing(self, workers):
+        # every buffer of a pass is built when it is bound: a per-call
+        # product, partial or tree-sum temporary of n1 doubles would pass
+        # the bound
+        p = gen_infeasible(256)
+        z = np.concatenate(random_box_state(np.random.default_rng(0), p))
+        plan = _bound_pass(p, workers, z, np.empty_like(z), CommStats())[0]
+        plan()
+        tracemalloc.start()
+        try:
+            plan()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            plan()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * p.n1
 
 
 class TestSolve:

@@ -10,13 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcqpd import CommStats, partition_columns
-from qcqpd.dist import ColumnBlocks, _tree_sum, dist_dot
+from qcqpd.dist import ColumnBlocks, bind_dot
 from qcqpd.model import LARGE_DENSE_COLS
+from reference import _tree_sum, reference_dot, reference_products
+
+
+def _products(blocks, x, stats=None):
+    """The ``(k, n)`` products of a :class:`ColumnBlocks` stack: one run of its plan bound to ``x`` and a new buffer."""
+    out = np.empty(blocks._shape)
+    blocks.bind(x, out, CommStats() if stats is None else stats)()
+    return out
 
 
 def _matvec(M, x, part, stats=None):
     """``M @ x``: the one row of a one-matrix :class:`ColumnBlocks` stack's product."""
-    return ColumnBlocks([M], part).matvec(x, CommStats() if stats is None else stats)[0]
+    return _products(ColumnBlocks([M], part), x, stats)[0]
+
+
+def _dot(X, y, part, stats=None):
+    """``X @ y``: one run of the :func:`bind_dot` plan bound to ``X``, ``y`` and a new buffer."""
+    out = np.empty(X.shape[:1])
+    bind_dot(X, y, out, part, CommStats() if stats is None else stats)()
+    return out
 
 
 class TestPartition:
@@ -128,7 +143,7 @@ class TestDot:
         X = rng.standard_normal((4, 31))
         y = rng.standard_normal(31)
         for w in (1, 2, 7):
-            out = dist_dot(X, y, partition_columns(31, w), CommStats())
+            out = _dot(X, y, partition_columns(31, w))
             assert out.shape == (4,)
             np.testing.assert_allclose(out, X @ y, rtol=1e-12)
 
@@ -139,17 +154,36 @@ class TestDot:
         for n in (3, 13):
             X = rng.integers(-4, 5, size=(5, n)).astype(float)
             y = rng.integers(-5, 6, size=n).astype(float)
-            assert np.array_equal(dist_dot(X, y, partition_columns(n, workers), CommStats()), X @ y)
+            assert np.array_equal(_dot(X, y, partition_columns(n, workers)), X @ y)
+
+    # n = 3 leaves some of 4 or 5 workers an empty column range; 13 and 37
+    # split into two column widths at most worker counts
+    @pytest.mark.parametrize("n", [3, 13, 37])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    def test_bound_plan_is_the_per_call_reference_bitwise(self, workers, n):
+        # X row-major, as the pass's constraint block is; the plan reads X and
+        # y afresh on every run
+        rng = np.random.default_rng(500 + 10 * workers + n)
+        part = partition_columns(n, workers)
+        X, y, out = np.empty((6, n)), np.empty(n), np.empty(6)
+        stats, want_stats = CommStats(), CommStats()
+        plan = bind_dot(X, y, out, part, stats)
+        for _ in range(2):
+            X[:] = rng.standard_normal(X.shape)
+            y[:] = rng.standard_normal(n)
+            plan()
+            assert out.tobytes() == reference_dot(X, y, part, want_stats).tobytes()
+        assert stats == want_stats
 
     def test_counts_one_scalar_reduce(self):
         stats = CommStats()
-        dist_dot(np.ones((1, 4)), np.ones(4), partition_columns(4, 2), stats)
+        _dot(np.ones((1, 4)), np.ones(4), partition_columns(4, 2), stats)
         assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 0, "bytes_reduced": 8, "bytes_scattered": 0}
 
     def test_counts_one_reduce_of_every_row(self):
         stats = CommStats()
         for _ in range(2):
-            dist_dot(np.ones((5, 4)), np.ones(4), partition_columns(4, 3), stats)
+            _dot(np.ones((5, 4)), np.ones(4), partition_columns(4, 3), stats)
         assert stats.as_dict() == {"reduce_ops": 2, "scatter_ops": 0, "bytes_reduced": 2 * 5 * 8, "bytes_scattered": 0}
 
     def test_shape_mismatch(self):
@@ -160,7 +194,7 @@ class TestDot:
         for workers in (1, 2, 3):
             for X, y in cases:
                 with pytest.raises(ValueError):
-                    dist_dot(X, y, partition_columns(4, workers), CommStats())
+                    _dot(X, y, partition_columns(4, workers))
 
 
 # The ids "csc" and "mixed" name the sparse stacks by the storage that a
@@ -170,6 +204,11 @@ STACKS = {
     "csc": ("diagonal", "diagonal", "diagonal"),
     "mixed": ("diagonal", "dense", "dense", "diagonal", "dense"),
 }
+
+
+# The bound plans also take a diagonal P0 before dense Hessians, as in the
+# kernel-learning instance: two runs of rows, each written through one view.
+BOUND_STACKS = {**STACKS, "diagonal-first": ("diagonal", "dense", "dense")}
 
 
 def _stack(kinds, n, rng, integer):
@@ -222,12 +261,17 @@ class TestColumnBlocks:
             assert block.shape == (3 * n, hi - lo)
             assert _address(block) % 64 == 0
             assert block.strides[1] % 64 == 0
+        # the bound plan's GEMVs read those blocks, one per worker, not copies
+        out = np.empty((len(mats), n))
+        plan = aligned.bind(x, out, CommStats())
+        gemvs = [args[0] for f, args in plan.steps if f in (np.dot, np.matmul)]
+        assert len(gemvs) == workers and all(read is block for read, block in zip(gemvs, blocks))
         # the product bits do not depend on where the blocks sit
         unaligned = ColumnBlocks(mats, part)
         unaligned._square = (rows, [_off_line_copy(block) for block in blocks])
         assert all(_address(block) % 64 == 8 for block in unaligned._square[1])
-        out = aligned.matvec(x, CommStats())
-        assert out.tobytes() == unaligned.matvec(x, CommStats()).tobytes()
+        plan()
+        assert out.tobytes() == _products(unaligned, x).tobytes()
         np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-13, atol=1e-13)
 
     # n = 3 leaves some of 4 or 5 workers an empty column range
@@ -240,7 +284,7 @@ class TestColumnBlocks:
         mats = _stack(kinds, n, rng, integer=True)
         x = rng.integers(-5, 6, size=n).astype(float)
         part = partition_columns(n, workers)
-        out = ColumnBlocks(mats, part).matvec(x, CommStats())
+        out = _products(ColumnBlocks(mats, part), x)
         assert out.shape == (len(mats), n)
         assert np.array_equal(out, np.stack([_matvec(M, x, part) for M in mats]))
         assert np.array_equal(out, np.stack([_as_square(M) @ x for M in mats]))
@@ -259,8 +303,8 @@ class TestColumnBlocks:
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
         dense = [M for M in mats if M.ndim == 2]
-        dense_rows = iter(ColumnBlocks(dense, part).matvec(x, CommStats()) if dense else ())
-        out = ColumnBlocks(mats, part).matvec(x, CommStats())
+        dense_rows = iter(_products(ColumnBlocks(dense, part), x) if dense else ())
+        out = _products(ColumnBlocks(mats, part), x)
         for row, M in zip(out, mats):
             if M.ndim == 2:
                 assert row.tobytes() == next(dense_rows).tobytes()
@@ -277,19 +321,47 @@ class TestColumnBlocks:
         mats = _stack(kinds, n, rng, integer=False)
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
-        out = ColumnBlocks(mats, part).matvec(x, CommStats())
+        out = _products(ColumnBlocks(mats, part), x)
         np.testing.assert_allclose(out, np.stack([_matvec(M, x, part) for M in mats]), rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-13, atol=1e-13)
+
+    # n = 3 leaves some of 4 or 5 workers an empty column range; 13 and 37
+    # split into two column widths at most worker counts
+    @pytest.mark.parametrize("n", [3, 13, 37])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kinds", BOUND_STACKS.values(), ids=list(BOUND_STACKS))
+    def test_bound_plan_is_the_per_call_reference_bitwise(self, kinds, workers, n):
+        rng = np.random.default_rng(400 + 10 * workers + n)
+        mats = _stack(kinds, n, rng, integer=False)
+        blocks = ColumnBlocks(mats, partition_columns(n, workers))
+        x, out = np.empty(n), np.empty((len(mats), n))
+        stats, want_stats = CommStats(), CommStats()
+        plan = blocks.bind(x, out, stats)
+        for _ in range(2):  # the plan reads x afresh on every run
+            x[:] = rng.standard_normal(n)
+            plan()
+            assert out.tobytes() == reference_products(blocks, x, want_stats).tobytes()
+        assert stats == want_stats
+
+    def test_bind_checks_shapes(self):
+        blocks = ColumnBlocks([np.eye(3), np.ones(3)], partition_columns(3, 2))
+        with pytest.raises(ValueError, match=re.escape("vector has shape (4,), expected (3,)")):
+            blocks.bind(np.ones(4), np.empty((2, 3)), CommStats())
+        for out in (np.empty((3, 3)), np.empty((3, 2)).T):
+            with pytest.raises(ValueError, match=re.escape("out must be a C-contiguous (2, 3) array")):
+                blocks.bind(np.ones(3), out, CommStats())
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_comm_one_reduce_scatter_pair_per_call(self, workers):
         rng = np.random.default_rng(7)
         n = 10
         mats = _stack(STACKS["mixed"], n, rng, integer=True)
-        blocks = ColumnBlocks(mats, partition_columns(n, workers))
+        x = np.empty(n)
         stats = CommStats()
-        for _ in range(2):  # two passes
-            blocks.matvec(rng.standard_normal(n), stats)
+        plan = ColumnBlocks(mats, partition_columns(n, workers)).bind(x, np.empty((len(mats), n)), stats)
+        for _ in range(2):  # two passes of one bound plan
+            x[:] = rng.standard_normal(n)
+            plan()
         k = len(mats)
         assert stats.as_dict() == {
             "reduce_ops": 2,
@@ -332,14 +404,26 @@ class TestSymmetricStack:
         mats = _symmetric_stack(kinds, n, rng)
         x = rng.standard_normal(n)
         stats = CommStats()
-        out = ColumnBlocks(mats, partition_columns(n, 1)).matvec(x, stats)
+        out = _products(ColumnBlocks(mats, partition_columns(n, 1)), x, stats)
         np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-12, atol=1e-12)
         rows = len(mats) * n
         assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 1,
                                    "bytes_reduced": 8 * rows, "bytes_scattered": 8 * rows}
         # dsymv takes each matrix as stored: a C-order one gives the bits of its Fortran copy
-        fortran = ColumnBlocks([np.asfortranarray(M) for M in mats], partition_columns(n, 1)).matvec(x, CommStats())
+        fortran = _products(ColumnBlocks([np.asfortranarray(M) for M in mats], partition_columns(n, 1)), x)
         assert out.tobytes() == fortran.tobytes()
+
+    @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
+    def test_bound_plan_is_the_per_call_reference_bitwise(self, kinds):
+        # dsymv writes each dense row of the products buffer in place
+        rng = np.random.default_rng(17)
+        n = LARGE_DENSE_COLS
+        blocks = ColumnBlocks(_symmetric_stack(kinds, n, rng), partition_columns(n, 1))
+        assert blocks._symmetric
+        x = rng.standard_normal(n)
+        stats, want_stats = CommStats(), CommStats()
+        assert _products(blocks, x, stats).tobytes() == reference_products(blocks, x, want_stats).tobytes()
+        assert stats == want_stats
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("n", [LARGE_DENSE_COLS, 600])
@@ -352,7 +436,7 @@ class TestSymmetricStack:
         mats = _symmetric_stack(kinds, n, rng)
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
-        out = ColumnBlocks(mats, part).matvec(x, CommStats())
+        out = _products(ColumnBlocks(mats, part), x)
         expected = [M * x if M.ndim == 1 else _tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges])
                     for M in (M if M.ndim == 1 else np.asfortranarray(M) for M in mats)]
         assert out.tobytes() == np.stack(expected).tobytes()
