@@ -3,7 +3,8 @@ then sha256 of every generated problem file.
 
 Solves a fixed instance set (the toy, random n1=64 seeds 0-2, random n1=600
 seed 0, MKL seed 0 with either margin and with 60 training points, the
-infeasible and unbounded instances) at 1 and 3 workers and prints one line
+infeasible and unbounded instances) at 1 and 3 workers, and the infeasible
+and unbounded instances at n1=256 seed 0 at 4 workers, and prints one line
 per solve.  Then saves one problem file per generator family (random seed
 0 with a box, MKL seed 0 with either margin, infeasible, unbounded) and
 prints one line per file.  Two commits whose outputs match line for line
@@ -31,21 +32,24 @@ from qcqpd import (  # noqa: E402
 
 
 def instances():
-    """``(name, problem, solver settings)`` of every golden instance."""
+    """``(name, problem, solver settings, worker counts)`` of every golden instance."""
     toy = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[1.0]], [[1.0]]], q=[[-2.0], [0.0]],
                       r=[0.0, -0.5], x_upper=[10.0])
-    yield "toy", toy, {"tol": 1e-6}
+    yield "toy", toy, {"tol": 1e-6}, (1, 3)
     for seed in range(3):
-        yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}
+        yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}, (1, 3)
     # n1 >= qcqpd.model.LARGE_DENSE_COLS = 512: at one worker the Hessian products go through dsymv
-    yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}
-    yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}
-    yield "mkl-sm1-s0", build_mkl_qcqp(MklSpec(svm="sm1", seed=0))[0], {}
+    yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}, (1, 3)
+    yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}, (1, 3)
+    yield "mkl-sm1-s0", build_mkl_qcqp(MklSpec(svm="sm1", seed=0))[0], {}, (1, 3)
     # five 60-column Gram Hessians stack into 300 rows, not a multiple of 8:
     # the stacked block's leading dimension is padded to 304
-    yield "mkl-n60", build_mkl_qcqp(MklSpec(n_tr=60, seed=0))[0], {}
-    yield "infeasible", gen_infeasible(64, seed=0), {"divergence_threshold": 1e4}
-    yield "unbounded", gen_unbounded(64, seed=0), {}
+    yield "mkl-n60", build_mkl_qcqp(MklSpec(n_tr=60, seed=0))[0], {}, (1, 3)
+    yield "infeasible", gen_infeasible(64, seed=0), {"divergence_threshold": 1e4}, (1, 3)
+    yield "unbounded", gen_unbounded(64, seed=0), {}, (1, 3)
+    # the pathology-4w benchmark's instances at its 4 workers: 64 columns each
+    yield "infeasible-n256", gen_infeasible(256, seed=0), {"divergence_threshold": 1e4}, (4,)
+    yield "unbounded-n256", gen_unbounded(256, seed=0), {}, (4,)
 
 
 def generated():
@@ -68,8 +72,8 @@ def sha256(*paths):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         report, trace = os.path.join(tmp, "report.json"), os.path.join(tmp, "trace.csv")
-        for name, problem, settings in instances():
-            for workers in (1, 3):
+        for name, problem, settings, worker_counts in instances():
+            for workers in worker_counts:
                 rep = solve(problem, SolverConfig(n_workers=workers, **settings))
                 rep.write_report_json(report)
                 rep.write_trace_csv(trace)

@@ -23,9 +23,9 @@ block is empty).  The multipliers' term of the gradient, ``lam' (Px +
 q)[1:] + gam' A``, is one worker-local product.  Everything a pass needs
 is set up once per solve: the column blocks of the Hessians are cut, and
 :func:`_bind_pass` binds one pass to each state buffer, the iterate and
-the predictor, as a fixed sequence of ``out=`` calls on views, with each
-worker's slice of ``x``, its partial buffers and the reduction trees
-built up front, so a pass allocates nothing.
+the predictor, as a fixed sequence of ``out=`` calls on views, with the
+slices of ``x``, the stacks of the workers' partials and the reduction
+trees built up front, so a pass allocates nothing.
 
 The step size is recomputed every iteration from eight bounds driven by
 three per-solve norm constants (:class:`ProblemNorms`) and the current
@@ -141,7 +141,7 @@ def state_bounds(problem):
     return lower, upper
 
 
-def projected_step(z, F, rho, lower, upper, out):
+def projected_step(z, F, rho, lower, upper, out, scratch=None):
     """``P_Z(z - rho F) = min(max(z - rho F, lower), upper)``, written into ``out``.
 
     With ``F = (grad_x, grad_u, -cons, -eq)`` the blocks are
@@ -149,9 +149,11 @@ def projected_step(z, F, rho, lower, upper, out):
     ``max(0, lam + rho cons)`` and ``gam + rho eq`` bit for bit:
     ``lam - rho (-cons)`` is ``lam + rho cons`` exactly, and ``u`` and ``gam``
     clip against infinite bounds.  ``out`` may be ``z``.  The operations are
-    those of the expression, done in one temporary.
+    those of the expression, done in one temporary: ``scratch``, a
+    state-length buffer distinct from ``z``, or a new array when it is
+    ``None``.
     """
-    t = np.multiply(F, rho)
+    t = np.multiply(F, rho, out=scratch)
     np.subtract(z, t, out=t)
     np.maximum(t, lower, out=t)
     return np.minimum(t, upper, out=out)
@@ -449,11 +451,16 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     stats = CommStats()
 
     # the iterate z, the predictor w and the operator F, each one buffer
-    # whose blocks are views; one pass bound to each state buffer
+    # whose blocks are views; one pass bound to each state buffer.  The
+    # projected step's temporary and the finiteness test's flags are
+    # buffers too, so an iteration between residual checks allocates nothing
+    # of the state's length
     lower, upper = state_bounds(p)
     z = np.zeros_like(lower)
     w = np.empty_like(z)
     F = np.empty_like(z)
+    step_scratch = np.empty_like(z)
+    finite = np.empty(z.shape, dtype=bool)
     buffers = _pass_buffers(p)
     Px = buffers[3]
     pass_z, pass_w = (_bind_pass(p, hessians, buffers, v, F, stats) for v in (z, w))
@@ -474,7 +481,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
         while True:
             pass_z()
 
-            if not np.isfinite(z).all():
+            if not np.isfinite(z, out=finite).all():
                 status = TerminationStatus.DIVERGED
                 message = f"non-finite iterate at iteration {k}"
                 res1 = res2 = math.nan
@@ -484,8 +491,10 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
                 callback(k, x, u, lam, gam)
 
             rho = adaptive_step_size(norms, x, lam, neg_cons, grad_x)
-            rho_min = min(rho_min, rho)
-            rho_max = max(rho_max, rho)
+            if rho < rho_min:
+                rho_min = rho
+            if rho > rho_max:
+                rho_max = rho
 
             # residual check on the cadence and at the iteration cap; every
             # check is classified
@@ -505,9 +514,9 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
 
             # predictor from the k-th iterate; the corrector anchors at it again
             # but takes F at the predictor
-            projected_step(z, F, rho, lower, upper, w)
+            projected_step(z, F, rho, lower, upper, w, step_scratch)
             pass_w()
-            projected_step(z, F, rho, lower, upper, z)
+            projected_step(z, F, rho, lower, upper, z, step_scratch)
             k += 1
 
     # every exit but divergence has just traced the returned iterate

@@ -32,19 +32,31 @@ alone.  A product with the whole stack therefore costs one dense product
 per worker, one elementwise product of the diagonals and one reduce, and
 writes the ``(m1 + 1, n)`` array whose row ``i`` is ``P_i x``.
 
+The simulated workers' local phase of a collective is batched: the blocks
+of a run of equal-width workers are the items of one 3-D array, and one
+``np.matmul`` computes all their partials, which numpy does with the same
+per-item BLAS call as the 2-D product of each block, so with the same
+bits.  A balanced partition has at most two widths, so each collective
+costs at most two calls into numpy, not one per worker.  With one
+OpenBLAS thread on a shared 2-core Xeon, the four ``(512, 64)`` Hessian
+partials of a 256-column stack at 4 workers took 14.1 us in one call
+against 18.6 us in four, and the four ``(2, 64)`` constraint-row partials
+1.4 us against 5.1 us.  The communication contract and the reduction tree
+do not change: the partials are the rows of one ``(W, k)`` stack, and
+they add in the same pairwise tree.
+
 Each product is also set up once per solve, as a persistent collective is
 in a message-passing deployment: :meth:`ColumnBlocks.bind` and
-:func:`bind_dot` bind the operand and result views, each worker's slice
-of the vector, one buffer per worker's partial and the reduction tree
-into a :class:`Plan`, a fixed sequence of ``out=`` calls that each solver
-pass runs as it is, allocating nothing.  Serial execution is the
-one-worker case of the same code: the lone partial is written straight
-into the result, and the block of a single matrix is a view of its
-columns, not a copy.  A stacked block starts every
-column on a 64-byte cache line: with one OpenBLAS thread on a shared
-2-core Xeon, the ``(800, 160)`` GEMV of the kernel-learning instance took
-9-11 us aligned and 16-24 us at the other seven 8-byte offsets, with the
-same product bits at all eight.
+:func:`bind_dot` bind the operand and result views, each run's slices of
+the vector, the partial stack and the reduction tree into a
+:class:`Plan`, a fixed sequence of ``out=`` calls that each solver pass
+runs as it is, allocating nothing.  Serial execution is the one-worker
+case of the same code: the lone partial is written straight into the
+result, and the block of a single matrix is a view of its columns, not a
+copy.  A stacked block starts every column on a 64-byte cache line: with
+one OpenBLAS thread on a shared 2-core Xeon, the ``(800, 160)`` GEMV of the
+kernel-learning instance took 9-11 us aligned and 16-24 us at the other
+seven 8-byte offsets, with the same product bits at all eight.
 
 One exception applies on one worker: each dense Hessian of at least
 :data:`qcqpd.model.LARGE_DENSE_COLS` columns is not stacked but multiplied
@@ -181,21 +193,44 @@ def _gemv(A, b, out):
     return (np.dot if one_segment else np.matmul), (A, b, out)
 
 
+def _width_runs(partition):
+    """``(lo, g, c)`` of each run of ``g`` consecutive workers of width ``c`` from column ``lo``, in worker order.
+
+    A balanced partition has at most two widths, so at most two runs.
+    """
+    runs = []
+    for lo, hi in partition.ranges:
+        if runs and runs[-1][2] == hi - lo:
+            runs[-1][1] += 1
+        else:
+            runs.append([lo, 1, hi - lo])
+    return [tuple(run) for run in runs]
+
+
 def _reduce(operands, out):
     """The steps writing the tree sum over workers of ``A_w @ b_w`` into ``out``, and the partials they own.
 
-    ``operands`` holds one ``(A_w, b_w)`` pair per worker, in worker order.
+    ``operands`` holds one ``(A, b)`` pair per run of equal-width workers,
+    in worker order: ``A`` is the ``(g, k, c)`` array of the run's ``g``
+    blocks and ``b`` the ``(g, c, 1)`` view of their slices of the vector.
     One worker's product is written straight into ``out``.  Otherwise each
-    product goes into its own partial, and the partials add in a fixed
-    pairwise left-to-right tree over worker index, each sum overwriting
-    the left operand's partial and the last written into ``out``, so the
-    bits do not depend on the run.
+    run is one ``np.matmul`` into its rows of a ``(W, k)`` partial stack,
+    one row per worker; numpy runs the BLAS product of each item that the
+    2-D product of the block runs, so the partials are those of one call
+    per worker, bit for bit.  The rows add in a fixed pairwise
+    left-to-right tree over worker index, each sum overwriting the left
+    operand's row and the last written into ``out``, so the bits do not
+    depend on the run.
     """
-    if len(operands) == 1:
-        return [_gemv(*operands[0], out)], []
-    parts = [np.empty_like(out) for _ in operands]
-    steps = [_gemv(A, b, part) for (A, b), part in zip(operands, parts)]
-    level = parts
+    if len(operands) == 1 and len(operands[0][0]) == 1:
+        (A, b), = operands
+        return [_gemv(A[0], b[0, :, 0], out)], []
+    parts = np.empty((sum(len(A) for A, _ in operands), out.size))
+    steps, w = [], 0
+    for A, b in operands:
+        steps.append((np.matmul, (A, b, parts[w:w + len(A), :, None])))
+        w += len(A)
+    level = list(parts)
     while len(level) > 1:
         sums = []
         for i in range(0, len(level) - 1, 2):
@@ -205,7 +240,7 @@ def _reduce(operands, out):
         if len(level) % 2:
             sums.append(level[-1])
         level = sums
-    return steps, parts
+    return steps, [parts]
 
 
 def _rows(indices):
@@ -215,31 +250,36 @@ def _rows(indices):
     return indices
 
 
-def _aligned_block(rows, cols):
-    """An uninitialised Fortran-order ``(rows, cols)`` block whose base and every column start on a 64-byte line.
+def _aligned_stack(items, rows, cols):
+    """An uninitialised ``(items, rows, cols)`` array of Fortran-order blocks, each column on a 64-byte line.
 
-    The leading dimension is ``rows`` rounded up to a multiple of 8; the
-    block is the ``[:rows]`` view of the padded array, so the padding rows
-    are never read.  BLAS gives the same product bits at any offset, but the
-    stacked GEMV of a block that ``np.empty`` places off a line runs about
-    twice as long.
+    The leading dimension is ``rows`` rounded up to a multiple of 8 and the
+    blocks follow one another, so each is the ``[:rows]`` view of a padded
+    block and the padding rows are never read.  BLAS gives the same product
+    bits at any offset, but the stacked GEMV of a block that ``np.empty``
+    places off a line runs about twice as long.
     """
     ld = -(-rows // _LINE_DOUBLES) * _LINE_DOUBLES
-    flat = np.empty(ld * cols + _LINE_DOUBLES)
+    flat = np.empty(items * ld * cols + _LINE_DOUBLES)
     skip = -flat.__array_interface__["data"][0] % _LINE_BYTES // _FLOAT_BYTES
-    return flat[skip:skip + ld * cols].reshape((ld, cols), order="F")[:rows]
+    return flat[skip:skip + items * ld * cols].reshape((items, cols, ld)).transpose(0, 2, 1)[:, :rows]
 
 
-def _cut(matrices, lo, hi):
-    """Columns ``[lo, hi)`` of every matrix, stacked vertically into one Fortran-order block.
+def _cut(matrices, lo, g, c):
+    """``g`` blocks of ``c`` columns from column ``lo`` on: a ``(g, rows, c)`` array whose item ``j`` stacks
+    columns ``[lo + j c, lo + (j + 1) c)`` of every matrix vertically, in Fortran order.
 
-    Of a single matrix the block is the view ``M[:, lo:hi]``, not a copy; a
-    stack of several is an :func:`_aligned_block`.
+    Of a single matrix the array is a view of its columns, not a copy; a
+    stack of several is an :func:`_aligned_stack`.
     """
     if len(matrices) == 1:
-        return matrices[0][:, lo:hi]
-    rows = len(matrices) * matrices[0].shape[0]
-    return np.concatenate([M[:, lo:hi] for M in matrices], out=_aligned_block(rows, hi - lo))
+        M = matrices[0]
+        return M[:, lo:lo + g * c].reshape(len(M), g, c).transpose(1, 0, 2)
+    stack = _aligned_stack(g, len(matrices) * len(matrices[0]), c)
+    for j, block in enumerate(stack):
+        start = lo + j * c
+        np.concatenate([M[:, start:start + c] for M in matrices], out=block)
+    return stack
 
 
 class ColumnBlocks:
@@ -247,17 +287,18 @@ class ColumnBlocks:
 
     Each of the ``k`` Hessians is an ``n x n`` matrix or the length-``n``
     vector holding a diagonal one, with ``n`` the partition's column count.
-    Each worker holds one dense block stacking its columns of every square
-    matrix (a view of its columns when there is one, else an
-    :func:`_aligned_block`); the diagonals are held as one ``(kd, n)``
-    array.  :meth:`bind` binds a vector ``x`` and a ``(k, n)`` products
-    buffer once per solve; each run of the bound plan costs one dense
-    product per worker and one elementwise product, and writes the ``k``
-    products.  The product rows of each kind, square or diagonal, are held
-    as a ``slice`` when they form one contiguous run (as in the usual
-    stacks: every matrix of one kind, or a diagonal ``P0`` before dense
-    constraint Hessians), so they are written through one view, and as an
-    index list otherwise.
+    Each worker has one dense block stacking its columns of every square
+    matrix, and the blocks of each run of equal-width workers are the items
+    of one ``(g, rows, c)`` array (a view of the columns when there is one
+    square matrix, else an :func:`_aligned_stack`); the diagonals are held
+    as one ``(kd, n)`` array.  :meth:`bind` binds a vector ``x`` and a
+    ``(k, n)`` products buffer once per solve; each run of the bound plan
+    costs one batched dense product per width run and one elementwise
+    product, and writes the ``k`` products.  The product rows of each kind,
+    square or diagonal, are held as a ``slice`` when they form one
+    contiguous run (as in the usual stacks: every matrix of one kind, or a
+    diagonal ``P0`` before dense constraint Hessians), so they are written
+    through one view, and as an index list otherwise.
 
     The matrices are taken to be symmetric, as Hessians are: on one worker
     and at least :data:`qcqpd.model.LARGE_DENSE_COLS` columns, each square
@@ -289,11 +330,12 @@ class ColumnBlocks:
             from scipy.linalg.blas import dsymv
 
             self._dsymv = dsymv
-        # (rows of the product, one block per worker) of the stacked square matrices
+        # (rows of the product, one (g, rows, c) array of blocks per run of
+        # equal-width workers) of the stacked square matrices
         self._square = None
         if square:
-            blocks = [_cut([matrices[i] for i in square], lo, hi) for lo, hi in partition.ranges]
-            self._square = (_rows(square), blocks)
+            stacks = [_cut([matrices[i] for i in square], *run) for run in _width_runs(partition)]
+            self._square = (_rows(square), stacks)
         # (rows of the product, the diagonals stacked as rows)
         self._diagonal = (_rows(diagonal), np.array([matrices[i] for i in diagonal])) if diagonal else None
 
@@ -309,9 +351,10 @@ class ColumnBlocks:
         when they form one run, else into a buffer copied row by row.  The
         row of a matrix kept whole for ``dsymv`` is its one worker's product,
         written in place, and a diagonal's row is ``d * x``, each worker's
-        columns of it its own.  Each run books one reduce of all the rows,
-        the diagonals' included, and one scatter of the same volume, which
-        hands the products back to the workers.
+        columns of it its own; a lone diagonal's row is one 1-D product.
+        Each run books one reduce of all the rows, the diagonals' included,
+        and one scatter of the same volume, which hands the products back to
+        the workers.
         """
         k, n = self._shape
         if x.shape != (n,):
@@ -322,10 +365,11 @@ class ColumnBlocks:
         for i, M in self._symmetric:
             steps.append((partial(self._dsymv, 1.0, M, x, beta=0.0, y=out[i], overwrite_y=1), ()))
         if self._square:
-            rows, blocks = self._square
+            rows, stacks = self._square
             whole = type(rows) is slice
             total = out[rows].reshape(-1) if whole else np.empty(len(rows) * n)
-            operands = [(block, x[lo:hi]) for block, (lo, hi) in zip(blocks, self.partition.ranges)]
+            operands = [(stack, x[lo:lo + g * c].reshape(g, c, 1))
+                        for stack, (lo, g, c) in zip(stacks, _width_runs(self.partition))]
             reduce_steps, parts = _reduce(operands, total)
             steps += reduce_steps
             writes += parts
@@ -334,10 +378,12 @@ class ColumnBlocks:
                 steps += [(np.copyto, (out[i], row)) for i, row in zip(rows, total.reshape(-1, n))]
         if self._diagonal:
             rows, D = self._diagonal
-            if type(rows) is slice:
-                steps.append((np.multiply, (D, x, out[rows])))
-            else:
+            if type(rows) is not slice:
                 steps += [(np.multiply, (d, x, out[i])) for i, d in zip(rows, D)]
+            elif len(D) == 1:  # a 1-D product, without the broadcast of a (1, n) one
+                steps.append((np.multiply, (D[0], x, out[rows.start])))
+            else:
+                steps.append((np.multiply, (D, x, out[rows])))
         steps += [(stats.record_reduce, (out.size,)), (stats.record_scatter, (out.size,))]
         return Plan(steps, writes)
 
@@ -347,15 +393,20 @@ def bind_dot(X, y, out, partition: ColumnPartition, stats: CommStats) -> Plan:
 
     ``X``, ``y`` and ``out`` are bound once, as views, so rows of ``X``
     rewritten between runs are read afresh.  Each worker multiplies its
-    columns of ``X`` by its slice of ``y``; the partials are tree-reduced in
-    worker order (see :func:`_reduce`).  On one worker this is ``X @ y``.
+    columns of ``X`` by its slice of ``y``, the columns of a run of
+    equal-width workers viewed as one ``(g, k, c)`` array without a copy;
+    the partials are tree-reduced in worker order (see :func:`_reduce`).
+    On one worker this is ``X @ y``.
     Each run books one reduce of ``len(X)`` doubles.
     """
     n = partition.n_cols
     if X.ndim != 2 or X.shape[1:] != (n,) or y.shape != (n,) or out.shape != X.shape[:1]:
         raise ValueError(f"X has shape {X.shape}, y {y.shape} and out {out.shape}, "
                          f"expected a matrix of {n} columns, ({n},) and one entry per row")
-    steps, parts = _reduce([(X[:, lo:hi], y[lo:hi]) for lo, hi in partition.ranges], out)
-    steps.append((stats.record_reduce, (len(X),)))
+    k = len(X)
+    operands = [(X[:, lo:lo + g * c].reshape(k, g, c).transpose(1, 0, 2), y[lo:lo + g * c].reshape(g, c, 1))
+                for lo, g, c in _width_runs(partition)]
+    steps, parts = _reduce(operands, out)
+    steps.append((stats.record_reduce, (k,)))
     return Plan(steps, [out, *parts])
 

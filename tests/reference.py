@@ -372,17 +372,19 @@ def _tree_sum(parts):
 def reference_products(hessians, x, stats):
     """The ``(k, n)`` products ``P_i x`` of a :class:`qcqpd.dist.ColumnBlocks` stack, in a new array.
 
-    Reads the stack's own blocks: each row kept whole is ``dsymv``'s
+    Reads the stack's own blocks, the items of its arrays of equal-width
+    workers' blocks in worker order: each row kept whole is ``dsymv``'s
     product, the square rows are the tree sum of the per-worker products
-    ``block @ x[lo:hi]``, and the diagonal rows are ``D * x``.  Books one
-    reduce and one scatter of every row.
+    ``block @ x[lo:hi]``, one 2-D product per worker, and the diagonal rows
+    are ``D * x``.  Books one reduce and one scatter of every row.
     """
     k, n = hessians._shape
     out = np.empty((k, n))
     for i, M in hessians._symmetric:
         hessians._dsymv(1.0, M, x, beta=0.0, y=out[i], overwrite_y=1)
     if hessians._square:
-        rows, blocks = hessians._square
+        rows, stacks = hessians._square
+        blocks = [block for stack in stacks for block in stack]
         out[rows] = _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, hessians.partition.ranges)]
                               ).reshape(-1, n)
     if hessians._diagonal:

@@ -510,6 +510,30 @@ class TestPass:
             tracemalloc.stop()
         assert peak < 8 * p.n1
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_iteration_allocates_almost_nothing(self, workers):
+        # from the callback of iteration 1 to that of iteration 2, between
+        # residual checks: the step size, both projected steps, both passes
+        # and the finiteness test.  One temporary of the state's length in
+        # doubles, such as a projected step's, would pass the bound
+        p = gen_infeasible(256)
+        assert TRACE_EVERY > 1
+        start, peaks = [], []
+
+        def measure(k, *_):
+            if k == 1:
+                tracemalloc.reset_peak()
+                start.append(tracemalloc.get_traced_memory()[0])
+            elif k == 2:
+                peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+
+        tracemalloc.start()
+        try:
+            solve(p, SolverConfig(n_workers=workers, max_iters=3), callback=measure)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < 8 * p.n1
+
 
 class TestSolve:
     @pytest.mark.parametrize("field", ["tol", "divergence_threshold"])

@@ -228,15 +228,20 @@ def _address(a):
     return a.__array_interface__["data"][0]
 
 
-def _off_line_copy(block):
-    """A Fortran-order copy of ``block`` with an unpadded leading dimension and
-    its base one double past a 64-byte line."""
-    rows, cols = block.shape
-    flat = np.empty(rows * cols + 9)
+def _off_line_copy(stack):
+    """A copy of a ``(g, rows, cols)`` array of Fortran-order blocks with an
+    unpadded leading dimension and its base one double past a 64-byte line."""
+    g, rows, cols = stack.shape
+    flat = np.empty(g * rows * cols + 9)
     skip = -_address(flat) % 64 // 8 + 1
-    copy = flat[skip:skip + rows * cols].reshape((rows, cols), order="F")
-    copy[...] = block
+    copy = flat[skip:skip + g * rows * cols].reshape((g, cols, rows)).transpose(0, 2, 1)
+    copy[...] = stack
     return copy
+
+
+def _product_calls(plan):
+    """The matrix operands of a plan's local products, in order."""
+    return [args[0] for f, args in plan.steps if f in (np.dot, np.matmul)]
 
 
 class TestColumnBlocks:
@@ -245,7 +250,8 @@ class TestColumnBlocks:
     The stack's product is the per-matrix products stacked as rows in matrix order.
     """
 
-    # three dense 8- or 13-column matrices stack into 24 or 39 rows
+    # three dense 8- or 13-column matrices stack into 24 or 39 rows; 13
+    # columns split into two widths at 2 to 5 workers, 8 at 3 and 5
     @pytest.mark.parametrize("n", [8, 13])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"]], ids=["dense", "mixed"])
@@ -254,25 +260,44 @@ class TestColumnBlocks:
         mats = _stack(kinds, n, rng, integer=False)
         x = rng.standard_normal(n)
         part = partition_columns(n, workers)
+        widths = [hi - lo for lo, hi in part.ranges]
         aligned = ColumnBlocks(mats, part)
-        rows, blocks = aligned._square
-        assert len(blocks) == workers
-        for block, (lo, hi) in zip(blocks, part.ranges):
-            assert block.shape == (3 * n, hi - lo)
+        rows, stacks = aligned._square
+        # one array per run of equal-width workers, its items their blocks in worker order
+        assert [stack.shape[2] for stack in stacks] == sorted(set(widths), reverse=True)
+        blocks = [block for stack in stacks for block in stack]
+        assert [block.shape for block in blocks] == [(3 * n, c) for c in widths]
+        for block in blocks:
             assert _address(block) % 64 == 0
             assert block.strides[1] % 64 == 0
-        # the bound plan's GEMVs read those blocks, one per worker, not copies
+        # the bound plan runs one product per run, reading those arrays, not copies
         out = np.empty((len(mats), n))
         plan = aligned.bind(x, out, CommStats())
-        gemvs = [args[0] for f, args in plan.steps if f in (np.dot, np.matmul)]
-        assert len(gemvs) == workers and all(read is block for read, block in zip(gemvs, blocks))
+        reads = _product_calls(plan)
+        assert len(reads) == len(stacks)
+        assert [_address(a) for a in reads] == [_address(stack) for stack in stacks]
         # the product bits do not depend on where the blocks sit
         unaligned = ColumnBlocks(mats, part)
-        unaligned._square = (rows, [_off_line_copy(block) for block in blocks])
-        assert all(_address(block) % 64 == 8 for block in unaligned._square[1])
+        unaligned._square = (rows, [_off_line_copy(stack) for stack in stacks])
+        assert all(_address(stack) % 64 == 8 for stack in unaligned._square[1])
         plan()
         assert out.tobytes() == _products(unaligned, x).tobytes()
         np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-13, atol=1e-13)
+
+    # 256 columns give 4 workers one width, 257 two
+    @pytest.mark.parametrize("n, calls", [(256, 1), (257, 2)])
+    @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"]], ids=["dense", "mixed"])
+    def test_one_local_product_per_width_run(self, kinds, n, calls):
+        rng = np.random.default_rng(n)
+        part = partition_columns(n, 4)
+        x, X = rng.standard_normal(n), rng.standard_normal((2, n))
+        stats = CommStats()
+        hessians = ColumnBlocks(_stack(kinds, n, rng, integer=False), part)
+        plan = hessians.bind(x, np.empty(hessians._shape), stats)
+        assert len(_product_calls(plan)) == calls
+        plan = bind_dot(X, x, np.empty(2), part, stats)
+        assert len(_product_calls(plan)) == calls
+        assert stats.reduce_ops == 0  # binding books nothing
 
     # n = 3 leaves some of 4 or 5 workers an empty column range
     @pytest.mark.parametrize("n", [3, 13])
