@@ -3,11 +3,12 @@ then sha256 of every generated problem file.
 
 Solves a fixed instance set (the toy, random n1=64 seeds 0-2, random n1=600
 seed 0, MKL seed 0 with either margin and with 60 training points, the
-infeasible and unbounded instances) at 1 and 3 workers, and the infeasible
-and unbounded instances at n1=256 seed 0 at 4 workers, and prints one line
-per solve.  Then saves one problem file per generator family (random seed
-0 with a box, MKL seed 0 with either margin, infeasible, unbounded) and
-prints one line per file.  Two commits whose outputs match line for line
+infeasible and unbounded instances) at 1 and 3 workers, a dense QP (random
+n1=257, m1=0, seed 1) at 1 and 4 workers, and the infeasible and unbounded
+instances at n1=256 seed 0 at 4 workers, and prints one line per solve.
+Then saves one problem file per generator family (random seed 0 with a
+box, MKL seed 0 with either margin, infeasible, unbounded) and prints one
+line per file.  Two commits whose outputs match line for line
 produce byte-identical solves and problem files.
 ``scripts/golden.txt`` holds the expected output; everything but the
 hashes is compared in CI, and the hashes are for comparing two commits on
@@ -40,6 +41,8 @@ def instances():
         yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}, (1, 3)
     # n1 >= qcqpd.model.LARGE_DENSE_COLS = 512: at one worker the Hessian products go through dsymv
     yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}, (1, 3)
+    # a dense QP: its lone Hessian is stacked like any other; 257 columns split 65 + 3 x 64 at 4 workers
+    yield "qp-n257", gen_random_qcqp(RandomQcqpSpec(n1=257, m1=0, seed=1)), {}, (1, 4)
     yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}, (1, 3)
     yield "mkl-sm1-s0", build_mkl_qcqp(MklSpec(svm="sm1", seed=0))[0], {}, (1, 3)
     # five 60-column Gram Hessians stack into 300 rows, not a multiple of 8:

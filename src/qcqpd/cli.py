@@ -18,9 +18,9 @@ import sys
 from .core import SolverConfig, solve
 from .diagnostics import TerminationStatus, compute_residuals, kkt_residual_max, serial_operator
 from .generators import (
-    Kernel,
     MklSpec,
     RandomQcqpSpec,
+    _parse_kernels,
     build_mkl_qcqp,
     gen_infeasible,
     gen_random_qcqp,
@@ -35,23 +35,6 @@ _EXIT_CODES = {
     TerminationStatus.UNBOUNDED_SUSPECTED: 4,
     TerminationStatus.DIVERGED: 5,
 }
-
-
-def _parse_kernels(text):
-    """The kernels of a ``--kernels`` value, one :meth:`Kernel.label` each; a bad one raises naming ``kernels``."""
-    kernels = []
-    for token in text.split(","):
-        token = token.strip()
-        if token in ("linear", "polynomial"):
-            kernels.append(Kernel(token))
-        elif token.startswith("gaussian:"):
-            try:
-                kernels.append(Kernel("gaussian", float(token.split(":", 1)[1])))
-            except ValueError as exc:
-                raise ValueError(f"kernels: bad kernel {token!r}: {exc}") from exc
-        else:
-            raise ValueError(f"kernels: bad kernel {token!r}; use linear, polynomial or gaussian:<sigma2>")
-    return tuple(kernels)
 
 
 def build_parser():
@@ -90,8 +73,8 @@ def build_parser():
     pu.add_argument("--seed", type=int, default=0)
 
     pm = gsub.add_parser("mkl", help="kernel-combination SVM instance", argument_default=argparse.SUPPRESS)
-    pm.add_argument("--dataset", help="twonorm or csv")
-    pm.add_argument("--csv", dest="csv_path", metavar="CSV", help="CSV path (rows: label,feat1,...)")
+    pm.add_argument("--csv", dest="csv_path", metavar="CSV",
+                    help="draw the points from this CSV (rows: label,feat1,...), not twonorm")
     pm.add_argument("--ntr", type=int, dest="n_tr", metavar="NTR")
     pm.add_argument("--nt", type=int, dest="n_t", metavar="NT")
     pm.add_argument("--svm", help="sm1 or sm2")

@@ -141,7 +141,7 @@ def state_bounds(problem):
     return lower, upper
 
 
-def projected_step(z, F, rho, lower, upper, out, scratch=None):
+def projected_step(z, F, rho, lower, upper, out, scratch):
     """``P_Z(z - rho F) = min(max(z - rho F, lower), upper)``, written into ``out``.
 
     With ``F = (grad_x, grad_u, -cons, -eq)`` the blocks are
@@ -150,8 +150,7 @@ def projected_step(z, F, rho, lower, upper, out, scratch=None):
     ``lam - rho (-cons)`` is ``lam + rho cons`` exactly, and ``u`` and ``gam``
     clip against infinite bounds.  ``out`` may be ``z``.  The operations are
     those of the expression, done in one temporary: ``scratch``, a
-    state-length buffer distinct from ``z``, or a new array when it is
-    ``None``.
+    state-length buffer distinct from ``z``.
     """
     t = np.multiply(F, rho, out=scratch)
     np.subtract(z, t, out=t)
@@ -350,13 +349,6 @@ def analytic_comm_stats(problem, iterations):
     )
 
 
-def _pass_views(problem, v):
-    """Views ``(x, u, primal, dual)`` of a state-length vector ``v``, with
-    ``primal = (x, u)`` and ``dual = (lam, gam)``."""
-    i, j = problem.n1, problem.n1 + problem.n2
-    return v[:i], v[i:j], v[:j], v[j:]
-
-
 def _pass_buffers(problem):
     """The arrays both passes share, built once per solve: ``(J, HA, -(r[1:]; -b), Px, g)``.
 
@@ -398,9 +390,10 @@ def _bind_pass(problem, hessians, buffers, v, F, stats):
     """
     p = problem
     J, HA, neg_rb, Px, g = buffers
-    x, u, _, y = _pass_views(p, v)
-    _, _, grad, neg_g = _pass_views(p, F)
-    Pq, yJ = J[:p.m1 + 1, :p.n1], np.empty(p.n1 + p.n2)
+    nu = p.n1 + p.n2
+    x, u = _blocks(p, v)[:2]
+    y, grad, neg_g = v[nu:], F[:nu], F[nu:]
+    Pq, yJ = J[:p.m1 + 1, :p.n1], np.empty(nu)
     plan = hessians.bind(x, Px, stats) + Plan(
         [(np.add, (Px, p.q, Pq)), (np.dot, (y, J[1:], yJ)), (np.add, (J[0], yJ, grad))], [Pq, yJ, grad])
     if len(HA):

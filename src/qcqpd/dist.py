@@ -25,12 +25,13 @@ group differently.)
 The column blocks of the Hessian stack are cut once per solve, not once
 per product: :class:`ColumnBlocks` takes the ``m1 + 1`` Hessians, each a
 square ``n x n`` matrix or the length-``n`` vector holding a diagonal one,
-and for each worker stacks the worker's columns of every square matrix into
-one Fortran-order block.  A diagonal Hessian's row of the product is ``d *
-x``: each worker's columns of it come from its own slices of ``d`` and ``x``
-alone.  A product with the whole stack therefore costs one dense product
-per worker, one elementwise product of the diagonals and one reduce, and
-writes the ``(m1 + 1, n)`` array whose row ``i`` is ``P_i x``.
+and for each worker copies the worker's columns of every square matrix, a
+lone one included, into one Fortran-order block.  A diagonal Hessian is not
+copied: its row of the product is ``d * x``, and each worker's columns of
+it come from its own slices of ``d`` and ``x`` alone.  A product with the
+whole stack therefore costs one dense product per worker, one elementwise
+product per diagonal and one reduce, and writes the ``(m1 + 1, n)`` array
+whose row ``i`` is ``P_i x``.
 
 The simulated workers' local phase of a collective is batched: the blocks
 of a run of equal-width workers are the items of one 3-D array, and one
@@ -52,11 +53,11 @@ the vector, the partial stack and the reduction tree into a
 :class:`Plan`, a fixed sequence of ``out=`` calls that each solver pass
 runs as it is, allocating nothing.  Serial execution is the one-worker
 case of the same code: the lone partial is written straight into the
-result, and the block of a single matrix is a view of its columns, not a
-copy.  A stacked block starts every column on a 64-byte cache line: with
-one OpenBLAS thread on a shared 2-core Xeon, the ``(800, 160)`` GEMV of the
-kernel-learning instance took 9-11 us aligned and 16-24 us at the other
-seven 8-byte offsets, with the same product bits at all eight.
+result.  Each stacked block, of one square matrix or several, is a copy
+that starts every column on a 64-byte cache line: with one OpenBLAS thread
+on a shared 2-core Xeon, the ``(800, 160)`` GEMV of the kernel-learning
+instance took 9-11 us aligned and 16-24 us at the other seven 8-byte
+offsets, with the same product bits at all eight.
 
 One exception applies on one worker: each dense Hessian of at least
 :data:`qcqpd.model.LARGE_DENSE_COLS` columns is not stacked but multiplied
@@ -266,15 +267,8 @@ def _aligned_stack(items, rows, cols):
 
 
 def _cut(matrices, lo, g, c):
-    """``g`` blocks of ``c`` columns from column ``lo`` on: a ``(g, rows, c)`` array whose item ``j`` stacks
-    columns ``[lo + j c, lo + (j + 1) c)`` of every matrix vertically, in Fortran order.
-
-    Of a single matrix the array is a view of its columns, not a copy; a
-    stack of several is an :func:`_aligned_stack`.
-    """
-    if len(matrices) == 1:
-        M = matrices[0]
-        return M[:, lo:lo + g * c].reshape(len(M), g, c).transpose(1, 0, 2)
+    """``g`` blocks of ``c`` columns from column ``lo`` on: an :func:`_aligned_stack` whose item ``j`` stacks
+    columns ``[lo + j c, lo + (j + 1) c)`` of every matrix vertically, in Fortran order."""
     stack = _aligned_stack(g, len(matrices) * len(matrices[0]), c)
     for j, block in enumerate(stack):
         start = lo + j * c
@@ -289,16 +283,16 @@ class ColumnBlocks:
     vector holding a diagonal one, with ``n`` the partition's column count.
     Each worker has one dense block stacking its columns of every square
     matrix, and the blocks of each run of equal-width workers are the items
-    of one ``(g, rows, c)`` array (a view of the columns when there is one
-    square matrix, else an :func:`_aligned_stack`); the diagonals are held
-    as one ``(kd, n)`` array.  :meth:`bind` binds a vector ``x`` and a
-    ``(k, n)`` products buffer once per solve; each run of the bound plan
-    costs one batched dense product per width run and one elementwise
-    product, and writes the ``k`` products.  The product rows of each kind,
-    square or diagonal, are held as a ``slice`` when they form one
-    contiguous run (as in the usual stacks: every matrix of one kind, or a
-    diagonal ``P0`` before dense constraint Hessians), so they are written
-    through one view, and as an index list otherwise.
+    of one :func:`_aligned_stack`, however many square matrices there are.
+    A diagonal is kept as given, the caller's vector, not a copy.
+    :meth:`bind` binds a vector ``x`` and a ``(k, n)`` products buffer once
+    per solve; each run of the bound plan costs one batched dense product
+    per width run and one elementwise product per diagonal, and writes the
+    ``k`` products.  The product rows of the square matrices are held as a
+    ``slice`` when they form one contiguous run (as in the usual stacks:
+    every matrix dense, or a diagonal ``P0`` before dense constraint
+    Hessians), so they are written through one view, and as an index list
+    otherwise.
 
     The matrices are taken to be symmetric, as Hessians are: on one worker
     and at least :data:`qcqpd.model.LARGE_DENSE_COLS` columns, each square
@@ -314,13 +308,14 @@ class ColumnBlocks:
         n = partition.n_cols
         self._shape = (len(matrices), n)
         whole = n >= LARGE_DENSE_COLS and len(partition.ranges) == 1
-        square, diagonal = [], []  # indices of the square matrices and of the diagonals
+        square = []  # indices of the stacked square matrices
         self._symmetric = []  # (row of the product, matrix) for dsymv
+        self._diagonal = []  # (row of the product, diagonal)
         for i, M in enumerate(matrices):
             if M.shape not in ((n, n), (n,)):
                 raise ValueError(f"matrix {i} has shape {M.shape}, expected ({n}, {n}) or ({n},)")
             if M.ndim == 1:
-                diagonal.append(i)
+                self._diagonal.append((i, M))
             elif whole:
                 self._symmetric.append((i, M))
             else:
@@ -336,8 +331,6 @@ class ColumnBlocks:
         if square:
             stacks = [_cut([matrices[i] for i in square], *run) for run in _width_runs(partition)]
             self._square = (_rows(square), stacks)
-        # (rows of the product, the diagonals stacked as rows)
-        self._diagonal = (_rows(diagonal), np.array([matrices[i] for i in diagonal])) if diagonal else None
 
     def bind(self, x, out, stats: CommStats) -> Plan:
         """The plan writing ``P_i x`` into row ``i`` of the ``(k, n)`` array ``out`` from per-worker partials.
@@ -350,8 +343,8 @@ class ColumnBlocks:
         local products are; their sum is written straight into its rows
         when they form one run, else into a buffer copied row by row.  The
         row of a matrix kept whole for ``dsymv`` is its one worker's product,
-        written in place, and a diagonal's row is ``d * x``, each worker's
-        columns of it its own; a lone diagonal's row is one 1-D product.
+        written in place, and a diagonal's row is one 1-D product ``d * x``
+        of the diagonal as given, each worker's columns of it its own.
         Each run books one reduce of all the rows, the diagonals' included,
         and one scatter of the same volume, which hands the products back to
         the workers.
@@ -376,14 +369,7 @@ class ColumnBlocks:
             if not whole:
                 writes.append(total)
                 steps += [(np.copyto, (out[i], row)) for i, row in zip(rows, total.reshape(-1, n))]
-        if self._diagonal:
-            rows, D = self._diagonal
-            if type(rows) is not slice:
-                steps += [(np.multiply, (d, x, out[i])) for i, d in zip(rows, D)]
-            elif len(D) == 1:  # a 1-D product, without the broadcast of a (1, n) one
-                steps.append((np.multiply, (D[0], x, out[rows.start])))
-            else:
-                steps.append((np.multiply, (D, x, out[rows])))
+        steps += [(np.multiply, (d, x, out[i])) for i, d in self._diagonal]
         steps += [(stats.record_reduce, (out.size,)), (stats.record_scatter, (out.size,))]
         return Plan(steps, writes)
 

@@ -230,6 +230,23 @@ class Kernel:
         return f"gaussian:{short if float(short) == self.sigma2 else repr(float(self.sigma2))}"
 
 
+def _parse_kernels(text):
+    """The kernels of a ``--kernels`` value, one :meth:`Kernel.label` each; a bad one raises naming ``kernels``."""
+    kernels = []
+    for token in text.split(","):
+        token = token.strip()
+        if token in ("linear", "polynomial"):
+            kernels.append(Kernel(token))
+        elif token.startswith("gaussian:"):
+            try:
+                kernels.append(Kernel("gaussian", float(token.split(":", 1)[1])))
+            except ValueError as exc:
+                raise ValueError(f"kernels: bad kernel {token!r}: {exc}") from exc
+        else:
+            raise ValueError(f"kernels: bad kernel {token!r}; use linear, polynomial or gaussian:<sigma2>")
+    return tuple(kernels)
+
+
 DEFAULT_MKL_KERNELS = tuple(Kernel("gaussian", s2) for s2 in (0.01, 0.1, 1.0, 10.0, 100.0))
 
 
@@ -253,11 +270,13 @@ def gram_matrix(kernel: Kernel, X):
 class MklSpec:
     """Parameters of one kernel-combination SVM training instance.
 
-    ``n_t`` test points default to ``max(1, n_tr // 4)``.  The kernel-weight
-    budget :attr:`R` multiplies the auxiliary variable in the objective.
+    The points are drawn from ``csv_path``, a CSV of :func:`load_csv_dataset`
+    rows, when it is given, and from :func:`gen_twonorm` when it is
+    ``None``.  ``n_t`` test points default to ``max(1, n_tr // 4)``.  The
+    kernel-weight budget :attr:`R` multiplies the auxiliary variable in the
+    objective.
     """
 
-    dataset: str = "twonorm"
     csv_path: str | None = None
     n_tr: int = 160
     n_t: int | None = None
@@ -269,10 +288,6 @@ class MklSpec:
     def __post_init__(self):
         if self.n_t is None:
             object.__setattr__(self, "n_t", max(1, self.n_tr // 4))
-        if self.dataset not in ("twonorm", "csv"):
-            raise ValueError(f"dataset must be 'twonorm' or 'csv', got {self.dataset!r}")
-        if self.dataset == "csv" and not self.csv_path:
-            raise ValueError("csv dataset needs csv_path")
         if self.n_tr < 2 or self.n_t < 1:
             raise ValueError("need n_tr >= 2 and n_t >= 1")
         if self.svm not in ("sm1", "sm2"):
@@ -305,7 +320,6 @@ class MklArtifacts:
         return {
             "family": "mkl",
             "seed": self.spec.seed,
-            "dataset": self.spec.dataset,
             "csv_path": self.spec.csv_path,
             "svm": self.spec.svm,
             "margin_c": self.spec.margin_c,
@@ -372,7 +386,7 @@ def build_mkl_qcqp(spec: MklSpec):
     """
     s = spec
     n_total = s.n_tr + s.n_t
-    if s.dataset == "twonorm":
+    if s.csv_path is None:
         X, y = gen_twonorm(n_total, seed=s.seed)
     else:
         X, y = load_csv_dataset(s.csv_path)

@@ -140,7 +140,7 @@ def step(problem, state, F, rho):
     p = problem
     z = np.concatenate(state)
     lower, upper = state_bounds(p)
-    out = projected_step(z, F, rho, lower, upper, np.empty_like(z))
+    out = projected_step(z, F, rho, lower, upper, np.empty_like(z), np.empty_like(z))
     return np.split(out, np.cumsum([p.n1, p.n2, p.m1]))
 
 

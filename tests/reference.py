@@ -375,8 +375,8 @@ def reference_products(hessians, x, stats):
     Reads the stack's own blocks, the items of its arrays of equal-width
     workers' blocks in worker order: each row kept whole is ``dsymv``'s
     product, the square rows are the tree sum of the per-worker products
-    ``block @ x[lo:hi]``, one 2-D product per worker, and the diagonal rows
-    are ``D * x``.  Books one reduce and one scatter of every row.
+    ``block @ x[lo:hi]``, one 2-D product per worker, and each diagonal's
+    row is ``d * x``.  Books one reduce and one scatter of every row.
     """
     k, n = hessians._shape
     out = np.empty((k, n))
@@ -387,9 +387,8 @@ def reference_products(hessians, x, stats):
         blocks = [block for stack in stacks for block in stack]
         out[rows] = _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, hessians.partition.ranges)]
                               ).reshape(-1, n)
-    if hessians._diagonal:
-        rows, D = hessians._diagonal
-        out[rows] = D * x
+    for i, d in hessians._diagonal:
+        out[i] = d * x
     stats.record_reduce(out.size)
     stats.record_scatter(out.size)
     return out

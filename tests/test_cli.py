@@ -22,12 +22,14 @@ from qcqpd import (
     SolverConfig,
     build_mkl_qcqp,
     gen_random_qcqp,
+    gen_twonorm,
     load_problem,
     save_problem,
     solve,
     validate,
 )
-from qcqpd.cli import _parse_kernels, build_parser, main
+from qcqpd.cli import build_parser, main
+from qcqpd.generators import _parse_kernels
 from helpers import toy_problem, write_members
 
 
@@ -297,7 +299,7 @@ class TestGenerateCommand:
 
     def test_mkl_generates_valid_problem(self, tmp_path):
         out, meta = tmp_path / "mkl.npz", tmp_path / "meta.json"
-        code = main(["generate", "mkl", "--dataset", "twonorm", "--ntr", "24", "--nt", "8",
+        code = main(["generate", "mkl", "--ntr", "24", "--nt", "8",
                      "--svm", "sm2", "--c", "1.0", "--out", str(out), "--meta", str(meta)])
         assert code == 0
         p = load_problem(out)
@@ -328,13 +330,32 @@ class TestGenerateCommand:
         (["mkl", "--ntr", "12", "--nt", "4", "--svm", "sm3"], "--svm"),
         (["mkl", "--ntr", "12", "--nt", "4", "--kernels", "gaussian:nan"], "--kernels"),
         (["mkl", "--ntr", "12", "--nt", "4", "--kernels", "rbf:1"], "--kernels"),
-        (["mkl", "--dataset", "csv"], "--csv"),
     ])
     def test_bad_flag_exit_one_without_file(self, tmp_path, args, flag):
         dest = next(a.dest for a in _subparser("generate", args[0])._actions if flag in a.option_strings)
         out = tmp_path / "x.npz"
         _assert_error_names(_run_cli("generate", *args, "--out", str(out)), dest)
         assert not out.exists()
+
+    def test_missing_csv_exit_one_without_file(self, tmp_path):
+        csv, out = tmp_path / "missing.csv", tmp_path / "x.npz"
+        proc = _run_cli("generate", "mkl", "--csv", str(csv), "--ntr", "4", "--nt", "2", "--out", str(out))
+        _assert_error_names(proc, str(csv))
+        assert not out.exists()
+
+    def test_csv_points_are_read(self, tmp_path):
+        # the file holds twonorm points of seed 5, the instance's seed is 0:
+        # the two files match only if the CSV is ignored
+        X, y = gen_twonorm(80, seed=5)
+        csv = tmp_path / "d.csv"
+        csv.write_text("".join(f"{int(yi)}," + ",".join(map(repr, row.tolist())) + "\n" for yi, row in zip(y, X)))
+        flags = ["generate", "mkl", "--ntr", "60", "--nt", "20"]
+        from_csv, twonorm, meta = tmp_path / "c.npz", tmp_path / "t.npz", tmp_path / "c.json"
+        assert main([*flags, "--csv", str(csv), "--out", str(from_csv), "--meta", str(meta)]) == 0
+        assert main([*flags, "--out", str(twonorm)]) == 0
+        assert from_csv.read_bytes() != twonorm.read_bytes()
+        doc = json.loads(meta.read_text())
+        assert doc["csv_path"] == str(csv) and "dataset" not in doc
 
     def test_bad_spec_exit_one(self, tmp_path, capsys):
         code = main(["generate", "random-qcqp", "--n1", "4", "--m1", "1",
@@ -352,7 +373,8 @@ class TestGenerateCommand:
         ["random-qcqp", "--n1", "4", "--m1", "1", "--cond", "100"],
         ["mkl", "--r", "5"],
         ["mkl", "--dim", "20"],
-    ], ids=["cond", "r", "dim"])
+        ["mkl", "--dataset", "csv"],
+    ], ids=["cond", "r", "dim", "dataset"])
     def test_removed_setting_is_not_a_flag(self, tmp_path, args):
         with pytest.raises(SystemExit):
             main(["generate", *args, "--out", str(tmp_path / "x.npz")])

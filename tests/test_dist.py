@@ -207,7 +207,7 @@ STACKS = {
 
 
 # The bound plans also take a diagonal P0 before dense Hessians, as in the
-# kernel-learning instance: two runs of rows, each written through one view.
+# kernel-learning instance: the dense rows are one run, written through one view.
 BOUND_STACKS = {**STACKS, "diagonal-first": ("diagonal", "dense", "dense")}
 
 
@@ -250,11 +250,13 @@ class TestColumnBlocks:
     The stack's product is the per-matrix products stacked as rows in matrix order.
     """
 
-    # three dense 8- or 13-column matrices stack into 24 or 39 rows; 13
-    # columns split into two widths at 2 to 5 workers, 8 at 3 and 5
+    # three dense 8- or 13-column matrices stack into 24 or 39 rows, one
+    # into 8 or 13; 13 columns split into two widths at 2 to 5 workers, 8 at
+    # 3 and 5
     @pytest.mark.parametrize("n", [8, 13])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"]], ids=["dense", "mixed"])
+    @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"], ("dense",), ("diagonal", "dense")],
+                             ids=["dense", "mixed", "one-dense", "diagonal-dense"])
     def test_stacked_blocks_start_on_cache_lines(self, kinds, workers, n):
         rng = np.random.default_rng(300 + 10 * workers + n)
         mats = _stack(kinds, n, rng, integer=False)
@@ -266,7 +268,7 @@ class TestColumnBlocks:
         # one array per run of equal-width workers, its items their blocks in worker order
         assert [stack.shape[2] for stack in stacks] == sorted(set(widths), reverse=True)
         blocks = [block for stack in stacks for block in stack]
-        assert [block.shape for block in blocks] == [(3 * n, c) for c in widths]
+        assert [block.shape for block in blocks] == [(kinds.count("dense") * n, c) for c in widths]
         for block in blocks:
             assert _address(block) % 64 == 0
             assert block.strides[1] % 64 == 0
@@ -298,6 +300,22 @@ class TestColumnBlocks:
         plan = bind_dot(X, x, np.empty(2), part, stats)
         assert len(_product_calls(plan)) == calls
         assert stats.reduce_ops == 0  # binding books nothing
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kinds", [STACKS["csc"], STACKS["mixed"], BOUND_STACKS["diagonal-first"]],
+                             ids=["csc", "mixed", "diagonal-first"])
+    def test_each_diagonal_is_one_product_of_its_own_vector(self, kinds, workers):
+        # no copy of the diagonals: row i is one 1-D d * x reading P[i] itself
+        n = 13
+        mats = _stack(kinds, n, np.random.default_rng(workers), integer=False)
+        x, out = np.empty(n), np.empty((len(mats), n))
+        plan = ColumnBlocks(mats, partition_columns(n, workers)).bind(x, out, CommStats())
+        products = [args for f, args in plan.steps if f is np.multiply]
+        diagonals = [i for i, kind in enumerate(kinds) if kind == "diagonal"]
+        assert len(products) == len(diagonals)
+        for (d, v, row), i in zip(products, diagonals):
+            assert d is mats[i] and v is x
+            assert row.shape == (n,) and _address(row) == _address(out[i])
 
     # n = 3 leaves some of 4 or 5 workers an empty column range
     @pytest.mark.parametrize("n", [3, 13])

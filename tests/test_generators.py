@@ -225,10 +225,11 @@ class TestMklBuild:
         with pytest.raises(ValueError, match=field):
             MklSpec(**{field: value})
 
-    def test_settings_are_eight_fields(self):
-        # R is the number of kernels and twonorm is 20-dimensional: neither is a setting
+    def test_settings_are_seven_fields(self):
+        # R is the number of kernels, twonorm is 20-dimensional and the data
+        # source is csv_path or twonorm: none is a setting of its own
         names = [f.name for f in dataclasses.fields(MklSpec)]
-        assert names == ["dataset", "csv_path", "n_tr", "n_t", "kernels", "svm", "margin_c", "seed"]
+        assert names == ["csv_path", "n_tr", "n_t", "kernels", "svm", "margin_c", "seed"]
         assert MklSpec(kernels=(Kernel("linear"), Kernel("polynomial"))).R == 2.0
 
     @pytest.mark.parametrize("n_tr, n_t", [(160, 40), (60, 15), (7, 1), (2, 1)])
@@ -270,7 +271,7 @@ class TestMklBuild:
         rows = ["1," + ",".join(str(v) for v in np.random.default_rng(17).standard_normal(3)) for _ in range(10)]
         csv.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="single class"):
-            build_mkl_qcqp(MklSpec(dataset="csv", csv_path=str(csv), n_tr=6, n_t=2, seed=18))
+            build_mkl_qcqp(MklSpec(csv_path=str(csv), n_tr=6, n_t=2, seed=18))
 
     def test_sidecar_is_json_serializable(self):
         import json
