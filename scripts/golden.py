@@ -2,7 +2,8 @@
 then sha256 of every generated problem file.
 
 Solves a fixed instance set (the toy, random n1=64 seeds 0-2, random n1=600
-seed 0, MKL seed 0 with either margin and with 60 training points, the
+seed 0, random n1=65 seed 2 with its middle Hessian replaced by its
+diagonal, MKL seed 0 with either margin and with 60 training points, the
 infeasible and unbounded instances) at 1 and 3 workers, a dense QP (random
 n1=257, m1=0, seed 1) at 1 and 4 workers, and the infeasible and unbounded
 instances at n1=256 seed 0 at 4 workers, and prints one line per solve.
@@ -16,6 +17,7 @@ one machine.  CI also runs the script twice and requires the same output,
 hashes included.  Run: ``python3 scripts/golden.py``.
 """
 
+import dataclasses
 import hashlib
 import os
 import sys
@@ -41,6 +43,11 @@ def instances():
         yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}, (1, 3)
     # n1 >= qcqpd.model.LARGE_DENSE_COLS = 512: at one worker the Hessian products go through dsymv
     yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}, (1, 3)
+    # a diagonal between two dense Hessians: the stacked rows [0, 2] are not one
+    # run, so their sum goes through a buffer copied row by row
+    base = gen_random_qcqp(RandomQcqpSpec(n1=65, m1=2, seed=2))
+    P = [base.P[0], base.P[1].diagonal().copy(), base.P[2]]
+    yield "interleaved-n65", dataclasses.replace(base, P=P), {}, (1, 3)
     # a dense QP: its lone Hessian is stacked like any other; 257 columns split 65 + 3 x 64 at 4 workers
     yield "qp-n257", gen_random_qcqp(RandomQcqpSpec(n1=257, m1=0, seed=1)), {}, (1, 4)
     yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}, (1, 3)

@@ -15,11 +15,7 @@ from .diagnostics import (
     kkt_residual_max,
     test_set_accuracy,
 )
-from .dist import (
-    ColumnPartition,
-    CommStats,
-    partition_columns,
-)
+from .dist import CommStats
 from .generators import (
     EIGENVALUE_RANGES,
     Kernel,
@@ -51,9 +47,7 @@ __all__ = [
     "validate",
     "load_problem",
     "save_problem",
-    "ColumnPartition",
     "CommStats",
-    "partition_columns",
     "SolverConfig",
     "SolveReport",
     "solve",

@@ -15,8 +15,9 @@ nonnegative.
 
 The step is component-wise, so the ``x`` block can be partitioned by
 coordinates; the products it needs run through the column-partitioned
-kernels in :mod:`qcqpd.dist`.  Each pass (predictor or corrector) writes
-``F`` into one buffer and issues two collectives: the stacked Hessian
+kernels in :mod:`qcqpd.dist`.  Each pass writes the operator at its
+state buffer, ``F(z)`` at the iterate or ``F(w)`` at the predictor, into
+a buffer of its own and issues two collectives: the stacked Hessian
 products, and the ``m1`` quadratic constraint values with the ``m2``
 equality rows ``A x`` as one block of ``m1 + m2`` rows (none when that
 block is empty).  The multipliers' term of the gradient, ``lam' (Px +
@@ -51,7 +52,7 @@ from .diagnostics import (
     classify_termination,
     compute_residuals,
 )
-from .dist import ColumnBlocks, CommStats, Plan, bind_dot, partition_columns
+from .dist import ColumnBlocks, CommStats, Plan, _aligned_stack
 from .model import QcqpProblem, _frob
 
 __all__ = [
@@ -401,7 +402,7 @@ def _bind_pass(problem, hessians, buffers, v, F, stats):
         # order it is written
         H = HA[:p.m1]
         plan += Plan([(np.multiply, (Px[1:], 0.5, H)), (np.add, (H, p.q[1:], H))], [H])
-        plan += bind_dot(HA, x, g, hessians.partition, stats)
+        plan += hessians.bind_dot(HA, x, g, stats)
         if p.n2:
             CB, Cu = np.ascontiguousarray(J[1:, p.n1:]), np.empty(len(HA))
             plan += Plan([(np.dot, (CB, u, Cu)), (np.add, (g, Cu, g))], [Cu])
@@ -440,25 +441,28 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     p = problem
     cfg = config if config is not None else SolverConfig()
     norms = compute_norms(p)
-    hessians = ColumnBlocks(p.P, partition_columns(p.n1, cfg.n_workers))
+    hessians = ColumnBlocks(p.P, cfg.n_workers)
     stats = CommStats()
 
-    # the iterate z, the predictor w and the operator F, each one buffer
-    # whose blocks are views; one pass bound to each state buffer.  The
-    # projected step's temporary and the finiteness test's flags are
-    # buffers too, so an iteration between residual checks allocates nothing
-    # of the state's length
+    # the iterate z, the predictor w and the operator at each, Fz and Fw,
+    # each one buffer whose blocks are views; one pass bound to each state
+    # buffer, writing its own operator buffer.  The projected step's
+    # temporary and the finiteness test's flags are buffers too, so an
+    # iteration between residual checks allocates nothing of the state's
+    # length.  The five state-length buffers are the rows of one block,
+    # each starting on a cache line: as five arrays placed wherever the
+    # allocator put them, mkl-sweep's iter_cost read a median of 7.82
+    # steps against 6.95 on one block, with the same work per iteration
+    # (ten 20 s runs each, 2-core shared x86-64, 1 BLAS thread)
     lower, upper = state_bounds(p)
-    z = np.zeros_like(lower)
-    w = np.empty_like(z)
-    F = np.empty_like(z)
-    step_scratch = np.empty_like(z)
+    z, w, Fz, Fw, step_scratch = _aligned_stack(5, len(lower), 1)[..., 0]
+    z.fill(0.0)
     finite = np.empty(z.shape, dtype=bool)
     buffers = _pass_buffers(p)
     Px = buffers[3]
-    pass_z, pass_w = (_bind_pass(p, hessians, buffers, v, F, stats) for v in (z, w))
+    pass_z, pass_w = (_bind_pass(p, hessians, buffers, v, F, stats) for v, F in ((z, Fz), (w, Fw)))
     x, u, lam, gam = _blocks(p, z)
-    f_blocks = _blocks(p, F)
+    f_blocks = _blocks(p, Fz)
     grad_x, _, neg_cons, _ = f_blocks
 
     trace: list[TraceRow] = []
@@ -505,11 +509,9 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
                     status, message = outcome
                     break
 
-            # predictor from the k-th iterate; the corrector anchors at it again
-            # but takes F at the predictor
-            projected_step(z, F, rho, lower, upper, w, step_scratch)
+            projected_step(z, Fz, rho, lower, upper, w, step_scratch)
             pass_w()
-            projected_step(z, F, rho, lower, upper, z, step_scratch)
+            projected_step(z, Fw, rho, lower, upper, z, step_scratch)
             k += 1
 
     # every exit but divergence has just traced the returned iterate

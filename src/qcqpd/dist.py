@@ -1,15 +1,17 @@
 """Column-partitioned linear-algebra kernels with communication accounting.
 
-Matrices are split by columns across ``n_workers`` execution contexts; a
-matrix-vector product is computed as a sum of per-worker partials
-(``M @ x = sum_w M[:, lo_w:hi_w] @ x[lo_w:hi_w]``), reduced at a
-coordinator, and the result scattered back so each worker holds its
-slice.  The row-wise inner products ``X @ y`` of a partitioned ``y`` with
-the rows of ``X`` (the constraint values, the equality rows ``A x``) reduce
-``len(X)`` doubles and scatter nothing.  Every product is one collective,
-whatever it stacks.  Products against the transpose (``A' g``) need no
-kernel here: each worker's slice of the result only involves its own
-columns.
+Matrices are split by columns across ``n_workers`` execution contexts, in
+one balanced split: contiguous blocks whose widths differ by at most one,
+the wider ones first, so the worker count is the whole partition and
+:class:`ColumnBlocks` its one owner.  A matrix-vector product is computed
+as a sum of per-worker partials (``M @ x = sum_w M[:, lo_w:hi_w] @
+x[lo_w:hi_w]``), reduced at a coordinator, and the result scattered back
+so each worker holds its slice.  The row-wise inner products ``X @ y``
+of a partitioned ``y`` with the rows of ``X`` (the constraint values, the
+equality rows ``A x``) reduce ``len(X)`` doubles and scatter nothing.
+Every product is one collective, whatever it stacks.  Products against
+the transpose (``A' g``) need no kernel here: each worker's slice of the
+result only involves its own columns.
 
 Workers here are simulated: the per-worker local-compute phases run
 sequentially in worker order inside one process, separated by the same
@@ -18,7 +20,7 @@ testable artifact is the communication contract, not the transport:
 ``CommStats`` counts every collective and its byte volume exactly as the
 distributed run would issue them, and the reduction order is a fixed
 left-to-right pairwise tree over worker index, so results are bitwise
-reproducible for a fixed partition.  (Across *different* worker counts
+reproducible for a fixed worker count.  (Across *different* worker counts
 only floating-point-tolerance agreement is possible, since partial sums
 group differently.)
 
@@ -37,7 +39,7 @@ The simulated workers' local phase of a collective is batched: the blocks
 of a run of equal-width workers are the items of one 3-D array, and one
 ``np.matmul`` computes all their partials, which numpy does with the same
 per-item BLAS call as the 2-D product of each block, so with the same
-bits.  A balanced partition has at most two widths, so each collective
+bits.  The balanced split has at most two widths, so each collective
 costs at most two calls into numpy, not one per worker.  With one
 OpenBLAS thread on a shared 2-core Xeon, the four ``(512, 64)`` Hessian
 partials of a 256-column stack at 4 workers took 14.1 us in one call
@@ -48,9 +50,9 @@ they add in the same pairwise tree.
 
 Each product is also set up once per solve, as a persistent collective is
 in a message-passing deployment: :meth:`ColumnBlocks.bind` and
-:func:`bind_dot` bind the operand and result views, each run's slices of
-the vector, the partial stack and the reduction tree into a
-:class:`Plan`, a fixed sequence of ``out=`` calls that each solver pass
+:meth:`ColumnBlocks.bind_dot` bind the operand and result views, each
+run's slices of the vector, the partial stack and the reduction tree into
+a :class:`Plan`, a fixed sequence of ``out=`` calls that each solver pass
 runs as it is, allocating nothing.  Serial execution is the one-worker
 case of the same code: the lone partial is written straight into the
 result.  Each stacked block, of one square matrix or several, is a copy
@@ -71,7 +73,7 @@ So small stacks and every partitioned run take the generic path unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -80,11 +82,8 @@ from .model import LARGE_DENSE_COLS
 
 __all__ = [
     "ColumnBlocks",
-    "ColumnPartition",
     "CommStats",
     "Plan",
-    "bind_dot",
-    "partition_columns",
 ]
 
 _FLOAT_BYTES = 8
@@ -116,46 +115,6 @@ class CommStats:
             "bytes_reduced": self.bytes_reduced,
             "bytes_scattered": self.bytes_scattered,
         }
-
-
-@dataclass(frozen=True)
-class ColumnPartition:
-    """Half-open column ranges ``[lo_w, hi_w)`` assigned to each worker.
-
-    Ranges are contiguous, sorted, disjoint and cover ``[0, n_cols)``
-    exactly once; a range may be empty only when there are more workers
-    than columns.
-    """
-
-    n_cols: int
-    ranges: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        pos = 0
-        for lo, hi in self.ranges:
-            if lo != pos or hi < lo:
-                raise ValueError(f"ranges must tile [0, {self.n_cols}) in order, got {self.ranges}")
-            pos = hi
-        if pos != self.n_cols:
-            raise ValueError(f"ranges cover [0, {pos}), expected [0, {self.n_cols})")
-
-
-def partition_columns(n_cols: int, n_workers: int) -> ColumnPartition:
-    """Split ``n_cols`` columns across workers into balanced contiguous blocks.
-
-    Block sizes differ by at most one; the first ``n_cols % n_workers``
-    workers take the larger blocks.  Deterministic.
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    base, extra = divmod(n_cols, n_workers)
-    ranges = []
-    lo = 0
-    for w in range(n_workers):
-        hi = lo + base + (1 if w < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ColumnPartition(n_cols, tuple(ranges))
 
 
 class Plan:
@@ -194,18 +153,19 @@ def _gemv(A, b, out):
     return (np.dot if one_segment else np.matmul), (A, b, out)
 
 
-def _width_runs(partition):
+def _width_runs(n_cols, n_workers):
     """``(lo, g, c)`` of each run of ``g`` consecutive workers of width ``c`` from column ``lo``, in worker order.
 
-    A balanced partition has at most two widths, so at most two runs.
+    The columns split into contiguous blocks whose widths differ by at most
+    one, the first ``n_cols % n_workers`` workers taking the wider ones, so
+    there are at most two runs.  With fewer columns than workers the last
+    run has width 0.
     """
-    runs = []
-    for lo, hi in partition.ranges:
-        if runs and runs[-1][2] == hi - lo:
-            runs[-1][1] += 1
-        else:
-            runs.append([lo, 1, hi - lo])
-    return [tuple(run) for run in runs]
+    if n_workers < 1:
+        raise ValueError("n_workers must be >= 1")
+    base, extra = divmod(n_cols, n_workers)
+    wide = [(0, extra, base + 1)] if extra else []
+    return wide + [(extra * (base + 1), n_workers - extra, base)]
 
 
 def _reduce(operands, out):
@@ -277,14 +237,19 @@ def _cut(matrices, lo, g, c):
 
 
 class ColumnBlocks:
-    """Per-worker column blocks of a Hessian stack, cut once.
+    """Per-worker column blocks of a Hessian stack, cut once, and the owner of the column split.
 
     Each of the ``k`` Hessians is an ``n x n`` matrix or the length-``n``
-    vector holding a diagonal one, with ``n`` the partition's column count.
-    Each worker has one dense block stacking its columns of every square
-    matrix, and the blocks of each run of equal-width workers are the items
-    of one :func:`_aligned_stack`, however many square matrices there are.
-    A diagonal is kept as given, the caller's vector, not a copy.
+    vector holding a diagonal one, with ``n`` taken from the first.  The
+    ``n`` columns split across ``n_workers`` workers into contiguous blocks
+    whose widths differ by at most one, the first ``n % n_workers`` workers
+    taking the wider ones; the worker count is the whole partition, kept as
+    the at most two runs of equal-width workers that :meth:`bind` and
+    :meth:`bind_dot` both read.  Each worker has one dense block stacking
+    its columns of every square matrix, and the blocks of each run of
+    equal-width workers are the items of one :func:`_aligned_stack`,
+    however many square matrices there are.  A diagonal is kept as given,
+    the caller's vector, not a copy.
     :meth:`bind` binds a vector ``x`` and a ``(k, n)`` products buffer once
     per solve; each run of the bound plan costs one batched dense product
     per width run and one elementwise product per diagonal, and writes the
@@ -303,11 +268,11 @@ class ColumnBlocks:
     each run.
     """
 
-    def __init__(self, matrices, partition: ColumnPartition):
-        self.partition = partition
-        n = partition.n_cols
+    def __init__(self, matrices, n_workers: int):
+        n = len(matrices[0])
         self._shape = (len(matrices), n)
-        whole = n >= LARGE_DENSE_COLS and len(partition.ranges) == 1
+        self._runs = _width_runs(n, n_workers)
+        whole = n >= LARGE_DENSE_COLS and n_workers == 1
         square = []  # indices of the stacked square matrices
         self._symmetric = []  # (row of the product, matrix) for dsymv
         self._diagonal = []  # (row of the product, diagonal)
@@ -329,7 +294,7 @@ class ColumnBlocks:
         # equal-width workers) of the stacked square matrices
         self._square = None
         if square:
-            stacks = [_cut([matrices[i] for i in square], *run) for run in _width_runs(partition)]
+            stacks = [_cut([matrices[i] for i in square], *run) for run in self._runs]
             self._square = (_rows(square), stacks)
 
     def bind(self, x, out, stats: CommStats) -> Plan:
@@ -362,7 +327,7 @@ class ColumnBlocks:
             whole = type(rows) is slice
             total = out[rows].reshape(-1) if whole else np.empty(len(rows) * n)
             operands = [(stack, x[lo:lo + g * c].reshape(g, c, 1))
-                        for stack, (lo, g, c) in zip(stacks, _width_runs(self.partition))]
+                        for stack, (lo, g, c) in zip(stacks, self._runs)]
             reduce_steps, parts = _reduce(operands, total)
             steps += reduce_steps
             writes += parts
@@ -374,25 +339,25 @@ class ColumnBlocks:
         return Plan(steps, writes)
 
 
-def bind_dot(X, y, out, partition: ColumnPartition, stats: CommStats) -> Plan:
-    """The plan writing the row-wise products ``X @ y`` over partitioned column slices into ``out``.
+    def bind_dot(self, X, y, out, stats: CommStats) -> Plan:
+        """The plan writing the row-wise products ``X @ y`` over the workers' column slices into ``out``.
 
-    ``X``, ``y`` and ``out`` are bound once, as views, so rows of ``X``
-    rewritten between runs are read afresh.  Each worker multiplies its
-    columns of ``X`` by its slice of ``y``, the columns of a run of
-    equal-width workers viewed as one ``(g, k, c)`` array without a copy;
-    the partials are tree-reduced in worker order (see :func:`_reduce`).
-    On one worker this is ``X @ y``.
-    Each run books one reduce of ``len(X)`` doubles.
-    """
-    n = partition.n_cols
-    if X.ndim != 2 or X.shape[1:] != (n,) or y.shape != (n,) or out.shape != X.shape[:1]:
-        raise ValueError(f"X has shape {X.shape}, y {y.shape} and out {out.shape}, "
-                         f"expected a matrix of {n} columns, ({n},) and one entry per row")
-    k = len(X)
-    operands = [(X[:, lo:lo + g * c].reshape(k, g, c).transpose(1, 0, 2), y[lo:lo + g * c].reshape(g, c, 1))
-                for lo, g, c in _width_runs(partition)]
-    steps, parts = _reduce(operands, out)
-    steps.append((stats.record_reduce, (k,)))
-    return Plan(steps, [out, *parts])
-
+        ``X``, ``y`` and ``out`` are bound once, as views, so rows of ``X``
+        rewritten between runs are read afresh.  ``X`` has the Hessians'
+        ``n`` columns, split across the workers as theirs are.  Each worker
+        multiplies its columns of ``X`` by its slice of ``y``, the columns
+        of a run of equal-width workers viewed as one ``(g, k, c)`` array
+        without a copy; the partials are tree-reduced in worker order (see
+        :func:`_reduce`).  On one worker this is ``X @ y``.
+        Each run books one reduce of ``len(X)`` doubles.
+        """
+        n = self._shape[1]
+        if X.ndim != 2 or X.shape[1:] != (n,) or y.shape != (n,) or out.shape != X.shape[:1]:
+            raise ValueError(f"X has shape {X.shape}, y {y.shape} and out {out.shape}, "
+                             f"expected a matrix of {n} columns, ({n},) and one entry per row")
+        k = len(X)
+        operands = [(X[:, lo:lo + g * c].reshape(k, g, c).transpose(1, 0, 2), y[lo:lo + g * c].reshape(g, c, 1))
+                    for lo, g, c in self._runs]
+        steps, parts = _reduce(operands, out)
+        steps.append((stats.record_reduce, (k,)))
+        return Plan(steps, [out, *parts])

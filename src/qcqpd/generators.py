@@ -286,6 +286,8 @@ class MklSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.csv_path == "":
+            raise ValueError("csv_path must name a file, got ''")
         if self.n_t is None:
             object.__setattr__(self, "n_t", max(1, self.n_tr // 4))
         if self.n_tr < 2 or self.n_t < 1:

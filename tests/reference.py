@@ -16,11 +16,15 @@
   as the least of these roots over every pair of a bound-2 and a bound-3
   term, which :func:`qcqpd.core.adaptive_step_size` inlines and must
   reproduce bit for bit;
+* :func:`reference_ranges`, the balanced column split as one half-open
+  range per worker, built one worker at a time, which the width runs of
+  :func:`qcqpd.dist._width_runs` must expand to exactly;
 * :func:`reference_products` and :func:`reference_dot`, the partitioned
-  Hessian products and row-wise products computed per call: a list of
-  per-worker products of fresh slices, summed by :func:`_tree_sum` into a
-  new array, which the plans of :meth:`qcqpd.dist.ColumnBlocks.bind` and
-  :func:`qcqpd.dist.bind_dot` must reproduce bit for bit;
+  Hessian products and row-wise products computed per call over those
+  ranges: a list of per-worker products of fresh slices, summed by
+  :func:`_tree_sum` into a new array, which the plans of
+  :meth:`qcqpd.dist.ColumnBlocks.bind` and
+  :meth:`qcqpd.dist.ColumnBlocks.bind_dot` must reproduce bit for bit;
 * :func:`reference_pass`, one predictor or corrector pass written as the
   compound expressions over those per-call kernels, which the plan of
   :func:`qcqpd.core._bind_pass` must reproduce bit for bit;
@@ -369,14 +373,32 @@ def _tree_sum(parts):
     return parts[0]
 
 
-def reference_products(hessians, x, stats):
-    """The ``(k, n)`` products ``P_i x`` of a :class:`qcqpd.dist.ColumnBlocks` stack, in a new array.
+def reference_ranges(n, workers):
+    """The half-open column range ``(lo, hi)`` of each of ``workers`` workers over ``n`` columns.
+
+    Contiguous blocks whose widths differ by at most one; the first ``n %
+    workers`` workers take the wider ones.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    base, extra = divmod(n, workers)
+    ranges, lo = [], 0
+    for w in range(workers):
+        hi = lo + base + (1 if w < extra else 0)
+        ranges.append((lo, hi))
+        lo = hi
+    return ranges
+
+
+def reference_products(hessians, x, workers, stats):
+    """The ``(k, n)`` products ``P_i x`` of a :class:`qcqpd.dist.ColumnBlocks` stack over ``workers``, in a new array.
 
     Reads the stack's own blocks, the items of its arrays of equal-width
-    workers' blocks in worker order: each row kept whole is ``dsymv``'s
-    product, the square rows are the tree sum of the per-worker products
-    ``block @ x[lo:hi]``, one 2-D product per worker, and each diagonal's
-    row is ``d * x``.  Books one reduce and one scatter of every row.
+    workers' blocks in worker order, against the :func:`reference_ranges`
+    of ``x``: each row kept whole is ``dsymv``'s product, the square rows
+    are the tree sum of the per-worker products ``block @ x[lo:hi]``, one
+    2-D product per worker, and each diagonal's row is ``d * x``.  Books
+    one reduce and one scatter of every row.
     """
     k, n = hessians._shape
     out = np.empty((k, n))
@@ -385,7 +407,8 @@ def reference_products(hessians, x, stats):
     if hessians._square:
         rows, stacks = hessians._square
         blocks = [block for stack in stacks for block in stack]
-        out[rows] = _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, hessians.partition.ranges)]
+        ranges = reference_ranges(n, workers)
+        out[rows] = _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, ranges, strict=True)]
                               ).reshape(-1, n)
     for i, d in hessians._diagonal:
         out[i] = d * x
@@ -394,14 +417,14 @@ def reference_products(hessians, x, stats):
     return out
 
 
-def reference_dot(X, y, partition, stats):
+def reference_dot(X, y, workers, stats):
     """The row-wise products ``X @ y`` as the tree sum of ``X[:, lo:hi] @ y[lo:hi]`` over
-    workers; books one reduce of ``len(X)`` doubles."""
+    the :func:`reference_ranges` of ``workers``; books one reduce of ``len(X)`` doubles."""
     stats.record_reduce(len(X))
-    return _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in partition.ranges])
+    return _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in reference_ranges(len(y), workers)])
 
 
-def reference_pass(problem, hessians, stats, z, F):
+def reference_pass(problem, hessians, workers, stats, z, F):
     """The plan of :func:`qcqpd.core._bind_pass` with each quantity one compound expression.
 
     Writes ``F = (grad_x, grad_u, -cons, -eq)`` at the state ``z`` through
@@ -413,12 +436,12 @@ def reference_pass(problem, hessians, stats, z, F):
     p = problem
     n1, nu = p.n1, p.n1 + p.n2
     x, u, y = z[:n1], z[n1:nu], z[nu:]
-    Px = reference_products(hessians, x, stats)
+    Px = reference_products(hessians, x, workers, stats)
     J = np.ascontiguousarray(np.block([[Px + p.q, p.c], [p.A, p.B]]))
     F[:nu] = J[0] + y @ J[1:]
     if p.m1 + p.m2:
         HA = np.ascontiguousarray(np.vstack([0.5 * Px[1:] + p.q[1:], p.A]))
-        g = reference_dot(HA, x, hessians.partition, stats)
+        g = reference_dot(HA, x, workers, stats)
         F[nu:] = -np.concatenate([p.r[1:], -p.b]) - (g + J[1:, n1:] @ u if p.n2 else g)
     return Px
 

@@ -343,6 +343,12 @@ class TestGenerateCommand:
         _assert_error_names(proc, str(csv))
         assert not out.exists()
 
+    def test_empty_csv_path_exit_one_without_file(self, tmp_path):
+        out = tmp_path / "x.npz"
+        proc = _run_cli("generate", "mkl", "--csv", "", "--ntr", "4", "--nt", "2", "--out", str(out))
+        _assert_error_names(proc, "csv_path")
+        assert not out.exists()
+
     def test_csv_points_are_read(self, tmp_path):
         # the file holds twonorm points of seed 5, the instance's seed is 0:
         # the two files match only if the CSV is ignored

@@ -26,7 +26,7 @@ from qcqpd import (
     validate,
 )
 from qcqpd.core import BIG_M, EPS0, TRACE_EVERY, _bind_pass, _pass_buffers, adaptive_step_size, compute_norms
-from qcqpd.dist import ColumnBlocks, CommStats, partition_columns
+from qcqpd.dist import ColumnBlocks, CommStats
 from helpers import (
     equality_problem, hessian_problem, interior_problem, operator, random_box_state, random_problem, step,
     step_size_state, toy_problem,
@@ -434,7 +434,7 @@ def _uneven_problems():
 def _bound_pass(problem, workers, z, F, stats):
     """``(plan, Px, g, hessians)``: one pass bound to the state ``z`` and the operator buffer ``F``."""
     p = problem
-    hessians = ColumnBlocks(p.P, partition_columns(p.n1, workers))
+    hessians = ColumnBlocks(p.P, workers)
     buffers = _pass_buffers(p)
     return _bind_pass(p, hessians, buffers, z, F, stats), buffers[3], buffers[4], hessians
 
@@ -459,7 +459,7 @@ class TestPass:
             stats, want_stats = CommStats(), CommStats()
             plan, Px, _, hessians = _bound_pass(p, workers, z, F, stats)
             plan()
-            want_Px = reference_pass(p, hessians, want_stats, z, want)
+            want_Px = reference_pass(p, hessians, workers, want_stats, z, want)
             assert F.tobytes() == want.tobytes()
             assert Px.tobytes() == want_Px.tobytes()
             np.testing.assert_allclose(F, operator(p, *state), rtol=1e-12)
@@ -467,7 +467,7 @@ class TestPass:
             # a second run reads the state afresh, through the same views
             z[:] = np.concatenate(random_box_state(rng, p))
             plan()
-            want_Px = reference_pass(p, hessians, CommStats(), z, want)
+            want_Px = reference_pass(p, hessians, workers, CommStats(), z, want)
             assert F.tobytes() == want.tobytes()
             assert Px.tobytes() == want_Px.tobytes()
 
@@ -489,6 +489,23 @@ class TestPass:
             plan()
             for a in buffers:
                 assert np.isfinite(a).all()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_pass_writes_its_own_operator_buffer(self, workers):
+        # as in solve: the passes at z and w share the Hessian blocks and the
+        # pass buffers, and each writes its own operator buffer, F(z) or F(w)
+        p = _pass_problems()[0]
+        state_w = random_box_state(np.random.default_rng(2), p)
+        z, w = np.concatenate(random_box_state(np.random.default_rng(1), p)), np.concatenate(state_w)
+        Fz, Fw = np.full_like(z, np.nan), np.full_like(z, np.nan)
+        hessians, buffers = ColumnBlocks(p.P, workers), _pass_buffers(p)
+        pass_z, pass_w = (_bind_pass(p, hessians, buffers, v, F, CommStats()) for v, F in ((z, Fz), (w, Fw)))
+        pass_z()
+        assert np.isfinite(Fz).all() and np.isnan(Fw).all()
+        want = Fz.copy()
+        pass_w()
+        assert np.isfinite(Fw).all() and Fz.tobytes() == want.tobytes()
+        np.testing.assert_allclose(Fw, operator(p, *state_w), rtol=1e-12)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_one_call_allocates_almost_nothing(self, workers):
@@ -533,6 +550,15 @@ class TestPass:
         finally:
             tracemalloc.stop()
         assert len(peaks) == 1 and peaks[0] < 8 * p.n1
+
+    @pytest.mark.parametrize("n1", [63, 64, 65])
+    def test_state_starts_on_a_cache_line(self, n1):
+        # x opens the state z, the first row of the solve's block of state buffers
+        offsets = []
+        p = gen_random_qcqp(RandomQcqpSpec(n1=n1, m1=2, seed=0))
+        solve(p, SolverConfig(max_iters=2),
+              callback=lambda k, x, *_: offsets.append(x.__array_interface__["data"][0] % 64))
+        assert offsets == [0, 0, 0]
 
 
 class TestSolve:

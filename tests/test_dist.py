@@ -9,10 +9,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcqpd import CommStats, partition_columns
-from qcqpd.dist import ColumnBlocks, bind_dot
+from qcqpd import CommStats
+from qcqpd.dist import ColumnBlocks, _width_runs
 from qcqpd.model import LARGE_DENSE_COLS
-from reference import _tree_sum, reference_dot, reference_products
+from reference import _tree_sum, reference_dot, reference_products, reference_ranges
 
 
 def _products(blocks, x, stats=None):
@@ -22,60 +22,75 @@ def _products(blocks, x, stats=None):
     return out
 
 
-def _matvec(M, x, part, stats=None):
+def _matvec(M, x, workers, stats=None):
     """``M @ x``: the one row of a one-matrix :class:`ColumnBlocks` stack's product."""
-    return _products(ColumnBlocks([M], part), x, stats)[0]
+    return _products(ColumnBlocks([M], workers), x, stats)[0]
 
 
-def _dot(X, y, part, stats=None):
-    """``X @ y``: one run of the :func:`bind_dot` plan bound to ``X``, ``y`` and a new buffer."""
+def _dot(X, y, n, workers, stats=None):
+    """``X @ y`` over ``n`` columns: one run of the :meth:`ColumnBlocks.bind_dot` plan bound to ``X``, ``y``
+    and a new buffer, from a stack of one zero diagonal, which has nothing to cut."""
     out = np.empty(X.shape[:1])
-    bind_dot(X, y, out, part, CommStats() if stats is None else stats)()
+    ColumnBlocks([np.zeros(n)], workers).bind_dot(X, y, out, CommStats() if stats is None else stats)()
     return out
+
+
+def _expand(runs):
+    """The half-open column range of each worker of the ``(lo, g, c)`` runs, in worker order."""
+    return [(lo + j * c, lo + (j + 1) * c) for lo, g, c in runs for j in range(g)]
 
 
 class TestPartition:
     def test_one_column_each(self):
-        assert partition_columns(3, 3).ranges == ((0, 1), (1, 2), (2, 3))
+        assert _width_runs(3, 3) == [(0, 3, 1)]
+        assert _expand(_width_runs(3, 3)) == [(0, 1), (1, 2), (2, 3)]
 
     def test_balanced_split(self):
-        assert partition_columns(5, 2).ranges == ((0, 3), (3, 5))
+        assert _width_runs(5, 2) == [(0, 1, 3), (3, 1, 2)]
+        assert _expand(_width_runs(5, 2)) == [(0, 3), (3, 5)]
 
     def test_more_workers_than_columns(self):
-        part = partition_columns(2, 4)
-        sizes = [hi - lo for lo, hi in part.ranges]
-        assert sizes == [1, 1, 0, 0]
+        assert _width_runs(2, 4) == [(0, 2, 1), (2, 2, 0)]
+        assert [hi - lo for lo, hi in _expand(_width_runs(2, 4))] == [1, 1, 0, 0]
 
     @given(n=st.integers(0, 500), w=st.integers(1, 64))
     @settings(max_examples=200, deadline=None)
     def test_partition_properties(self, n, w):
-        part = partition_columns(n, w)
-        sizes = [hi - lo for lo, hi in part.ranges]
-        assert sum(sizes) == n
-        assert part.ranges == partition_columns(n, w).ranges
+        runs = _width_runs(n, w)
+        assert 1 <= len(runs) <= 2
+        ranges = _expand(runs)
+        sizes = [hi - lo for lo, hi in ranges]
+        assert len(sizes) == w and sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
         if w > n:
             assert min(sizes) == 0
         pos = 0
-        for lo, hi in part.ranges:
+        for lo, hi in ranges:
             assert lo == pos
             pos = hi
 
+    def test_runs_expand_to_reference_ranges(self):
+        for n in range(41):
+            for w in range(1, 10):
+                assert _expand(_width_runs(n, w)) == reference_ranges(n, w), (n, w)
+
     def test_zero_workers_rejected(self):
-        with pytest.raises(ValueError):
-            partition_columns(4, 0)
+        with pytest.raises(ValueError, match="n_workers"):
+            _width_runs(4, 0)
+        with pytest.raises(ValueError, match="n_workers"):
+            ColumnBlocks([np.eye(4)], 0)
 
 
 class TestMatvec:
     def test_toy(self):
         M = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
-        out = _matvec(M, np.array([1.0, 1.0]), partition_columns(2, 2))
+        out = _matvec(M, np.array([1.0, 1.0]), 2)
         np.testing.assert_array_equal(out, [3.0, 7.0])
 
     def test_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(7)
-        out = _matvec(np.eye(7), x, partition_columns(7, 3))
+        out = _matvec(np.eye(7), x, 3)
         np.testing.assert_allclose(out, x, rtol=1e-15)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -83,8 +98,8 @@ class TestMatvec:
         rng = np.random.default_rng(1)
         M = np.asfortranarray(rng.standard_normal((64, 64)))
         x = rng.standard_normal(64)
-        serial = _matvec(M, x, partition_columns(64, 1))
-        out = _matvec(M, x, partition_columns(64, workers))
+        serial = _matvec(M, x, 1)
+        out = _matvec(M, x, workers)
         np.testing.assert_allclose(out, serial, rtol=1e-12)
         np.testing.assert_allclose(out, M @ x, rtol=1e-12)
 
@@ -99,25 +114,24 @@ class TestMatvec:
             G = rng.standard_normal((n1, n1))
             M = np.asfortranarray(G + G.T)
         x = rng.standard_normal(n1)
-        serial = _matvec(M, x, partition_columns(n1, 1))
+        serial = _matvec(M, x, 1)
         np.testing.assert_allclose(serial, (np.diag(M) if sparse else M) @ x, rtol=1e-12, atol=1e-14)
         for w in (2, 7, 32, n1):
-            out = _matvec(M, x, partition_columns(n1, w))
+            out = _matvec(M, x, w)
             np.testing.assert_allclose(out, serial, rtol=1e-12, atol=1e-14)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(2)
         M = np.asfortranarray(rng.standard_normal((33, 33)))
         x = rng.standard_normal(33)
-        part = partition_columns(33, 5)
-        a = _matvec(M, x, part)
-        b = _matvec(M, x, part)
+        a = _matvec(M, x, 5)
+        b = _matvec(M, x, 5)
         assert np.array_equal(a, b)
 
     def test_comm_accounting(self):
         stats = CommStats()
         M = np.asfortranarray(np.eye(6))
-        _matvec(M, np.ones(6), partition_columns(6, 3), stats)
+        _matvec(M, np.ones(6), 3, stats)
         assert stats.reduce_ops == 1
         assert stats.scatter_ops == 1
         assert stats.bytes_reduced == 6 * 8
@@ -128,13 +142,14 @@ class TestMatvec:
         for workers in (1, 2, 3):
             for length in (2, 4):
                 with pytest.raises(ValueError, match=re.escape(f"vector has shape ({length},), expected (3,)")):
-                    _matvec(np.eye(3), np.ones(length), partition_columns(3, workers))
+                    _matvec(np.eye(3), np.ones(length), workers)
+        # the first matrix gives the column count; a shape it does not fit is its own error
+        with pytest.raises(ValueError, match=re.escape("matrix 0 has shape (3, 3, 3), expected (3, 3) or (3,)")):
+            _matvec(np.ones((3, 3, 3)), np.ones(3), 2)
         with pytest.raises(ValueError, match="matrix 0"):
-            _matvec(np.eye(3), np.ones(3), partition_columns(4, 2))
-        with pytest.raises(ValueError, match="matrix 0"):
-            _matvec(np.ones((2, 3)), np.ones(3), partition_columns(3, 1))
+            _matvec(np.ones((2, 3)), np.ones(3), 1)
         with pytest.raises(ValueError, match=re.escape("matrix 1 has shape (2,), expected (3, 3) or (3,)")):
-            ColumnBlocks([np.eye(3), np.ones(2)], partition_columns(3, 1))
+            ColumnBlocks([np.eye(3), np.ones(2)], 1)
 
 
 class TestDot:
@@ -143,7 +158,7 @@ class TestDot:
         X = rng.standard_normal((4, 31))
         y = rng.standard_normal(31)
         for w in (1, 2, 7):
-            out = _dot(X, y, partition_columns(31, w))
+            out = _dot(X, y, 31, w)
             assert out.shape == (4,)
             np.testing.assert_allclose(out, X @ y, rtol=1e-12)
 
@@ -154,7 +169,7 @@ class TestDot:
         for n in (3, 13):
             X = rng.integers(-4, 5, size=(5, n)).astype(float)
             y = rng.integers(-5, 6, size=n).astype(float)
-            assert np.array_equal(_dot(X, y, partition_columns(n, workers)), X @ y)
+            assert np.array_equal(_dot(X, y, n, workers), X @ y)
 
     # n = 3 leaves some of 4 or 5 workers an empty column range; 13 and 37
     # split into two column widths at most worker counts
@@ -164,26 +179,25 @@ class TestDot:
         # X row-major, as the pass's constraint block is; the plan reads X and
         # y afresh on every run
         rng = np.random.default_rng(500 + 10 * workers + n)
-        part = partition_columns(n, workers)
         X, y, out = np.empty((6, n)), np.empty(n), np.empty(6)
         stats, want_stats = CommStats(), CommStats()
-        plan = bind_dot(X, y, out, part, stats)
+        plan = ColumnBlocks([np.zeros(n)], workers).bind_dot(X, y, out, stats)
         for _ in range(2):
             X[:] = rng.standard_normal(X.shape)
             y[:] = rng.standard_normal(n)
             plan()
-            assert out.tobytes() == reference_dot(X, y, part, want_stats).tobytes()
+            assert out.tobytes() == reference_dot(X, y, workers, want_stats).tobytes()
         assert stats == want_stats
 
     def test_counts_one_scalar_reduce(self):
         stats = CommStats()
-        _dot(np.ones((1, 4)), np.ones(4), partition_columns(4, 2), stats)
+        _dot(np.ones((1, 4)), np.ones(4), 4, 2, stats)
         assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 0, "bytes_reduced": 8, "bytes_scattered": 0}
 
     def test_counts_one_reduce_of_every_row(self):
         stats = CommStats()
         for _ in range(2):
-            _dot(np.ones((5, 4)), np.ones(4), partition_columns(4, 3), stats)
+            _dot(np.ones((5, 4)), np.ones(4), 4, 3, stats)
         assert stats.as_dict() == {"reduce_ops": 2, "scatter_ops": 0, "bytes_reduced": 2 * 5 * 8, "bytes_scattered": 0}
 
     def test_shape_mismatch(self):
@@ -194,7 +208,7 @@ class TestDot:
         for workers in (1, 2, 3):
             for X, y in cases:
                 with pytest.raises(ValueError):
-                    _dot(X, y, partition_columns(4, workers))
+                    _dot(X, y, 4, workers)
 
 
 # The ids "csc" and "mixed" name the sparse stacks by the storage that a
@@ -261,9 +275,8 @@ class TestColumnBlocks:
         rng = np.random.default_rng(300 + 10 * workers + n)
         mats = _stack(kinds, n, rng, integer=False)
         x = rng.standard_normal(n)
-        part = partition_columns(n, workers)
-        widths = [hi - lo for lo, hi in part.ranges]
-        aligned = ColumnBlocks(mats, part)
+        widths = [hi - lo for lo, hi in reference_ranges(n, workers)]
+        aligned = ColumnBlocks(mats, workers)
         rows, stacks = aligned._square
         # one array per run of equal-width workers, its items their blocks in worker order
         assert [stack.shape[2] for stack in stacks] == sorted(set(widths), reverse=True)
@@ -279,7 +292,7 @@ class TestColumnBlocks:
         assert len(reads) == len(stacks)
         assert [_address(a) for a in reads] == [_address(stack) for stack in stacks]
         # the product bits do not depend on where the blocks sit
-        unaligned = ColumnBlocks(mats, part)
+        unaligned = ColumnBlocks(mats, workers)
         unaligned._square = (rows, [_off_line_copy(stack) for stack in stacks])
         assert all(_address(stack) % 64 == 8 for stack in unaligned._square[1])
         plan()
@@ -291,13 +304,12 @@ class TestColumnBlocks:
     @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"]], ids=["dense", "mixed"])
     def test_one_local_product_per_width_run(self, kinds, n, calls):
         rng = np.random.default_rng(n)
-        part = partition_columns(n, 4)
         x, X = rng.standard_normal(n), rng.standard_normal((2, n))
         stats = CommStats()
-        hessians = ColumnBlocks(_stack(kinds, n, rng, integer=False), part)
+        hessians = ColumnBlocks(_stack(kinds, n, rng, integer=False), 4)
         plan = hessians.bind(x, np.empty(hessians._shape), stats)
         assert len(_product_calls(plan)) == calls
-        plan = bind_dot(X, x, np.empty(2), part, stats)
+        plan = hessians.bind_dot(X, x, np.empty(2), stats)
         assert len(_product_calls(plan)) == calls
         assert stats.reduce_ops == 0  # binding books nothing
 
@@ -309,7 +321,7 @@ class TestColumnBlocks:
         n = 13
         mats = _stack(kinds, n, np.random.default_rng(workers), integer=False)
         x, out = np.empty(n), np.empty((len(mats), n))
-        plan = ColumnBlocks(mats, partition_columns(n, workers)).bind(x, out, CommStats())
+        plan = ColumnBlocks(mats, workers).bind(x, out, CommStats())
         products = [args for f, args in plan.steps if f is np.multiply]
         diagonals = [i for i, kind in enumerate(kinds) if kind == "diagonal"]
         assert len(products) == len(diagonals)
@@ -326,10 +338,9 @@ class TestColumnBlocks:
         rng = np.random.default_rng(100 * workers + n)
         mats = _stack(kinds, n, rng, integer=True)
         x = rng.integers(-5, 6, size=n).astype(float)
-        part = partition_columns(n, workers)
-        out = _products(ColumnBlocks(mats, part), x)
+        out = _products(ColumnBlocks(mats, workers), x)
         assert out.shape == (len(mats), n)
-        assert np.array_equal(out, np.stack([_matvec(M, x, part) for M in mats]))
+        assert np.array_equal(out, np.stack([_matvec(M, x, workers) for M in mats]))
         assert np.array_equal(out, np.stack([_as_square(M) @ x for M in mats]))
 
     # n = 3 leaves some of 4 or 5 workers an empty column range
@@ -344,17 +355,17 @@ class TestColumnBlocks:
         rng = np.random.default_rng(200 + 10 * workers + n)
         mats = _stack(kinds, n, rng, integer=False)
         x = rng.standard_normal(n)
-        part = partition_columns(n, workers)
         dense = [M for M in mats if M.ndim == 2]
-        dense_rows = iter(_products(ColumnBlocks(dense, part), x) if dense else ())
-        out = _products(ColumnBlocks(mats, part), x)
+        dense_rows = iter(_products(ColumnBlocks(dense, workers), x) if dense else ())
+        out = _products(ColumnBlocks(mats, workers), x)
         for row, M in zip(out, mats):
             if M.ndim == 2:
                 assert row.tobytes() == next(dense_rows).tobytes()
                 continue
             csc = sp.csc_matrix(np.diag(M))
             assert row.tobytes() == (np.diag(M) @ x).tobytes()
-            assert row.tobytes() == _tree_sum([csc[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges]).tobytes()
+            ranges = reference_ranges(n, workers)
+            assert row.tobytes() == _tree_sum([csc[:, lo:hi] @ x[lo:hi] for lo, hi in ranges]).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", STACKS.values(), ids=list(STACKS))
@@ -363,9 +374,8 @@ class TestColumnBlocks:
         n = 37
         mats = _stack(kinds, n, rng, integer=False)
         x = rng.standard_normal(n)
-        part = partition_columns(n, workers)
-        out = _products(ColumnBlocks(mats, part), x)
-        np.testing.assert_allclose(out, np.stack([_matvec(M, x, part) for M in mats]), rtol=1e-13, atol=1e-15)
+        out = _products(ColumnBlocks(mats, workers), x)
+        np.testing.assert_allclose(out, np.stack([_matvec(M, x, workers) for M in mats]), rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-13, atol=1e-13)
 
     # n = 3 leaves some of 4 or 5 workers an empty column range; 13 and 37
@@ -376,18 +386,18 @@ class TestColumnBlocks:
     def test_bound_plan_is_the_per_call_reference_bitwise(self, kinds, workers, n):
         rng = np.random.default_rng(400 + 10 * workers + n)
         mats = _stack(kinds, n, rng, integer=False)
-        blocks = ColumnBlocks(mats, partition_columns(n, workers))
+        blocks = ColumnBlocks(mats, workers)
         x, out = np.empty(n), np.empty((len(mats), n))
         stats, want_stats = CommStats(), CommStats()
         plan = blocks.bind(x, out, stats)
         for _ in range(2):  # the plan reads x afresh on every run
             x[:] = rng.standard_normal(n)
             plan()
-            assert out.tobytes() == reference_products(blocks, x, want_stats).tobytes()
+            assert out.tobytes() == reference_products(blocks, x, workers, want_stats).tobytes()
         assert stats == want_stats
 
     def test_bind_checks_shapes(self):
-        blocks = ColumnBlocks([np.eye(3), np.ones(3)], partition_columns(3, 2))
+        blocks = ColumnBlocks([np.eye(3), np.ones(3)], 2)
         with pytest.raises(ValueError, match=re.escape("vector has shape (4,), expected (3,)")):
             blocks.bind(np.ones(4), np.empty((2, 3)), CommStats())
         for out in (np.empty((3, 3)), np.empty((3, 2)).T):
@@ -401,7 +411,7 @@ class TestColumnBlocks:
         mats = _stack(STACKS["mixed"], n, rng, integer=True)
         x = np.empty(n)
         stats = CommStats()
-        plan = ColumnBlocks(mats, partition_columns(n, workers)).bind(x, np.empty((len(mats), n)), stats)
+        plan = ColumnBlocks(mats, workers).bind(x, np.empty((len(mats), n)), stats)
         for _ in range(2):  # two passes of one bound plan
             x[:] = rng.standard_normal(n)
             plan()
@@ -447,13 +457,13 @@ class TestSymmetricStack:
         mats = _symmetric_stack(kinds, n, rng)
         x = rng.standard_normal(n)
         stats = CommStats()
-        out = _products(ColumnBlocks(mats, partition_columns(n, 1)), x, stats)
+        out = _products(ColumnBlocks(mats, 1), x, stats)
         np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-12, atol=1e-12)
         rows = len(mats) * n
         assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 1,
                                    "bytes_reduced": 8 * rows, "bytes_scattered": 8 * rows}
         # dsymv takes each matrix as stored: a C-order one gives the bits of its Fortran copy
-        fortran = _products(ColumnBlocks([np.asfortranarray(M) for M in mats], partition_columns(n, 1)), x)
+        fortran = _products(ColumnBlocks([np.asfortranarray(M) for M in mats], 1), x)
         assert out.tobytes() == fortran.tobytes()
 
     @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
@@ -461,11 +471,11 @@ class TestSymmetricStack:
         # dsymv writes each dense row of the products buffer in place
         rng = np.random.default_rng(17)
         n = LARGE_DENSE_COLS
-        blocks = ColumnBlocks(_symmetric_stack(kinds, n, rng), partition_columns(n, 1))
+        blocks = ColumnBlocks(_symmetric_stack(kinds, n, rng), 1)
         assert blocks._symmetric
         x = rng.standard_normal(n)
         stats, want_stats = CommStats(), CommStats()
-        assert _products(blocks, x, stats).tobytes() == reference_products(blocks, x, want_stats).tobytes()
+        assert _products(blocks, x, stats).tobytes() == reference_products(blocks, x, 1, want_stats).tobytes()
         assert stats == want_stats
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -478,9 +488,9 @@ class TestSymmetricStack:
         rng = np.random.default_rng(n + workers)
         mats = _symmetric_stack(kinds, n, rng)
         x = rng.standard_normal(n)
-        part = partition_columns(n, workers)
-        out = _products(ColumnBlocks(mats, part), x)
-        expected = [M * x if M.ndim == 1 else _tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in part.ranges])
+        out = _products(ColumnBlocks(mats, workers), x)
+        ranges = reference_ranges(n, workers)
+        expected = [M * x if M.ndim == 1 else _tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in ranges])
                     for M in (M if M.ndim == 1 else np.asfortranarray(M) for M in mats)]
         assert out.tobytes() == np.stack(expected).tobytes()
 
@@ -495,7 +505,7 @@ class TestSymmetricStack:
         rng = np.random.default_rng(11)
         M = np.asfortranarray(rng.standard_normal((n, n)))
         x = rng.standard_normal(n)
-        out = _matvec(M, x, partition_columns(n, workers))
+        out = _matvec(M, x, workers)
         upper = np.triu(M) + np.triu(M, 1).T
         lower = np.tril(M) + np.tril(M, -1).T
         symmetrised = [S @ x for S in (upper, lower)]
