@@ -21,12 +21,15 @@ a buffer of its own and issues two collectives: the stacked Hessian
 products, and the ``m1`` quadratic constraint values with the ``m2``
 equality rows ``A x`` as one block of ``m1 + m2`` rows (none when that
 block is empty).  The multipliers' term of the gradient, ``lam' (Px +
-q)[1:] + gam' A``, is one worker-local product.  Everything a pass needs
-is set up once per solve: the column blocks of the Hessians are cut, and
-:func:`_bind_pass` binds one pass to each state buffer, the iterate and
-the predictor, as a fixed sequence of ``out=`` calls on views, with the
-slices of ``x``, the stacks of the workers' partials and the reduction
-trees built up front, so a pass allocates nothing.
+q)[1:] + gam' A``, is one worker-local product.  Everything a solve needs
+is set up once, in its workspace (:class:`_Workspace`): the column blocks
+of the Hessians are cut, the state buffers are laid out, and one pass is
+bound to each state buffer, the iterate and the predictor, as a fixed
+sequence of ``out=`` calls on views, with the slices of ``x``, the stacks
+of the workers' partials and the reduction trees built up front, so a
+pass allocates nothing.  The loop is three steps of the workspace: the
+pass at the iterate with its finiteness test, the step size with the
+residual check, and the predictor, the pass at it and the corrector.
 
 The step size is recomputed every iteration from eight bounds driven by
 three per-solve norm constants (:class:`ProblemNorms`) and the current
@@ -53,7 +56,7 @@ from .diagnostics import (
     compute_residuals,
 )
 from .dist import ColumnBlocks, CommStats, Plan, _aligned_stack
-from .model import QcqpProblem, _frob
+from .model import QcqpProblem, _check_int, _frob
 
 __all__ = [
     "SolverConfig",
@@ -113,11 +116,7 @@ class SolverConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("max_iters", "n_workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _check_int(name, getattr(self, name), 1)
 
 
 # --- the projected step ----------------------------------------------------
@@ -350,64 +349,113 @@ def analytic_comm_stats(problem, iterations):
     )
 
 
-def _pass_buffers(problem):
-    """The arrays both passes share, built once per solve: ``(J, HA, -(r[1:]; -b), Px, g)``.
+class _Workspace:
+    """Everything one solve sets up once, and the steps of its loop.
 
-    ``J`` is ``(1 + m1 + m2, n1 + n2)``: the rows ``Pi x + qi`` (``i <=
-    m1``, written by every pass) and then ``A``, with the ``u`` columns
-    ``(c0; C; B)`` beside them.  ``HA`` is ``(m1 + m2, n1)``: the rows ``0.5
-    Pi x + qi`` (``i >= 1``, written by every pass) and then ``A``.  ``Px``
-    receives the ``(m1 + 1, n1)`` Hessian products and ``g`` the ``m1 +
-    m2`` constraint rows of the latest pass.
+    Built in this order, which fixes where each buffer lands: the solve's
+    :class:`ProblemNorms`, the Hessians' column blocks, its
+    :class:`CommStats`, the bounds of ``Z``, the state buffers, the
+    finiteness test's flags, the arrays both passes share, and the passes.
+    The state buffers are the iterate ``z``, the predictor ``w``, the
+    operator at each, ``Fz`` and ``Fw``, and the projected step's temporary:
+    the rows of one block, each starting on a cache line.  As five arrays
+    placed wherever the allocator put them, mkl-sweep's iter_cost read a
+    median of 7.82 steps against 6.95 on one block, with the same work per
+    iteration (ten 20 s runs each, 2-core shared x86-64, 1 BLAS thread).
+    With the flags they are all the state-length buffers, so an iteration
+    between residual checks allocates nothing of the state's length.
+
+    The passes share ``J``, ``(1 + m1 + m2, n1 + n2)``: the rows ``Pi x +
+    qi`` (``i <= m1``, written by every pass) and then ``A``, with the
+    ``u`` columns ``(c0; C; B)`` beside them; ``HA``, ``(m1 + m2, n1)``: the
+    rows ``0.5 Pi x + qi`` (``i >= 1``, written by every pass) and then
+    ``A``; ``neg_rb = -(r[1:]; -b)``; ``Px``, the ``(m1 + 1, n1)`` Hessian
+    products, and ``g``, the ``m1 + m2`` constraint rows of the latest pass.
+    ``pass_z`` and ``pass_w`` (:meth:`_bind`) are the passes at ``z`` and
+    at ``w``, each writing its own operator buffer.
     """
-    p = problem
-    # row-major whatever the order of c, A and B, so each product takes one BLAS path
-    J = np.ascontiguousarray(np.block([[np.zeros((p.m1 + 1, p.n1)), p.c], [p.A, p.B]]))
-    HA = np.ascontiguousarray(np.vstack([np.zeros((p.m1, p.n1)), p.A]))
-    return J, HA, np.concatenate([-p.r[1:], p.b]), np.empty((p.m1 + 1, p.n1)), np.empty(p.m1 + p.m2)
 
+    def __init__(self, problem, n_workers):
+        p = self.problem = problem
+        self.norms = compute_norms(p)
+        self.hessians = ColumnBlocks(p.P, n_workers)
+        self.stats = CommStats()
+        self.lower, self.upper = state_bounds(p)
+        self.z, self.w, self.Fz, self.Fw, self.scratch = _aligned_stack(5, len(self.lower), 1)[..., 0]
+        self.z.fill(0.0)
+        self.finite = np.empty(self.z.shape, dtype=bool)
+        # row-major whatever the order of c, A and B, so each product takes one BLAS path
+        self.J = np.ascontiguousarray(np.block([[np.zeros((p.m1 + 1, p.n1)), p.c], [p.A, p.B]]))
+        self.HA = np.ascontiguousarray(np.vstack([np.zeros((p.m1, p.n1)), p.A]))
+        self.neg_rb = np.concatenate([-p.r[1:], p.b])
+        self.Px, self.g = np.empty((p.m1 + 1, p.n1)), np.empty(p.m1 + p.m2)
+        self.pass_z, self.pass_w = self._bind(self.z, self.Fz), self._bind(self.w, self.Fw)
+        self.blocks, self.f_blocks = _blocks(p, self.z), _blocks(p, self.Fz)
 
-def _bind_pass(problem, hessians, buffers, v, F, stats):
-    """One pass at the state buffer ``v``, bound once per solve as a :class:`qcqpd.dist.Plan`.
+    def _bind(self, v, F):
+        """The pass at the state buffer ``v``, bound once as a :class:`qcqpd.dist.Plan`.
 
-    Each run writes the Hessian products into ``Px`` (row ``i`` is ``Pi
-    x``) and ``F = (grad_x, grad_u, -cons, -eq)`` into the operator buffer
-    ``F``, with ``cons`` the quadratic constraint values and ``eq`` the
-    equality rows ``A x + B u - b``, all at the current contents of ``v``.
-    The two constraint kinds are one block of ``m1 + m2`` rows ``g = (cons -
-    r[1:], eq + b)`` with multipliers ``y = (lam, gam)``, so with the
-    :func:`_pass_buffers` ``(J, HA, -(r[1:]; -b), Px, g)``::
+        Each run writes the Hessian products into ``Px`` (row ``i`` is ``Pi
+        x``) and ``F = (grad_x, grad_u, -cons, -eq)`` into the operator buffer
+        ``F``, with ``cons`` the quadratic constraint values and ``eq`` the
+        equality rows ``A x + B u - b``, all at the current contents of ``v``.
+        The two constraint kinds are one block of ``m1 + m2`` rows ``g = (cons -
+        r[1:], eq + b)`` with multipliers ``y = (lam, gam)``, so::
 
-        (grad_x, grad_u) = J[0] + y' J[1:]
-        g = HA x + (C; B) u
-        (-cons, -eq) = -(r[1:]; -b) - g
+            (grad_x, grad_u) = J[0] + y' J[1:]
+            g = HA x + (C; B) u
+            (-cons, -eq) = neg_rb - g
 
-    Each step is one ``out=`` call on views bound here, in the order the
-    expressions are written, so a run allocates nothing.  ``Px`` costs one
-    reduce and one scatter and ``HA x`` one reduce (none when ``m1 + m2 =
-    0``); ``y' J[1:]`` and ``(C; B) u`` are local products, a worker's
-    slice of the first reading only its own columns.  The zero-size
-    products of an empty ``g`` or ``u`` are left out.
-    """
-    p = problem
-    J, HA, neg_rb, Px, g = buffers
-    nu = p.n1 + p.n2
-    x, u = _blocks(p, v)[:2]
-    y, grad, neg_g = v[nu:], F[:nu], F[nu:]
-    Pq, yJ = J[:p.m1 + 1, :p.n1], np.empty(nu)
-    plan = hessians.bind(x, Px, stats) + Plan(
-        [(np.add, (Px, p.q, Pq)), (np.dot, (y, J[1:], yJ)), (np.add, (J[0], yJ, grad))], [Pq, yJ, grad])
-    if len(HA):
-        # HA[:m1] = 0.5 Px[1:] + q[1:] and g = HA x + (C; B) u, each in the
-        # order it is written
-        H = HA[:p.m1]
-        plan += Plan([(np.multiply, (Px[1:], 0.5, H)), (np.add, (H, p.q[1:], H))], [H])
-        plan += hessians.bind_dot(HA, x, g, stats)
-        if p.n2:
-            CB, Cu = np.ascontiguousarray(J[1:, p.n1:]), np.empty(len(HA))
-            plan += Plan([(np.dot, (CB, u, Cu)), (np.add, (g, Cu, g))], [Cu])
-        plan += Plan([(np.subtract, (neg_rb, g, neg_g))], [neg_g])
-    return plan
+        Each step is one ``out=`` call on views bound here, in the order the
+        expressions are written, so a run allocates nothing.  ``Px`` costs one
+        reduce and one scatter and ``HA x`` one reduce (none when ``m1 + m2 =
+        0``); ``y' J[1:]`` and ``(C; B) u`` are local products, a worker's
+        slice of the first reading only its own columns.  The zero-size
+        products of an empty ``g`` or ``u`` are left out.
+        """
+        p, J, HA, Px, g, hessians, stats = self.problem, self.J, self.HA, self.Px, self.g, self.hessians, self.stats
+        nu = p.n1 + p.n2
+        x, u = _blocks(p, v)[:2]
+        y, grad, neg_g = v[nu:], F[:nu], F[nu:]
+        Pq, yJ = J[:p.m1 + 1, :p.n1], np.empty(nu)
+        plan = hessians.bind(x, Px, stats) + Plan(
+            [(np.add, (Px, p.q, Pq)), (np.dot, (y, J[1:], yJ)), (np.add, (J[0], yJ, grad))], [Pq, yJ, grad])
+        if len(HA):
+            # HA[:m1] = 0.5 Px[1:] + q[1:] and g = HA x + (C; B) u, each in the
+            # order it is written
+            H = HA[:p.m1]
+            plan += Plan([(np.multiply, (Px[1:], 0.5, H)), (np.add, (H, p.q[1:], H))], [H])
+            plan += hessians.bind_dot(HA, x, g, stats)
+            if p.n2:
+                CB, Cu = np.ascontiguousarray(J[1:, p.n1:]), np.empty(len(HA))
+                plan += Plan([(np.dot, (CB, u, Cu)), (np.add, (g, Cu, g))], [Cu])
+            plan += Plan([(np.subtract, (self.neg_rb, g, neg_g))], [neg_g])
+        return plan
+
+    def pass_at_z(self):
+        """Run the pass at the iterate; whether every entry of the iterate is finite."""
+        self.pass_z()
+        return np.isfinite(self.z, out=self.finite).all()
+
+    def check(self, k, rho, trace, cfg):
+        """Trace the residual check of iterate ``k`` at the step ``rho`` and classify
+        ``trace``: ``(status, message)``, or ``None`` while the solve goes on."""
+        p, (x, u, lam, _) = self.problem, self.blocks
+        res1, res2 = compute_residuals(p, x, lam, self.f_blocks)
+        objective = 0.5 * float(x @ self.Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
+        trace.append(TraceRow(k, rho, res1, res2, objective))
+        outcome = classify_termination(trace, cfg.tol, cfg.divergence_threshold)
+        if outcome is None and k >= cfg.max_iters:
+            message = f"residual tolerance {cfg.tol:g} not reached in {cfg.max_iters} iterations"
+            outcome = (TerminationStatus.MAX_ITERS_EXCEEDED, message)
+        return outcome
+
+    def step(self, rho):
+        """The predictor ``w = P_Z(z - rho F(z))``, the pass at ``w`` and the corrector ``z = P_Z(z - rho F(w))``."""
+        z, lower, upper, scratch = self.z, self.lower, self.upper, self.scratch
+        projected_step(z, self.Fz, rho, lower, upper, self.w, scratch)
+        self.pass_w()
+        projected_step(z, self.Fw, rho, lower, upper, z, scratch)
 
 
 def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=None) -> SolveReport:
@@ -416,9 +464,10 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     The loop starts from the origin, ``x = u = lam = gam = 0``, which meets
     the box and the multiplier sign from the first step.
     ``callback(k, x, u, lam, gam)``, when given, is invoked once per
-    iteration at the current iterate, including the final one; the arrays
-    are live views of the state vector and must be copied if stored.  The
-    loop, the callback included, runs under ``np.errstate(over="ignore")``:
+    iteration at the current iterate, the final one included unless the
+    solve ends ``diverged``: a non-finite iterate is not passed to it.  The
+    arrays are live views of the state vector and must be copied if stored.
+    The loop, the callback included, runs under ``np.errstate(over="ignore")``:
     an overflow shows as a non-finite iterate, which ends the solve
     ``diverged``, or as a non-finite trace objective.
 
@@ -438,50 +487,16 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     which reads one triangle, so an unvalidated non-symmetric ``P[i]`` gives
     the product of its symmetrised triangle.
     """
-    p = problem
     cfg = config if config is not None else SolverConfig()
-    norms = compute_norms(p)
-    hessians = ColumnBlocks(p.P, cfg.n_workers)
-    stats = CommStats()
-
-    # the iterate z, the predictor w and the operator at each, Fz and Fw,
-    # each one buffer whose blocks are views; one pass bound to each state
-    # buffer, writing its own operator buffer.  The projected step's
-    # temporary and the finiteness test's flags are buffers too, so an
-    # iteration between residual checks allocates nothing of the state's
-    # length.  The five state-length buffers are the rows of one block,
-    # each starting on a cache line: as five arrays placed wherever the
-    # allocator put them, mkl-sweep's iter_cost read a median of 7.82
-    # steps against 6.95 on one block, with the same work per iteration
-    # (ten 20 s runs each, 2-core shared x86-64, 1 BLAS thread)
-    lower, upper = state_bounds(p)
-    z, w, Fz, Fw, step_scratch = _aligned_stack(5, len(lower), 1)[..., 0]
-    z.fill(0.0)
-    finite = np.empty(z.shape, dtype=bool)
-    buffers = _pass_buffers(p)
-    Px = buffers[3]
-    pass_z, pass_w = (_bind_pass(p, hessians, buffers, v, F, stats) for v, F in ((z, Fz), (w, Fw)))
-    x, u, lam, gam = _blocks(p, z)
-    f_blocks = _blocks(p, Fz)
-    grad_x, _, neg_cons, _ = f_blocks
-
+    ws = _Workspace(problem, cfg.n_workers)
+    norms, (x, u, lam, gam), (grad_x, _, neg_cons, _) = ws.norms, ws.blocks, ws.f_blocks
     trace: list[TraceRow] = []
-    rho = math.nan
-    rho_min = math.inf
-    rho_max = -math.inf
-    status = None
-    message = ""
-    res1 = res2 = math.nan
-    k = 0
+    rho, rho_min, rho_max, k = math.nan, math.inf, -math.inf, 0
 
     with np.errstate(over="ignore"):
         while True:
-            pass_z()
-
-            if not np.isfinite(z, out=finite).all():
-                status = TerminationStatus.DIVERGED
-                message = f"non-finite iterate at iteration {k}"
-                res1 = res2 = math.nan
+            if not ws.pass_at_z():
+                outcome = (TerminationStatus.DIVERGED, f"non-finite iterate at iteration {k}")
                 break
 
             if callback is not None:
@@ -492,44 +507,23 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
                 rho_min = rho
             if rho > rho_max:
                 rho_max = rho
-
             # residual check on the cadence and at the iteration cap; every
             # check is classified
             if k % TRACE_EVERY == 0 or k >= cfg.max_iters:
-                res1, res2 = compute_residuals(p, x, lam, f_blocks)
-                objective = 0.5 * float(x @ Px[0]) + float(p.q[0] @ x) + float(p.c[0] @ u) + float(p.r[0])
-                trace.append(TraceRow(k, rho, res1, res2, objective))
-                outcome = classify_termination(trace, cfg.tol, cfg.divergence_threshold)
-                if outcome is None and k >= cfg.max_iters:
-                    outcome = (
-                        TerminationStatus.MAX_ITERS_EXCEEDED,
-                        f"residual tolerance {cfg.tol:g} not reached in {cfg.max_iters} iterations",
-                    )
+                outcome = ws.check(k, rho, trace, cfg)
                 if outcome is not None:
-                    status, message = outcome
                     break
 
-            projected_step(z, Fz, rho, lower, upper, w, step_scratch)
-            pass_w()
-            projected_step(z, Fw, rho, lower, upper, z, step_scratch)
+            ws.step(rho)
             k += 1
 
+    status, message = outcome
     # every exit but divergence has just traced the returned iterate
-    objective = math.nan if status is TerminationStatus.DIVERGED else trace[-1].objective
+    last = TraceRow(k, rho, math.nan, math.nan, math.nan) if status is TerminationStatus.DIVERGED else trace[-1]
     return SolveReport(
-        status=status,
-        message=message,
-        iterations=k,
-        x=x,
-        u=u,
-        lam=lam,
-        gam=gam,
-        objective=objective,
-        res1=res1,
-        res2=res2,
+        status=status, message=message, iterations=k, x=x, u=u, lam=lam, gam=gam,
+        objective=last.objective, res1=last.res1, res2=last.res2,
         rho_min=rho_min if rho_min != math.inf else math.nan,
         rho_max=rho_max if rho_max != -math.inf else math.nan,
-        rho_final=rho,
-        comm=stats,
-        trace=trace,
+        rho_final=rho, comm=ws.stats, trace=trace,
     )

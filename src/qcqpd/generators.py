@@ -22,13 +22,12 @@ exist.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QcqpProblem
+from .model import QcqpProblem, _check_int
 
 __all__ = [
     "RandomQcqpSpec",
@@ -76,8 +75,8 @@ class RandomQcqpSpec:
     box_upper: float | None = None
 
     def __post_init__(self):
-        if self.n1 < 1 or self.m1 < 0:
-            raise ValueError("need n1 >= 1 and m1 >= 0")
+        _check_int("n1", self.n1, 1)
+        _check_int("m1", self.m1, 0)
         if not (math.isfinite(self.d_max) and 0 < self.d_min <= self.d_max):
             raise ValueError(f"need finite 0 < d_min <= d_max, got d_min={self.d_min!r}, d_max={self.d_max!r}")
         if self.n1 == 1 and self.kappa != 1.0:
@@ -93,8 +92,7 @@ class RandomQcqpSpec:
 
 def _stream(seed, index):
     """Child stream ``index`` of ``seed``; ``ValueError`` naming ``seed`` unless it is an integer >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_int("seed", seed, 0)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
@@ -154,8 +152,7 @@ def gen_infeasible(n1: int, seed: int = 0) -> QcqpProblem:
     drawn like a random instance, so the problem is well formed (all
     Hessians PSD) yet infeasible.
     """
-    if n1 < 1:
-        raise ValueError("need n1 >= 1")
+    _check_int("n1", n1, 2)  # the base instance's d_max / d_min = 1.25 needs two eigenvalues
     base = gen_random_qcqp(RandomQcqpSpec(n1=n1, m1=1, seed=seed))
     rng = _stream(seed, 2)
     q2 = rng.uniform(-1.0, 1.0, size=n1)
@@ -184,8 +181,7 @@ def gen_unbounded(n1: int, seed: int = 0) -> QcqpProblem:
     (``t -> +inf``) the objective is ``-t + r0`` but the constraint value
     never changes, so the problem is unbounded below.
     """
-    if n1 < 2:
-        raise ValueError("need n1 >= 2")
+    _check_int("n1", n1, 2)
     D0 = np.append(np.ones(n1 - 1), 0.0)  # the diagonal of the shared Hessian
     q0 = np.zeros(n1)
     q0[-1] = -1.0
@@ -288,10 +284,10 @@ class MklSpec:
     def __post_init__(self):
         if self.csv_path == "":
             raise ValueError("csv_path must name a file, got ''")
+        _check_int("n_tr", self.n_tr, 2)
         if self.n_t is None:
             object.__setattr__(self, "n_t", max(1, self.n_tr // 4))
-        if self.n_tr < 2 or self.n_t < 1:
-            raise ValueError("need n_tr >= 2 and n_t >= 1")
+        _check_int("n_t", self.n_t, 1)
         if self.svm not in ("sm1", "sm2"):
             raise ValueError(f"svm must be 'sm1' or 'sm2', got {self.svm!r}")
         if not (math.isfinite(self.margin_c) and self.margin_c > 0):
@@ -340,6 +336,7 @@ def gen_twonorm(n_points: int, seed: int = 0):
     +1, then as many at ``(-a, ..., -a)`` labeled -1, ``a = 2 /
     sqrt(TWONORM_DIM)``; the first ``n_points`` rows are returned, so an odd
     count gives the first rows of the next even one."""
+    _check_int("n_points", n_points, 0)
     rng = _stream(seed, 0)
     half = -(-n_points // 2)
     a = 2.0 / np.sqrt(TWONORM_DIM)

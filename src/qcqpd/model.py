@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass
 
@@ -52,6 +53,12 @@ LARGE_DENSE_COLS = 512
 
 class ProblemFormatError(ValueError):
     """Raised when a problem file cannot be parsed into a valid shape."""
+
+
+def _check_int(name, value, minimum):
+    """``ValueError`` naming the setting ``name`` unless ``value`` is an integer ``>= minimum`` (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _refuse_sparse(v, name):

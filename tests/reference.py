@@ -27,7 +27,7 @@
   :meth:`qcqpd.dist.ColumnBlocks.bind_dot` must reproduce bit for bit;
 * :func:`reference_pass`, one predictor or corrector pass written as the
   compound expressions over those per-call kernels, which the plan of
-  :func:`qcqpd.core._bind_pass` must reproduce bit for bit;
+  :meth:`qcqpd.core._Workspace._bind` must reproduce bit for bit;
 * :func:`reference_step_size`, the eight step-size bounds one bound at a
   time for a given budget split.  At the split
   :func:`reference_budget_needs` gives it must return the closed-form
@@ -425,7 +425,7 @@ def reference_dot(X, y, workers, stats):
 
 
 def reference_pass(problem, hessians, workers, stats, z, F):
-    """The plan of :func:`qcqpd.core._bind_pass` with each quantity one compound expression.
+    """The plan of :meth:`qcqpd.core._Workspace._bind` with each quantity one compound expression.
 
     Writes ``F = (grad_x, grad_u, -cons, -eq)`` at the state ``z`` through
     :func:`reference_products` and :func:`reference_dot`, with the

@@ -337,6 +337,12 @@ class TestGenerateCommand:
         _assert_error_names(_run_cli("generate", *args, "--out", str(out)), dest)
         assert not out.exists()
 
+    def test_one_dimensional_infeasible_names_n1(self, tmp_path):
+        # the family has no kappa setting, so the error must be its own
+        out = tmp_path / "x.npz"
+        _assert_error_names(_run_cli("generate", "infeasible", "--n1", "1", "--out", str(out)), "n1 must be")
+        assert not out.exists()
+
     def test_missing_csv_exit_one_without_file(self, tmp_path):
         csv, out = tmp_path / "missing.csv", tmp_path / "x.npz"
         proc = _run_cli("generate", "mkl", "--csv", str(csv), "--ntr", "4", "--nt", "2", "--out", str(out))

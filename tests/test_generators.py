@@ -10,6 +10,7 @@ from qcqpd import (
     Kernel,
     MklSpec,
     RandomQcqpSpec,
+    SolverConfig,
     build_mkl_qcqp,
     gen_infeasible,
     gen_random_qcqp,
@@ -168,12 +169,35 @@ class TestSeed:
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None], ids=repr)
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bad_seed_names_seed(self, family, seed):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             self.FAMILIES[family](seed)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_numpy_integer_seed_accepted(self, family):
         self.FAMILIES[family](np.int64(3))
+
+
+# every integer setting: the field its error names, and a call setting it to the value
+INTEGER_SETTINGS = {
+    "SolverConfig.max_iters": ("max_iters", lambda v: SolverConfig(max_iters=v)),
+    "SolverConfig.n_workers": ("n_workers", lambda v: SolverConfig(n_workers=v)),
+    "seed": ("seed", lambda v: gen_unbounded(4, seed=v)),
+    "RandomQcqpSpec.n1": ("n1", lambda v: RandomQcqpSpec(n1=v, m1=1)),
+    "RandomQcqpSpec.m1": ("m1", lambda v: RandomQcqpSpec(n1=4, m1=v)),
+    "MklSpec.n_tr": ("n_tr", lambda v: MklSpec(n_tr=v)),
+    "MklSpec.n_t": ("n_t", lambda v: MklSpec(n_t=v)),
+    "gen_infeasible": ("n1", gen_infeasible),
+    "gen_unbounded": ("n1", gen_unbounded),
+    "gen_twonorm": ("n_points", gen_twonorm),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "4"], ids=repr)
+@pytest.mark.parametrize("setting", INTEGER_SETTINGS)
+def test_non_integer_setting_names_its_field(setting, value):
+    field, build = INTEGER_SETTINGS[setting]
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        build(value)
 
 
 class TestTwonorm:
