@@ -36,8 +36,7 @@ from qcqpd import (  # noqa: E402
 
 def instances():
     """``(name, problem, solver settings, worker counts)`` of every golden instance."""
-    toy = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[1.0]], [[1.0]]], q=[[-2.0], [0.0]],
-                      r=[0.0, -0.5], x_upper=[10.0])
+    toy = QcqpProblem(P=[[[1.0]], [[1.0]]], q=[[-2.0], [0.0]], r=[0.0, -0.5], x_upper=[10.0])
     yield "toy", toy, {"tol": 1e-6}, (1, 3)
     for seed in range(3):
         yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}, (1, 3)

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +55,7 @@ from .diagnostics import (
     compute_residuals,
 )
 from .dist import ColumnBlocks, CommStats, Plan, _aligned_stack
-from .model import QcqpProblem, _check_int, _frob
+from .model import QcqpProblem, _check_int, _check_real, _frob
 
 __all__ = [
     "SolverConfig",
@@ -110,11 +109,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("tol", "divergence_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            _check_real(name, getattr(self, name))
         for name in ("max_iters", "n_workers"):
             _check_int(name, getattr(self, name), 1)
 
@@ -419,17 +414,17 @@ class _Workspace:
         y, grad, neg_g = v[nu:], F[:nu], F[nu:]
         Pq, yJ = J[:p.m1 + 1, :p.n1], np.empty(nu)
         plan = hessians.bind(x, Px, stats) + Plan(
-            [(np.add, (Px, p.q, Pq)), (np.dot, (y, J[1:], yJ)), (np.add, (J[0], yJ, grad))], [Pq, yJ, grad])
+            [(np.add, (Px, p.q, Pq)), (np.dot, (y, J[1:], yJ)), (np.add, (J[0], yJ, grad))])
         if len(HA):
             # HA[:m1] = 0.5 Px[1:] + q[1:] and g = HA x + (C; B) u, each in the
             # order it is written
             H = HA[:p.m1]
-            plan += Plan([(np.multiply, (Px[1:], 0.5, H)), (np.add, (H, p.q[1:], H))], [H])
+            plan += Plan([(np.multiply, (Px[1:], 0.5, H)), (np.add, (H, p.q[1:], H))])
             plan += hessians.bind_dot(HA, x, g, stats)
             if p.n2:
                 CB, Cu = np.ascontiguousarray(J[1:, p.n1:]), np.empty(len(HA))
-                plan += Plan([(np.dot, (CB, u, Cu)), (np.add, (g, Cu, g))], [Cu])
-            plan += Plan([(np.subtract, (self.neg_rb, g, neg_g))], [neg_g])
+                plan += Plan([(np.dot, (CB, u, Cu)), (np.add, (g, Cu, g))])
+            plan += Plan([(np.subtract, (self.neg_rb, g, neg_g))])
         return plan
 
     def pass_at_z(self):

@@ -122,19 +122,17 @@ class Plan:
 
     Each step is a ``(function, args)`` pair run as ``function(*args)``:
     mostly a numpy call whose last argument is its ``out`` array, or the
-    :class:`CommStats` booking of a collective.  ``writes`` holds the
-    arrays one run overwrites entirely, its outputs and the buffers it
-    owns.  Plans chain in order with ``+``; calling a plan runs its steps.
+    :class:`CommStats` booking of a collective.  Plans chain in order
+    with ``+``; calling a plan runs its steps.
     """
 
-    __slots__ = ("steps", "writes")
+    __slots__ = ("steps",)
 
-    def __init__(self, steps=(), writes=()):
+    def __init__(self, steps=()):
         self.steps = tuple(steps)
-        self.writes = tuple(writes)
 
     def __add__(self, other):
-        return Plan(self.steps + other.steps, self.writes + other.writes)
+        return Plan(self.steps + other.steps)
 
     def __call__(self):
         for function, args in self.steps:
@@ -169,7 +167,7 @@ def _width_runs(n_cols, n_workers):
 
 
 def _reduce(operands, out):
-    """The steps writing the tree sum over workers of ``A_w @ b_w`` into ``out``, and the partials they own.
+    """The steps writing the tree sum over workers of ``A_w @ b_w`` into ``out``.
 
     ``operands`` holds one ``(A, b)`` pair per run of equal-width workers,
     in worker order: ``A`` is the ``(g, k, c)`` array of the run's ``g``
@@ -185,7 +183,7 @@ def _reduce(operands, out):
     """
     if len(operands) == 1 and len(operands[0][0]) == 1:
         (A, b), = operands
-        return [_gemv(A[0], b[0, :, 0], out)], []
+        return [_gemv(A[0], b[0, :, 0], out)]
     parts = np.empty((sum(len(A) for A, _ in operands), out.size))
     steps, w = [], 0
     for A, b in operands:
@@ -201,7 +199,7 @@ def _reduce(operands, out):
         if len(level) % 2:
             sums.append(level[-1])
         level = sums
-    return steps, [parts]
+    return steps
 
 
 def _rows(indices):
@@ -319,7 +317,7 @@ class ColumnBlocks:
             raise ValueError(f"vector has shape {x.shape}, expected ({n},)")
         if out.shape != (k, n) or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous ({k}, {n}) array, got shape {out.shape}")
-        steps, writes = [], [out]
+        steps = []
         for i, M in self._symmetric:
             steps.append((partial(self._dsymv, 1.0, M, x, beta=0.0, y=out[i], overwrite_y=1), ()))
         if self._square:
@@ -328,15 +326,12 @@ class ColumnBlocks:
             total = out[rows].reshape(-1) if whole else np.empty(len(rows) * n)
             operands = [(stack, x[lo:lo + g * c].reshape(g, c, 1))
                         for stack, (lo, g, c) in zip(stacks, self._runs)]
-            reduce_steps, parts = _reduce(operands, total)
-            steps += reduce_steps
-            writes += parts
+            steps += _reduce(operands, total)
             if not whole:
-                writes.append(total)
                 steps += [(np.copyto, (out[i], row)) for i, row in zip(rows, total.reshape(-1, n))]
         steps += [(np.multiply, (d, x, out[i])) for i, d in self._diagonal]
         steps += [(stats.record_reduce, (out.size,)), (stats.record_scatter, (out.size,))]
-        return Plan(steps, writes)
+        return Plan(steps)
 
 
     def bind_dot(self, X, y, out, stats: CommStats) -> Plan:
@@ -358,6 +353,4 @@ class ColumnBlocks:
         k = len(X)
         operands = [(X[:, lo:lo + g * c].reshape(k, g, c).transpose(1, 0, 2), y[lo:lo + g * c].reshape(g, c, 1))
                     for lo, g, c in self._runs]
-        steps, parts = _reduce(operands, out)
-        steps.append((stats.record_reduce, (k,)))
-        return Plan(steps, [out, *parts])
+        return Plan(_reduce(operands, out) + [(stats.record_reduce, (k,))])

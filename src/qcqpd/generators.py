@@ -21,13 +21,12 @@ exist.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QcqpProblem, _check_int
+from .model import QcqpProblem, _check_int, _check_real
 
 __all__ = [
     "RandomQcqpSpec",
@@ -77,12 +76,14 @@ class RandomQcqpSpec:
     def __post_init__(self):
         _check_int("n1", self.n1, 1)
         _check_int("m1", self.m1, 0)
-        if not (math.isfinite(self.d_max) and 0 < self.d_min <= self.d_max):
-            raise ValueError(f"need finite 0 < d_min <= d_max, got d_min={self.d_min!r}, d_max={self.d_max!r}")
+        _check_real("d_min", self.d_min)
+        _check_real("d_max", self.d_max)
+        if self.d_min > self.d_max:
+            raise ValueError(f"need d_min <= d_max, got d_min={self.d_min!r}, d_max={self.d_max!r}")
         if self.n1 == 1 and self.kappa != 1.0:
             raise ValueError("kappa > 1 needs n1 >= 2 (both extreme eigenvalues must be attained)")
-        if self.box_upper is not None and not self.box_upper > 0:
-            raise ValueError(f"box_upper must be > 0, got {self.box_upper!r}")
+        if self.box_upper is not None:
+            _check_real("box_upper", self.box_upper, finite=False)
 
     @property
     def kappa(self) -> float:
@@ -131,16 +132,7 @@ def gen_random_qcqp(spec: RandomQcqpSpec) -> QcqpProblem:
         q.append(rng.uniform(-1.0, 1.0, size=s.n1))
         r.append(rng.uniform(-1.0, 0.0))
     upper = np.full(s.n1, np.inf if s.box_upper is None else s.box_upper)
-    return QcqpProblem(
-        n1=s.n1,
-        n2=0,
-        m1=s.m1,
-        m2=0,
-        P=P,
-        q=q,
-        r=np.array(r),
-        x_upper=upper,
-    )
+    return QcqpProblem(P=P, q=q, r=np.array(r), x_upper=upper)
 
 
 def gen_infeasible(n1: int, seed: int = 0) -> QcqpProblem:
@@ -160,16 +152,7 @@ def gen_infeasible(n1: int, seed: int = 0) -> QcqpProblem:
     P = list(base.P) + [np.ones(n1)]  # the identity, as its diagonal
     q = list(base.q) + [q2]
     r = np.append(base.r, 0.5 * float(q2 @ q2) + (r2 + 1.0) + 100.0)
-    return QcqpProblem(
-        n1=n1,
-        n2=0,
-        m1=2,
-        m2=0,
-        P=P,
-        q=q,
-        r=r,
-        x_upper=np.full(n1, np.inf),
-    )
+    return QcqpProblem(P=P, q=q, r=r, x_upper=np.full(n1, np.inf))
 
 
 def gen_unbounded(n1: int, seed: int = 0) -> QcqpProblem:
@@ -189,16 +172,7 @@ def gen_unbounded(n1: int, seed: int = 0) -> QcqpProblem:
     q1[-1] = 0.0
     rng = _stream(seed, 0)
     r0, r1 = rng.uniform(-1.0, 0.0, size=2)
-    return QcqpProblem(
-        n1=n1,
-        n2=0,
-        m1=1,
-        m2=0,
-        P=[D0, D0],
-        q=[q0, q1],
-        r=np.array([r0, r1]),
-        x_upper=np.full(n1, np.inf),
-    )
+    return QcqpProblem(P=[D0, D0], q=[q0, q1], r=np.array([r0, r1]), x_upper=np.full(n1, np.inf))
 
 
 # --- kernels and SVM instances ----------------------------------------------
@@ -214,8 +188,8 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and (self.sigma2 is None or not 0 < self.sigma2 < math.inf):
-            raise ValueError(f"gaussian kernel needs a finite sigma2 > 0, got {self.sigma2!r}")
+        if self.kind == "gaussian":
+            _check_real("sigma2", self.sigma2)
 
     def label(self) -> str:
         """The ``--kernels`` token of this kernel; a Gaussian's ``sigma2`` is
@@ -290,8 +264,9 @@ class MklSpec:
         _check_int("n_t", self.n_t, 1)
         if self.svm not in ("sm1", "sm2"):
             raise ValueError(f"svm must be 'sm1' or 'sm2', got {self.svm!r}")
-        if not (math.isfinite(self.margin_c) and self.margin_c > 0):
-            raise ValueError(f"margin_c must be finite and > 0, got {self.margin_c!r}")
+        _check_real("margin_c", self.margin_c)
+        if not isinstance(self.kernels, (tuple, list)) or not all(isinstance(k, Kernel) for k in self.kernels):
+            raise ValueError(f"kernels must be a tuple of Kernel, got {self.kernels!r}")
         if not self.kernels:
             raise ValueError("need at least one kernel")
         object.__setattr__(self, "kernels", tuple(self.kernels))
@@ -422,10 +397,6 @@ def build_mkl_qcqp(spec: MklSpec):
         upper = np.full(n_tr, np.inf)
     m = len(s.kernels)
     problem = QcqpProblem(
-        n1=n_tr,
-        n2=1,
-        m1=m,
-        m2=1,
         P=[P0] + G,
         q=[-np.ones(n_tr)] + [np.zeros(n_tr)] * m,
         c=[np.array([s.R])] + [np.array([-1.0])] * m,

@@ -23,7 +23,7 @@ import json
 import math
 import numbers
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,11 +61,28 @@ def _check_int(name, value, minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_real(name, value, finite=True):
+    """``ValueError`` naming the setting ``name`` unless ``value`` is a real number ``> 0``, finite if
+    ``finite`` (``+inf`` is allowed otherwise; a bool is not a number)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (value > 0 and (math.isfinite(value) or not finite)):
+        raise ValueError(f"{name} must be {'finite and ' if finite else ''}> 0, got {value!r}")
+
+
 def _refuse_sparse(v, name):
     """``v``, unless it is a sparse matrix: numpy cannot convert one, so it is refused by name."""
     if hasattr(v, "toarray"):
         raise ValueError(f"{name} is a sparse matrix; pass {name}.toarray(), or .diagonal() for a diagonal Hessian")
     return v
+
+
+def _length(v, name):
+    """``len(v)``; a sparse matrix or a scalar raises ``ValueError`` naming ``name``."""
+    try:
+        return len(_refuse_sparse(v, name))
+    except TypeError:
+        raise ValueError(f"{name} must be an array, got {v!r}") from None
 
 
 def _as_matrix(M, name, *shapes):
@@ -108,10 +125,6 @@ class QcqpProblem:
 
     Attributes
     ----------
-    n1, n2 : int
-        Dimensions of the ``x`` and ``u`` blocks (``n2`` may be 0).
-    m1, m2 : int
-        Number of quadratic inequality and linear equality constraints.
     P : list of arrays
         ``m1 + 1`` symmetric PSD matrices ``P[0]..P[m1]``, each a
         Fortran-ordered ``(n1, n1)`` array or, for a diagonal matrix, the
@@ -131,6 +144,14 @@ class QcqpProblem:
         Equality right-hand side, length ``m2``.
     x_upper : ndarray
         Box upper bounds, all > 0, entries may be ``+inf``.
+    n1, n2, m1, m2 : int
+        Derived attributes, not arguments: the dimensions of the ``x`` and
+        ``u`` blocks and the numbers of quadratic inequality and linear
+        equality constraints, read from the data.  ``m1 + 1`` is the number
+        of Hessians and ``n1`` the length of ``P[0]``; ``n2`` is the number
+        of columns of ``c``, else of ``B``, else 0; ``m2`` the number of
+        rows of ``A``, else of ``B``, else the length of ``b``, else 0.
+        Every field is then checked against them.
 
     A scipy sparse matrix in any field raises ``ValueError``: pass
     ``.toarray()``, or ``.diagonal()`` for a diagonal Hessian.  Instances are
@@ -138,10 +159,6 @@ class QcqpProblem:
     across workers.
     """
 
-    n1: int
-    n2: int
-    m1: int
-    m2: int
     P: list
     q: np.ndarray
     c: np.ndarray = None
@@ -150,20 +167,30 @@ class QcqpProblem:
     B: np.ndarray = None
     b: np.ndarray = None
     x_upper: np.ndarray = None
+    n1: int = field(init=False)
+    n2: int = field(init=False)
+    m1: int = field(init=False)
+    m2: int = field(init=False)
 
     def __post_init__(self):
-        n1, n2, m1, m2 = self.n1, self.n2, self.m1, self.m2
-        if min(n1, n2, m1, m2) < 0:
-            raise ValueError("dimensions must be nonnegative")
-        if len(self.P) != m1 + 1:
-            raise ValueError(f"expected {m1 + 1} P matrices, got {len(self.P)}")
-        self.P = [_as_matrix(Pi, f"P[{i}]", (n1, n1), (n1,)) for i, Pi in enumerate(self.P)]
+        P, c, A, B, b = self.P, self.c, self.A, self.B, self.b
+        m1 = self.m1 = _length(P, "P") - 1
+        if m1 < 0:
+            raise ValueError("P is empty; it holds at least the objective's Hessian P[0]")
+        n1 = self.n1 = _length(P[0], "P[0]")
+        if c is not None:
+            n2 = _length(c[0], "c[0]") if _length(c, "c") else 0
+        else:  # the columns of B are the rows of its transpose, which holds them even when B has no rows
+            n2 = _length(np.transpose(_refuse_sparse(B, "B")), "B") if B is not None else 0
+        self.n2 = n2
+        m2 = self.m2 = next((_length(v, name) for name, v in (("A", A), ("B", B), ("b", b)) if v is not None), 0)
+        self.P = [_as_matrix(Pi, f"P[{i}]", (n1, n1), (n1,)) for i, Pi in enumerate(P)]
         self.q = _as_rows(self.q, m1 + 1, n1, "q")
-        self.c = _as_rows(self.c if self.c is not None else np.zeros((m1 + 1, n2)), m1 + 1, n2, "c")
+        self.c = _as_rows(c if c is not None else np.zeros((m1 + 1, n2)), m1 + 1, n2, "c")
         self.r = _as_vector(self.r if self.r is not None else np.zeros(m1 + 1), m1 + 1, "r")
-        self.A = _as_matrix(self.A if self.A is not None else np.zeros((m2, n1)), "A", (m2, n1))
-        self.B = _as_matrix(self.B if self.B is not None else np.zeros((m2, n2)), "B", (m2, n2))
-        self.b = _as_vector(self.b if self.b is not None else np.zeros(m2), m2, "b")
+        self.A = _as_matrix(A if A is not None else np.zeros((m2, n1)), "A", (m2, n1))
+        self.B = _as_matrix(B if B is not None else np.zeros((m2, n2)), "B", (m2, n2))
+        self.b = _as_vector(b if b is not None else np.zeros(m2), m2, "b")
         self.x_upper = _as_vector(self.x_upper if self.x_upper is not None else np.full(n1, np.inf), n1, "x_upper")
 
     def constraint_values(self, x, u):
@@ -402,7 +429,7 @@ def load_problem(path) -> QcqpProblem:
         n1, n2, m1, m2 = (int(d) for d in dims)
         P = [_member(archive, path, f"P{i}", (n1, n1), (n1,)) for i in range(m1 + 1)]
         return QcqpProblem(
-            n1=n1, n2=n2, m1=m1, m2=m2, P=P,
+            P=P,
             q=_member(archive, path, "q", (m1 + 1, n1)),
             c=_member(archive, path, "c", (m1 + 1, n2)),
             r=_member(archive, path, "r", (m1 + 1,)),

@@ -14,10 +14,6 @@ def toy_problem():
     stationarity x + lam*x - 2 = 0 gives lam* = 1.
     """
     return QcqpProblem(
-        n1=1,
-        n2=0,
-        m1=1,
-        m2=0,
         P=[np.array([[1.0]]), np.array([[1.0]])],
         q=[np.array([-2.0]), np.array([0.0])],
         r=[0.0, -0.5],
@@ -28,10 +24,6 @@ def toy_problem():
 def interior_problem():
     """Unconstrained in disguise: minimizer [0.5, 0.5] strictly inside the box."""
     return QcqpProblem(
-        n1=2,
-        n2=0,
-        m1=0,
-        m2=0,
         P=[np.eye(2)],
         q=[np.array([-0.5, -0.5])],
         x_upper=[1.0, 1.0],
@@ -41,10 +33,6 @@ def interior_problem():
 def equality_problem():
     """min 0.5 x^2  s.t.  x = 0.5;  solution x* = 0.5, gam* = -0.5."""
     return QcqpProblem(
-        n1=1,
-        n2=0,
-        m1=0,
-        m2=1,
         P=[np.array([[1.0]])],
         q=[np.array([0.0])],
         A=np.array([[1.0]]),
@@ -54,18 +42,9 @@ def equality_problem():
     )
 
 
-def hessian_problem(P_list, n1=2, x_upper=None):
+def hessian_problem(P_list, x_upper=None):
     """Problem with the Hessians ``P_list`` (``P0`` first) and every other datum zero or empty."""
-    m1 = len(P_list) - 1
-    return QcqpProblem(
-        n1=n1,
-        n2=0,
-        m1=m1,
-        m2=0,
-        P=P_list,
-        q=[np.zeros(n1)] * (m1 + 1),
-        x_upper=x_upper,
-    )
+    return QcqpProblem(P=P_list, q=np.zeros((len(P_list), len(P_list[0]))), x_upper=x_upper)
 
 
 def random_problem(rng, n1, m1, n2=0, m2=0, box=None, psd_shift=0.5):
@@ -79,10 +58,6 @@ def random_problem(rng, n1, m1, n2=0, m2=0, box=None, psd_shift=0.5):
     r = np.concatenate([rng.uniform(-1.0, 0.0, 1), rng.uniform(-1.0, 0.0, m1)]) if m1 else rng.uniform(-1.0, 0.0, 1)
     upper = np.full(n1, np.inf) if box is None else np.full(n1, box)
     return QcqpProblem(
-        n1=n1,
-        n2=n2,
-        m1=m1,
-        m2=m2,
         P=P,
         q=q,
         c=c,

@@ -83,10 +83,6 @@ class TestNorms:
         p = random_problem(rng, n1=5, m1=4)
         perm = [2, 0, 3, 1]
         shuffled = QcqpProblem(
-            n1=p.n1,
-            n2=p.n2,
-            m1=p.m1,
-            m2=p.m2,
             P=[p.P[0]] + [p.P[1 + i] for i in perm],
             q=[p.q[0]] + [p.q[1 + i] for i in perm],
             c=[p.c[0]] + [p.c[1 + i] for i in perm],
@@ -195,12 +191,7 @@ def _norm_problem(P0=None, P1=None, n1=1, q1=None, r1=0.0):
     mats = [P0] if P1 is None else [P0, np.atleast_2d(P1)]
     m1 = len(mats) - 1
     q = [np.zeros(n1)] + [np.zeros(n1) if q1 is None else np.asarray(q1, float)] * m1
-    return QcqpProblem(
-        n1=n1, n2=0, m1=m1, m2=0,
-        P=mats, q=q,
-        r=np.concatenate([[0.0], [r1] * m1]),
-        x_upper=np.full(n1, np.inf),
-    )
+    return QcqpProblem(P=mats, q=q, r=np.concatenate([[0.0], [r1] * m1]), x_upper=np.full(n1, np.inf))
 
 
 def _step_size(p, x, u, lam, gam, eps, grad=None):
@@ -344,7 +335,6 @@ class TestUpdates:
 
     def test_u_predictor(self):
         p = QcqpProblem(
-            n1=1, n2=1, m1=0, m2=0,
             P=[np.zeros((1, 1))], q=[np.zeros(1)], c=[np.array([1.0])], r=[0.0],
             x_upper=[1.0],
         )
@@ -353,7 +343,6 @@ class TestUpdates:
 
     def test_u_predictor_zero_terms(self):
         p = QcqpProblem(
-            n1=1, n2=2, m1=0, m2=1,
             P=[np.zeros((1, 1))], q=[np.zeros(1)], c=[np.zeros(2)], r=[0.0],
             A=np.zeros((1, 1)), B=np.zeros((1, 2)), b=np.zeros(1), x_upper=[1.0],
         )
@@ -377,8 +366,8 @@ def _step_cases(draw):
     """A problem's box, a state meeting it and the multiplier sign, ``F``'s pieces and ``rho``."""
     n1, n2, m1, m2 = (draw(st.integers(lo, 4)) for lo in (1, 0, 0, 0))
     upper = draw(hnp.arrays(np.float64, n1, elements=st.one_of(st.just(np.inf), st.floats(1e-300, 1e150))))
-    p = QcqpProblem(n1=n1, n2=n2, m1=m1, m2=m2, P=[np.zeros((n1, n1))] * (m1 + 1), q=np.zeros((m1 + 1, n1)),
-                    c=np.zeros((m1 + 1, n2)), r=np.zeros(m1 + 1), x_upper=upper)
+    p = QcqpProblem(P=[np.zeros((n1, n1))] * (m1 + 1), q=np.zeros((m1 + 1, n1)), c=np.zeros((m1 + 1, n2)),
+                    r=np.zeros(m1 + 1), b=np.zeros(m2), x_upper=upper)
     x = np.minimum(draw(hnp.arrays(np.float64, n1, elements=_nonneg)), upper)
     state = (x, draw(hnp.arrays(np.float64, n2, elements=_finite)),
              draw(hnp.arrays(np.float64, m1, elements=_nonneg)), draw(hnp.arrays(np.float64, m2, elements=_finite)))
@@ -479,14 +468,16 @@ class TestPass:
     def test_one_call_writes_every_bound_buffer(self, workers):
         # the buffers persist from pass to pass, so an entry a pass did not
         # write would repeat the previous pass's value the same way on every
-        # run; filled with NaN, none may survive one call.  The plan's writes
-        # are the products Px, the per-worker partials and the tree sums,
-        # the constraint rows g and the pass's temporaries
+        # run; filled with NaN, none may survive one call.  The buffers are
+        # each step's output (its last argument, np.copyto's first): the
+        # per-worker partials, the tree sums and the pass's temporaries; and
+        # the products Px, which dsymv writes in place, the constraint rows g
+        # and the operator
         for p in _pass_problems() + _stack_problems() + _uneven_problems():
             ws = _workspace(p, workers, random_box_state(np.random.default_rng(workers), p))
             plan = ws.pass_z
-            assert any(a is ws.Px for a in plan.writes) and any(a is ws.g for a in plan.writes)
-            buffers = [*plan.writes, ws.Fz]
+            outputs = [args[0] if function is np.copyto else args[-1] for function, args in plan.steps if args]
+            buffers = [a for a in outputs if isinstance(a, np.ndarray)] + [ws.Px, ws.g, ws.Fz]
             for a in buffers:
                 a.fill(np.nan)
             plan()
@@ -743,8 +734,7 @@ class TestSolve:
     def test_stiff_objective_converges(self, P0):
         # min P0 x^2 / 2 - 2x s.t. x^2 <= 1: the answer is 2/P0.  With a
         # budget of 1 the step reaches rho P0 = 1 and the corrector stalls.
-        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[P0]], [[2.0]]], q=[[-2.0], [0.0]],
-                        c=[[], []], r=[0.0, -1.0], x_upper=[np.inf])
+        p = QcqpProblem(P=[[[P0]], [[2.0]]], q=[[-2.0], [0.0]], c=[[], []], r=[0.0, -1.0], x_upper=[np.inf])
         rep = solve(p, SolverConfig())
         assert rep.status is TerminationStatus.CONVERGED
         assert abs(rep.x[0] - 2.0 / P0) <= 1e-3 * 2.0 / P0
@@ -757,7 +747,7 @@ class TestSolve:
         # the same instance with P0^2 beyond the float range: the Frobenius
         # norm and the step-size root must not overflow and leave rho = 0
         P = [np.array([[P0]]), np.array([[2.0]])]
-        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[M[0] for M in P] if sparse else P,
+        p = QcqpProblem(P=[M[0] for M in P] if sparse else P,
                         q=[[-2.0], [0.0]], c=[[], []], r=[0.0, -1.0], x_upper=[np.inf])
         rep = solve(p, SolverConfig())
         assert rep.status is TerminationStatus.CONVERGED
@@ -771,7 +761,7 @@ class TestSolve:
         # min x^2/2 - 2x s.t. P1 x^2/2 <= 1, solved at x = sqrt(2/P1): the
         # stacked constraint norm must stay finite, or rho = 0
         P = [np.array([[1.0]]), np.array([[P1]])]
-        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[M[0] for M in P] if sparse else P,
+        p = QcqpProblem(P=[M[0] for M in P] if sparse else P,
                         q=[[-2.0], [0.0]], c=[[], []], r=[0.0, -1.0], x_upper=[np.inf])
         rep = solve(p, SolverConfig())
         assert rep.status is TerminationStatus.CONVERGED
@@ -781,7 +771,7 @@ class TestSolve:
         # c0 = 1e308 pushes u past the float range: the trace objective reads
         # -inf and the solve ends diverged, and numpy's overflow warning (an
         # error under the suite's filter) stays off
-        p = QcqpProblem(n1=1, n2=1, m1=0, m2=0, P=[[[1.0]]], q=[[-1.0]], c=[[1e308]], r=[0.0])
+        p = QcqpProblem(P=[[[1.0]]], q=[[-1.0]], c=[[1e308]], r=[0.0])
         assert validate(p).ok
         rep = solve(p, SolverConfig())
         assert rep.status is TerminationStatus.DIVERGED
@@ -790,11 +780,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("problem, x_star", [
         # min x s.t. 1 - x <= 0, 0 <= x <= 10
-        (QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[0.0]], [[0.0]]], q=[[1.0], [-1.0]], c=[[], []],
-                     r=[0.0, 1.0], x_upper=[10.0]), [1.0]),
+        (QcqpProblem(P=[[[0.0]], [[0.0]]], q=[[1.0], [-1.0]], c=[[], []], r=[0.0, 1.0], x_upper=[10.0]), [1.0]),
         # min ||x||^2/2 + x1 + x2 s.t. ||x||^2/2 - x1 - x2 + 0.5 <= 0, x >= 0
-        (QcqpProblem(n1=2, n2=0, m1=1, m2=0, P=[np.eye(2), np.eye(2)], q=[[1.0, 1.0], [-1.0, -1.0]],
-                     c=[[], []], r=[0.0, 0.5]), [1.0 - np.sqrt(0.5)] * 2),
+        (QcqpProblem(P=[np.eye(2), np.eye(2)], q=[[1.0, 1.0], [-1.0, -1.0]], c=[[], []], r=[0.0, 0.5]),
+         [1.0 - np.sqrt(0.5)] * 2),
     ], ids=["linear", "ball"])
     def test_infeasible_origin_is_not_converged(self, problem, x_star):
         # at the origin the objective gradient points out of the box and

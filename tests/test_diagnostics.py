@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,7 @@ class TestResiduals:
     def test_violated_constraint_counts_in_res2(self):
         # min x s.t. 1 - x <= 0: at the origin the gradient points into the
         # box and lam = 0, so only the violation 1 of the constraint is nonzero
-        p = QcqpProblem(n1=1, n2=0, m1=1, m2=0, P=[[[0.0]], [[0.0]]], q=[[1.0], [-1.0]], c=[[], []],
-                        r=[0.0, 1.0], x_upper=[10.0])
+        p = QcqpProblem(P=[[[0.0]], [[0.0]]], q=[[1.0], [-1.0]], c=[[], []], r=[0.0, 1.0], x_upper=[10.0])
         assert _residuals(p, np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0)) == (0.0, 1.0)
         assert kkt_residual_max(np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), p) == 1.0
 
@@ -81,7 +82,7 @@ class TestResiduals:
         # the squares overflow: res1 rescales instead of reading inf (or
         # raising numpy's overflow warning under the suite's warning filter)
         n2 = len(c0)
-        p = QcqpProblem(n1=1, n2=n2, m1=0, m2=0, P=[np.array([[1.0]])], q=[np.array([q0])], c=[np.array(c0)], r=[0.0])
+        p = QcqpProblem(P=[np.array([[1.0]])], q=[np.array([q0])], c=[np.array(c0)], r=[0.0])
         assert validate(p).ok
         res1, res2 = _residuals(p, np.zeros(1), np.zeros(n2), np.zeros(0), np.zeros(0))
         assert res1 == pytest.approx(want, rel=1e-15)
@@ -133,7 +134,7 @@ class TestSharedConditions:
         for _ in range(10):
             p = random_problem(rng, n1=6, m1=2, n2=2, m2=1, box=1.0)
             p.P[0], p.P[2] = rng.uniform(0.0, 2.0, 6), rng.uniform(0.0, 2.0, 6)
-            square = QcqpProblem(**{**vars(p), "P": [np.diag(Pi) if Pi.ndim == 1 else Pi for Pi in p.P]})
+            square = dataclasses.replace(p, P=[np.diag(Pi) if Pi.ndim == 1 else Pi for Pi in p.P])
             x, u, lam, gam = random_box_state(rng, p)
             for got, want in zip(serial_operator(p, x, u, lam, gam), serial_operator(square, x, u, lam, gam)):
                 np.testing.assert_array_equal(got, want)

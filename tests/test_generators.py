@@ -200,6 +200,29 @@ def test_non_integer_setting_names_its_field(setting, value):
         build(value)
 
 
+# every real-valued setting: the field its error names, and a call setting it to the value
+REAL_SETTINGS = {
+    "SolverConfig.tol": ("tol", lambda v: SolverConfig(tol=v)),
+    "SolverConfig.divergence_threshold": ("divergence_threshold", lambda v: SolverConfig(divergence_threshold=v)),
+    "RandomQcqpSpec.d_min": ("d_min", lambda v: RandomQcqpSpec(n1=4, m1=1, d_min=v)),
+    "RandomQcqpSpec.d_max": ("d_max", lambda v: RandomQcqpSpec(n1=4, m1=1, d_max=v)),
+    "RandomQcqpSpec.box_upper": ("box_upper", lambda v: RandomQcqpSpec(n1=4, m1=1, box_upper=v)),
+    "MklSpec.margin_c": ("margin_c", lambda v: MklSpec(margin_c=v)),
+    "Kernel.sigma2": ("sigma2", lambda v: Kernel("gaussian", v)),
+}
+
+
+# box_upper=None is its default, no box
+@pytest.mark.parametrize("setting, value", [
+    (setting, value) for setting in REAL_SETTINGS for value in ("1", None, True, np.nan)
+    if (setting, value) != ("RandomQcqpSpec.box_upper", None)
+], ids=repr)
+def test_non_real_setting_names_its_field(setting, value):
+    field, build = REAL_SETTINGS[setting]
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        build(value)
+
+
 class TestTwonorm:
     def test_balance_and_determinism(self):
         X, y = gen_twonorm(200, seed=9)
@@ -248,6 +271,13 @@ class TestMklBuild:
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             MklSpec(**{field: value})
+
+    # a --kernels string is parsed by the command line, not taken as its characters
+    @pytest.mark.parametrize("kernels", ["gaussian:1", Kernel("linear"), ("linear",), [Kernel("linear"), None]],
+                             ids=repr)
+    def test_kernels_must_be_kernel_instances(self, kernels):
+        with pytest.raises(ValueError, match="^kernels must be a tuple of Kernel"):
+            MklSpec(kernels=kernels)
 
     def test_settings_are_seven_fields(self):
         # R is the number of kernels, twonorm is 20-dimensional and the data

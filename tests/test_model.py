@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -44,9 +45,9 @@ class TestValidate:
         rng = np.random.default_rng(11)
         M = rng.standard_normal((n, n))
         P = np.asfortranarray((M + M.T) / 2 + n * np.eye(n))
-        assert _asymmetry(P) == 0.0 and validate(hessian_problem([P], n1=n)).ok
+        assert _asymmetry(P) == 0.0 and validate(hessian_problem([P])).ok
         P[at] += 1e-3
-        report = validate(hessian_problem([P], n1=n))
+        report = validate(hessian_problem([P]))
         assert any("not symmetric" in v for v in report.violations)
         for A in (P, np.asfortranarray(M), np.ascontiguousarray(M)):
             assert _asymmetry(A) == pytest.approx(np.linalg.norm(A - A.T), rel=1e-12)
@@ -59,7 +60,7 @@ class TestValidate:
         assert any("not PSD" in v for v in report.violations)
 
     def test_dimension_mismatch_reported(self):
-        fields = dict(n1=2, n2=1, m1=1, m2=1, P=[np.eye(2)] * 2, q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2,
+        fields = dict(P=[np.eye(2)] * 2, q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2,
                       r=np.zeros(2), A=np.zeros((1, 2)), B=np.zeros((1, 1)), b=np.zeros(1), x_upper=np.ones(2))
         p = QcqpProblem(**{**fields, "q": [[1, 2], np.array([3.0, 4.0])], "c": np.asfortranarray([[5.0], [6.0]])})
         # lists of vectors and Fortran-order arrays are stored as C-contiguous float64 (m1 + 1, n) arrays
@@ -71,9 +72,15 @@ class TestValidate:
         for arr, rows in ((p.P[1], [1.0, 2.0]), (p.A, [[1.0, 0.0]]), (p.B, [[2.0]])):
             assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.f_contiguous
             np.testing.assert_array_equal(arr, rows)
+        # n1 is read from P[0], n2 from c and m2 from A: a change to one of
+        # these is reported by the field that then disagrees with it
         for name, value, message in [
+            ("P", [], "P is empty"),
+            ("P", [1.0, np.eye(2)], "P[0] must be an array, got 1.0"),
+            ("P", [np.zeros((2, 2, 2)), np.eye(2)], "P[0] has shape (2, 2, 2), expected (2, 2) or (2,)"),
             ("P", [np.eye(2), np.eye(3)], "P[1] has shape (3, 3), expected (2, 2) or (2,)"),
-            ("P", [np.ones(3), np.eye(2)], "P[0] has shape (3,), expected (2, 2) or (2,)"),
+            ("P", [np.ones(3), np.eye(2)], "P[1] has shape (2, 2), expected (3, 3) or (3,)"),
+            ("P", [np.eye(2)] * 3, "expected 3 q vectors, got 2"),
             ("q", [np.zeros(3), np.zeros(2)], "q[0] has length 3, expected 2"),
             ("q", [np.zeros(2)], "expected 2 q vectors, got 1"),
             ("q", np.zeros((2, 3)), "q has shape (2, 3), expected (2, 2)"),
@@ -81,8 +88,11 @@ class TestValidate:
             ("c", [np.zeros(1), np.zeros((1, 1))], "c[1] has shape (1, 1), expected (1,)"),
             ("c", [np.zeros(1)] * 3, "expected 2 c vectors, got 3"),
             ("c", np.zeros((3, 1)), "c has shape (3, 1), expected (2, 1)"),
+            ("c", [np.zeros(2)] * 2, "B has shape (1, 1), expected (1, 2)"),
+            ("c", np.zeros(2), "c[0] must be an array"),
             ("r", np.zeros(3), "r has length 3, expected 2"),
-            ("A", np.zeros((2, 2)), "A has shape (2, 2), expected (1, 2)"),
+            ("A", np.zeros((2, 2)), "B has shape (1, 1), expected (2, 1)"),
+            ("A", np.zeros((1, 3)), "A has shape (1, 3), expected (1, 2)"),
             ("B", np.zeros((1, 2)), "B has shape (1, 2), expected (1, 1)"),
             ("b", 0.0, "b has shape (), expected (1,)"),
             ("x_upper", np.ones(1), "x_upper has length 1, expected 2"),
@@ -91,7 +101,7 @@ class TestValidate:
                 QcqpProblem(**{**fields, name: value})
 
     def test_c_and_r_default_to_zeros(self, tmp_path):
-        fields = dict(n1=2, n2=3, m1=1, m2=0, P=[np.eye(2)] * 2, q=[np.ones(2)] * 2)
+        fields = dict(P=[np.eye(2)] * 2, q=[np.ones(2)] * 2, B=np.zeros((0, 3)))  # B's columns: n2 = 3
         implicit = QcqpProblem(**fields)
         explicit = QcqpProblem(**fields, c=[np.zeros(3)] * 2, r=[0.0, 0.0])
         for a, b in ((implicit.c, explicit.c), (implicit.r, explicit.r)):
@@ -101,14 +111,52 @@ class TestValidate:
         save_problem(explicit, tmp_path / "explicit.npz")
         assert (tmp_path / "implicit.npz").read_bytes() == (tmp_path / "explicit.npz").read_bytes()
 
+    # the fields left out, and the sizes (n1, n2, m1, m2) read from the rest
+    @pytest.mark.parametrize("omitted, sizes", [
+        ((), (2, 1, 1, 1)),
+        (("c",), (2, 1, 1, 1)),  # n2 from B
+        (("c", "B"), (2, 0, 1, 1)),
+        (("A",), (2, 1, 1, 1)),  # m2 from B
+        (("A", "B"), (2, 1, 1, 1)),  # m2 from b
+        (("A", "B", "b"), (2, 1, 1, 0)),
+        (("c", "A", "B", "b", "r", "x_upper"), (2, 0, 1, 0)),
+    ])
+    def test_sizes_are_read_from_the_data(self, omitted, sizes):
+        fields = dict(P=[np.eye(2), np.ones(2)], q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2, r=np.zeros(2),
+                      A=np.zeros((1, 2)), B=np.zeros((1, 1)), b=np.zeros(1), x_upper=np.ones(2))
+        p = QcqpProblem(**{k: v for k, v in fields.items() if k not in omitted})
+        assert (p.n1, p.n2, p.m1, p.m2) == sizes
+        assert p.c.shape == (2, p.n2) and p.A.shape == (p.m2, 2) and p.B.shape == (p.m2, p.n2)
+        # a u block without linear terms or equality rows: B with no rows carries n2
+        p = QcqpProblem(P=[np.eye(2)], q=[np.zeros(2)], B=np.zeros((0, 3)))
+        assert (p.n1, p.n2, p.m1, p.m2) == (2, 3, 0, 0) and p.c.shape == (1, 3)
+
+    @pytest.mark.parametrize("size", ["n1", "n2", "m1", "m2"])
+    def test_sizes_are_not_arguments(self, size):
+        with pytest.raises(TypeError, match=f"'{size}'"):
+            QcqpProblem(P=[[[1.0]]], q=[[0.0]], **{size: 1.5})
+
+    def test_replace_derives_the_sizes_again(self):
+        p = random_problem(np.random.default_rng(13), n1=4, m1=2, n2=2, m2=1)
+        fewer = dataclasses.replace(p, P=p.P[:2], q=p.q[:2], c=p.c[:2], r=p.r[:2])
+        assert (fewer.n1, fewer.n2, fewer.m1, fewer.m2) == (4, 2, 1, 1)
+        no_rows = dataclasses.replace(p, A=np.zeros((0, 4)), B=np.zeros((0, 2)), b=np.zeros(0))
+        assert (no_rows.n1, no_rows.n2, no_rows.m1, no_rows.m2) == (4, 2, 2, 0)
+        with pytest.raises(ValueError, match=re.escape("P[1] has shape (4, 4), expected (2, 2) or (2,)")):
+            dataclasses.replace(p, P=[np.eye(2)] + p.P[1:])  # n1 read from P[0]: P[1] disagrees
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(p, n1=4)
+
     @pytest.mark.parametrize("name", ["P", "q"])
     def test_missing_hessians_or_linear_terms_name_the_field(self, name):
-        fields = dict(n1=1, n2=0, m1=0, m2=0, P=[[[1.0]]], q=[[0.0]])
+        fields = dict(P=[[[1.0]]], q=[[0.0]])
         del fields[name]
         with pytest.raises(TypeError, match=f"'{name}'"):
             QcqpProblem(**fields)
 
     @pytest.mark.parametrize("name, value, field", [
+        ("P", sp.identity(2, format="csc"), "P"),
+        ("P", [sp.identity(2, format="csc"), np.eye(2)], "P[0]"),
         ("P", [np.eye(2), sp.identity(2, format="csc")], "P[1]"),
         ("q", sp.csr_matrix(np.zeros((2, 2))), "q"),
         ("q", [np.zeros(2), sp.csr_matrix(np.zeros((1, 2)))], "q[1]"),
@@ -121,7 +169,7 @@ class TestValidate:
     ])
     def test_sparse_input_is_refused_by_name(self, name, value, field):
         # numpy cannot convert a sparse matrix: the caller passes .toarray() or .diagonal()
-        fields = dict(n1=2, n2=1, m1=1, m2=1, P=[np.eye(2)] * 2, q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2,
+        fields = dict(P=[np.eye(2)] * 2, q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2,
                       r=np.zeros(2), A=np.zeros((1, 2)), B=np.zeros((1, 1)), b=np.zeros(1), x_upper=np.ones(2))
         with pytest.raises(ValueError, match=re.escape(f"{field} is a sparse matrix")):
             QcqpProblem(**{**fields, name: value})
@@ -163,7 +211,7 @@ class TestValidate:
             n = rng.integers(1, 12)
             M = rng.standard_normal((rng.integers(1, n + 1), n))
             for G in (M.T @ M, np.square(M).sum(axis=0)):
-                assert validate(hessian_problem([G], n1=n)).ok
+                assert validate(hessian_problem([G])).ok
 
     def test_sparse_psd_accepted(self):
         report = validate(hessian_problem([np.ones(2)]))  # the identity, as its diagonal
@@ -174,10 +222,10 @@ class TestValidate:
         # as a diagonal, shifted down by 1e-3
         n = 256
         lap = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
-        assert validate(hessian_problem([np.ones(n), lap], n1=n)).ok
+        assert validate(hessian_problem([np.ones(n), lap])).ok
         bad = lap - 1e-3
         tau = PSD_RTOL * max(np.linalg.norm(bad), 1.0)
-        report = validate(hessian_problem([np.ones(n), bad], n1=n))
+        report = validate(hessian_problem([np.ones(n), bad]))
         assert report.violations == [f"P[1] is not PSD (P[1] + {tau:.3e} I is not positive definite)"]
 
     def test_unbounded_generator_singular_sparse_accepted(self):
@@ -203,7 +251,7 @@ class TestValidate:
         P = (P + P.T) / 2
         P = {"dense": np.asfortranarray(P), "csc": np.ascontiguousarray(P), "diagonal csc": spectrum,
              "dense lapack": np.asfortranarray(P)}
-        assert validate(hessian_problem([np.eye(n), P[storage]], n1=n)).ok is ok
+        assert validate(hessian_problem([np.eye(n), P[storage]])).ok is ok
 
     def test_lapack_scratch_reused_across_hessians(self):
         # one scratch matrix serves every Hessian: the indefinite middle one
@@ -215,7 +263,7 @@ class TestValidate:
         indefinite = np.asfortranarray(psd - 0.1 * np.eye(n))
         tau = PSD_RTOL * max(np.linalg.norm(indefinite), 1.0)
         assert np.linalg.eigvalsh(indefinite)[0] < -tau
-        report = validate(hessian_problem([psd, indefinite, psd], n1=n))
+        report = validate(hessian_problem([psd, indefinite, psd]))
         assert report.violations == [f"P[1] is not PSD (P[1] + {tau:.3e} I is not positive definite)"]
 
     def test_lapack_illegal_argument_raises(self, monkeypatch):
@@ -224,7 +272,7 @@ class TestValidate:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kw: (a, -1))
         with pytest.raises(RuntimeError, match="dpotrf rejected argument 1"):
-            validate(hessian_problem([np.eye(LARGE_DENSE_COLS)], n1=LARGE_DENSE_COLS))
+            validate(hessian_problem([np.eye(LARGE_DENSE_COLS)]))
 
     def test_small_families_do_not_import_scipy_linalg(self, tmp_path):
         # below LARGE_DENSE_COLS the PSD test needs no scipy.linalg (about 28 MB
@@ -311,7 +359,7 @@ class TestValidate:
             S -= (np.linalg.eigvalsh(S)[0] + rng.uniform(-1e-3, 1e-3) * np.linalg.norm(S)) * np.eye(n)
             want = np.linalg.eigvalsh(S)[0] >= -PSD_RTOL * max(np.linalg.norm(S), 1.0)
             for P in (np.asfortranarray(S), np.ascontiguousarray(S)):
-                assert validate(hessian_problem([np.eye(n), P], n1=n)).ok == want
+                assert validate(hessian_problem([np.eye(n), P])).ok == want
             decisions.add(bool(want))
         assert decisions == {True, False}
 
@@ -352,7 +400,7 @@ class TestSerialization:
 
     def test_round_trip_sparse_and_infinite_bounds(self, tmp_path):
         P1 = np.array([1.0, 0.0, 2.5])  # diag(1, 0, 2.5)
-        p = hessian_problem([np.eye(3), P1], n1=3, x_upper=[1.0, np.inf, 2.0])
+        p = hessian_problem([np.eye(3), P1], x_upper=[1.0, np.inf, 2.0])
         path = tmp_path / "p.npz"
         save_problem(p, path)
         members = read_members(path)
@@ -388,13 +436,18 @@ class TestSerialization:
             save_problem(p, path)
         assert not path.exists()
 
-    def test_round_trip_is_bitwise(self, tmp_path):
+    # (n2, m2): the sizes read from c, A and B, a u block with no equality rows included
+    @pytest.mark.parametrize("n2, m2", [(0, 0), (2, 1), (3, 0), (0, 2)])
+    def test_round_trip_is_bitwise(self, tmp_path, n2, m2):
         rng = np.random.default_rng(11)
-        p = random_problem(rng, n1=4, m1=1)
+        p = random_problem(rng, n1=4, m1=1, n2=n2, m2=m2)
         first = tmp_path / "a.npz"
         second = tmp_path / "b.npz"
         save_problem(p, first)
-        save_problem(load_problem(first), second)
+        loaded = load_problem(first)
+        assert (loaded.n1, loaded.n2, loaded.m1, loaded.m2) == (4, n2, 1, m2)
+        assert read_members(first)["dims"].tolist() == [4, n2, 1, m2]
+        save_problem(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_missing_matrix_is_dimension_error(self, tmp_path):
