@@ -4,9 +4,10 @@ then sha256 of every generated problem file.
 Solves a fixed instance set (the toy, random n1=64 seeds 0-2, random n1=600
 seed 0, random n1=65 seed 2 with its middle Hessian replaced by its
 diagonal, MKL seed 0 with either margin and with 60 training points, the
-infeasible and unbounded instances) at 1 and 3 workers, a dense QP (random
-n1=257, m1=0, seed 1) at 1 and 4 workers, and the infeasible and unbounded
-instances at n1=256 seed 0 at 4 workers, and prints one line per solve.
+infeasible and unbounded instances) at 1 and 3 workers, the infeasible
+instance also at 7, a dense QP (random n1=257, m1=0, seed 1) at 1, 4 and 7
+workers, and the infeasible and unbounded instances at n1=256 seed 0 at 4
+workers, and prints one line per solve.
 Then saves one problem file per generator family (random seed 0 with a
 box, MKL seed 0 with either margin, infeasible, unbounded) and prints one
 line per file.  Two commits whose outputs match line for line
@@ -48,13 +49,15 @@ def instances():
     P = [base.P[0], base.P[1].diagonal().copy(), base.P[2]]
     yield "interleaved-n65", dataclasses.replace(base, P=P), {}, (1, 3)
     # a dense QP: its lone Hessian is stacked like any other; 257 columns split 65 + 3 x 64 at 4 workers
-    yield "qp-n257", gen_random_qcqp(RandomQcqpSpec(n1=257, m1=0, seed=1)), {}, (1, 4)
+    # and 5 x 37 + 2 x 36 at 7, where the reduction tree has three levels and carries a row with no partner
+    yield "qp-n257", gen_random_qcqp(RandomQcqpSpec(n1=257, m1=0, seed=1)), {}, (1, 4, 7)
     yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}, (1, 3)
     yield "mkl-sm1-s0", build_mkl_qcqp(MklSpec(svm="sm1", seed=0))[0], {}, (1, 3)
     # five 60-column Gram Hessians stack into 300 rows, not a multiple of 8:
     # the stacked block's leading dimension is padded to 304
     yield "mkl-n60", build_mkl_qcqp(MklSpec(n_tr=60, seed=0))[0], {}, (1, 3)
-    yield "infeasible", gen_infeasible(64, seed=0), {"divergence_threshold": 1e4}, (1, 3)
+    # 64 columns split 10 + 6 x 9 at 7 workers, through both collectives of a pass
+    yield "infeasible", gen_infeasible(64, seed=0), {"divergence_threshold": 1e4}, (1, 3, 7)
     yield "unbounded", gen_unbounded(64, seed=0), {}, (1, 3)
     # the pathology-4w benchmark's instances at its 4 workers: 64 columns each
     yield "infeasible-n256", gen_infeasible(256, seed=0), {"divergence_threshold": 1e4}, (4,)

@@ -17,12 +17,13 @@ Workers here are simulated: the per-worker local-compute phases run
 sequentially in worker order inside one process, separated by the same
 reduce / scatter points a message-passing deployment would have.  The
 testable artifact is the communication contract, not the transport:
-``CommStats`` counts every collective and its byte volume exactly as the
-distributed run would issue them, and the reduction order is a fixed
-left-to-right pairwise tree over worker index, so results are bitwise
-reproducible for a fixed worker count.  (Across *different* worker counts
-only floating-point-tolerance agreement is possible, since partial sums
-group differently.)
+``CommStats`` books every collective and its byte volume, in one call,
+exactly as the distributed run would issue them, and the reduction order
+is a fixed left-to-right pairwise tree over worker index, one ``np.add``
+per level as MPI's binomial-tree reduce has one round per level, so
+results are bitwise reproducible for a fixed worker count.  (Across
+*different* worker counts only floating-point-tolerance agreement is
+possible, since partial sums group differently.)
 
 The column blocks of the Hessian stack are cut once per solve, not once
 per product: :class:`ColumnBlocks` takes the ``m1 + 1`` Hessians, each a
@@ -46,7 +47,7 @@ partials of a 256-column stack at 4 workers took 14.1 us in one call
 against 18.6 us in four, and the four ``(2, 64)`` constraint-row partials
 1.4 us against 5.1 us.  The communication contract and the reduction tree
 do not change: the partials are the rows of one ``(W, k)`` stack, and
-they add in the same pairwise tree.
+they add level by level in the same pairwise tree.
 
 Each product is also set up once per solve, as a persistent collective is
 in a message-passing deployment: :meth:`ColumnBlocks.bind` and
@@ -73,7 +74,7 @@ So small stacks and every partitioned run take the generic path unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -93,28 +94,23 @@ _LINE_DOUBLES = _LINE_BYTES // _FLOAT_BYTES
 
 @dataclass
 class CommStats:
-    """Counters for the modeled reduce/scatter traffic of one solve."""
+    """Counters for the modeled reduce/scatter traffic of one solve, one :meth:`record` per collective."""
 
     reduce_ops: int = 0
     scatter_ops: int = 0
     bytes_reduced: int = 0
     bytes_scattered: int = 0
 
-    def record_reduce(self, n_values: int):
+    def record(self, n_reduced: int, n_scattered: int | None = None):
+        """Book a reduce of ``n_reduced`` doubles and, unless ``n_scattered`` is None, a scatter of that many."""
         self.reduce_ops += 1
-        self.bytes_reduced += _FLOAT_BYTES * n_values
-
-    def record_scatter(self, n_values: int):
-        self.scatter_ops += 1
-        self.bytes_scattered += _FLOAT_BYTES * n_values
+        self.bytes_reduced += _FLOAT_BYTES * n_reduced
+        if n_scattered is not None:
+            self.scatter_ops += 1
+            self.bytes_scattered += _FLOAT_BYTES * n_scattered
 
     def as_dict(self):
-        return {
-            "reduce_ops": self.reduce_ops,
-            "scatter_ops": self.scatter_ops,
-            "bytes_reduced": self.bytes_reduced,
-            "bytes_scattered": self.bytes_scattered,
-        }
+        return asdict(self)
 
 
 class Plan:
@@ -177,28 +173,24 @@ def _reduce(operands, out):
     one row per worker; numpy runs the BLAS product of each item that the
     2-D product of the block runs, so the partials are those of one call
     per worker, bit for bit.  The rows add in a fixed pairwise
-    left-to-right tree over worker index, each sum overwriting the left
-    operand's row and the last written into ``out``, so the bits do not
-    depend on the run.
+    left-to-right tree over worker index, one ``np.add`` per level: at
+    stride ``s = 1, 2, 4, ...`` row ``w + s`` is added into row ``w`` for
+    each ``w`` a multiple of ``2 s``, the last sum written into ``out``.  A
+    row left without a partner stays where the next level reads it, so
+    the bits do not depend on the run.  numpy may iterate a level of four or
+    more pairs through transient buffers of its own.
     """
     if len(operands) == 1 and len(operands[0][0]) == 1:
         (A, b), = operands
         return [_gemv(A[0], b[0, :, 0], out)]
     parts = np.empty((sum(len(A) for A, _ in operands), out.size))
-    steps, w = [], 0
+    steps, W = [], 0
     for A, b in operands:
-        steps.append((np.matmul, (A, b, parts[w:w + len(A), :, None])))
-        w += len(A)
-    level = list(parts)
-    while len(level) > 1:
-        sums = []
-        for i in range(0, len(level) - 1, 2):
-            total = out if len(level) == 2 else level[i]
-            steps.append((np.add, (level[i], level[i + 1], total)))
-            sums.append(total)
-        if len(level) % 2:
-            sums.append(level[-1])
-        level = sums
+        steps.append((np.matmul, (A, b, parts[W:W + len(A), :, None])))
+        W += len(A)
+    for s in [2 ** i for i in range((W - 1).bit_length())]:  # ceil(log2 W) levels
+        left = parts[0:W - s:2 * s]
+        steps.append((np.add, (left, parts[s::2 * s], out[None] if 2 * s >= W else left)))
     return steps
 
 
@@ -308,9 +300,9 @@ class ColumnBlocks:
         row of a matrix kept whole for ``dsymv`` is its one worker's product,
         written in place, and a diagonal's row is one 1-D product ``d * x``
         of the diagonal as given, each worker's columns of it its own.
-        Each run books one reduce of all the rows, the diagonals' included,
-        and one scatter of the same volume, which hands the products back to
-        the workers.
+        Each run books, in one :meth:`CommStats.record` step, one reduce of
+        all the rows, the diagonals' included, and one scatter of the same
+        volume, which hands the products back to the workers.
         """
         k, n = self._shape
         if x.shape != (n,):
@@ -328,11 +320,10 @@ class ColumnBlocks:
                         for stack, (lo, g, c) in zip(stacks, self._runs)]
             steps += _reduce(operands, total)
             if not whole:
-                steps += [(np.copyto, (out[i], row)) for i, row in zip(rows, total.reshape(-1, n))]
+                steps += [(np.copyto, (out[i], row)) for i, row in zip(rows, total.reshape(len(rows), n))]
         steps += [(np.multiply, (d, x, out[i])) for i, d in self._diagonal]
-        steps += [(stats.record_reduce, (out.size,)), (stats.record_scatter, (out.size,))]
+        steps.append((stats.record, (out.size, out.size)))
         return Plan(steps)
-
 
     def bind_dot(self, X, y, out, stats: CommStats) -> Plan:
         """The plan writing the row-wise products ``X @ y`` over the workers' column slices into ``out``.
@@ -353,4 +344,4 @@ class ColumnBlocks:
         k = len(X)
         operands = [(X[:, lo:lo + g * c].reshape(k, g, c).transpose(1, 0, 2), y[lo:lo + g * c].reshape(g, c, 1))
                     for lo, g, c in self._runs]
-        return Plan(_reduce(operands, out) + [(stats.record_reduce, (k,))])
+        return Plan(_reduce(operands, out) + [(stats.record, (k,))])

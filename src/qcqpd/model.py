@@ -85,9 +85,18 @@ def _length(v, name):
         raise ValueError(f"{name} must be an array, got {v!r}") from None
 
 
+def _floats(convert, v, name):
+    """``convert(v, dtype=np.float64)``; a sparse, ragged or non-numeric ``v`` raises ``ValueError`` naming ``name``."""
+    v = _refuse_sparse(v, name)
+    try:
+        return convert(v, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} is not a numeric array: {err}") from None
+
+
 def _as_matrix(M, name, *shapes):
     """Coerce ``M`` to a Fortran-order float64 array of one of ``shapes``."""
-    out = np.asfortranarray(_refuse_sparse(M, name), dtype=np.float64)
+    out = _floats(np.asfortranarray, M, name)
     if out.shape not in shapes:
         raise ValueError(f"{name} has shape {out.shape}, expected {' or '.join(map(str, shapes))}")
     return out
@@ -104,7 +113,7 @@ def _as_rows(v, rows, cols, name):
         if len(v) != rows:
             raise ValueError(f"expected {rows} {name} vectors, got {len(v)}")
         v = np.array([_as_vector(vi, cols, f"{name}[{i}]") for i, vi in enumerate(v)])
-    out = np.ascontiguousarray(v, dtype=np.float64)
+    out = _floats(np.ascontiguousarray, v, name)
     if out.shape != (rows, cols):
         raise ValueError(f"{name} has shape {out.shape}, expected {(rows, cols)}")
     return out
@@ -112,14 +121,14 @@ def _as_rows(v, rows, cols, name):
 
 def _as_vector(v, n, name):
     """Coerce ``v`` to a float64 vector of length ``n``."""
-    out = np.asarray(_refuse_sparse(v, name), dtype=np.float64)
+    out = _floats(np.asarray, v, name)
     if out.shape != (n,):
         raise ValueError(f"{name} has length {out.shape[0]}, expected {n}" if out.ndim == 1
                          else f"{name} has shape {out.shape}, expected {(n,)}")
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class QcqpProblem:
     """Data of one box-constrained convex QCQP.
 
@@ -179,10 +188,9 @@ class QcqpProblem:
             raise ValueError("P is empty; it holds at least the objective's Hessian P[0]")
         n1 = self.n1 = _length(P[0], "P[0]")
         if c is not None:
-            n2 = _length(c[0], "c[0]") if _length(c, "c") else 0
+            n2 = self.n2 = _length(c[0], "c[0]") if _length(c, "c") else 0
         else:  # the columns of B are the rows of its transpose, which holds them even when B has no rows
-            n2 = _length(np.transpose(_refuse_sparse(B, "B")), "B") if B is not None else 0
-        self.n2 = n2
+            n2 = self.n2 = _length(_floats(np.asarray, B, "B").T, "B") if B is not None else 0
         m2 = self.m2 = next((_length(v, name) for name, v in (("A", A), ("B", B), ("b", b)) if v is not None), 0)
         self.P = [_as_matrix(Pi, f"P[{i}]", (n1, n1), (n1,)) for i, Pi in enumerate(P)]
         self.q = _as_rows(self.q, m1 + 1, n1, "q")

@@ -412,15 +412,14 @@ def reference_products(hessians, x, workers, stats):
                               ).reshape(-1, n)
     for i, d in hessians._diagonal:
         out[i] = d * x
-    stats.record_reduce(out.size)
-    stats.record_scatter(out.size)
+    stats.record(out.size, out.size)
     return out
 
 
 def reference_dot(X, y, workers, stats):
     """The row-wise products ``X @ y`` as the tree sum of ``X[:, lo:hi] @ y[lo:hi]`` over
     the :func:`reference_ranges` of ``workers``; books one reduce of ``len(X)`` doubles."""
-    stats.record_reduce(len(X))
+    stats.record(len(X))
     return _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in reference_ranges(len(y), workers)])
 
 

@@ -171,10 +171,12 @@ class TestDot:
             y = rng.integers(-5, 6, size=n).astype(float)
             assert np.array_equal(_dot(X, y, n, workers), X @ y)
 
-    # n = 3 leaves some of 4 or 5 workers an empty column range; 13 and 37
-    # split into two column widths at most worker counts
+    # n = 3 leaves some of 4 or more workers an empty column range, and 13
+    # some of 16; 13 and 37 split into two column widths at most worker
+    # counts.  From 6 workers a row with no partner is carried through two or
+    # three levels of the tree.
     @pytest.mark.parametrize("n", [3, 13, 37])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6, 7, 9, 16])
     def test_bound_plan_is_the_per_call_reference_bitwise(self, workers, n):
         # X row-major, as the pass's constraint block is; the plan reads X and
         # y afresh on every run
@@ -313,6 +315,22 @@ class TestColumnBlocks:
         assert len(_product_calls(plan)) == calls
         assert stats.reduce_ops == 0  # binding books nothing
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+    @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"]], ids=["dense", "mixed"])
+    def test_one_add_per_tree_level_and_one_booking(self, kinds, workers):
+        # the tree adds every pair of a level in one np.add, ceil(log2 W)
+        # levels, and each collective is booked in one step
+        n = 13
+        stats = CommStats()
+        hessians = ColumnBlocks(_stack(kinds, n, np.random.default_rng(workers), integer=False), workers)
+        plans = [hessians.bind(np.empty(n), np.empty(hessians._shape), stats),
+                 hessians.bind_dot(np.empty((2, n)), np.empty(n), np.empty(2), stats)]
+        for plan in plans:
+            functions = [f for f, _ in plan.steps]
+            assert functions.count(np.add) == (workers - 1).bit_length()
+            assert [getattr(f, "__self__", None) for f in functions].count(stats) == 1
+            assert functions[-1] == stats.record
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", [STACKS["csc"], STACKS["mixed"], BOUND_STACKS["diagonal-first"]],
                              ids=["csc", "mixed", "diagonal-first"])
@@ -378,10 +396,12 @@ class TestColumnBlocks:
         np.testing.assert_allclose(out, np.stack([_matvec(M, x, workers) for M in mats]), rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-13, atol=1e-13)
 
-    # n = 3 leaves some of 4 or 5 workers an empty column range; 13 and 37
-    # split into two column widths at most worker counts
+    # n = 3 leaves some of 4 or more workers an empty column range, and 13
+    # some of 16; 13 and 37 split into two column widths at most worker
+    # counts.  From 6 workers a row with no partner is carried through two or
+    # three levels of the tree.
     @pytest.mark.parametrize("n", [3, 13, 37])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6, 7, 9, 16])
     @pytest.mark.parametrize("kinds", BOUND_STACKS.values(), ids=list(BOUND_STACKS))
     def test_bound_plan_is_the_per_call_reference_bitwise(self, kinds, workers, n):
         rng = np.random.default_rng(400 + 10 * workers + n)
@@ -404,10 +424,11 @@ class TestColumnBlocks:
             with pytest.raises(ValueError, match=re.escape("out must be a C-contiguous (2, 3) array")):
                 blocks.bind(np.ones(3), out, CommStats())
 
+    # a stack of no columns (a problem with n1 = 0) still books its scatter, of no bytes
+    @pytest.mark.parametrize("n", [10, 0])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_comm_one_reduce_scatter_pair_per_call(self, workers):
+    def test_comm_one_reduce_scatter_pair_per_call(self, workers, n):
         rng = np.random.default_rng(7)
-        n = 10
         mats = _stack(STACKS["mixed"], n, rng, integer=True)
         x = np.empty(n)
         stats = CommStats()

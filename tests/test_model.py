@@ -26,6 +26,10 @@ from qcqpd import (
 from qcqpd.model import LARGE_DENSE_COLS, PSD_RTOL, SYMMETRY_TILE, _asymmetry
 from helpers import hessian_problem, random_problem, read_members, toy_problem, write_members
 
+# A problem with every field given: two Hessians, one u column and one equality row.
+EVERY_FIELD = dict(P=[np.eye(2)] * 2, q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2,
+                   r=np.zeros(2), A=np.zeros((1, 2)), B=np.zeros((1, 1)), b=np.zeros(1), x_upper=np.ones(2))
+
 
 class TestValidate:
     def test_identity_is_valid(self):
@@ -169,10 +173,39 @@ class TestValidate:
     ])
     def test_sparse_input_is_refused_by_name(self, name, value, field):
         # numpy cannot convert a sparse matrix: the caller passes .toarray() or .diagonal()
-        fields = dict(P=[np.eye(2)] * 2, q=[np.zeros(2)] * 2, c=[np.zeros(1)] * 2,
-                      r=np.zeros(2), A=np.zeros((1, 2)), B=np.zeros((1, 1)), b=np.zeros(1), x_upper=np.ones(2))
         with pytest.raises(ValueError, match=re.escape(f"{field} is a sparse matrix")):
-            QcqpProblem(**{**fields, name: value})
+            QcqpProblem(**{**EVERY_FIELD, name: value})
+
+    @pytest.mark.parametrize("name, value, field", [
+        ("P", [[[1.0, 0.0], [1.0]], np.eye(2)], "P[0]"),
+        ("P", ["ab", np.eye(2)], "P[0]"),
+        ("q", [[0.0, [0.0]], np.zeros(2)], "q[0]"),
+        ("q", [["a", "b"], np.zeros(2)], "q[0]"),
+        ("A", [[1.0, 0.0], [1.0]], "A"),
+        ("A", [["a", "b"]], "A"),
+        ("B", [[1.0], []], "B"),
+        ("B", [["a"]], "B"),
+        ("b", [[1.0], [1.0, 2.0]], "b"),
+        ("b", ["a"], "b"),
+        ("r", [[0.0], [0.0, 1.0]], "r"),
+        ("r", ["a", "b"], "r"),
+        ("x_upper", [[1.0], [1.0, 2.0]], "x_upper"),
+        ("x_upper", ["a", "b"], "x_upper"),
+    ])
+    def test_ragged_or_non_numeric_input_names_its_field(self, name, value, field):
+        # numpy's own message (an inhomogeneous shape, a string it cannot
+        # convert) follows the name of the field
+        with pytest.raises(ValueError, match="^" + re.escape(f"{field} is not a numeric array: ")):
+            QcqpProblem(**{**EVERY_FIELD, name: value})
+        if name == "B":  # with no c, the columns of B are the size n2
+            with pytest.raises(ValueError, match="^B is not a numeric array: "):
+                QcqpProblem(**{**EVERY_FIELD, "c": None, "B": value})
+
+    def test_problems_compare_by_identity(self):
+        # the array fields have no one truth value, so == is identity and a problem hashes
+        p, q = gen_unbounded(4), gen_unbounded(4)
+        assert p == p and p != q
+        assert len({p, q, p}) == 2
 
     def test_nonpositive_upper_bound_flagged(self):
         p = hessian_problem([np.eye(2)])
