@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .core import SolverConfig, solve
 from .diagnostics import TerminationStatus, compute_residuals, kkt_residual_max, serial_operator
 from .generators import (
+    Kernel,
     MklSpec,
     RandomQcqpSpec,
     _parse_kernels,
@@ -124,29 +124,31 @@ def _run_solve(args) -> int:
 
 
 def _run_generate(args) -> int:
-    if args.family == "random-qcqp":
-        spec = _from_flags(RandomQcqpSpec, args)
-        problem = gen_random_qcqp(spec)
-        meta = {"family": "random-qcqp", **dataclasses.asdict(spec), "kappa": spec.kappa}
-        if spec.box_upper is not None and math.isinf(spec.box_upper):
-            meta["box_upper"] = None  # no finite box, as when none is given
-    elif args.family == "infeasible":
-        problem = gen_infeasible(args.n1, seed=args.seed)
-        meta = {"family": "infeasible", "seed": args.seed, "n1": args.n1}
-    elif args.family == "unbounded":
-        problem = gen_unbounded(args.n1, seed=args.seed)
-        meta = {"family": "unbounded", "seed": args.seed, "n1": args.n1}
+    extras = {}
+    if args.family in ("infeasible", "unbounded"):
+        generate = gen_infeasible if args.family == "infeasible" else gen_unbounded
+        problem, settings = generate(args.n1, seed=args.seed), {"n1": args.n1, "seed": args.seed}
     else:
-        if "kernels" in args:
-            args.kernels = _parse_kernels(args.kernels)
-        problem, artifacts = build_mkl_qcqp(_from_flags(MklSpec, args))
-        meta = artifacts.sidecar_dict()
+        if args.family == "random-qcqp":
+            spec = _from_flags(RandomQcqpSpec, args)
+            problem = gen_random_qcqp(spec)
+        else:
+            if "kernels" in args:
+                args.kernels = _parse_kernels(args.kernels)
+            problem, artifacts = build_mkl_qcqp(_from_flags(MklSpec, args))
+            spec = artifacts.spec
+            extras = {"train_indices": artifacts.train_indices.tolist(),
+                      "test_indices": artifacts.test_indices.tolist()}
+        settings = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    # the settings, nothing derived from them; built before any file is
+    # written, so a sidecar that is not strict JSON is an error, not a file
+    meta = json.dumps({"family": args.family, **settings, **extras}, indent=2, sort_keys=True,
+                      default=Kernel.label, allow_nan=False)
     save_problem(problem, args.out)
     print(f"wrote {args.out}")
     if args.meta:
         with open(args.meta, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(meta + "\n")
         print(f"wrote {args.meta}")
     return 0
 

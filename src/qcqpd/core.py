@@ -364,8 +364,8 @@ class _Workspace:
     qi`` (``i <= m1``, written by every pass) and then ``A``, with the
     ``u`` columns ``(c0; C; B)`` beside them; ``HA``, ``(m1 + m2, n1)``: the
     rows ``0.5 Pi x + qi`` (``i >= 1``, written by every pass) and then
-    ``A``; ``neg_rb = -(r[1:]; -b)``; ``Px``, the ``(m1 + 1, n1)`` Hessian
-    products, and ``g``, the ``m1 + m2`` constraint rows of the latest pass.
+    ``A``; ``CB = (C; B)``, the ``u`` columns of ``J[1:]``; ``neg_rb = -(r[1:];
+    -b)``; and ``Px``, the ``(m1 + 1, n1)`` Hessian products.
     ``pass_z`` and ``pass_w`` (:meth:`_bind`) are the passes at ``z`` and
     at ``w``, each writing its own operator buffer.
     """
@@ -382,8 +382,9 @@ class _Workspace:
         # row-major whatever the order of c, A and B, so each product takes one BLAS path
         self.J = np.ascontiguousarray(np.block([[np.zeros((p.m1 + 1, p.n1)), p.c], [p.A, p.B]]))
         self.HA = np.ascontiguousarray(np.vstack([np.zeros((p.m1, p.n1)), p.A]))
+        self.CB = np.ascontiguousarray(self.J[1:, p.n1:])
         self.neg_rb = np.concatenate([-p.r[1:], p.b])
-        self.Px, self.g = np.empty((p.m1 + 1, p.n1)), np.empty(p.m1 + p.m2)
+        self.Px = np.empty((p.m1 + 1, p.n1))
         self.pass_z, self.pass_w = self._bind(self.z, self.Fz), self._bind(self.w, self.Fw)
         self.blocks, self.f_blocks = _blocks(p, self.z), _blocks(p, self.Fz)
 
@@ -402,13 +403,14 @@ class _Workspace:
             (-cons, -eq) = neg_rb - g
 
         Each step is one ``out=`` call on views bound here, in the order the
-        expressions are written, so a run allocates nothing.  ``Px`` costs one
+        expressions are written, so a run allocates nothing; ``g`` is built in
+        place in the operator's block ``(-cons, -eq)``.  ``Px`` costs one
         reduce and one scatter and ``HA x`` one reduce (none when ``m1 + m2 =
         0``); ``y' J[1:]`` and ``(C; B) u`` are local products, a worker's
         slice of the first reading only its own columns.  The zero-size
         products of an empty ``g`` or ``u`` are left out.
         """
-        p, J, HA, Px, g, hessians, stats = self.problem, self.J, self.HA, self.Px, self.g, self.hessians, self.stats
+        p, J, HA, Px, hessians, stats = self.problem, self.J, self.HA, self.Px, self.hessians, self.stats
         nu = p.n1 + p.n2
         x, u = _blocks(p, v)[:2]
         y, grad, neg_g = v[nu:], F[:nu], F[nu:]
@@ -417,14 +419,14 @@ class _Workspace:
             [(np.add, (Px, p.q, Pq)), (np.dot, (y, J[1:], yJ)), (np.add, (J[0], yJ, grad))])
         if len(HA):
             # HA[:m1] = 0.5 Px[1:] + q[1:] and g = HA x + (C; B) u, each in the
-            # order it is written
+            # order it is written, g in neg_g, which then becomes neg_rb - g
             H = HA[:p.m1]
             plan += Plan([(np.multiply, (Px[1:], 0.5, H)), (np.add, (H, p.q[1:], H))])
-            plan += hessians.bind_dot(HA, x, g, stats)
+            plan += hessians.bind_dot(HA, x, neg_g, stats)
             if p.n2:
-                CB, Cu = np.ascontiguousarray(J[1:, p.n1:]), np.empty(len(HA))
-                plan += Plan([(np.dot, (CB, u, Cu)), (np.add, (g, Cu, g))])
-            plan += Plan([(np.subtract, (self.neg_rb, g, neg_g))])
+                Cu = np.empty(len(HA))
+                plan += Plan([(np.dot, (self.CB, u, Cu)), (np.add, (neg_g, Cu, neg_g))])
+            plan += Plan([(np.subtract, (self.neg_rb, neg_g, neg_g))])
         return plan
 
     def pass_at_z(self):
@@ -486,7 +488,8 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     ws = _Workspace(problem, cfg.n_workers)
     norms, (x, u, lam, gam), (grad_x, _, neg_cons, _) = ws.norms, ws.blocks, ws.f_blocks
     trace: list[TraceRow] = []
-    rho, rho_min, rho_max, k = math.nan, math.inf, -math.inf, 0
+    # the origin is finite, so iteration 0 always reaches the step size
+    rho_min, rho_max, k = math.inf, -math.inf, 0
 
     with np.errstate(over="ignore"):
         while True:
@@ -518,7 +521,5 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     return SolveReport(
         status=status, message=message, iterations=k, x=x, u=u, lam=lam, gam=gam,
         objective=last.objective, res1=last.res1, res2=last.res2,
-        rho_min=rho_min if rho_min != math.inf else math.nan,
-        rho_max=rho_max if rho_max != -math.inf else math.nan,
-        rho_final=rho, comm=ws.stats, trace=trace,
+        rho_min=rho_min, rho_max=rho_max, rho_final=rho, comm=ws.stats, trace=trace,
     )

@@ -63,7 +63,8 @@ class RandomQcqpSpec:
     both endpoints attained, so its condition number is exactly
     :attr:`kappa`.  The linear terms ``qi`` are uniform on ``[-1, 1)`` and
     the constants ``ri`` on ``[-1, 0)``, so the origin is feasible for
-    every generated constraint.
+    every generated constraint.  ``box_upper`` bounds every coordinate;
+    ``+inf`` is stored as ``None``, no finite box.
     """
 
     n1: int
@@ -84,6 +85,8 @@ class RandomQcqpSpec:
             raise ValueError("kappa > 1 needs n1 >= 2 (both extreme eigenvalues must be attained)")
         if self.box_upper is not None:
             _check_real("box_upper", self.box_upper, finite=False)
+            if self.box_upper == np.inf:  # no finite box: one spelling, as when none is given
+                object.__setattr__(self, "box_upper", None)
 
     @property
     def kappa(self) -> float:
@@ -121,8 +124,8 @@ def gen_random_qcqp(spec: RandomQcqpSpec) -> QcqpProblem:
 
     Matrix ``i`` (0 = objective) draws, in order, the Gaussian entries of
     its orthogonal factor, the interior diagonal entries, then ``qi`` and
-    ``ri``, all from child stream ``i`` of the seed.  Box upper bounds
-    default to ``+inf`` (so only ``x >= 0`` binds).
+    ``ri``, all from child stream ``i`` of the seed.  Without a finite
+    ``box_upper`` only ``x >= 0`` binds.
     """
     s = spec
     P, q, r = [], [], []
@@ -131,7 +134,7 @@ def gen_random_qcqp(spec: RandomQcqpSpec) -> QcqpProblem:
         P.append(_random_psd(rng, s.n1, s.d_min, s.d_max))
         q.append(rng.uniform(-1.0, 1.0, size=s.n1))
         r.append(rng.uniform(-1.0, 0.0))
-    upper = np.full(s.n1, np.inf if s.box_upper is None else s.box_upper)
+    upper = None if s.box_upper is None else np.full(s.n1, s.box_upper)
     return QcqpProblem(P=P, q=q, r=np.array(r), x_upper=upper)
 
 
@@ -152,7 +155,7 @@ def gen_infeasible(n1: int, seed: int = 0) -> QcqpProblem:
     P = list(base.P) + [np.ones(n1)]  # the identity, as its diagonal
     q = list(base.q) + [q2]
     r = np.append(base.r, 0.5 * float(q2 @ q2) + (r2 + 1.0) + 100.0)
-    return QcqpProblem(P=P, q=q, r=r, x_upper=np.full(n1, np.inf))
+    return QcqpProblem(P=P, q=q, r=r)
 
 
 def gen_unbounded(n1: int, seed: int = 0) -> QcqpProblem:
@@ -172,7 +175,7 @@ def gen_unbounded(n1: int, seed: int = 0) -> QcqpProblem:
     q1[-1] = 0.0
     rng = _stream(seed, 0)
     r0, r1 = rng.uniform(-1.0, 0.0, size=2)
-    return QcqpProblem(P=[D0, D0], q=[q0, q1], r=np.array([r0, r1]), x_upper=np.full(n1, np.inf))
+    return QcqpProblem(P=[D0, D0], q=[q0, q1], r=np.array([r0, r1]))
 
 
 # --- kernels and SVM instances ----------------------------------------------
@@ -279,7 +282,11 @@ class MklSpec:
 
 @dataclass
 class MklArtifacts:
-    """Everything needed to score a trained instance on its test split."""
+    """Everything needed to score a trained instance on its test split.
+
+    ``generate mkl --meta`` records the settings, ``spec``'s fields, and the
+    split, ``train_indices`` and ``test_indices``: the dataset rows of each.
+    """
 
     spec: MklSpec
     labels_train: np.ndarray
@@ -288,21 +295,6 @@ class MklArtifacts:
     gram_cross: list
     train_indices: np.ndarray
     test_indices: np.ndarray
-
-    def sidecar_dict(self):
-        return {
-            "family": "mkl",
-            "seed": self.spec.seed,
-            "csv_path": self.spec.csv_path,
-            "svm": self.spec.svm,
-            "margin_c": self.spec.margin_c,
-            "R": self.spec.R,
-            "n_tr": self.spec.n_tr,
-            "n_t": self.spec.n_t,
-            "kernels": [k.label() for k in self.spec.kernels],
-            "train_indices": [int(i) for i in self.train_indices],
-            "test_indices": [int(i) for i in self.test_indices],
-        }
 
 
 def gen_twonorm(n_points: int, seed: int = 0):
@@ -401,8 +393,6 @@ def build_mkl_qcqp(spec: MklSpec):
         q=[-np.ones(n_tr)] + [np.zeros(n_tr)] * m,
         c=[np.array([s.R])] + [np.array([-1.0])] * m,
         A=ltr.reshape(1, n_tr),
-        B=np.zeros((1, 1)),
-        b=np.zeros(1),
         x_upper=upper,
     )
     artifacts = MklArtifacts(

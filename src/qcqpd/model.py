@@ -450,9 +450,11 @@ def load_problem(path) -> QcqpProblem:
 
 def _read_json_object(path):
     """The JSON object in ``path``; ``NaN``/``Infinity`` literals stay strings."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=str)
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError(f"{path}: not a UTF-8 text file ({exc.reason} at byte {exc.start})") from exc
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

@@ -21,8 +21,10 @@ from qcqpd import (
     RandomQcqpSpec,
     SolverConfig,
     build_mkl_qcqp,
+    gen_infeasible,
     gen_random_qcqp,
     gen_twonorm,
+    gen_unbounded,
     load_problem,
     save_problem,
     solve,
@@ -288,14 +290,44 @@ class TestGenerateCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_random_qcqp_meta(self, tmp_path):
+        # the sidecar records d_min and d_max, not the kappa derived from them
         out, meta = tmp_path / "p.npz", tmp_path / "meta.json"
         main(["generate", "random-qcqp", "--n1", "8", "--m1", "1", "--dmin", "0.1", "--dmax", "10", "--seed", "3",
               "--out", str(out), "--meta", str(meta)])
         doc = json.loads(meta.read_text())
-        assert doc["kappa"] == pytest.approx(100.0)
+        assert "kappa" not in doc
         assert doc["d_min"] == 0.1 and doc["d_max"] == 10.0
         assert doc["box_upper"] is None
         assert validate(load_problem(out)).ok
+
+    @pytest.mark.parametrize("flags, settings", [
+        (["random-qcqp", "--n1", "4", "--m1", "1"], RandomQcqpSpec),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--box", "2"], RandomQcqpSpec),
+        (["random-qcqp", "--n1", "4", "--m1", "1", "--box", "inf"], RandomQcqpSpec),
+        (["random-qcqp", "--n1", "2", "--m1", "0", "--dmin", "1e-300", "--dmax", "1e300"], RandomQcqpSpec),
+        (["mkl", "--ntr", "12", "--nt", "4", "--kernels", "linear,gaussian:0.5"], MklSpec),
+        (["mkl", "--csv", "CSV", "--ntr", "12", "--nt", "4"], MklSpec),
+        (["infeasible", "--n1", "4"], ("n1", "seed")),
+        (["unbounded", "--n1", "4", "--seed", "2"], ("n1", "seed")),
+    ], ids=["random-no-box", "random-box", "random-inf-box", "random-huge-kappa", "mkl-kernels", "mkl-csv",
+            "infeasible", "unbounded"])
+    def test_sidecar_is_strict_json_of_the_settings(self, tmp_path, flags, settings):
+        # keys: family, then the spec's fields (the pathology families' n1 and
+        # seed); mkl adds its split.  Nothing derived, such as kappa or R, and
+        # no NaN or Infinity literal, even where d_max / d_min overflows
+        if "CSV" in flags:
+            csv = tmp_path / "d.csv"
+            X, y = gen_twonorm(16, seed=5)
+            csv.write_text("".join(f"{int(yi)}," + ",".join(map(repr, row.tolist())) + "\n" for yi, row in zip(y, X)))
+            flags = [str(csv) if f == "CSV" else f for f in flags]
+        meta = tmp_path / "meta.json"
+        assert main(["generate", *flags, "--out", str(tmp_path / "p.npz"), "--meta", str(meta)]) == 0
+        doc = json.loads(meta.read_text(), parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        names = settings if isinstance(settings, tuple) else tuple(f.name for f in dataclasses.fields(settings))
+        split = ("train_indices", "test_indices") if flags[0] == "mkl" else ()
+        assert sorted(doc) == sorted(("family", *names, *split))
+        assert doc["family"] == flags[0]
+        assert list(doc) == sorted(doc)
 
     def test_mkl_generates_valid_problem(self, tmp_path):
         out, meta = tmp_path / "mkl.npz", tmp_path / "meta.json"
@@ -407,16 +439,24 @@ class TestGenerateCommand:
         ["random-qcqp", "--n1", "6", "--m1", "1", "--box", "inf"],
         ["mkl", "--ntr", "10", "--svm", "sm1", "--c", "2.5", "--seed", "3",
          "--kernels", "linear,gaussian:0.123456789,polynomial"],
-    ], ids=["random-box", "random-inf-box", "mkl"])
+        ["infeasible", "--n1", "5", "--seed", "6"],
+        ["unbounded", "--n1", "5", "--seed", "6"],
+    ], ids=["random-box", "random-inf-box", "mkl", "infeasible", "unbounded"])
     def test_sidecar_reproduces_the_file(self, tmp_path, flags):
         out, meta, again = tmp_path / "p.npz", tmp_path / "meta.json", tmp_path / "again.npz"
         assert main(["generate", *flags, "--out", str(out), "--meta", str(meta)]) == 0
         doc = json.loads(meta.read_text(), parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
-        if doc["family"] == "mkl":
-            doc["kernels"] = _parse_kernels(",".join(doc["kernels"]))
-        spec, build = {"mkl": (MklSpec, lambda s: build_mkl_qcqp(s)[0]),
-                       "random-qcqp": (RandomQcqpSpec, gen_random_qcqp)}[doc["family"]]
-        save_problem(build(spec(**{f.name: doc[f.name] for f in dataclasses.fields(spec)})), again)
+        family = doc.pop("family")
+        if family in ("infeasible", "unbounded"):
+            generate = gen_infeasible if family == "infeasible" else gen_unbounded
+            problem = generate(doc["n1"], seed=doc["seed"])
+        else:
+            if family == "mkl":
+                doc["kernels"] = _parse_kernels(",".join(doc["kernels"]))
+            spec, build = {"mkl": (MklSpec, lambda s: build_mkl_qcqp(s)[0]),
+                           "random-qcqp": (RandomQcqpSpec, gen_random_qcqp)}[family]
+            problem = build(spec(**{f.name: doc[f.name] for f in dataclasses.fields(spec)}))
+        save_problem(problem, again)
         assert again.read_bytes() == out.read_bytes()
 
     @given(st.lists(st.one_of(
@@ -456,11 +496,15 @@ class TestCheckKkt:
         ('{"x": [true], "lambda": [1.0]}', "x"),
         ('{"x": ["1.0"], "lambda": [1.0]}', "x"),
         ('{"x": [null], "lambda": [1.0]}', "x: None"),  # a diverged report's non-finite entry
+        (b'{"x": [1.0], "lambda": [1.0]}\xa7', "not a UTF-8 text file (invalid start byte at byte 29)"),
     ])
     def test_malformed_point_exit_one_without_traceback(self, toy_file, tmp_path, text, field):
+        # every message names the point file, as well as the field
         point = tmp_path / "point.json"
-        point.write_text(text)
-        _assert_error_names(_run_cli("check-kkt", toy_file, str(point)), field)
+        point.write_bytes(text) if isinstance(text, bytes) else point.write_text(text)
+        proc = _run_cli("check-kkt", toy_file, str(point))
+        _assert_error_names(proc, f"{point}: ")
+        _assert_error_names(proc, field)
 
     def test_solve_report_is_a_point(self, toy_file, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -471,13 +471,13 @@ class TestPass:
         # run; filled with NaN, none may survive one call.  The buffers are
         # each step's output (its last argument, np.copyto's first): the
         # per-worker partials, the tree sums and the pass's temporaries; and
-        # the products Px, which dsymv writes in place, the constraint rows g
-        # and the operator
+        # the products Px, which dsymv writes in place, and the operator, whose
+        # dual block holds the constraint rows g while the pass builds them
         for p in _pass_problems() + _stack_problems() + _uneven_problems():
             ws = _workspace(p, workers, random_box_state(np.random.default_rng(workers), p))
             plan = ws.pass_z
             outputs = [args[0] if function is np.copyto else args[-1] for function, args in plan.steps if args]
-            buffers = [a for a in outputs if isinstance(a, np.ndarray)] + [ws.Px, ws.g, ws.Fz]
+            buffers = [a for a in outputs if isinstance(a, np.ndarray)] + [ws.Px, ws.Fz]
             for a in buffers:
                 a.fill(np.nan)
             plan()

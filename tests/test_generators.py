@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import re
 import warnings
 
@@ -21,6 +23,7 @@ from qcqpd import (
     save_problem,
     validate,
 )
+from qcqpd.cli import main
 from qcqpd.generators import DEFAULT_MKL_KERNELS
 from reference import kernel_eval, objective
 
@@ -72,6 +75,16 @@ class TestRandomQcqp:
     def test_box_request(self):
         p = gen_random_qcqp(RandomQcqpSpec(n1=4, m1=1, seed=3, box_upper=2.5))
         assert (p.x_upper == 2.5).all()
+
+    def test_infinite_box_is_no_box(self, tmp_path):
+        # +inf has one spelling, None, so the spec's fields record it as "no box"
+        spec = RandomQcqpSpec(n1=4, m1=1, seed=3, box_upper=math.inf)
+        assert spec.box_upper is None
+        assert spec == RandomQcqpSpec(n1=4, m1=1, seed=3)
+        inf_box, no_box = tmp_path / "inf.npz", tmp_path / "none.npz"
+        save_problem(gen_random_qcqp(spec), inf_box)
+        save_problem(gen_random_qcqp(RandomQcqpSpec(n1=4, m1=1, seed=3)), no_box)
+        assert inf_box.read_bytes() == no_box.read_bytes()
 
     @pytest.mark.parametrize("fields, name", [
         ({"d_min": 1.0, "d_max": np.inf}, "d_max"),
@@ -327,13 +340,16 @@ class TestMklBuild:
         with pytest.raises(ValueError, match="single class"):
             build_mkl_qcqp(MklSpec(csv_path=str(csv), n_tr=6, n_t=2, seed=18))
 
-    def test_sidecar_is_json_serializable(self):
-        import json
-
+    def test_sidecar_is_json_serializable(self, tmp_path):
+        # generate mkl --meta records the spec's fields and the artifacts' split, as strict JSON
+        meta = tmp_path / "meta.json"
+        assert main(["generate", "mkl", "--ntr", "6", "--nt", "2", "--seed", "19",
+                     "--out", str(tmp_path / "m.npz"), "--meta", str(meta)]) == 0
+        doc = json.loads(meta.read_text(), parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
         _, art = build_mkl_qcqp(MklSpec(n_tr=6, n_t=2, seed=19))
-        doc = json.loads(json.dumps(art.sidecar_dict()))
-        assert doc["n_tr"] == 6
-        assert len(doc["train_indices"]) == 6
+        assert doc["n_tr"] == 6 and doc["n_t"] == 2 and doc["seed"] == 19
+        assert doc["train_indices"] == art.train_indices.tolist()
+        assert doc["test_indices"] == art.test_indices.tolist()
 
 
 class TestCsvLoader:
