@@ -1,5 +1,5 @@
-"""Golden outputs: status, iterations and sha256 of report JSON + trace CSV,
-then sha256 of every generated problem file.
+"""Golden outputs: status, iterations, modeled doubles per pass and sha256
+of report JSON + trace CSV, then sha256 of every generated problem file.
 
 Solves a fixed instance set (the toy, random n1=64 seeds 0-2, random n1=600
 seed 0, random n1=65 seed 2 with its middle Hessian replaced by its
@@ -7,7 +7,9 @@ diagonal, MKL seed 0 with either margin and with 60 training points, the
 infeasible and unbounded instances) at 1 and 3 workers, the infeasible
 instance also at 7, a dense QP (random n1=257, m1=0, seed 1) at 1, 4 and 7
 workers, and the infeasible and unbounded instances at n1=256 seed 0 at 4
-workers, and prints one line per solve.
+workers, and prints one line per solve.  The doubles per pass are the
+solve's ``comm`` bytes over 8 and over its ``2k + 1`` passes, as an exact
+fraction, so the comparison below also gates the traffic contract.
 Then saves one problem file per generator family (random seed 0 with a
 box, MKL seed 0 with either margin, infeasible, unbounded) and prints one
 line per file.  Two commits whose outputs match line for line
@@ -23,6 +25,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 # Pin BLAS to one thread before numpy loads: summation order must not vary.
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -48,8 +51,9 @@ def instances():
     base = gen_random_qcqp(RandomQcqpSpec(n1=65, m1=2, seed=2))
     P = [base.P[0], base.P[1].diagonal().copy(), base.P[2]]
     yield "interleaved-n65", dataclasses.replace(base, P=P), {}, (1, 3)
-    # a dense QP: its lone Hessian is stacked like any other; 257 columns split 65 + 3 x 64 at 4 workers
-    # and 5 x 37 + 2 x 36 at 7, where the reduction tree has three levels and carries a row with no partner
+    # a dense QP: its lone Hessian is stacked like any other; 257 rows split 65 + 3 x 64 at 4 workers
+    # and 5 x 37 + 2 x 36 at 7.  With m1 + m2 = 0 a pass reduces nothing: the seven-worker tree of the
+    # constraint rows is the infeasible instance's
     yield "qp-n257", gen_random_qcqp(RandomQcqpSpec(n1=257, m1=0, seed=1)), {}, (1, 4, 7)
     yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}, (1, 3)
     yield "mkl-sm1-s0", build_mkl_qcqp(MklSpec(svm="sm1", seed=0))[0], {}, (1, 3)
@@ -89,8 +93,10 @@ def main():
                 rep = solve(problem, SolverConfig(n_workers=workers, **settings))
                 rep.write_report_json(report)
                 rep.write_trace_csv(trace)
+                c, passes = rep.comm, 2 * rep.iterations + 1
+                doubles = Fraction(c.bytes_reduced + c.bytes_scattered + c.bytes_allgathered, 8 * passes)
                 print(f"{name} workers={workers} status={rep.status.value} "
-                      f"iterations={rep.iterations} sha256={sha256(report, trace)}")
+                      f"iterations={rep.iterations} doubles_per_pass={doubles} sha256={sha256(report, trace)}")
         path = os.path.join(tmp, "problem.npz")
         for name, problem in generated():
             save_problem(problem, path)

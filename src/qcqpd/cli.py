@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .core import SolverConfig, solve
@@ -145,10 +146,15 @@ def _run_generate(args) -> int:
     meta = json.dumps({"family": args.family, **settings, **extras}, indent=2, sort_keys=True,
                       default=Kernel.label, allow_nan=False)
     save_problem(problem, args.out)
+    if args.meta:
+        try:
+            with open(args.meta, "w") as fh:
+                fh.write(meta + "\n")
+        except OSError:
+            os.remove(args.out)  # a problem file is never left without its sidecar
+            raise
     print(f"wrote {args.out}")
     if args.meta:
-        with open(args.meta, "w") as fh:
-            fh.write(meta + "\n")
         print(f"wrote {args.meta}")
     return 0
 

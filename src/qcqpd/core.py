@@ -14,20 +14,21 @@ unconstrained) and an ascent step on ``(lam, gam)`` with ``lam`` clipped
 nonnegative.
 
 The step is component-wise, so the ``x`` block can be partitioned by
-coordinates; the products it needs run through the column-partitioned
-kernels in :mod:`qcqpd.dist`.  Each pass writes the operator at its
-state buffer, ``F(z)`` at the iterate or ``F(w)`` at the predictor, into
-a buffer of its own and issues two collectives: the stacked Hessian
-products, and the ``m1`` quadratic constraint values with the ``m2``
-equality rows ``A x`` as one block of ``m1 + m2`` rows (none when that
-block is empty).  The multipliers' term of the gradient, ``lam' (Px +
+coordinates; the products it needs run through the partitioned kernels
+in :mod:`qcqpd.dist`.  Each pass writes the operator at its state buffer,
+``F(z)`` at the iterate or ``F(w)`` at the predictor, into a buffer of its
+own and issues two collectives: an allgather of ``x``, after which each
+worker writes its own rows of the stacked Hessian products, and a reduce
+of the ``m1`` quadratic constraint values with the ``m2`` equality rows
+``A x`` as one block of ``m1 + m2`` rows (none when that block is
+empty).  The multipliers' term of the gradient, ``lam' (Px +
 q)[1:] + gam' A``, is one worker-local product.  Everything a solve needs
-is set up once, in its workspace (:class:`_Workspace`): the column blocks
+is set up once, in its workspace (:class:`_Workspace`): the row blocks
 of the Hessians are cut, the state buffers are laid out, and one pass is
 bound to each state buffer, the iterate and the predictor, as a fixed
-sequence of ``out=`` calls on views, with the slices of ``x``, the stacks
-of the workers' partials and the reduction trees built up front, so a
-pass allocates nothing.  The loop is three steps of the workspace: the
+sequence of ``out=`` calls on views, with the slices of ``x``, the stack
+of the constraint rows' partials and its reduction tree built up front,
+so a pass allocates nothing.  The loop is three steps of the workspace: the
 pass at the iterate with its finiteness test, the step size with the
 residual check, and the predictor, the pass at it and the corrector.
 
@@ -80,10 +81,10 @@ EPS0 = 0.1
 BIG_M = 1e12
 
 # The residual-check cadence in iterations: a check (compute_residuals, the
-# trace objective and classify_termination) costs about three tenths of an
-# iteration on the kernel-learning instances (15-18 us against 52-56 us at
-# n1 = 160 on one BLAS thread), so it is not done every iteration.  The
-# classifier's window counts checks, so it spans DIVERGENCE_WINDOW *
+# trace objective and classify_termination) costs a large fraction of an
+# iteration on the kernel-learning instances (measured in the CHANGES.md
+# entry "Bind each pass once per solve"), so it is not done every iteration.
+# The classifier's window counts checks, so it spans DIVERGENCE_WINDOW *
 # TRACE_EVERY iterations.
 TRACE_EVERY = 10
 
@@ -93,7 +94,7 @@ class SolverConfig:
     """Solve parameters.
 
     ``tol`` is the residual tolerance for convergence, ``max_iters`` the
-    iteration cap and ``n_workers`` the number of column blocks ``x`` is
+    iteration cap and ``n_workers`` the number of blocks ``x`` is
     partitioned into; both are integers >= 1.  ``divergence_threshold`` is
     the ``res2`` level that flags suspected infeasibility, see
     :func:`qcqpd.diagnostics.classify_termination`.  Both ``tol`` and
@@ -316,11 +317,13 @@ def analytic_comm_stats(problem, iterations):
     One *pass* (predictor or corrector) issues, for an ``n1``-dimensional
     problem with ``m1`` quadratic and ``m2`` equality constraints:
 
-    * one reduce of the ``(m1 + 1) n1`` stacked Hessian products, scattered
-      back to the workers,
+    * one allgather of the ``n1`` doubles of ``x``, after which each worker
+      writes its own rows of the stacked Hessian products,
     * one reduce of the ``m1 + m2`` constraint rows, the quadratic
       constraint values and the equality rows in one block (absent when
-      ``m1 + m2 = 0``).
+      ``m1 + m2 = 0``),
+
+    and scatters nothing.
 
     A finished solve of ``k`` iterations runs ``2k`` such passes plus the
     one extra predictor pass of the iteration that observed termination.
@@ -334,31 +337,26 @@ def analytic_comm_stats(problem, iterations):
     """
     p = problem
     passes = 2 * iterations + 1
-    reduces_per_pass = 1 + (p.m1 + p.m2 > 0)
-    bytes_reduced_per_pass = 8 * ((p.m1 + 1) * p.n1 + p.m1 + p.m2)
-    return CommStats(
-        reduce_ops=passes * reduces_per_pass,
-        scatter_ops=passes,
-        bytes_reduced=passes * bytes_reduced_per_pass,
-        bytes_scattered=passes * 8 * (p.m1 + 1) * p.n1,
-    )
+    reduces = passes if p.m1 + p.m2 else 0
+    return CommStats(reduce_ops=reduces, allgather_ops=passes,
+                     bytes_reduced=reduces * 8 * (p.m1 + p.m2), bytes_allgathered=passes * 8 * p.n1)
 
 
 class _Workspace:
     """Everything one solve sets up once, and the steps of its loop.
 
     Built in this order, which fixes where each buffer lands: the solve's
-    :class:`ProblemNorms`, the Hessians' column blocks, its
+    :class:`ProblemNorms`, the Hessians' row blocks, its
     :class:`CommStats`, the bounds of ``Z``, the state buffers, the
     finiteness test's flags, the arrays both passes share, and the passes.
     The state buffers are the iterate ``z``, the predictor ``w``, the
     operator at each, ``Fz`` and ``Fw``, and the projected step's temporary:
-    the rows of one block, each starting on a cache line.  As five arrays
-    placed wherever the allocator put them, mkl-sweep's iter_cost read a
-    median of 7.82 steps against 6.95 on one block, with the same work per
-    iteration (ten 20 s runs each, 2-core shared x86-64, 1 BLAS thread).
-    With the flags they are all the state-length buffers, so an iteration
-    between residual checks allocates nothing of the state's length.
+    the rows of one block, each starting on a cache line, because as
+    separate arrays placed wherever the allocator put them an iteration
+    cost more (measured in the CHANGES.md entry "Make the worker count the
+    whole column partition").  With the flags they are all the
+    state-length buffers, so an iteration between residual checks
+    allocates nothing of the state's length.
 
     The passes share ``J``, ``(1 + m1 + m2, n1 + n2)``: the rows ``Pi x +
     qi`` (``i <= m1``, written by every pass) and then ``A``, with the
@@ -405,7 +403,7 @@ class _Workspace:
         Each step is one ``out=`` call on views bound here, in the order the
         expressions are written, so a run allocates nothing; ``g`` is built in
         place in the operator's block ``(-cons, -eq)``.  ``Px`` costs one
-        reduce and one scatter and ``HA x`` one reduce (none when ``m1 + m2 =
+        allgather of ``x`` and ``HA x`` one reduce (none when ``m1 + m2 =
         0``); ``y' J[1:]`` and ``(C; B) u`` are local products, a worker's
         slice of the first reading only its own columns.  The zero-size
         products of an empty ``g`` or ``u`` are left out.

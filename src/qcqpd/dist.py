@@ -1,75 +1,75 @@
-"""Column-partitioned linear-algebra kernels with communication accounting.
+"""Row-block linear-algebra kernels with communication accounting.
 
-Matrices are split by columns across ``n_workers`` execution contexts, in
-one balanced split: contiguous blocks whose widths differ by at most one,
-the wider ones first, so the worker count is the whole partition and
-:class:`ColumnBlocks` its one owner.  A matrix-vector product is computed
-as a sum of per-worker partials (``M @ x = sum_w M[:, lo_w:hi_w] @
-x[lo_w:hi_w]``), reduced at a coordinator, and the result scattered back
-so each worker holds its slice.  The row-wise inner products ``X @ y``
-of a partitioned ``y`` with the rows of ``X`` (the constraint values, the
-equality rows ``A x``) reduce ``len(X)`` doubles and scatter nothing.
-Every product is one collective, whatever it stacks.  Products against
-the transpose (``A' g``) need no kernel here: each worker's slice of the
-result only involves its own columns.
+The ``n`` coordinates of ``x`` split across ``n_workers`` execution
+contexts in one balanced split: contiguous blocks whose widths differ by
+at most one, the wider ones first, so the worker count is the whole
+partition and :class:`ColumnBlocks` its one owner.  Worker ``w`` owns the
+coordinates ``[lo_w, hi_w)`` and the columns ``[lo_w, hi_w)`` of every
+matrix.  The Hessians are symmetric, as :func:`qcqpd.validate` checks,
+so a worker's columns ``P[:, lo_w:hi_w]`` are the transpose of its rows
+``P[lo_w:hi_w, :]``, the same numbers.  A Hessian product therefore needs
+one allgather of ``x`` (``n`` doubles), after which each worker writes its
+own rows ``P[lo_w:hi_w, :] @ x`` of the product, and nothing is reduced or
+scattered.  The row-wise inner products ``X @ y`` of a partitioned ``y``
+with the rows of ``X`` (the constraint values, the equality rows ``A x``)
+are per-worker partials ``X[:, lo_w:hi_w] @ y[lo_w:hi_w]`` reduced at a
+coordinator: ``len(X)`` doubles.  Products against the transpose
+(``A' g``) need no kernel here: each worker's slice of the result only
+involves its own columns.
 
 Workers here are simulated: the per-worker local-compute phases run
 sequentially in worker order inside one process, separated by the same
-reduce / scatter points a message-passing deployment would have.  The
-testable artifact is the communication contract, not the transport:
-``CommStats`` books every collective and its byte volume, in one call,
-exactly as the distributed run would issue them, and the reduction order
-is a fixed left-to-right pairwise tree over worker index, one ``np.add``
-per level as MPI's binomial-tree reduce has one round per level, so
-results are bitwise reproducible for a fixed worker count.  (Across
-*different* worker counts only floating-point-tolerance agreement is
-possible, since partial sums group differently.)
+collectives a message-passing deployment would have.  The testable
+artifact is the communication contract, not the transport: ``CommStats``
+books every collective and its byte volume, in one call, exactly as the
+distributed run would issue them, and the reduction order is a fixed
+left-to-right pairwise tree over worker index, one ``np.add`` per level
+as MPI's binomial-tree reduce has one round per level, so results are
+bitwise reproducible for a fixed worker count.  (Across *different*
+worker counts only floating-point-tolerance agreement is possible, since
+row blocks of other heights and partial sums of other groupings round
+differently.)
 
-The column blocks of the Hessian stack are cut once per solve, not once
-per product: :class:`ColumnBlocks` takes the ``m1 + 1`` Hessians, each a
+The row blocks of the Hessian stack are cut once per solve, not once per
+product: :class:`ColumnBlocks` takes the ``m1 + 1`` Hessians, each a
 square ``n x n`` matrix or the length-``n`` vector holding a diagonal one,
-and for each worker copies the worker's columns of every square matrix, a
-lone one included, into one Fortran-order block.  A diagonal Hessian is not
-copied: its row of the product is ``d * x``, and each worker's columns of
-it come from its own slices of ``d`` and ``x`` alone.  A product with the
+and for each worker copies the worker's rows of every square matrix, a
+lone one included, into one Fortran-order block whose every column starts
+on a 64-byte cache line, because the GEMV ran up to twice as long off one
+(measured in the CHANGES.md entry "Leaner solver pass").  A diagonal
+Hessian is not copied: its row of the product is ``d * x``, and each
+worker's part of it comes from its own slice of ``d``.  A product with the
 whole stack therefore costs one dense product per worker, one elementwise
-product per diagonal and one reduce, and writes the ``(m1 + 1, n)`` array
-whose row ``i`` is ``P_i x``.
+product per diagonal and one allgather, and writes the ``(m1 + 1, n)``
+array whose row ``i`` is ``P_i x``.
 
-The simulated workers' local phase of a collective is batched: the blocks
-of a run of equal-width workers are the items of one 3-D array, and one
-``np.matmul`` computes all their partials, which numpy does with the same
-per-item BLAS call as the 2-D product of each block, so with the same
-bits.  The balanced split has at most two widths, so each collective
-costs at most two calls into numpy, not one per worker.  With one
-OpenBLAS thread on a shared 2-core Xeon, the four ``(512, 64)`` Hessian
-partials of a 256-column stack at 4 workers took 14.1 us in one call
-against 18.6 us in four, and the four ``(2, 64)`` constraint-row partials
-1.4 us against 5.1 us.  The communication contract and the reduction tree
-do not change: the partials are the rows of one ``(W, k)`` stack, and
-they add level by level in the same pairwise tree.
+The simulated workers' local phase is batched: the blocks of a run of
+equal-width workers are the items of one array, and one ``np.matmul``
+computes all their products, which numpy does with the same per-item BLAS
+call as the 2-D product of each item, so with the same bits.  The balanced
+split has at most two widths, so each collective costs at most two calls
+into numpy, not one per worker, because one call took less time than four
+(measured in the CHANGES.md entry "Batch the simulated workers' local
+products").
 
 Each product is also set up once per solve, as a persistent collective is
 in a message-passing deployment: :meth:`ColumnBlocks.bind` and
 :meth:`ColumnBlocks.bind_dot` bind the operand and result views, each
-run's slices of the vector, the partial stack and the reduction tree into
-a :class:`Plan`, a fixed sequence of ``out=`` calls that each solver pass
+run's slices, the partial stack and the reduction tree into a
+:class:`Plan`, a fixed sequence of ``out=`` calls that each solver pass
 runs as it is, allocating nothing.  Serial execution is the one-worker
-case of the same code: the lone partial is written straight into the
-result.  Each stacked block, of one square matrix or several, is a copy
-that starts every column on a 64-byte cache line: with one OpenBLAS thread
-on a shared 2-core Xeon, the ``(800, 160)`` GEMV of the kernel-learning
-instance took 9-11 us aligned and 16-24 us at the other seven 8-byte
-offsets, with the same product bits at all eight.
+case of the same code: its one block holds every row of every square
+matrix, multiplied by one stacked GEMV, and its lone partial of ``X @ y``
+is written straight into the result.
 
 One exception applies on one worker: each dense Hessian of at least
 :data:`qcqpd.model.LARGE_DENSE_COLS` columns is not stacked but multiplied
 on its own, as stored, by the Level-2 BLAS symmetric product ``dsymv``,
 which reads one triangle, so half the bytes of the stacked GEMV, and
 writes its row of the product in place.  Below that size the aligned stack
-is cache-resident and faster, since one call replaces one per matrix: at
-``n = 160`` five ``dsymv`` calls took 17-21 us against the stack's 9-11 us.
-So small stacks and every partitioned run take the generic path unchanged.
+is cache-resident and faster, since one call replaces one per matrix
+(measured in the CHANGES.md entry "Leaner solver pass").  So small stacks
+and every partitioned run take the generic path unchanged.
 """
 
 from __future__ import annotations
@@ -94,20 +94,28 @@ _LINE_DOUBLES = _LINE_BYTES // _FLOAT_BYTES
 
 @dataclass
 class CommStats:
-    """Counters for the modeled reduce/scatter traffic of one solve, one :meth:`record` per collective."""
+    """Counters for the modeled traffic of one solve, one :meth:`record` per collective.
+
+    Nothing is scattered, since each worker writes its own rows of the
+    Hessian products, so ``scatter_ops`` and ``bytes_scattered`` stay 0;
+    they are kept so that readers of a report's ``comm`` find its keys.
+    """
 
     reduce_ops: int = 0
     scatter_ops: int = 0
+    allgather_ops: int = 0
     bytes_reduced: int = 0
     bytes_scattered: int = 0
+    bytes_allgathered: int = 0
 
-    def record(self, n_reduced: int, n_scattered: int | None = None):
-        """Book a reduce of ``n_reduced`` doubles and, unless ``n_scattered`` is None, a scatter of that many."""
-        self.reduce_ops += 1
-        self.bytes_reduced += _FLOAT_BYTES * n_reduced
-        if n_scattered is not None:
-            self.scatter_ops += 1
-            self.bytes_scattered += _FLOAT_BYTES * n_scattered
+    def record(self, n_reduced: int | None = None, n_gathered: int | None = None):
+        """Book a reduce of ``n_reduced`` doubles and an allgather of ``n_gathered`` doubles, each unless None."""
+        if n_reduced is not None:
+            self.reduce_ops += 1
+            self.bytes_reduced += _FLOAT_BYTES * n_reduced
+        if n_gathered is not None:
+            self.allgather_ops += 1
+            self.bytes_allgathered += _FLOAT_BYTES * n_gathered
 
     def as_dict(self):
         return asdict(self)
@@ -162,32 +170,32 @@ def _width_runs(n_cols, n_workers):
     return wide + [(extra * (base + 1), n_workers - extra, base)]
 
 
-def _reduce(operands, out):
-    """The steps writing the tree sum over workers of ``A_w @ b_w`` into ``out``.
+def _reduce(X, y, runs, out):
+    """The steps writing the row-wise products ``X @ y`` into ``out`` as a tree sum over the workers' column slices.
 
-    ``operands`` holds one ``(A, b)`` pair per run of equal-width workers,
-    in worker order: ``A`` is the ``(g, k, c)`` array of the run's ``g``
-    blocks and ``b`` the ``(g, c, 1)`` view of their slices of the vector.
-    One worker's product is written straight into ``out``.  Otherwise each
-    run is one ``np.matmul`` into its rows of a ``(W, k)`` partial stack,
-    one row per worker; numpy runs the BLAS product of each item that the
-    2-D product of the block runs, so the partials are those of one call
-    per worker, bit for bit.  The rows add in a fixed pairwise
-    left-to-right tree over worker index, one ``np.add`` per level: at
-    stride ``s = 1, 2, 4, ...`` row ``w + s`` is added into row ``w`` for
-    each ``w`` a multiple of ``2 s``, the last sum written into ``out``.  A
-    row left without a partner stays where the next level reads it, so
-    the bits do not depend on the run.  numpy may iterate a level of four or
-    more pairs through transient buffers of its own.
+    ``runs`` are the ``(lo, g, c)`` runs of equal-width workers of
+    :func:`_width_runs`.  One worker's product is written straight into
+    ``out``.  Otherwise each run is one ``np.matmul`` of the ``(g, k, c)``
+    view of its columns of the ``k`` rows of ``X`` by the ``(g, c, 1)`` view
+    of its slices of ``y``, into its rows of a ``(W, k)`` partial stack, one
+    row per worker; numpy runs the BLAS product of each item that the 2-D
+    product of the block runs, so the partials are those of one call per
+    worker, bit for bit.  The rows add in a fixed pairwise left-to-right
+    tree over worker index, one ``np.add`` per level: at stride ``s = 1, 2,
+    4, ...`` row ``w + s`` is added into row ``w`` for each ``w`` a multiple
+    of ``2 s``, the last sum written into ``out``.  A row left without a
+    partner stays where the next level reads it, so the bits do not depend
+    on the run.  numpy may iterate a level of four or more pairs through
+    transient buffers of its own.
     """
-    if len(operands) == 1 and len(operands[0][0]) == 1:
-        (A, b), = operands
-        return [_gemv(A[0], b[0, :, 0], out)]
-    parts = np.empty((sum(len(A) for A, _ in operands), out.size))
+    if runs == [(0, 1, len(y))]:  # one worker
+        return [_gemv(X, y, out)]
+    parts = np.empty((sum(g for _, g, _ in runs), len(X)))
     steps, W = [], 0
-    for A, b in operands:
-        steps.append((np.matmul, (A, b, parts[W:W + len(A), :, None])))
-        W += len(A)
+    for lo, g, c in runs:
+        A = X[:, lo:lo + g * c].reshape(len(X), g, c).transpose(1, 0, 2)
+        steps.append((np.matmul, (A, y[lo:lo + g * c].reshape(g, c, 1), parts[W:W + g, :, None])))
+        W += g
     for s in [2 ** i for i in range((W - 1).bit_length())]:  # ceil(log2 W) levels
         left = parts[0:W - s:2 * s]
         steps.append((np.add, (left, parts[s::2 * s], out[None] if 2 * s >= W else left)))
@@ -217,17 +225,17 @@ def _aligned_stack(items, rows, cols):
 
 
 def _cut(matrices, lo, g, c):
-    """``g`` blocks of ``c`` columns from column ``lo`` on: an :func:`_aligned_stack` whose item ``j`` stacks
-    columns ``[lo + j c, lo + (j + 1) c)`` of every matrix vertically, in Fortran order."""
-    stack = _aligned_stack(g, len(matrices) * len(matrices[0]), c)
+    """``g`` blocks of ``c`` rows from row ``lo`` on: an :func:`_aligned_stack` whose item ``j`` stacks
+    rows ``[lo + j c, lo + (j + 1) c)`` of every matrix vertically, in Fortran order."""
+    stack = _aligned_stack(g, len(matrices) * c, len(matrices[0]))
     for j, block in enumerate(stack):
         start = lo + j * c
-        np.concatenate([M[:, start:start + c] for M in matrices], out=block)
+        np.concatenate([M[start:start + c] for M in matrices], out=block)
     return stack
 
 
 class ColumnBlocks:
-    """Per-worker column blocks of a Hessian stack, cut once, and the owner of the column split.
+    """Per-worker row blocks of a Hessian stack, cut once, and the owner of the column split.
 
     Each of the ``k`` Hessians is an ``n x n`` matrix or the length-``n``
     vector holding a diagonal one, with ``n`` taken from the first.  The
@@ -235,8 +243,10 @@ class ColumnBlocks:
     whose widths differ by at most one, the first ``n % n_workers`` workers
     taking the wider ones; the worker count is the whole partition, kept as
     the at most two runs of equal-width workers that :meth:`bind` and
-    :meth:`bind_dot` both read.  Each worker has one dense block stacking
-    its columns of every square matrix, and the blocks of each run of
+    :meth:`bind_dot` both read.  A worker owns its columns ``cols`` of every
+    matrix, and its stored block is their transpose, which for a symmetric
+    matrix is its rows ``cols``: each worker has one dense block stacking
+    its rows of every square matrix, and the blocks of each run of
     equal-width workers are the items of one :func:`_aligned_stack`,
     however many square matrices there are.  A diagonal is kept as given,
     the caller's vector, not a copy.
@@ -280,29 +290,30 @@ class ColumnBlocks:
             from scipy.linalg.blas import dsymv
 
             self._dsymv = dsymv
-        # (rows of the product, one (g, rows, c) array of blocks per run of
-        # equal-width workers) of the stacked square matrices
+        # (rows of the product, one (g, k c, n) array of blocks per run of g
+        # workers of width c) of the k stacked square matrices
         self._square = None
         if square:
             stacks = [_cut([matrices[i] for i in square], *run) for run in self._runs]
             self._square = (_rows(square), stacks)
 
     def bind(self, x, out, stats: CommStats) -> Plan:
-        """The plan writing ``P_i x`` into row ``i`` of the ``(k, n)`` array ``out`` from per-worker partials.
+        """The plan writing ``P_i x`` into row ``i`` of the ``(k, n)`` array ``out``, each worker its own rows.
 
         ``x`` and ``out`` are bound once, as views: each run reads the
-        current ``x`` and overwrites every row of ``out``.  The square
-        matrices' partials, each worker's block times its slice of ``x``,
-        are tree-reduced in worker order (see :func:`_reduce`), so every
-        product is bitwise what a per-matrix reduction gives whenever the
-        local products are; their sum is written straight into its rows
-        when they form one run, else into a buffer copied row by row.  The
-        row of a matrix kept whole for ``dsymv`` is its one worker's product,
-        written in place, and a diagonal's row is one 1-D product ``d * x``
-        of the diagonal as given, each worker's columns of it its own.
-        Each run books, in one :meth:`CommStats.record` step, one reduce of
-        all the rows, the diagonals' included, and one scatter of the same
-        volume, which hands the products back to the workers.
+        current ``x`` and overwrites every row of ``out``.  Each worker
+        multiplies its block, its rows of the square matrices, by the whole
+        ``x``: a run of ``g`` equal-width workers is one ``np.matmul`` of
+        the ``(g, k, c, n)`` view of its stack by ``x``, writing the
+        ``(g, k, c)`` view of its columns of the products, with no buffer.
+        On one worker the block is one stacked GEMV.  The rows are written
+        straight into ``out`` when they form one run, else into a buffer
+        copied row by row.  The row of a matrix kept whole for ``dsymv`` is
+        its one worker's product, written in place, and a diagonal's row is
+        one 1-D product ``d * x`` of the diagonal as given, each worker's
+        columns of it its own.  Each run books, in one
+        :meth:`CommStats.record` step, the allgather of ``x`` that hands
+        every worker the whole vector; nothing is reduced or scattered.
         """
         k, n = self._shape
         if x.shape != (n,):
@@ -315,14 +326,17 @@ class ColumnBlocks:
         if self._square:
             rows, stacks = self._square
             whole = type(rows) is slice
-            total = out[rows].reshape(-1) if whole else np.empty(len(rows) * n)
-            operands = [(stack, x[lo:lo + g * c].reshape(g, c, 1))
-                        for stack, (lo, g, c) in zip(stacks, self._runs)]
-            steps += _reduce(operands, total)
+            total = out[rows] if whole else np.empty((len(rows), n))
+            for stack, (lo, g, c) in zip(stacks, self._runs):
+                if c == n:  # one worker holds every row: one stacked GEMV
+                    steps.append(_gemv(stack[0], x, total.reshape(-1)))
+                else:  # item (j, i): worker j's rows of matrix i
+                    own = total[:, lo:lo + g * c].reshape(len(total), g, c).transpose(1, 0, 2)
+                    steps.append((np.matmul, (stack.reshape(own.shape + (n,)), x, own)))
             if not whole:
-                steps += [(np.copyto, (out[i], row)) for i, row in zip(rows, total.reshape(len(rows), n))]
+                steps += [(np.copyto, (out[i], row)) for i, row in zip(rows, total)]
         steps += [(np.multiply, (d, x, out[i])) for i, d in self._diagonal]
-        steps.append((stats.record, (out.size, out.size)))
+        steps.append((partial(stats.record, n_gathered=n), ()))
         return Plan(steps)
 
     def bind_dot(self, X, y, out, stats: CommStats) -> Plan:
@@ -341,7 +355,4 @@ class ColumnBlocks:
         if X.ndim != 2 or X.shape[1:] != (n,) or y.shape != (n,) or out.shape != X.shape[:1]:
             raise ValueError(f"X has shape {X.shape}, y {y.shape} and out {out.shape}, "
                              f"expected a matrix of {n} columns, ({n},) and one entry per row")
-        k = len(X)
-        operands = [(X[:, lo:lo + g * c].reshape(k, g, c).transpose(1, 0, 2), y[lo:lo + g * c].reshape(g, c, 1))
-                    for lo, g, c in self._runs]
-        return Plan(_reduce(operands, out) + [(stats.record, (k,))])
+        return Plan(_reduce(X, y, self._runs, out) + [(stats.record, (len(X),))])

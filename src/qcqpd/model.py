@@ -12,9 +12,10 @@ unconstrained block carrying the linear-only terms; it may be empty.
 Upper bounds may be ``+inf``, in which case the box degenerates to the
 half-line ``x_j >= 0``.
 
-Matrices are kept column-major (Fortran order) so that per-worker column
-slices are contiguous.  A Hessian is either a dense ``n1 x n1`` matrix or a
-length-``n1`` vector holding the diagonal of a diagonal one.
+Matrices are kept column-major (Fortran order), the order in which one
+worker's BLAS ``dsymv`` reads a large Hessian without a copy.  A Hessian
+is either a dense ``n1 x n1`` matrix or a length-``n1`` vector holding
+the diagonal of a diagonal one.
 """
 
 from __future__ import annotations

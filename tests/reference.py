@@ -19,10 +19,11 @@
 * :func:`reference_ranges`, the balanced column split as one half-open
   range per worker, built one worker at a time, which the width runs of
   :func:`qcqpd.dist._width_runs` must expand to exactly;
-* :func:`reference_products` and :func:`reference_dot`, the partitioned
-  Hessian products and row-wise products computed per call over those
-  ranges: a list of per-worker products of fresh slices, summed by
-  :func:`_tree_sum` into a new array, which the plans of
+* :func:`reference_products`, the partitioned Hessian products computed
+  per call over those ranges, each worker's rows one 2-D product per
+  square matrix, and :func:`reference_dot`, the row-wise products as a
+  list of per-worker products of fresh slices summed by :func:`_tree_sum`,
+  each into a new array, which the plans of
   :meth:`qcqpd.dist.ColumnBlocks.bind` and
   :meth:`qcqpd.dist.ColumnBlocks.bind_dot` must reproduce bit for bit;
 * :func:`reference_pass`, one predictor or corrector pass written as the
@@ -394,11 +395,14 @@ def reference_products(hessians, x, workers, stats):
     """The ``(k, n)`` products ``P_i x`` of a :class:`qcqpd.dist.ColumnBlocks` stack over ``workers``, in a new array.
 
     Reads the stack's own blocks, the items of its arrays of equal-width
-    workers' blocks in worker order, against the :func:`reference_ranges`
-    of ``x``: each row kept whole is ``dsymv``'s product, the square rows
-    are the tree sum of the per-worker products ``block @ x[lo:hi]``, one
-    2-D product per worker, and each diagonal's row is ``d * x``.  Books
-    one reduce and one scatter of every row.
+    workers' blocks in worker order, each stacking one worker's rows of the
+    square matrices, against the :func:`reference_ranges` of ``x``: each
+    row kept whole is ``dsymv``'s product, and each diagonal's row is ``d *
+    x``.  On one worker the square rows are the one block's 2-D product
+    with ``x``; otherwise worker ``[lo, hi)`` writes columns ``[lo, hi)`` of
+    each square row, the 2-D product of that matrix's ``hi - lo`` rows of
+    its block with the whole ``x``, one product per matrix, as the batched
+    call runs each item.  Books one allgather of ``x``.
     """
     k, n = hessians._shape
     out = np.empty((k, n))
@@ -408,11 +412,18 @@ def reference_products(hessians, x, workers, stats):
         rows, stacks = hessians._square
         blocks = [block for stack in stacks for block in stack]
         ranges = reference_ranges(n, workers)
-        out[rows] = _tree_sum([block @ x[lo:hi] for block, (lo, hi) in zip(blocks, ranges, strict=True)]
-                              ).reshape(-1, n)
+        square = np.empty((len(out[rows]), n))
+        for block, (lo, hi) in zip(blocks, ranges, strict=True):
+            if workers == 1:
+                square[:] = (block @ x).reshape(-1, n)
+            else:
+                c = hi - lo
+                for i, row in enumerate(square):
+                    row[lo:hi] = block[i * c:(i + 1) * c] @ x
+        out[rows] = square
     for i, d in hessians._diagonal:
         out[i] = d * x
-    stats.record(out.size, out.size)
+    stats.record(n_gathered=n)
     return out
 
 

@@ -459,6 +459,16 @@ class TestGenerateCommand:
         save_problem(problem, again)
         assert again.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("flags", [["infeasible", "--n1", "4"], ["random-qcqp", "--n1", "4", "--m1", "1"]],
+                             ids=["infeasible", "random-qcqp"])
+    def test_sidecar_that_cannot_be_written_leaves_no_problem_file(self, tmp_path, capsys, flags):
+        # the sidecar's directory does not exist: exit 1, and neither file is left
+        out, meta = tmp_path / "x.npz", tmp_path / "nodir" / "m.json"
+        assert main(["generate", *flags, "--out", str(out), "--meta", str(meta)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "wrote" not in captured.out and "nodir" in captured.err
+
     @given(st.lists(st.one_of(
         st.sampled_from([Kernel("linear"), Kernel("polynomial")]),
         st.floats(min_value=0, exclude_min=True, allow_infinity=False).map(lambda s2: Kernel("gaussian", s2)),

@@ -469,10 +469,11 @@ class TestPass:
         # the buffers persist from pass to pass, so an entry a pass did not
         # write would repeat the previous pass's value the same way on every
         # run; filled with NaN, none may survive one call.  The buffers are
-        # each step's output (its last argument, np.copyto's first): the
-        # per-worker partials, the tree sums and the pass's temporaries; and
-        # the products Px, which dsymv writes in place, and the operator, whose
-        # dual block holds the constraint rows g while the pass builds them
+        # each step's output (its last argument, np.copyto's first): each
+        # worker's rows of the products, the constraint rows' per-worker
+        # partials and tree sums and the pass's temporaries; and the products
+        # Px, which dsymv writes in place, and the operator, whose dual block
+        # holds the constraint rows g while the pass builds them
         for p in _pass_problems() + _stack_problems() + _uneven_problems():
             ws = _workspace(p, workers, random_box_state(np.random.default_rng(workers), p))
             plan = ws.pass_z
@@ -701,20 +702,49 @@ class TestSolve:
         rng = np.random.default_rng(7)
         mkl_sm2 = build_mkl_qcqp(MklSpec(n_tr=12, n_t=4, svm="sm2", seed=0))[0]
         assert (mkl_sm2.m1, mkl_sm2.m2) == (5, 1)
-        # (problem, reduces and scatters per pass): one reduce and one scatter of the
-        # stacked Hessian products, and one reduce of the m1 constraint values and
-        # the m2 equality rows together when m1 + m2 > 0
-        for p, reduces, scatters in (
-            (toy_problem(), 2, 1),
-            (random_problem(rng, n1=6, m1=3, box=2.0), 2, 1),
-            (random_problem(rng, n1=5, m1=1, n2=2, m2=2, box=2.0), 2, 1),
-            (mkl_sm2, 2, 1),
-            (interior_problem(), 1, 1),
+        # (problem, reduces per pass): one allgather of x before the stacked
+        # Hessian products, and one reduce of the m1 constraint values and the
+        # m2 equality rows together when m1 + m2 > 0; nothing is scattered
+        for p, reduces in (
+            (toy_problem(), 1),
+            (random_problem(rng, n1=6, m1=3, box=2.0), 1),
+            (random_problem(rng, n1=5, m1=1, n2=2, m2=2, box=2.0), 1),
+            (mkl_sm2, 1),
+            (interior_problem(), 0),
         ):
-            rep = solve(p, SolverConfig(tol=1e-4, max_iters=500, n_workers=2))
-            passes = 2 * rep.iterations + 1
-            assert (rep.comm.reduce_ops, rep.comm.scatter_ops) == (reduces * passes, scatters * passes)
-            assert rep.comm.as_dict() == analytic_comm_stats(p, rep.iterations).as_dict()
+            for workers in (1, 2, 3, 4, 7):
+                rep = solve(p, SolverConfig(tol=1e-4, max_iters=500, n_workers=workers))
+                passes = 2 * rep.iterations + 1
+                comm = rep.comm
+                assert (comm.reduce_ops, comm.allgather_ops, comm.scatter_ops) == (reduces * passes, passes, 0)
+                assert (comm.bytes_allgathered, comm.bytes_scattered) == (8 * p.n1 * passes, 0)
+                assert comm.as_dict() == analytic_comm_stats(p, rep.iterations).as_dict()
+
+    def test_comm_per_pass(self):
+        # modeled doubles per pass: an allgather of the n1 doubles of x and a
+        # reduce of the m1 + m2 constraint rows; dense-1w (n1 = 1024, m1 = 4)
+        # by its sizes alone, carried by diagonal Hessians
+        cases = [
+            (gen_infeasible(256, seed=0), 258),
+            (gen_unbounded(256, seed=0), 257),
+            (build_mkl_qcqp(MklSpec(seed=0))[0], 166),
+            (gen_random_qcqp(RandomQcqpSpec(n1=257, m1=0, seed=1)), 257),
+            (QcqpProblem(P=[np.ones(1024)] * 5, q=np.zeros((5, 1024))), 1028),
+        ]
+        for p, doubles in cases:
+            for iterations in (0, 9):
+                comm = analytic_comm_stats(p, iterations)
+                passes = 2 * iterations + 1
+                assert comm.bytes_reduced + comm.bytes_scattered + comm.bytes_allgathered == 8 * doubles * passes
+                assert (comm.allgather_ops, comm.scatter_ops) == (passes, 0)
+
+    def test_fewer_columns_than_workers_ends_like_one_worker(self):
+        # n1 = 2 at 3 workers leaves the third worker blocks of no rows
+        p = random_problem(np.random.default_rng(1), n1=2, m1=1, n2=1, m2=1, box=2.0)
+        one, three = (solve(p, SolverConfig(n_workers=workers)) for workers in (1, 3))
+        assert (three.status, three.iterations) == (one.status, one.iterations) == (TerminationStatus.CONVERGED, 440)
+        np.testing.assert_allclose(three.x, one.x, rtol=1e-12, atol=1e-15)
+        assert three.comm == one.comm == analytic_comm_stats(p, one.iterations)
 
     @pytest.mark.parametrize("problem, settings, status", [
         (toy_problem(), {"tol": 1e-6}, TerminationStatus.CONVERGED),

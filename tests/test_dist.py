@@ -15,6 +15,12 @@ from qcqpd.model import LARGE_DENSE_COLS
 from reference import _tree_sum, reference_dot, reference_products, reference_ranges
 
 
+def _traffic(**counts):
+    """A :meth:`CommStats.as_dict` with the report's six keys: ``counts``, and 0 for every other counter."""
+    keys = ["reduce_ops", "scatter_ops", "allgather_ops", "bytes_reduced", "bytes_scattered", "bytes_allgathered"]
+    return {**dict.fromkeys(keys, 0), **counts}
+
+
 def _products(blocks, x, stats=None):
     """The ``(k, n)`` products of a :class:`ColumnBlocks` stack: one run of its plan bound to ``x`` and a new buffer."""
     out = np.empty(blocks._shape)
@@ -129,13 +135,11 @@ class TestMatvec:
         assert np.array_equal(a, b)
 
     def test_comm_accounting(self):
+        # one allgather of x; each worker writes its own rows, so nothing is reduced or scattered
         stats = CommStats()
         M = np.asfortranarray(np.eye(6))
         _matvec(M, np.ones(6), 3, stats)
-        assert stats.reduce_ops == 1
-        assert stats.scatter_ops == 1
-        assert stats.bytes_reduced == 6 * 8
-        assert stats.bytes_scattered == 6 * 8
+        assert stats.as_dict() == _traffic(allgather_ops=1, bytes_allgathered=6 * 8)
 
     def test_dimension_mismatch(self):
         # at 2 and 3 workers a wrong length would be cut silently by x[lo:hi]
@@ -194,13 +198,13 @@ class TestDot:
     def test_counts_one_scalar_reduce(self):
         stats = CommStats()
         _dot(np.ones((1, 4)), np.ones(4), 4, 2, stats)
-        assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 0, "bytes_reduced": 8, "bytes_scattered": 0}
+        assert stats.as_dict() == _traffic(reduce_ops=1, bytes_reduced=8)
 
     def test_counts_one_reduce_of_every_row(self):
         stats = CommStats()
         for _ in range(2):
             _dot(np.ones((5, 4)), np.ones(4), 4, 3, stats)
-        assert stats.as_dict() == {"reduce_ops": 2, "scatter_ops": 0, "bytes_reduced": 2 * 5 * 8, "bytes_scattered": 0}
+        assert stats.as_dict() == _traffic(reduce_ops=2, bytes_reduced=2 * 5 * 8)
 
     def test_shape_mismatch(self):
         # at 2 and 3 workers a wrong length would be cut silently by y[lo:hi]
@@ -245,14 +249,25 @@ def _address(a):
 
 
 def _off_line_copy(stack):
-    """A copy of a ``(g, rows, cols)`` array of Fortran-order blocks with an
-    unpadded leading dimension and its base one double past a 64-byte line."""
+    """A copy of a ``(g, rows, cols)`` array of Fortran-order blocks with the same
+    leading dimension and its base, so every column, one double past a 64-byte line.
+
+    The leading dimension is kept because the product of a block of one to
+    three rows sums in another order when its leading dimension equals its
+    rows (OpenBLAS 0.3.31).
+    """
     g, rows, cols = stack.shape
-    flat = np.empty(g * rows * cols + 9)
+    ld = stack.strides[2] // 8
+    flat = np.empty(g * ld * cols + 9)
     skip = -_address(flat) % 64 // 8 + 1
-    copy = flat[skip:skip + g * rows * cols].reshape((g, cols, rows)).transpose(0, 2, 1)
+    copy = flat[skip:skip + g * ld * cols].reshape((g, cols, ld)).transpose(0, 2, 1)[:, :rows]
     copy[...] = stack
     return copy
+
+
+def _books(function, stats):
+    """Whether a plan step's function is a booking on ``stats``, bound directly or through ``functools.partial``."""
+    return getattr(getattr(function, "func", function), "__self__", None) is stats
 
 
 def _product_calls(plan):
@@ -266,9 +281,9 @@ class TestColumnBlocks:
     The stack's product is the per-matrix products stacked as rows in matrix order.
     """
 
-    # three dense 8- or 13-column matrices stack into 24 or 39 rows, one
-    # into 8 or 13; 13 columns split into two widths at 2 to 5 workers, 8 at
-    # 3 and 5
+    # a worker's rows of three dense 8- or 13-column matrices stack into
+    # three times its width, of one into its width; 13 rows split into two
+    # widths at 2 to 5 workers, 8 at 3 and 5
     @pytest.mark.parametrize("n", [8, 13])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"], ("dense",), ("diagonal", "dense")],
@@ -280,10 +295,12 @@ class TestColumnBlocks:
         widths = [hi - lo for lo, hi in reference_ranges(n, workers)]
         aligned = ColumnBlocks(mats, workers)
         rows, stacks = aligned._square
-        # one array per run of equal-width workers, its items their blocks in worker order
-        assert [stack.shape[2] for stack in stacks] == sorted(set(widths), reverse=True)
+        # one array per run of equal-width workers, its items their blocks in
+        # worker order, each block the worker's rows of every dense matrix
+        dense = kinds.count("dense")
+        assert [stack.shape[1] for stack in stacks] == [dense * c for c in sorted(set(widths), reverse=True)]
         blocks = [block for stack in stacks for block in stack]
-        assert [block.shape for block in blocks] == [(kinds.count("dense") * n, c) for c in widths]
+        assert [block.shape for block in blocks] == [(dense * c, n) for c in widths]
         for block in blocks:
             assert _address(block) % 64 == 0
             assert block.strides[1] % 64 == 0
@@ -293,6 +310,9 @@ class TestColumnBlocks:
         reads = _product_calls(plan)
         assert len(reads) == len(stacks)
         assert [_address(a) for a in reads] == [_address(stack) for stack in stacks]
+        # and writing straight into the products' rows when they are one run, else into a buffer
+        writes = [args[-1] for f, args in plan.steps if f in (np.dot, np.matmul)]
+        assert [np.shares_memory(a, out) for a in writes if a.size] == [type(rows) is slice] * len(stacks)
         # the product bits do not depend on where the blocks sit
         unaligned = ColumnBlocks(mats, workers)
         unaligned._square = (rows, [_off_line_copy(stack) for stack in stacks])
@@ -313,13 +333,14 @@ class TestColumnBlocks:
         assert len(_product_calls(plan)) == calls
         plan = hessians.bind_dot(X, x, np.empty(2), stats)
         assert len(_product_calls(plan)) == calls
-        assert stats.reduce_ops == 0  # binding books nothing
+        assert stats == CommStats()  # binding books nothing
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
     @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"]], ids=["dense", "mixed"])
     def test_one_add_per_tree_level_and_one_booking(self, kinds, workers):
-        # the tree adds every pair of a level in one np.add, ceil(log2 W)
-        # levels, and each collective is booked in one step
+        # the constraint rows' tree adds every pair of a level in one np.add,
+        # ceil(log2 W) levels, and each collective, the products' allgather
+        # included, is booked in one step, the last
         n = 13
         stats = CommStats()
         hessians = ColumnBlocks(_stack(kinds, n, np.random.default_rng(workers), integer=False), workers)
@@ -327,9 +348,21 @@ class TestColumnBlocks:
                  hessians.bind_dot(np.empty((2, n)), np.empty(n), np.empty(2), stats)]
         for plan in plans:
             functions = [f for f, _ in plan.steps]
-            assert functions.count(np.add) == (workers - 1).bit_length()
-            assert [getattr(f, "__self__", None) for f in functions].count(stats) == 1
-            assert functions[-1] == stats.record
+            assert [_books(f, stats) for f in functions] == [False] * (len(functions) - 1) + [True]
+        assert [f for f, _ in plans[1].steps].count(np.add) == (workers - 1).bit_length()
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 7, 16])
+    @pytest.mark.parametrize("kinds", BOUND_STACKS.values(), ids=list(BOUND_STACKS))
+    def test_products_plan_has_no_reduce(self, kinds, workers):
+        # each worker writes its own rows: every step is a local product, a row
+        # copy or the booking of the allgather, and no step adds partials
+        n = 13
+        stats = CommStats()
+        hessians = ColumnBlocks(_stack(kinds, n, np.random.default_rng(workers), integer=False), workers)
+        plan = hessians.bind(np.empty(n), np.empty(hessians._shape), stats)
+        functions = [f for f, _ in plan.steps]
+        assert np.add not in functions
+        assert {f for f in functions if not _books(f, stats)} <= {np.matmul, np.copyto, np.multiply}
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", [STACKS["csc"], STACKS["mixed"], BOUND_STACKS["diagonal-first"]],
@@ -424,10 +457,10 @@ class TestColumnBlocks:
             with pytest.raises(ValueError, match=re.escape("out must be a C-contiguous (2, 3) array")):
                 blocks.bind(np.ones(3), out, CommStats())
 
-    # a stack of no columns (a problem with n1 = 0) still books its scatter, of no bytes
+    # a stack of no columns (a problem with n1 = 0) still books its allgather, of no bytes
     @pytest.mark.parametrize("n", [10, 0])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_comm_one_reduce_scatter_pair_per_call(self, workers, n):
+    def test_comm_one_allgather_per_call(self, workers, n):
         rng = np.random.default_rng(7)
         mats = _stack(STACKS["mixed"], n, rng, integer=True)
         x = np.empty(n)
@@ -436,13 +469,7 @@ class TestColumnBlocks:
         for _ in range(2):  # two passes of one bound plan
             x[:] = rng.standard_normal(n)
             plan()
-        k = len(mats)
-        assert stats.as_dict() == {
-            "reduce_ops": 2,
-            "scatter_ops": 2,
-            "bytes_reduced": 2 * k * n * 8,
-            "bytes_scattered": 2 * k * n * 8,
-        }
+        assert stats.as_dict() == _traffic(allgather_ops=2, bytes_allgathered=2 * n * 8)
 
 
 def _symmetric_stack(kinds, n, rng):
@@ -480,9 +507,7 @@ class TestSymmetricStack:
         stats = CommStats()
         out = _products(ColumnBlocks(mats, 1), x, stats)
         np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-12, atol=1e-12)
-        rows = len(mats) * n
-        assert stats.as_dict() == {"reduce_ops": 1, "scatter_ops": 1,
-                                   "bytes_reduced": 8 * rows, "bytes_scattered": 8 * rows}
+        assert stats.as_dict() == _traffic(allgather_ops=1, bytes_allgathered=8 * n)
         # dsymv takes each matrix as stored: a C-order one gives the bits of its Fortran copy
         fortran = _products(ColumnBlocks([np.asfortranarray(M) for M in mats], 1), x)
         assert out.tobytes() == fortran.tobytes()
@@ -503,15 +528,15 @@ class TestSymmetricStack:
     @pytest.mark.parametrize("n", [LARGE_DENSE_COLS, 600])
     @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
     def test_partitioned_is_the_generic_stack_bitwise(self, kinds, n, workers):
-        # no dsymv: each dense matrix's row is its per-worker products
-        # tree-summed, taken in Fortran order as its workers' blocks are, and
+        # no dsymv: each dense matrix's row is its per-worker row products
+        # end to end, taken in Fortran order as its workers' blocks are, and
         # each diagonal's row is d * x
         rng = np.random.default_rng(n + workers)
         mats = _symmetric_stack(kinds, n, rng)
         x = rng.standard_normal(n)
         out = _products(ColumnBlocks(mats, workers), x)
         ranges = reference_ranges(n, workers)
-        expected = [M * x if M.ndim == 1 else _tree_sum([M[:, lo:hi] @ x[lo:hi] for lo, hi in ranges])
+        expected = [M * x if M.ndim == 1 else np.concatenate([M[lo:hi] @ x for lo, hi in ranges])
                     for M in (M if M.ndim == 1 else np.asfortranarray(M) for M in mats)]
         assert out.tobytes() == np.stack(expected).tobytes()
 
