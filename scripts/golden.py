@@ -52,8 +52,8 @@ def instances():
     P = [base.P[0], base.P[1].diagonal().copy(), base.P[2]]
     yield "interleaved-n65", dataclasses.replace(base, P=P), {}, (1, 3)
     # a dense QP: its lone Hessian is stacked like any other; 257 rows split 65 + 3 x 64 at 4 workers
-    # and 5 x 37 + 2 x 36 at 7.  With m1 + m2 = 0 a pass reduces nothing: the seven-worker tree of the
-    # constraint rows is the infeasible instance's
+    # and 5 x 37 + 2 x 36 at 7.  With m1 + m2 = 0 a pass reduces nothing: the seven-worker reduce of the
+    # constraint rows over two column widths is the infeasible instance's
     yield "qp-n257", gen_random_qcqp(RandomQcqpSpec(n1=257, m1=0, seed=1)), {}, (1, 4, 7)
     yield "mkl-s0", build_mkl_qcqp(MklSpec(seed=0))[0], {}, (1, 3)
     yield "mkl-sm1-s0", build_mkl_qcqp(MklSpec(svm="sm1", seed=0))[0], {}, (1, 3)

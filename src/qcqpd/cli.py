@@ -3,8 +3,10 @@
 Exit codes for ``solve`` mirror the termination status: 0 converged,
 2 iteration budget exhausted, 3 infeasibility suspected, 4 unboundedness
 suspected, 5 diverged.  I/O and validation failures exit 1 with a
-message naming the offending field.  ``generate`` is deterministic per
-seed: identical invocations produce byte-identical files.
+message naming the offending field, and so do two paths of one command
+that name the same file, before anything is read or written.
+``generate`` is deterministic per seed: identical invocations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -102,6 +104,20 @@ def _load_and_validate(path):
     return problem
 
 
+def _check_distinct(*paths):
+    """Raise ``ValueError`` naming two of the ``(flag, path)`` pairs whose paths resolve to the same file.
+
+    Run before anything is read or written, so no output overwrites an
+    input or another output of the same command.  An empty path or None is
+    absent, as it is to the command.
+    """
+    seen = {}
+    for flag, path in paths:
+        other = seen.setdefault(os.path.realpath(path), flag) if path else flag
+        if other != flag:
+            raise ValueError(f"{other} and {flag} name the same file: {path}")
+
+
 def _from_flags(cls, args):
     """``cls`` built from the flags given, each stored under its field name."""
     given = vars(args)
@@ -109,6 +125,7 @@ def _from_flags(cls, args):
 
 
 def _run_solve(args) -> int:
+    _check_distinct(("problem", args.problem), ("--report", args.report), ("--trace", args.trace))
     problem = _load_and_validate(args.problem)
     report = solve(problem, _from_flags(SolverConfig, args))
     print(
@@ -125,6 +142,7 @@ def _run_solve(args) -> int:
 
 
 def _run_generate(args) -> int:
+    _check_distinct(("--csv", getattr(args, "csv_path", None)), ("--out", args.out), ("--meta", args.meta))
     extras = {}
     if args.family in ("infeasible", "unbounded"):
         generate = gen_infeasible if args.family == "infeasible" else gen_unbounded

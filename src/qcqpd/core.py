@@ -26,9 +26,9 @@ q)[1:] + gam' A``, is one worker-local product.  Everything a solve needs
 is set up once, in its workspace (:class:`_Workspace`): the row blocks
 of the Hessians are cut, the state buffers are laid out, and one pass is
 bound to each state buffer, the iterate and the predictor, as a fixed
-sequence of ``out=`` calls on views, with the slices of ``x``, the stack
-of the constraint rows' partials and its reduction tree built up front,
-so a pass allocates nothing.  The loop is three steps of the workspace: the
+sequence of ``out=`` calls on views, with the slices of ``x`` and the
+stack of the constraint rows' partials built up front, so a pass
+allocates nothing.  The loop is three steps of the workspace: the
 pass at the iterate with its finiteness test, the step size with the
 residual check, and the predictor, the pass at it and the corrector.
 

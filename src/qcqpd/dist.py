@@ -22,9 +22,10 @@ sequentially in worker order inside one process, separated by the same
 collectives a message-passing deployment would have.  The testable
 artifact is the communication contract, not the transport: ``CommStats``
 books every collective and its byte volume, in one call, exactly as the
-distributed run would issue them, and the reduction order is a fixed
-left-to-right pairwise tree over worker index, one ``np.add`` per level
-as MPI's binomial-tree reduce has one round per level, so results are
+distributed run would issue them.  A reduce is one ``np.add.reduce`` over
+the partials of the workers that hold columns, which adds them in worker
+order, the canonical order of MPI's reduce (see
+:meth:`ColumnBlocks.bind_dot` for numpy's one exception), so results are
 bitwise reproducible for a fixed worker count.  (Across *different*
 worker counts only floating-point-tolerance agreement is possible, since
 row blocks of other heights and partial sums of other groupings round
@@ -47,20 +48,19 @@ The simulated workers' local phase is batched: the blocks of a run of
 equal-width workers are the items of one array, and one ``np.matmul``
 computes all their products, which numpy does with the same per-item BLAS
 call as the 2-D product of each item, so with the same bits.  The balanced
-split has at most two widths, so each collective costs at most two calls
-into numpy, not one per worker, because one call took less time than four
-(measured in the CHANGES.md entry "Batch the simulated workers' local
-products").
+split has at most two widths, so each collective's local products cost at
+most two calls into numpy, not one per worker, because one call took less
+time than four (measured in the CHANGES.md entry "Batch the simulated
+workers' local products").
 
 Each product is also set up once per solve, as a persistent collective is
 in a message-passing deployment: :meth:`ColumnBlocks.bind` and
 :meth:`ColumnBlocks.bind_dot` bind the operand and result views, each
-run's slices, the partial stack and the reduction tree into a
-:class:`Plan`, a fixed sequence of ``out=`` calls that each solver pass
-runs as it is, allocating nothing.  Serial execution is the one-worker
-case of the same code: its one block holds every row of every square
-matrix, multiplied by one stacked GEMV, and its lone partial of ``X @ y``
-is written straight into the result.
+run's slices and the partial stack into a :class:`Plan`, a fixed sequence
+of ``out=`` calls that each solver pass runs as it is, allocating nothing.
+Serial execution is the one-worker case of the same code: its one block
+holds every row of every square matrix, multiplied by one stacked GEMV,
+and its lone partial of ``X @ y`` is written straight into the result.
 
 One exception applies on one worker: each dense Hessian of at least
 :data:`qcqpd.model.LARGE_DENSE_COLS` columns is not stacked but multiplied
@@ -160,46 +160,15 @@ def _width_runs(n_cols, n_workers):
 
     The columns split into contiguous blocks whose widths differ by at most
     one, the first ``n_cols % n_workers`` workers taking the wider ones, so
-    there are at most two runs.  With fewer columns than workers the last
-    run has width 0.
+    there are at most two runs.  Only workers that hold columns make a run:
+    with fewer columns than workers the partition is ``n_cols`` one-column
+    workers, and with no columns it has no run.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     base, extra = divmod(n_cols, n_workers)
-    wide = [(0, extra, base + 1)] if extra else []
-    return wide + [(extra * (base + 1), n_workers - extra, base)]
-
-
-def _reduce(X, y, runs, out):
-    """The steps writing the row-wise products ``X @ y`` into ``out`` as a tree sum over the workers' column slices.
-
-    ``runs`` are the ``(lo, g, c)`` runs of equal-width workers of
-    :func:`_width_runs`.  One worker's product is written straight into
-    ``out``.  Otherwise each run is one ``np.matmul`` of the ``(g, k, c)``
-    view of its columns of the ``k`` rows of ``X`` by the ``(g, c, 1)`` view
-    of its slices of ``y``, into its rows of a ``(W, k)`` partial stack, one
-    row per worker; numpy runs the BLAS product of each item that the 2-D
-    product of the block runs, so the partials are those of one call per
-    worker, bit for bit.  The rows add in a fixed pairwise left-to-right
-    tree over worker index, one ``np.add`` per level: at stride ``s = 1, 2,
-    4, ...`` row ``w + s`` is added into row ``w`` for each ``w`` a multiple
-    of ``2 s``, the last sum written into ``out``.  A row left without a
-    partner stays where the next level reads it, so the bits do not depend
-    on the run.  numpy may iterate a level of four or more pairs through
-    transient buffers of its own.
-    """
-    if runs == [(0, 1, len(y))]:  # one worker
-        return [_gemv(X, y, out)]
-    parts = np.empty((sum(g for _, g, _ in runs), len(X)))
-    steps, W = [], 0
-    for lo, g, c in runs:
-        A = X[:, lo:lo + g * c].reshape(len(X), g, c).transpose(1, 0, 2)
-        steps.append((np.matmul, (A, y[lo:lo + g * c].reshape(g, c, 1), parts[W:W + g, :, None])))
-        W += g
-    for s in [2 ** i for i in range((W - 1).bit_length())]:  # ceil(log2 W) levels
-        left = parts[0:W - s:2 * s]
-        steps.append((np.add, (left, parts[s::2 * s], out[None] if 2 * s >= W else left)))
-    return steps
+    runs = [(0, extra, base + 1), (extra * (base + 1), n_workers - extra, base)]
+    return [(lo, g, c) for lo, g, c in runs if g and c]
 
 
 def _rows(indices):
@@ -344,15 +313,31 @@ class ColumnBlocks:
 
         ``X``, ``y`` and ``out`` are bound once, as views, so rows of ``X``
         rewritten between runs are read afresh.  ``X`` has the Hessians'
-        ``n`` columns, split across the workers as theirs are.  Each worker
-        multiplies its columns of ``X`` by its slice of ``y``, the columns
-        of a run of equal-width workers viewed as one ``(g, k, c)`` array
-        without a copy; the partials are tree-reduced in worker order (see
-        :func:`_reduce`).  On one worker this is ``X @ y``.
+        ``n`` columns, split across the workers as theirs are.  When one
+        worker holds every column, its product is written straight into
+        ``out``.  Otherwise each run of ``g`` equal-width workers is one
+        ``np.matmul`` of the ``(g, k, c)`` view of its columns of the ``k``
+        rows of ``X`` by the ``(g, c, 1)`` view of its slices of ``y``, into
+        its rows of a ``(W, k)`` stack of partials, one row per worker that
+        holds columns; numpy runs the BLAS product of each item that the 2-D
+        product of the block runs, so the partials are those of one call per
+        worker, bit for bit.  One ``np.add.reduce`` over the stack writes
+        their sum into ``out``, adding the rows one at a time in worker
+        order; numpy's one exception is a lone row (``k = 1``) over eight or
+        more workers, which it sums in its own fixed blocks.  With no
+        columns the stack is empty and ``out`` is zeros.
         Each run books one reduce of ``len(X)`` doubles.
         """
         n = self._shape[1]
         if X.ndim != 2 or X.shape[1:] != (n,) or y.shape != (n,) or out.shape != X.shape[:1]:
             raise ValueError(f"X has shape {X.shape}, y {y.shape} and out {out.shape}, "
                              f"expected a matrix of {n} columns, ({n},) and one entry per row")
-        return Plan(_reduce(X, y, self._runs, out) + [(stats.record, (len(X),))])
+        if self._runs == [(0, 1, n)]:  # one worker holds every column
+            return Plan([_gemv(X, y, out), (stats.record, (len(X),))])
+        parts = np.empty((sum(g for _, g, _ in self._runs), len(X)))
+        steps, w = [], 0
+        for lo, g, c in self._runs:
+            A = X[:, lo:lo + g * c].reshape(len(X), g, c).transpose(1, 0, 2)
+            steps.append((np.matmul, (A, y[lo:lo + g * c].reshape(g, c, 1), parts[w:w + g, :, None])))
+            w += g
+        return Plan(steps + [(np.add.reduce, (parts, 0, None, out)), (stats.record, (len(X),))])

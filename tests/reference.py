@@ -17,14 +17,15 @@
   term, which :func:`qcqpd.core.adaptive_step_size` inlines and must
   reproduce bit for bit;
 * :func:`reference_ranges`, the balanced column split as one half-open
-  range per worker, built one worker at a time, which the width runs of
+  range per worker, built one worker at a time, and :func:`held_ranges`,
+  those of the workers that hold columns, which the width runs of
   :func:`qcqpd.dist._width_runs` must expand to exactly;
 * :func:`reference_products`, the partitioned Hessian products computed
-  per call over those ranges, each worker's rows one 2-D product per
+  per call over the held ranges, each worker's rows one 2-D product per
   square matrix, and :func:`reference_dot`, the row-wise products as a
-  list of per-worker products of fresh slices summed by :func:`_tree_sum`,
-  each into a new array, which the plans of
-  :meth:`qcqpd.dist.ColumnBlocks.bind` and
+  list of per-worker products of fresh slices added one at a time in
+  worker order by :func:`worker_order_sum`, each into a new array, which
+  the plans of :meth:`qcqpd.dist.ColumnBlocks.bind` and
   :meth:`qcqpd.dist.ColumnBlocks.bind_dot` must reproduce bit for bit;
 * :func:`reference_pass`, one predictor or corrector pass written as the
   compound expressions over those per-call kernels, which the plan of
@@ -362,16 +363,13 @@ def reference_budget_needs(problem, x, lam, cons, grad, rho):
 # --- one pass ----------------------------------------------------------------
 
 
-def _tree_sum(parts):
-    """Pairwise left-to-right tree reduction; fixed, deterministic order."""
-    while len(parts) > 1:
-        nxt = []
-        for i in range(0, len(parts) - 1, 2):
-            nxt.append(parts[i] + parts[i + 1])
-        if len(parts) % 2:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
+def worker_order_sum(parts, size):
+    """``parts``, each of ``size`` entries, added onto zeros one at a time in worker order,
+    the canonical evaluation order of MPI's reduce."""
+    total = np.zeros(size)
+    for part in parts:
+        total = total + part
+    return total
 
 
 def reference_ranges(n, workers):
@@ -391,12 +389,17 @@ def reference_ranges(n, workers):
     return ranges
 
 
+def held_ranges(n, workers):
+    """The :func:`reference_ranges` of the workers that hold columns, in worker order."""
+    return [(lo, hi) for lo, hi in reference_ranges(n, workers) if hi > lo]
+
+
 def reference_products(hessians, x, workers, stats):
     """The ``(k, n)`` products ``P_i x`` of a :class:`qcqpd.dist.ColumnBlocks` stack over ``workers``, in a new array.
 
     Reads the stack's own blocks, the items of its arrays of equal-width
     workers' blocks in worker order, each stacking one worker's rows of the
-    square matrices, against the :func:`reference_ranges` of ``x``: each
+    square matrices, against the :func:`held_ranges` of ``x``: each
     row kept whole is ``dsymv``'s product, and each diagonal's row is ``d *
     x``.  On one worker the square rows are the one block's 2-D product
     with ``x``; otherwise worker ``[lo, hi)`` writes columns ``[lo, hi)`` of
@@ -411,7 +414,7 @@ def reference_products(hessians, x, workers, stats):
     if hessians._square:
         rows, stacks = hessians._square
         blocks = [block for stack in stacks for block in stack]
-        ranges = reference_ranges(n, workers)
+        ranges = held_ranges(n, workers)
         square = np.empty((len(out[rows]), n))
         for block, (lo, hi) in zip(blocks, ranges, strict=True):
             if workers == 1:
@@ -428,10 +431,10 @@ def reference_products(hessians, x, workers, stats):
 
 
 def reference_dot(X, y, workers, stats):
-    """The row-wise products ``X @ y`` as the tree sum of ``X[:, lo:hi] @ y[lo:hi]`` over
-    the :func:`reference_ranges` of ``workers``; books one reduce of ``len(X)`` doubles."""
+    """The row-wise products ``X @ y`` as the :func:`worker_order_sum` of ``X[:, lo:hi] @ y[lo:hi]``
+    over the :func:`held_ranges` of ``workers``; books one reduce of ``len(X)`` doubles."""
     stats.record(len(X))
-    return _tree_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in reference_ranges(len(y), workers)])
+    return worker_order_sum([X[:, lo:hi] @ y[lo:hi] for lo, hi in held_ranges(len(y), workers)], len(X))
 
 
 def reference_pass(problem, hessians, workers, stats, z, F):

@@ -271,6 +271,23 @@ class TestSolveCommand:
         # other options (output paths, help) have defaults of their own
         assert _stored_when_given(_subparser("solve")) == sorted(f.name for f in dataclasses.fields(SolverConfig))
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--report", "{problem}"], ("problem", "--report")),
+        (["--trace", "{dir}/sub/../toy.npz"], ("problem", "--trace")),
+        (["--report", "{dir}/r.json", "--trace", "{dir}/./r.json"], ("--report", "--trace")),
+    ], ids=["report-is-problem", "trace-is-problem", "report-is-trace"])
+    def test_paths_naming_one_file_exit_one_before_writing(self, toy_file, tmp_path, flags, named):
+        # an output that resolves to the problem or to the other output would
+        # overwrite it: rejected before the solve, and no file is touched
+        (tmp_path / "sub").mkdir()
+        before = Path(toy_file).read_bytes()
+        flags = [f.format(problem=toy_file, dir=tmp_path) for f in flags]
+        proc = _run_cli("solve", toy_file, *flags)
+        _assert_error_names(proc, f"{named[0]} and {named[1]}")
+        assert proc.stdout == ""
+        assert Path(toy_file).read_bytes() == before
+        assert not (tmp_path / "r.json").exists()
+
     def test_identical_runs_identical_outputs(self, toy_file, tmp_path):
         outputs = []
         for tag in ("a", "b"):
@@ -468,6 +485,28 @@ class TestGenerateCommand:
         assert not out.exists()
         captured = capsys.readouterr()
         assert "wrote" not in captured.out and "nodir" in captured.err
+
+    def test_out_and_meta_naming_one_file_exit_one_without_file(self, tmp_path, monkeypatch):
+        # the sidecar would overwrite the problem file it describes
+        monkeypatch.chdir(tmp_path)
+        proc = _run_cli("generate", "infeasible", "--n1", "4", "--out", "s.npz", "--meta", str(tmp_path / "s.npz"))
+        _assert_error_names(proc, "--out and --meta")
+        assert "wrote" not in proc.stdout
+        assert not (tmp_path / "s.npz").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--meta"])
+    def test_output_naming_the_csv_exit_one_leaves_it(self, tmp_path, flag):
+        # the problem file or the sidecar would overwrite the points it is built from
+        X, y = gen_twonorm(20, seed=5)
+        csv = tmp_path / "d.csv"
+        csv.write_text("".join(f"{int(yi)}," + ",".join(map(repr, row.tolist())) + "\n" for yi, row in zip(y, X)))
+        before = csv.read_bytes()
+        paths = {"--out": str(tmp_path / "m.npz"), "--meta": str(tmp_path / "m.json"), flag: str(csv)}
+        proc = _run_cli("generate", "mkl", "--csv", str(csv), "--ntr", "12", "--nt", "4",
+                        *[arg for item in paths.items() for arg in item])
+        _assert_error_names(proc, f"--csv and {flag}")
+        assert csv.read_bytes() == before
+        assert not (tmp_path / "m.npz").exists() and not (tmp_path / "m.json").exists()
 
     @given(st.lists(st.one_of(
         st.sampled_from([Kernel("linear"), Kernel("polynomial")]),

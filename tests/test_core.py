@@ -471,7 +471,7 @@ class TestPass:
         # run; filled with NaN, none may survive one call.  The buffers are
         # each step's output (its last argument, np.copyto's first): each
         # worker's rows of the products, the constraint rows' per-worker
-        # partials and tree sums and the pass's temporaries; and the products
+        # partials and their sum and the pass's temporaries; and the products
         # Px, which dsymv writes in place, and the operator, whose dual block
         # holds the constraint rows g while the pass builds them
         for p in _pass_problems() + _stack_problems() + _uneven_problems():
@@ -524,7 +524,7 @@ class TestPass:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_one_call_allocates_almost_nothing(self, workers):
         # every buffer of a pass is built when it is bound: a per-call
-        # product, partial or tree-sum temporary of n1 doubles would pass
+        # product, partial or sum temporary of n1 doubles would pass
         # the bound
         p = gen_infeasible(256)
         plan = _workspace(p, workers, random_box_state(np.random.default_rng(0), p)).pass_z
@@ -745,6 +745,27 @@ class TestSolve:
         assert (three.status, three.iterations) == (one.status, one.iterations) == (TerminationStatus.CONVERGED, 440)
         np.testing.assert_allclose(three.x, one.x, rtol=1e-12, atol=1e-15)
         assert three.comm == one.comm == analytic_comm_stats(p, one.iterations)
+
+    def test_workers_beyond_the_columns_hold_nothing(self):
+        # 64 columns at 100 000 workers are the partition of 64 one-column
+        # workers, and the other workers add nothing: the same solve bit for bit
+        p = gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=0))
+        few, many = (solve(p, SolverConfig(n_workers=workers, max_iters=20)) for workers in (64, 100_000))
+        assert (many.status, many.iterations, many.comm) == (few.status, few.iterations, few.comm)
+        assert many.x.tobytes() == few.x.tobytes() and many.lam.tobytes() == few.lam.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_no_columns_converges(self, workers):
+        # n1 = 0: no worker holds a column, so the constraint rows' partial
+        # stack is empty and its reduce writes zeros; min u s.t. u >= -1 and
+        # u = -1
+        p = QcqpProblem(P=[np.zeros(0), np.zeros(0)], q=np.zeros((2, 0)), c=[[1.0], [-1.0]], r=[0.0, -1.0],
+                        A=np.zeros((1, 0)), B=[[1.0]], b=[-1.0])
+        assert (p.n1, p.n2, p.m1, p.m2) == (0, 1, 1, 1)
+        rep = solve(p, SolverConfig(n_workers=workers))
+        assert rep.status is TerminationStatus.CONVERGED
+        np.testing.assert_allclose(rep.u, [-1.0], atol=1e-2)
+        assert rep.comm == analytic_comm_stats(p, rep.iterations)
 
     @pytest.mark.parametrize("problem, settings, status", [
         (toy_problem(), {"tol": 1e-6}, TerminationStatus.CONVERGED),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qcqpd import CommStats
 from qcqpd.dist import ColumnBlocks, _width_runs
 from qcqpd.model import LARGE_DENSE_COLS
-from reference import _tree_sum, reference_dot, reference_products, reference_ranges
+from reference import held_ranges, reference_dot, reference_products, reference_ranges, worker_order_sum
 
 
 def _traffic(**counts):
@@ -56,29 +56,34 @@ class TestPartition:
         assert _expand(_width_runs(5, 2)) == [(0, 3), (3, 5)]
 
     def test_more_workers_than_columns(self):
-        assert _width_runs(2, 4) == [(0, 2, 1), (2, 2, 0)]
-        assert [hi - lo for lo, hi in _expand(_width_runs(2, 4))] == [1, 1, 0, 0]
+        # the workers that hold nothing make no run: the partition is the
+        # one-column workers, and with no columns it is empty
+        assert _width_runs(2, 4) == [(0, 2, 1)]
+        assert _expand(_width_runs(2, 4)) == [(0, 1), (1, 2)]
+        assert _width_runs(64, 100_000) == _width_runs(64, 64) == [(0, 64, 1)]
+        assert _width_runs(0, 1) == _width_runs(0, 3) == []
 
     @given(n=st.integers(0, 500), w=st.integers(1, 64))
     @settings(max_examples=200, deadline=None)
     def test_partition_properties(self, n, w):
         runs = _width_runs(n, w)
-        assert 1 <= len(runs) <= 2
+        assert len(runs) <= 2
+        assert all(g > 0 and c > 0 for _, g, c in runs)  # never an empty run
         ranges = _expand(runs)
         sizes = [hi - lo for lo, hi in ranges]
-        assert len(sizes) == w and sum(sizes) == n
-        assert max(sizes) - min(sizes) <= 1
-        if w > n:
-            assert min(sizes) == 0
+        assert len(sizes) == min(n, w) and sum(sizes) == n
+        if sizes:
+            assert max(sizes) - min(sizes) <= 1
         pos = 0
         for lo, hi in ranges:
             assert lo == pos
             pos = hi
 
     def test_runs_expand_to_reference_ranges(self):
+        # the ranges of the workers that hold columns, the rest left out
         for n in range(41):
             for w in range(1, 10):
-                assert _expand(_width_runs(n, w)) == reference_ranges(n, w), (n, w)
+                assert _expand(_width_runs(n, w)) == held_ranges(n, w), (n, w)
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
@@ -177,13 +182,12 @@ class TestDot:
 
     # n = 3 leaves some of 4 or more workers an empty column range, and 13
     # some of 16; 13 and 37 split into two column widths at most worker
-    # counts.  From 6 workers a row with no partner is carried through two or
-    # three levels of the tree.
+    # counts
     @pytest.mark.parametrize("n", [3, 13, 37])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6, 7, 9, 16])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
     def test_bound_plan_is_the_per_call_reference_bitwise(self, workers, n):
         # X row-major, as the pass's constraint block is; the plan reads X and
-        # y afresh on every run
+        # y afresh on every run, and sums the partials of six rows in worker order
         rng = np.random.default_rng(500 + 10 * workers + n)
         X, y, out = np.empty((6, n)), np.empty(n), np.empty(6)
         stats, want_stats = CommStats(), CommStats()
@@ -194,6 +198,28 @@ class TestDot:
             plan()
             assert out.tobytes() == reference_dot(X, y, workers, want_stats).tobytes()
         assert stats == want_stats
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 5, 6, 7, 8, 9, 16])
+    def test_lone_row_sums_in_worker_order_up_to_seven_workers(self, workers):
+        # numpy adds the rows of a (W, k) stack one at a time, but sums one
+        # column (k = 1) of eight or more rows in its own blocks: in a fixed
+        # order still, so two runs give the same bits
+        n = 37
+        rng = np.random.default_rng(700 + workers)
+        X, y, out = np.empty((1, n)), np.empty(n), np.empty(1)
+        plan = ColumnBlocks([np.zeros(n)], workers).bind_dot(X, y, out, CommStats())
+        for _ in range(20):
+            X[:] = rng.standard_normal(X.shape) * 10.0 ** rng.integers(-8, 9, size=X.shape)
+            y[:] = rng.standard_normal(n)
+            plan()
+            first = out.copy()
+            plan()
+            assert out.tobytes() == first.tobytes()
+            want = reference_dot(X, y, workers, CommStats())
+            if workers <= 7:
+                assert out.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12 * np.abs(X).max())
 
     def test_counts_one_scalar_reduce(self):
         stats = CommStats()
@@ -337,10 +363,11 @@ class TestColumnBlocks:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
     @pytest.mark.parametrize("kinds", [STACKS["dense"], STACKS["mixed"]], ids=["dense", "mixed"])
-    def test_one_add_per_tree_level_and_one_booking(self, kinds, workers):
-        # the constraint rows' tree adds every pair of a level in one np.add,
-        # ceil(log2 W) levels, and each collective, the products' allgather
-        # included, is booked in one step, the last
+    def test_one_reduce_and_one_booking(self, kinds, workers):
+        # the constraint rows are one np.matmul per width run and one
+        # np.add.reduce of their partials, no np.add; each collective, the
+        # products' allgather included, is booked in one step, the last.
+        # 13 columns leave 3 of 16 workers none, and they add nothing
         n = 13
         stats = CommStats()
         hessians = ColumnBlocks(_stack(kinds, n, np.random.default_rng(workers), integer=False), workers)
@@ -349,7 +376,22 @@ class TestColumnBlocks:
         for plan in plans:
             functions = [f for f, _ in plan.steps]
             assert [_books(f, stats) for f in functions] == [False] * (len(functions) - 1) + [True]
-        assert [f for f, _ in plans[1].steps].count(np.add) == (workers - 1).bit_length()
+        local = [np.dot] if workers == 1 else [np.matmul] * len(_width_runs(n, workers)) + [np.add.reduce]
+        assert [f for f, _ in plans[1].steps[:-1]] == local
+        if workers > 1:
+            assert plans[1].steps[-2][1][0].shape == (min(n, workers), 2)
+
+    def test_more_workers_than_columns_cost_nothing_more(self):
+        # 100 000 workers over 64 columns are its 64 one-column workers: the
+        # products are one batched product of 64 blocks, and the partial stack
+        # of the constraint rows has 64 rows
+        n, workers = 64, 100_000
+        stats = CommStats()
+        hessians = ColumnBlocks(_stack(STACKS["mixed"], n, np.random.default_rng(3), integer=False), workers)
+        assert [len(stack) for stack in hessians._square[1]] == [n]
+        plan = hessians.bind_dot(np.empty((2, n)), np.empty(n), np.empty(2), stats)
+        (reduce_args,) = [args for f, args in plan.steps if f == np.add.reduce]
+        assert reduce_args[0].shape == (n, 2)
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 7, 16])
     @pytest.mark.parametrize("kinds", BOUND_STACKS.values(), ids=list(BOUND_STACKS))
@@ -400,9 +442,9 @@ class TestColumnBlocks:
     @pytest.mark.parametrize("kinds", [STACKS["csc"], STACKS["mixed"]], ids=["csc", "mixed"])
     def test_sparse_rows_are_per_worker_csc_products_bitwise(self, kinds, workers, n):
         # random floats, none zero: each diagonal row is np.diag(d) @ x and the
-        # tree sum of the per-worker products of d as a CSC matrix, which the
-        # kernel computed before diagonals were stored as vectors, bit for bit;
-        # the dense rows are the dense stack's
+        # worker-order sum of the per-worker products of d as a CSC matrix,
+        # which the kernel computed before diagonals were stored as vectors,
+        # bit for bit; the dense rows are the dense stack's
         rng = np.random.default_rng(200 + 10 * workers + n)
         mats = _stack(kinds, n, rng, integer=False)
         x = rng.standard_normal(n)
@@ -416,7 +458,7 @@ class TestColumnBlocks:
             csc = sp.csc_matrix(np.diag(M))
             assert row.tobytes() == (np.diag(M) @ x).tobytes()
             ranges = reference_ranges(n, workers)
-            assert row.tobytes() == _tree_sum([csc[:, lo:hi] @ x[lo:hi] for lo, hi in ranges]).tobytes()
+            assert row.tobytes() == worker_order_sum([csc[:, lo:hi] @ x[lo:hi] for lo, hi in ranges], n).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", STACKS.values(), ids=list(STACKS))
@@ -431,8 +473,7 @@ class TestColumnBlocks:
 
     # n = 3 leaves some of 4 or more workers an empty column range, and 13
     # some of 16; 13 and 37 split into two column widths at most worker
-    # counts.  From 6 workers a row with no partner is carried through two or
-    # three levels of the tree.
+    # counts
     @pytest.mark.parametrize("n", [3, 13, 37])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6, 7, 9, 16])
     @pytest.mark.parametrize("kinds", BOUND_STACKS.values(), ids=list(BOUND_STACKS))
