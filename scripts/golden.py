@@ -5,9 +5,10 @@ Solves a fixed instance set (the toy, random n1=64 seeds 0-2, random n1=600
 seed 0, random n1=65 seed 2 with its middle Hessian replaced by its
 diagonal, MKL seed 0 with either margin and with 60 training points, the
 infeasible and unbounded instances) at 1 and 3 workers, the infeasible
-instance also at 7, a dense QP (random n1=257, m1=0, seed 1) at 1, 4 and 7
-workers, and the infeasible and unbounded instances at n1=256 seed 0 at 4
-workers, and prints one line per solve.  The doubles per pass are the
+instance also at 7, random n1=66, m1=4 seed 3 with its middle Hessian
+replaced by its diagonal at 1 and 4 workers, a dense QP (random n1=257,
+m1=0, seed 1) at 1, 4 and 7 workers, and the infeasible and unbounded
+instances at n1=256 seed 0 at 4 workers, and prints one line per solve.  The doubles per pass are the
 solve's ``comm`` bytes over 8 and over its ``2k + 1`` passes, as an exact
 fraction, so the comparison below also gates the traffic contract.
 Then saves one problem file per generator family (random seed 0 with a
@@ -46,11 +47,16 @@ def instances():
         yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}, (1, 3)
     # n1 >= qcqpd.model.LARGE_DENSE_COLS = 512: at one worker the Hessian products go through dsymv
     yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}, (1, 3)
-    # a diagonal between two dense Hessians: the stacked rows [0, 2] are not one
-    # run, so their sum goes through a buffer copied row by row
+    # a diagonal between two dense Hessians: the stacked rows 0 and 2 are two
+    # groups, each multiplied straight into its own row of the products
     base = gen_random_qcqp(RandomQcqpSpec(n1=65, m1=2, seed=2))
     P = [base.P[0], base.P[1].diagonal().copy(), base.P[2]]
     yield "interleaved-n65", dataclasses.replace(base, P=P), {}, (1, 3)
+    # two groups of two dense Hessians, rows [0, 2) and [3, 5); 66 columns
+    # split 2 x 17 + 2 x 16 at 4 workers, so each group is two batched products
+    base = gen_random_qcqp(RandomQcqpSpec(n1=66, m1=4, seed=3))
+    P = [base.P[0], base.P[1], base.P[2].diagonal().copy(), base.P[3], base.P[4]]
+    yield "two-groups-n66", dataclasses.replace(base, P=P), {}, (1, 4)
     # a dense QP: its lone Hessian is stacked like any other; 257 rows split 65 + 3 x 64 at 4 workers
     # and 5 x 37 + 2 x 36 at 7.  With m1 + m2 = 0 a pass reduces nothing: the seven-worker reduce of the
     # constraint rows over two column widths is the infeasible instance's

@@ -348,14 +348,14 @@ class _Workspace:
     Built in this order, which fixes where each buffer lands: the solve's
     :class:`ProblemNorms`, the Hessians' row blocks, its
     :class:`CommStats`, the bounds of ``Z``, the state buffers, the
-    finiteness test's flags, the arrays both passes share, and the passes.
-    The state buffers are the iterate ``z``, the predictor ``w``, the
-    operator at each, ``Fz`` and ``Fw``, and the projected step's temporary:
-    the rows of one block, each starting on a cache line, because as
-    separate arrays placed wherever the allocator put them an iteration
-    cost more (measured in the CHANGES.md entry "Make the worker count the
-    whole column partition").  With the flags they are all the
-    state-length buffers, so an iteration between residual checks
+    finiteness test's zero vector, the arrays both passes share, and the
+    passes.  The state buffers are the iterate ``z``, the predictor ``w``,
+    the operator at each, ``Fz`` and ``Fw``, and the projected step's
+    temporary: the rows of one block, each starting on a cache line,
+    because as separate arrays placed wherever the allocator put them an
+    iteration cost more (measured in the CHANGES.md entry "Make the worker
+    count the whole column partition").  With the zero vector they are all
+    the state-length buffers, so an iteration between residual checks
     allocates nothing of the state's length.
 
     The passes share ``J``, ``(1 + m1 + m2, n1 + n2)``: the rows ``Pi x +
@@ -376,7 +376,7 @@ class _Workspace:
         self.lower, self.upper = state_bounds(p)
         self.z, self.w, self.Fz, self.Fw, self.scratch = _aligned_stack(5, len(self.lower), 1)[..., 0]
         self.z.fill(0.0)
-        self.finite = np.empty(self.z.shape, dtype=bool)
+        self.zeros = np.zeros(self.z.shape)
         # row-major whatever the order of c, A and B, so each product takes one BLAS path
         self.J = np.ascontiguousarray(np.block([[np.zeros((p.m1 + 1, p.n1)), p.c], [p.A, p.B]]))
         self.HA = np.ascontiguousarray(np.vstack([np.zeros((p.m1, p.n1)), p.A]))
@@ -428,9 +428,13 @@ class _Workspace:
         return plan
 
     def pass_at_z(self):
-        """Run the pass at the iterate; whether every entry of the iterate is finite."""
+        """Run the pass at the iterate; whether every entry of the iterate is finite.
+
+        One dot with zeros: ``0 * inf`` and ``0 * nan`` are NaN, so the dot is
+        NaN exactly when an entry is not finite, and ``+-0`` otherwise.
+        """
         self.pass_z()
-        return np.isfinite(self.z, out=self.finite).all()
+        return self.zeros.dot(self.z) == 0.0
 
     def check(self, k, rho, trace, cfg):
         """Trace the residual check of iterate ``k`` at the step ``rho`` and classify
@@ -462,9 +466,11 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     iteration at the current iterate, the final one included unless the
     solve ends ``diverged``: a non-finite iterate is not passed to it.  The
     arrays are live views of the state vector and must be copied if stored.
-    The loop, the callback included, runs under ``np.errstate(over="ignore")``:
-    an overflow shows as a non-finite iterate, which ends the solve
-    ``diverged``, or as a non-finite trace objective.
+    The loop, the callback included, runs under ``np.errstate(over="ignore",
+    invalid="ignore")``: an overflow shows as a non-finite iterate, which
+    ends the solve ``diverged``, or as a non-finite trace objective, and the
+    ``0 * inf`` by which the finiteness test finds an infinite entry warns
+    of nothing.
 
     Termination: residuals are evaluated every :data:`TRACE_EVERY` iterations
     and at the ``max_iters`` cap, each check is appended to the trace as a
@@ -489,7 +495,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     # the origin is finite, so iteration 0 always reaches the step size
     rho_min, rho_max, k = math.inf, -math.inf, 0
 
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
             if not ws.pass_at_z():
                 outcome = (TerminationStatus.DIVERGED, f"non-finite iterate at iteration {k}")

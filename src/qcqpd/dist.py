@@ -24,43 +24,42 @@ artifact is the communication contract, not the transport: ``CommStats``
 books every collective and its byte volume, in one call, exactly as the
 distributed run would issue them.  A reduce is one ``np.add.reduce`` over
 the partials of the workers that hold columns, which adds them in worker
-order, the canonical order of MPI's reduce (see
-:meth:`ColumnBlocks.bind_dot` for numpy's one exception), so results are
-bitwise reproducible for a fixed worker count.  (Across *different*
-worker counts only floating-point-tolerance agreement is possible, since
-row blocks of other heights and partial sums of other groupings round
-differently.)
+order, the canonical order of MPI's reduce, so results are bitwise
+reproducible for a fixed worker count.  (Across *different* worker counts
+only floating-point-tolerance agreement is possible, since row blocks of
+other heights and partial sums of other groupings round differently.)
 
 The row blocks of the Hessian stack are cut once per solve, not once per
 product: :class:`ColumnBlocks` takes the ``m1 + 1`` Hessians, each a
 square ``n x n`` matrix or the length-``n`` vector holding a diagonal one,
-and for each worker copies the worker's rows of every square matrix, a
-lone one included, into one Fortran-order block whose every column starts
-on a 64-byte cache line, because the GEMV ran up to twice as long off one
-(measured in the CHANGES.md entry "Leaner solver pass").  A diagonal
-Hessian is not copied: its row of the product is ``d * x``, and each
-worker's part of it comes from its own slice of ``d``.  A product with the
-whole stack therefore costs one dense product per worker, one elementwise
-product per diagonal and one allgather, and writes the ``(m1 + 1, n)``
-array whose row ``i`` is ``P_i x``.
+groups the square matrices into runs of consecutive rows of the product,
+and for each group and worker copies the worker's rows of the group's
+matrices, a lone one included, into one Fortran-order block whose every
+column starts on a 64-byte cache line, because the GEMV ran up to twice as
+long off one (measured in the CHANGES.md entry "Leaner solver pass").  A
+diagonal Hessian is not copied: its row of the product is ``d * x``, and
+each worker's part of it comes from its own slice of ``d``.  A product
+with the whole stack therefore costs one dense product per worker and
+group, one elementwise product per diagonal and one allgather, and writes
+the ``(m1 + 1, n)`` array whose row ``i`` is ``P_i x``.
 
 The simulated workers' local phase is batched: the blocks of a run of
 equal-width workers are the items of one array, and one ``np.matmul``
 computes all their products, which numpy does with the same per-item BLAS
 call as the 2-D product of each item, so with the same bits.  The balanced
 split has at most two widths, so each collective's local products cost at
-most two calls into numpy, not one per worker, because one call took less
-time than four (measured in the CHANGES.md entry "Batch the simulated
-workers' local products").
+most two calls into numpy per group, not one per worker, because one call
+took less time than four (measured in the CHANGES.md entry "Batch the
+simulated workers' local products").
 
 Each product is also set up once per solve, as a persistent collective is
 in a message-passing deployment: :meth:`ColumnBlocks.bind` and
 :meth:`ColumnBlocks.bind_dot` bind the operand and result views, each
 run's slices and the partial stack into a :class:`Plan`, a fixed sequence
 of ``out=`` calls that each solver pass runs as it is, allocating nothing.
-Serial execution is the one-worker case of the same code: its one block
-holds every row of every square matrix, multiplied by one stacked GEMV,
-and its lone partial of ``X @ y`` is written straight into the result.
+Serial execution is the one-worker case of the same code: one run of one
+worker, its block multiplied by the same batched ``np.matmul``, and its
+lone partial of ``X @ y`` written straight into the result.
 
 One exception applies on one worker: each dense Hessian of at least
 :data:`qcqpd.model.LARGE_DENSE_COLS` columns is not stacked but multiplied
@@ -76,6 +75,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -143,18 +143,6 @@ class Plan:
             function(*args)
 
 
-def _gemv(A, b, out):
-    """The step writing ``A @ b`` into ``out``.
-
-    ``np.dot`` gives the bits of ``@`` at about half its call overhead,
-    but copies a matrix that is not one contiguous segment on every call,
-    so such a matrix (a column slice of a row-major matrix, a block with a
-    padded leading dimension) takes ``np.matmul``.
-    """
-    one_segment = A.flags.c_contiguous or A.flags.f_contiguous
-    return (np.dot if one_segment else np.matmul), (A, b, out)
-
-
 def _width_runs(n_cols, n_workers):
     """``(lo, g, c)`` of each run of ``g`` consecutive workers of width ``c`` from column ``lo``, in worker order.
 
@@ -169,13 +157,6 @@ def _width_runs(n_cols, n_workers):
     base, extra = divmod(n_cols, n_workers)
     runs = [(0, extra, base + 1), (extra * (base + 1), n_workers - extra, base)]
     return [(lo, g, c) for lo, g, c in runs if g and c]
-
-
-def _rows(indices):
-    """Row indices as a ``slice`` when they are one contiguous run, else as the list."""
-    if indices == list(range(indices[0], indices[0] + len(indices))):
-        return slice(indices[0], indices[0] + len(indices))
-    return indices
 
 
 def _aligned_stack(items, rows, cols):
@@ -214,19 +195,18 @@ class ColumnBlocks:
     the at most two runs of equal-width workers that :meth:`bind` and
     :meth:`bind_dot` both read.  A worker owns its columns ``cols`` of every
     matrix, and its stored block is their transpose, which for a symmetric
-    matrix is its rows ``cols``: each worker has one dense block stacking
-    its rows of every square matrix, and the blocks of each run of
-    equal-width workers are the items of one :func:`_aligned_stack`,
-    however many square matrices there are.  A diagonal is kept as given,
-    the caller's vector, not a copy.
+    matrix is its rows ``cols``.  The square matrices form groups, each a
+    run of consecutive rows of the product (one group in the usual stacks:
+    every matrix dense, or a diagonal ``P0`` before dense constraint
+    Hessians); each worker has one dense block per group stacking its rows
+    of the group's matrices, and the blocks of each run of equal-width
+    workers are the items of one :func:`_aligned_stack`, however many
+    square matrices the group has.  A diagonal is kept as given, the
+    caller's vector, not a copy.
     :meth:`bind` binds a vector ``x`` and a ``(k, n)`` products buffer once
     per solve; each run of the bound plan costs one batched dense product
-    per width run and one elementwise product per diagonal, and writes the
-    ``k`` products.  The product rows of the square matrices are held as a
-    ``slice`` when they form one contiguous run (as in the usual stacks:
-    every matrix dense, or a diagonal ``P0`` before dense constraint
-    Hessians), so they are written through one view, and as an index list
-    otherwise.
+    per group and width run and one elementwise product per diagonal, and
+    writes the ``k`` products.
 
     The matrices are taken to be symmetric, as Hessians are: on one worker
     and at least :data:`qcqpd.model.LARGE_DENSE_COLS` columns, each square
@@ -260,29 +240,29 @@ class ColumnBlocks:
 
             self._dsymv = dsymv
         # (rows of the product, one (g, k c, n) array of blocks per run of g
-        # workers of width c) of the k stacked square matrices
-        self._square = None
-        if square:
-            stacks = [_cut([matrices[i] for i in square], *run) for run in self._runs]
-            self._square = (_rows(square), stacks)
+        # workers of width c) of each group of k consecutive stacked rows
+        self._square = []
+        for _, group in groupby(enumerate(square), lambda pair: pair[1] - pair[0]):
+            rows = [i for _, i in group]
+            stacks = [_cut([matrices[i] for i in rows], *run) for run in self._runs]
+            self._square.append((slice(rows[0], rows[-1] + 1), stacks))
 
     def bind(self, x, out, stats: CommStats) -> Plan:
         """The plan writing ``P_i x`` into row ``i`` of the ``(k, n)`` array ``out``, each worker its own rows.
 
         ``x`` and ``out`` are bound once, as views: each run reads the
         current ``x`` and overwrites every row of ``out``.  Each worker
-        multiplies its block, its rows of the square matrices, by the whole
-        ``x``: a run of ``g`` equal-width workers is one ``np.matmul`` of
-        the ``(g, k, c, n)`` view of its stack by ``x``, writing the
-        ``(g, k, c)`` view of its columns of the products, with no buffer.
-        On one worker the block is one stacked GEMV.  The rows are written
-        straight into ``out`` when they form one run, else into a buffer
-        copied row by row.  The row of a matrix kept whole for ``dsymv`` is
-        its one worker's product, written in place, and a diagonal's row is
-        one 1-D product ``d * x`` of the diagonal as given, each worker's
-        columns of it its own.  Each run books, in one
-        :meth:`CommStats.record` step, the allgather of ``x`` that hands
-        every worker the whole vector; nothing is reduced or scattered.
+        multiplies its block of each group, its rows of the group's square
+        matrices, by the whole ``x``: a run of ``g`` equal-width workers is
+        one ``np.matmul`` of the ``(g, k, c, n)`` view of its stack by
+        ``x``, writing the ``(g, k, c)`` view of its columns of the group's
+        rows of ``out``, with no buffer; one worker is the run ``g = 1``,
+        ``c = n``.  The row of a matrix kept whole for ``dsymv`` is its one
+        worker's product, written in place, and a diagonal's row is one 1-D
+        product ``d * x`` of the diagonal as given, each worker's columns of
+        it its own.  Each run books, in one :meth:`CommStats.record` step,
+        the allgather of ``x`` that hands every worker the whole vector;
+        nothing is reduced or scattered.
         """
         k, n = self._shape
         if x.shape != (n,):
@@ -292,18 +272,12 @@ class ColumnBlocks:
         steps = []
         for i, M in self._symmetric:
             steps.append((partial(self._dsymv, 1.0, M, x, beta=0.0, y=out[i], overwrite_y=1), ()))
-        if self._square:
-            rows, stacks = self._square
-            whole = type(rows) is slice
-            total = out[rows] if whole else np.empty((len(rows), n))
+        for rows, stacks in self._square:
+            group = out[rows]
             for stack, (lo, g, c) in zip(stacks, self._runs):
-                if c == n:  # one worker holds every row: one stacked GEMV
-                    steps.append(_gemv(stack[0], x, total.reshape(-1)))
-                else:  # item (j, i): worker j's rows of matrix i
-                    own = total[:, lo:lo + g * c].reshape(len(total), g, c).transpose(1, 0, 2)
-                    steps.append((np.matmul, (stack.reshape(own.shape + (n,)), x, own)))
-            if not whole:
-                steps += [(np.copyto, (out[i], row)) for i, row in zip(rows, total)]
+                # item (j, i): worker j's rows of matrix i
+                own = group[:, lo:lo + g * c].reshape(len(group), g, c).transpose(1, 0, 2)
+                steps.append((np.matmul, (stack.reshape(own.shape + (n,)), x, own)))
         steps += [(np.multiply, (d, x, out[i])) for i, d in self._diagonal]
         steps.append((partial(stats.record, n_gathered=n), ()))
         return Plan(steps)
@@ -314,30 +288,38 @@ class ColumnBlocks:
         ``X``, ``y`` and ``out`` are bound once, as views, so rows of ``X``
         rewritten between runs are read afresh.  ``X`` has the Hessians'
         ``n`` columns, split across the workers as theirs are.  When one
-        worker holds every column, its product is written straight into
-        ``out``.  Otherwise each run of ``g`` equal-width workers is one
-        ``np.matmul`` of the ``(g, k, c)`` view of its columns of the ``k``
-        rows of ``X`` by the ``(g, c, 1)`` view of its slices of ``y``, into
-        its rows of a ``(W, k)`` stack of partials, one row per worker that
-        holds columns; numpy runs the BLAS product of each item that the 2-D
-        product of the block runs, so the partials are those of one call per
-        worker, bit for bit.  One ``np.add.reduce`` over the stack writes
-        their sum into ``out``, adding the rows one at a time in worker
-        order; numpy's one exception is a lone row (``k = 1``) over eight or
-        more workers, which it sums in its own fixed blocks.  With no
-        columns the stack is empty and ``out`` is zeros.
+        worker holds every column, its product is one ``np.dot`` written
+        straight into ``out`` (which copies an ``X`` that is not one
+        contiguous segment on each run).  Otherwise each run of ``g``
+        equal-width workers is one ``np.matmul`` of the ``(g, k, c)`` view
+        of its columns of the ``k`` rows of ``X`` by the ``(g, c, 1)`` view
+        of its slices of ``y``, into its rows of a ``(W, k)`` stack of
+        partials, one row per worker that holds columns; numpy runs the
+        BLAS product of each item that the 2-D product of the block runs, so
+        the partials are those of one call per worker, bit for bit.  One
+        ``np.add.reduce`` over the stack sums them, adding the rows one at a
+        time in worker order.  A lone row (``k = 1``) gets a zero second
+        column, which keeps numpy adding row by row, and its sum is copied
+        from the reduce's two entries into ``out``.  With no columns the
+        stack is empty and ``out`` is zeros.
         Each run books one reduce of ``len(X)`` doubles.
         """
         n = self._shape[1]
         if X.ndim != 2 or X.shape[1:] != (n,) or y.shape != (n,) or out.shape != X.shape[:1]:
             raise ValueError(f"X has shape {X.shape}, y {y.shape} and out {out.shape}, "
                              f"expected a matrix of {n} columns, ({n},) and one entry per row")
+        k = len(X)
         if self._runs == [(0, 1, n)]:  # one worker holds every column
-            return Plan([_gemv(X, y, out), (stats.record, (len(X),))])
-        parts = np.empty((sum(g for _, g, _ in self._runs), len(X)))
+            return Plan([(np.dot, (X, y, out)), (stats.record, (k,))])
+        parts = np.zeros((sum(g for _, g, _ in self._runs), 2 if k == 1 else k))
         steps, w = [], 0
         for lo, g, c in self._runs:
-            A = X[:, lo:lo + g * c].reshape(len(X), g, c).transpose(1, 0, 2)
-            steps.append((np.matmul, (A, y[lo:lo + g * c].reshape(g, c, 1), parts[w:w + g, :, None])))
+            A = X[:, lo:lo + g * c].reshape(k, g, c).transpose(1, 0, 2)
+            steps.append((np.matmul, (A, y[lo:lo + g * c].reshape(g, c, 1), parts[w:w + g, :k, None])))
             w += g
-        return Plan(steps + [(np.add.reduce, (parts, 0, None, out)), (stats.record, (len(X),))])
+        if k == 1:
+            total = np.empty(2)
+            steps += [(np.add.reduce, (parts, 0, None, total)), (np.copyto, (out, total[:1]))]
+        else:
+            steps.append((np.add.reduce, (parts, 0, None, out)))
+        return Plan(steps + [(stats.record, (k,))])

@@ -397,33 +397,26 @@ def held_ranges(n, workers):
 def reference_products(hessians, x, workers, stats):
     """The ``(k, n)`` products ``P_i x`` of a :class:`qcqpd.dist.ColumnBlocks` stack over ``workers``, in a new array.
 
-    Reads the stack's own blocks, the items of its arrays of equal-width
-    workers' blocks in worker order, each stacking one worker's rows of the
-    square matrices, against the :func:`held_ranges` of ``x``: each
-    row kept whole is ``dsymv``'s product, and each diagonal's row is ``d *
-    x``.  On one worker the square rows are the one block's 2-D product
-    with ``x``; otherwise worker ``[lo, hi)`` writes columns ``[lo, hi)`` of
-    each square row, the 2-D product of that matrix's ``hi - lo`` rows of
-    its block with the whole ``x``, one product per matrix, as the batched
-    call runs each item.  Books one allgather of ``x``.
+    Reads the stack's own blocks, per group of consecutive square rows the
+    items of its arrays of equal-width workers' blocks in worker order, each
+    stacking one worker's rows of the group's square matrices, against the
+    :func:`held_ranges` of ``x``: each row kept whole is ``dsymv``'s
+    product, and each diagonal's row is ``d * x``.  At every worker count,
+    one included, worker ``[lo, hi)`` writes columns ``[lo, hi)`` of each
+    square row, the 2-D product of that matrix's ``hi - lo`` rows of its
+    block with the whole ``x``, one product per matrix, as the batched call
+    runs each item.  Books one allgather of ``x``.
     """
     k, n = hessians._shape
     out = np.empty((k, n))
     for i, M in hessians._symmetric:
         hessians._dsymv(1.0, M, x, beta=0.0, y=out[i], overwrite_y=1)
-    if hessians._square:
-        rows, stacks = hessians._square
+    for rows, stacks in hessians._square:
         blocks = [block for stack in stacks for block in stack]
-        ranges = held_ranges(n, workers)
-        square = np.empty((len(out[rows]), n))
-        for block, (lo, hi) in zip(blocks, ranges, strict=True):
-            if workers == 1:
-                square[:] = (block @ x).reshape(-1, n)
-            else:
-                c = hi - lo
-                for i, row in enumerate(square):
-                    row[lo:hi] = block[i * c:(i + 1) * c] @ x
-        out[rows] = square
+        for block, (lo, hi) in zip(blocks, held_ranges(n, workers), strict=True):
+            c = hi - lo
+            for i, row in enumerate(out[rows]):
+                row[lo:hi] = block[i * c:(i + 1) * c] @ x
     for i, d in hessians._diagonal:
         out[i] = d * x
     stats.record(n_gathered=n)

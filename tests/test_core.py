@@ -399,9 +399,9 @@ def _pass_problems():
 
 def _stack_problems():
     """Stacks whose product rows are laid out otherwise: dense and diagonal
-    Hessians interleaved (both kinds' rows index lists), all dense (at one
-    worker written in place), and ``n1 = 512`` with a diagonal ``P0`` (at one
-    worker through ``dsymv``)."""
+    Hessians interleaved (two groups of dense rows), all dense (one group),
+    and ``n1 = 512`` with a diagonal ``P0`` (at one worker through
+    ``dsymv``)."""
     rng = np.random.default_rng(13)
     interleaved = random_problem(rng, n1=9, m1=3, n2=2, m2=2, box=2.0)
     for i in (1, 3):
@@ -520,6 +520,22 @@ class TestPass:
             ws.step(rho)
             assert ws.w.tobytes() == w.tobytes() and ws.Fw.tobytes() == Fw.tobytes()
             assert ws.Px.tobytes() == want_Px.tobytes() and ws.z.tobytes() == want_z.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_finiteness_test_finds_each_non_finite_entry(self, workers):
+        # inf, -inf or nan in any block of the iterate is found, and the
+        # largest finite magnitudes are not; under the solve loop's errstate
+        p = random_problem(np.random.default_rng(5), n1=9, m1=3, n2=2, m2=2, box=2.0)
+        ws = _workspace(p, workers, random_box_state(np.random.default_rng(6), p))
+        state = ws.z.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert ws.pass_at_z()
+            for i in range(len(state)):
+                for value, finite in [(np.inf, False), (-np.inf, False), (np.nan, False),
+                                      (np.finfo(float).max, True), (-np.finfo(float).max, True)]:
+                    ws.z[:] = state
+                    ws.z[i] = value
+                    assert ws.pass_at_z() == finite, (i, value)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_one_call_allocates_almost_nothing(self, workers):

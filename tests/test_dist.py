@@ -199,11 +199,11 @@ class TestDot:
             assert out.tobytes() == reference_dot(X, y, workers, want_stats).tobytes()
         assert stats == want_stats
 
-    @pytest.mark.parametrize("workers", [2, 3, 4, 5, 6, 7, 8, 9, 16])
-    def test_lone_row_sums_in_worker_order_up_to_seven_workers(self, workers):
-        # numpy adds the rows of a (W, k) stack one at a time, but sums one
-        # column (k = 1) of eight or more rows in its own blocks: in a fixed
-        # order still, so two runs give the same bits
+    @pytest.mark.parametrize("workers", range(2, 40))
+    def test_lone_row_sums_in_worker_order_at_every_worker_count(self, workers):
+        # numpy sums one column of eight or more rows in its own blocks, so the
+        # partials of a lone row (k = 1) carry a zero second column, and numpy
+        # adds the rows one at a time in worker order
         n = 37
         rng = np.random.default_rng(700 + workers)
         X, y, out = np.empty((1, n)), np.empty(n), np.empty(1)
@@ -212,14 +212,7 @@ class TestDot:
             X[:] = rng.standard_normal(X.shape) * 10.0 ** rng.integers(-8, 9, size=X.shape)
             y[:] = rng.standard_normal(n)
             plan()
-            first = out.copy()
-            plan()
-            assert out.tobytes() == first.tobytes()
-            want = reference_dot(X, y, workers, CommStats())
-            if workers <= 7:
-                assert out.tobytes() == want.tobytes()
-            else:
-                np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12 * np.abs(X).max())
+            assert out.tobytes() == reference_dot(X, y, workers, CommStats()).tobytes()
 
     def test_counts_one_scalar_reduce(self):
         stats = CommStats()
@@ -320,29 +313,34 @@ class TestColumnBlocks:
         x = rng.standard_normal(n)
         widths = [hi - lo for lo, hi in reference_ranges(n, workers)]
         aligned = ColumnBlocks(mats, workers)
-        rows, stacks = aligned._square
-        # one array per run of equal-width workers, its items their blocks in
-        # worker order, each block the worker's rows of every dense matrix
-        dense = kinds.count("dense")
-        assert [stack.shape[1] for stack in stacks] == [dense * c for c in sorted(set(widths), reverse=True)]
+        # one group per run of consecutive dense rows of the products, each
+        # with one array per run of equal-width workers, its items their
+        # blocks in worker order, each block the worker's rows of the group's
+        # matrices
+        groups = [list(range(len(mats)))[rows] for rows, _ in aligned._square]
+        assert sum(groups, []) == [i for i, kind in enumerate(kinds) if kind == "dense"]
+        assert all(group == list(range(group[0], group[-1] + 1)) for group in groups)
+        stacks = [stack for _, group_stacks in aligned._square for stack in group_stacks]
+        assert [stack.shape[1] for stack in stacks] == [
+            len(group) * c for group in groups for c in sorted(set(widths), reverse=True)]
         blocks = [block for stack in stacks for block in stack]
-        assert [block.shape for block in blocks] == [(dense * c, n) for c in widths]
+        assert [block.shape for block in blocks] == [(len(group) * c, n) for group in groups for c in widths]
         for block in blocks:
             assert _address(block) % 64 == 0
             assert block.strides[1] % 64 == 0
-        # the bound plan runs one product per run, reading those arrays, not copies
+        # the bound plan runs one product per group and run, reading those
+        # arrays, not copies, and writing straight into the products' rows
         out = np.empty((len(mats), n))
         plan = aligned.bind(x, out, CommStats())
         reads = _product_calls(plan)
-        assert len(reads) == len(stacks)
         assert [_address(a) for a in reads] == [_address(stack) for stack in stacks]
-        # and writing straight into the products' rows when they are one run, else into a buffer
-        writes = [args[-1] for f, args in plan.steps if f in (np.dot, np.matmul)]
-        assert [np.shares_memory(a, out) for a in writes if a.size] == [type(rows) is slice] * len(stacks)
+        writes = [args[-1] for f, args in plan.steps if f is np.matmul]
+        assert len(writes) == len(stacks) and all(np.shares_memory(a, out) for a in writes)
         # the product bits do not depend on where the blocks sit
         unaligned = ColumnBlocks(mats, workers)
-        unaligned._square = (rows, [_off_line_copy(stack) for stack in stacks])
-        assert all(_address(stack) % 64 == 8 for stack in unaligned._square[1])
+        unaligned._square = [(rows, [_off_line_copy(stack) for stack in group_stacks])
+                             for rows, group_stacks in aligned._square]
+        assert all(_address(stack) % 64 == 8 for _, group_stacks in unaligned._square for stack in group_stacks)
         plan()
         assert out.tobytes() == _products(unaligned, x).tobytes()
         np.testing.assert_allclose(out, np.stack([_as_square(M) @ x for M in mats]), rtol=1e-13, atol=1e-13)
@@ -356,7 +354,7 @@ class TestColumnBlocks:
         stats = CommStats()
         hessians = ColumnBlocks(_stack(kinds, n, rng, integer=False), 4)
         plan = hessians.bind(x, np.empty(hessians._shape), stats)
-        assert len(_product_calls(plan)) == calls
+        assert len(_product_calls(plan)) == calls * len(hessians._square)  # per group of consecutive dense rows
         plan = hessians.bind_dot(X, x, np.empty(2), stats)
         assert len(_product_calls(plan)) == calls
         assert stats == CommStats()  # binding books nothing
@@ -383,12 +381,12 @@ class TestColumnBlocks:
 
     def test_more_workers_than_columns_cost_nothing_more(self):
         # 100 000 workers over 64 columns are its 64 one-column workers: the
-        # products are one batched product of 64 blocks, and the partial stack
-        # of the constraint rows has 64 rows
+        # products of each of the two dense-row groups are one batched product
+        # of 64 blocks, and the partial stack of the constraint rows has 64 rows
         n, workers = 64, 100_000
         stats = CommStats()
         hessians = ColumnBlocks(_stack(STACKS["mixed"], n, np.random.default_rng(3), integer=False), workers)
-        assert [len(stack) for stack in hessians._square[1]] == [n]
+        assert [[len(stack) for stack in stacks] for _, stacks in hessians._square] == [[n], [n]]
         plan = hessians.bind_dot(np.empty((2, n)), np.empty(n), np.empty(2), stats)
         (reduce_args,) = [args for f, args in plan.steps if f == np.add.reduce]
         assert reduce_args[0].shape == (n, 2)
@@ -396,15 +394,42 @@ class TestColumnBlocks:
     @pytest.mark.parametrize("workers", [2, 3, 4, 7, 16])
     @pytest.mark.parametrize("kinds", BOUND_STACKS.values(), ids=list(BOUND_STACKS))
     def test_products_plan_has_no_reduce(self, kinds, workers):
-        # each worker writes its own rows: every step is a local product, a row
-        # copy or the booking of the allgather, and no step adds partials
+        # each worker writes its own rows: every step is a local product or the
+        # booking of the allgather, and no step adds partials or copies rows
         n = 13
         stats = CommStats()
         hessians = ColumnBlocks(_stack(kinds, n, np.random.default_rng(workers), integer=False), workers)
         plan = hessians.bind(np.empty(n), np.empty(hessians._shape), stats)
         functions = [f for f, _ in plan.steps]
         assert np.add not in functions
-        assert {f for f in functions if not _books(f, stats)} <= {np.matmul, np.copyto, np.multiply}
+        assert {f for f in functions if not _books(f, stats)} <= {np.matmul, np.multiply}
+
+    # 13 columns split into two widths at 2, 3, 4 and 7 workers, one at 1
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("kinds, groups", [
+        (("dense", "diagonal", "dense", "diagonal", "dense"), 3),
+        (("diagonal", "dense", "dense"), 1),
+        (("dense", "dense", "diagonal"), 1),
+    ], ids=["interleaved", "diagonal-first", "diagonal-last"])
+    def test_one_product_path_at_every_worker_count(self, kinds, groups, workers):
+        # serial is the one-worker run: each group of consecutive dense rows is
+        # one np.matmul per width run straight into the products, whatever the
+        # order of the Hessians, with no np.dot and no row copy
+        n = 13
+        rng = np.random.default_rng(800 + workers)
+        blocks = ColumnBlocks(_stack(kinds, n, rng, integer=False), workers)
+        x, out = np.empty(n), np.empty(blocks._shape)
+        stats, want_stats = CommStats(), CommStats()
+        plan = blocks.bind(x, out, stats)
+        functions = [f for f, _ in plan.steps]
+        assert _books(functions.pop(), stats)
+        products = [np.matmul] * groups * len(_width_runs(n, workers))
+        assert functions == products + [np.multiply] * kinds.count("diagonal")
+        for _ in range(2):
+            x[:] = rng.standard_normal(n)
+            plan()
+            assert out.tobytes() == reference_products(blocks, x, workers, want_stats).tobytes()
+        assert stats == want_stats
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kinds", [STACKS["csc"], STACKS["mixed"], BOUND_STACKS["diagonal-first"]],
