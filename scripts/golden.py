@@ -7,8 +7,10 @@ diagonal, MKL seed 0 with either margin and with 60 training points, the
 infeasible and unbounded instances) at 1 and 3 workers, the infeasible
 instance also at 7, random n1=66, m1=4 seed 3 with its middle Hessian
 replaced by its diagonal at 1 and 4 workers, a dense QP (random n1=257,
-m1=0, seed 1) at 1, 4 and 7 workers, and the infeasible and unbounded
-instances at n1=256 seed 0 at 4 workers, and prints one line per solve.  The doubles per pass are the
+m1=0, seed 1) at 1, 4 and 7 workers, random n1=512 seed 0 with its
+objective scaled by 1e40 for 300 iterations at 1 worker, and the
+infeasible and unbounded instances at n1=256 seed 0 at 4 workers, and
+prints one line per solve.  The doubles per pass are the
 solve's ``comm`` bytes over 8 and over its ``2k + 1`` passes, as an exact
 fraction, so the comparison below also gates the traffic contract.
 Then saves one problem file per generator family (random seed 0 with a
@@ -45,8 +47,16 @@ def instances():
     yield "toy", toy, {"tol": 1e-6}, (1, 3)
     for seed in range(3):
         yield f"random-s{seed}", gen_random_qcqp(RandomQcqpSpec(n1=64, m1=2, seed=seed)), {}, (1, 3)
-    # n1 >= qcqpd.model.LARGE_DENSE_COLS = 512: at one worker the Hessian products go through dsymv
+    # n1 >= qcqpd.model.LARGE_DENSE_COLS = 512: at one worker each dense Hessian is kept whole and
+    # multiplied by dsymv at every residual check and by sspmv, on a packed float32 copy of its
+    # upper triangle, between checks, so this line's hash at 1 worker follows the float32 path
     yield "random-n600", gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0)), {}, (1, 3)
+    # P0 and q0 scaled by 1e40: P0's largest entry is past float32's range, so no float32 copy
+    # is made and every product of the solve is dsymv's, as before the float32 path
+    base = gen_random_qcqp(RandomQcqpSpec(n1=512, m1=2, seed=0))
+    q = base.q.copy()
+    q[0] *= 1e40
+    yield "random-n512", dataclasses.replace(base, P=[1e40 * base.P[0], *base.P[1:]], q=q), {"max_iters": 300}, (1,)
     # a diagonal between two dense Hessians: the stacked rows 0 and 2 are two
     # groups, each multiplied straight into its own row of the products
     base = gen_random_qcqp(RandomQcqpSpec(n1=65, m1=2, seed=2))

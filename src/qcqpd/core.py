@@ -31,6 +31,10 @@ stack of the constraint rows' partials built up front, so a pass
 allocates nothing.  The loop is three steps of the workspace: the
 pass at the iterate with its finiteness test, the step size with the
 residual check, and the predictor, the pass at it and the corrector.
+On one worker from :data:`qcqpd.model.LARGE_DENSE_COLS` columns the
+passes between residual checks take float32 Hessian products
+(:mod:`qcqpd.dist`); the pass at the iterate of every check is float64,
+so every traced residual and objective, and every status, is.
 
 The step size is recomputed every iteration from eight bounds driven by
 three per-solve norm constants (:class:`ProblemNorms`) and the current
@@ -364,8 +368,13 @@ class _Workspace:
     rows ``0.5 Pi x + qi`` (``i >= 1``, written by every pass) and then
     ``A``; ``CB = (C; B)``, the ``u`` columns of ``J[1:]``; ``neg_rb = -(r[1:];
     -b)``; and ``Px``, the ``(m1 + 1, n1)`` Hessian products.
-    ``pass_z`` and ``pass_w`` (:meth:`_bind`) are the passes at ``z`` and
-    at ``w``, each writing its own operator buffer.
+    Three passes are bound (:meth:`_bind`), each writing the operator
+    buffer of its state buffer: ``pass_z``, the float64 pass at ``z`` that
+    every residual check runs, and ``pass_z32`` and ``pass_w``, the
+    float32 passes at ``z`` and at ``w``, whose Hessian products use the
+    stack's packed float32 copies.  Without copies (below the size class,
+    on several workers, or out of float32's range) ``pass_z32`` is
+    ``pass_z`` itself and ``pass_w`` is float64.
     """
 
     def __init__(self, problem, n_workers):
@@ -383,10 +392,12 @@ class _Workspace:
         self.CB = np.ascontiguousarray(self.J[1:, p.n1:])
         self.neg_rb = np.concatenate([-p.r[1:], p.b])
         self.Px = np.empty((p.m1 + 1, p.n1))
-        self.pass_z, self.pass_w = self._bind(self.z, self.Fz), self._bind(self.w, self.Fw)
+        self.pass_z = self._bind(self.z, self.Fz)
+        self.pass_z32 = self._bind(self.z, self.Fz, single=True) if self.hessians.packed else self.pass_z
+        self.pass_w = self._bind(self.w, self.Fw, single=True)
         self.blocks, self.f_blocks = _blocks(p, self.z), _blocks(p, self.Fz)
 
-    def _bind(self, v, F):
+    def _bind(self, v, F, single=False):
         """The pass at the state buffer ``v``, bound once as a :class:`qcqpd.dist.Plan`.
 
         Each run writes the Hessian products into ``Px`` (row ``i`` is ``Pi
@@ -406,14 +417,16 @@ class _Workspace:
         allgather of ``x`` and ``HA x`` one reduce (none when ``m1 + m2 =
         0``); ``y' J[1:]`` and ``(C; B) u`` are local products, a worker's
         slice of the first reading only its own columns.  The zero-size
-        products of an empty ``g`` or ``u`` are left out.
+        products of an empty ``g`` or ``u`` are left out.  With ``single``
+        the Hessian products are :meth:`qcqpd.dist.ColumnBlocks.bind`'s
+        float32 ones where the stack keeps packed copies.
         """
         p, J, HA, Px, hessians, stats = self.problem, self.J, self.HA, self.Px, self.hessians, self.stats
         nu = p.n1 + p.n2
         x, u = _blocks(p, v)[:2]
         y, grad, neg_g = v[nu:], F[:nu], F[nu:]
         Pq, yJ = J[:p.m1 + 1, :p.n1], np.empty(nu)
-        plan = hessians.bind(x, Px, stats) + Plan(
+        plan = hessians.bind(x, Px, stats, single) + Plan(
             [(np.add, (Px, p.q, Pq)), (np.dot, (y, J[1:], yJ)), (np.add, (J[0], yJ, grad))])
         if len(HA):
             # HA[:m1] = 0.5 Px[1:] + q[1:] and g = HA x + (C; B) u, each in the
@@ -427,13 +440,14 @@ class _Workspace:
             plan += Plan([(np.subtract, (self.neg_rb, neg_g, neg_g))])
         return plan
 
-    def pass_at_z(self):
-        """Run the pass at the iterate; whether every entry of the iterate is finite.
+    def pass_at_z(self, check=True):
+        """Run the pass at the iterate, ``pass_z`` for a residual check and
+        ``pass_z32`` otherwise; whether every entry of the iterate is finite.
 
         One dot with zeros: ``0 * inf`` and ``0 * nan`` are NaN, so the dot is
         NaN exactly when an entry is not finite, and ``+-0`` otherwise.
         """
-        self.pass_z()
+        (self.pass_z if check else self.pass_z32)()
         return self.zeros.dot(self.z) == 0.0
 
     def check(self, k, rho, trace, cfg):
@@ -485,8 +499,11 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
     checks.  On one worker a dense Hessian of at least
     :data:`qcqpd.model.LARGE_DENSE_COLS` columns, the size from which
     ``validate`` factorizes it with ``dpotrf``, is multiplied by ``dsymv``,
-    which reads one triangle, so an unvalidated non-symmetric ``P[i]`` gives
-    the product of its symmetrised triangle.
+    which reads one triangle, at each residual check, and between checks
+    by ``sspmv`` on a float32 copy of the same triangle, so an unvalidated
+    non-symmetric ``P[i]`` gives the product of its symmetrised triangle.
+    Those float32 passes change the iterate by float32's rounding, about
+    1e-6 relative in the Hessian products, against the all-float64 solve.
     """
     cfg = config if config is not None else SolverConfig()
     ws = _Workspace(problem, cfg.n_workers)
@@ -497,7 +514,10 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
 
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            if not ws.pass_at_z():
+            # residual check on the cadence and at the iteration cap; every
+            # check is classified, and its pass at z is float64
+            check = k % TRACE_EVERY == 0 or k >= cfg.max_iters
+            if not ws.pass_at_z(check):
                 outcome = (TerminationStatus.DIVERGED, f"non-finite iterate at iteration {k}")
                 break
 
@@ -509,9 +529,7 @@ def solve(problem: QcqpProblem, config: SolverConfig | None = None, callback=Non
                 rho_min = rho
             if rho > rho_max:
                 rho_max = rho
-            # residual check on the cadence and at the iteration cap; every
-            # check is classified
-            if k % TRACE_EVERY == 0 or k >= cfg.max_iters:
+            if check:
                 outcome = ws.check(k, rho, trace, cfg)
                 if outcome is not None:
                     break

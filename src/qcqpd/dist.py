@@ -69,6 +69,18 @@ writes its row of the product in place.  Below that size the aligned stack
 is cache-resident and faster, since one call replaces one per matrix
 (measured in the CHANGES.md entry "Leaner solver pass").  So small stacks
 and every partitioned run take the generic path unchanged.
+
+These products are bound by memory bandwidth, so in the same class each
+such Hessian also gets, once per solve, a float32 copy of its upper
+triangle in BLAS's packed storage, ``n (n + 1) / 2`` floats, a quarter of
+the matrix's bytes.  A plan bound with ``single`` multiplies the copies by
+``sspmv`` and casts the rows back, which the solver does on every pass
+between residual checks, where it needs the operator to about 1e-6
+relative, far below its tolerance; every check's pass stays ``dsymv``'s.
+No copy is made when any such Hessian's largest entry is outside
+:data:`_SINGLE_RANGE`, and the first float32 product that is not finite is
+redone by ``dsymv`` in the same step and drops the copies, so the rest of
+the solve is float64.  Neither changes the booked traffic.
 """
 
 from __future__ import annotations
@@ -90,6 +102,15 @@ __all__ = [
 _FLOAT_BYTES = 8
 _LINE_BYTES = 64  # a cache line
 _LINE_DOUBLES = _LINE_BYTES // _FLOAT_BYTES
+
+# The largest-entry magnitudes whose matrices get a float32 copy (zero too):
+# float32's normal exponents [-126, 127] narrowed by its 24-bit significand at
+# the bottom, so every entry within 2^24 of the largest is a normal float32 and
+# an entry that underflows changes a product by less than float32's rounding
+# of the largest, and mirrored at the top, so a row sum of terms at the largest
+# entry stays finite while n |x| < 2^26.  Past that a product overflows and is
+# redone in float64.
+_SINGLE_RANGE = (2.0 ** -102, 2.0 ** 102)
 
 
 @dataclass
@@ -174,6 +195,22 @@ def _aligned_stack(items, rows, cols):
     return flat[skip:skip + items * ld * cols].reshape((items, cols, ld)).transpose(0, 2, 1)[:, :rows]
 
 
+def _in_single_range(M):
+    """Whether the largest magnitude of ``M``'s entries is 0 or in :data:`_SINGLE_RANGE`, read
+    with no temporary and no cast; not with a NaN entry."""
+    largest = max(M.max(), -M.min())
+    lo, hi = _SINGLE_RANGE
+    return largest == 0.0 or lo <= largest <= hi
+
+
+def _packed_upper(M):
+    """The upper triangle of the square ``M`` as float32, column by column: BLAS's packed storage."""
+    n = len(M)
+    packed = np.empty(n * (n + 1) // 2, np.float32)
+    np.concatenate([M[:j + 1, j] for j in range(n)], out=packed, casting="same_kind")
+    return packed
+
+
 def _cut(matrices, lo, g, c):
     """``g`` blocks of ``c`` rows from row ``lo`` on: an :func:`_aligned_stack` whose item ``j`` stacks
     rows ``[lo + j c, lo + (j + 1) c)`` of every matrix vertically, in Fortran order."""
@@ -214,7 +251,12 @@ class ColumnBlocks:
     which reads one triangle (of a non-symmetric matrix it gives the
     product of that triangle symmetrised); a matrix not in Fortran order,
     as a :class:`qcqpd.model.QcqpProblem` Hessian always is, is copied on
-    each run.
+    each run.  In that case :attr:`packed` also holds, in row order, a
+    float32 copy of each one's upper triangle in packed storage, the same
+    triangle ``dsymv`` reads, for the plans bound with ``single``; it is
+    empty when a largest entry is outside :data:`_SINGLE_RANGE` (tested
+    with no cast) and is emptied by the first float32 product that is not
+    finite.
     """
 
     def __init__(self, matrices, n_workers: int):
@@ -234,11 +276,17 @@ class ColumnBlocks:
                 self._symmetric.append((i, M))
             else:
                 square.append(i)
+        self.packed = []
         if self._symmetric:
             # only here: in a bare numpy process, importing it raises ru_maxrss from 27 to 55 MB
-            from scipy.linalg.blas import dsymv
+            from scipy.linalg.blas import dsymv, sspmv
 
-            self._dsymv = dsymv
+            self._dsymv, self._sspmv = dsymv, sspmv
+            if all(_in_single_range(M) for _, M in self._symmetric):
+                self.packed = [_packed_upper(M) for _, M in self._symmetric]
+                self._x32 = np.empty(n, np.float32)
+                self._y32 = np.zeros(len(self.packed) * n, np.float32)  # finite, so sspmv's beta = 0 reads no NaN
+                self._zeros32 = np.zeros_like(self._y32)
         # (rows of the product, one (g, k c, n) array of blocks per run of g
         # workers of width c) of each group of k consecutive stacked rows
         self._square = []
@@ -247,7 +295,7 @@ class ColumnBlocks:
             stacks = [_cut([matrices[i] for i in rows], *run) for run in self._runs]
             self._square.append((slice(rows[0], rows[-1] + 1), stacks))
 
-    def bind(self, x, out, stats: CommStats) -> Plan:
+    def bind(self, x, out, stats: CommStats, single: bool = False) -> Plan:
         """The plan writing ``P_i x`` into row ``i`` of the ``(k, n)`` array ``out``, each worker its own rows.
 
         ``x`` and ``out`` are bound once, as views: each run reads the
@@ -260,9 +308,13 @@ class ColumnBlocks:
         ``c = n``.  The row of a matrix kept whole for ``dsymv`` is its one
         worker's product, written in place, and a diagonal's row is one 1-D
         product ``d * x`` of the diagonal as given, each worker's columns of
-        it its own.  Each run books, in one :meth:`CommStats.record` step,
-        the allgather of ``x`` that hands every worker the whole vector;
-        nothing is reduced or scattered.
+        it its own.  With ``single`` and :attr:`packed` copies, the rows of
+        the matrices kept whole are instead one :meth:`_single` step, float32
+        products that fall back to the ``dsymv`` steps; without copies
+        ``single`` changes nothing.  Each run books, in one
+        :meth:`CommStats.record` step, the allgather of ``x`` that hands
+        every worker the whole vector, once whichever products ran; nothing
+        is reduced or scattered.
         """
         k, n = self._shape
         if x.shape != (n,):
@@ -272,6 +324,9 @@ class ColumnBlocks:
         steps = []
         for i, M in self._symmetric:
             steps.append((partial(self._dsymv, 1.0, M, x, beta=0.0, y=out[i], overwrite_y=1), ()))
+        if single and self.packed:
+            pairs = list(zip(self._y32.reshape(-1, n), [out[i] for i, _ in self._symmetric]))
+            steps = [(self._single, (Plan(steps), x, pairs))]
         for rows, stacks in self._square:
             group = out[rows]
             for stack, (lo, g, c) in zip(stacks, self._runs):
@@ -281,6 +336,31 @@ class ColumnBlocks:
         steps += [(np.multiply, (d, x, out[i])) for i, d in self._diagonal]
         steps.append((partial(stats.record, n_gathered=n), ()))
         return Plan(steps)
+
+    def _single(self, double, x, pairs):
+        """Write the products of the matrices kept whole from their :attr:`packed` copies, or run
+        ``double``, their ``dsymv`` steps, when there are none.
+
+        ``x`` is cast to float32, each packed copy multiplied by ``sspmv``
+        into its float32 row, and each of the ``pairs`` ``(float32 row, row
+        of the products)`` cast back.  When a float32 row is not finite (one
+        dot of zeros with them is NaN), ``x`` or a row sum having left
+        float32's range, the copies are dropped and ``double`` writes the
+        rows instead, in this run and every later one of any plan of this
+        stack.  A cast that overflows sets numpy's overflow flag, which the
+        solve loop ignores.
+        """
+        if self.packed:
+            x32 = self._x32
+            np.copyto(x32, x, casting="same_kind")
+            for packed, (y, _) in zip(self.packed, pairs):
+                self._sspmv(len(x), 1.0, packed, x32, beta=0.0, y=y, overwrite_y=1)
+            if self._zeros32.dot(self._y32) == 0.0:
+                for y, row in pairs:
+                    np.copyto(row, y)
+                return
+            self.packed = []
+        double()
 
     def bind_dot(self, X, y, out, stats: CommStats) -> Plan:
         """The plan writing the row-wise products ``X @ y`` over the workers' column slices into ``out``.

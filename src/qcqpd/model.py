@@ -46,7 +46,8 @@ PSD_RTOL = 1e-8
 SYMMETRY_TILE = 128
 # Columns from which a dense Hessian counts as large: ``validate`` factorizes it in
 # place with LAPACK's ``dpotrf``, and a one-worker solve multiplies it with the
-# BLAS ``dsymv`` (``qcqpd.dist``).  512 columns are 2 MiB of float64, the per-core
+# BLAS ``dsymv``, and between residual checks with ``sspmv`` on a packed float32
+# copy (``qcqpd.dist``).  512 columns are 2 MiB of float64, the per-core
 # L2.  Below it ``scipy.linalg`` stays unloaded: importing it raises a bare numpy
 # process's ru_maxrss from 27 to 55 MB.
 LARGE_DENSE_COLS = 512

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qcqpd import (
     TerminationStatus,
     analytic_comm_stats,
     build_mkl_qcqp,
+    compute_residuals,
     gen_infeasible,
     gen_random_qcqp,
     gen_unbounded,
@@ -29,7 +31,9 @@ import qcqpd.core
 from qcqpd.core import (
     BIG_M, EPS0, TRACE_EVERY, _Workspace, adaptive_step_size, compute_norms, projected_step, state_bounds,
 )
-from qcqpd.dist import CommStats
+from qcqpd.diagnostics import serial_operator
+from qcqpd.dist import ColumnBlocks, CommStats
+from qcqpd.model import LARGE_DENSE_COLS
 from helpers import (
     equality_problem, hessian_problem, interior_problem, operator, random_box_state, random_problem, step,
     step_size_state, toy_problem,
@@ -433,6 +437,14 @@ def _workspace(problem, workers, state):
     return ws
 
 
+def _scaled(n1, m1, objective=1.0, linear=1.0):
+    """Random ``n1``, ``m1``, seed 0 with ``P0`` scaled by ``objective`` and ``q0`` by ``objective * linear``."""
+    base = gen_random_qcqp(RandomQcqpSpec(n1=n1, m1=m1, seed=0))
+    q = base.q.copy()
+    q[0] *= objective * linear
+    return dataclasses.replace(base, P=[objective * base.P[0], *base.P[1:]], q=q)
+
+
 class TestPass:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     def test_writes_the_operator_and_books_one_pass(self, workers):
@@ -537,6 +549,40 @@ class TestPass:
                     ws.z[i] = value
                     assert ws.pass_at_z() == finite, (i, value)
 
+    @pytest.mark.parametrize("n1, workers, single", [
+        (LARGE_DENSE_COLS, 1, True),
+        (LARGE_DENSE_COLS - 1, 1, False),
+        (LARGE_DENSE_COLS, 2, False),
+    ])
+    def test_float32_passes_only_on_one_worker_from_min_cols(self, n1, workers, single):
+        # the passes between checks, at z and at w, multiply the packed
+        # float32 copies exactly where dsymv runs; elsewhere the pass at z
+        # between checks is the float64 pass itself
+        ws = _Workspace(gen_random_qcqp(RandomQcqpSpec(n1=n1, m1=2, seed=0)), workers)
+        products = ws.hessians._single
+
+        def float32(plan):
+            return products in [function for function, _ in plan.steps]
+
+        assert (ws.pass_z32 is not ws.pass_z) == float32(ws.pass_z32) == float32(ws.pass_w) == single
+        assert not float32(ws.pass_z)
+
+    def test_x_past_float32_range_takes_the_float64_bits(self):
+        # x = 1e39 is inf in float32: the float32 pass at z redoes its
+        # products in float64, writing the float64 pass's bits and booking one
+        # pass, and drops the copies for the rest of the solve
+        p = gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0))
+        state = random_box_state(np.random.default_rng(3), p)
+        state[0][:] = 1e39
+        single, double = _workspace(p, 1, state), _workspace(p, 1, state)
+        assert single.hessians.packed
+        with np.errstate(over="ignore", invalid="ignore"):
+            single.pass_z32()
+        double.pass_z()
+        assert single.hessians.packed == []
+        assert single.Fz.tobytes() == double.Fz.tobytes() and single.Px.tobytes() == double.Px.tobytes()
+        assert single.stats == double.stats == analytic_comm_stats(p, 0)
+
     @pytest.mark.parametrize("workers", [1, 4])
     def test_one_call_allocates_almost_nothing(self, workers):
         # every buffer of a pass is built when it is bound: a per-call
@@ -555,6 +601,25 @@ class TestPass:
         finally:
             tracemalloc.stop()
         assert peak < 8 * p.n1
+
+    def test_float32_passes_allocate_almost_nothing(self):
+        # the float32 products cast x and the rows into buffers built once
+        # per solve: a per-call float32 row or cast of x would pass the bound
+        p = gen_random_qcqp(RandomQcqpSpec(n1=LARGE_DENSE_COLS, m1=2, seed=0))
+        ws = _workspace(p, 1, random_box_state(np.random.default_rng(0), p))
+        ws.w[:] = ws.z
+        assert ws.hessians.packed
+        for plan in (ws.pass_z32, ws.pass_w):
+            plan()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                plan()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * p.n1
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_one_iteration_allocates_almost_nothing(self, workers):
@@ -753,6 +818,58 @@ class TestSolve:
                 passes = 2 * iterations + 1
                 assert comm.bytes_reduced + comm.bytes_scattered + comm.bytes_allgathered == 8 * doubles * passes
                 assert (comm.allgather_ops, comm.scatter_ops) == (passes, 0)
+
+    def test_checks_are_float64_between_float32_passes(self):
+        # random n1 = 600 at one worker takes float32 passes between checks:
+        # every trace row, the one at the off-cadence cap included, is the
+        # float64 serial evaluation at the iterate the callback saw on that
+        # iteration, far inside float32's rounding of about 1e-6
+        p = gen_random_qcqp(RandomQcqpSpec(n1=600, m1=2, seed=0))
+        assert _Workspace(p, 1).hessians.packed
+        cap = 1235
+        seen = {}
+
+        def capture(k, x, u, lam, gam):
+            if k % TRACE_EVERY == 0 or k == cap:
+                seen[k] = [v.copy() for v in (x, u, lam, gam)]
+
+        rep = solve(p, SolverConfig(max_iters=cap), callback=capture)
+        assert rep.iterations == rep.trace[-1].iteration == cap
+        assert [row.iteration for row in rep.trace] == sorted(seen)
+        for row in rep.trace:
+            x, u, lam, gam = seen[row.iteration]
+            res1, res2 = compute_residuals(p, x, lam, serial_operator(p, x, u, lam, gam))
+            assert row.res1 == pytest.approx(res1, rel=1e-9, abs=0)
+            assert row.res2 == pytest.approx(res2, rel=1e-9, abs=0)
+            assert row.objective == pytest.approx(objective(p, x, u), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("objective_scale, linear_scale, packed, kept", [
+        (1.0, 1.0, True, True),
+        (1e40, 1.0, False, False),
+        (1e160, 1.0, False, False),
+        (1.0, 1e100, True, False),
+    ], ids=["in-range", "P0-1e40", "P0-1e160", "x-past-float32"])
+    def test_size_class_solves_raise_no_warning(self, monkeypatch, objective_scale, linear_scale, packed, kept):
+        # an objective scaled past float32's range keeps every product float64;
+        # a linear term of 1e100 drives x past float32's range, where the
+        # products fall back to float64 and the copies are dropped.  No solve
+        # warns, and each books exactly the analytic traffic
+        made = []
+
+        class Recorded(ColumnBlocks):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append((self, bool(self.packed)))
+
+        monkeypatch.setattr(qcqpd.core, "ColumnBlocks", Recorded)
+        p = _scaled(LARGE_DENSE_COLS, 1, objective_scale, linear_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(p, SolverConfig(max_iters=40))
+        (blocks, had), = made
+        assert (had, bool(blocks.packed)) == (packed, kept)
+        assert rep.status is TerminationStatus.MAX_ITERS_EXCEEDED
+        assert rep.comm == analytic_comm_stats(p, rep.iterations)
 
     def test_fewer_columns_than_workers_ends_like_one_worker(self):
         # n1 = 2 at 3 workers leaves the third worker blocks of no rows

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcqpd import CommStats
-from qcqpd.dist import ColumnBlocks, _width_runs
+from qcqpd.dist import _SINGLE_RANGE, ColumnBlocks, _in_single_range, _packed_upper, _width_runs
 from qcqpd.model import LARGE_DENSE_COLS
 from reference import held_ranges, reference_dot, reference_products, reference_ranges, worker_order_sum
 
@@ -21,10 +21,10 @@ def _traffic(**counts):
     return {**dict.fromkeys(keys, 0), **counts}
 
 
-def _products(blocks, x, stats=None):
+def _products(blocks, x, stats=None, single=False):
     """The ``(k, n)`` products of a :class:`ColumnBlocks` stack: one run of its plan bound to ``x`` and a new buffer."""
     out = np.empty(blocks._shape)
-    blocks.bind(x, out, CommStats() if stats is None else stats)()
+    blocks.bind(x, out, CommStats() if stats is None else stats, single)()
     return out
 
 
@@ -613,18 +613,108 @@ class TestSymmetricStack:
     ])
     def test_one_triangle_only_on_one_worker_from_min_cols(self, n, workers, one_triangle):
         # a non-symmetric matrix shows which path ran: dsymv gives the product
-        # of one triangle symmetrised, the generic stack the matrix's own product
+        # of one triangle symmetrised, the generic stack the matrix's own
+        # product.  The float32 copy exists exactly where dsymv runs, and
+        # elsewhere single changes nothing, bit for bit
         rng = np.random.default_rng(11)
         M = np.asfortranarray(rng.standard_normal((n, n)))
         x = rng.standard_normal(n)
-        out = _matvec(M, x, workers)
+        blocks = ColumnBlocks([M], workers)
+        out = _products(blocks, x)[0]
+        single = _products(blocks, x, single=True)[0]
         upper = np.triu(M) + np.triu(M, 1).T
         lower = np.tril(M) + np.tril(M, -1).T
         symmetrised = [S @ x for S in (upper, lower)]
+        assert len(blocks.packed) == one_triangle
         if one_triangle:
             assert any(np.allclose(out, y, rtol=1e-12, atol=1e-12) for y in symmetrised)
+            assert out.tobytes() != single.tobytes()
+            np.testing.assert_allclose(single, upper @ x, rtol=0, atol=1e-5 * np.abs(out).max())
         else:
             np.testing.assert_allclose(out, M @ x, rtol=1e-12, atol=1e-12)
+            assert single.tobytes() == out.tobytes()
+
+    # 600 is not a multiple of 4
+    @pytest.mark.parametrize("n", [LARGE_DENSE_COLS, 600])
+    @pytest.mark.parametrize("kinds", SYMMETRIC_STACKS.values(), ids=list(SYMMETRIC_STACKS))
+    def test_packed_products_are_within_float32_rounding(self, kinds, n):
+        # each dense row within 1e-5 of float64 relative to the row's max
+        # (about 1e-6 is typical), each diagonal's row the float64 one bit for
+        # bit; the allgather is booked once, as in float64
+        rng = np.random.default_rng(n + 1)
+        mats = _symmetric_stack(kinds, n, rng)
+        blocks = ColumnBlocks(mats, 1)
+        assert len(blocks.packed) == sum(M.ndim == 2 for M in mats)
+        x = rng.standard_normal(n)
+        stats = CommStats()
+        single, double = _products(blocks, x, stats, single=True), _products(blocks, x)
+        assert stats.as_dict() == _traffic(allgather_ops=1, bytes_allgathered=8 * n)
+        for M, row, want in zip(mats, single, double):
+            if M.ndim == 1:
+                assert row.tobytes() == want.tobytes()
+            else:
+                assert 0 < np.abs(row - want).max() <= 1e-5 * np.abs(want).max()
+        assert blocks.packed  # nothing fell back
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_packed_copy_is_the_upper_triangle_column_by_column(self, n):
+        # BLAS's packed upper storage: column j holds rows 0..j; of a C-order
+        # matrix too
+        M = np.arange(n * n, dtype=float).reshape(n, n)
+        want = np.concatenate([M[:j + 1, j] for j in range(n)]).astype(np.float32)
+        for stored in (M, np.asfortranarray(M)):
+            packed = _packed_upper(stored)
+            assert packed.dtype == np.float32 and packed.tobytes() == want.tobytes()
+            assert packed.tobytes() == stored.T[np.tril_indices(n)].astype(np.float32).tobytes()
+
+    def test_single_range_reads_the_largest_magnitude(self):
+        # both ends of the range are in it, the next doubles past them are
+        # not; a negative entry counts by its magnitude, a zero matrix is in
+        # range and a NaN entry is not.  Reading it casts nothing, so no
+        # overflow warning (an error under the suite's filter) is raised
+        lo, hi = _SINGLE_RANGE
+        assert _in_single_range(np.zeros((3, 3)))
+        for largest, inside in [(lo, True), (hi, True), (np.nextafter(lo, 0), False),
+                                (np.nextafter(hi, np.inf), False), (1e40, False), (1e160, False), (1.0, True)]:
+            for sign in (1.0, -1.0):
+                M = np.full((3, 3), 0.5 * lo)
+                M[1, 2] = sign * largest
+                assert _in_single_range(M) == inside, (largest, sign)
+        assert not _in_single_range(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e40, 1e160, 2.0 ** -110, np.nan])
+    def test_one_matrix_out_of_range_keeps_the_stack_float64(self, scale):
+        # one out-of-range Hessian keeps every product float64 bit for bit
+        rng = np.random.default_rng(23)
+        mats = _symmetric_stack(SYMMETRIC_STACKS["dense"], LARGE_DENSE_COLS, rng)
+        mats[2] = mats[2] * scale
+        blocks = ColumnBlocks(mats, 1)
+        assert blocks.packed == []
+        x = rng.standard_normal(LARGE_DENSE_COLS)
+        with np.errstate(invalid="ignore"):
+            assert _products(blocks, x, single=True).tobytes() == _products(blocks, x).tobytes()
+
+    @pytest.mark.parametrize("value", [1e39, np.inf, np.nan])
+    def test_product_past_float32_range_is_redone_in_float64(self, value):
+        # an x entry past float32's range makes the float32 rows non-finite:
+        # the run writes the dsymv rows instead, books the allgather once and
+        # drops the copies, so every later run of any plan is float64
+        rng = np.random.default_rng(29)
+        n = LARGE_DENSE_COLS
+        mats = _symmetric_stack(SYMMETRIC_STACKS["dense-csc"], n, rng)
+        blocks = ColumnBlocks(mats, 1)
+        x = rng.standard_normal(n)
+        out, stats = np.empty(blocks._shape), CommStats()
+        single = blocks.bind(x, out, stats, single=True)
+        x[7] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            single()
+            assert blocks.packed == []
+            assert out.tobytes() == _products(blocks, x).tobytes()
+        assert stats.as_dict() == _traffic(allgather_ops=1, bytes_allgathered=8 * n)
+        x[7] = 1.0
+        single()
+        assert out.tobytes() == _products(blocks, x).tobytes()
 
     def test_small_solve_does_not_import_scipy_linalg(self):
         # dsymv comes from scipy.linalg, imported only when a stack needs it:
